@@ -144,7 +144,11 @@ def u_eval(u):
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """A point of T*CP^1 in the affine chart: base b, fibre covector v."""
+    """A point of T*CP^1 in the affine chart: base b, fibre covector v.
+
+    b and v may also be complex arrays of one shape, which makes the
+    point a batch; the chart fields evaluate their stencils that way.
+    """
 
     b: complex
     v: complex
@@ -155,8 +159,9 @@ class CotangentPoint:
 
     @classmethod
     def from_coords(cls, q) -> "CotangentPoint":
+        """The point at chart coordinates q, or the batch of an (m, 4) array."""
         q = np.asarray(q, dtype=float)
-        return cls(b=complex(q[0], q[1]), v=complex(q[2], q[3]))
+        return cls(b=q[..., 0] + 1j * q[..., 1], v=q[..., 2] + 1j * q[..., 3])
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,8 @@ class SymmetricSpaceModel:
     fibre_operator returns the hermitian PSD curvature operator on the
     fibre (applied for the covector at the point); fibre_pairing the
     hermitian positive pairing matrix; base_form the pulled-back base
-    Kähler form on the real chart.
+    Kähler form on the real chart.  For a batch point the fibre
+    callbacks return stacked matrices, shape (m, d, d).
     """
 
     base_complex_dim: int
@@ -176,7 +182,7 @@ class SymmetricSpaceModel:
     fibre_pairing: Callable[[CotangentPoint], np.ndarray]
 
     def fibre_covector(self, pt: CotangentPoint) -> np.ndarray:
-        return np.array([pt.v], dtype=complex)
+        return np.asarray(pt.v, dtype=complex)[..., None]
 
     @property
     def I(self) -> np.ndarray:
@@ -203,11 +209,12 @@ def cp1_model() -> SymmetricSpaceModel:
         return FormValue(2, 4, np.array([lam, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
     def fibre_operator(pt):
-        u = (1.0 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
-        return np.array([[u]], dtype=complex)
+        u = (1.0 + np.abs(pt.b) ** 2) ** 2 * np.abs(pt.v) ** 2
+        return np.asarray(u, dtype=complex)[..., None, None]
 
     def fibre_pairing(pt):
-        return np.array([[0.5 * (1.0 + abs(pt.b) ** 2) ** 2]], dtype=complex)
+        pairing = 0.5 * (1.0 + np.abs(pt.b) ** 2) ** 2
+        return np.asarray(pairing, dtype=complex)[..., None, None]
 
     return SymmetricSpaceModel(
         base_complex_dim=1,
@@ -224,10 +231,17 @@ def cp1_model() -> SymmetricSpaceModel:
 def _spectral_apply(model, pt, profile, psd_tol: float = 1e-10):
     """(profile(U) v, v) with U the fibre operator, by eigendecomposition.
 
-    Eigenvalues are clamped at -1e-12; values below -psd_tol raise.
+    Eigenvalues are clamped at -1e-12; values below -psd_tol raise.  A
+    batch point is decomposed with one stacked eigh and gives an (m,)
+    array; every matrix of the stack must be hermitian and PSD.  A
+    single point is evaluated as a batch of one, because numpy rounds
+    some scalar operations (``x ** 2``) differently from array ones.
     """
+    batch = np.ndim(pt.b) > 0
+    if not batch:
+        pt = CotangentPoint(np.reshape(pt.b, 1), np.reshape(pt.v, 1))
     U = model.fibre_operator(pt)
-    if np.max(np.abs(U - U.conj().T)) > 1e-12:
+    if np.max(np.abs(U - np.conj(np.swapaxes(U, -1, -2)))) > 1e-12:
         raise ModelError("curvature operator is not hermitian")
     evals, W = np.linalg.eigh(U)
     if evals.min() < -psd_tol:
@@ -236,10 +250,11 @@ def _spectral_apply(model, pt, profile, psd_tol: float = 1e-10):
         )
     evals = np.clip(evals, -1e-12, None)
     evals = np.maximum(evals, 0.0)
-    v = model.fibre_covector(pt)
+    v = model.fibre_covector(pt)[..., None]
     Pv = model.fibre_pairing(pt) @ v
-    fv = W @ (profile(evals) * (W.conj().T @ v))
-    return float(np.real(np.vdot(fv, Pv)))
+    fv = W @ (profile(evals)[..., None] * (np.conj(np.swapaxes(W, -1, -2)) @ v))
+    value = np.sum(np.conj(fv) * Pv, axis=(-2, -1)).real
+    return value if batch else float(value[0])
 
 
 def potential_h(model: SymmetricSpaceModel, pt: CotangentPoint) -> float:
@@ -259,7 +274,9 @@ def bg_moment_map(model: SymmetricSpaceModel, pt: CotangentPoint) -> float:
 
 def _chart_field(model, op) -> ScalarField:
     return ScalarField(
-        lambda q: op(model, CotangentPoint.from_coords(q)), dim=model.chart_dim
+        lambda q: op(model, CotangentPoint.from_coords(q)),
+        dim=model.chart_dim,
+        vectorized=True,
     )
 
 

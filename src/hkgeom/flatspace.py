@@ -65,9 +65,10 @@ class FlatModel:
         return 2 * self.n + 2 * i, 2 * self.n + 2 * i + 1
 
     def to_complex(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(z, w) of a point, or of each row of an (m, 4n) batch."""
         p = np.asarray(p)
-        z = p[: 2 * self.n : 2] + 1j * p[1 : 2 * self.n : 2]
-        w = p[2 * self.n :: 2] + 1j * p[2 * self.n + 1 :: 2]
+        z = p[..., : 2 * self.n : 2] + 1j * p[..., 1 : 2 * self.n : 2]
+        w = p[..., 2 * self.n :: 2] + 1j * p[..., 2 * self.n + 1 :: 2]
         return z, w
 
     def from_complex(self, z, w) -> np.ndarray:
@@ -229,20 +230,25 @@ def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:
     return action_generator(spec) @ np.asarray(p, dtype=float)
 
 
-def moment_map(spec: CircleActionSpec, p) -> float:
+def moment_map(spec: CircleActionSpec, p) -> float | np.ndarray:
     """Moment map of the action for omega1: mu = -1/2 sum(k|z|^2 + l|w|^2).
 
-    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.
+    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  Returns a
+    float for one point and an (m,) array for an (m, 4n) batch.  The
+    weighted sums are reductions over the last axis, not BLAS dot
+    products, whose rounding depends on the batch shape; so each row of
+    a batch gives the same bits as that point alone.
     """
     model = spec.model()
     z, w = model.to_complex(p)
     k = np.asarray(spec.k, dtype=float)
     l = np.asarray(spec.l, dtype=float)
-    return float(-0.5 * (k @ np.abs(z) ** 2 + l @ np.abs(w) ** 2))
+    mu = -0.5 * ((k * np.abs(z) ** 2).sum(-1) + (l * np.abs(w) ** 2).sum(-1))
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def moment_field(spec: CircleActionSpec) -> ScalarField:
-    return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n)
+    return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n, vectorized=True)
 
 
 def hyperholo_curvature(
@@ -259,7 +265,7 @@ def hyperholo_curvature(
     deg = spec.degree
     if deg == 0:
         return model.omega1
-    mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim)
+    mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim, vectorized=True)
     return model.omega1 + ddc(mu, model.I, p, scheme)
 
 

@@ -7,6 +7,15 @@ reduce to index bookkeeping.  Derivatives (d, d^c, Laplacian) are
 central finite differences on user-supplied evaluation callbacks;
 there is no symbolic layer.
 
+``d^c`` and ``dd^c`` evaluate their stencils in batches: every point of
+the stencil goes to the scalar field in one call, as an ``(m, dim)``
+array.  A field whose callback is vectorised (``(m, dim)`` in, ``(m,)``
+out) declares so and costs one callback per batch; any other field is
+called row by row.  One nested ``dd^c`` stencil of order 4 is
+``(4 dim)^2`` points, so the batch holds ``(4 dim)^2 * dim`` floats:
+about 350 KB at dim = 14 (four times that with Richardson
+extrapolation, which doubles both stencils).
+
 Conventions fixed here and used everywhere else in the package:
 
 * ``d^c f = -df o I`` for an (almost) complex structure I, which gives
@@ -38,7 +47,6 @@ __all__ = [
     "fd_jacobian",
     "ext_deriv",
     "dc_deriv",
-    "dc_field",
     "ddc",
     "laplacian",
     "wedge",
@@ -242,14 +250,24 @@ class ScalarField:
 
     ``clearance(p)`` returns the distance from p to the field's singular
     set; None means the field is globally smooth.
+
+    The field takes one point ``(dim,)`` or a batch ``(m, dim)``, for
+    which it returns an ``(m,)`` array.  With ``vectorized=True`` the
+    callback receives the batch itself and must return the ``(m,)``
+    values, each equal to what it returns for that row alone; otherwise
+    the callback sees one point at a time.
     """
 
     fn: Callable
     dim: int
     clearance: Callable | None = None
+    vectorized: bool = False
 
     def __call__(self, p):
-        return self.fn(np.asarray(p, dtype=float))
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1 or self.vectorized:
+            return self.fn(p)
+        return np.array([self.fn(row) for row in p])
 
     def margin(self, p) -> float:
         if self.clearance is None:
@@ -288,25 +306,65 @@ def _require_margin(field, p, scheme: FDScheme):
 # -- finite differences ---------------------------------------------------------
 
 
-def _central_diff(fn, p, i, h, order):
-    e = np.zeros(len(p))
-    e[i] = h
-    if order == 2:
-        return (fn(p + e) - fn(p - e)) / (2.0 * h)
-    return (-fn(p + 2 * e) + 8.0 * fn(p + e) - 8.0 * fn(p - e) + fn(p - 2 * e)) / (
-        12.0 * h
+#: stencil offsets, in units of the step, in the order they are evaluated
+_OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
+
+
+def _steps(scheme: FDScheme) -> tuple:
+    """The step of each central difference: h, then h/2 for Richardson."""
+    return (scheme.h, scheme.h / 2.0) if scheme.richardson else (scheme.h,)
+
+
+def _fd_reduce(vals, scheme: FDScheme):
+    """Derivatives from stencil values laid out as [step][offset][...].
+
+    ``vals[t][o]`` is the value at offset ``_OFFSETS[order][o]`` times
+    ``_steps(scheme)[t]``; entries may be scalars or arrays.
+    """
+    diffs = []
+    for v, h in zip(vals, _steps(scheme)):
+        if scheme.order == 2:
+            diffs.append((v[0] - v[1]) / (2.0 * h))
+        else:
+            diffs.append((-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h))
+    if scheme.richardson:
+        k = 4.0 if scheme.order == 2 else 16.0
+        return (k * diffs[1] - diffs[0]) / (k - 1.0)
+    return diffs[0]
+
+
+def _stencil(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
+    """Central-difference stencil points around each row of a (k, N) array P.
+
+    Returns shape (T, O, k, N, N): entry [t, o, r, i] is P[r] with
+    coordinate i moved by ``_OFFSETS[order][o] * _steps(scheme)[t]``,
+    the same points, bit for bit, that partial_derivative evaluates.
+    """
+    eye = np.eye(P.shape[1])
+    return np.array(
+        [
+            [P[:, None, :] + (a * h) * eye for a in _OFFSETS[scheme.order]]
+            for h in _steps(scheme)
+        ]
     )
+
+
+def _gradients(f: ScalarField, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
+    """Gradient of f at each row of P, from one field call over all stencils."""
+    pts = _stencil(P, scheme)
+    vals = np.asarray(f(pts.reshape(-1, P.shape[1]))).reshape(pts.shape[:-1])
+    return _fd_reduce(vals, scheme)
 
 
 def partial_derivative(fn: Callable, p, i: int, scheme: FDScheme):
     """d(fn)/dx_i at p by central differences; fn may return scalars or arrays."""
     p = np.asarray(p, dtype=float)
-    if scheme.richardson:
-        d_h = _central_diff(fn, p, i, scheme.h, scheme.order)
-        d_h2 = _central_diff(fn, p, i, scheme.h / 2.0, scheme.order)
-        k = 4.0 if scheme.order == 2 else 16.0
-        return (k * d_h2 - d_h) / (k - 1.0)
-    return _central_diff(fn, p, i, scheme.h, scheme.order)
+    e = np.zeros(len(p))
+    e[i] = 1.0
+    vals = [
+        [fn(p + (a * h) * e) for a in _OFFSETS[scheme.order]] for h in _steps(scheme)
+    ]
+    return _fd_reduce(vals, scheme)
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
@@ -346,8 +404,17 @@ def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> FormValue:
     return FormValue(k + 1, N, out)
 
 
-def _structure_at(I, p) -> np.ndarray:
-    return np.asarray(I(p) if callable(I) else I)
+#: how far I^2 may deviate from -Id before d^c refuses it
+_STRUCTURE_TOL = 1e-8
+
+
+def _checked_structure(S, dim: int, tol: float, where: str) -> np.ndarray:
+    """S as an array, after checking S^2 = -Id to within tol."""
+    S = np.asarray(S)
+    dev = np.max(np.abs(S @ S + np.eye(dim)))
+    if dev > tol:
+        raise StructureError(f"I^2 + Id deviates by {dev:.3e} {where}")
+    return S
 
 
 def dc_deriv(
@@ -356,33 +423,22 @@ def dc_deriv(
     p,
     scheme: FDScheme | None = None,
     *,
-    structure_tol: float = 1e-8,
+    structure_tol: float = _STRUCTURE_TOL,
 ) -> FormValue:
     """The 1-form d^c f = -df o I at p.
 
     I may be a constant matrix or a callback p -> matrix; it must square
-    to -Id at p to within structure_tol.
+    to -Id at p to within structure_tol.  The gradient stencil goes to f
+    in one batch.
     """
     scheme = scheme or FDScheme()
     p = np.asarray(p, dtype=float)
     _require_margin(f, p, scheme)
-    S = _structure_at(I, p)
-    dev = np.max(np.abs(S @ S + np.eye(len(p))))
-    if dev > structure_tol:
-        raise StructureError(f"I^2 + Id deviates by {dev:.3e} at the base point")
-    grad = fd_gradient(f, p, scheme)
-    return FormValue(1, len(p), -S.T @ grad)
-
-
-def dc_field(f: ScalarField, I, scheme: FDScheme | None = None) -> FormField:
-    """d^c f packaged as a 1-form field (for a subsequent ext_deriv)."""
-    scheme = scheme or FDScheme()
-    return FormField(
-        fn=lambda q: dc_deriv(f, I, q, scheme),
-        degree=1,
-        dim=f.dim,
-        clearance=f.clearance,
+    S = _checked_structure(
+        I(p) if callable(I) else I, len(p), structure_tol, "at the base point"
     )
+    grad = _gradients(f, p[None, :], scheme)[0]
+    return FormValue(1, len(p), -S.T @ grad)
 
 
 def ddc(
@@ -392,10 +448,36 @@ def ddc(
     scheme: FDScheme | None = None,
     inner_scheme: FDScheme | None = None,
 ) -> FormValue:
-    """dd^c f at p: ext_deriv of the d^c field (nested finite differences)."""
+    """dd^c f at p by nested central differences.
+
+    The outer stencil (``scheme``) differentiates the 1-form
+    d^c f = -df o I, whose value at each outer point q is -I(q)^T times
+    the gradient of f from an ``inner_scheme`` stencil around q (the
+    inner scheme defaults to the outer one).  All inner points of all
+    outer points go to f in one batch.  I may be a constant matrix or a
+    callback p -> matrix; it must square to -Id at every outer point.
+    The 10h clearance margin is checked at p for the outer step and at
+    every outer point for the inner step.
+    """
     scheme = scheme or FDScheme()
     inner = inner_scheme or scheme
-    return ext_deriv(dc_field(f, I, inner), p, scheme)
+    p = np.asarray(p, dtype=float)
+    N = len(p)
+    _require_margin(f, p, scheme)
+    outer = _stencil(p[None, :], scheme)
+    Q = outer.reshape(-1, N)
+    for q in Q:
+        _require_margin(f, q, inner)
+    where = "at an outer stencil point"
+    if callable(I):
+        structures = [_checked_structure(I(q), N, _STRUCTURE_TOL, where) for q in Q]
+    else:
+        structures = [_checked_structure(I, N, _STRUCTURE_TOL, where)] * len(Q)
+    grads = _gradients(f, Q, inner)
+    dc = np.array([-S.T @ grad for S, grad in zip(structures, grads)])
+    D = _fd_reduce(dc.reshape(outer.shape), scheme)[0]  # D[i, j] = d_i (d^c f)_j
+    a, b = np.array(basis_indices(N, 2)).T
+    return FormValue(2, N, D[a, b] - D[b, a])
 
 
 def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> float:

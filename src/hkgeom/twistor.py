@@ -548,14 +548,25 @@ def twistor_structure(n: int):
 # -- hermitian metric ------------------------------------------------------------
 
 
+def _log_hU(z, w, zeta_re, zeta_im):
+    """log h_U over the last axis of z and w; zeta is given by its parts.
+
+    Re(conj(zeta) s) is written as Re zeta Re s + Im zeta Im s: numpy
+    rounds a product of complex arrays differently from a product of
+    complex scalars, and the real form keeps a batch row bit-identical
+    to the same point evaluated alone.
+    """
+    s = np.sum(z * w, axis=-1)
+    return 0.5 * np.sum(np.abs(z) ** 2 - np.abs(w) ** 2, axis=-1) + (
+        zeta_re * s.real + zeta_im * s.imag
+    )
+
+
 def log_hU(z, w, zeta: complex) -> float:
     """(1/2) sum_i (|z_i|^2 - |w_i|^2) + Re(conj(zeta) sum_i z_i w_i)."""
     z, w = _cvec(z, "z"), _cvec(w, "w")
     zeta = complex(zeta)
-    return float(
-        0.5 * np.sum(np.abs(z) ** 2 - np.abs(w) ** 2)
-        + np.real(np.conj(zeta) * np.sum(z * w))
-    )
+    return float(_log_hU(z, w, zeta.real, zeta.imag))
 
 
 def log_hV(z, w, zeta: complex) -> float:
@@ -577,11 +588,14 @@ def reality_residual(z, w, zeta: complex) -> float:
 
 
 def log_hU_field(n: int) -> ScalarField:
-    """log h_U as a scalar field on the real twistor coordinates."""
+    """log h_U as a vectorised scalar field on the real twistor coordinates."""
     model = FlatModel(n)
-    return ScalarField(
-        fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n)
-    )
+
+    def value(p):
+        z, w = model.to_complex(p[..., : model.dim])
+        return _log_hU(z, w, p[..., model.dim], p[..., model.dim + 1])
+
+    return ScalarField(fn=value, dim=total_dim(n), vectorized=True)
 
 
 def dbar_scalar(n: int, p, tangent, scheme: FDScheme | None = None) -> complex:

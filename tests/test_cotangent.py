@@ -140,6 +140,34 @@ def test_circle_invariance_exact():
         assert abs(bg_moment_map(model, rpt) - mu0) < 1e-12
 
 
+@pytest.mark.parametrize("profile", [potential_h, potential_k, bg_moment_map])
+def test_profile_fields_batch_match_rows(profile):
+    model = cp1_model()
+    rng = np.random.default_rng(31)
+    rows = rng.uniform(-0.8, 0.8, size=(200, 4))
+    batch = profile(model, CotangentPoint.from_coords(rows))
+    assert batch.shape == (200,)
+    single = np.array([profile(model, CotangentPoint.from_coords(q)) for q in rows])
+    assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-15
+    assert isinstance(profile(model, CotangentPoint.from_coords(rows[0])), float)
+
+
+@pytest.mark.parametrize("bad_entry", [-1.0, 0.5 + 0.5j])
+def test_batch_checks_every_operator(bad_entry):
+    # one non-PSD or non-hermitian matrix in a stack fails the whole batch
+    model = cp1_model()
+
+    def operator(pt):
+        U = model.fibre_operator(pt).copy()
+        U[3, 0, 0] = bad_entry
+        return U
+
+    bad = SymmetricSpaceModel(1, 4, model.base_form, operator, model.fibre_pairing)
+    rows = np.random.default_rng(32).uniform(-0.8, 0.8, size=(6, 4))
+    with pytest.raises(ModelError):
+        potential_h(bad, CotangentPoint.from_coords(rows))
+
+
 def test_non_psd_operator_raises():
     model = cp1_model()
     bad = SymmetricSpaceModel(

@@ -135,6 +135,21 @@ def test_moment_map_values():
     assert moment_map(spec, np.zeros(4)) == 0.0  # mu(0) = 0 normalization
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_map_batch_matches_rows(n):
+    rng = np.random.default_rng(20 + n)
+    rows = rng.uniform(-1.5, 1.5, size=(200, 4 * n))
+    for spec in (
+        CircleActionSpec(k=(0,) * n, l=(1,) * n),
+        CircleActionSpec(k=(1,) * n, l=(1,) * n),
+        CircleActionSpec(k=(2,) * n, l=(-1,) * n),
+    ):
+        batch = moment_map(spec, rows)
+        assert batch.shape == (200,)
+        assert np.array_equal(batch, [moment_map(spec, row) for row in rows])
+        assert isinstance(moment_map(spec, rows[0]), float)
+
+
 def test_moment_map_defining_equation():
     # d mu = i_X omega1 at random points, FD residual < 1e-9
     rng = np.random.default_rng(13)

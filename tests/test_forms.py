@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hkgeom.errors import DomainError, MetricError, StructureError
+from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
 from hkgeom.forms import (
     FDScheme,
     FormField,
@@ -13,6 +14,7 @@ from hkgeom.forms import (
     dc_deriv,
     ddc,
     ext_deriv,
+    fd_gradient,
     form_metric_norm,
     hodge_star,
     interior_product,
@@ -22,6 +24,7 @@ from hkgeom.forms import (
     type11_residual,
     wedge,
 )
+from hkgeom.twistor import log_hU_field, pack_point, twistor_structure
 
 # Standard complex structure on R^2 = C (z = x + iy) and on R^4 = H
 # (z = x0 + i x1, w = x2 + i x3), columns are images of basis vectors.
@@ -220,6 +223,103 @@ def test_dc_rejects_non_complex_structure():
     f = ScalarField(lambda p: p[0], dim=2)
     with pytest.raises(StructureError):
         dc_deriv(f, np.eye(2), [0.0, 0.0])
+
+
+# -- batched dd^c against the nested composition ------------------------------
+
+
+def _nested_ddc(f, I, p, scheme, inner=None):
+    """Reference: ext_deriv of the d^c 1-form field, one point per callback."""
+    inner = inner or scheme
+    dc = FormField(
+        lambda q: dc_deriv(f, I, q, inner), degree=1, dim=f.dim, clearance=f.clearance
+    )
+    return ext_deriv(dc, p, scheme)
+
+
+SCHEMES = [
+    (FDScheme(h=1e-3, order=4), None),
+    (FDScheme(h=1e-2, order=2), None),
+    (FDScheme(h=1e-2, order=4, richardson=True), FDScheme(h=1e-3, order=4, richardson=True)),
+]
+
+
+@pytest.mark.parametrize("scheme, inner", SCHEMES)
+def test_batched_ddc_equals_nested_constant_structure(scheme, inner):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        model = FlatModel(n)
+        spec = CircleActionSpec(k=(1,) * n, l=(1,) * n)
+        p = rng.uniform(-1.5, 1.5, size=4 * n)
+        got = ddc(moment_field(spec), model.I, p, scheme, inner)
+        want = _nested_ddc(moment_field(spec), model.I, p, scheme, inner)
+        assert np.array_equal(got.comps, want.comps)
+    # a per-point callback goes through the row-by-row fallback
+    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    p = rng.uniform(-1.5, 1.5, size=4)
+    got = ddc(f, I4, p, scheme, inner)
+    assert np.array_equal(got.comps, _nested_ddc(f, I4, p, scheme, inner).comps)
+
+
+@pytest.mark.parametrize("scheme, inner", SCHEMES)
+def test_batched_ddc_equals_nested_point_dependent_structure(scheme, inner):
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        model = FlatModel(n)
+        zeta = 0.8 * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        p = pack_point(model, rng.standard_normal(n), rng.standard_normal(n), zeta)
+        f, I = log_hU_field(n), twistor_structure(n)
+        got = ddc(f, I, p, scheme, inner)
+        assert np.array_equal(got.comps, _nested_ddc(f, I, p, scheme, inner).comps)
+
+
+def test_batched_gradient_equals_pointwise_gradient():
+    rng = np.random.default_rng(13)
+    f = log_hU_field(2)
+    S = twistor_structure(2)
+    for scheme, _ in SCHEMES:
+        p = pack_point(FlatModel(2), rng.standard_normal(2), rng.standard_normal(2), 0.5j)
+        want = -S(p).T @ fd_gradient(f, p, scheme)
+        assert np.array_equal(dc_deriv(f, S, p, scheme).comps, want)
+
+
+def test_ddc_margin_checked_at_outer_points():
+    # base clearance 0.101 passes 10h for the outer step (h = 1e-3) and
+    # the inner one (h = 1e-2); the outer point 2e-3 closer does not
+    a = np.array([0.0, 0.0])
+    f = ScalarField(
+        lambda p: np.log(np.linalg.norm(p - a)),
+        dim=2,
+        clearance=lambda p: np.linalg.norm(p - a),
+    )
+    outer, inner = FDScheme(h=1e-3, order=4), FDScheme(h=1e-2, order=4)
+    with pytest.raises(DomainError):
+        ddc(f, I2, [0.101, 0.0], outer, inner)
+    with pytest.raises(DomainError):
+        _nested_ddc(f, I2, [0.101, 0.0], outer, inner)
+    ddc(f, I2, [0.103, 0.0], outer, inner)
+
+
+def test_ddc_structure_checked_at_outer_points():
+    # I is a complex structure at the base point only
+    p0 = np.array([0.3, -0.2, 0.1, 0.4])
+
+    def I(q):
+        return I4 * (1.0 + np.linalg.norm(q - p0))
+
+    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    dc_deriv(f, I, p0)
+    with pytest.raises(StructureError):
+        ddc(f, I, p0, FDScheme(h=1e-3, order=4))
+
+
+def test_scalar_field_batch_contract():
+    pts = np.random.default_rng(14).uniform(-1, 1, size=(7, 3))
+    looped = ScalarField(lambda p: float(np.sum(p**2)), dim=3)
+    batched = ScalarField(lambda p: np.sum(p**2, axis=-1), dim=3, vectorized=True)
+    assert looped(pts).shape == batched(pts).shape == (7,)
+    assert np.array_equal(looped(pts), batched(pts))
+    assert looped(pts[0]) == batched(pts[0])
 
 
 # -- Laplacian ----------------------------------------------------------------

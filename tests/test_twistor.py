@@ -24,6 +24,7 @@ from hkgeom.twistor import (
     lifted_action_field,
     log_gUV_sq,
     log_hU,
+    log_hU_field,
     log_hV,
     mero_connection,
     pack_point,
@@ -465,6 +466,19 @@ def test_reality_identity():
         assert reality_residual(z, w, zeta) < 1e-12
     with pytest.raises(DomainError):
         log_hV([1.0], [1.0], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_hU_field_batch_matches_rows(n):
+    rng = np.random.default_rng(90 + n)
+    rows = rng.standard_normal((200, total_dim(n)))
+    field = log_hU_field(n)
+    batch = field(rows)
+    assert batch.shape == (200,)
+    assert np.array_equal(batch, [field(row) for row in rows])
+    assert np.ndim(field(rows[0])) == 0
+    # the field is the per-point formula on unpacked coordinates
+    assert np.array_equal(batch, [log_hU(*unpack_point(FlatModel(n), r)) for r in rows])
 
 
 def test_log_h_hand_value():
