@@ -36,6 +36,7 @@ from .forms import (
     ScalarField,
     dc_deriv,
     ddc,
+    fd_gradient,
     type11_residual,
 )
 
@@ -122,13 +123,8 @@ def fu_identity_residual(u_grid, h_frac: float = 0.25) -> float:
     u_grid = np.asarray(u_grid, dtype=float)
     worst = 0.0
     for u in u_grid:
-        h = min(h_frac * u, 0.05)
-        fd = (
-            -u_eval(u + 2 * h)
-            + 8.0 * u_eval(u + h)
-            - 8.0 * u_eval(u - h)
-            + u_eval(u - 2 * h)
-        ) / (12.0 * h)
+        scheme = FDScheme(h=min(h_frac * u, 0.05), order=4)
+        fd = fd_gradient(lambda x: u_eval(x[0]), [u], scheme)[0]
         target = (np.sqrt(1.0 + u) - 1.0) / (2.0 * u)
         worst = max(worst, abs(fd - target))
     return worst
@@ -231,7 +227,7 @@ def cp1_model() -> SymmetricSpaceModel:
 def _spectral_apply(model, pt, profile, psd_tol: float = 1e-10):
     """(profile(U) v, v) with U the fibre operator, by eigendecomposition.
 
-    Eigenvalues are clamped at -1e-12; values below -psd_tol raise.  A
+    Eigenvalues below -psd_tol raise; the others are clamped at 0.  A
     batch point is decomposed with one stacked eigh and gives an (m,)
     array; every matrix of the stack must be hermitian and PSD.  A
     single point is evaluated as a batch of one, because numpy rounds
@@ -248,7 +244,6 @@ def _spectral_apply(model, pt, profile, psd_tol: float = 1e-10):
         raise ModelError(
             f"curvature operator not PSD (min eigenvalue {evals.min():.3e})"
         )
-    evals = np.clip(evals, -1e-12, None)
     evals = np.maximum(evals, 0.0)
     v = model.fibre_covector(pt)[..., None]
     Pv = model.fibre_pairing(pt) @ v
@@ -312,6 +307,10 @@ def bg_curvature_residual(
     return float(np.max(np.abs(lhs.comps - rhs.comps)))
 
 
+#: stencil for d/d lambda of h(lambda^{-1} v) at lambda = 1
+_LAMBDA_SCHEME = FDScheme(h=1e-5, order=4)
+
+
 def bg_moment_residuals(
     model: SymmetricSpaceModel, pt: CotangentPoint, scheme: FDScheme | None = None
 ) -> tuple[float, float]:
@@ -324,15 +323,9 @@ def bg_moment_residuals(
     mu = bg_moment_map(model, pt)
 
     def h_scaled(lam):
-        return potential_h(model, CotangentPoint(pt.b, pt.v / lam))
+        return potential_h(model, CotangentPoint(pt.b, pt.v / lam[0]))
 
-    dl = 1e-5
-    dh = (
-        -h_scaled(1.0 + 2 * dl)
-        + 8.0 * h_scaled(1.0 + dl)
-        - 8.0 * h_scaled(1.0 - dl)
-        + h_scaled(1.0 - 2 * dl)
-    ) / (12.0 * dl)
+    dh = fd_gradient(h_scaled, [1.0], _LAMBDA_SCHEME)[0]
     res_lambda = abs(mu - dh)
 
     h = _chart_field(model, potential_h)

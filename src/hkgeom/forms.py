@@ -7,14 +7,14 @@ reduce to index bookkeeping.  Derivatives (d, d^c, Laplacian) are
 central finite differences on user-supplied evaluation callbacks;
 there is no symbolic layer.
 
-``d^c`` and ``dd^c`` evaluate their stencils in batches: every point of
-the stencil goes to the scalar field in one call, as an ``(m, dim)``
-array.  A field whose callback is vectorised (``(m, dim)`` in, ``(m,)``
-out) declares so and costs one callback per batch; any other field is
-called row by row.  One nested ``dd^c`` stencil of order 4 is
-``(4 dim)^2`` points, so the batch holds ``(4 dim)^2 * dim`` floats:
-about 350 KB at dim = 14 (four times that with Richardson
-extrapolation, which doubles both stencils).
+Every first derivative (``fd_gradient``, ``fd_jacobian``, ``d``,
+``d^c``, ``dd^c``) comes from one central-difference stencil, evaluated
+in a batch: every point of the stencil goes to a scalar field in one
+call, as an ``(m, dim)`` array.  A field whose callback is vectorised
+(``(m, dim)`` in, ``(m,)`` out) declares so and costs one callback per
+batch; any other field or callable is called point by point.  One nested
+``dd^c`` stencil of order 4 is ``(4 dim)^2`` points, so the batch holds
+``(4 dim)^2 * dim`` floats: about 350 KB at dim = 14.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -42,7 +42,6 @@ __all__ = [
     "FDScheme",
     "ScalarField",
     "FormField",
-    "partial_derivative",
     "fd_gradient",
     "fd_jacobian",
     "ext_deriv",
@@ -226,11 +225,10 @@ class FormValue:
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central finite-difference scheme: step h, order 2 or 4, optional Richardson."""
+    """Central finite-difference scheme: step h, order 2 or 4."""
 
     h: float = 1e-3
     order: int = 4
-    richardson: bool = False
 
     def __post_init__(self):
         if not self.h > 0:
@@ -310,74 +308,57 @@ def _require_margin(field, p, scheme: FDScheme):
 _OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
 
 
-def _steps(scheme: FDScheme) -> tuple:
-    """The step of each central difference: h, then h/2 for Richardson."""
-    return (scheme.h, scheme.h / 2.0) if scheme.richardson else (scheme.h,)
-
-
 def _fd_reduce(vals, scheme: FDScheme):
-    """Derivatives from stencil values laid out as [step][offset][...].
+    """Derivatives from stencil values laid out as [offset][...].
 
-    ``vals[t][o]`` is the value at offset ``_OFFSETS[order][o]`` times
-    ``_steps(scheme)[t]``; entries may be scalars or arrays.
+    ``vals[o]`` is the value at offset ``_OFFSETS[order][o]`` times the
+    step; entries may be scalars or arrays.  These are the package's only
+    first-derivative weights.
     """
-    diffs = []
-    for v, h in zip(vals, _steps(scheme)):
-        if scheme.order == 2:
-            diffs.append((v[0] - v[1]) / (2.0 * h))
-        else:
-            diffs.append((-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h))
-    if scheme.richardson:
-        k = 4.0 if scheme.order == 2 else 16.0
-        return (k * diffs[1] - diffs[0]) / (k - 1.0)
-    return diffs[0]
+    if scheme.order == 2:
+        return (vals[0] - vals[1]) / (2.0 * scheme.h)
+    return (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * scheme.h)
 
 
 def _stencil(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     """Central-difference stencil points around each row of a (k, N) array P.
 
-    Returns shape (T, O, k, N, N): entry [t, o, r, i] is P[r] with
-    coordinate i moved by ``_OFFSETS[order][o] * _steps(scheme)[t]``,
-    the same points, bit for bit, that partial_derivative evaluates.
+    Returns shape (O, k, N, N): entry [o, r, i] is P[r] with coordinate i
+    moved by ``_OFFSETS[order][o] * h``.
     """
-    eye = np.eye(P.shape[1])
-    return np.array(
-        [
-            [P[:, None, :] + (a * h) * eye for a in _OFFSETS[scheme.order]]
-            for h in _steps(scheme)
-        ]
-    )
+    steps = np.array(_OFFSETS[scheme.order]) * scheme.h
+    return P[None, :, None, :] + steps[:, None, None, None] * np.eye(P.shape[1])
 
 
-def _gradients(f: ScalarField, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    """Gradient of f at each row of P, from one field call over all stencils."""
+def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
+    """D[r, i] = d_i fn at row r of P; fn may return scalars or arrays.
+
+    A ScalarField gets every stencil point in one ``(m, dim)`` call; any
+    other callable is called point by point.
+    """
     pts = _stencil(P, scheme)
-    vals = np.asarray(f(pts.reshape(-1, P.shape[1]))).reshape(pts.shape[:-1])
-    return _fd_reduce(vals, scheme)
-
-
-def partial_derivative(fn: Callable, p, i: int, scheme: FDScheme):
-    """d(fn)/dx_i at p by central differences; fn may return scalars or arrays."""
-    p = np.asarray(p, dtype=float)
-    e = np.zeros(len(p))
-    e[i] = 1.0
-    vals = [
-        [fn(p + (a * h) * e) for a in _OFFSETS[scheme.order]] for h in _steps(scheme)
-    ]
-    return _fd_reduce(vals, scheme)
+    flat = pts.reshape(-1, P.shape[1])
+    if isinstance(fn, ScalarField):
+        vals = np.asarray(fn(flat))
+    else:
+        vals = np.array([fn(q) for q in flat])
+    return _fd_reduce(vals.reshape(pts.shape[:-1] + vals.shape[1:]), scheme)
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Gradient vector of a scalar callback."""
+    """Gradient vector of a scalar callback (one batch call for a ScalarField)."""
     p = np.asarray(p, dtype=float)
-    return np.array([partial_derivative(fn, p, i, scheme) for i in range(len(p))])
+    return _derivatives(fn, p[None, :], scheme)[0]
 
 
 def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Jacobian of a vector-valued callback; column j is the x_j partial."""
+    """Jacobian of a vector-valued callback; column j is the x_j partial.
+
+    The result is C-ordered, not a transposed view: BLAS rounds products
+    with a transposed operand differently, by a few ulps.
+    """
     p = np.asarray(p, dtype=float)
-    cols = [partial_derivative(fn, p, j, scheme) for j in range(len(p))]
-    return np.column_stack(cols)
+    return np.ascontiguousarray(_derivatives(fn, p[None, :], scheme)[0].T)
 
 
 # -- exterior calculus -----------------------------------------------------------
@@ -392,14 +373,14 @@ def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> FormValue:
     p = np.asarray(p, dtype=float)
     _require_margin(field, p, scheme)
     k, N = field.degree, field.dim
-    dcomp = [partial_derivative(lambda q: field(q).comps, p, i, scheme) for i in range(N)]
+    jac = fd_jacobian(lambda q: field(q).comps, p, scheme)  # jac[I, i] = d_i w_I
     pos_k = _basis_position(N, k)
-    out = np.zeros(len(basis_indices(N, k + 1)), dtype=np.result_type(*dcomp))
+    out = np.zeros(len(basis_indices(N, k + 1)), dtype=jac.dtype)
     for pos_J, J in enumerate(basis_indices(N, k + 1)):
         acc = 0.0
         for m, jm in enumerate(J):
             rest = J[:m] + J[m + 1 :]
-            acc += (-1.0) ** m * dcomp[jm][pos_k[rest]]
+            acc += (-1.0) ** m * jac[pos_k[rest], jm]
         out[pos_J] = acc
     return FormValue(k + 1, N, out)
 
@@ -437,7 +418,7 @@ def dc_deriv(
     S = _checked_structure(
         I(p) if callable(I) else I, len(p), structure_tol, "at the base point"
     )
-    grad = _gradients(f, p[None, :], scheme)[0]
+    grad = fd_gradient(f, p, scheme)
     return FormValue(1, len(p), -S.T @ grad)
 
 
@@ -473,7 +454,7 @@ def ddc(
         structures = [_checked_structure(I(q), N, _STRUCTURE_TOL, where) for q in Q]
     else:
         structures = [_checked_structure(I, N, _STRUCTURE_TOL, where)] * len(Q)
-    grads = _gradients(f, Q, inner)
+    grads = _derivatives(f, Q, inner)
     dc = np.array([-S.T @ grad for S, grad in zip(structures, grads)])
     D = _fd_reduce(dc.reshape(outer.shape), scheme)[0]  # D[i, j] = d_i (d^c f)_j
     a, b = np.array(basis_indices(N, 2)).T
@@ -485,29 +466,23 @@ def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> float:
     scheme = scheme or FDScheme()
     p = np.asarray(p, dtype=float)
     _require_margin(f, p, scheme)
-
-    def second(h):
-        tot = 0.0
-        f0 = f(p)
-        for i in range(len(p)):
-            e = np.zeros(len(p))
-            e[i] = h
-            if scheme.order == 2:
-                tot += (f(p + e) - 2.0 * f0 + f(p - e)) / h**2
-            else:
-                tot += (
-                    -f(p + 2 * e)
-                    + 16.0 * f(p + e)
-                    - 30.0 * f0
-                    + 16.0 * f(p - e)
-                    - f(p - 2 * e)
-                ) / (12.0 * h**2)
-        return tot
-
-    if scheme.richardson:
-        k = 4.0 if scheme.order == 2 else 16.0
-        return (k * second(scheme.h / 2.0) - second(scheme.h)) / (k - 1.0)
-    return second(scheme.h)
+    h = scheme.h
+    tot = 0.0
+    f0 = f(p)
+    for i in range(len(p)):
+        e = np.zeros(len(p))
+        e[i] = h
+        if scheme.order == 2:
+            tot += (f(p + e) - 2.0 * f0 + f(p - e)) / h**2
+        else:
+            tot += (
+                -f(p + 2 * e)
+                + 16.0 * f(p + e)
+                - 30.0 * f0
+                + 16.0 * f(p - e)
+                - f(p - 2 * e)
+            ) / (12.0 * h**2)
+    return tot
 
 
 # -- pointwise algebra ------------------------------------------------------------
@@ -700,13 +675,11 @@ def riemann_tensor(
 # -- quadrature ---------------------------------------------------------------------
 
 
-def surface_integral(
-    w: FormField,
-    surf: Callable,
-    resolution: int = 8,
-    *,
-    tangent_h: float = 1e-5,
-) -> float:
+#: second-order central differences for the tangents of a parametrized surface
+_SURFACE_TANGENT_SCHEME = FDScheme(h=1e-5, order=2)
+
+
+def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float:
     """Integral of a 2-form field over a parametrized surface [0,1]^2 -> R^N.
 
     Composite 4-point Gauss-Legendre quadrature on resolution x resolution
@@ -715,23 +688,15 @@ def surface_integral(
     if w.degree != 2:
         raise ValueError("surface_integral expects a degree-2 form field")
     nodes, wts = np.polynomial.legendre.leggauss(4)
-    total = 0.0
     width = 1.0 / resolution
-    for ps in range(resolution):
-        for pt in range(resolution):
-            for ni, s_node in enumerate(nodes):
-                s = (ps + 0.5 + 0.5 * s_node) * width
-                for nj, t_node in enumerate(nodes):
-                    t = (pt + 0.5 + 0.5 * t_node) * width
-                    point = np.asarray(surf(s, t), dtype=float)
-                    ts = (
-                        np.asarray(surf(s + tangent_h, t))
-                        - np.asarray(surf(s - tangent_h, t))
-                    ) / (2.0 * tangent_h)
-                    tt = (
-                        np.asarray(surf(s, t + tangent_h))
-                        - np.asarray(surf(s, t - tangent_h))
-                    ) / (2.0 * tangent_h)
-                    weight = wts[ni] * wts[nj] * (0.5 * width) ** 2
-                    total += weight * w(point)(ts, tt)
+    coords = (np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width  # [panel, node]
+    weights = np.outer(wts, wts).ravel() * (0.5 * width) ** 2
+    total = 0.0
+    for ps, pt in itertools.product(range(resolution), repeat=2):
+        params = np.array([[s, t] for s in coords[ps] for t in coords[pt]])
+        # the panel's tangent stencils in one pass: tangents[k] = (d/ds, d/dt)
+        tangents = _derivatives(lambda st: surf(st[0], st[1]), params, _SURFACE_TANGENT_SCHEME)
+        for k, weight in enumerate(weights):
+            point = np.asarray(surf(params[k, 0], params[k, 1]), dtype=float)
+            total += weight * w(point)(tangents[k, 0], tangents[k, 1])
     return total

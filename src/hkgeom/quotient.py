@@ -9,9 +9,8 @@ horizontal subspace (orthogonal to the orbit, tangent to the level set).
 The module provides the moment map and Newton level-set solver, quotient
 frames/forms/structures, the descent of a commuting circle's moment map
 and curvature form, the canonical connection of the associated line
-bundle, recovery of multi-centre potential coordinates from a residual
-triholomorphic circle, and (re-exported from `dynkin`) the diagram
-combinatorics attached to the A/D/E quotient singularities.
+bundle, and recovery of multi-centre potential coordinates from a
+residual triholomorphic circle.
 
 The standard worked example throughout is the Eguchi-Hanson quotient of
 H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
@@ -25,14 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dynkin import (  # noqa: F401  (re-exported: diagram ops live with the quotients)
-    DynkinGraph,
-    dynkin_signs,
-    extended_diagram,
-    gamma_order,
-    mckay_dims,
-    quiver_dim,
-)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -41,7 +32,16 @@ from .errors import (
     StructureError,
 )
 from .flatspace import CircleActionSpec, FlatModel, action_generator, moment_map
-from .forms import FDScheme, FormValue, fd_jacobian, interior_product, partial_derivative, pullback
+from .forms import (
+    FDScheme,
+    FormField,
+    FormValue,
+    ext_deriv,
+    fd_gradient,
+    fd_jacobian,
+    interior_product,
+    pullback,
+)
 
 #: speed of the Eguchi-Hanson residual circle that makes the recovered
 #: multi-centre potential have unit coefficients.  Measured calibration:
@@ -51,6 +51,12 @@ from .forms import FDScheme, FormValue, fd_jacobian, interior_product, partial_d
 GH_CIRCLE_SCALE = 0.25
 
 _MGS_CONDITION_GUARD = 1e8
+
+#: Newton tolerance and iteration budget of the chart retraction
+_CHART_NEWTON_TOL = 1e-14
+_CHART_MAX_ITER = 60
+#: stencil for the chart tangents d point / d xi
+_CHART_TANGENT_SCHEME = FDScheme(h=1e-4, order=4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,21 +418,10 @@ class QuotientChart:
     that map.
     """
 
-    def __init__(
-        self,
-        action: LinearAction,
-        lsp: LevelSetPoint,
-        *,
-        newton_tol: float = 1e-14,
-        step: float = 1e-4,
-        max_iter: int = 60,
-    ):
+    def __init__(self, action: LinearAction, lsp: LevelSetPoint):
         self.action = action
         self.lsp = lsp
         self.frame = horizontal_frame(action, lsp)
-        self.newton_tol = newton_tol
-        self.step = step
-        self.max_iter = max_iter
         self._target = lsp.level.target()
         self._triple = action.model.kahler_triple()
 
@@ -436,9 +431,9 @@ class QuotientChart:
 
     def point(self, xi) -> np.ndarray:
         m = self.lsp.point + self.frame @ np.asarray(xi, dtype=float)
-        for _ in range(self.max_iter):
+        for _ in range(_CHART_MAX_ITER):
             res = hk_moment(self.action, m) - self._target
-            if np.linalg.norm(res) < self.newton_tol:
+            if np.linalg.norm(res) < _CHART_NEWTON_TOL:
                 return m
             jac = moment_jacobian(self.action, m).reshape(-1, self.action.dim)
             corr, *_ = np.linalg.lstsq(jac, -res.ravel(), rcond=None)
@@ -446,21 +441,7 @@ class QuotientChart:
         raise ConvergenceError("chart retraction did not converge")
 
     def tangents(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        cols = []
-        for a in range(self.dim):
-            e = np.zeros(self.dim)
-            e[a] = self.step
-            cols.append(
-                (
-                    -self.point(xi + 2 * e)
-                    + 8.0 * self.point(xi + e)
-                    - 8.0 * self.point(xi - e)
-                    + self.point(xi - 2 * e)
-                )
-                / (12.0 * self.step)
-            )
-        return np.column_stack(cols)
+        return fd_jacobian(self.point, xi, _CHART_TANGENT_SCHEME)
 
     def form(self, xi, w: FormValue) -> FormValue:
         return pullback(w, self.tangents(xi))
@@ -483,18 +464,7 @@ class QuotientChart:
         return -np.linalg.solve(self.metric(xi, tang), matrix)
 
     def scalar_gradient(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return np.array(
-            [
-                partial_derivative(lambda y: fn(self.point(y)), xi, a, scheme)
-                for a in range(self.dim)
-            ]
-        )
-
-
-def _chart_exterior_derivative(comps_fn: Callable, dim: int, scheme: FDScheme) -> FormValue:
-    jac = fd_jacobian(comps_fn, np.zeros(dim), scheme)
-    return FormValue.from_matrix(jac.T - jac)
+        return fd_gradient(lambda y: fn(self.point(y)), xi, scheme)
 
 
 def moment_descent_residual(
@@ -533,12 +503,13 @@ def descended_curvature(
         return base
     descended_circle_data(action, rotator, lsp)  # validates commuting + level drift
 
-    def dc_comps(xi):
+    def dc_form(xi):
         s_bar = chart.structure(xi, 1)
         grad = chart.scalar_gradient(lambda m: moment_map(rotator, m), xi, inner)
-        return -s_bar.T @ (grad / degree)
+        return FormValue(1, chart.dim, -s_bar.T @ (grad / degree))
 
-    return base + _chart_exterior_derivative(dc_comps, chart.dim, scheme)
+    dc = FormField(dc_form, degree=1, dim=chart.dim)
+    return base + ext_deriv(dc, np.zeros(chart.dim), scheme)
 
 
 def canonical_bundle_curvature(
@@ -565,14 +536,14 @@ def canonical_bundle_curvature(
     if np.all(chi == 0.0):
         return FormValue(2, chart.dim)
 
-    def theta_comps(xi):
+    def theta(xi):
         p = chart.point(xi)
         tang = chart.tangents(xi)
         orbit = np.column_stack([g @ p for g in action.generators])
         coef = np.linalg.solve(orbit.T @ orbit, orbit.T @ tang)
-        return chi @ coef
+        return FormValue(1, chart.dim, chi @ coef)
 
-    return -_chart_exterior_derivative(theta_comps, chart.dim, scheme)
+    return -ext_deriv(FormField(theta, degree=1, dim=chart.dim), np.zeros(chart.dim), scheme)
 
 
 # -- multi-centre coordinates ----------------------------------------------------------

@@ -24,7 +24,7 @@ from . import flatspace as fs
 from . import gibbonshawking as gh
 from . import quotient as qt
 from . import twistor as tw
-from .errors import ConfigError
+from .errors import ConfigError, HkgeomError
 from .forms import (
     FDScheme,
     FormField,
@@ -87,7 +87,6 @@ class RunConfig:
         return FDScheme(
             h=self.h if self.h is not None else default.h,
             order=self.order if self.order is not None else default.order,
-            richardson=default.richardson,
         )
 
     def params_dict(self) -> dict:
@@ -103,13 +102,22 @@ class RunConfig:
         }
 
 
+#: exceptions a residual may raise on bad numerics rather than bad code
+_NUMERICAL_ERRORS = (HkgeomError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def _check(cfg: RunConfig, check_id, anchor, tol, fn, detail="") -> CheckRecord:
-    """Run one residual functional; exceptions count as failures."""
+    """Run one residual functional; numerical failures count as FAIL.
+
+    A package error, a singular linear solve or a floating-point trap is
+    recorded with residual None; any other exception is a programming
+    error and propagates.
+    """
     tolerance = cfg.tol if cfg.tol is not None else tol
     start = time.perf_counter()
     try:
         residual = float(fn())
-    except Exception as exc:  # recorded, not raised: exit code 1 via the report
+    except _NUMERICAL_ERRORS as exc:  # recorded, not raised: exit code 1 via the report
         wall = time.perf_counter() - start
         note = f"{type(exc).__name__}: {exc}"
         return CheckRecord(check_id, anchor, None, tolerance, False, note, wall)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hkgeom.cli import main, parse_centers, read_config_file
-from hkgeom.errors import ConfigError
+from hkgeom.errors import ConfigError, DomainError
 from hkgeom.report import CheckRecord, Report, format_sci
-from hkgeom.suites import RunConfig, run_suite
+from hkgeom.suites import RunConfig, _check, run_suite
 
 
 def run(args):
@@ -81,6 +81,24 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(h=-1e-3)
     assert RunConfig(suite="bg").suite == "cotangent"
+
+
+def test_check_propagates_programming_errors():
+    def broken():
+        raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        _check(RunConfig(), "x.y", "x = y", 1e-6, broken)
+
+
+def test_check_records_package_errors_as_failures():
+    def off_domain():
+        raise DomainError("clearance below 10h")
+
+    rec = _check(RunConfig(), "x.y", "x = y", 1e-6, off_domain)
+    assert not rec.passed
+    assert rec.residual is None
+    assert rec.detail == "DomainError: clearance below 10h"
 
 
 def test_run_suite_unique_ids_across_all():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hkgeom.errors import DomainError, MetricError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
@@ -15,6 +18,7 @@ from hkgeom.forms import (
     ddc,
     ext_deriv,
     fd_gradient,
+    fd_jacobian,
     form_metric_norm,
     hodge_star,
     interior_product,
@@ -180,15 +184,96 @@ def test_ext_deriv_second_order_convergence():
     assert 3.0 < ratio < 5.0  # second order: halving h gives ~4x
 
 
-def test_richardson_improves_accuracy():
-    f = FormField(lambda p: FormValue(0, 2, [np.sin(3 * p[0]) * np.cos(2 * p[1])]), 0, 2)
-    p = np.array([0.2, 0.7])
-    exact = np.array(
-        [3 * np.cos(3 * 0.2) * np.cos(2 * 0.7), -2 * np.sin(3 * 0.2) * np.sin(2 * 0.7)]
+# -- the single stencil, property-tested on polynomials --------------------------
+#
+# A central stencil of order 2 differentiates quadratics exactly and one
+# of order 4 cubics, so on those maps the error is roundoff alone.  The
+# bounds below scale with S, the largest sum of |terms| of the polynomial
+# over the stencil, and with the weights' amplification sum|w| / h, where
+# sum|w| = 1 for order 2 and (1 + 8 + 8 + 1) / 12 = 1.5 for order 4.
+
+EPS = np.finfo(float).eps
+WEIGHT_SUM = {2: 1.0, 4: 1.5}
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def _contract(T, x, times):
+    """T with its last `times` axes contracted against x."""
+    for _ in range(times):
+        T = T @ x
+    return T
+
+
+def _poly(coefs, x):
+    """sum_k coefs[k] . x^k, where coefs[k] has shape (m,) + (d,) * k."""
+    return sum(_contract(T, x, k) for k, T in enumerate(coefs))
+
+
+def _poly_jacobian(coefs, x):
+    """Analytic Jacobian of _poly: each slot of each term differentiated in turn."""
+    return sum(
+        _contract(np.moveaxis(T, slot, 1), x, k - 1)
+        for k, T in enumerate(coefs)
+        for slot in range(1, k + 1)
     )
-    plain = ext_deriv(f, p, FDScheme(h=1e-2, order=2))
-    rich = ext_deriv(f, p, FDScheme(h=1e-2, order=2, richardson=True))
-    assert np.linalg.norm(rich.comps - exact) < np.linalg.norm(plain.comps - exact)
+
+
+def _abs_scale(coefs, p, reach):
+    """S: the sum of |terms| bounded over the box |x_i| <= |p_i| + reach."""
+    return np.max(_poly([np.abs(T) for T in coefs], np.abs(p) + reach))
+
+
+@st.composite
+def polynomial_maps(draw, degree, dims=(1, 4), outputs=(1, 3)):
+    """(coefs, p) for a random polynomial map R^d -> R^m of the given degree."""
+    d = draw(st.integers(*dims))
+    m = draw(st.integers(*outputs))
+    unit = st.floats(-1.0, 1.0)
+    coefs = [draw(hnp.arrays(float, (m,) + (d,) * k, elements=unit)) for k in range(degree + 1)]
+    return coefs, draw(hnp.arrays(float, (d,), elements=unit))
+
+
+@pytest.mark.parametrize("order, degree", [(2, 2), (4, 3)])
+def test_fd_jacobian_exact_on_polynomials_up_to_roundoff(order, degree):
+    # a stencil value is off by at most about (terms + 3) eps S: the
+    # summation, the products and the rounding of the point itself
+    @PROPERTY_SETTINGS
+    @given(polynomial_maps(degree), st.sampled_from((1e-1, 1e-2, 1e-3)))
+    def check(case, h):
+        coefs, p = case
+        scheme = FDScheme(h=h, order=order)
+        got = fd_jacobian(lambda x: _poly(coefs, x), p, scheme)
+        terms = sum(len(p) ** k for k in range(degree + 1))
+        scale = _abs_scale(coefs, p, scheme.radius)
+        bound = (terms + 3) * EPS * scale * WEIGHT_SUM[order] / h
+        assert np.max(np.abs(got - _poly_jacobian(coefs, p))) <= bound
+
+    check()
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_d_squared_vanishes_on_polynomial_forms(degree):
+    # d_i d_j and d_j d_i evaluate the form at bit-identical points (each
+    # coordinate is moved by one addition), so d(dw) is only the rounding
+    # of the weighted sums: about eps (sum|w| / h)^2 S for each of the at
+    # most six nested derivatives in a component
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(3, 4).flatmap(
+            lambda dim: polynomial_maps(3, dims=(dim, dim), outputs=(dim**degree,) * 2)
+        ),
+        st.sampled_from([FDScheme(h=1e-2, order=4), FDScheme(h=1e-1, order=2)]),
+    )
+    def check(case, scheme):
+        coefs, p = case
+        dim = len(p)
+        w = FormField(lambda x: FormValue(degree, dim, _poly(coefs, x)), degree, dim)
+        dw = FormField(lambda x: ext_deriv(w, x, scheme), degree + 1, dim)
+        scale = _abs_scale(coefs, p, 2 * scheme.radius)
+        bound = 6 * EPS * scale * (WEIGHT_SUM[scheme.order] / scheme.h) ** 2
+        assert np.max(np.abs(ext_deriv(dw, p, scheme).comps)) <= bound
+
+    check()
 
 
 # -- d^c and dd^c ----------------------------------------------------------
@@ -240,7 +325,7 @@ def _nested_ddc(f, I, p, scheme, inner=None):
 SCHEMES = [
     (FDScheme(h=1e-3, order=4), None),
     (FDScheme(h=1e-2, order=2), None),
-    (FDScheme(h=1e-2, order=4, richardson=True), FDScheme(h=1e-3, order=4, richardson=True)),
+    (FDScheme(h=1e-2, order=4), FDScheme(h=1e-3, order=4)),
 ]
 
 
