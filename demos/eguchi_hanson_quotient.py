@@ -61,7 +61,7 @@ for _ in range(25):
     vs.append(v)
 xs, vs = np.array(xs), np.array(vs)
 
-sep, resid = fit_two_centers(xs, vs, 0.5)
+sep, resid = fit_two_centers(xs, vs)
 print("\ntwo-centre fit of 25 (x, V) samples at quarter speed:")
 print("  least-squares residual:", f"{resid:.3e}")
 print("  fitted centre separation:", sep, " (expected c/2 = 0.5)")
@@ -76,5 +76,5 @@ for scale_level in (2.0,):
         )
         xs2.append(x)
         vs2.append(v)
-    sep2, _ = fit_two_centers(np.array(xs2), np.array(vs2), scale_level / 2.0)
+    sep2, _ = fit_two_centers(np.array(xs2), np.array(vs2))
     print(f"  at level c = {scale_level}: separation {sep2}  (linear in c)")

@@ -32,7 +32,15 @@ from . import quotient as qt
 from .dynkin import dynkin_signs, extended_diagram
 from .errors import ConfigError, HkgeomError
 from .report import write_csv, write_json
-from .suites import SUITE_ALIASES, SUITE_NAMES, RunConfig, run_suite
+from .suites import (
+    SUITE_ALIASES,
+    SUITE_NAMES,
+    RunConfig,
+    _eh_centers,
+    _gh_samples,
+    _quotient_level,
+    run_suite,
+)
 
 _SUITE_CHOICES = (*SUITE_NAMES, *SUITE_ALIASES, "all")
 
@@ -248,19 +256,14 @@ def _cmd_profiles(args) -> int:
         rows = zip(data["x1"], data["V"], data["f"], data["phi"])
         write_csv(out, ("x1", "V", "f", "phi"), rows)
         return 0
-    level_value = c if c > 0 else 1.0
-    seed = int(_merge(args, file_values, "seed", 0))
-    rng = np.random.default_rng(seed)
-    action = qt.eguchi_hanson_action()
-    circle = qt.eh_residual_circle()
-    level = qt.LevelSpec((level_value,))
-    centers = np.array(
-        [[-level_value / 4.0, 0.0, 0.0], [level_value / 4.0, 0.0, 0.0]]
+    level_value = _quotient_level(c)
+    rng = np.random.default_rng(int(_merge(args, file_values, "seed", 0)))
+    xs, vs = _gh_samples(
+        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, samples
     )
+    centers = _eh_centers(level_value)
     rows = []
-    for _ in range(samples):
-        lsp = qt.solve_level(action, level, rng.standard_normal(8))
-        x, v = qt.gh_coordinates(action, circle, lsp, scale=qt.GH_CIRCLE_SCALE)
+    for x, v in zip(xs, vs):
         r1, r2 = (float(np.linalg.norm(x - a)) for a in centers)
         rows.append((x[0], x[1], x[2], r1, r2, v))
     write_csv(out, ("x1", "x2", "x3", "r1", "r2", "V"), rows)

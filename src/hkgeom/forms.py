@@ -71,6 +71,12 @@ def _basis_position(dim: int, degree: int) -> dict:
     return {idx: pos for pos, idx in enumerate(basis_indices(dim, degree))}
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (i, j), i < j, of the degree-2 basis, in its order."""
+    return np.triu_indices(dim, 1)
+
+
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sort an index tuple by adjacent swaps, tracking the permutation sign.
 
@@ -154,9 +160,9 @@ class FormValue:
         if self.degree != 2:
             raise ValueError("as_matrix requires a degree-2 form")
         M = np.zeros((self.dim, self.dim), dtype=self.comps.dtype)
-        for pos, (i, j) in enumerate(basis_indices(self.dim, 2)):
-            M[i, j] = self.comps[pos]
-            M[j, i] = -self.comps[pos]
+        rows, cols = _pair_indices(self.dim)
+        M[rows, cols] = self.comps
+        M[cols, rows] = -self.comps
         return M
 
     # -- evaluation -----------------------------------------------------------
@@ -320,14 +326,26 @@ def _fd_reduce(vals, scheme: FDScheme):
     return (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * scheme.h)
 
 
-def _stencil(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
+def _stencil_points(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     """Central-difference stencil points around each row of a (k, N) array P.
 
-    Returns shape (O, k, N, N): entry [o, r, i] is P[r] with coordinate i
-    moved by ``_OFFSETS[order][o] * h``.
+    Returns the rows of an (O, k, N, N) array, flattened to (O k N, N):
+    point [o, r, i] is P[r] with coordinate i moved by
+    ``_OFFSETS[order][o] * h``.
     """
     steps = np.array(_OFFSETS[scheme.order]) * scheme.h
-    return P[None, :, None, :] + steps[:, None, None, None] * np.eye(P.shape[1])
+    pts = P[None, :, None, :] + steps[:, None, None, None] * np.eye(P.shape[1])
+    return pts.reshape(-1, P.shape[1])
+
+
+def _stencil_derivatives(vals, k: int, scheme: FDScheme) -> np.ndarray:
+    """D[r, i] = d_i at row r of P, from values at ``_stencil_points(P, scheme)``.
+
+    ``vals`` holds one value (scalar or array) per stencil point, in the
+    order of the points; P has k rows.
+    """
+    vals = np.asarray(vals)
+    return _fd_reduce(vals.reshape((len(_OFFSETS[scheme.order]), k, -1) + vals.shape[1:]), scheme)
 
 
 def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
@@ -336,13 +354,12 @@ def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     A ScalarField gets every stencil point in one ``(m, dim)`` call; any
     other callable is called point by point.
     """
-    pts = _stencil(P, scheme)
-    flat = pts.reshape(-1, P.shape[1])
+    pts = _stencil_points(P, scheme)
     if isinstance(fn, ScalarField):
-        vals = np.asarray(fn(flat))
+        vals = fn(pts)
     else:
-        vals = np.array([fn(q) for q in flat])
-    return _fd_reduce(vals.reshape(pts.shape[:-1] + vals.shape[1:]), scheme)
+        vals = np.array([fn(q) for q in pts])
+    return _stencil_derivatives(vals, P.shape[0], scheme)
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
@@ -445,8 +462,7 @@ def ddc(
     p = np.asarray(p, dtype=float)
     N = len(p)
     _require_margin(f, p, scheme)
-    outer = _stencil(p[None, :], scheme)
-    Q = outer.reshape(-1, N)
+    Q = _stencil_points(p[None, :], scheme)
     for q in Q:
         _require_margin(f, q, inner)
     where = "at an outer stencil point"
@@ -456,7 +472,7 @@ def ddc(
         structures = [_checked_structure(I, N, _STRUCTURE_TOL, where)] * len(Q)
     grads = _derivatives(f, Q, inner)
     dc = np.array([-S.T @ grad for S, grad in zip(structures, grads)])
-    D = _fd_reduce(dc.reshape(outer.shape), scheme)[0]  # D[i, j] = d_i (d^c f)_j
+    D = _stencil_derivatives(dc, 1, scheme)[0]  # D[i, j] = d_i (d^c f)_j
     a, b = np.array(basis_indices(N, 2)).T
     return FormValue(2, N, D[a, b] - D[b, a])
 
@@ -534,7 +550,10 @@ def pullback(w: FormValue, A: np.ndarray) -> FormValue:
     A maps R^m -> R^dim(w); the result is a degree-k form on R^m.  With a
     rectangular frame matrix this is the restriction of w to the frame.
     """
-    A = np.asarray(A)
+    # in C order every column A[:, j] is strided, as the columns that
+    # FormValue.__call__ stacks are; BLAS rounds a product with a
+    # contiguous column differently
+    A = np.ascontiguousarray(A)
     N_target, m = A.shape
     if N_target != w.dim:
         raise ValueError("frame matrix rows must match the form's dimension")
@@ -542,6 +561,11 @@ def pullback(w: FormValue, A: np.ndarray) -> FormValue:
     if k == 0:
         return FormValue(0, m, w.comps.copy())
     out = np.zeros(len(basis_indices(m, k)), dtype=np.result_type(w.comps, A))
+    if k == 2:
+        M = w.as_matrix()
+        for pos_J, (i, j) in enumerate(basis_indices(m, 2)):
+            out[pos_J] = A[:, i] @ M @ A[:, j]
+        return FormValue(2, m, out)
     for pos_J, J in enumerate(basis_indices(m, k)):
         out[pos_J] = w(*[A[:, j] for j in J])
     return FormValue(k, m, out)

@@ -426,9 +426,8 @@ def sphere_period(cfg: GHConfig, i: int, resolution: int = 16) -> float:
             f"segment index must be in [1, {cfg.num_centers - 1}], got {i}"
         )
     a_lo, a_hi = cfg.centers[i - 1], cfg.centers[i]
-    restricted = FormField(
-        lambda p: FormValue.from_dict(2, 4, {(0, 3): 1.0}), 2, 4
-    )
+    form = FormValue.from_dict(2, 4, {(0, 3): 1.0})
+    restricted = FormField(lambda p: form, 2, 4)
 
     def surf(s, t):
         return np.array([a_lo + s * (a_hi - a_lo), 0.0, 0.0, 2.0 * np.pi * t])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,14 +32,21 @@ from .errors import (
     NonFreePointError,
     StructureError,
 )
-from .flatspace import CircleActionSpec, FlatModel, action_generator, moment_map
+from .flatspace import (
+    CircleActionSpec,
+    FlatModel,
+    action_generator,
+    moment_field,
+    moment_map,
+)
 from .forms import (
     FDScheme,
     FormField,
     FormValue,
+    ScalarField,
+    _stencil_derivatives,
+    _stencil_points,
     ext_deriv,
-    fd_gradient,
-    fd_jacobian,
     interior_product,
     pullback,
 )
@@ -55,7 +63,7 @@ _MGS_CONDITION_GUARD = 1e8
 #: Newton tolerance and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
 _CHART_MAX_ITER = 60
-#: stencil for the chart tangents d point / d xi
+#: stencil for the chart tangents d point / d xi (and the chart gradients)
 _CHART_TANGENT_SCHEME = FDScheme(h=1e-4, order=4)
 
 
@@ -100,6 +108,10 @@ class LinearAction:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_model", model)
         object.__setattr__(self, "_structure_constants", table)
+        # moment_stack[a, i] = S_i G_a: the moment Jacobian rows are its
+        # products with m, for one point or a batch
+        stack = np.array([[s @ g for s in structures] for g in gens])
+        object.__setattr__(self, "_moment_stack", stack)
 
     @classmethod
     def from_torus_weights(cls, specs) -> "LinearAction":
@@ -159,27 +171,26 @@ def coadjoint_residual(action: LinearAction, level: LevelSpec) -> float:
 
 
 def hk_moment(action: LinearAction, m) -> np.ndarray:
-    """nu[a, i] = (1/2) omega_i(G_a m, m); quadratic, vanishing at the origin."""
+    """nu[a, i] = (1/2) omega_i(G_a m, m); quadratic, vanishing at the origin.
+
+    ``m`` is one point (dim,), giving (dim_g, 3), or a batch (k, dim),
+    giving (k, dim_g, 3).  Each entry is a separate (1, dim) @ (dim, 1)
+    product of a Jacobian row with m, which BLAS rounds as it rounds
+    ``np.dot`` of the two vectors, so a batch row has the bits of that
+    point alone; a sum over the last axis would round differently.
+    """
     m = np.asarray(m, dtype=float)
-    structures = action.model.structures()
-    out = np.empty((action.dim_g, 3))
-    for a, gen in enumerate(action.generators):
-        gm = gen @ m
-        for i, s in enumerate(structures):
-            out[a, i] = 0.5 * np.dot(s @ gm, m)
-    return out
+    rows = moment_jacobian(action, m)
+    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0]
 
 
 def moment_jacobian(action: LinearAction, m) -> np.ndarray:
-    """d nu at m: rows (a, i) are the covectors (S_i G_a m)^T, i.e. i_{X_a} omega_i."""
+    """d nu at m: rows (a, i) are the covectors (S_i G_a m)^T, i.e. i_{X_a} omega_i.
+
+    Shape (dim_g, 3, dim) for one point, (k, dim_g, 3, dim) for a batch.
+    """
     m = np.asarray(m, dtype=float)
-    structures = action.model.structures()
-    out = np.empty((action.dim_g, 3, m.size))
-    for a, gen in enumerate(action.generators):
-        gm = gen @ m
-        for i, s in enumerate(structures):
-            out[a, i] = s @ gm
-    return out
+    return (action._moment_stack @ m[..., None, None, :, None])[..., 0]
 
 
 # -- level sets ---------------------------------------------------------------------
@@ -195,6 +206,24 @@ class LevelSetPoint:
     orbit: np.ndarray
     residual: float
     history: tuple
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The oriented horizontal frame (see ``horizontal_frame``).
+
+        Built on first use and kept, read-only, so every consumer of this
+        point (charts, samples, descended data, multi-centre coordinates)
+        shares one frame.
+        """
+        vert = _vertical_frame(self)
+        dim = self.point.size
+        basis = [np.eye(dim)[:, j] for j in range(dim)]
+        frame = _mgs_pivoted(basis, dim - vert.shape[1], against=vert)
+        omega1 = pullback(FlatModel(dim // 4).omega1, frame).as_matrix()
+        if _pfaffian(omega1) < 0.0:
+            frame[:, -1] = -frame[:, -1]
+        frame.flags.writeable = False
+        return frame
 
     def __post_init__(self):
         if self.residual > 1e-10:
@@ -293,11 +322,16 @@ def _mgs_pivoted(columns, rank, *, guard=_MGS_CONDITION_GUARD, against=None):
     return np.column_stack(out)
 
 
+def _vertical_frame(lsp: LevelSetPoint) -> np.ndarray:
+    dim_g = lsp.orbit.shape[1]
+    cols = [lsp.orbit[:, a] for a in range(dim_g)]
+    cols += [lsp.dnu[a, i] for a in range(dim_g) for i in range(3)]
+    return _mgs_pivoted(cols, 4 * dim_g)
+
+
 def vertical_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     """Orthonormal span of the orbit directions and the moment gradients."""
-    cols = [lsp.orbit[:, a] for a in range(action.dim_g)]
-    cols += [lsp.dnu[a, i] for a in range(action.dim_g) for i in range(3)]
-    return _mgs_pivoted(cols, 4 * action.dim_g)
+    return _vertical_frame(lsp)
 
 
 def _pfaffian(m: np.ndarray) -> float:
@@ -319,17 +353,10 @@ def horizontal_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     """Orthonormal basis of ker(d nu) intersected with the orbit complement.
 
     The frame is oriented so the restricted Kahler triple satisfies
-    omega_i ^ omega_i = +2 vol.
+    omega_i ^ omega_i = +2 vol.  It is ``lsp.frame``: built once per
+    level-set point, read-only.
     """
-    vert = vertical_frame(action, lsp)
-    dim = action.dim
-    basis = [np.eye(dim)[:, j] for j in range(dim)]
-    frame = _mgs_pivoted(basis, dim - vert.shape[1], against=vert)
-    omega1 = pullback(action.model.kahler_triple()[0], frame).as_matrix()
-    if _pfaffian(omega1) < 0.0:
-        frame = frame.copy()
-        frame[:, -1] = -frame[:, -1]
-    return frame
+    return lsp.frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,36 +439,69 @@ def descended_circle_data(
 class QuotientChart:
     """Local quotient coordinates by Newton retraction of horizontal moves.
 
-    point(xi) projects m0 + frame.xi back onto the level set; tangents,
-    pulled-back forms, the induced metric (orbit directions projected
-    out), and complex structures are all finite-difference consumers of
-    that map.
+    point(xi) projects m0 + frame.xi back onto the level set.  It takes one
+    chart point (k,) or a batch (m, k) and retracts all rows in one
+    vectorised Newton solve; each row converges on its own, so a batch row
+    equals that point retracted alone.  Tangents, pulled-back forms, the
+    induced metric (orbit directions projected out), complex structures
+    and gradients are finite-difference consumers of that map: the chart
+    retracts xi together with its whole stencil in one batch and keeps the
+    batch of the last (xi, scheme), so tangents, metric, structure and a
+    gradient at the same xi and scheme share one retraction.  The frame is
+    the level-set point's own (``lsp.frame``).
     """
 
     def __init__(self, action: LinearAction, lsp: LevelSetPoint):
         self.action = action
         self.lsp = lsp
         self.frame = horizontal_frame(action, lsp)
-        self._target = lsp.level.target()
+        self._target = lsp.level.target().ravel()
         self._triple = action.model.kahler_triple()
+        self._last = None  # ((xi bytes, scheme), retracted xi, retracted stencil)
 
     @property
     def dim(self) -> int:
         return self.frame.shape[1]
 
     def point(self, xi) -> np.ndarray:
-        m = self.lsp.point + self.frame @ np.asarray(xi, dtype=float)
+        """Retraction of xi, (k,) -> (dim,) or (m, k) -> (m, dim).
+
+        Newton takes the minimum-norm step J^T (J J^T)^{-1} (-res) on every
+        row whose level residual is not yet below the tolerance.
+        """
+        xi = np.asarray(xi, dtype=float)
+        rows = np.atleast_2d(xi)
+        m = self.lsp.point + (self.frame @ rows[:, :, None])[:, :, 0]
+        todo = np.arange(len(m))
         for _ in range(_CHART_MAX_ITER):
-            res = hk_moment(self.action, m) - self._target
-            if np.linalg.norm(res) < _CHART_NEWTON_TOL:
-                return m
-            jac = moment_jacobian(self.action, m).reshape(-1, self.action.dim)
-            corr, *_ = np.linalg.lstsq(jac, -res.ravel(), rcond=None)
-            m = m + corr
+            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
+            live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
+            todo, res = todo[live], res[live]
+            if not todo.size:
+                return m if xi.ndim > 1 else m[0]
+            jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
+            jac_t = jac.transpose(0, 2, 1)
+            m[todo] += (jac_t @ np.linalg.solve(jac @ jac_t, -res[:, :, None]))[:, :, 0]
         raise ConvergenceError("chart retraction did not converge")
 
+    def _retracted(self, xi, scheme: FDScheme = _CHART_TANGENT_SCHEME):
+        """(point(xi), point at every stencil point of xi), in one batch."""
+        xi = np.asarray(xi, dtype=float)
+        key = (xi.tobytes(), scheme)
+        if self._last is None or self._last[0] != key:
+            rows = self.point(np.vstack([xi, _stencil_points(xi[None, :], scheme)]))
+            rows.flags.writeable = False
+            self._last = (key, rows[0], rows[1:])
+        return self._last[1:]
+
+    def _derivative(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
+        """D[i] = d_i fn(point(xi)); fn gets the retracted stencil as one batch."""
+        _, stencil = self._retracted(xi, scheme)
+        return _stencil_derivatives(fn(stencil), 1, scheme)[0]
+
     def tangents(self, xi) -> np.ndarray:
-        return fd_jacobian(self.point, xi, _CHART_TANGENT_SCHEME)
+        jac = self._derivative(lambda pts: pts, xi, _CHART_TANGENT_SCHEME)
+        return np.ascontiguousarray(jac.T)
 
     def form(self, xi, w: FormValue) -> FormValue:
         return pullback(w, self.tangents(xi))
@@ -451,7 +511,7 @@ class QuotientChart:
 
     def metric(self, xi, tangents=None) -> np.ndarray:
         tang = self.tangents(xi) if tangents is None else tangents
-        p = self.point(xi)
+        p, _ = self._retracted(xi)
         orbit = _mgs_pivoted(
             [g @ p for g in self.action.generators], self.action.dim_g
         )
@@ -464,7 +524,9 @@ class QuotientChart:
         return -np.linalg.solve(self.metric(xi, tang), matrix)
 
     def scalar_gradient(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
-        return fd_gradient(lambda y: fn(self.point(y)), xi, scheme)
+        """Gradient of fn o point at xi; a ScalarField fn gets the stencil as a batch."""
+        field = fn if isinstance(fn, ScalarField) else ScalarField(fn, self.action.dim)
+        return self._derivative(field, xi, scheme)
 
 
 def moment_descent_residual(
@@ -477,7 +539,7 @@ def moment_descent_residual(
     scheme = scheme or FDScheme(h=1e-4, order=4)
     chart = QuotientChart(action, lsp)
     x_bar, _ = descended_circle_data(action, rotator, lsp)
-    grad = chart.scalar_gradient(lambda m: moment_map(rotator, m), np.zeros(chart.dim), scheme)
+    grad = chart.scalar_gradient(moment_field(rotator), np.zeros(chart.dim), scheme)
     covec = interior_product(x_bar, chart.omega_bar(np.zeros(chart.dim), 1))
     return float(np.max(np.abs(grad - covec.comps)))
 
@@ -502,10 +564,11 @@ def descended_curvature(
     if degree == 0:
         return base
     descended_circle_data(action, rotator, lsp)  # validates commuting + level drift
+    mu = moment_field(rotator)
 
     def dc_form(xi):
         s_bar = chart.structure(xi, 1)
-        grad = chart.scalar_gradient(lambda m: moment_map(rotator, m), xi, inner)
+        grad = chart.scalar_gradient(mu, xi, inner)
         return FormValue(1, chart.dim, -s_bar.T @ (grad / degree))
 
     dc = FormField(dc_form, degree=1, dim=chart.dim)
@@ -537,8 +600,8 @@ def canonical_bundle_curvature(
         return FormValue(2, chart.dim)
 
     def theta(xi):
-        p = chart.point(xi)
         tang = chart.tangents(xi)
+        p, _ = chart._retracted(xi)
         orbit = np.column_stack([g @ p for g in action.generators])
         coef = np.linalg.solve(orbit.T @ orbit, orbit.T @ tang)
         return FormValue(1, chart.dim, chi @ coef)

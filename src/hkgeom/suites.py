@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from . import cotangent as ct
 from . import dynkin as dk
@@ -109,14 +109,18 @@ _NUMERICAL_ERRORS = (HkgeomError, np.linalg.LinAlgError, FloatingPointError)
 def _check(cfg: RunConfig, check_id, anchor, tol, fn, detail="") -> CheckRecord:
     """Run one residual functional; numerical failures count as FAIL.
 
-    A package error, a singular linear solve or a floating-point trap is
-    recorded with residual None; any other exception is a programming
-    error and propagates.
+    ``fn`` returns the residual, or (residual, detail) when the detail
+    text comes from the same computation.  A package error, a singular
+    linear solve or a floating-point trap is recorded with residual None;
+    any other exception is a programming error and propagates.
     """
     tolerance = cfg.tol if cfg.tol is not None else tol
     start = time.perf_counter()
     try:
-        residual = float(fn())
+        out = fn()
+        if isinstance(out, tuple):
+            out, detail = out
+        residual = float(out)
     except _NUMERICAL_ERRORS as exc:  # recorded, not raised: exit code 1 via the report
         wall = time.perf_counter() - start
         note = f"{type(exc).__name__}: {exc}"
@@ -372,7 +376,7 @@ def suite_gh(cfg: RunConfig):
             abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s)
             for m, s in zip(measured, ghc.spacings)
         )
-        return measured, worst
+        return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
 
     def segment_constancy():
         vals = gh.f_segment_values(ghc)
@@ -404,15 +408,13 @@ def suite_gh(cfg: RunConfig):
         ),
     ]
     if ghc.num_centers >= 2:
-        measured, worst = period_data()
         records.append(
             _check(
                 cfg,
                 "gh.periods",
                 "integral of omega1 over the segment sphere S_i = 2 pi (a_{i+1} - a_i)",
                 1e-6,
-                lambda: worst,
-                detail="periods: " + ", ".join("%.12g" % v for v in measured),
+                period_data,
             )
         )
     records.append(
@@ -455,28 +457,67 @@ def suite_gh(cfg: RunConfig):
 # -- quotient -------------------------------------------------------------------------
 
 
-def _quotient_level(cfg: RunConfig) -> float:
-    return cfg.c if cfg.c > 0 else 1.0
+def _quotient_level(c: float) -> float:
+    """The quotient level for a configured c; c <= 0 means the default 1."""
+    return c if c > 0 else 1.0
 
 
-def fit_two_centers(xs, vs, separation_guess):
-    """Least-squares fit of V = 1/|x-a1| + 1/|x-a2| with axis-symmetric centres.
+def _eh_centers(level_value: float) -> np.ndarray:
+    """Centres (+/- c/4, 0, 0) of the quarter-speed two-centre potential at level c."""
+    return np.array([[-level_value / 4.0, 0.0, 0.0], [level_value / 4.0, 0.0, 0.0]])
 
-    Returns (|a2 - a1|, residual norm).  ``xs`` is (m, 3), ``vs`` (m,).
+
+#: points of the axis scan that starts the two-centre fit
+_FIT_SCAN_POINTS = 256
+
+
+def fit_two_centers(xs, vs):
+    """Least-squares fit of V = 1/|x-a1| + 1/|x-a2| to (x, V) samples.
+
+    Returns (|a2 - a1|, norm of the relative residuals model/V - 1);
+    relative residuals keep the samples closest to a centre, where V is
+    largest, from dominating the fit.  ``xs`` is (m, 3), ``vs`` (m,).
+
+    The start uses the samples alone.  The fit has local minima, so it
+    first scans centres (-a, 0, 0), (a, 0, 0) for a on a grid up to twice
+    the largest |x|, refines every local minimum of the scan in a, and
+    starts the free six-parameter fit from the best of them.
     """
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
 
-    def model(params):
-        a1 = params[:3]
-        a2 = params[3:]
-        return 1.0 / np.linalg.norm(xs - a1, axis=1) + 1.0 / np.linalg.norm(
-            xs - a2, axis=1
-        )
+    def residuals(params):
+        a1, a2 = params[:3], params[3:]
+        model = 1.0 / np.linalg.norm(xs - a1, axis=1) + 1.0 / np.linalg.norm(xs - a2, axis=1)
+        return model / vs - 1.0
 
-    half = 0.5 * separation_guess
+    rho2 = xs[:, 1] ** 2 + xs[:, 2] ** 2  # squared distances from the x1-axis
+
+    def axis_cost(a):
+        """Sum of squared residuals for centres (-a, 0, 0), (a, 0, 0), per entry of a."""
+        a = np.asarray(a, dtype=float)[..., None]
+        model = 1.0 / np.sqrt((xs[:, 0] + a) ** 2 + rho2) + 1.0 / np.sqrt(
+            (xs[:, 0] - a) ** 2 + rho2
+        )
+        return np.sum((model / vs - 1.0) ** 2, axis=-1)
+
+    step = 2.0 * np.max(np.linalg.norm(xs, axis=1)) / _FIT_SCAN_POINTS
+    grid = step * np.arange(1, _FIT_SCAN_POINTS + 1)
+    cost = axis_cost(grid)
+    padded = np.concatenate([[np.inf], cost, [np.inf]])
+    minima = np.flatnonzero((cost <= padded[:-2]) & (cost <= padded[2:]))
+    refined = [
+        minimize_scalar(
+            axis_cost,
+            bounds=(grid[i] - step if i else 0.5 * step, grid[i] + step),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        for i in minima
+    ]
+    half = min(refined, key=lambda r: r.fun).x
     start = np.array([-half, 0.0, 0.0, half, 0.0, 0.0])
-    fit = least_squares(lambda p: model(p) - vs, start, xtol=1e-15, ftol=1e-15)
+    fit = least_squares(residuals, start, xtol=1e-15, ftol=1e-15)
     separation = float(np.linalg.norm(fit.x[3:] - fit.x[:3]))
     return separation, float(np.linalg.norm(fit.fun))
 
@@ -497,7 +538,7 @@ def suite_quotient(cfg: RunConfig):
     action = qt.eguchi_hanson_action()
     rotator = qt.eh_rotator()
     residual_circle = qt.eh_residual_circle()
-    level_value = _quotient_level(cfg)
+    level_value = _quotient_level(cfg.c)
     level = qt.LevelSpec((level_value,))
     count = max(2, cfg.samples // 4)
     lsps = [
@@ -524,17 +565,14 @@ def suite_quotient(cfg: RunConfig):
 
     def gh_potential_residual():
         xs, vs = _gh_samples(action, residual_circle, level_value, rng, cfg.samples)
-        centers = np.array(
-            [[-level_value / 4.0, 0.0, 0.0], [level_value / 4.0, 0.0, 0.0]]
-        )
-        predicted = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in centers)
+        predicted = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in _eh_centers(level_value))
         return float(np.max(np.abs(vs - predicted) / predicted))
 
     def separation_scaling():
         seps = []
         for value in (level_value, 2.0 * level_value):
             xs, vs = _gh_samples(action, residual_circle, value, rng, cfg.samples)
-            sep, _ = fit_two_centers(xs, vs, value / 2.0)
+            sep, _ = fit_two_centers(xs, vs)
             seps.append(sep)
         return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 

@@ -329,7 +329,7 @@ def test_criterion_09_gh_model_recovery():
     worst_fit = 0.0
     for c in (1.0, 2.0):
         xs, vs = samples(c)
-        sep, resid = fit_two_centers(xs, vs, c / 2.0)
+        sep, resid = fit_two_centers(xs, vs)
         seps.append(sep)
         worst_fit = max(worst_fit, resid)
     linearity = abs(seps[1] - 2.0 * seps[0]) / seps[1]

@@ -8,6 +8,7 @@ import pytest
 from hkgeom.cli import main, parse_centers, read_config_file
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.report import CheckRecord, Report, format_sci
+from hkgeom import suites
 from hkgeom.suites import RunConfig, _check, run_suite
 
 
@@ -99,6 +100,24 @@ def test_check_records_package_errors_as_failures():
     assert not rec.passed
     assert rec.residual is None
     assert rec.detail == "DomainError: clearance below 10h"
+
+
+def test_check_takes_detail_from_the_residual_functional():
+    rec = _check(RunConfig(), "x.y", "x = y", 1e-6, lambda: (1e-9, "periods: 1, 2"))
+    assert rec.passed and rec.residual == 1e-9
+    assert rec.detail == "periods: 1, 2"
+
+
+def test_gh_period_failure_is_recorded_not_raised(monkeypatch):
+    def off_domain(cfg, i, resolution=16):
+        raise DomainError("segment sphere meets a centre")
+
+    monkeypatch.setattr(suites.gh, "sphere_period", off_domain)
+    records = suites.suite_gh(RunConfig(suite="gh", samples=4))
+    (periods,) = [r for r in records if r.check_id == "gh.periods"]
+    assert not periods.passed and periods.residual is None
+    assert periods.detail == "DomainError: segment sphere meets a centre"
+    assert len(records) == 8  # every other gh check still ran
 
 
 def test_run_suite_unique_ids_across_all():

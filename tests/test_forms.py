@@ -116,6 +116,43 @@ def test_pullback_by_rotation_preserves_evaluation():
     assert np.isclose(wA(X, Y), w(A @ X, A @ Y))
 
 
+def _loop_matrix(w):
+    """Reference: the degree-2 matrix filled entry by entry."""
+    M = np.zeros((w.dim, w.dim), dtype=w.comps.dtype)
+    for pos, (i, j) in enumerate(basis_indices(w.dim, 2)):
+        M[i, j] = w.comps[pos]
+        M[j, i] = -w.comps[pos]
+    return M
+
+
+def test_as_matrix_and_pullback_bitwise_equal_per_pair_evaluation():
+    # reference: w(A[:, i], A[:, j]) per pair, each rebuilding the matrix
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        n, m = rng.integers(2, 15, size=2)
+        comps = rng.standard_normal(n * (n - 1) // 2)
+        A = rng.standard_normal((n, m))
+        if trial % 2:
+            comps = comps + 1j * rng.standard_normal(comps.size)
+        if trial % 3 == 0:
+            A = A + 1j * rng.standard_normal((n, m))
+        if trial % 5 == 0:
+            A = np.asfortranarray(A)
+        w = FormValue(2, n, comps)
+        assert np.array_equal(w.as_matrix(), _loop_matrix(w))
+        want = np.array(
+            [
+                np.column_stack([A[:, i], A[:, j]])[:, 0]
+                @ _loop_matrix(w)
+                @ np.column_stack([A[:, i], A[:, j]])[:, 1]
+                for i, j in basis_indices(m, 2)
+            ]
+        )
+        got = pullback(w, A).comps
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # -- exterior derivative -------------------------------------------------
 
 

@@ -11,8 +11,16 @@ from hkgeom.errors import (
     NonFreePointError,
     StructureError,
 )
-from hkgeom.flatspace import CircleActionSpec, action_generator, moment_map
-from hkgeom.forms import FDScheme, type11_residual, wedge
+from hkgeom import quotient, suites
+from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field, moment_map
+from hkgeom.forms import (
+    FDScheme,
+    ScalarField,
+    fd_gradient,
+    fd_jacobian,
+    type11_residual,
+    wedge,
+)
 from hkgeom.quotient import (
     GH_CIRCLE_SCALE,
     LevelSetPoint,
@@ -355,3 +363,126 @@ def test_y_length_positive_away_from_fixed_points():
     for _ in range(5):
         _, v = gh_coordinates(ACTION, eh_residual_circle(), solved(rng))
         assert v > 0.0
+
+
+# -- batched moment map and chart retraction -------------------------------------------
+
+TORUS = LinearAction.from_torus_weights(
+    [CircleActionSpec(k=(1, 0), l=(-1, 0)), CircleActionSpec(k=(0, 1), l=(0, -1))]
+)
+
+
+def _loop_moment(action, m):
+    """Reference: the per-point loop, nu[a, i] = (1/2) (S_i G_a m) . m."""
+    nu = np.empty((action.dim_g, 3))
+    jac = np.empty((action.dim_g, 3, action.dim))
+    for a, gen in enumerate(action.generators):
+        for i, s in enumerate(action.model.structures()):
+            jac[a, i] = s @ (gen @ m)
+            nu[a, i] = 0.5 * np.dot(jac[a, i], m)
+    return nu, jac
+
+
+@pytest.mark.parametrize("action", [ACTION, TORUS], ids=["circle", "torus"])
+def test_batched_moment_rows_match_per_point_loop(action):
+    rng = np.random.default_rng(51)
+    batch = 2.0 * rng.standard_normal((64, action.dim))
+    nu, jac = hk_moment(action, batch), moment_jacobian(action, batch)
+    assert nu.shape == (64, action.dim_g, 3)
+    assert jac.shape == (64, action.dim_g, 3, action.dim)
+    for row, m in enumerate(batch):
+        want_nu, want_jac = _loop_moment(action, m)
+        assert hk_moment(action, m).shape == (action.dim_g, 3)
+        assert np.max(np.abs(nu[row] - want_nu)) <= 1e-15
+        assert np.max(np.abs(hk_moment(action, m) - want_nu)) <= 1e-15
+        assert np.max(np.abs(jac[row] - want_jac)) <= 1e-15
+
+
+def test_chart_batch_retraction_matches_single_rows():
+    rng = np.random.default_rng(52)
+    lsp = solved(rng)
+    chart = QuotientChart(ACTION, lsp)
+    xi = 0.05 * rng.standard_normal((24, 4))
+    batch = chart.point(xi)
+    assert batch.shape == (24, 8)
+    target = LEVEL.target()
+    for row, x in enumerate(xi):
+        assert np.max(np.abs(batch[row] - chart.point(x))) < 1e-13
+        assert np.linalg.norm(hk_moment(ACTION, batch[row]) - target) < 1e-14
+
+
+def test_chart_retraction_budget_exhaustion(monkeypatch):
+    rng = np.random.default_rng(53)
+    chart = QuotientChart(ACTION, solved(rng))
+    monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        chart.point(np.full((3, 4), 0.1))
+
+
+def test_shared_stencil_matches_fd_over_batched_point():
+    rng = np.random.default_rng(54)
+    chart = QuotientChart(ACTION, solved(rng))
+    scheme = quotient._CHART_TANGENT_SCHEME
+    point_field = ScalarField(chart.point, chart.dim, vectorized=True)
+    mu = moment_field(eh_rotator())
+    for xi in (np.zeros(4), 1e-3 * rng.standard_normal(4)):
+        want = fd_jacobian(point_field, xi, scheme)
+        assert np.max(np.abs(chart.tangents(xi) - want)) < 1e-12
+        grad = fd_gradient(ScalarField(lambda y: mu(chart.point(y)), 4, vectorized=True), xi, scheme)
+        assert np.max(np.abs(chart.scalar_gradient(mu, xi, scheme) - grad)) < 1e-12
+        assert np.max(np.abs(chart.metric(xi) - chart.metric(xi, want))) < 1e-12
+
+
+def test_descended_curvature_retraction_count(monkeypatch):
+    # one batch (xi and its 16-point tangent stencil) at the base point and
+    # at each of the 16 outer dd^c points; the unbatched chart retracted
+    # 545 single points
+    rows = []
+    retract = QuotientChart.point
+
+    def counting(self, xi):
+        rows.append(np.atleast_2d(xi).shape[0])
+        return retract(self, xi)
+
+    monkeypatch.setattr(QuotientChart, "point", counting)
+    lsp = solved(np.random.default_rng(55))
+    descended_curvature(ACTION, eh_rotator(), lsp)
+    assert len(rows) <= 17
+    assert sum(rows) <= 17 * 17
+
+
+def test_level_set_point_builds_its_frame_once():
+    lsp = solved(np.random.default_rng(56))
+    frame = horizontal_frame(ACTION, lsp)
+    assert QuotientChart(ACTION, lsp).frame is frame
+    assert quotient_sample(ACTION, lsp).frame is frame
+    assert not frame.flags.writeable
+
+
+# -- two-centre fit and the separation check --------------------------------------------
+
+
+def test_two_center_fit_recovers_a_level_it_is_not_told():
+    rng = np.random.default_rng(57)
+    for c in (0.7, 3.1):
+        xs, vs = suites._gh_samples(ACTION, eh_residual_circle(), c, rng, 12)
+        sep, resid = suites.fit_two_centers(xs, vs)
+        assert sep == pytest.approx(c / 2.0, rel=1e-9)
+        assert resid < 1e-9
+
+
+def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
+    # at the doubled level the samples follow centres at +/- c/3, not c/4
+    samples = suites._gh_samples
+
+    def wrong_at_doubled_level(action, rotator, level_value, rng, count):
+        xs, vs = samples(action, rotator, level_value, rng, count)
+        if level_value == 2.0:
+            a = np.array([level_value / 3.0, 0.0, 0.0])
+            vs = 1.0 / np.linalg.norm(xs - a, axis=1) + 1.0 / np.linalg.norm(xs + a, axis=1)
+        return xs, vs
+
+    monkeypatch.setattr(suites, "_gh_samples", wrong_at_doubled_level)
+    records = suites.suite_quotient(suites.RunConfig(suite="quotient", samples=8))
+    (sep,) = [r for r in records if r.check_id == "quotient.gh.separation"]
+    assert sep.residual > 1e-4 and not sep.passed
