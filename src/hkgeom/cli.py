@@ -64,23 +64,28 @@ _CONFIG_KEYS = {
 # -- option parsing -------------------------------------------------------------------
 
 
-def parse_centers(text: str):
-    """Comma-separated centre coordinates; must be nonempty."""
+def _parse_floats(text: str, what: str) -> tuple:
     items = [s for s in (part.strip() for part in str(text).split(",")) if s]
-    if not items:
-        raise ConfigError("empty centre list")
     try:
-        return tuple(float(s) for s in items)
+        values = tuple(float(s) for s in items)
     except ValueError as exc:
-        raise ConfigError(f"bad centre list {text!r}: {exc}") from None
+        raise ConfigError(f"bad {what} list {text!r}: {exc}") from None
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"bad {what} list {text!r}: values must be finite")
+    return values
+
+
+def parse_centers(text: str):
+    """Comma-separated finite centre coordinates; must be nonempty."""
+    centers = _parse_floats(text, "centre")
+    if not centers:
+        raise ConfigError("empty centre list")
+    return centers
 
 
 def parse_weights(text: str):
-    items = [s for s in (part.strip() for part in str(text).split(",")) if s]
-    try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ConfigError(f"bad weight list {text!r}: {exc}") from None
+    """Comma-separated finite per-centre weights."""
+    return _parse_floats(text, "weight")
 
 
 def _parse_bool(text: str) -> bool:

@@ -63,6 +63,8 @@ class GHConfig:
         centers = tuple(float(a) for a in self.centers)
         if len(centers) < 1:
             raise ConfigError("need at least one centre")
+        if not all(np.isfinite(centers)):
+            raise ConfigError("centres must be finite")
         if any(b - a <= 0 for a, b in zip(centers, centers[1:])):
             raise ConfigError("centres must be strictly increasing")
         weights = self.weights
@@ -71,11 +73,14 @@ class GHConfig:
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(centers):
             raise ConfigError("one weight per centre required")
-        if any(w <= 0 for w in weights):
-            raise ConfigError("weights must be positive")
+        if not all(0 < w < np.inf for w in weights):
+            raise ConfigError("weights must be finite and positive")
+        c = float(self.c)
+        if not np.isfinite(c):
+            raise ConfigError("c must be finite")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def num_centers(self) -> int:

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # 17 significant digits: lossless for binary64.
 _SCI = "%.16e"

@@ -1,19 +1,29 @@
-"""Named verification suites over the library's analytic identities.
+"""Named verification checks over the library's analytic identities.
 
-Each suite turns one module's invariants into :class:`CheckRecord` rows:
-a stable check id, the identity under test written out as a formula
-string, the measured residual, and the tolerance it is held to.  All
-sampling is driven by one seeded generator consumed in a fixed order, so
-a fixed :class:`RunConfig` reproduces its report byte for byte.
+Every check is one row of :data:`CHECKS`: a stable id, the identity under
+test written out as a formula string (its anchor), the tolerance it is
+held to, and a residual function ``residual(rng, cfg)``.  :func:`run_check`
+runs one row and :func:`run_suite` runs every row a :class:`RunConfig`
+selects, in table order, into a :class:`Report`.
 
-Suite names: ``flat``, ``cotangent`` (alias ``bg``), ``gh``,
-``quotient``, ``twistor``, ``dynkin``, and ``all``.
+Each row draws its samples from its own generator, seeded by the run seed
+and a CRC-32 of the check id, so a check's samples do not depend on which
+checks run before it, and a fixed :class:`RunConfig` reproduces its report
+byte for byte.  Residuals reach the library through its module attributes
+(``fs.``, ``ct.``, ``gh.``, ``qt.``, ``tw.``, ``dk.``) when they run, so a
+tool that rebinds those attributes (the benchmark's tracer) sees every call.
+
+Suite names: ``flat``, ``cotangent`` (alias ``bg``, the prefix of its
+ids), ``gh``, ``quotient``, ``twistor``, ``dynkin``, and ``all``.
 """
 
 from __future__ import annotations
 
+import math
 import time
+import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
@@ -48,7 +58,10 @@ SUITE_ALIASES = {"bg": "cotangent"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a suite run depends on; fixed seed means fixed report."""
+    """Everything a suite run depends on; fixed seed means fixed report.
+
+    Bad values raise :class:`ConfigError` here, before any check runs.
+    """
 
     suite: str = "all"
     n: int = 2
@@ -73,14 +86,22 @@ class RunConfig:
             raise ConfigError("n must be a positive integer")
         if self.samples < 1:
             raise ConfigError("samples must be a positive integer")
-        if self.tol is not None and self.tol < 0:
-            raise ConfigError("tol must be nonnegative")
-        if self.h is not None and self.h <= 0:
-            raise ConfigError("h must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.tol is not None and not 0 <= self.tol < math.inf:
+            raise ConfigError("tol must be finite and nonnegative")
+        if self.h is not None and not 0 < self.h < math.inf:
+            raise ConfigError("h must be finite and positive")
+        if not math.isfinite(self.c):
+            raise ConfigError("c must be finite")
         if self.order is not None and self.order not in (2, 4):
             raise ConfigError("order must be 2 or 4")
         if self.nodes < 8:
             raise ConfigError("need at least 8 contour nodes")
+        if name in ("all", "gh"):
+            gh.GHConfig(centers=self.centers, c=self.c)
+        if name in ("all", "quotient"):
+            _quotient_level(self.c)
 
     def scheme(self, default: FDScheme) -> FDScheme:
         """The configured FD scheme, falling back per-field to ``default``."""
@@ -102,121 +123,122 @@ class RunConfig:
         }
 
 
+# -- the check row and how one runs ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named identity held to a tolerance.
+
+    ``residual(rng, cfg)`` returns the residual, or (residual, detail) when
+    the detail text comes from the same computation; otherwise the record
+    carries ``detail``.  ``when(cfg)``, if given, says whether the check
+    applies to the configuration at all.
+    """
+
+    id: str
+    anchor: str
+    tol: float
+    residual: Callable
+    when: Callable | None = None
+    detail: str = ""
+
+    @property
+    def suite(self) -> str:
+        prefix = self.id.split(".", 1)[0]
+        return SUITE_ALIASES.get(prefix, prefix)
+
+
 #: exceptions a residual may raise on bad numerics rather than bad code
 _NUMERICAL_ERRORS = (HkgeomError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _check(cfg: RunConfig, check_id, anchor, tol, fn, detail="") -> CheckRecord:
-    """Run one residual functional; numerical failures count as FAIL.
+def _check_rng(cfg: RunConfig, check_id: str) -> np.random.Generator:
+    """The check's own generator: the run seed spawned by a CRC-32 of its id.
 
-    ``fn`` returns the residual, or (residual, detail) when the detail
-    text comes from the same computation.  A package error, a singular
+    Python's ``hash`` of a string is salted per process, so it cannot key
+    a reproducible stream.
+    """
+    key = (zlib.crc32(check_id.encode()),)
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+
+
+def _run(cfg: RunConfig, check: Check) -> CheckRecord:
+    """Run one row; numerical failures count as FAIL.
+
+    ``cfg.tol`` overrides the row's tolerance.  A package error, a singular
     linear solve or a floating-point trap is recorded with residual None;
     any other exception is a programming error and propagates.
     """
-    tolerance = cfg.tol if cfg.tol is not None else tol
+    tolerance = cfg.tol if cfg.tol is not None else check.tol
+    rng = _check_rng(cfg, check.id)
+    detail = check.detail
     start = time.perf_counter()
     try:
-        out = fn()
+        out = check.residual(rng, cfg)
         if isinstance(out, tuple):
             out, detail = out
         residual = float(out)
     except _NUMERICAL_ERRORS as exc:  # recorded, not raised: exit code 1 via the report
         wall = time.perf_counter() - start
         note = f"{type(exc).__name__}: {exc}"
-        return CheckRecord(check_id, anchor, None, tolerance, False, note, wall)
+        return CheckRecord(check.id, check.anchor, None, tolerance, False, note, wall)
     wall = time.perf_counter() - start
     passed = bool(residual <= tolerance)
-    return CheckRecord(check_id, anchor, residual, tolerance, passed, detail, wall)
+    return CheckRecord(check.id, check.anchor, residual, tolerance, passed, detail, wall)
 
 
 # -- flat model -----------------------------------------------------------------------
 
 
-def _flat_points(cfg: RunConfig, rng, count):
-    return [rng.uniform(-1.5, 1.5, size=4 * cfg.n) for _ in range(count)]
-
-
-def suite_flat(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    model = fs.FlatModel(cfg.n)
-    semi = fs.CircleActionSpec(k=(0,) * cfg.n, l=(1,) * cfg.n)
-    full = fs.CircleActionSpec(k=(1,) * cfg.n, l=(1,) * cfg.n)
+def _flat_scheme(cfg: RunConfig) -> FDScheme:
     # Every flat field here is quadratic, so the nested 4th-order dd^c
     # stencil has no truncation error and its error is roundoff alone:
     # each level's weights (1, 8, 8, 1) / 12h sum to 1.5/h, giving about
     # (1.5/h)^2 eps max|mu| = 2.25 eps max|mu| / h^2.  With max|mu| up
     # to ~7 at n = 3 that is ~3e-9 at h = 1e-3, over the 1e-9 bound of
     # flat.full-rotation.trivial, and ~3e-11 at h = 1e-2.
-    scheme = cfg.scheme(FDScheme(h=1e-2, order=4))
-    structures = model.structures()
+    return cfg.scheme(FDScheme(h=1e-2, order=4))
 
-    def type11_worst(spec):
-        pts = _flat_points(cfg, rng, cfg.samples)
-        worst = 0.0
-        for p in pts:
-            F = fs.hyperholo_curvature(spec, p, scheme)
-            worst = max(worst, max(type11_residual(F, S) for S in structures))
-        return worst
 
-    def full_norm():
-        worst = 0.0
-        for p in _flat_points(cfg, rng, cfg.samples):
-            F = fs.hyperholo_curvature(full, p, scheme)
-            worst = max(worst, float(np.max(np.abs(F.comps))))
-        return worst
+def _rotation(cfg: RunConfig, k: int) -> fs.CircleActionSpec:
+    """Weights (k, 1) on every factor: k = 0 semi-free, k = 1 the full rotation."""
+    return fs.CircleActionSpec(k=(k,) * cfg.n, l=(1,) * cfg.n)
 
-    def calibration():
-        flat1 = fs.FlatModel(1)
-        f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
-        expected = FormValue.from_dict(2, 4, {(0, 1): 2.0})
-        worst = 0.0
-        for _ in range(5):
-            p = rng.uniform(-1.5, 1.5, size=4)
-            got = ddc(f, flat1.I, p, scheme)
-            worst = max(worst, float(np.max(np.abs((got - expected).comps))))
-        return worst
 
-    return [
-        _check(
-            cfg,
-            "flat.curvature.type11.semifree",
-            "F = omega1 + dd^c(mu/deg) satisfies S^T F S = F for S in {I, J, K}; "
-            "weights (0,1)",
-            1e-8,
-            lambda: type11_worst(semi),
-        ),
-        _check(
-            cfg,
-            "flat.curvature.type11.full",
-            "F = omega1 + dd^c(mu/deg) satisfies S^T F S = F for S in {I, J, K}; "
-            "weights (1,1)",
-            1e-8,
-            lambda: type11_worst(full),
-        ),
-        _check(
-            cfg,
-            "flat.full-rotation.trivial",
-            "omega1 + dd^c(mu/2) = 0 for the weight-(1,1) rotation",
-            1e-9,
-            full_norm,
-        ),
-        _check(
-            cfg,
-            "flat.rotation.degree",
-            "pullback of omega2 + i omega3 under the angle-theta rotation "
-            "equals e^{i n theta} (omega2 + i omega3)",
-            1e-12,
-            lambda: max(fs.rotation_degree_check(semi), fs.rotation_degree_check(full)),
-        ),
-        _check(
-            cfg,
-            "flat.ddc.calibration",
-            "dd^c(|z|^2 / 2) = 2 dx ^ dy in one flat plane",
-            1e-8,
-            calibration,
-        ),
-    ]
+def _flat_points(cfg: RunConfig, rng, count):
+    return [rng.uniform(-1.5, 1.5, size=4 * cfg.n) for _ in range(count)]
+
+
+def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
+    spec, scheme = _rotation(cfg, k), _flat_scheme(cfg)
+    structures = fs.FlatModel(cfg.n).structures()
+    worst = 0.0
+    for p in _flat_points(cfg, rng, cfg.samples):
+        F = fs.hyperholo_curvature(spec, p, scheme)
+        worst = max(worst, max(type11_residual(F, S) for S in structures))
+    return worst
+
+
+def _flat_full_norm(rng, cfg: RunConfig) -> float:
+    spec, scheme = _rotation(cfg, 1), _flat_scheme(cfg)
+    worst = 0.0
+    for p in _flat_points(cfg, rng, cfg.samples):
+        F = fs.hyperholo_curvature(spec, p, scheme)
+        worst = max(worst, float(np.max(np.abs(F.comps))))
+    return worst
+
+
+def _flat_calibration(rng, cfg: RunConfig) -> float:
+    scheme = _flat_scheme(cfg)
+    flat1 = fs.FlatModel(1)
+    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    expected = FormValue.from_dict(2, 4, {(0, 1): 2.0})
+    worst = 0.0
+    for _ in range(5):
+        got = ddc(f, flat1.I, rng.uniform(-1.5, 1.5, size=4), scheme)
+        worst = max(worst, float(np.max(np.abs((got - expected).comps))))
+    return worst
 
 
 # -- cotangent model ------------------------------------------------------------------
@@ -233,68 +255,30 @@ def _cotangent_points(rng, count, b_max=0.8, v_max=0.8):
     return pts
 
 
-def suite_cotangent(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    model = ct.cp1_model()
-    scheme = cfg.scheme(FDScheme(h=1e-3, order=4))
+def _bg_scheme(cfg: RunConfig) -> FDScheme:
+    return cfg.scheme(FDScheme(h=1e-3, order=4))
+
+
+def _bg_moment(rng, cfg: RunConfig, index: int) -> float:
+    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
     pts = _cotangent_points(rng, cfg.samples)
-    grid = np.logspace(-3, 1, 200)
+    return max(ct.bg_moment_residuals(model, pt, scheme)[index] for pt in pts)
 
-    def moment_worst(index):
-        return max(ct.bg_moment_residuals(model, pt, scheme)[index] for pt in pts)
 
-    def reconstruction_worst(key_filter):
-        count = max(2, cfg.samples // 4)
-        worst = 0.0
-        for pt in pts[:count]:
-            out = ct.bg_hyperkahler_check(model, pt, scheme)
-            worst = max(worst, max(v for k, v in out.items() if key_filter(k)))
-        return worst
+def _bg_agreement(rng, cfg: RunConfig) -> float:
+    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
+    pts = _cotangent_points(rng, cfg.samples)
+    return max(ct.bg_curvature_residual(model, pt, scheme) for pt in pts)
 
-    return [
-        _check(
-            cfg,
-            "bg.profile.identity",
-            "(u f(u))' = (sqrt(1+u) - 1) / (2u)",
-            1e-7,
-            lambda: ct.fu_identity_residual(grid),
-        ),
-        _check(
-            cfg,
-            "bg.moment.scaling",
-            "mu(v) = d/d lambda h(lambda^{-1} v) at lambda = 1",
-            1e-7,
-            lambda: moment_worst(0),
-        ),
-        _check(
-            cfg,
-            "bg.moment.contraction",
-            "mu = -i_X d^c h for the fibre rotation field X",
-            1e-6,
-            lambda: moment_worst(1),
-        ),
-        _check(
-            cfg,
-            "bg.curvature.agreement",
-            "omega1 + dd^c mu = p*omega + dd^c k",
-            1e-5,
-            lambda: max(ct.bg_curvature_residual(model, pt, scheme) for pt in pts),
-        ),
-        _check(
-            cfg,
-            "bg.structure.quaternionic",
-            "J^2 = -Id for J = -g^{-1} omega2 with g from (omega1, I)",
-            1e-6,
-            lambda: reconstruction_worst(lambda k: k == "J2"),
-        ),
-        _check(
-            cfg,
-            "bg.curvature.type11",
-            "F = p*omega + dd^c k is type (1,1) for I, J and K",
-            1e-6,
-            lambda: reconstruction_worst(lambda k: k.startswith("type11")),
-        ),
-    ]
+
+def _bg_reconstruction(rng, cfg: RunConfig, keys) -> float:
+    """Worst of ``keys`` of ``bg_hyperkahler_check`` over samples // 4 points (>= 2)."""
+    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
+    worst = 0.0
+    for pt in _cotangent_points(rng, max(2, cfg.samples // 4)):
+        out = ct.bg_hyperkahler_check(model, pt, scheme)
+        worst = max(worst, max(out[k] for k in keys))
+    return worst
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
@@ -311,154 +295,114 @@ def _gh_points(ghc, count, rng, min_clear=0.4, box=2.5):
     return pts
 
 
-def suite_gh(cfg: RunConfig):
-    if len(cfg.centers) < 1:
-        raise ConfigError("gh suite needs at least one centre")
-    rng = np.random.default_rng(cfg.seed)
-    ghc = gh.GHConfig(centers=cfg.centers, c=cfg.c)
-    scheme = cfg.scheme(FDScheme(h=1e-3, order=4))
-    pts = _gh_points(ghc, cfg.samples, rng)
+def _gh_config(cfg: RunConfig):
+    return gh.GHConfig(centers=cfg.centers, c=cfg.c)
 
-    def clearance(x):
-        return gh.chart_clearance(ghc)(np.array([*x, 0.0]))
 
-    def alpha_residual():
-        field = FormField(
-            lambda x: gh.gh_alpha(ghc, gh.GHPoint(tuple(x), 0.0, "string-down")),
-            1,
-            3,
-            clearance=clearance,
-        )
-        worst = 0.0
-        for x in pts:
-            dalpha = ext_deriv(field, x, scheme)
-            dv = FormValue(1, 3, gh.potential_gradient(ghc, x))
-            worst = max(
-                worst, float(np.max(np.abs((dalpha - hodge_star(np.eye(3), 1, dv)).comps)))
-            )
-        return worst
+def _gh_scheme(cfg: RunConfig) -> FDScheme:
+    return cfg.scheme(FDScheme(h=1e-3, order=4))
 
-    def pair_residual():
-        data = gh.MonopoleData.from_config(ghc)
-        field = FormField(lambda x: data.A(x), 1, 3, clearance=clearance)
-        worst = 0.0
-        for x in pts:
-            da = ext_deriv(field, x, scheme)
-            dphi = FormValue(1, 3, fd_gradient(data.phi, x, scheme))
-            worst = max(
-                worst, float(np.max(np.abs((da - hodge_star(np.eye(3), 1, dphi)).comps)))
-            )
-        return worst
 
-    def harmonic_residual():
-        v_field = ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clearance)
-        p_field = ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clearance)
-        worst = 0.0
-        for x in pts:
-            worst = max(
-                worst,
-                abs(laplacian(v_field, x, scheme)),
-                abs(laplacian(p_field, x, scheme)),
-            )
-        return worst
+def _axis_clearance(ghc):
+    """Clearance of x in R^3 (fibre angle 0) from the chart's singular set."""
+    return lambda x: gh.chart_clearance(ghc)(np.array([*x, 0.0]))
 
-    def asd_worst():
-        count = max(2, cfg.samples // 3)
-        worst = 0.0
-        for x in pts[:count]:
-            pt = gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi))
-            worst = max(worst, gh.asd_residual(ghc, pt, scheme))
-        return worst
 
-    def period_data():
-        measured = [gh.sphere_period(ghc, i) for i in range(1, ghc.num_centers)]
-        worst = max(
-            abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s)
-            for m, s in zip(measured, ghc.spacings)
-        )
-        return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
+def _star_gap(da: FormValue, grad) -> float:
+    """max |dA - *d phi| on R^3, for d phi given by its gradient."""
+    star = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
+    return float(np.max(np.abs((da - star).comps)))
 
-    def segment_constancy():
-        vals = gh.f_segment_values(ghc)
-        edges = (ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5)
-        worst = 0.0
-        for j, expected in enumerate(vals):
-            lo, hi = edges[j], edges[j + 1]
-            for t in rng.uniform(0.05, 0.95, size=4):
-                x = np.array([lo + t * (hi - lo), 0.0, 0.0])
-                worst = max(worst, abs(gh.rotation_lift_f(ghc, x) - expected))
-        return worst
 
-    records = [
-        _check(cfg, "gh.monopole.alpha", "d alpha = *dV", 1e-6, alpha_residual),
-        _check(cfg, "gh.monopole.pair", "dA = *d phi", 1e-6, pair_residual),
-        _check(
-            cfg,
-            "gh.harmonic",
-            "Delta V = 0 and Delta phi = 0 away from the centres",
-            1e-6,
-            harmonic_residual,
-        ),
-        _check(
-            cfg,
-            "gh.connection.asd",
-            "*_4 dA-hat = -dA-hat (anti-self-dual curvature)",
-            1e-5,
-            asd_worst,
-        ),
-    ]
-    if ghc.num_centers >= 2:
-        records.append(
-            _check(
-                cfg,
-                "gh.periods",
-                "integral of omega1 over the segment sphere S_i = 2 pi (a_{i+1} - a_i)",
-                1e-6,
-                period_data,
-            )
-        )
-    records.append(
-        _check(
-            cfg,
-            "gh.lift.identity",
-            "df = -i_X(*dV) for the axis rotation X = x2 d3 - x3 d2",
-            1e-10,
-            lambda: max(gh.lift_identity_residual(ghc, x) for x in pts),
-        )
+def _gh_alpha(rng, cfg: RunConfig) -> float:
+    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    field = FormField(
+        lambda x: gh.gh_alpha(ghc, gh.GHPoint(tuple(x), 0.0, "string-down")),
+        1,
+        3,
+        clearance=_axis_clearance(ghc),
     )
-    records.append(
-        _check(
-            cfg,
-            "gh.lift.segments",
-            "f is exactly constant on each open axis segment",
-            0.0,
-            segment_constancy,
-        )
+    return max(
+        _star_gap(ext_deriv(field, x, scheme), gh.potential_gradient(ghc, x))
+        for x in _gh_points(ghc, cfg.samples, rng)
     )
-    k = ghc.num_centers
-    if k % 2 == 0 and ghc.c == 0.0 and all(w == 1.0 for w in ghc.weights):
-        records.append(
-            _check(
-                cfg,
-                "gh.lift.middle-segment",
-                "with 2m unit centres and c = 0, f = 0 on the middle gap",
-                0.0,
-                lambda: abs(gh.f_segment_values(ghc)[k // 2]),
-                detail=(
-                    "zero segment is entry k/2 of the (k+1)-long segment-value "
-                    "tuple, i.e. the open gap between centres k/2 and k/2+1; "
-                    "one-based gap numbering names it gap k/2, not k/2+1"
-                ),
-            )
-        )
-    return records
+
+
+def _gh_pair(rng, cfg: RunConfig) -> float:
+    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    data = gh.MonopoleData.from_config(ghc)
+    field = FormField(lambda x: data.A(x), 1, 3, clearance=_axis_clearance(ghc))
+    return max(
+        _star_gap(ext_deriv(field, x, scheme), fd_gradient(data.phi, x, scheme))
+        for x in _gh_points(ghc, cfg.samples, rng)
+    )
+
+
+def _gh_harmonic(rng, cfg: RunConfig) -> float:
+    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    clear = _axis_clearance(ghc)
+    fields = (
+        ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
+        ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),
+    )
+    return max(
+        abs(laplacian(f, x, scheme))
+        for x in _gh_points(ghc, cfg.samples, rng)
+        for f in fields
+    )
+
+
+def _gh_asd(rng, cfg: RunConfig) -> float:
+    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    pts = _gh_points(ghc, max(2, cfg.samples // 3), rng)
+    return max(
+        gh.asd_residual(ghc, gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi)), scheme)
+        for x in pts
+    )
+
+
+def _gh_periods(rng, cfg: RunConfig):
+    ghc = _gh_config(cfg)
+    measured = [gh.sphere_period(ghc, i) for i in range(1, ghc.num_centers)]
+    worst = max(
+        abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)
+    )
+    return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
+
+
+def _gh_lift(rng, cfg: RunConfig) -> float:
+    ghc = _gh_config(cfg)
+    return max(gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng))
+
+
+def _gh_segments(rng, cfg: RunConfig) -> float:
+    ghc = _gh_config(cfg)
+    edges = (ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5)
+    worst = 0.0
+    for j, expected in enumerate(gh.f_segment_values(ghc)):
+        lo, hi = edges[j], edges[j + 1]
+        for t in rng.uniform(0.05, 0.95, size=4):
+            x = np.array([lo + t * (hi - lo), 0.0, 0.0])
+            worst = max(worst, abs(gh.rotation_lift_f(ghc, x) - expected))
+    return worst
+
+
+def _even_unit_centers(cfg: RunConfig) -> bool:
+    """2m centres (all of unit weight in a RunConfig) and c = 0."""
+    return len(cfg.centers) % 2 == 0 and cfg.c == 0.0
 
 
 # -- quotient -------------------------------------------------------------------------
 
 
 def _quotient_level(c: float) -> float:
-    """The quotient level for a configured c; c <= 0 means the default 1."""
+    """The quotient level for a configured c.
+
+    c = 0 means the default level 1, since 0 is also the gh suite's
+    default axis constant; a negative level is a configuration error.
+    """
+    if c < 0:
+        raise ConfigError(f"the quotient level c must be nonnegative, got {c}")
     return c if c > 0 else 1.0
 
 
@@ -474,9 +418,15 @@ _FIT_SCAN_POINTS = 256
 def fit_two_centers(xs, vs):
     """Least-squares fit of V = 1/|x-a1| + 1/|x-a2| to (x, V) samples.
 
-    Returns (|a2 - a1|, norm of the relative residuals model/V - 1);
-    relative residuals keep the samples closest to a centre, where V is
-    largest, from dominating the fit.  ``xs`` is (m, 3), ``vs`` (m,).
+    Returns (|a2 - a1|, norm of the relative residuals model/V - 1 at the
+    fit).  ``xs`` is (m, 3), ``vs`` (m,).
+
+    The fit matches 1/V, the model's r1 r2 / (r1 + r2) with r_i = |x - a_i|,
+    which moves by at most |da| when a centre moves by da.  Residuals of V
+    itself, even relative ones, blow up at a sample close to a centre: a
+    sample 3e-4 from a centre cuts a notch that narrow into the cost, and
+    a fit of model/V - 1 stopped in a local minimum with the separation
+    1e-3 (relative) off.
 
     The start uses the samples alone.  The fit has local minima, so it
     first scans centres (-a, 0, 0), (a, 0, 0) for a on a grid up to twice
@@ -484,22 +434,23 @@ def fit_two_centers(xs, vs):
     starts the free six-parameter fit from the best of them.
     """
     xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    inverse = 1.0 / np.asarray(vs, dtype=float)
+
+    def reduced(r1, r2):
+        return r1 * r2 / (r1 + r2) - inverse
 
     def residuals(params):
         a1, a2 = params[:3], params[3:]
-        model = 1.0 / np.linalg.norm(xs - a1, axis=1) + 1.0 / np.linalg.norm(xs - a2, axis=1)
-        return model / vs - 1.0
+        return reduced(np.linalg.norm(xs - a1, axis=1), np.linalg.norm(xs - a2, axis=1))
 
     rho2 = xs[:, 1] ** 2 + xs[:, 2] ** 2  # squared distances from the x1-axis
 
     def axis_cost(a):
         """Sum of squared residuals for centres (-a, 0, 0), (a, 0, 0), per entry of a."""
         a = np.asarray(a, dtype=float)[..., None]
-        model = 1.0 / np.sqrt((xs[:, 0] + a) ** 2 + rho2) + 1.0 / np.sqrt(
-            (xs[:, 0] - a) ** 2 + rho2
-        )
-        return np.sum((model / vs - 1.0) ** 2, axis=-1)
+        r1 = np.sqrt((xs[:, 0] + a) ** 2 + rho2)
+        r2 = np.sqrt((xs[:, 0] - a) ** 2 + rho2)
+        return np.sum(reduced(r1, r2) ** 2, axis=-1)
 
     step = 2.0 * np.max(np.linalg.norm(xs, axis=1)) / _FIT_SCAN_POINTS
     grid = step * np.arange(1, _FIT_SCAN_POINTS + 1)
@@ -517,9 +468,10 @@ def fit_two_centers(xs, vs):
     ]
     half = min(refined, key=lambda r: r.fun).x
     start = np.array([-half, 0.0, 0.0, half, 0.0, 0.0])
-    fit = least_squares(residuals, start, xtol=1e-15, ftol=1e-15)
-    separation = float(np.linalg.norm(fit.x[3:] - fit.x[:3]))
-    return separation, float(np.linalg.norm(fit.fun))
+    fit = least_squares(residuals, start, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    a1, a2 = fit.x[:3], fit.x[3:]
+    model = 1.0 / np.linalg.norm(xs - a1, axis=1) + 1.0 / np.linalg.norm(xs - a2, axis=1)
+    return float(np.linalg.norm(a2 - a1)), float(np.linalg.norm(model * inverse - 1.0))
 
 
 def _gh_samples(action, rotator, level_value, rng, count):
@@ -533,89 +485,60 @@ def _gh_samples(action, rotator, level_value, rng, count):
     return np.array(xs), np.array(vs)
 
 
-def suite_quotient(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    action = qt.eguchi_hanson_action()
-    rotator = qt.eh_rotator()
-    residual_circle = qt.eh_residual_circle()
-    level_value = _quotient_level(cfg.c)
-    level = qt.LevelSpec((level_value,))
+def _level_points(action, rng, cfg: RunConfig):
+    """samples // 4 (at least 2) points of the level set at the configured level."""
+    level = qt.LevelSpec((_quotient_level(cfg.c),))
     count = max(2, cfg.samples // 4)
-    lsps = [
-        qt.solve_level(action, level, rng.standard_normal(8)) for _ in range(count)
-    ]
+    return [qt.solve_level(action, level, rng.standard_normal(8)) for _ in range(count)]
 
-    def curvature_match():
-        worst = 0.0
-        for lsp in lsps:
-            got = qt.canonical_bundle_curvature(action, (1.0,), lsp)
-            want = qt.descended_curvature(action, rotator, lsp)
-            worst = max(worst, float(np.max(np.abs((got - want).comps))))
-        return worst
 
-    def curvature_type11():
-        worst = 0.0
-        for lsp in lsps:
-            chart = qt.QuotientChart(action, lsp)
-            F = qt.descended_curvature(action, rotator, lsp)
-            for i in (1, 2, 3):
-                S = chart.structure(np.zeros(chart.dim), i)
-                worst = max(worst, type11_residual(F, S, structure_tol=1e-4))
-        return worst
+def _q_match(rng, cfg: RunConfig) -> float:
+    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    worst = 0.0
+    for lsp in _level_points(action, rng, cfg):
+        got = qt.canonical_bundle_curvature(action, (1.0,), lsp)
+        want = qt.descended_curvature(action, rotator, lsp)
+        worst = max(worst, float(np.max(np.abs((got - want).comps))))
+    return worst
 
-    def gh_potential_residual():
-        xs, vs = _gh_samples(action, residual_circle, level_value, rng, cfg.samples)
-        predicted = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in _eh_centers(level_value))
-        return float(np.max(np.abs(vs - predicted) / predicted))
 
-    def separation_scaling():
-        seps = []
-        for value in (level_value, 2.0 * level_value):
-            xs, vs = _gh_samples(action, residual_circle, value, rng, cfg.samples)
-            sep, _ = fit_two_centers(xs, vs)
-            seps.append(sep)
-        return abs(seps[1] - 2.0 * seps[0]) / seps[1]
+def _q_type11(rng, cfg: RunConfig) -> float:
+    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    worst = 0.0
+    for lsp in _level_points(action, rng, cfg):
+        chart = qt.QuotientChart(action, lsp)
+        F = qt.descended_curvature(action, rotator, lsp)
+        for i in (1, 2, 3):
+            S = chart.structure(np.zeros(chart.dim), i)
+            worst = max(worst, type11_residual(F, S, structure_tol=1e-4))
+    return worst
 
-    return [
-        _check(
-            cfg,
-            "quotient.curvature.match",
-            "curvature of the canonical quotient connection = "
-            "omega-bar_1 + dd^c(mu-bar / deg)",
-            1e-5,
-            curvature_match,
-        ),
-        _check(
-            cfg,
-            "quotient.curvature.type11",
-            "descended curvature is type (1,1) for I-bar, J-bar, K-bar",
-            1e-5,
-            curvature_type11,
-        ),
-        _check(
-            cfg,
-            "quotient.moment.descent",
-            "d mu-bar = i_{X-bar} omega-bar_1 on the quotient chart",
-            1e-7,
-            lambda: max(
-                qt.moment_descent_residual(action, rotator, lsp) for lsp in lsps
-            ),
-        ),
-        _check(
-            cfg,
-            "quotient.gh.potential",
-            "V = 1/|x - a_1| + 1/|x - a_2| for the quarter-speed residual circle",
-            1e-5,
-            gh_potential_residual,
-        ),
-        _check(
-            cfg,
-            "quotient.gh.separation",
-            "fitted centre separation |a_2 - a_1| is linear in the level c",
-            1e-4,
-            separation_scaling,
-        ),
-    ]
+
+def _q_descent(rng, cfg: RunConfig) -> float:
+    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    return max(
+        qt.moment_descent_residual(action, rotator, lsp)
+        for lsp in _level_points(action, rng, cfg)
+    )
+
+
+def _q_gh_potential(rng, cfg: RunConfig) -> float:
+    level_value = _quotient_level(cfg.c)
+    xs, vs = _gh_samples(
+        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, cfg.samples
+    )
+    predicted = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in _eh_centers(level_value))
+    return float(np.max(np.abs(vs - predicted) / predicted))
+
+
+def _q_separation(rng, cfg: RunConfig) -> float:
+    action, circle = qt.eguchi_hanson_action(), qt.eh_residual_circle()
+    level_value = _quotient_level(cfg.c)
+    seps = []
+    for value in (level_value, 2.0 * level_value):
+        xs, vs = _gh_samples(action, circle, value, rng, cfg.samples)
+        seps.append(fit_two_centers(xs, vs)[0])
+    return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 
 
 # -- twistor --------------------------------------------------------------------------
@@ -632,150 +555,86 @@ def _twistor_samples(cfg: RunConfig, rng, count, min_mod=0.3, max_mod=1.5):
     return out
 
 
-def suite_twistor(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n
-    full = fs.CircleActionSpec(k=(1,) * n, l=(1,) * n)
-    samples = _twistor_samples(cfg, rng, cfg.samples)
+def _ctangent(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    def ctangent():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    def chart_tangent():
-        return (ctangent(), ctangent(), complex(*rng.standard_normal(2)))
+def _chart_tangent(rng, n):
+    return (_ctangent(rng, n), _ctangent(rng, n), complex(*rng.standard_normal(2)))
 
-    def pair_identity():
-        worst = 0.0
-        for z, w, zeta in samples:
-            pt = tw.product_to_chart(z, w, zeta)
-            worst = max(
-                worst,
-                tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, chart_tangent()),
-            )
-        return worst
 
-    def invariance():
-        worst = 0.0
-        for z, w, zeta in samples:
-            pt = tw.product_to_chart(z, w, zeta)
-            worst = max(
-                worst, tw.action_invariance_residual(full, pt, chart_tangent())
-            )
-        return worst
+def _tw_pair(rng, cfg: RunConfig) -> float:
+    worst = 0.0
+    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+        pt = tw.product_to_chart(z, w, zeta)
+        tangent = _chart_tangent(rng, cfg.n)
+        worst = max(worst, tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, tangent))
+    return worst
 
-    def restriction():
-        worst = 0.0
-        for z, w, zeta in samples:
-            s = rng.standard_normal(4 * n)
-            t = rng.standard_normal(4 * n)
-            worst = max(worst, tw.fibre_restriction_residual(z, w, zeta, s, t))
-        return worst
 
-    def residue():
-        worst = 0.0
-        count = max(2, cfg.samples // 2)
-        for z, w, _ in samples[:count]:
-            m_tan = rng.standard_normal(4 * n)
-            worst = max(
-                worst, tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes)
-            )
-        return worst
-
-    def rotation_residue():
-        worst = 0.0
-        for n_char in (1, 2, 5):
-            got = tw.rotation_residue(
-                n_char, ctangent(), ctangent(), nodes=cfg.nodes
-            )
-            worst = max(worst, abs(got - 2j * np.pi * n_char))
-        return worst
-
-    def hermitian():
-        worst = 0.0
-        count = max(2, cfg.samples // 4)
-        for z, w, zeta in samples[:count]:
-            worst = max(worst, tw.hermitian_curvature_residual(n, z, w, zeta))
-        return worst
-
-    def reality():
-        worst = 0.0
-        for z, w, zeta in samples:
-            worst = max(worst, tw.reality_residual(z, w, zeta))
-        return worst
-
-    def pole_orders():
-        report = tw.connection_report(
-            2, ctangent(), ctangent(), chart_tangent(), nodes=cfg.nodes
+def _tw_invariance(rng, cfg: RunConfig) -> float:
+    full = _rotation(cfg, 1)
+    worst = 0.0
+    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+        pt = tw.product_to_chart(z, w, zeta)
+        worst = max(
+            worst, tw.action_invariance_residual(full, pt, _chart_tangent(rng, cfg.n))
         )
-        return abs(report.pole_order_zero - 1) + abs(report.pole_order_infinity - 1)
+    return worst
 
-    def closedness():
-        worst = 0.0
-        count = max(2, cfg.samples // 4)
-        for z, w, zeta in _twistor_samples(cfg, rng, count, min_mod=0.7, max_mod=1.3):
-            worst = max(worst, tw.fz_closedness_residual(n, z, w, zeta))
-        return worst
 
-    return [
-        _check(
-            cfg,
-            "twistor.pair.exact",
-            "A_V - A_U = -d(v.xi / 2 zeta)",
-            1e-12,
-            pair_identity,
-        ),
-        _check(
-            cfg,
-            "twistor.rotation.invariance",
-            "i_V F_Z = 0 for the lifted weight-(1,1) rotation",
-            1e-10,
-            invariance,
-        ),
-        _check(
-            cfg,
-            "twistor.fibre.restriction",
-            "F_Z on a fibre = -2i [ (omega2 + i omega3)/(2i zeta) + omega1 "
-            "+ zeta (omega2 - i omega3)/(2i) ]",
-            1e-10,
-            restriction,
-        ),
-        _check(
-            cfg,
-            "twistor.residue.fibre",
-            "res_{zeta=0} A along the fibre = -i_X(omega2 + i omega3) / 2i",
-            1e-10,
-            residue,
-        ),
-        _check(
-            cfg,
-            "twistor.residue.rotation",
-            "(1 / 2 pi i) contour integral of A around zeta = 0 equals 2 pi i n",
-            1e-10,
-            rotation_residue,
-        ),
-        _check(
-            cfg,
-            "twistor.pole.orders",
-            "the meromorphic connection has simple poles at zeta = 0 and infinity",
-            0.0,
-            pole_orders,
-        ),
-        _check(
-            cfg,
-            "twistor.hermitian.curvature",
-            "dd^{c_Z} log h_U = 2 (sum_z dx^dy - sum_w dx^dy) at every zeta",
-            1e-6,
-            hermitian,
-        ),
-        _check(
-            cfg,
-            "twistor.reality",
-            "log h_V after the antipodal flip = -log h_U",
-            1e-12,
-            reality,
-        ),
-        _check(cfg, "twistor.closedness", "dF_Z = 0", 1e-10, closedness),
-    ]
+def _tw_restriction(rng, cfg: RunConfig) -> float:
+    worst = 0.0
+    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+        s = rng.standard_normal(4 * cfg.n)
+        t = rng.standard_normal(4 * cfg.n)
+        worst = max(worst, tw.fibre_restriction_residual(z, w, zeta, s, t))
+    return worst
+
+
+def _tw_residue(rng, cfg: RunConfig) -> float:
+    worst = 0.0
+    for z, w, _ in _twistor_samples(cfg, rng, max(2, cfg.samples // 2)):
+        m_tan = rng.standard_normal(4 * cfg.n)
+        worst = max(worst, tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes))
+    return worst
+
+
+def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
+    worst = 0.0
+    for n_char in (1, 2, 5):
+        got = tw.rotation_residue(
+            n_char, _ctangent(rng, cfg.n), _ctangent(rng, cfg.n), nodes=cfg.nodes
+        )
+        worst = max(worst, abs(got - 2j * np.pi * n_char))
+    return worst
+
+
+def _tw_pole_orders(rng, cfg: RunConfig) -> float:
+    report = tw.connection_report(
+        2,
+        _ctangent(rng, cfg.n),
+        _ctangent(rng, cfg.n),
+        _chart_tangent(rng, cfg.n),
+        nodes=cfg.nodes,
+    )
+    return abs(report.pole_order_zero - 1) + abs(report.pole_order_infinity - 1)
+
+
+def _tw_hermitian(rng, cfg: RunConfig) -> float:
+    samples = _twistor_samples(cfg, rng, max(2, cfg.samples // 4))
+    return max(tw.hermitian_curvature_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
+
+
+def _tw_reality(rng, cfg: RunConfig) -> float:
+    samples = _twistor_samples(cfg, rng, cfg.samples)
+    return max(tw.reality_residual(z, w, zeta) for z, w, zeta in samples)
+
+
+def _tw_closedness(rng, cfg: RunConfig) -> float:
+    count = max(2, cfg.samples // 4)
+    samples = _twistor_samples(cfg, rng, count, min_mod=0.7, max_mod=1.3)
+    return max(tw.fz_closedness_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
 
 
 # -- Dynkin / McKay -------------------------------------------------------------------
@@ -785,78 +644,238 @@ def _edge_violations(graph, signs) -> int:
     return sum(1 for i, j in graph.edges if signs[i] * signs[j] != -1)
 
 
-def suite_dynkin(cfg: RunConfig):
-    def a_series():
-        bad = 0
-        for k in range(1, 10):
-            graph = dk.extended_diagram("A", k)
-            signs = dk.dynkin_signs(graph)
-            if k % 2 == 1:
-                if signs is None or _edge_violations(graph, signs):
-                    bad += 1
-            elif signs is not None:
-                bad += 1
-        return float(bad)
-
-    def de_series():
-        bad = 0
-        for kind, k in [("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8)] + [
-            ("E6", None),
-            ("E7", None),
-            ("E8", None),
-        ]:
-            graph = dk.extended_diagram(kind, k)
-            signs = dk.dynkin_signs(graph)
+def _dk_a_series(rng, cfg: RunConfig) -> float:
+    bad = 0
+    for k in range(1, 10):
+        graph = dk.extended_diagram("A", k)
+        signs = dk.dynkin_signs(graph)
+        if k % 2 == 1:
             if signs is None or _edge_violations(graph, signs):
                 bad += 1
-        return float(bad)
-
-    def mckay():
-        worst = 0
-        for kind, k in [("A", 1), ("A", 4), ("D", 4), ("D", 7)] + [
-            ("E6", None),
-            ("E7", None),
-            ("E8", None),
-        ]:
-            marks = dk.mckay_dims(kind, k)
-            worst = max(worst, abs(sum(d * d for d in marks) - dk.gamma_order(kind, k)))
-        return float(worst)
-
-    return [
-        _check(
-            cfg,
-            "dynkin.signs.a-series",
-            "c_i c_j = -1 is solvable on the extended A_k cycle iff k is odd",
-            0.0,
-            a_series,
-        ),
-        _check(
-            cfg,
-            "dynkin.signs.de-series",
-            "c_i c_j = -1 is always solvable on extended D_k (4..8), E6, E7, E8",
-            0.0,
-            de_series,
-        ),
-        _check(
-            cfg,
-            "dynkin.mckay.order",
-            "sum of d_i^2 over the marks equals |Gamma|",
-            0.0,
-            mckay,
-        ),
-        _check(
-            cfg,
-            "dynkin.quiver.a1",
-            "the extended A_1 quiver space has complex dimension 4",
-            0.0,
-            lambda: float(abs(dk.quiver_dim(dk.extended_diagram("A", 1)) - 4)),
-        ),
-    ]
+        elif signs is not None:
+            bad += 1
+    return float(bad)
 
 
-# -- assembly -------------------------------------------------------------------------
+def _dk_de_series(rng, cfg: RunConfig) -> float:
+    bad = 0
+    for kind, k in [("D", k) for k in range(4, 9)] + [("E6", None), ("E7", None), ("E8", None)]:
+        graph = dk.extended_diagram(kind, k)
+        signs = dk.dynkin_signs(graph)
+        if signs is None or _edge_violations(graph, signs):
+            bad += 1
+    return float(bad)
 
 
+#: diagrams whose McKay marks are summed: both parities of A_k and D_k, and E6-E8
+_MCKAY_DIAGRAMS = (
+    *(("A", k) for k in (1, 2, 4, 5)),
+    *(("D", k) for k in (4, 6, 7, 8)),
+    *((label, None) for label in ("E6", "E7", "E8")),
+)
+
+
+def _dk_mckay(rng, cfg: RunConfig) -> float:
+    worst = 0
+    for kind, k in _MCKAY_DIAGRAMS:
+        marks = dk.mckay_dims(kind, k)
+        worst = max(worst, abs(sum(d * d for d in marks) - dk.gamma_order(kind, k)))
+    return float(worst)
+
+
+# -- the table ------------------------------------------------------------------------
+
+
+_TYPE11_ANCHOR = "F = omega1 + dd^c(mu/deg) satisfies S^T F S = F for S in {I, J, K}; weights "
+_BG_TYPE11_KEYS = ("type11_I", "type11_J", "type11_K")
+_MIDDLE_GAP_NOTE = (
+    "zero segment is entry k/2 of the (k+1)-long segment-value tuple, i.e. the open gap "
+    "between centres k/2 and k/2+1; one-based gap numbering names it gap k/2, not k/2+1"
+)
+
+#: every check in report order: suites in SUITE_NAMES order, rows within a suite
+CHECKS = (
+    Check(
+        "flat.curvature.type11.semifree", _TYPE11_ANCHOR + "(0,1)", 1e-8,
+        lambda rng, cfg: _flat_type11(rng, cfg, 0),
+    ),
+    Check(
+        "flat.curvature.type11.full", _TYPE11_ANCHOR + "(1,1)", 1e-8,
+        lambda rng, cfg: _flat_type11(rng, cfg, 1),
+    ),
+    Check(
+        "flat.full-rotation.trivial", "omega1 + dd^c(mu/2) = 0 for the weight-(1,1) rotation",
+        1e-9, _flat_full_norm,
+    ),
+    Check(
+        "flat.rotation.degree",
+        "pullback of omega2 + i omega3 under the angle-theta rotation "
+        "equals e^{i n theta} (omega2 + i omega3)",
+        1e-12,
+        lambda rng, cfg: max(fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)),
+    ),
+    Check(
+        "flat.ddc.calibration", "dd^c(|z|^2 / 2) = 2 dx ^ dy in one flat plane", 1e-8,
+        _flat_calibration,
+    ),
+    Check(
+        "bg.profile.identity", "(u f(u))' = (sqrt(1+u) - 1) / (2u)", 1e-7,
+        lambda rng, cfg: ct.fu_identity_residual(np.logspace(-3, 1, 200)),
+    ),
+    Check(
+        "bg.moment.scaling", "mu(v) = d/d lambda h(lambda^{-1} v) at lambda = 1", 1e-7,
+        lambda rng, cfg: _bg_moment(rng, cfg, 0),
+    ),
+    Check(
+        "bg.moment.contraction", "mu = -i_X d^c h for the fibre rotation field X", 1e-6,
+        lambda rng, cfg: _bg_moment(rng, cfg, 1),
+    ),
+    Check("bg.curvature.agreement", "omega1 + dd^c mu = p*omega + dd^c k", 1e-5, _bg_agreement),
+    Check(
+        "bg.structure.quaternionic", "J^2 = -Id for J = -g^{-1} omega2 with g from (omega1, I)",
+        1e-6, lambda rng, cfg: _bg_reconstruction(rng, cfg, ("J2",)),
+    ),
+    Check(
+        "bg.curvature.type11", "F = p*omega + dd^c k is type (1,1) for I, J and K", 1e-6,
+        lambda rng, cfg: _bg_reconstruction(rng, cfg, _BG_TYPE11_KEYS),
+    ),
+    Check("gh.monopole.alpha", "d alpha = *dV", 1e-6, _gh_alpha),
+    Check("gh.monopole.pair", "dA = *d phi", 1e-6, _gh_pair),
+    Check("gh.harmonic", "Delta V = 0 and Delta phi = 0 away from the centres", 1e-6, _gh_harmonic),
+    Check("gh.connection.asd", "*_4 dA-hat = -dA-hat (anti-self-dual curvature)", 1e-5, _gh_asd),
+    Check(
+        "gh.periods", "integral of omega1 over the segment sphere S_i = 2 pi (a_{i+1} - a_i)",
+        1e-6, _gh_periods, when=lambda cfg: len(cfg.centers) >= 2,
+    ),
+    Check(
+        "gh.lift.identity", "df = -i_X(*dV) for the axis rotation X = x2 d3 - x3 d2", 1e-10,
+        _gh_lift,
+    ),
+    Check("gh.lift.segments", "f is exactly constant on each open axis segment", 0.0, _gh_segments),
+    Check(
+        "gh.lift.middle-segment", "with 2m unit centres and c = 0, f = 0 on the middle gap", 0.0,
+        lambda rng, cfg: abs(gh.f_segment_values(_gh_config(cfg))[len(cfg.centers) // 2]),
+        when=_even_unit_centers, detail=_MIDDLE_GAP_NOTE,
+    ),
+    Check(
+        "quotient.curvature.match",
+        "curvature of the canonical quotient connection = omega-bar_1 + dd^c(mu-bar / deg)",
+        1e-5, _q_match,
+    ),
+    Check(
+        "quotient.curvature.type11", "descended curvature is type (1,1) for I-bar, J-bar, K-bar",
+        1e-5, _q_type11,
+    ),
+    Check(
+        "quotient.moment.descent", "d mu-bar = i_{X-bar} omega-bar_1 on the quotient chart",
+        1e-7, _q_descent,
+    ),
+    Check(
+        "quotient.gh.potential",
+        "V = 1/|x - a_1| + 1/|x - a_2| for the quarter-speed residual circle", 1e-5,
+        _q_gh_potential,
+    ),
+    Check(
+        "quotient.gh.separation", "fitted centre separation |a_2 - a_1| is linear in the level c",
+        1e-4, _q_separation,
+    ),
+    Check("twistor.pair.exact", "A_V - A_U = -d(v.xi / 2 zeta)", 1e-12, _tw_pair),
+    Check(
+        "twistor.rotation.invariance", "i_V F_Z = 0 for the lifted weight-(1,1) rotation",
+        1e-10, _tw_invariance,
+    ),
+    Check(
+        "twistor.fibre.restriction",
+        "F_Z on a fibre = -2i [ (omega2 + i omega3)/(2i zeta) + omega1 "
+        "+ zeta (omega2 - i omega3)/(2i) ]",
+        1e-10, _tw_restriction,
+    ),
+    Check(
+        "twistor.residue.fibre", "res_{zeta=0} A along the fibre = -i_X(omega2 + i omega3) / 2i",
+        1e-10, _tw_residue,
+    ),
+    Check(
+        "twistor.residue.rotation",
+        "(1 / 2 pi i) contour integral of A around zeta = 0 equals 2 pi i n", 1e-10,
+        _tw_rotation_residue,
+    ),
+    Check(
+        "twistor.pole.orders",
+        "the meromorphic connection has simple poles at zeta = 0 and infinity", 0.0,
+        _tw_pole_orders,
+    ),
+    Check(
+        "twistor.hermitian.curvature",
+        "dd^{c_Z} log h_U = 2 (sum_z dx^dy - sum_w dx^dy) at every zeta", 1e-6, _tw_hermitian,
+    ),
+    Check("twistor.reality", "log h_V after the antipodal flip = -log h_U", 1e-12, _tw_reality),
+    Check("twistor.closedness", "dF_Z = 0", 1e-10, _tw_closedness),
+    Check(
+        "dynkin.signs.a-series",
+        "c_i c_j = -1 is solvable on the extended A_k cycle iff k is odd", 0.0, _dk_a_series,
+    ),
+    Check(
+        "dynkin.signs.de-series",
+        "c_i c_j = -1 is always solvable on extended D_k (4..8), E6, E7, E8", 0.0,
+        _dk_de_series,
+    ),
+    Check("dynkin.mckay.order", "sum of d_i^2 over the marks equals |Gamma|", 0.0, _dk_mckay),
+    Check(
+        "dynkin.quiver.a1", "the extended A_1 quiver space has complex dimension 4", 0.0,
+        lambda rng, cfg: float(abs(dk.quiver_dim(dk.extended_diagram("A", 1)) - 4)),
+    ),
+)
+
+
+# -- running rows ---------------------------------------------------------------------
+
+
+def _rows(cfg: RunConfig, names) -> list:
+    """The rows of the named suites that apply to ``cfg``, in table order."""
+    return [c for c in CHECKS if c.suite in names and (c.when is None or c.when(cfg))]
+
+
+def _suite_names(cfg: RunConfig) -> tuple:
+    return SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+
+
+def run_check(cfg: RunConfig, check_id: str) -> CheckRecord:
+    """Run the check ``check_id``, one of the rows ``cfg`` selects.
+
+    The record equals that check's record in ``run_suite(cfg)``.
+    """
+    for check in _rows(cfg, _suite_names(cfg)):
+        if check.id == check_id:
+            return _run(cfg, check)
+    raise ConfigError(f"no check {check_id!r} runs in suite {cfg.suite!r} with this configuration")
+
+
+def suite_flat(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("flat",))]
+
+
+def suite_cotangent(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("cotangent",))]
+
+
+def suite_gh(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("gh",))]
+
+
+def suite_quotient(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("quotient",))]
+
+
+def suite_twistor(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("twistor",))]
+
+
+def suite_dynkin(cfg: RunConfig) -> list:
+    return [_run(cfg, c) for c in _rows(cfg, ("dynkin",))]
+
+
+# The per-suite entry points stay separate functions, so each suite's run
+# time is one span for a tracer that wraps the module's functions.
 _SUITE_BUILDERS = {
     "flat": suite_flat,
     "cotangent": suite_cotangent,
@@ -869,9 +888,8 @@ _SUITE_BUILDERS = {
 
 def run_suite(cfg: RunConfig) -> Report:
     """Execute the configured suite(s) and assemble the report."""
-    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     records = []
-    for name in names:
+    for name in _suite_names(cfg):
         records.extend(_SUITE_BUILDERS[name](cfg))
     return Report(
         suite=cfg.suite, seed=cfg.seed, params=cfg.params_dict(), records=records

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from hkgeom.cli import main, parse_centers, read_config_file
+from hkgeom.cli import main, parse_centers, parse_weights, read_config_file
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.report import CheckRecord, Report, format_sci
 from hkgeom import suites
-from hkgeom.suites import RunConfig, _check, run_suite
+from hkgeom.suites import RunConfig, run_check, run_suite
 
 
 def run(args):
@@ -39,7 +39,7 @@ def test_report_rejects_duplicate_ids():
 def test_report_json_shape():
     rep = Report("flat", 3, {"samples": 2}, [_record("a")])
     doc = json.loads(rep.to_json())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["suite"] == "flat"
     assert doc["seed"] == 3
     assert doc["params"] == {"samples": 2}
@@ -84,28 +84,68 @@ def test_run_config_validation():
     assert RunConfig(suite="bg").suite == "cotangent"
 
 
-def test_check_propagates_programming_errors():
-    def broken():
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"seed": -1},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"h": float("nan")},
+        {"h": float("inf")},
+        {"c": float("nan")},
+        {"c": float("-inf")},
+    ],
+)
+def test_run_config_rejects_non_finite_and_negative_values(bad):
+    with pytest.raises(ConfigError):
+        RunConfig(suite="flat", **bad)
+
+
+def test_run_config_validates_centres_only_when_gh_runs():
+    for suite in ("gh", "all"):
+        for centers in ((1.0, 0.0), (0.0, float("nan")), (0.0, float("inf")), ()):
+            with pytest.raises(ConfigError):
+                RunConfig(suite=suite, centers=centers)
+    assert RunConfig(suite="flat", centers=(1.0, 0.0)).centers == (1.0, 0.0)
+
+
+def test_quotient_level_rejects_negative_c_when_the_quotient_suite_runs():
+    for suite in ("quotient", "all"):
+        with pytest.raises(ConfigError, match="quotient level"):
+            RunConfig(suite=suite, c=-2.0)
+    assert RunConfig(suite="gh", c=-2.0).c == -2.0  # the gh axis constant may be negative
+    assert suites._quotient_level(0.0) == 1.0  # c = 0 keeps meaning the default level
+    assert suites._quotient_level(2.5) == 2.5
+
+
+def test_check_propagates_programming_errors(monkeypatch):
+    def broken(graph):
         raise TypeError("unsupported operand")
 
+    monkeypatch.setattr(suites.dk, "quiver_dim", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
-        _check(RunConfig(), "x.y", "x = y", 1e-6, broken)
+        run_check(RunConfig(suite="dynkin"), "dynkin.quiver.a1")
 
 
-def test_check_records_package_errors_as_failures():
-    def off_domain():
+def test_check_records_package_errors_as_failures(monkeypatch):
+    def off_domain(graph):
         raise DomainError("clearance below 10h")
 
-    rec = _check(RunConfig(), "x.y", "x = y", 1e-6, off_domain)
+    monkeypatch.setattr(suites.dk, "quiver_dim", off_domain)
+    rec = run_check(RunConfig(suite="dynkin"), "dynkin.quiver.a1")
     assert not rec.passed
     assert rec.residual is None
     assert rec.detail == "DomainError: clearance below 10h"
 
 
-def test_check_takes_detail_from_the_residual_functional():
-    rec = _check(RunConfig(), "x.y", "x = y", 1e-6, lambda: (1e-9, "periods: 1, 2"))
-    assert rec.passed and rec.residual == 1e-9
-    assert rec.detail == "periods: 1, 2"
+def test_check_takes_detail_from_the_residual_functional(monkeypatch):
+    def exact(ghc, i, resolution=16):
+        return 2.0 * np.pi * ghc.spacings[i - 1]
+
+    monkeypatch.setattr(suites.gh, "sphere_period", exact)
+    rec = run_check(RunConfig(suite="gh", centers=(0, 1, 3)), "gh.periods")
+    assert rec.passed and rec.residual == 0.0
+    assert rec.detail == "periods: 6.28318530718, 12.5663706144"
 
 
 def test_gh_period_failure_is_recorded_not_raised(monkeypatch):
@@ -113,11 +153,9 @@ def test_gh_period_failure_is_recorded_not_raised(monkeypatch):
         raise DomainError("segment sphere meets a centre")
 
     monkeypatch.setattr(suites.gh, "sphere_period", off_domain)
-    records = suites.suite_gh(RunConfig(suite="gh", samples=4))
-    (periods,) = [r for r in records if r.check_id == "gh.periods"]
+    periods = run_check(RunConfig(suite="gh", samples=4), "gh.periods")
     assert not periods.passed and periods.residual is None
     assert periods.detail == "DomainError: segment sphere meets a centre"
-    assert len(records) == 8  # every other gh check still ran
 
 
 def test_run_suite_unique_ids_across_all():
@@ -130,10 +168,16 @@ def test_run_suite_unique_ids_across_all():
 def test_parse_centers():
     assert parse_centers("0,1,3") == (0.0, 1.0, 3.0)
     assert parse_centers(" 0.5 , 2 ") == (0.5, 2.0)
-    with pytest.raises(ConfigError):
-        parse_centers("")
-    with pytest.raises(ConfigError):
-        parse_centers("0,x")
+    for bad in ("", "0,x", "nan", "0,inf", "-inf,0"):
+        with pytest.raises(ConfigError):
+            parse_centers(bad)
+
+
+def test_parse_weights():
+    assert parse_weights("0.5, 2") == (0.5, 2.0)
+    for bad in ("x", "nan", "1,inf"):
+        with pytest.raises(ConfigError):
+            parse_weights(bad)
 
 
 def test_config_file_parsing(tmp_path):
@@ -153,12 +197,12 @@ def test_config_file_parsing(tmp_path):
 # -- verify subcommand ----------------------------------------------------------------
 
 
-def test_verify_writes_schema_one_report(tmp_path):
+def test_verify_writes_schema_two_report(tmp_path):
     out = tmp_path / "report.json"
     rc = run(["verify", "dynkin", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["total"] == len(doc["checks"]) > 0
     assert all(r["passed"] for r in doc["checks"])
@@ -168,7 +212,7 @@ def test_verify_stdout_report(capsys):
     rc = run(["verify", "dynkin"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
 
 
 def test_verify_byte_identical_under_fixed_seed(tmp_path):
@@ -196,6 +240,29 @@ def test_verify_exit_one_on_numerical_failure(tmp_path):
 
 def test_verify_unknown_suite_is_usage_error():
     assert run(["verify", "nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "flat", "--seed", "-1"],
+        ["verify", "gh", "--centers", "nan"],
+        ["verify", "gh", "--centers", "0,inf"],
+        ["verify", "gh", "--c", "nan"],
+        ["verify", "gh", "--tol", "nan"],
+        ["verify", "gh", "--h", "nan"],
+        ["verify", "all", "--centers", "1,0"],
+        ["verify", "quotient", "--c", "-2"],
+        ["verify", "all", "--c", "-2"],
+    ],
+)
+def test_verify_bad_configuration_exits_two_before_any_check(args, monkeypatch, capsys):
+    def no_check_may_run(cfg, check):
+        raise AssertionError(f"{check.id} ran under a bad configuration")
+
+    monkeypatch.setattr(suites, "_run", no_check_may_run)
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_rejects_unknown_config_key(tmp_path):
@@ -416,6 +483,20 @@ def test_profiles_quotient_scatter(tmp_path):
     assert len(data) == 10
     predicted = 1.0 / data["r1"] + 1.0 / data["r2"]
     assert np.max(np.abs(data["V"] - predicted)) < 1e-10
+
+
+def test_profiles_quotient_rejects_a_negative_level(tmp_path):
+    out = tmp_path / "q.csv"
+    assert run(["profiles", "--suite", "quotient", "--c", "-2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_profiles_quotient_zero_c_is_the_default_level(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["profiles", "--suite", "quotient", "--samples", "3"]
+    assert run([*args, "--c", "0", "--out", str(a)]) == 0
+    assert run([*args, "--c", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_profiles_csv_full_precision(tmp_path):

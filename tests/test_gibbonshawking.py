@@ -77,6 +77,15 @@ def test_config_validation():
         GHConfig(centers=(0.0, 1.0), weights=(1.0,))
     with pytest.raises(ConfigError):
         GHConfig(centers=(0.0,), weights=(-1.0,))
+    for bad in (
+        {"centers": (0.0, np.nan)},
+        {"centers": (0.0, np.inf)},
+        {"centers": (0.0,), "weights": (np.inf,)},
+        {"centers": (0.0,), "weights": (np.nan,)},
+        {"centers": (0.0,), "c": np.nan},
+    ):
+        with pytest.raises(ConfigError):
+            GHConfig(**bad)
     cfg = GHConfig(centers=(0.0, 2.0, 3.0))
     assert cfg.spacings == (2.0, 1.0)
     assert cfg.dirac_charges == (3.0, 1.0, 0.0)

@@ -483,6 +483,6 @@ def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
         return xs, vs
 
     monkeypatch.setattr(suites, "_gh_samples", wrong_at_doubled_level)
-    records = suites.suite_quotient(suites.RunConfig(suite="quotient", samples=8))
-    (sep,) = [r for r in records if r.check_id == "quotient.gh.separation"]
+    cfg = suites.RunConfig(suite="quotient", samples=8)
+    sep = suites.run_check(cfg, "quotient.gh.separation")
     assert sep.residual > 1e-4 and not sep.passed
