@@ -1,7 +1,7 @@
 """The cotangent bundle of the 2-sphere: radial profiles and moment map.
 
-`hkgeom.cotangent` builds the complete hyperkahler metric on T*CP^1 from
-a single radial profile f(u).  This script checks the profile against
+`hkgeom.cotangent` builds the complete hyperkahler metric on T*CP^1 in
+closed form from a single radial profile f(u).  This script checks the profile against
 its defining identity, evaluates the potentials h and k, verifies the
 fibre-rotation moment map two independent ways, and compares the two
 expressions for the line-bundle curvature.
@@ -15,7 +15,6 @@ from hkgeom.cotangent import (
     bg_hyperkahler_check,
     bg_moment_map,
     bg_moment_residuals,
-    cp1_model,
     fu_identity_residual,
     potential_h,
     potential_k,
@@ -23,7 +22,6 @@ from hkgeom.cotangent import (
 from hkgeom.forms import FDScheme
 
 rng = np.random.default_rng(11)
-model = cp1_model()
 scheme = FDScheme(h=1e-3, order=4)
 
 # -- the radial profile solves (u f(u))' = (sqrt(1+u) - 1) / (2u) -----------------------
@@ -36,9 +34,9 @@ print("  max |(u f)' - (sqrt(1+u)-1)/(2u)| =", f"{fu_identity_residual(grid):.3e
 
 pt = CotangentPoint(0.3 - 0.2j, 0.4 + 0.5j)
 print("\nat (b, v) =", (pt.b, pt.v))
-print("  h =", potential_h(model, pt))
-print("  k =", potential_k(model, pt))
-print("  mu =", bg_moment_map(model, pt))
+print("  h =", potential_h(pt))
+print("  k =", potential_k(pt))
+print("  mu =", bg_moment_map(pt))
 
 worst_scale, worst_ix = 0.0, 0.0
 pts = []
@@ -49,7 +47,7 @@ for _ in range(25):
         v += 0.1 + 0.1j
     pts.append(CotangentPoint(b, v))
 for q in pts:
-    s, ix = bg_moment_residuals(model, q, scheme)
+    s, ix = bg_moment_residuals(q, scheme)
     worst_scale, worst_ix = max(worst_scale, s), max(worst_ix, ix)
 print("\nmoment map two ways, 25 random points:")
 print("  vs scaling derivative of h:  ", f"{worst_scale:.3e}")
@@ -57,11 +55,11 @@ print("  vs -i_X d^c h:               ", f"{worst_ix:.3e}")
 
 # -- two expressions for the curvature ---------------------------------------------------
 
-worst = max(bg_curvature_residual(model, q, scheme) for q in pts[:8])
+worst = max(bg_curvature_residual(q, scheme) for q in pts[:8])
 print("\n|omega1 + dd^c mu - (p*omega + dd^c k)| worst over 8 points:",
       f"{worst:.3e}")
 
-out = bg_hyperkahler_check(model, pts[0], scheme)
+out = bg_hyperkahler_check(pts[0], scheme)
 print("\nreconstructed triple at one point:")
 for key, val in out.items():
     print(f"  {key}: {val:.3e}")

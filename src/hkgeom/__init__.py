@@ -1,8 +1,8 @@
 """hkgeom: numerical verification toolkit for explicit hyperkähler structures.
 
 Finite-difference exterior calculus (forms), flat quaternionic space with
-circle actions (flatspace), the symmetric-space cotangent-bundle metric
-family (cotangent), Gibbons-Hawking multi-center spaces (gibbonshawking),
+circle actions (flatspace), the closed-form hyperkähler metric on T*CP^1
+(cotangent), Gibbons-Hawking multi-center spaces (gibbonshawking),
 linear hyperkähler quotients (quotient), extended Dynkin diagram
 combinatorics (dynkin), and flat twistor-space identities (twistor), plus
 a CLI that runs the verification suites and emits JSON/CSV reports.

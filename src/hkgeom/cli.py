@@ -23,6 +23,7 @@ Defaults may also come from a config file (``--config``): flat UTF-8
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,6 +44,9 @@ from .suites import (
 )
 
 _SUITE_CHOICES = (*SUITE_NAMES, *SUITE_ALIASES, "all")
+
+#: the RunConfig fields that a verify flag or config-file key may set
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 _CONFIG_KEYS = {
     "suite": str,
@@ -180,22 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    suite = args.suite_pos or _merge(args, file_values, "suite", "all")
-    centers = _merge(args, file_values, "centers", "0,1")
-    cfg = RunConfig(
-        suite=suite,
-        n=int(_merge(args, file_values, "n", 2)),
-        samples=int(_merge(args, file_values, "samples", 20)),
-        seed=int(_merge(args, file_values, "seed", 0)),
-        tol=_merge(args, file_values, "tol", None),
-        h=_merge(args, file_values, "h", None),
-        order=_merge(args, file_values, "order", None),
-        centers=parse_centers(centers),
-        c=float(_merge(args, file_values, "c", 0.0)),
-        nodes=int(_merge(args, file_values, "nodes", 64)),
-        out=_merge(args, file_values, "out", None),
-        timings=bool(_merge(args, file_values, "timings", False)),
-    )
+    given = {}  # only what a flag or the file set; RunConfig holds the defaults
+    for key in _RUN_FIELDS:
+        value = _merge(args, file_values, key, None)
+        if value is not None:
+            given[key] = value
+    if args.suite_pos:
+        given["suite"] = args.suite_pos
+    if "centers" in given:
+        given["centers"] = parse_centers(given["centers"])
+    cfg = RunConfig(**given)
     report = run_suite(cfg)
     for line in report.lines():
         print(line, file=sys.stderr)
@@ -261,8 +259,9 @@ def _cmd_profiles(args) -> int:
         rows = zip(data["x1"], data["V"], data["f"], data["phi"])
         write_csv(out, ("x1", "V", "f", "phi"), rows)
         return 0
-    level_value = _quotient_level(c)
-    rng = np.random.default_rng(int(_merge(args, file_values, "seed", 0)))
+    cfg = RunConfig(suite="quotient", seed=_merge(args, file_values, "seed", 0), c=c)
+    level_value = _quotient_level(cfg.c)
+    rng = np.random.default_rng(cfg.seed)
     xs, vs = _gh_samples(
         qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, samples
     )

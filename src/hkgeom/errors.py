@@ -17,10 +17,6 @@ class MetricError(HkgeomError):
     """A metric value is singular or not positive definite."""
 
 
-class ModelError(HkgeomError):
-    """A model assumption was violated (e.g. curvature operator not PSD)."""
-
-
 class ConvergenceError(HkgeomError):
     """An iterative solver failed to reach its tolerance."""
 

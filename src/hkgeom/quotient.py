@@ -637,9 +637,9 @@ def gh_coordinates(
     m = lsp.point
     velocity = gen @ m
     x = np.array([0.5 * np.dot(s @ velocity, m) for s in structures])
-    sample = quotient_sample(action, lsp)
-    x_bar = sample.frame.T @ velocity
-    v_inv = float(x_bar @ sample.metric @ x_bar)
+    frame = lsp.frame
+    x_bar = frame.T @ velocity
+    v_inv = float(x_bar @ (frame.T @ frame) @ x_bar)
     if v_inv < 1e-12:
         raise DomainError("residual circle fixes this sample point")
     return x, 1.0 / v_inv

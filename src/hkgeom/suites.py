@@ -167,8 +167,9 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
     """Run one row; numerical failures count as FAIL.
 
     ``cfg.tol`` overrides the row's tolerance.  A package error, a singular
-    linear solve or a floating-point trap is recorded with residual None;
-    any other exception is a programming error and propagates.
+    linear solve, a floating-point trap or a NaN or infinite residual is
+    recorded with residual None; any other exception is a programming
+    error and propagates.
     """
     tolerance = cfg.tol if cfg.tol is not None else check.tol
     rng = _check_rng(cfg, check.id)
@@ -184,8 +185,20 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
         note = f"{type(exc).__name__}: {exc}"
         return CheckRecord(check.id, check.anchor, None, tolerance, False, note, wall)
     wall = time.perf_counter() - start
+    if not math.isfinite(residual):  # JSON has no NaN or inf; the detail names it
+        note = f"non-finite residual {residual}"
+        return CheckRecord(check.id, check.anchor, None, tolerance, False, note, wall)
     passed = bool(residual <= tolerance)
     return CheckRecord(check.id, check.anchor, residual, tolerance, passed, detail, wall)
+
+
+def _worst(residuals) -> float:
+    """The largest of ``residuals``, or NaN if any of them is NaN.
+
+    The builtin ``max`` keeps its running value whenever a comparison with
+    NaN is false, so it would drop a NaN sample that is not the first.
+    """
+    return float(np.max(np.fromiter(residuals, dtype=float)))
 
 
 # -- flat model -----------------------------------------------------------------------
@@ -213,20 +226,17 @@ def _flat_points(cfg: RunConfig, rng, count):
 def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
     spec, scheme = _rotation(cfg, k), _flat_scheme(cfg)
     structures = fs.FlatModel(cfg.n).structures()
-    worst = 0.0
-    for p in _flat_points(cfg, rng, cfg.samples):
-        F = fs.hyperholo_curvature(spec, p, scheme)
-        worst = max(worst, max(type11_residual(F, S) for S in structures))
-    return worst
+    pts = _flat_points(cfg, rng, cfg.samples)
+    curvatures = (fs.hyperholo_curvature(spec, p, scheme) for p in pts)
+    return _worst(type11_residual(F, S) for F in curvatures for S in structures)
 
 
 def _flat_full_norm(rng, cfg: RunConfig) -> float:
     spec, scheme = _rotation(cfg, 1), _flat_scheme(cfg)
-    worst = 0.0
-    for p in _flat_points(cfg, rng, cfg.samples):
-        F = fs.hyperholo_curvature(spec, p, scheme)
-        worst = max(worst, float(np.max(np.abs(F.comps))))
-    return worst
+    return _worst(
+        np.max(np.abs(fs.hyperholo_curvature(spec, p, scheme).comps))
+        for p in _flat_points(cfg, rng, cfg.samples)
+    )
 
 
 def _flat_calibration(rng, cfg: RunConfig) -> float:
@@ -234,11 +244,11 @@ def _flat_calibration(rng, cfg: RunConfig) -> float:
     flat1 = fs.FlatModel(1)
     f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
     expected = FormValue.from_dict(2, 4, {(0, 1): 2.0})
-    worst = 0.0
+    gaps = []
     for _ in range(5):
         got = ddc(f, flat1.I, rng.uniform(-1.5, 1.5, size=4), scheme)
-        worst = max(worst, float(np.max(np.abs((got - expected).comps))))
-    return worst
+        gaps.append(np.max(np.abs((got - expected).comps)))
+    return _worst(gaps)
 
 
 # -- cotangent model ------------------------------------------------------------------
@@ -260,25 +270,23 @@ def _bg_scheme(cfg: RunConfig) -> FDScheme:
 
 
 def _bg_moment(rng, cfg: RunConfig, index: int) -> float:
-    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
+    scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, cfg.samples)
-    return max(ct.bg_moment_residuals(model, pt, scheme)[index] for pt in pts)
+    return _worst(ct.bg_moment_residuals(pt, scheme)[index] for pt in pts)
 
 
 def _bg_agreement(rng, cfg: RunConfig) -> float:
-    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
+    scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, cfg.samples)
-    return max(ct.bg_curvature_residual(model, pt, scheme) for pt in pts)
+    return _worst(ct.bg_curvature_residual(pt, scheme) for pt in pts)
 
 
 def _bg_reconstruction(rng, cfg: RunConfig, keys) -> float:
     """Worst of ``keys`` of ``bg_hyperkahler_check`` over samples // 4 points (>= 2)."""
-    model, scheme = ct.cp1_model(), _bg_scheme(cfg)
-    worst = 0.0
-    for pt in _cotangent_points(rng, max(2, cfg.samples // 4)):
-        out = ct.bg_hyperkahler_check(model, pt, scheme)
-        worst = max(worst, max(out[k] for k in keys))
-    return worst
+    scheme = _bg_scheme(cfg)
+    pts = _cotangent_points(rng, max(2, cfg.samples // 4))
+    reports = (ct.bg_hyperkahler_check(pt, scheme) for pt in pts)
+    return _worst(out[k] for out in reports for k in keys)
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
@@ -322,7 +330,7 @@ def _gh_alpha(rng, cfg: RunConfig) -> float:
         3,
         clearance=_axis_clearance(ghc),
     )
-    return max(
+    return _worst(
         _star_gap(ext_deriv(field, x, scheme), gh.potential_gradient(ghc, x))
         for x in _gh_points(ghc, cfg.samples, rng)
     )
@@ -332,7 +340,7 @@ def _gh_pair(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     data = gh.MonopoleData.from_config(ghc)
     field = FormField(lambda x: data.A(x), 1, 3, clearance=_axis_clearance(ghc))
-    return max(
+    return _worst(
         _star_gap(ext_deriv(field, x, scheme), fd_gradient(data.phi, x, scheme))
         for x in _gh_points(ghc, cfg.samples, rng)
     )
@@ -345,7 +353,7 @@ def _gh_harmonic(rng, cfg: RunConfig) -> float:
         ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
         ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),
     )
-    return max(
+    return _worst(
         abs(laplacian(f, x, scheme))
         for x in _gh_points(ghc, cfg.samples, rng)
         for f in fields
@@ -355,7 +363,7 @@ def _gh_harmonic(rng, cfg: RunConfig) -> float:
 def _gh_asd(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     pts = _gh_points(ghc, max(2, cfg.samples // 3), rng)
-    return max(
+    return _worst(
         gh.asd_residual(ghc, gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi)), scheme)
         for x in pts
     )
@@ -364,7 +372,7 @@ def _gh_asd(rng, cfg: RunConfig) -> float:
 def _gh_periods(rng, cfg: RunConfig):
     ghc = _gh_config(cfg)
     measured = [gh.sphere_period(ghc, i) for i in range(1, ghc.num_centers)]
-    worst = max(
+    worst = _worst(
         abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)
     )
     return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
@@ -372,19 +380,19 @@ def _gh_periods(rng, cfg: RunConfig):
 
 def _gh_lift(rng, cfg: RunConfig) -> float:
     ghc = _gh_config(cfg)
-    return max(gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng))
+    return _worst(gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng))
 
 
 def _gh_segments(rng, cfg: RunConfig) -> float:
     ghc = _gh_config(cfg)
     edges = (ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5)
-    worst = 0.0
+    gaps = []
     for j, expected in enumerate(gh.f_segment_values(ghc)):
         lo, hi = edges[j], edges[j + 1]
         for t in rng.uniform(0.05, 0.95, size=4):
             x = np.array([lo + t * (hi - lo), 0.0, 0.0])
-            worst = max(worst, abs(gh.rotation_lift_f(ghc, x) - expected))
-    return worst
+            gaps.append(abs(gh.rotation_lift_f(ghc, x) - expected))
+    return _worst(gaps)
 
 
 def _even_unit_centers(cfg: RunConfig) -> bool:
@@ -494,29 +502,29 @@ def _level_points(action, rng, cfg: RunConfig):
 
 def _q_match(rng, cfg: RunConfig) -> float:
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    worst = 0.0
+    gaps = []
     for lsp in _level_points(action, rng, cfg):
         got = qt.canonical_bundle_curvature(action, (1.0,), lsp)
         want = qt.descended_curvature(action, rotator, lsp)
-        worst = max(worst, float(np.max(np.abs((got - want).comps))))
-    return worst
+        gaps.append(np.max(np.abs((got - want).comps)))
+    return _worst(gaps)
 
 
 def _q_type11(rng, cfg: RunConfig) -> float:
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    worst = 0.0
+    gaps = []
     for lsp in _level_points(action, rng, cfg):
         chart = qt.QuotientChart(action, lsp)
         F = qt.descended_curvature(action, rotator, lsp)
         for i in (1, 2, 3):
             S = chart.structure(np.zeros(chart.dim), i)
-            worst = max(worst, type11_residual(F, S, structure_tol=1e-4))
-    return worst
+            gaps.append(type11_residual(F, S, structure_tol=1e-4))
+    return _worst(gaps)
 
 
 def _q_descent(rng, cfg: RunConfig) -> float:
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    return max(
+    return _worst(
         qt.moment_descent_residual(action, rotator, lsp)
         for lsp in _level_points(action, rng, cfg)
     )
@@ -564,50 +572,48 @@ def _chart_tangent(rng, n):
 
 
 def _tw_pair(rng, cfg: RunConfig) -> float:
-    worst = 0.0
+    gaps = []
     for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
         pt = tw.product_to_chart(z, w, zeta)
         tangent = _chart_tangent(rng, cfg.n)
-        worst = max(worst, tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, tangent))
-    return worst
+        gaps.append(tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, tangent))
+    return _worst(gaps)
 
 
 def _tw_invariance(rng, cfg: RunConfig) -> float:
     full = _rotation(cfg, 1)
-    worst = 0.0
+    gaps = []
     for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
         pt = tw.product_to_chart(z, w, zeta)
-        worst = max(
-            worst, tw.action_invariance_residual(full, pt, _chart_tangent(rng, cfg.n))
-        )
-    return worst
+        gaps.append(tw.action_invariance_residual(full, pt, _chart_tangent(rng, cfg.n)))
+    return _worst(gaps)
 
 
 def _tw_restriction(rng, cfg: RunConfig) -> float:
-    worst = 0.0
+    gaps = []
     for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
         s = rng.standard_normal(4 * cfg.n)
         t = rng.standard_normal(4 * cfg.n)
-        worst = max(worst, tw.fibre_restriction_residual(z, w, zeta, s, t))
-    return worst
+        gaps.append(tw.fibre_restriction_residual(z, w, zeta, s, t))
+    return _worst(gaps)
 
 
 def _tw_residue(rng, cfg: RunConfig) -> float:
-    worst = 0.0
+    gaps = []
     for z, w, _ in _twistor_samples(cfg, rng, max(2, cfg.samples // 2)):
         m_tan = rng.standard_normal(4 * cfg.n)
-        worst = max(worst, tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes))
-    return worst
+        gaps.append(tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes))
+    return _worst(gaps)
 
 
 def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
-    worst = 0.0
+    gaps = []
     for n_char in (1, 2, 5):
         got = tw.rotation_residue(
             n_char, _ctangent(rng, cfg.n), _ctangent(rng, cfg.n), nodes=cfg.nodes
         )
-        worst = max(worst, abs(got - 2j * np.pi * n_char))
-    return worst
+        gaps.append(abs(got - 2j * np.pi * n_char))
+    return _worst(gaps)
 
 
 def _tw_pole_orders(rng, cfg: RunConfig) -> float:
@@ -623,18 +629,18 @@ def _tw_pole_orders(rng, cfg: RunConfig) -> float:
 
 def _tw_hermitian(rng, cfg: RunConfig) -> float:
     samples = _twistor_samples(cfg, rng, max(2, cfg.samples // 4))
-    return max(tw.hermitian_curvature_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
+    return _worst(tw.hermitian_curvature_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
 
 
 def _tw_reality(rng, cfg: RunConfig) -> float:
     samples = _twistor_samples(cfg, rng, cfg.samples)
-    return max(tw.reality_residual(z, w, zeta) for z, w, zeta in samples)
+    return _worst(tw.reality_residual(z, w, zeta) for z, w, zeta in samples)
 
 
 def _tw_closedness(rng, cfg: RunConfig) -> float:
     count = max(2, cfg.samples // 4)
     samples = _twistor_samples(cfg, rng, count, min_mod=0.7, max_mod=1.3)
-    return max(tw.fz_closedness_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
+    return _worst(tw.fz_closedness_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
 
 
 # -- Dynkin / McKay -------------------------------------------------------------------
@@ -676,11 +682,10 @@ _MCKAY_DIAGRAMS = (
 
 
 def _dk_mckay(rng, cfg: RunConfig) -> float:
-    worst = 0
-    for kind, k in _MCKAY_DIAGRAMS:
-        marks = dk.mckay_dims(kind, k)
-        worst = max(worst, abs(sum(d * d for d in marks) - dk.gamma_order(kind, k)))
-    return float(worst)
+    return _worst(
+        abs(sum(d * d for d in dk.mckay_dims(kind, k)) - dk.gamma_order(kind, k))
+        for kind, k in _MCKAY_DIAGRAMS
+    )
 
 
 # -- the table ------------------------------------------------------------------------
@@ -712,7 +717,7 @@ CHECKS = (
         "pullback of omega2 + i omega3 under the angle-theta rotation "
         "equals e^{i n theta} (omega2 + i omega3)",
         1e-12,
-        lambda rng, cfg: max(fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)),
+        lambda rng, cfg: _worst(fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)),
     ),
     Check(
         "flat.ddc.calibration", "dd^c(|z|^2 / 2) = 2 dx ^ dy in one flat plane", 1e-8,

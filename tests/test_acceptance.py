@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from hkgeom import suites
-from hkgeom.cotangent import bg_hyperkahler_check, cp1_model
+from hkgeom.cotangent import bg_hyperkahler_check
 from hkgeom.forms import FDScheme
 from hkgeom.gibbonshawking import GHConfig, f_segment_values, rotation_lift_f
 from hkgeom.quotient import eguchi_hanson_action, eh_residual_circle
@@ -98,10 +98,10 @@ def test_criterion_04_moment_map_and_curvature_agreement():
 
 def test_criterion_05_reconstruction_near_zero_section():
     rng = np.random.default_rng(105)
-    model, scheme = cp1_model(), FDScheme(h=1e-3, order=4)
+    scheme = FDScheme(h=1e-3, order=4)
     worst = 0.0
     for pt in suites._cotangent_points(rng, 8, v_max=0.3):
-        out = bg_hyperkahler_check(model, pt, scheme)
+        out = bg_hyperkahler_check(pt, scheme)
         worst = max(worst, out["J2"], out["type11_I"], out["type11_J"], out["type11_K"])
     _verdict(5, "||J^2 + Id|| and (1,1) for I, J, K near the zero section",
              worst, 1e-6)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hkgeom import cli
 from hkgeom.cli import main, parse_centers, parse_weights, read_config_file
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.report import CheckRecord, Report, format_sci
@@ -138,6 +139,28 @@ def test_check_records_package_errors_as_failures(monkeypatch):
     assert rec.detail == "DomainError: clearance below 10h"
 
 
+def test_verify_records_a_nan_residual_as_a_failure(monkeypatch, tmp_path):
+    monkeypatch.setattr(suites.dk, "quiver_dim", lambda graph: float("nan"))
+    out = tmp_path / "r.json"
+    assert run(["verify", "dynkin", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    (rec,) = [r for r in doc["checks"] if r["id"] == "dynkin.quiver.a1"]
+    assert rec["residual"] is None and not rec["passed"]
+    assert rec["detail"] == "non-finite residual nan"
+
+
+def test_a_nan_in_a_later_sample_fails_the_check(monkeypatch):
+    order = suites.dk.gamma_order
+
+    def nan_for_e8(kind, k=None):  # E8 is the last diagram the check sums
+        return float("nan") if kind == "E8" else order(kind, k)
+
+    monkeypatch.setattr(suites.dk, "gamma_order", nan_for_e8)
+    rec = run_check(RunConfig(suite="dynkin"), "dynkin.mckay.order")
+    assert not rec.passed and rec.residual is None
+    assert rec.detail == "non-finite residual nan"
+
+
 def test_check_takes_detail_from_the_residual_functional(monkeypatch):
     def exact(ghc, i, resolution=16):
         return 2.0 * np.pi * ghc.spacings[i - 1]
@@ -263,6 +286,18 @@ def test_verify_bad_configuration_exits_two_before_any_check(args, monkeypatch, 
     monkeypatch.setattr(suites, "_run", no_check_may_run)
     assert run(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_leaves_unset_values_to_run_config(monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return Report(suite=cfg.suite, seed=cfg.seed)
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    assert run(["verify", "flat"]) == 0
+    assert seen == [RunConfig(suite="flat")]
 
 
 def test_verify_rejects_unknown_config_key(tmp_path):
@@ -488,6 +523,13 @@ def test_profiles_quotient_scatter(tmp_path):
 def test_profiles_quotient_rejects_a_negative_level(tmp_path):
     out = tmp_path / "q.csv"
     assert run(["profiles", "--suite", "quotient", "--c", "-2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_profiles_quotient_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert run(["profiles", "--suite", "quotient", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
     assert not out.exists()
 
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from hkgeom.cotangent import (
+    I,
     CotangentPoint,
-    SymmetricSpaceModel,
+    base_form,
     bg_curvature,
     bg_curvature_residual,
     bg_hyperkahler_check,
     bg_moment_map,
     bg_moment_residuals,
     bg_omega1,
-    cp1_model,
     f_profile,
     fu_identity_residual,
     g_profile,
@@ -20,7 +20,6 @@ from hkgeom.cotangent import (
     potential_k,
     uf_prime,
 )
-from hkgeom.errors import ModelError
 from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, pullback
 
 
@@ -89,106 +88,70 @@ def test_uf_prime_closed_forms_agree():
 
 
 def test_potential_vanishes_at_zero_covector():
-    model = cp1_model()
     pt = CotangentPoint(0.3 + 0.1j, 0.0)
-    assert potential_h(model, pt) == 0.0
-    assert potential_k(model, pt) == 0.0
-    assert bg_moment_map(model, pt) == 0.0
+    assert potential_h(pt) == 0.0
+    assert potential_k(pt) == 0.0
+    assert bg_moment_map(pt) == 0.0
 
 
 def test_potential_scalar_reduction():
     # CP^1: h = f(u) * u/2 with u = (1+|b|^2)^2 |v|^2
-    model = cp1_model()
     rng = np.random.default_rng(17)
     for pt in _random_points(rng, 10):
         u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
-        assert np.isclose(potential_h(model, pt), f_profile(u) * u / 2, atol=1e-13)
-        assert np.isclose(potential_k(model, pt), g_profile(u) * u / 2, atol=1e-13)
+        assert np.isclose(potential_h(pt), f_profile(u) * u / 2, atol=1e-13)
+        assert np.isclose(potential_k(pt), g_profile(u) * u / 2, atol=1e-13)
         assert np.isclose(
-            bg_moment_map(model, pt), -uf_prime(u) * u, atol=1e-13
+            bg_moment_map(pt), -uf_prime(u) * u, atol=1e-13
         )
 
 
 def test_potential_homogeneity():
-    model = cp1_model()
     pt = CotangentPoint(0.2 - 0.4j, 0.3 + 0.5j)
     scaled = CotangentPoint(pt.b, 2.0 * pt.v)
     u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
     assert np.isclose(
-        potential_h(model, scaled), f_profile(4 * u) * 4 * u / 2, atol=1e-12
+        potential_h(scaled), f_profile(4 * u) * 4 * u / 2, atol=1e-12
     )
 
 
 def test_moment_map_scaling_identity():
-    # mu(lambda v) recomputed spectrally matches the u -> lambda^2 u formula
-    model = cp1_model()
+    # mu(lambda v) recomputed in closed form matches the u -> lambda^2 u formula
     pt = CotangentPoint(0.5 + 0.2j, 0.4 - 0.1j)
     u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
     for lam in (0.5, 2.0, 3.0):
         scaled = CotangentPoint(pt.b, lam * pt.v)
         expected = -2.0 * uf_prime(lam**2 * u) * (lam**2 * u / 2)
-        assert np.isclose(bg_moment_map(model, scaled), expected, atol=1e-9)
+        assert np.isclose(bg_moment_map(scaled), expected, atol=1e-9)
 
 
 def test_circle_invariance_exact():
-    model = cp1_model()
     pt = CotangentPoint(0.1 + 0.7j, 0.3 - 0.2j)
-    h0, mu0 = potential_h(model, pt), bg_moment_map(model, pt)
+    h0, mu0 = potential_h(pt), bg_moment_map(pt)
     for th in (0.7, 2.1, 4.4):
         rpt = CotangentPoint(pt.b, np.exp(1j * th) * pt.v)
-        assert abs(potential_h(model, rpt) - h0) < 1e-12
-        assert abs(bg_moment_map(model, rpt) - mu0) < 1e-12
+        assert abs(potential_h(rpt) - h0) < 1e-12
+        assert abs(bg_moment_map(rpt) - mu0) < 1e-12
 
 
 @pytest.mark.parametrize("profile", [potential_h, potential_k, bg_moment_map])
 def test_profile_fields_batch_match_rows(profile):
-    model = cp1_model()
     rng = np.random.default_rng(31)
     rows = rng.uniform(-0.8, 0.8, size=(200, 4))
-    batch = profile(model, CotangentPoint.from_coords(rows))
+    batch = profile(CotangentPoint.from_coords(rows))
     assert batch.shape == (200,)
-    single = np.array([profile(model, CotangentPoint.from_coords(q)) for q in rows])
+    single = np.array([profile(CotangentPoint.from_coords(q)) for q in rows])
     assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-15
-    assert isinstance(profile(model, CotangentPoint.from_coords(rows[0])), float)
-
-
-@pytest.mark.parametrize("bad_entry", [-1.0, 0.5 + 0.5j])
-def test_batch_checks_every_operator(bad_entry):
-    # one non-PSD or non-hermitian matrix in a stack fails the whole batch
-    model = cp1_model()
-
-    def operator(pt):
-        U = model.fibre_operator(pt).copy()
-        U[3, 0, 0] = bad_entry
-        return U
-
-    bad = SymmetricSpaceModel(1, 4, model.base_form, operator, model.fibre_pairing)
-    rows = np.random.default_rng(32).uniform(-0.8, 0.8, size=(6, 4))
-    with pytest.raises(ModelError):
-        potential_h(bad, CotangentPoint.from_coords(rows))
-
-
-def test_non_psd_operator_raises():
-    model = cp1_model()
-    bad = SymmetricSpaceModel(
-        base_complex_dim=1,
-        chart_dim=4,
-        base_form=model.base_form,
-        fibre_operator=lambda pt: np.array([[-1.0]], dtype=complex),
-        fibre_pairing=model.fibre_pairing,
-    )
-    with pytest.raises(ModelError):
-        potential_h(bad, CotangentPoint(0.0, 0.5))
+    assert isinstance(profile(CotangentPoint.from_coords(rows[0])), float)
 
 
 # -- moment-map consistency -------------------------------------------------------
 
 
 def test_moment_map_residuals():
-    model = cp1_model()
     rng = np.random.default_rng(18)
     for pt in _random_points(rng, 10):
-        res_lambda, res_ix = bg_moment_residuals(model, pt)
+        res_lambda, res_ix = bg_moment_residuals(pt)
         assert res_lambda < 1e-7
         assert res_ix < 1e-6
 
@@ -197,22 +160,20 @@ def test_moment_map_residuals():
 
 
 def test_omega1_restricts_to_base_form_on_zero_section():
-    model = cp1_model()
     E = np.zeros((4, 2))
     E[0, 0] = E[1, 1] = 1.0  # base directions
     for b in (0.0, 0.4 - 0.2j, -0.6 + 0.3j):
         pt = CotangentPoint(b, 0.0)
-        w1 = bg_omega1(model, pt)
+        w1 = bg_omega1(pt)
         restricted = pullback(w1, E)
-        base = pullback(model.base_form(pt), E)
+        base = pullback(base_form(pt), E)
         assert np.allclose(restricted.comps, base.comps, atol=1e-8)
 
 
 def test_omega1_closed_and_nondegenerate():
-    model = cp1_model()
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda p: bg_omega1(model, CotangentPoint.from_coords(p), inner),
+        lambda p: bg_omega1(CotangentPoint.from_coords(p), inner),
         degree=2,
         dim=4,
     )
@@ -220,7 +181,7 @@ def test_omega1_closed_and_nondegenerate():
     for pt in _random_points(rng, 3, b_max=0.6, v_max=0.5):
         dw = ext_deriv(field, pt.coords, FDScheme(h=1e-2, order=4))
         assert dw.norm() < 1e-6
-        w1 = bg_omega1(model, pt, inner)
+        w1 = bg_omega1(pt, inner)
         # nondegeneracy via the Pfaffian of the component matrix
         M = w1.as_matrix()
         pf = M[0, 1] * M[2, 3] - M[0, 2] * M[1, 3] + M[0, 3] * M[1, 2]
@@ -228,27 +189,24 @@ def test_omega1_closed_and_nondegenerate():
 
 
 def test_curvature_two_expressions_agree():
-    model = cp1_model()
     rng = np.random.default_rng(20)
     for pt in _random_points(rng, 10):
-        assert bg_curvature_residual(model, pt) < 1e-5
+        assert bg_curvature_residual(pt) < 1e-5
 
 
 def test_curvature_restricts_to_base_form_on_zero_section():
-    model = cp1_model()
     E = np.zeros((4, 2))
     E[0, 0] = E[1, 1] = 1.0
     pt = CotangentPoint(0.25 + 0.5j, 0.0)
-    F = bg_curvature(model, pt)
-    base = pullback(model.base_form(pt), E)
+    F = bg_curvature(pt)
+    base = pullback(base_form(pt), E)
     assert np.allclose(pullback(F, E).comps, base.comps, atol=1e-8)
 
 
 def test_curvature_closed():
-    model = cp1_model()
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda p: bg_curvature(model, CotangentPoint.from_coords(p), inner),
+        lambda p: bg_curvature(CotangentPoint.from_coords(p), inner),
         degree=2,
         dim=4,
     )
@@ -258,10 +216,9 @@ def test_curvature_closed():
 
 
 def test_hyperkahler_check_near_zero_section():
-    model = cp1_model()
     rng = np.random.default_rng(21)
     for pt in _random_points(rng, 8, b_max=0.7, v_max=0.5):
-        rep = bg_hyperkahler_check(model, pt)
+        rep = bg_hyperkahler_check(pt)
         assert rep["J2"] < 1e-6
         for key in ("type11_I", "type11_J", "type11_K"):
             assert rep[key] < 1e-6
@@ -271,7 +228,6 @@ def test_curvature_type11_for_I_exact_on_zero_section():
     # at v=0 the curvature is the base form, which is (1,1) for I
     from hkgeom.forms import type11_residual
 
-    model = cp1_model()
     pt = CotangentPoint(0.2 + 0.6j, 0.0)
-    F = bg_curvature(model, pt)
-    assert type11_residual(F, model.I) < 1e-9
+    F = bg_curvature(pt)
+    assert type11_residual(F, I) < 1e-9
