@@ -54,6 +54,8 @@ __all__ = [
     "bg_curvature",
     "bg_curvature_residual",
     "bg_moment_residuals",
+    "bg_structures",
+    "bg_quaternionic_residual",
     "bg_hyperkahler_check",
 ]
 
@@ -254,14 +256,12 @@ def bg_moment_residuals(
     return res_lambda, res_ix
 
 
-def bg_hyperkahler_check(pt: CotangentPoint, scheme: FDScheme | None = None) -> dict:
-    """Reconstruct the metric and the full triple; return the residual report.
+def bg_structures(pt: CotangentPoint, scheme: FDScheme | None = None):
+    """The triple (I, J, K) reconstructed from omega1 alone.
 
     g is built from (omega1, I); J from g^{-1} omega2 with omega2 the real
-    part of the canonical symplectic form db^dv; K = I J.  Keys:
-    'J2' = ||J^2 + Id||, and 'type11_I/J/K' for the curvature F.
+    part of the canonical symplectic form db^dv; K = I J.
     """
-    scheme = scheme or FDScheme()
     w1 = bg_omega1(pt, scheme)
     G = w1.as_matrix() @ I
     if np.max(np.abs(G - G.T)) > 1e-6:
@@ -270,11 +270,21 @@ def bg_hyperkahler_check(pt: CotangentPoint, scheme: FDScheme | None = None) -> 
     if np.linalg.eigvalsh(G).min() <= 0:
         raise MetricError("reconstructed metric is not positive definite")
     J = -np.linalg.solve(G, OMEGA2.as_matrix())
-    K = I @ J
+    return I, J, I @ J
+
+
+def bg_quaternionic_residual(J: np.ndarray) -> float:
+    """||J^2 + Id||, max-abs over the entries."""
+    return float(np.max(np.abs(J @ J + np.eye(4))))
+
+
+def bg_hyperkahler_check(pt: CotangentPoint, scheme: FDScheme | None = None) -> dict:
+    """Keys 'J2' = ||J^2 + Id|| and 'type11_I/J/K' for F, with (I, J, K) = bg_structures."""
+    _, J, K = bg_structures(pt, scheme)
     F = bg_curvature(pt, scheme)
     tol = 1e-4  # structure matrices carry FD error; residual reported separately
     return {
-        "J2": float(np.max(np.abs(J @ J + np.eye(4)))),
+        "J2": bg_quaternionic_residual(J),
         "type11_I": type11_residual(F, I, structure_tol=tol),
         "type11_J": type11_residual(F, J, structure_tol=tol),
         "type11_K": type11_residual(F, K, structure_tol=tol),

@@ -142,9 +142,7 @@ class FormValue:
     def from_matrix(cls, M: np.ndarray) -> "FormValue":
         """Degree-2 form from an antisymmetric matrix M, w(X,Y) = X^T M Y."""
         M = np.asarray(M)
-        dim = M.shape[0]
-        comps = np.array([M[i, j] for i, j in basis_indices(dim, 2)])
-        return cls(2, dim, comps)
+        return cls(2, M.shape[0], M[_pair_indices(M.shape[0])])
 
     # -- component access -----------------------------------------------------
 

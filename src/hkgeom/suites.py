@@ -281,12 +281,18 @@ def _bg_agreement(rng, cfg: RunConfig) -> float:
     return _worst(ct.bg_curvature_residual(pt, scheme) for pt in pts)
 
 
-def _bg_reconstruction(rng, cfg: RunConfig, keys) -> float:
-    """Worst of ``keys`` of ``bg_hyperkahler_check`` over samples // 4 points (>= 2)."""
+def _bg_quaternionic(rng, cfg: RunConfig) -> float:
+    """Worst ||J^2 + Id|| over samples // 4 points (>= 2); builds no curvature."""
+    scheme = _bg_scheme(cfg)
+    pts = _cotangent_points(rng, max(2, cfg.samples // 4))
+    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pt, scheme)[1]) for pt in pts)
+
+
+def _bg_type11(rng, cfg: RunConfig) -> float:
     scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
     reports = (ct.bg_hyperkahler_check(pt, scheme) for pt in pts)
-    return _worst(out[k] for out in reports for k in keys)
+    return _worst(out[k] for out in reports for k in ("type11_I", "type11_J", "type11_K"))
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
@@ -544,7 +550,8 @@ def _q_separation(rng, cfg: RunConfig) -> float:
     level_value = _quotient_level(cfg.c)
     seps = []
     for value in (level_value, 2.0 * level_value):
-        xs, vs = _gh_samples(action, circle, value, rng, cfg.samples)
+        # the fit has six parameters, so fewer samples leave it underdetermined
+        xs, vs = _gh_samples(action, circle, value, rng, max(6, cfg.samples))
         seps.append(fit_two_centers(xs, vs)[0])
     return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 
@@ -692,7 +699,6 @@ def _dk_mckay(rng, cfg: RunConfig) -> float:
 
 
 _TYPE11_ANCHOR = "F = omega1 + dd^c(mu/deg) satisfies S^T F S = F for S in {I, J, K}; weights "
-_BG_TYPE11_KEYS = ("type11_I", "type11_J", "type11_K")
 _MIDDLE_GAP_NOTE = (
     "zero segment is entry k/2 of the (k+1)-long segment-value tuple, i.e. the open gap "
     "between centres k/2 and k/2+1; one-based gap numbering names it gap k/2, not k/2+1"
@@ -738,11 +744,11 @@ CHECKS = (
     Check("bg.curvature.agreement", "omega1 + dd^c mu = p*omega + dd^c k", 1e-5, _bg_agreement),
     Check(
         "bg.structure.quaternionic", "J^2 = -Id for J = -g^{-1} omega2 with g from (omega1, I)",
-        1e-6, lambda rng, cfg: _bg_reconstruction(rng, cfg, ("J2",)),
+        1e-6, _bg_quaternionic,
     ),
     Check(
         "bg.curvature.type11", "F = p*omega + dd^c k is type (1,1) for I, J and K", 1e-6,
-        lambda rng, cfg: _bg_reconstruction(rng, cfg, _BG_TYPE11_KEYS),
+        _bg_type11,
     ),
     Check("gh.monopole.alpha", "d alpha = *dV", 1e-6, _gh_alpha),
     Check("gh.monopole.pair", "dA = *d phi", 1e-6, _gh_pair),

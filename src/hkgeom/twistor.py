@@ -18,12 +18,14 @@ of the weighted rotation (with its logarithmic term), its curvature, and
 the hermitian metric of the bundle, together with contour-quadrature
 residue and pole-order measurements.
 
+F_Z is one coefficient matrix, ``fz_coefficients``.  On vertical tangents it
+is (-2i) times the pencil (omega2 + i omega3)/(2 i zeta) + omega1 +
+zeta (omega2 - i omega3)/(2i), as ``fibre_restriction_residual`` derives.
+
 Conventions fixed by measurement (see the module tests):
 
 * the lift of the weight-(k, l) rotation is V = i(k*v, l*xi, (k+l)*zeta),
   so the projection to the sphere is degree * (i zeta d/dzeta);
-* the fibre restriction of the curvature equals (-2i) times the pencil
-  (omega2 + i omega3)/(2 i zeta) + omega1 + zeta (omega2 - i omega3)/(2i);
 * the fibre-direction residue at zeta = 0 equals (-1) times
   i_X(omega2 + i omega3)/2i for the full-rotation field X.
 """
@@ -44,7 +46,6 @@ from .forms import (
     ddc,
     ext_deriv,
     fd_gradient,
-    wedge,
 )
 
 CONTOUR_RADIUS = 1e-2
@@ -63,6 +64,20 @@ def _cvec(x, label: str) -> np.ndarray:
     if out.ndim != 1:
         raise ConfigError(f"{label} must be a vector, got shape {out.shape}")
     return out
+
+
+def _off_zero(zeta, message: str) -> complex:
+    """zeta as a complex number; DomainError(message) if it is 0."""
+    zeta = complex(zeta)
+    if zeta == 0:
+        raise DomainError(message)
+    return zeta
+
+
+def _chart_tangent(tangent):
+    """A chart tangent (tv, txi, tzeta) as two complex vectors and a complex."""
+    tv, txi, tzeta = tangent
+    return _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
 
 
 # -- charts ----------------------------------------------------------------------
@@ -92,12 +107,9 @@ class ChartPoint:
 
     def other(self) -> "ChartPoint":
         """The same point in the opposite chart; an exact involution."""
-        if self.zeta == 0:
-            raise DomainError("chart transition undefined on the zeta = 0 fibre")
+        zeta = _off_zero(self.zeta, "chart transition undefined on the zeta = 0 fibre")
         target = "V" if self.chart == "U" else "U"
-        return ChartPoint(
-            self.v / self.zeta, self.xi / self.zeta, 1.0 / self.zeta, target
-        )
+        return ChartPoint(self.v / zeta, self.xi / zeta, 1.0 / zeta, target)
 
 
 def transition_pushforward(pt: ChartPoint, tangent):
@@ -105,8 +117,7 @@ def transition_pushforward(pt: ChartPoint, tangent):
 
     Returns the pair (image point, transported tangent).
     """
-    tv, txi, tzeta = tangent
-    tv, txi, tzeta = _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
+    tv, txi, tzeta = _chart_tangent(tangent)
     z2 = pt.zeta * pt.zeta
     out = (
         tv / pt.zeta - pt.v * tzeta / z2,
@@ -167,13 +178,16 @@ def fibre_symplectic(model: FlatModel, zeta: complex, s, t) -> complex:
 # -- line-bundle transition ---------------------------------------------------------
 
 
+def _half_overlap(v, xi, zeta: complex, where: str = "zeta") -> complex:
+    """sum_i v_i xi_i / 2 zeta, the exponent of the transition function."""
+    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
+    zeta = _off_zero(zeta, f"transition function has an essential singularity at {where} = 0")
+    return complex(np.sum(v * xi) / (2.0 * zeta))
+
+
 def transition_gUV(v, xi, zeta: complex) -> complex:
     """Holomorphic transition function exp(-sum_i v_i xi_i / 2 zeta)."""
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("transition function has an essential singularity at zeta = 0")
-    return complex(np.exp(-np.sum(v * xi) / (2.0 * zeta)))
+    return complex(np.exp(-_half_overlap(v, xi, zeta)))
 
 
 def transition_gVU(vt, xit, zetat: complex) -> complex:
@@ -182,20 +196,12 @@ def transition_gVU(vt, xit, zetat: complex) -> complex:
     Since sum v xi / 2 zeta takes the same value in either chart, the
     inverse carries the opposite exponent sign.
     """
-    vt, xit = _cvec(vt, "vt"), _cvec(xit, "xit")
-    zetat = complex(zetat)
-    if zetat == 0:
-        raise DomainError("transition function has an essential singularity at zetat = 0")
-    return complex(np.exp(np.sum(vt * xit) / (2.0 * zetat)))
+    return complex(np.exp(_half_overlap(vt, xit, zetat, "zetat")))
 
 
 def log_gUV_sq(v, xi, zeta: complex) -> float:
     """log |g_UV|^2 = -Re(sum_i v_i xi_i / zeta)."""
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("transition function has an essential singularity at zeta = 0")
-    return float(-np.real(np.sum(v * xi) / zeta))
+    return -2.0 * _half_overlap(v, xi, zeta).real
 
 
 # -- semi-free-action connection pair --------------------------------------------------
@@ -205,28 +211,23 @@ def semifree_AU(v, xi, zeta: complex, tangent) -> complex:
     """Chart-U connection form of the w-only rotation: (1/2 zeta) sum v_i d xi_i."""
     v = _cvec(v, "v")
     _, txi, _ = tangent
-    if zeta == 0:
-        raise DomainError("connection form has a pole at zeta = 0")
-    return complex(np.sum(v * _cvec(txi, "txi")) / (2.0 * complex(zeta)))
+    zeta = _off_zero(zeta, "connection form has a pole at zeta = 0")
+    return complex(np.sum(v * _cvec(txi, "txi")) / (2.0 * zeta))
 
 
 def semifree_AV(vt, xit, zetat: complex, tangent) -> complex:
     """Chart-V connection form: -(1/2 zetat) sum xit_i d vt_i."""
     xit = _cvec(xit, "xit")
     tvt, _, _ = tangent
-    if zetat == 0:
-        raise DomainError("connection form has a pole at zetat = 0")
-    return complex(-np.sum(xit * _cvec(tvt, "tvt")) / (2.0 * complex(zetat)))
+    zetat = _off_zero(zetat, "connection form has a pole at zetat = 0")
+    return complex(-np.sum(xit * _cvec(tvt, "tvt")) / (2.0 * zetat))
 
 
 def overlap_potential_d(v, xi, zeta: complex, tangent) -> complex:
     """Exact differential of sum_i v_i xi_i / 2 zeta on a chart-U tangent."""
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = tangent
-    tv, txi, tzeta = _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("overlap potential has a pole at zeta = 0")
+    tv, txi, tzeta = _chart_tangent(tangent)
+    zeta = _off_zero(zeta, "overlap potential has a pole at zeta = 0")
     return complex(
         np.sum(xi * tv + v * txi) / (2.0 * zeta)
         - np.sum(v * xi) * tzeta / (2.0 * zeta**2)
@@ -253,38 +254,38 @@ def mero_connection(n_char: int, v, xi, zeta: complex, tangent) -> complex:
     where n is the integer weight of the fibre action.
     """
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = tangent
-    tv, txi, tzeta = _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("meromorphic connection has a pole at zeta = 0")
+    tv, txi, tzeta = _chart_tangent(tangent)
+    zeta = _off_zero(zeta, "meromorphic connection has a pole at zeta = 0")
     return complex(
         2j * np.pi * n_char * tzeta / zeta
         + np.sum(xi * tv - v * txi) / (2.0 * zeta)
     )
 
 
-def curvature_FZ(v, xi, zeta: complex, s_tangent, t_tangent) -> complex:
-    """Curvature of the meromorphic connection on two chart-U tangents.
+def fz_coefficients(v, xi, zeta: complex) -> np.ndarray:
+    """Curvature of the meromorphic connection in the chart coframe (dv, dxi, dzeta).
 
-    F_Z = (1/zeta) sum_i dxi_i ^ dv_i
-          - (1/2 zeta^2) dzeta ^ sum_i (xi_i dv_i - v_i dxi_i);
-    the logarithmic term is closed and drops out, so F_Z does not depend
-    on the fibre weight.
+    F_Z = (1/zeta) sum_i dxi_i ^ dv_i - (1/2 zeta^2) dzeta ^ b with
+    b = sum_i (xi_i dv_i - v_i dxi_i), as the antisymmetric matrix C with
+    F_Z(s, t) = s^T C t.  The logarithmic term of the connection is closed
+    and drops out, so F_Z does not depend on the fibre weight.
     """
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    sv, sxi, szeta = s_tangent
-    tv, txi, tzeta = t_tangent
-    sv, sxi, szeta = _cvec(sv, "sv"), _cvec(sxi, "sxi"), complex(szeta)
-    tv, txi, tzeta = _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("curvature has a pole at zeta = 0")
-    term1 = np.sum(sxi * tv - txi * sv) / zeta
-    bs = np.sum(xi * sv - v * sxi)
-    bt = np.sum(xi * tv - v * txi)
-    term2 = -(szeta * bt - tzeta * bs) / (2.0 * zeta**2)
-    return complex(term1 + term2)
+    zeta = _off_zero(zeta, "curvature has a pole at zeta = 0")
+    n = len(v)
+    half = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)  # C = half - half^T
+    half[n : 2 * n, :n] = np.eye(n) / zeta
+    half[2 * n, : 2 * n] = np.concatenate([-xi, v]) / (2.0 * zeta**2)
+    return half - half.T
+
+
+def curvature_FZ(v, xi, zeta: complex, s_tangent, t_tangent) -> complex:
+    """F_Z(s, t) = s^T C t on two chart-U tangents, C = fz_coefficients."""
+    s, t = (
+        np.concatenate([tv, txi, [tzeta]])
+        for tv, txi, tzeta in map(_chart_tangent, (s_tangent, t_tangent))
+    )
+    return complex(s @ fz_coefficients(v, xi, zeta) @ t)
 
 
 def lifted_action_field(spec: CircleActionSpec, pt: ChartPoint):
@@ -313,14 +314,15 @@ def action_invariance_residual(spec: CircleActionSpec, pt: ChartPoint, tangent) 
 def fibre_restriction_residual(z, w, zeta: complex, s, t) -> float:
     """Deviation of F_Z on vertical tangents from (-2i) x the symplectic pencil display.
 
-    The display is the pencil divided by 2 i zeta; the measured
-    proportionality constant between it and F_Z is -2i.
+    The display is the pencil divided by 2 i zeta.  The factor -2i comes
+    from fz_coefficients: vertical lifts have tzeta = 0, so the dzeta ^ b
+    term vanishes on them, and the lifts sv = sz + zeta conj(sw),
+    sxi = sw - zeta conj(sz) turn (1/zeta) sum_i dxi_i ^ dv_i into -1/zeta
+    times the pencil, which is -2i times the display.
     """
     z = _cvec(z, "z")
     model = FlatModel(len(z))
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("the fibre comparison needs zeta != 0")
+    zeta = _off_zero(zeta, "the fibre comparison needs zeta != 0")
     pt = product_to_chart(z, w, zeta)
     s_lift = vertical_lift(z, w, zeta, s)
     t_lift = vertical_lift(z, w, zeta, t)
@@ -467,14 +469,13 @@ def connection_report(
     fixed on |zetat| = radius and transported back to chart U, so the
     same closed form is sampled in both charts.
     """
-    tv, txi, tzeta = tangent
 
     def at_zero(zeta):
-        return mero_connection(n_char, v, xi, zeta, (tv, txi, tzeta))
+        return mero_connection(n_char, v, xi, zeta, tangent)
 
     def at_infinity(zetat):
         pt = ChartPoint(v, xi, zetat, "V")
-        back, trans = transition_pushforward(pt, (tv, txi, tzeta))
+        back, trans = transition_pushforward(pt, tangent)
         return mero_connection(n_char, back.v, back.xi, back.zeta, trans)
 
     return MeroConnectionReport(
@@ -571,9 +572,7 @@ def log_hU(z, w, zeta: complex) -> float:
 
 def log_hV(z, w, zeta: complex) -> float:
     """Antipodal reality partner: -log h_U at (z, w, -1/conj(zeta))."""
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("the antipode of zeta = 0 lies outside chart U")
+    zeta = _off_zero(zeta, "the antipode of zeta = 0 lies outside chart U")
     return -log_hU(z, w, -1.0 / np.conj(zeta))
 
 
@@ -683,35 +682,18 @@ def hermitian_curvature_residual(
 
 
 def curvature_FZ_field(n: int) -> FormField:
-    """F_Z as a complex-valued 2-form field on the real twistor coordinates."""
+    """F_Z on the real twistor coordinates: J^T C J, C = fz_coefficients, J = chart_jacobian."""
     model = FlatModel(n)
-    dim = total_dim(n)
 
     def value(p) -> FormValue:
-        z, w, zeta = unpack_point(model, p)
-        if zeta == 0:
-            raise DomainError("curvature has a pole at zeta = 0")
-        pt = product_to_chart(z, w, zeta)
+        pt = product_to_chart(*unpack_point(model, p))
         jac = chart_jacobian(model, p)
-        terms = [
-            wedge(FormValue(1, dim, jac[n + i]), FormValue(1, dim, jac[i]))
-            for i in range(n)
-        ]
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = acc + term
-        fibre_part = np.zeros(dim, dtype=complex)
-        for i in range(n):
-            fibre_part += pt.xi[i] * jac[i] - pt.v[i] * jac[n + i]
-        dzeta = FormValue(1, dim, jac[2 * n])
-        return acc * (1.0 / zeta) + wedge(dzeta, FormValue(1, dim, fibre_part)) * (
-            -1.0 / (2.0 * zeta**2)
-        )
+        return FormValue.from_matrix(jac.T @ fz_coefficients(pt.v, pt.xi, pt.zeta) @ jac)
 
     return FormField(
         fn=value,
         degree=2,
-        dim=dim,
+        dim=total_dim(n),
         clearance=lambda p: float(np.hypot(p[-2], p[-1])),
     )
 

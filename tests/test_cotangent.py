@@ -20,7 +20,9 @@ from hkgeom.cotangent import (
     potential_k,
     uf_prime,
 )
+from hkgeom import cotangent
 from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, pullback
+from hkgeom.suites import RunConfig, run_check
 
 
 def _random_points(rng, count, b_max=0.8, v_max=0.8):
@@ -231,3 +233,25 @@ def test_curvature_type11_for_I_exact_on_zero_section():
     pt = CotangentPoint(0.2 + 0.6j, 0.0)
     F = bg_curvature(pt)
     assert type11_residual(F, I) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reconstruction_checks_pin_the_pairing_normalisation(monkeypatch, seed):
+    # twice the profiles is h, k and mu at twice the pairing (v, v) = u/2;
+    # the checks linear in the potentials cannot see that, these two must
+    # (bg.curvature.type11 through the J it reconstructs from omega1)
+    for name in ("f_profile", "g_profile", "uf_prime"):
+        profile = getattr(cotangent, name)
+        monkeypatch.setattr(cotangent, name, lambda u, profile=profile: 2.0 * profile(u))
+    cfg = RunConfig(suite="cotangent", seed=seed)
+    for check_id in ("bg.structure.quaternionic", "bg.curvature.type11"):
+        rec = run_check(cfg, check_id)
+        assert not rec.passed, (check_id, rec.residual)
+
+
+def test_quaternionic_check_builds_no_curvature(monkeypatch):
+    def no_curvature(pt, scheme=None):
+        raise AssertionError("bg.structure.quaternionic reads J alone")
+
+    monkeypatch.setattr(cotangent, "bg_curvature", no_curvature)
+    assert run_check(RunConfig(suite="cotangent"), "bg.structure.quaternionic").passed

@@ -471,6 +471,14 @@ def test_two_center_fit_recovers_a_level_it_is_not_told():
         assert resid < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_separation_check_passes_with_one_sample(seed):
+    # the six-parameter fit draws at least six samples per level
+    cfg = suites.RunConfig(suite="quotient", samples=1, seed=seed)
+    sep = suites.run_check(cfg, "quotient.gh.separation")
+    assert sep.passed, sep.residual
+
+
 def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
     # at the doubled level the samples follow centres at +/- c/3, not c/4
     samples = suites._gh_samples

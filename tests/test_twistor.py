@@ -5,7 +5,9 @@ import pytest
 
 from hkgeom.errors import ConfigError, DomainError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, hyperholo_curvature
+from hkgeom import twistor
 from hkgeom.forms import FDScheme
+from hkgeom.suites import RunConfig, run_check
 from hkgeom.twistor import (
     ChartPoint,
     MeroConnectionReport,
@@ -15,6 +17,7 @@ from hkgeom.twistor import (
     connection_pair_residual,
     connection_report,
     curvature_FZ,
+    curvature_FZ_field,
     dbar_display_residual,
     fibre_restriction_residual,
     fibre_symplectic,
@@ -399,6 +402,40 @@ def test_curvature_closed():
         assert fz_closedness_residual(1, z, w, zeta) < 1e-10
     with pytest.raises(DomainError):
         fz_closedness_residual(1, z, w, 1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_field_is_the_closed_form_on_chart_jacobian_images(n):
+    # entry (a, b) of the field is F_Z on the chart images J e_a, J e_b of
+    # the coordinate vectors
+    rng = np.random.default_rng(80 + n)
+    model = FlatModel(n)
+    field = curvature_FZ_field(n)
+    for _ in range(5):
+        z, w, zeta = _cpair(rng, n), _cpair(rng, n), _czeta(rng)
+        p = pack_point(model, z, w, zeta)
+        pt = product_to_chart(z, w, zeta)
+        images = [(c[:n], c[n : 2 * n], c[2 * n]) for c in chart_jacobian(model, p).T]
+        closed = np.array(
+            [[curvature_FZ(pt.v, pt.xi, pt.zeta, s, t) for t in images] for s in images]
+        )
+        assert np.max(np.abs(field(p).as_matrix() - closed)) < 1e-12
+
+
+def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
+    coefficients = twistor.fz_coefficients
+
+    def doubled(v, xi, zeta):
+        C = coefficients(v, xi, zeta)
+        C[-1] *= 2.0  # the dzeta row and column hold the dzeta ^ b term alone
+        C[:, -1] *= 2.0
+        return C
+
+    monkeypatch.setattr(twistor, "fz_coefficients", doubled)
+    cfg = RunConfig(suite="twistor")
+    for check_id in ("twistor.closedness", "twistor.rotation.invariance"):
+        rec = run_check(cfg, check_id)
+        assert not rec.passed, (check_id, rec.residual)
 
 
 # -- hermitian metric ----------------------------------------------------------------
