@@ -10,15 +10,15 @@ axis segments.
 
 import numpy as np
 
-from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, hodge_star
+from hkgeom.forms import FDScheme, FormValue, ext_deriv, hodge_star
 from hkgeom.gibbonshawking import (
     GHConfig,
     GHPoint,
     MonopoleData,
+    alpha_field,
     asd_residual,
     chart_clearance,
     f_segment_values,
-    gh_alpha,
     gh_metric,
     gh_potential,
     potential_gradient,
@@ -38,14 +38,8 @@ print("metric determinant at a sample 4-point:",
 # -- d alpha = *dV and the monopole pair -------------------------------------------------
 
 
-def clear(y):
-    return chart_clearance(cfg)(np.array([*y, 0.0]))
-
-
-alpha = FormField(
-    lambda y: gh_alpha(cfg, GHPoint(tuple(y), 0.0, "string-down")), 1, 3,
-    clearance=clear,
-)
+clear = chart_clearance(cfg)
+alpha = alpha_field(cfg)  # takes (m, 3) batches of base points, as every stencil does
 data = MonopoleData.from_config(cfg)
 worst = 0.0
 for _ in range(8):

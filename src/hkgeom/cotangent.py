@@ -124,7 +124,7 @@ def fu_identity_residual(u_grid, h_frac: float = 0.25) -> float:
     worst = 0.0
     for u in u_grid:
         scheme = FDScheme(h=min(h_frac * u, 0.05), order=4)
-        fd = fd_gradient(lambda x: u_eval(x[0]), [u], scheme)[0]
+        fd = fd_gradient(lambda x: u_eval(x[:, 0]), [u], scheme)[0]
         target = (np.sqrt(1.0 + u) - 1.0) / (2.0 * u)
         worst = max(worst, abs(fd - target))
     return worst
@@ -199,7 +199,7 @@ def bg_moment_map(pt: CotangentPoint) -> float:
 
 
 def _chart_field(op) -> ScalarField:
-    return ScalarField(lambda q: op(CotangentPoint.from_coords(q)), dim=4, vectorized=True)
+    return ScalarField(lambda q: op(CotangentPoint.from_coords(q)), dim=4)
 
 
 # -- forms on the chart --------------------------------------------------------------------
@@ -244,7 +244,9 @@ def bg_moment_residuals(
     mu = bg_moment_map(pt)
 
     def h_scaled(lam):
-        return potential_h(CotangentPoint(pt.b, pt.v / lam[0]))
+        # v / lambda part by part, as Python divides a complex by a real
+        v = pt.v.real / lam[:, 0] + 1j * (pt.v.imag / lam[:, 0])
+        return potential_h(CotangentPoint(np.full(len(lam), pt.b), v))
 
     dh = fd_gradient(h_scaled, [1.0], _LAMBDA_SCHEME)[0]
     res_lambda = abs(mu - dh)

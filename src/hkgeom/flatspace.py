@@ -248,7 +248,7 @@ def moment_map(spec: CircleActionSpec, p) -> float | np.ndarray:
 
 
 def moment_field(spec: CircleActionSpec) -> ScalarField:
-    return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n, vectorized=True)
+    return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n)
 
 
 def hyperholo_curvature(
@@ -265,7 +265,7 @@ def hyperholo_curvature(
     deg = spec.degree
     if deg == 0:
         return model.omega1
-    mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim, vectorized=True)
+    mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim)
     return model.omega1 + ddc(mu, model.I, p, scheme)
 
 

@@ -7,12 +7,15 @@ reduce to index bookkeeping.  Derivatives (d, d^c, Laplacian) are
 central finite differences on user-supplied evaluation callbacks;
 there is no symbolic layer.
 
-Every first derivative (``fd_gradient``, ``fd_jacobian``, ``d``,
-``d^c``, ``dd^c``) comes from one central-difference stencil, evaluated
-in a batch: every point of the stencil goes to a scalar field in one
-call, as an ``(m, dim)`` array.  A field whose callback is vectorised
-(``(m, dim)`` in, ``(m,)`` out) declares so and costs one callback per
-batch; any other field or callable is called point by point.  One nested
+Every callable a stencil evaluates has one contract: it takes an
+``(m, dim)`` batch of points and returns one row per point, ``(m,)``
+values, ``(m, nb)`` form components or ``(m, N)`` points, each row equal
+to that point evaluated alone.  That covers ``ScalarField.fn``,
+``FormField.fn``, the callables given to ``fd_gradient`` and
+``fd_jacobian`` and the surface of ``surface_integral``.  Every
+derivative (``fd_gradient``, ``fd_jacobian``, ``d``, ``d^c``, ``dd^c``,
+the Laplacian, surface tangents) comes from one central-difference
+stencil whose points go to the callable in one call.  One nested
 ``dd^c`` stencil of order 4 is ``(4 dim)^2`` points, so the batch holds
 ``(4 dim)^2 * dim`` floats: about 350 KB at dim = 14.
 
@@ -248,28 +251,23 @@ class FDScheme:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar-valued field: evaluation callback plus optional domain clearance.
+    """A scalar-valued field: batch callback plus optional domain clearance.
 
-    ``clearance(p)`` returns the distance from p to the field's singular
-    set; None means the field is globally smooth.
-
-    The field takes one point ``(dim,)`` or a batch ``(m, dim)``, for
-    which it returns an ``(m,)`` array.  With ``vectorized=True`` the
-    callback receives the batch itself and must return the ``(m,)``
-    values, each equal to what it returns for that row alone; otherwise
-    the callback sees one point at a time.
+    ``fn`` maps an ``(m, dim)`` batch to its ``(m,)`` values.  The field
+    called on a batch returns those values; called on one point
+    ``(dim,)`` it evaluates a batch of one and returns its scalar.
+    ``clearance(p)`` returns the distance from one point p to the field's
+    singular set; None means the field is globally smooth.
     """
 
     fn: Callable
     dim: int
     clearance: Callable | None = None
-    vectorized: bool = False
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1 or self.vectorized:
-            return self.fn(p)
-        return np.array([self.fn(row) for row in p])
+        values = self.fn(np.atleast_2d(p))
+        return values if p.ndim > 1 else values[0]
 
     def margin(self, p) -> float:
         if self.clearance is None:
@@ -279,15 +277,27 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class FormField:
-    """A FormValue-valued field with declared degree/dimension and clearance."""
+    """A degree-k form field with declared degree/dimension and clearance.
+
+    ``fn`` maps an ``(m, dim)`` batch to the ``(m, nb)`` components of
+    the form at each row, on the basis ``basis_indices(dim, degree)``.
+    The field called on a batch returns those components; called on one
+    point ``(dim,)`` it returns a :class:`FormValue`.
+    """
 
     fn: Callable
     degree: int
     dim: int
     clearance: Callable | None = None
 
-    def __call__(self, p) -> FormValue:
-        return self.fn(np.asarray(p, dtype=float))
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        rows = np.atleast_2d(p)
+        comps = np.asarray(self.fn(rows))
+        shape = (len(rows), len(basis_indices(self.dim, self.degree)))
+        if comps.shape != shape:
+            raise ValueError(f"form field returned shape {comps.shape}, expected {shape}")
+        return comps if p.ndim > 1 else FormValue(self.degree, self.dim, comps[0])
 
     def margin(self, p) -> float:
         if self.clearance is None:
@@ -347,27 +357,21 @@ def _stencil_derivatives(vals, k: int, scheme: FDScheme) -> np.ndarray:
 
 
 def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
-    """D[r, i] = d_i fn at row r of P; fn may return scalars or arrays.
+    """D[r, i] = d_i fn at row r of P; fn gets every stencil point in one batch.
 
-    A ScalarField gets every stencil point in one ``(m, dim)`` call; any
-    other callable is called point by point.
+    fn maps an (m, dim) batch to (m,) values or (m, ...) arrays.
     """
-    pts = _stencil_points(P, scheme)
-    if isinstance(fn, ScalarField):
-        vals = fn(pts)
-    else:
-        vals = np.array([fn(q) for q in pts])
-    return _stencil_derivatives(vals, P.shape[0], scheme)
+    return _stencil_derivatives(fn(_stencil_points(P, scheme)), P.shape[0], scheme)
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Gradient vector of a scalar callback (one batch call for a ScalarField)."""
+    """Gradient vector of a batch scalar callback, (m, dim) -> (m,), at p."""
     p = np.asarray(p, dtype=float)
     return _derivatives(fn, p[None, :], scheme)[0]
 
 
 def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Jacobian of a vector-valued callback; column j is the x_j partial.
+    """Jacobian at p of a batch callback (m, dim) -> (m, N); column j is the x_j partial.
 
     The result is C-ordered, not a transposed view: BLAS rounds products
     with a transposed operand differently, by a few ulps.
@@ -388,7 +392,7 @@ def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> FormValue:
     p = np.asarray(p, dtype=float)
     _require_margin(field, p, scheme)
     k, N = field.degree, field.dim
-    jac = fd_jacobian(lambda q: field(q).comps, p, scheme)  # jac[I, i] = d_i w_I
+    jac = fd_jacobian(field, p, scheme)  # jac[I, i] = d_i w_I
     pos_k = _basis_position(N, k)
     out = np.zeros(len(basis_indices(N, k + 1)), dtype=jac.dtype)
     for pos_J, J in enumerate(basis_indices(N, k + 1)):
@@ -476,26 +480,25 @@ def ddc(
 
 
 def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> float:
-    """Flat Laplacian sum_i d^2 f / dx_i^2 by central second differences."""
+    """Flat Laplacian sum_i d^2 f / dx_i^2 by central second differences.
+
+    p and its stencil go to f in one batch.
+    """
     scheme = scheme or FDScheme()
     p = np.asarray(p, dtype=float)
     _require_margin(f, p, scheme)
+    vals = f(np.vstack([p, _stencil_points(p[None, :], scheme)]))
+    f0, side = vals[0], vals[1:].reshape(len(_OFFSETS[scheme.order]), len(p))
     h = scheme.h
+    if scheme.order == 2:
+        terms = (side[0] - 2.0 * f0 + side[1]) / h**2
+    else:
+        terms = (-side[0] + 16.0 * side[1] - 30.0 * f0 + 16.0 * side[2] - side[3]) / (
+            12.0 * h**2
+        )
     tot = 0.0
-    f0 = f(p)
-    for i in range(len(p)):
-        e = np.zeros(len(p))
-        e[i] = h
-        if scheme.order == 2:
-            tot += (f(p + e) - 2.0 * f0 + f(p - e)) / h**2
-        else:
-            tot += (
-                -f(p + 2 * e)
-                + 16.0 * f(p + e)
-                - 30.0 * f0
-                + 16.0 * f(p - e)
-                - f(p - 2 * e)
-            ) / (12.0 * h**2)
+    for term in terms:  # a running sum in coordinate order; np.sum may pair terms
+        tot += term
     return tot
 
 
@@ -647,53 +650,6 @@ def type11_residual(F: FormValue, S, *, structure_tol: float = 1e-6) -> float:
     return float(np.linalg.norm(S.T @ M @ S - M, 2))
 
 
-# -- metric curvature --------------------------------------------------------------
-
-
-def christoffel(metric_fn: Callable, p, scheme: FDScheme | None = None) -> np.ndarray:
-    """Christoffel symbols Gamma^a_{bc} of a metric callback, by central FD."""
-    scheme = scheme or FDScheme(h=1e-4, order=4)
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    g = _check_metric(metric_fn(p))
-    ginv = np.linalg.inv(g)
-    flat = fd_jacobian(lambda q: np.asarray(metric_fn(q), dtype=float).ravel(), p, scheme)
-    dg = flat.reshape(n, n, n)  # dg[a, b, c] = d_c g_{ab}
-    # Gamma^a_{bc} = (1/2) g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
-    inner = dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, inner)
-
-
-def riemann_tensor(
-    metric_fn: Callable,
-    p,
-    scheme: FDScheme | None = None,
-    inner_scheme: FDScheme | None = None,
-) -> np.ndarray:
-    """Curvature tensor R^a_{bcd} of a metric callback by nested FD.
-
-    The outer derivative of the Christoffel field uses `scheme`, the
-    inner metric derivatives use `inner_scheme`.  Flat metrics in curved
-    charts come back as ~1e-8 noise with the defaults.
-    """
-    scheme = scheme or FDScheme(h=1e-3, order=4)
-    inner_scheme = inner_scheme or FDScheme(h=1e-4, order=4)
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    gamma = christoffel(metric_fn, p, inner_scheme)
-    dflat = fd_jacobian(
-        lambda q: christoffel(metric_fn, q, inner_scheme).ravel(), p, scheme
-    )
-    dG = dflat.reshape(n, n, n, n)  # dG[a, b, c, e] = d_e Gamma^a_{bc}
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
-    #             - Gamma^a_{de} Gamma^e_{cb}
-    t1 = dG.transpose(0, 2, 3, 1)
-    t2 = dG.transpose(0, 2, 1, 3)
-    t3 = np.einsum("ace,edb->abcd", gamma, gamma)
-    t4 = np.einsum("ade,ecb->abcd", gamma, gamma)
-    return t1 - t2 + t3 - t4
-
-
 # -- quadrature ---------------------------------------------------------------------
 
 
@@ -705,20 +661,21 @@ def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float
     """Integral of a 2-form field over a parametrized surface [0,1]^2 -> R^N.
 
     Composite 4-point Gauss-Legendre quadrature on resolution x resolution
-    panels; tangents of the parametrization by central differences.
+    panels.  ``surf`` maps an (m, 2) batch of parameters (s, t) to the
+    (m, N) surface points; every node goes to it, to its tangent stencil
+    (central differences) and to ``w`` in one batch each.
     """
     if w.degree != 2:
         raise ValueError("surface_integral expects a degree-2 form field")
     nodes, wts = np.polynomial.legendre.leggauss(4)
     width = 1.0 / resolution
-    coords = (np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width  # [panel, node]
-    weights = np.outer(wts, wts).ravel() * (0.5 * width) ** 2
-    total = 0.0
-    for ps, pt in itertools.product(range(resolution), repeat=2):
-        params = np.array([[s, t] for s in coords[ps] for t in coords[pt]])
-        # the panel's tangent stencils in one pass: tangents[k] = (d/ds, d/dt)
-        tangents = _derivatives(lambda st: surf(st[0], st[1]), params, _SURFACE_TANGENT_SCHEME)
-        for k, weight in enumerate(weights):
-            point = np.asarray(surf(params[k, 0], params[k, 1]), dtype=float)
-            total += weight * w(point)(tangents[k, 0], tangents[k, 1])
-    return total
+    coords = ((np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width).ravel()
+    params = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
+    node_wts = np.tile(wts, resolution)
+    weights = np.outer(node_wts, node_wts).ravel() * (0.5 * width) ** 2
+    tangents = _derivatives(surf, params, _SURFACE_TANGENT_SCHEME)  # [node, (d/ds, d/dt), N]
+    ds, dt = tangents[:, 0], tangents[:, 1]
+    rows, cols = _pair_indices(w.dim)
+    comps = w(surf(params))
+    values = np.sum(comps * (ds[:, rows] * dt[:, cols] - ds[:, cols] * dt[:, rows]), axis=1)
+    return float(np.sum(weights * values))

@@ -13,6 +13,11 @@ anti-self-dual connection form Ahat on the total space.
 
 Chart coordinates are ordered (x1, x2, x3, theta); the positive
 orientation is the coordinate order, which makes the omega_i self-dual.
+
+Functions of a base point take x of shape (..., 3) and return (...)
+values (a float for one point) or (..., 3) covectors; chart fields take
+(m, 4) batches.  Each of alpha, A, Ahat and omega_i is one batch formula,
+which the one-point functions evaluate on a batch of one.
 Dirac-string gauges: "string-down" puts every string on the axis below
 its centre (alpha regular above), "string-up" the reverse.
 """
@@ -117,8 +122,7 @@ class GHPoint:
         x = np.asarray(self.x, dtype=float)
         if x.shape != (3,):
             raise ConfigError("base point must be a 3-vector")
-        if self.gauge not in GAUGES:
-            raise ConfigError(f"gauge must be one of {GAUGES}")
+        _string_sign(self.gauge)  # validates the gauge
         object.__setattr__(self, "x", tuple(x))
         object.__setattr__(self, "theta", float(self.theta))
 
@@ -129,24 +133,31 @@ class GHPoint:
 
     @property
     def string_sign(self) -> float:
-        return -1.0 if self.gauge == "string-down" else 1.0
+        return _string_sign(self.gauge)
 
 
 # -- base-space scalars ------------------------------------------------------------
 
 
 def _offsets(cfg: GHConfig, x) -> np.ndarray:
+    """x - a_i for every centre: (..., 3) -> (..., k, 3)."""
     x = np.asarray(x, dtype=float)
-    d = np.tile(x, (cfg.num_centers, 1))
-    d[:, 0] -= np.asarray(cfg.centers)
+    d = np.repeat(x[..., None, :], cfg.num_centers, axis=-2)
+    d[..., 0] -= np.asarray(cfg.centers)
     return d
 
 
 def _distances(cfg: GHConfig, x, margin: float = CENTER_MARGIN) -> np.ndarray:
-    r = np.linalg.norm(_offsets(cfg, x), axis=1)
-    if r.min() <= margin:
+    """|x - a_i| for every centre: (..., 3) -> (..., k)."""
+    r = np.linalg.norm(_offsets(cfg, x), axis=-1)
+    if np.any(r <= margin):
         raise DomainError(f"point within {margin:.1e} of a centre")
     return r
+
+
+def _scalar_or_batch(values):
+    """A float for the value at one point, the array itself for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def center_clearance(cfg: GHConfig) -> Callable:
@@ -159,7 +170,10 @@ def center_clearance(cfg: GHConfig) -> Callable:
 
 
 def chart_clearance(cfg: GHConfig) -> Callable:
-    """Distance to the nearer of the centres and the x1-axis (chart points)."""
+    """Distance to the nearer of the centres and the x1-axis.
+
+    Takes a chart point (x1, x2, x3, theta) or a base point (x1, x2, x3).
+    """
 
     def clear(p):
         p = np.asarray(p, dtype=float)
@@ -169,10 +183,10 @@ def chart_clearance(cfg: GHConfig) -> Callable:
     return clear
 
 
-def gh_potential(cfg: GHConfig, x) -> float:
-    """V(x) = sum_i w_i / |x - a_i|."""
+def gh_potential(cfg: GHConfig, x):
+    """V(x) = sum_i w_i / |x - a_i|, for x of shape (..., 3)."""
     r = _distances(cfg, x)
-    return float(np.dot(cfg.weights, 1.0 / r))
+    return _scalar_or_batch(np.sum(np.asarray(cfg.weights) * (1.0 / r), axis=-1))
 
 
 def potential_gradient(cfg: GHConfig, x) -> np.ndarray:
@@ -182,8 +196,8 @@ def potential_gradient(cfg: GHConfig, x) -> np.ndarray:
     return -np.einsum("i,ij->j", np.asarray(cfg.weights) / r**3, d)
 
 
-def rotation_lift_f(cfg: GHConfig, x) -> float:
-    """Hamiltonian-lift function f = sum_i w_i (x1 - a_i)/|x - a_i| + c.
+def rotation_lift_f(cfg: GHConfig, x):
+    """Hamiltonian-lift function f = sum_i w_i (x1 - a_i)/|x - a_i| + c, x of shape (..., 3).
 
     On any open axis segment every term is exactly +/- w_i, so f is
     locally constant there; with unit weights, c = 0 and an even number
@@ -191,7 +205,7 @@ def rotation_lift_f(cfg: GHConfig, x) -> float:
     """
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
-    return float(np.dot(cfg.weights, d[:, 0] / r)) + cfg.c
+    return _scalar_or_batch(np.sum(np.asarray(cfg.weights) * (d[..., 0] / r), axis=-1) + cfg.c)
 
 
 def lift_gradient(cfg: GHConfig, x) -> np.ndarray:
@@ -231,10 +245,13 @@ def f_segment_values(cfg: GHConfig) -> tuple:
     return tuple(vals)
 
 
-def monopole_phi(cfg: GHConfig, x) -> float:
-    """phi = sum_i w_i (a_top - a_i)/|x - a_i| + c (the top term drops out)."""
+def monopole_phi(cfg: GHConfig, x):
+    """phi = sum_i w_i (a_top - a_i)/|x - a_i| + c, for x of shape (..., 3).
+
+    The top term drops out.
+    """
     r = _distances(cfg, x)
-    return float(np.dot(cfg.dirac_charges, 1.0 / r)) + cfg.c
+    return _scalar_or_batch(np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c)
 
 
 def phi_identity_residual(cfg: GHConfig, x) -> float:
@@ -250,40 +267,59 @@ def phi_identity_residual(cfg: GHConfig, x) -> float:
 
 
 def _azimuth_covector(x) -> np.ndarray:
-    """d(azimuth) = (x2 dx3 - x3 dx2)/rho^2 as a covector on R^3."""
+    """d(azimuth) = (x2 dx3 - x3 dx2)/rho^2: (..., 3) -> covectors (..., 3)."""
     x = np.asarray(x, dtype=float)
-    rho2 = x[1] ** 2 + x[2] ** 2
-    if rho2 < MIN_AXIS_RADIUS**2:
+    rho2 = x[..., 1] ** 2 + x[..., 2] ** 2
+    if np.any(rho2 < MIN_AXIS_RADIUS**2):
         raise DomainError(
-            f"point at cylindrical radius {np.sqrt(rho2):.1e} is inside the "
+            f"point at cylindrical radius {np.sqrt(rho2.min()):.1e} is inside the "
             f"axis regularisation radius {MIN_AXIS_RADIUS:.1e}"
         )
-    return np.array([0.0, -x[2] / rho2, x[1] / rho2])
+    return np.stack([np.zeros_like(rho2), -x[..., 2] / rho2, x[..., 1] / rho2], axis=-1)
 
 
-def _string_potential(cfg: GHConfig, x, charges, sign: float) -> np.ndarray:
-    """sum_i q_i ((x1 - a_i)/r_i + sign) d(azimuth), as a covector on R^3."""
+def _string_sign(gauge: str) -> float:
+    if gauge not in GAUGES:
+        raise ConfigError(f"gauge must be one of {GAUGES}")
+    return -1.0 if gauge == "string-down" else 1.0
+
+
+def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
+    """sum_i q_i ((x1 - a_i)/r_i + s) d(azimuth): (..., 3) -> covectors (..., 3).
+
+    s is the gauge's string sign.  The charges ``cfg.weights`` give alpha
+    and ``cfg.dirac_charges`` give A.
+    """
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
-    coeff = float(np.dot(charges, d[:, 0] / r + sign))
-    return coeff * _azimuth_covector(x)
+    coeff = np.sum(np.asarray(charges) * (d[..., 0] / r + _string_sign(gauge)), axis=-1)
+    return coeff[..., None] * _azimuth_covector(x)
 
 
 def gh_alpha(cfg: GHConfig, pt: GHPoint) -> FormValue:
     """The fibration connection alpha with dalpha = *dV, in pt's gauge."""
-    cov = _string_potential(cfg, pt.x, cfg.weights, pt.string_sign)
-    return FormValue(1, 3, cov)
+    return FormValue(1, 3, _string_potential(cfg, np.array([pt.x]), cfg.weights, pt.gauge)[0])
+
+
+def alpha_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
+    """alpha as a FormField on R^3: (m, 3) batches -> (m, 3) components."""
+    clear = chart_clearance(cfg)
+    return FormField(lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=clear)
 
 
 def monopole_A(cfg: GHConfig, pt: GHPoint) -> FormValue:
     """The monopole potential A with dA = *dphi, in pt's gauge."""
-    cov = _string_potential(cfg, pt.x, cfg.dirac_charges, pt.string_sign)
-    return FormValue(1, 3, cov)
+    cov = _string_potential(cfg, np.array([pt.x]), cfg.dirac_charges, pt.gauge)
+    return FormValue(1, 3, cov[0])
 
 
 @dataclass(frozen=True)
 class MonopoleData:
-    """A harmonic scalar and a gauge potential with dA = *dphi."""
+    """A harmonic scalar and a gauge potential with dA = *dphi.
+
+    Both are batch callbacks on R^3: ``phi`` maps (m, 3) points to (m,)
+    values and ``A`` to the (m, 3) components of the 1-form.
+    """
 
     phi: Callable
     A: Callable
@@ -291,11 +327,10 @@ class MonopoleData:
 
     @classmethod
     def from_config(cls, cfg: GHConfig, gauge: str = "string-down") -> "MonopoleData":
-        if gauge not in GAUGES:
-            raise ConfigError(f"gauge must be one of {GAUGES}")
+        _string_sign(gauge)  # validates the gauge
         return cls(
             phi=lambda x: monopole_phi(cfg, x),
-            A=lambda x: monopole_A(cfg, GHPoint(tuple(np.asarray(x)), 0.0, gauge)),
+            A=lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge),
             gauge=gauge,
         )
 
@@ -303,45 +338,55 @@ class MonopoleData:
 # -- metric and Kahler triple -------------------------------------------------------
 
 
-def _fibre_covector(cfg: GHConfig, pt: GHPoint) -> np.ndarray:
-    """(dtheta + alpha) as a covector in chart coordinates."""
-    alpha = gh_alpha(cfg, pt).comps
-    return np.array([alpha[0], alpha[1], alpha[2], 1.0])
-
-
 def gh_metric(cfg: GHConfig, pt: GHPoint) -> np.ndarray:
     """g = V dx.dx + V^{-1} (dtheta + alpha)^2 in chart coordinates."""
     v = gh_potential(cfg, pt.x)
-    eta = _fibre_covector(cfg, pt)
+    eta = np.append(gh_alpha(cfg, pt).comps, 1.0)  # dtheta + alpha
     g = np.zeros((4, 4))
     g[:3, :3] = v * np.eye(3)
     g += np.outer(eta, eta) / v
     return g
 
 
+def _kahler_comps(cfg: GHConfig, p, gauge: str) -> np.ndarray:
+    """(omega_1, omega_2, omega_3) at chart points (m, 4), as components (m, 3, 6).
+
+    omega_i = V dx_j ^ dx_k + dx_i ^ (dtheta + alpha), (i, j, k) cyclic, on
+    the basis (01, 02, 03, 12, 13, 23).
+    """
+    x = np.asarray(p, dtype=float)[:, :3]
+    v = gh_potential(cfg, x)
+    a1, a2, a3 = _string_potential(cfg, x, cfg.weights, gauge).T
+    o, l = np.zeros_like(v), np.ones_like(v)
+    rows = ((a2, a3, l, v, o, o), (-a1, -v, o, a3, l, o), (v, -a1, o, -a2, o, l))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def gh_kahler_triple(cfg: GHConfig, pt: GHPoint):
     """(omega_1, omega_2, omega_3): V dx_j^dx_k + dx_i^(dtheta+alpha), cyclic."""
-    v = gh_potential(cfg, pt.x)
-    a1, a2, a3, _ = _fibre_covector(cfg, pt)
-    w1 = FormValue.from_dict(2, 4, {(1, 2): v, (0, 1): a2, (0, 2): a3, (0, 3): 1.0})
-    w2 = FormValue.from_dict(2, 4, {(0, 2): -v, (0, 1): -a1, (1, 2): a3, (1, 3): 1.0})
-    w3 = FormValue.from_dict(2, 4, {(0, 1): v, (0, 2): -a1, (1, 2): -a2, (2, 3): 1.0})
-    return w1, w2, w3
+    return tuple(FormValue(2, 4, c) for c in _kahler_comps(cfg, pt.chart[None, :], pt.gauge)[0])
 
 
 def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField:
-    """omega_i as a chart FormField (for FD closedness checks)."""
+    """omega_i as a chart FormField, (m, 4) batches -> (m, 6) components."""
     if i not in (1, 2, 3):
         raise ConfigError("Kahler index must be 1, 2 or 3")
-
-    def fn(p):
-        pt = GHPoint(tuple(p[:3]), p[3], gauge)
-        return gh_kahler_triple(cfg, pt)[i - 1]
-
-    return FormField(fn, 2, 4, clearance=chart_clearance(cfg))
+    return FormField(
+        lambda p: _kahler_comps(cfg, p, gauge)[:, i - 1], 2, 4, clearance=chart_clearance(cfg)
+    )
 
 
 # -- the anti-self-dual connection ---------------------------------------------------
+
+
+def _ahat_comps(cfg: GHConfig, p, gauge: str, gauge_shift: float) -> np.ndarray:
+    """Ahat = A - phi V^{-1} (dtheta + alpha) at chart points (m, 4), as components (m, 4)."""
+    x = np.asarray(p, dtype=float)[:, :3]
+    v = gh_potential(cfg, x)
+    ratio = ((monopole_phi(cfg, x) + gauge_shift * v) / v)[:, None]
+    alpha = _string_potential(cfg, x, cfg.weights, gauge)
+    a_cov = _string_potential(cfg, x, cfg.dirac_charges, gauge) + gauge_shift * alpha
+    return np.concatenate([a_cov - ratio * alpha, -ratio], axis=-1)
 
 
 def connection_Ahat(cfg: GHConfig, pt: GHPoint, gauge_shift: float = 0.0) -> FormValue:
@@ -351,19 +396,14 @@ def connection_Ahat(cfg: GHConfig, pt: GHPoint, gauge_shift: float = 0.0) -> For
     (A + shift * alpha, phi + shift * V), which changes Ahat by the closed
     form -shift * dtheta and so leaves the curvature unchanged.
     """
-    v = gh_potential(cfg, pt.x)
-    phi = monopole_phi(cfg, pt.x) + gauge_shift * v
-    a_cov = monopole_A(cfg, pt).comps + gauge_shift * gh_alpha(cfg, pt).comps
-    eta = _fibre_covector(cfg, pt)
-    comps = np.concatenate([a_cov, [0.0]]) - (phi / v) * eta
-    return FormValue(1, 4, comps)
+    return FormValue(1, 4, _ahat_comps(cfg, pt.chart[None, :], pt.gauge, gauge_shift)[0])
 
 
 def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0.0) -> FormField:
-    def fn(p):
-        return connection_Ahat(cfg, GHPoint(tuple(p[:3]), p[3], gauge), gauge_shift)
-
-    return FormField(fn, 1, 4, clearance=chart_clearance(cfg))
+    """Ahat as a chart FormField, (m, 4) batches -> (m, 4) components."""
+    return FormField(
+        lambda p: _ahat_comps(cfg, p, gauge, gauge_shift), 1, 4, clearance=chart_clearance(cfg)
+    )
 
 
 def ahat_curvature(
@@ -391,7 +431,7 @@ def iY_residual(cfg: GHConfig, pt: GHPoint, scheme: FDScheme | None = None) -> f
     contracted = interior_product(np.array([0.0, 0.0, 0.0, 1.0]), f)
 
     def ratio(p):
-        return monopole_phi(cfg, p[:3]) / gh_potential(cfg, p[:3])
+        return monopole_phi(cfg, p[..., :3]) / gh_potential(cfg, p[..., :3])
 
     grad = fd_gradient(ratio, pt.chart, scheme)
     return float(np.max(np.abs(contracted.comps - grad)))
@@ -405,13 +445,10 @@ def gauge_transition_jacobian(cfg: GHConfig, x, from_gauge: str, to_gauge: str) 
     azimuth with W the total weight.  Forms in the `to` chart pull back
     through this Jacobian to the `from` chart.
     """
-    if from_gauge not in GAUGES or to_gauge not in GAUGES:
-        raise ConfigError(f"gauges must be among {GAUGES}")
-    s_from = -1.0 if from_gauge == "string-down" else 1.0
-    s_to = -1.0 if to_gauge == "string-down" else 1.0
     jac = np.eye(4)
     total_weight = float(sum(cfg.weights))
-    jac[3, :3] = (s_from - s_to) * total_weight * _azimuth_covector(x)
+    shift = _string_sign(from_gauge) - _string_sign(to_gauge)
+    jac[3, :3] = shift * total_weight * _azimuth_covector(x)
     return jac
 
 
@@ -431,11 +468,13 @@ def sphere_period(cfg: GHConfig, i: int, resolution: int = 16) -> float:
             f"segment index must be in [1, {cfg.num_centers - 1}], got {i}"
         )
     a_lo, a_hi = cfg.centers[i - 1], cfg.centers[i]
-    form = FormValue.from_dict(2, 4, {(0, 3): 1.0})
-    restricted = FormField(lambda p: form, 2, 4)
+    form = FormValue.from_dict(2, 4, {(0, 3): 1.0}).comps
+    restricted = FormField(lambda p: np.broadcast_to(form, (len(p), len(form))), 2, 4)
 
-    def surf(s, t):
-        return np.array([a_lo + s * (a_hi - a_lo), 0.0, 0.0, 2.0 * np.pi * t])
+    def surf(st):
+        s, t = st[:, 0], st[:, 1]
+        zero = np.zeros_like(s)
+        return np.column_stack([a_lo + s * (a_hi - a_lo), zero, zero, 2.0 * np.pi * t])
 
     return surface_integral(restricted, surf, resolution)
 
@@ -443,15 +482,10 @@ def sphere_period(cfg: GHConfig, i: int, resolution: int = 16) -> float:
 def axis_profiles(cfg: GHConfig, x1_values) -> dict:
     """V, f, phi sampled along the x1-axis (points off the centres)."""
     x1_values = np.asarray(x1_values, dtype=float)
-    out = {
+    x = np.stack([x1_values, 0.0 * x1_values, 0.0 * x1_values], axis=-1)
+    return {
         "x1": x1_values.copy(),
-        "V": np.empty_like(x1_values),
-        "f": np.empty_like(x1_values),
-        "phi": np.empty_like(x1_values),
+        "V": gh_potential(cfg, x),
+        "f": rotation_lift_f(cfg, x),
+        "phi": monopole_phi(cfg, x),
     }
-    for j, x1 in enumerate(x1_values):
-        x = np.array([x1, 0.0, 0.0])
-        out["V"][j] = gh_potential(cfg, x)
-        out["f"][j] = rotation_lift_f(cfg, x)
-        out["phi"][j] = monopole_phi(cfg, x)
-    return out

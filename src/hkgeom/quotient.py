@@ -43,7 +43,6 @@ from .forms import (
     FDScheme,
     FormField,
     FormValue,
-    ScalarField,
     _stencil_derivatives,
     _stencil_points,
     ext_deriv,
@@ -524,9 +523,8 @@ class QuotientChart:
         return -np.linalg.solve(self.metric(xi, tang), matrix)
 
     def scalar_gradient(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
-        """Gradient of fn o point at xi; a ScalarField fn gets the stencil as a batch."""
-        field = fn if isinstance(fn, ScalarField) else ScalarField(fn, self.action.dim)
-        return self._derivative(field, xi, scheme)
+        """Gradient of fn o point at xi; fn maps the retracted stencil, (m, dim) -> (m,)."""
+        return self._derivative(fn, xi, scheme)
 
 
 def moment_descent_residual(
@@ -569,9 +567,9 @@ def descended_curvature(
     def dc_form(xi):
         s_bar = chart.structure(xi, 1)
         grad = chart.scalar_gradient(mu, xi, inner)
-        return FormValue(1, chart.dim, -s_bar.T @ (grad / degree))
+        return -s_bar.T @ (grad / degree)
 
-    dc = FormField(dc_form, degree=1, dim=chart.dim)
+    dc = FormField(lambda rows: np.array([dc_form(xi) for xi in rows]), degree=1, dim=chart.dim)
     return base + ext_deriv(dc, np.zeros(chart.dim), scheme)
 
 
@@ -604,9 +602,10 @@ def canonical_bundle_curvature(
         p, _ = chart._retracted(xi)
         orbit = np.column_stack([g @ p for g in action.generators])
         coef = np.linalg.solve(orbit.T @ orbit, orbit.T @ tang)
-        return FormValue(1, chart.dim, chi @ coef)
+        return chi @ coef
 
-    return -ext_deriv(FormField(theta, degree=1, dim=chart.dim), np.zeros(chart.dim), scheme)
+    field = FormField(lambda rows: np.array([theta(xi) for xi in rows]), degree=1, dim=chart.dim)
+    return -ext_deriv(field, np.zeros(chart.dim), scheme)
 
 
 # -- multi-centre coordinates ----------------------------------------------------------

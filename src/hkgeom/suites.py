@@ -242,7 +242,7 @@ def _flat_full_norm(rng, cfg: RunConfig) -> float:
 def _flat_calibration(rng, cfg: RunConfig) -> float:
     scheme = _flat_scheme(cfg)
     flat1 = fs.FlatModel(1)
-    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     expected = FormValue.from_dict(2, 4, {(0, 1): 2.0})
     gaps = []
     for _ in range(5):
@@ -317,11 +317,6 @@ def _gh_scheme(cfg: RunConfig) -> FDScheme:
     return cfg.scheme(FDScheme(h=1e-3, order=4))
 
 
-def _axis_clearance(ghc):
-    """Clearance of x in R^3 (fibre angle 0) from the chart's singular set."""
-    return lambda x: gh.chart_clearance(ghc)(np.array([*x, 0.0]))
-
-
 def _star_gap(da: FormValue, grad) -> float:
     """max |dA - *d phi| on R^3, for d phi given by its gradient."""
     star = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
@@ -330,12 +325,7 @@ def _star_gap(da: FormValue, grad) -> float:
 
 def _gh_alpha(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
-    field = FormField(
-        lambda x: gh.gh_alpha(ghc, gh.GHPoint(tuple(x), 0.0, "string-down")),
-        1,
-        3,
-        clearance=_axis_clearance(ghc),
-    )
+    field = gh.alpha_field(ghc)
     return _worst(
         _star_gap(ext_deriv(field, x, scheme), gh.potential_gradient(ghc, x))
         for x in _gh_points(ghc, cfg.samples, rng)
@@ -345,7 +335,7 @@ def _gh_alpha(rng, cfg: RunConfig) -> float:
 def _gh_pair(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     data = gh.MonopoleData.from_config(ghc)
-    field = FormField(lambda x: data.A(x), 1, 3, clearance=_axis_clearance(ghc))
+    field = FormField(data.A, 1, 3, clearance=gh.chart_clearance(ghc))
     return _worst(
         _star_gap(ext_deriv(field, x, scheme), fd_gradient(data.phi, x, scheme))
         for x in _gh_points(ghc, cfg.samples, rng)
@@ -354,7 +344,7 @@ def _gh_pair(rng, cfg: RunConfig) -> float:
 
 def _gh_harmonic(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
-    clear = _axis_clearance(ghc)
+    clear = gh.chart_clearance(ghc)
     fields = (
         ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
         ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),

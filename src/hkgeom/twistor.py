@@ -74,10 +74,15 @@ def _off_zero(zeta, message: str) -> complex:
     return zeta
 
 
-def _chart_tangent(tangent):
-    """A chart tangent (tv, txi, tzeta) as two complex vectors and a complex."""
+def _chart_tangent(tangent, n: int):
+    """A chart tangent (tv, txi, tzeta) as two complex n-vectors and a complex."""
     tv, txi, tzeta = tangent
-    return _cvec(tv, "tv"), _cvec(txi, "txi"), complex(tzeta)
+    tv, txi = _cvec(tv, "tv"), _cvec(txi, "txi")
+    if len(tv) != n or len(txi) != n:
+        raise ConfigError(
+            f"tangent components must have length {n}, got {len(tv)} and {len(txi)}"
+        )
+    return tv, txi, complex(tzeta)
 
 
 # -- charts ----------------------------------------------------------------------
@@ -117,7 +122,7 @@ def transition_pushforward(pt: ChartPoint, tangent):
 
     Returns the pair (image point, transported tangent).
     """
-    tv, txi, tzeta = _chart_tangent(tangent)
+    tv, txi, tzeta = _chart_tangent(tangent, pt.n)
     z2 = pt.zeta * pt.zeta
     out = (
         tv / pt.zeta - pt.v * tzeta / z2,
@@ -210,23 +215,23 @@ def log_gUV_sq(v, xi, zeta: complex) -> float:
 def semifree_AU(v, xi, zeta: complex, tangent) -> complex:
     """Chart-U connection form of the w-only rotation: (1/2 zeta) sum v_i d xi_i."""
     v = _cvec(v, "v")
-    _, txi, _ = tangent
+    _, txi, _ = _chart_tangent(tangent, len(v))
     zeta = _off_zero(zeta, "connection form has a pole at zeta = 0")
-    return complex(np.sum(v * _cvec(txi, "txi")) / (2.0 * zeta))
+    return complex(np.sum(v * txi) / (2.0 * zeta))
 
 
 def semifree_AV(vt, xit, zetat: complex, tangent) -> complex:
     """Chart-V connection form: -(1/2 zetat) sum xit_i d vt_i."""
     xit = _cvec(xit, "xit")
-    tvt, _, _ = tangent
+    tvt, _, _ = _chart_tangent(tangent, len(xit))
     zetat = _off_zero(zetat, "connection form has a pole at zetat = 0")
-    return complex(-np.sum(xit * _cvec(tvt, "tvt")) / (2.0 * zetat))
+    return complex(-np.sum(xit * tvt) / (2.0 * zetat))
 
 
 def overlap_potential_d(v, xi, zeta: complex, tangent) -> complex:
     """Exact differential of sum_i v_i xi_i / 2 zeta on a chart-U tangent."""
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = _chart_tangent(tangent)
+    tv, txi, tzeta = _chart_tangent(tangent, len(v))
     zeta = _off_zero(zeta, "overlap potential has a pole at zeta = 0")
     return complex(
         np.sum(xi * tv + v * txi) / (2.0 * zeta)
@@ -254,7 +259,7 @@ def mero_connection(n_char: int, v, xi, zeta: complex, tangent) -> complex:
     where n is the integer weight of the fibre action.
     """
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = _chart_tangent(tangent)
+    tv, txi, tzeta = _chart_tangent(tangent, len(v))
     zeta = _off_zero(zeta, "meromorphic connection has a pole at zeta = 0")
     return complex(
         2j * np.pi * n_char * tzeta / zeta
@@ -281,9 +286,10 @@ def fz_coefficients(v, xi, zeta: complex) -> np.ndarray:
 
 def curvature_FZ(v, xi, zeta: complex, s_tangent, t_tangent) -> complex:
     """F_Z(s, t) = s^T C t on two chart-U tangents, C = fz_coefficients."""
+    n = len(_cvec(v, "v"))
     s, t = (
         np.concatenate([tv, txi, [tzeta]])
-        for tv, txi, tzeta in map(_chart_tangent, (s_tangent, t_tangent))
+        for tv, txi, tzeta in (_chart_tangent(x, n) for x in (s_tangent, t_tangent))
     )
     return complex(s @ fz_coefficients(v, xi, zeta) @ t)
 
@@ -587,14 +593,14 @@ def reality_residual(z, w, zeta: complex) -> float:
 
 
 def log_hU_field(n: int) -> ScalarField:
-    """log h_U as a vectorised scalar field on the real twistor coordinates."""
+    """log h_U as a scalar field on (m, 4n + 2) batches of real twistor coordinates."""
     model = FlatModel(n)
 
     def value(p):
         z, w = model.to_complex(p[..., : model.dim])
         return _log_hU(z, w, p[..., model.dim], p[..., model.dim + 1])
 
-    return ScalarField(fn=value, dim=total_dim(n), vectorized=True)
+    return ScalarField(fn=value, dim=total_dim(n))
 
 
 def dbar_scalar(n: int, p, tangent, scheme: FDScheme | None = None) -> complex:
@@ -685,13 +691,13 @@ def curvature_FZ_field(n: int) -> FormField:
     """F_Z on the real twistor coordinates: J^T C J, C = fz_coefficients, J = chart_jacobian."""
     model = FlatModel(n)
 
-    def value(p) -> FormValue:
+    def value(p) -> np.ndarray:
         pt = product_to_chart(*unpack_point(model, p))
         jac = chart_jacobian(model, p)
-        return FormValue.from_matrix(jac.T @ fz_coefficients(pt.v, pt.xi, pt.zeta) @ jac)
+        return FormValue.from_matrix(jac.T @ fz_coefficients(pt.v, pt.xi, pt.zeta) @ jac).comps
 
     return FormField(
-        fn=value,
+        fn=lambda rows: np.array([value(p) for p in rows]),
         degree=2,
         dim=total_dim(n),
         clearance=lambda p: float(np.hypot(p[-2], p[-1])),

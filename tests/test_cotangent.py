@@ -175,7 +175,7 @@ def test_omega1_restricts_to_base_form_on_zero_section():
 def test_omega1_closed_and_nondegenerate():
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda p: bg_omega1(CotangentPoint.from_coords(p), inner),
+        lambda ps: np.array([bg_omega1(CotangentPoint.from_coords(p), inner).comps for p in ps]),
         degree=2,
         dim=4,
     )
@@ -208,7 +208,7 @@ def test_curvature_restricts_to_base_form_on_zero_section():
 def test_curvature_closed():
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda p: bg_curvature(CotangentPoint.from_coords(p), inner),
+        lambda ps: np.array([bg_curvature(CotangentPoint.from_coords(p), inner).comps for p in ps]),
         degree=2,
         dim=4,
     )

@@ -1,8 +1,10 @@
-"""Every name a module exports through __all__, or a demo imports, must exist."""
+"""Every name a module exports through __all__, or a demo imports, must exist,
+and every demo runs to the end."""
 
 import ast
 import importlib
 import pkgutil
+import runpy
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,12 @@ def test_demo_imports_resolve(path):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out  # each demo prints what it checked
 
 
 def test_the_demos_are_found():

@@ -217,7 +217,9 @@ def test_curvature_is_closed():
     spec = CircleActionSpec(k=(0,), l=(1,))
     scheme = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda p: hyperholo_curvature(spec, p, scheme), degree=2, dim=4
+        lambda ps: np.array([hyperholo_curvature(spec, p, scheme).comps for p in ps]),
+        degree=2,
+        dim=4,
     )
     dF = ext_deriv(field, [0.2, -0.4, 0.5, 0.1], FDScheme(h=1e-2, order=2))
     assert dF.norm() < 1e-5

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hkgeom import cotangent
+from hkgeom import gibbonshawking as gh
 from hkgeom.errors import DomainError, MetricError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
 from hkgeom.forms import (
@@ -28,7 +30,7 @@ from hkgeom.forms import (
     type11_residual,
     wedge,
 )
-from hkgeom.twistor import log_hU_field, pack_point, twistor_structure
+from hkgeom.twistor import curvature_FZ_field, log_hU_field, pack_point, twistor_structure
 
 # Standard complex structure on R^2 = C (z = x + iy) and on R^4 = H
 # (z = x0 + i x1, w = x2 + i x3), columns are images of basis vectors.
@@ -54,6 +56,11 @@ K4 = I4 @ J4
 OMEGA1 = FormValue(2, 4, np.array([1.0, 0, 0, 0, 0, 1.0]))  # dx0^dx1 + dx2^dx3
 OMEGA2 = FormValue(2, 4, np.array([0, 1.0, 0, 0, -1.0, 0]))  # dx0^dx2 - dx1^dx3
 OMEGA3 = FormValue(2, 4, np.array([0, 0, 1.0, 1.0, 0, 0]))  # dx0^dx3 + dx1^dx2
+
+
+def _rows(fn):
+    """A batch callback that evaluates the one-point callback fn row by row."""
+    return lambda points: np.array([fn(x) for x in points])
 
 
 def test_basis_indices_shape():
@@ -158,14 +165,14 @@ def test_as_matrix_and_pullback_bitwise_equal_per_pair_evaluation():
 
 def test_ext_deriv_of_coordinate_function():
     # d(x1) = dx1 exactly (0-based index 0 here)
-    f = FormField(lambda p: FormValue(0, 3, [p[0]]), degree=0, dim=3)
+    f = FormField(lambda p: p[:, :1], degree=0, dim=3)
     dw = ext_deriv(f, [0.3, -0.2, 0.9], FDScheme(h=1e-3, order=4))
     assert np.allclose(dw.comps, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_ext_deriv_of_x1_dx2():
     f = FormField(
-        lambda p: FormValue(1, 3, [0.0, p[0], 0.0]), degree=1, dim=3
+        lambda p: np.stack([0.0 * p[:, 0], p[:, 0], 0.0 * p[:, 0]], axis=-1), degree=1, dim=3
     )  # x1 dx2
     dw = ext_deriv(f, [0.5, 0.1, -0.4], FDScheme(h=1e-3, order=4))
     assert np.allclose(dw.comps, [1.0, 0.0, 0.0], atol=1e-12)  # dx1^dx2
@@ -174,8 +181,8 @@ def test_ext_deriv_of_x1_dx2():
 def test_ext_deriv_closed_gradient_field():
     # dV for V = 1/|x| is exact, hence closed: residual < 1e-7.
     def dV(p):
-        r = np.linalg.norm(p)
-        return FormValue(1, 3, -p / r**3)
+        r = np.linalg.norm(p, axis=-1, keepdims=True)
+        return -p / r**3
 
     f = FormField(dV, degree=1, dim=3, clearance=lambda p: np.linalg.norm(p))
     ddV = ext_deriv(f, [1.0, 1.0, 1.0], FDScheme(h=1e-3, order=4))
@@ -184,7 +191,7 @@ def test_ext_deriv_closed_gradient_field():
 
 def test_ext_deriv_margin_rejection():
     f = FormField(
-        lambda p: FormValue(0, 2, [1.0 / np.linalg.norm(p)]),
+        lambda p: 1.0 / np.linalg.norm(p, axis=-1, keepdims=True),
         degree=0,
         dim=2,
         clearance=lambda p: np.linalg.norm(p),
@@ -196,13 +203,12 @@ def test_ext_deriv_margin_rejection():
 def test_d_squared_vanishes_on_smooth_fields():
     # d(dw) residual bounded by scheme error on a non-polynomial field
     def w(p):
-        return FormValue(
-            1, 3, [np.sin(p[1] * p[2]), np.exp(0.3 * p[0]), np.cos(p[0] + p[1])]
-        )
+        x0, x1, x2 = p.T
+        return np.stack([np.sin(x1 * x2), np.exp(0.3 * x0), np.cos(x0 + x1)], axis=-1)
 
     field = FormField(w, degree=1, dim=3)
     scheme = FDScheme(h=1e-2, order=4)
-    dfield = FormField(lambda p: ext_deriv(field, p, scheme), degree=2, dim=3)
+    dfield = FormField(_rows(lambda p: ext_deriv(field, p, scheme).comps), degree=2, dim=3)
     rng = np.random.default_rng(5)
     for _ in range(5):
         p = rng.uniform(-1, 1, size=3)
@@ -210,7 +216,7 @@ def test_d_squared_vanishes_on_smooth_fields():
 
 
 def test_ext_deriv_second_order_convergence():
-    f = FormField(lambda p: FormValue(0, 2, [np.sin(p[0]) * np.exp(p[1])]), 0, 2)
+    f = FormField(lambda p: np.sin(p[:, :1]) * np.exp(p[:, 1:]), 0, 2)
     p = np.array([0.4, -0.3])
     exact = np.array([np.cos(0.4) * np.exp(-0.3), np.sin(0.4) * np.exp(-0.3)])
     err = []
@@ -279,7 +285,7 @@ def test_fd_jacobian_exact_on_polynomials_up_to_roundoff(order, degree):
     def check(case, h):
         coefs, p = case
         scheme = FDScheme(h=h, order=order)
-        got = fd_jacobian(lambda x: _poly(coefs, x), p, scheme)
+        got = fd_jacobian(_rows(lambda x: _poly(coefs, x)), p, scheme)
         terms = sum(len(p) ** k for k in range(degree + 1))
         scale = _abs_scale(coefs, p, scheme.radius)
         bound = (terms + 3) * EPS * scale * WEIGHT_SUM[order] / h
@@ -304,8 +310,8 @@ def test_d_squared_vanishes_on_polynomial_forms(degree):
     def check(case, scheme):
         coefs, p = case
         dim = len(p)
-        w = FormField(lambda x: FormValue(degree, dim, _poly(coefs, x)), degree, dim)
-        dw = FormField(lambda x: ext_deriv(w, x, scheme), degree + 1, dim)
+        w = FormField(_rows(lambda x: _poly(coefs, x)), degree, dim)
+        dw = FormField(_rows(lambda x: ext_deriv(w, x, scheme).comps), degree + 1, dim)
         scale = _abs_scale(coefs, p, 2 * scheme.radius)
         bound = 6 * EPS * scale * (WEIGHT_SUM[scheme.order] / scheme.h) ** 2
         assert np.max(np.abs(ext_deriv(dw, p, scheme).comps)) <= bound
@@ -317,14 +323,14 @@ def test_d_squared_vanishes_on_polynomial_forms(degree):
 
 
 def test_dc_of_constant_is_zero():
-    f = ScalarField(lambda p: 3.7, dim=2)
+    f = ScalarField(lambda p: np.full(len(p), 3.7), dim=2)
     w = dc_deriv(f, I2, [0.1, 0.2])
     assert np.allclose(w.comps, 0.0, atol=1e-12)
 
 
 def test_ddc_of_z_squared_over_two():
     # dd^c(|z|^2/2) = 2 dx^dy = i dz^dzbar  (symbolic oracle value)
-    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=2)
+    f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=2)
     F = ddc(f, I2, [0.3, -0.8], FDScheme(h=1e-3, order=4))
     assert np.allclose(F.comps, [2.0], atol=1e-9)
 
@@ -332,7 +338,7 @@ def test_ddc_of_z_squared_over_two():
 def test_flat_moment_map_curvature_identity():
     # mu = -|w|^2/2 on H: omega1 + dd^c mu = dx0^dx1 - dx2^dx3,
     # i.e. (i/2)(dz^dzbar - dw^dwbar).
-    mu = ScalarField(lambda p: -0.5 * (p[2] ** 2 + p[3] ** 2), dim=4)
+    mu = ScalarField(lambda p: -0.5 * (p[:, 2] ** 2 + p[:, 3] ** 2), dim=4)
     rng = np.random.default_rng(6)
     expected = np.array([1.0, 0, 0, 0, 0, -1.0])
     for _ in range(5):
@@ -342,7 +348,7 @@ def test_flat_moment_map_curvature_identity():
 
 
 def test_dc_rejects_non_complex_structure():
-    f = ScalarField(lambda p: p[0], dim=2)
+    f = ScalarField(lambda p: p[:, 0], dim=2)
     with pytest.raises(StructureError):
         dc_deriv(f, np.eye(2), [0.0, 0.0])
 
@@ -351,10 +357,10 @@ def test_dc_rejects_non_complex_structure():
 
 
 def _nested_ddc(f, I, p, scheme, inner=None):
-    """Reference: ext_deriv of the d^c 1-form field, one point per callback."""
+    """Reference: ext_deriv of the d^c 1-form field, one d^c stencil per outer point."""
     inner = inner or scheme
     dc = FormField(
-        lambda q: dc_deriv(f, I, q, inner), degree=1, dim=f.dim, clearance=f.clearance
+        _rows(lambda q: dc_deriv(f, I, q, inner).comps), degree=1, dim=f.dim, clearance=f.clearance
     )
     return ext_deriv(dc, p, scheme)
 
@@ -376,8 +382,8 @@ def test_batched_ddc_equals_nested_constant_structure(scheme, inner):
         got = ddc(moment_field(spec), model.I, p, scheme, inner)
         want = _nested_ddc(moment_field(spec), model.I, p, scheme, inner)
         assert np.array_equal(got.comps, want.comps)
-    # a per-point callback goes through the row-by-row fallback
-    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    # a plain callback written for batches
+    f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     p = rng.uniform(-1.5, 1.5, size=4)
     got = ddc(f, I4, p, scheme, inner)
     assert np.array_equal(got.comps, _nested_ddc(f, I4, p, scheme, inner).comps)
@@ -410,7 +416,7 @@ def test_ddc_margin_checked_at_outer_points():
     # the inner one (h = 1e-2); the outer point 2e-3 closer does not
     a = np.array([0.0, 0.0])
     f = ScalarField(
-        lambda p: np.log(np.linalg.norm(p - a)),
+        lambda p: np.log(np.linalg.norm(p - a, axis=-1)),
         dim=2,
         clearance=lambda p: np.linalg.norm(p - a),
     )
@@ -429,35 +435,110 @@ def test_ddc_structure_checked_at_outer_points():
     def I(q):
         return I4 * (1.0 + np.linalg.norm(q - p0))
 
-    f = ScalarField(lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2), dim=4)
+    f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     dc_deriv(f, I, p0)
     with pytest.raises(StructureError):
         ddc(f, I, p0, FDScheme(h=1e-3, order=4))
 
 
-def test_scalar_field_batch_contract():
-    pts = np.random.default_rng(14).uniform(-1, 1, size=(7, 3))
-    looped = ScalarField(lambda p: float(np.sum(p**2)), dim=3)
-    batched = ScalarField(lambda p: np.sum(p**2, axis=-1), dim=3, vectorized=True)
-    assert looped(pts).shape == batched(pts).shape == (7,)
-    assert np.array_equal(looped(pts), batched(pts))
-    assert looped(pts[0]) == batched(pts[0])
+def _gh_chart_points(rng, m):
+    """(m, 4) chart points of GH_TWO away from its centres and the x1-axis."""
+    x1 = rng.uniform(-1.5, 2.5, m)
+    rho, phase = rng.uniform(0.3, 1.5, m), rng.uniform(0.0, 2 * np.pi, m)
+    return np.column_stack([x1, rho * np.cos(phase), rho * np.sin(phase), phase])
+
+
+def _twistor_points(rng, m, n):
+    """(m, 4n + 2) real twistor coordinates with |zeta| in [0.5, 1.5]."""
+    flat = rng.uniform(-1.0, 1.0, (m, 4 * n))
+    zeta = rng.uniform(0.5, 1.5, m) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, m))
+    return np.column_stack([flat, zeta.real, zeta.imag])
+
+
+# weights other than 1 make the products inexact, so a reduction whose
+# rounding depends on the batch size (a BLAS matmul) would show
+GH_TWO = gh.GHConfig(centers=(0.0, 1.0), weights=(0.7, 1.3), c=0.3)
+
+#: name -> (field or batch callable, (m, dim) points) for the library's field factories
+FIELD_FACTORIES = {
+    "moment_field": lambda rng: (
+        moment_field(CircleActionSpec(k=(1, 2), l=(1, 0))),
+        rng.uniform(-1.5, 1.5, (17, 8)),
+    ),
+    "log_hU_field": lambda rng: (log_hU_field(2), _twistor_points(rng, 17, 2)),
+    **{
+        f"cotangent.{name}": (
+            lambda rng, op=op: (cotangent._chart_field(op), rng.uniform(-0.8, 0.8, (17, 4)))
+        )
+        for name, op in (
+            ("h", cotangent.potential_h),
+            ("k", cotangent.potential_k),
+            ("mu", cotangent.bg_moment_map),
+        )
+    },
+    **{
+        f"kahler_field[{i}]": (
+            lambda rng, i=i: (gh.kahler_field(GH_TWO, i), _gh_chart_points(rng, 17))
+        )
+        for i in (1, 2, 3)
+    },
+    **{
+        f"ahat_field[{gauge}]": (
+            lambda rng, gauge=gauge: (
+                gh.ahat_field(GH_TWO, gauge, gauge_shift=0.7),
+                _gh_chart_points(rng, 17),
+            )
+        )
+        for gauge in gh.GAUGES
+    },
+    "MonopoleData.phi": lambda rng: (
+        gh.MonopoleData.from_config(GH_TWO).phi,
+        _gh_chart_points(rng, 17)[:, :3],
+    ),
+    "MonopoleData.A": lambda rng: (
+        gh.MonopoleData.from_config(GH_TWO, "string-up").A,
+        _gh_chart_points(rng, 17)[:, :3],
+    ),
+    "curvature_FZ_field": lambda rng: (curvature_FZ_field(2), _twistor_points(rng, 17, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_FACTORIES))
+def test_field_factories_keep_the_batch_contract(name):
+    # every batch row has the bits of that point evaluated alone; a form
+    # field on one point gives a FormValue
+    field, points = FIELD_FACTORIES[name](np.random.default_rng(14))
+    batch = field(points)
+    assert len(batch) == len(points)
+    for row, p in zip(batch, points):
+        alone = field(p)
+        if isinstance(field, FormField):
+            assert isinstance(alone, FormValue)
+            alone = alone.comps
+        assert np.array_equal(row, alone)
+
+
+def test_form_field_rejects_a_batch_of_the_wrong_shape():
+    field = FormField(lambda p: p, degree=1, dim=2)
+    assert field(np.zeros((3, 2))).shape == (3, 2)
+    with pytest.raises(ValueError):
+        FormField(lambda p: p, degree=2, dim=4)(np.zeros((3, 4)))
 
 
 # -- Laplacian ----------------------------------------------------------------
 
 
 def test_laplacian_quadratics():
-    f = ScalarField(lambda p: p[0] ** 2, dim=3)
+    f = ScalarField(lambda p: p[:, 0] ** 2, dim=3)
     assert np.isclose(laplacian(f, [0.2, 0.3, 0.4]), 2.0, atol=1e-8)
-    g = ScalarField(lambda p: np.dot(p, p), dim=3)
+    g = ScalarField(lambda p: np.sum(p * p, axis=-1), dim=3)
     assert np.isclose(laplacian(g, [0.5, -0.1, 0.2]), 6.0, atol=1e-8)
 
 
 def test_laplacian_harmonic_kernel():
     a = np.array([0.2, -0.1, 0.05])
     f = ScalarField(
-        lambda p: 1.0 / np.linalg.norm(p - a),
+        lambda p: 1.0 / np.linalg.norm(p - a, axis=-1),
         dim=3,
         clearance=lambda p: np.linalg.norm(p - a),
     )
@@ -511,10 +592,11 @@ def test_hodge_star_spherical_gauge_potential():
     # V = 1/(2r) with azimuthal angle about the x1-axis:
     # *dV = d[(1/2)(x1/r) dphi]  (closed-form spherical oracle)
     def alpha(p):
-        r = np.linalg.norm(p)
-        rho2 = p[1] ** 2 + p[2] ** 2
-        coef = 0.5 * p[0] / r
-        return FormValue(1, 3, [0.0, -coef * p[2] / rho2, coef * p[1] / rho2])
+        x0, x1, x2 = p.T
+        r = np.linalg.norm(p, axis=-1)
+        rho2 = x1**2 + x2**2
+        coef = 0.5 * x0 / r
+        return np.stack([0.0 * r, -coef * x2 / rho2, coef * x1 / rho2], axis=-1)
 
     def dV(p):
         r = np.linalg.norm(p)
@@ -577,22 +659,19 @@ def test_type11_rejects_non_structure():
 
 
 def test_surface_integral_unit_square():
-    w = FormField(
-        lambda p: FormValue.from_dict(2, 3, {(0, 1): 1.0}), degree=2, dim=3
-    )
-    val = surface_integral(w, lambda s, t: np.array([s, t, 0.0]), resolution=4)
+    w = FormField(lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1)), degree=2, dim=3)  # dx0^dx1
+    val = surface_integral(w, lambda st: np.column_stack([st, 0.0 * st[:, 0]]), resolution=4)
     assert np.isclose(val, 1.0, atol=1e-12)
 
 
 def test_surface_integral_unit_sphere_area():
     def area_form(p):
-        return FormValue.from_dict(
-            2, 3, {(1, 2): p[0], (2, 0): p[1], (0, 1): p[2]}
-        )
+        # x0 dx1^dx2 + x1 dx2^dx0 + x2 dx0^dx1 on the basis (01, 02, 12)
+        return np.stack([p[:, 2], -p[:, 1], p[:, 0]], axis=-1)
 
-    def sphere(s, t):
-        th, ph = np.pi * s, 2 * np.pi * t
-        return np.array([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
+    def sphere(st):
+        th, ph = np.pi * st[:, 0], 2 * np.pi * st[:, 1]
+        return np.column_stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
 
     w = FormField(area_form, degree=2, dim=3)
     val = surface_integral(w, sphere, resolution=8)
@@ -600,14 +679,15 @@ def test_surface_integral_unit_sphere_area():
 
 
 def test_surface_integral_refinement_converges():
-    def warped(s, t):
-        return np.array([s + 0.1 * np.sin(np.pi * t), t, 0.2 * s * t])
+    def warped(st):
+        s, t = st.T
+        return np.column_stack([s + 0.1 * np.sin(np.pi * t), t, 0.2 * s * t])
 
-    w = FormField(
-        lambda p: FormValue.from_dict(2, 3, {(0, 1): np.cos(p[0] * p[1])}),
-        degree=2,
-        dim=3,
-    )
+    def w_comps(p):  # cos(x0 x1) dx0^dx1
+        c = np.cos(p[:, 0] * p[:, 1])
+        return np.stack([c, 0.0 * c, 0.0 * c], axis=-1)
+
+    w = FormField(w_comps, degree=2, dim=3)
     coarse = surface_integral(w, warped, resolution=2)
     fine = surface_integral(w, warped, resolution=8)
     finest = surface_integral(w, warped, resolution=16)

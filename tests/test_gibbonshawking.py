@@ -15,7 +15,6 @@ from hkgeom.forms import (
     interior_product,
     laplacian,
     pullback,
-    riemann_tensor,
     wedge,
 )
 from hkgeom.gibbonshawking import (
@@ -23,13 +22,13 @@ from hkgeom.gibbonshawking import (
     GHPoint,
     MonopoleData,
     ahat_curvature,
+    alpha_field,
     asd_residual,
     axis_profiles,
     center_clearance,
     chart_clearance,
     connection_Ahat,
     f_segment_values,
-    flat_calibration_config,
     gauge_transition_jacobian,
     gh_alpha,
     gh_kahler_triple,
@@ -142,15 +141,10 @@ def test_monopole_phi_harmonic():
 def test_alpha_solves_star_dV(gauge):
     rng = np.random.default_rng(9)
     cfg = TWO
-    alpha_field = FormField(
-        lambda x: gh_alpha(cfg, GHPoint(tuple(x), 0.0, gauge)),
-        1,
-        3,
-        clearance=lambda x: chart_clearance(cfg)(np.array([*x, 0.0])),
-    )
+    field = alpha_field(cfg, gauge)
     scheme = FDScheme(h=1e-3, order=4)
     for x in sample_points(cfg, 12, rng):
-        dalpha = ext_deriv(alpha_field, x, scheme)
+        dalpha = ext_deriv(field, x, scheme)
         dv = FormValue(1, 3, potential_gradient(cfg, x))
         star_dv = hodge_star(np.eye(3), 1, dv)
         assert np.max(np.abs((dalpha - star_dv).comps)) < 1e-6
@@ -160,12 +154,7 @@ def test_monopole_pair_dA_star_dphi():
     rng = np.random.default_rng(10)
     cfg = THREE
     data = MonopoleData.from_config(cfg)
-    a_field = FormField(
-        lambda x: data.A(x),
-        1,
-        3,
-        clearance=lambda x: chart_clearance(cfg)(np.array([*x, 0.0])),
-    )
+    a_field = FormField(data.A, 1, 3, clearance=chart_clearance(cfg))
     scheme = FDScheme(h=1e-3, order=4)
     for x in sample_points(cfg, 10, rng):
         da = ext_deriv(a_field, x, scheme)
@@ -270,28 +259,6 @@ def test_kahler_forms_closed(i):
         p = np.array([*x, rng.uniform(0, 2 * np.pi)])
         dw = ext_deriv(field, p, scheme)
         assert np.max(np.abs(dw.comps)) < 1e-6
-
-
-def test_flat_calibration_case_is_flat():
-    cfg = flat_calibration_config()
-    rng = np.random.default_rng(20)
-
-    def metric_fn(p):
-        return gh_metric(cfg, GHPoint(tuple(p[:3]), p[3], "string-down"))
-
-    for x in sample_points(cfg, 3, rng, min_clear=0.6, box=1.5):
-        p = np.array([*x, rng.uniform(0, 2 * np.pi)])
-        riem = riemann_tensor(metric_fn, p)
-        assert np.max(np.abs(riem)) < 1e-4
-
-
-def test_two_center_space_is_curved():
-    def metric_fn(p):
-        return gh_metric(TWO, GHPoint(tuple(p[:3]), p[3], "string-down"))
-
-    p = np.array([0.5, 0.9, 0.4, 0.3])
-    riem = riemann_tensor(metric_fn, p)
-    assert np.max(np.abs(riem)) > 1e-3
 
 
 # -- anti-self-dual connection --------------------------------------------------------

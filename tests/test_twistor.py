@@ -539,3 +539,33 @@ def test_vertical_lift_is_chart_differential():
         assert np.max(np.abs((plus.v - minus.v) / (2 * h) - tv)) < 1e-9
         assert np.max(np.abs((plus.xi - minus.xi) / (2 * h) - txi)) < 1e-9
         assert tzeta == 0.0
+
+
+# -- tangent lengths -------------------------------------------------------------
+
+_V2, _XI2, _ZETA = np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.8 + 0.3j
+_GOOD = (np.ones(2), np.ones(2), 0.5)
+_SHORT = (np.ones(1), np.ones(1), 0.5)
+
+#: every closed form that takes a chart tangent, called at n = 2
+_TANGENT_CALLS = {
+    "curvature_FZ[s]": lambda t: curvature_FZ(_V2, _XI2, _ZETA, t, _GOOD),
+    "curvature_FZ[t]": lambda t: curvature_FZ(_V2, _XI2, _ZETA, _GOOD, t),
+    "action_invariance_residual": lambda t: action_invariance_residual(
+        CircleActionSpec(k=(1, 1), l=(1, 1)), ChartPoint(_V2, _XI2, _ZETA), t
+    ),
+    "mero_connection": lambda t: mero_connection(1, _V2, _XI2, _ZETA, t),
+    "overlap_potential_d": lambda t: twistor.overlap_potential_d(_V2, _XI2, _ZETA, t),
+    "semifree_AU": lambda t: semifree_AU(_V2, _XI2, _ZETA, t),
+    "semifree_AV": lambda t: twistor.semifree_AV(_V2, _XI2, _ZETA, t),
+    "connection_pair_residual": lambda t: connection_pair_residual(_V2, _XI2, _ZETA, t),
+    "transition_pushforward": lambda t: transition_pushforward(ChartPoint(_V2, _XI2, _ZETA), t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TANGENT_CALLS))
+def test_tangent_length_must_match_n(name):
+    call = _TANGENT_CALLS[name]
+    call(_GOOD)
+    with pytest.raises(ConfigError, match="length 2"):
+        call(_SHORT)
