@@ -47,7 +47,7 @@ print("\n|canonical-connection curvature - (omega-bar_1 + dd^c(mu-bar/2))| =",
       f"{np.max(np.abs((canonical - descended).comps)):.3e}")
 
 chart = QuotientChart(action, lsp)
-s1 = chart.structure(np.zeros(4), 1)
+s1 = chart.structure(chart.jet(np.zeros((1, 4))), 1)[0]
 print("chart structure check  max|S1^2 + Id| =",
       f"{np.max(np.abs(s1 @ s1 + np.eye(4))):.2e}")
 

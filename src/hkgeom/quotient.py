@@ -21,7 +21,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .forms import (
     _stencil_derivatives,
     _stencil_points,
     ext_deriv,
-    interior_product,
     pullback,
 )
 
@@ -64,6 +62,8 @@ _CHART_NEWTON_TOL = 1e-14
 _CHART_MAX_ITER = 60
 #: stencil for the chart tangents d point / d xi (and the chart gradients)
 _CHART_TANGENT_SCHEME = FDScheme(h=1e-4, order=4)
+#: outer stencil of the descended and canonical curvature forms
+_CURVATURE_SCHEME = FDScheme(h=2e-3, order=4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +211,7 @@ class LevelSetPoint:
         """The oriented horizontal frame (see ``horizontal_frame``).
 
         Built on first use and kept, read-only, so every consumer of this
-        point (charts, samples, descended data, multi-centre coordinates)
-        shares one frame.
+        point (charts, samples, descended data) shares one frame.
         """
         vert = _vertical_frame(self)
         dim = self.point.size
@@ -441,13 +440,12 @@ class QuotientChart:
     point(xi) projects m0 + frame.xi back onto the level set.  It takes one
     chart point (k,) or a batch (m, k) and retracts all rows in one
     vectorised Newton solve; each row converges on its own, so a batch row
-    equals that point retracted alone.  Tangents, pulled-back forms, the
-    induced metric (orbit directions projected out), complex structures
-    and gradients are finite-difference consumers of that map: the chart
-    retracts xi together with its whole stencil in one batch and keeps the
-    batch of the last (xi, scheme), so tangents, metric, structure and a
-    gradient at the same xi and scheme share one retraction.  The frame is
-    the level-set point's own (``lsp.frame``).
+    equals that point retracted alone.  ``jet`` retracts a batch of chart
+    points together with their whole tangent stencil in one such solve.
+    The pulled-back Kahler forms, the induced metric (orbit directions
+    projected out), the complex structures and the connection form are
+    array functions of a jet, so every quantity at the same points shares
+    one retraction.  The frame is the level-set point's own (``lsp.frame``).
     """
 
     def __init__(self, action: LinearAction, lsp: LevelSetPoint):
@@ -455,8 +453,8 @@ class QuotientChart:
         self.lsp = lsp
         self.frame = horizontal_frame(action, lsp)
         self._target = lsp.level.target().ravel()
-        self._triple = action.model.kahler_triple()
-        self._last = None  # ((xi bytes, scheme), retracted xi, retracted stencil)
+        self._omega = tuple(w.as_matrix() for w in action.model.kahler_triple())
+        self._generators = np.array(action.generators)
 
     @property
     def dim(self) -> int:
@@ -483,81 +481,77 @@ class QuotientChart:
             m[todo] += (jac_t @ np.linalg.solve(jac @ jac_t, -res[:, :, None]))[:, :, 0]
         raise ConvergenceError("chart retraction did not converge")
 
-    def _retracted(self, xi, scheme: FDScheme = _CHART_TANGENT_SCHEME):
-        """(point(xi), point at every stencil point of xi), in one batch."""
+    def jet(self, xi):
+        """(points, tangents, stencil) of chart points xi (k, K), from one ``point`` call.
+
+        points (k, N) retracts xi into H^n, tangents (k, N, K) holds
+        d point / d xi, and stencil retracts the stencil of xi, so that
+        ``_stencil_derivatives(f(stencil), k, _CHART_TANGENT_SCHEME)`` is the
+        chart gradient at each row of any batch function f of the point.
+        """
         xi = np.asarray(xi, dtype=float)
-        key = (xi.tobytes(), scheme)
-        if self._last is None or self._last[0] != key:
-            rows = self.point(np.vstack([xi, _stencil_points(xi[None, :], scheme)]))
-            rows.flags.writeable = False
-            self._last = (key, rows[0], rows[1:])
-        return self._last[1:]
+        if xi.ndim != 2 or xi.shape[1] != self.dim:
+            raise ConfigError(f"jet takes a batch of chart points (k, {self.dim})")
+        rows = self.point(np.vstack([xi, _stencil_points(xi, _CHART_TANGENT_SCHEME)]))
+        points, stencil = rows[: len(xi)], rows[len(xi) :]
+        tangents = _stencil_derivatives(stencil, len(xi), _CHART_TANGENT_SCHEME)
+        return points, np.ascontiguousarray(tangents.transpose(0, 2, 1)), stencil
 
-    def _derivative(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
-        """D[i] = d_i fn(point(xi)); fn gets the retracted stencil as one batch."""
-        _, stencil = self._retracted(xi, scheme)
-        return _stencil_derivatives(fn(stencil), 1, scheme)[0]
+    def omega_bar(self, jet, i: int) -> np.ndarray:
+        """omega_i pulled back to the chart at each jet point, as (k, K, K) matrices."""
+        _, tangents, _ = jet
+        return tangents.transpose(0, 2, 1) @ self._omega[i - 1] @ tangents
 
-    def tangents(self, xi) -> np.ndarray:
-        jac = self._derivative(lambda pts: pts, xi, _CHART_TANGENT_SCHEME)
-        return np.ascontiguousarray(jac.T)
+    def _orbit_split(self, jet):
+        """(coef, T - O coef) for the orbit O = (G_a p): coef = (O^T O)^{-1} O^T T."""
+        points, tangents, _ = jet
+        orbit_t = (self._generators @ points[:, None, :, None])[..., 0]
+        coef = np.linalg.solve(orbit_t @ orbit_t.transpose(0, 2, 1), orbit_t @ tangents)
+        return coef, tangents - orbit_t.transpose(0, 2, 1) @ coef
 
-    def form(self, xi, w: FormValue) -> FormValue:
-        return pullback(w, self.tangents(xi))
+    def metric(self, jet) -> np.ndarray:
+        """Quotient metric (k, K, K) at each jet point: the horizontal Gram matrix."""
+        _, horizontal = self._orbit_split(jet)
+        return horizontal.transpose(0, 2, 1) @ horizontal
 
-    def omega_bar(self, xi, i: int) -> FormValue:
-        return self.form(xi, self._triple[i - 1])
+    def structure(self, jet, i: int) -> np.ndarray:
+        """Quotient complex structure -g^{-1} omega_bar_i (k, K, K) at each jet point."""
+        return -np.linalg.solve(self.metric(jet), self.omega_bar(jet, i))
 
-    def metric(self, xi, tangents=None) -> np.ndarray:
-        tang = self.tangents(xi) if tangents is None else tangents
-        p, _ = self._retracted(xi)
-        orbit = _mgs_pivoted(
-            [g @ p for g in self.action.generators], self.action.dim_g
-        )
-        horiz = tang - orbit @ (orbit.T @ tang)
-        return horiz.T @ horiz
-
-    def structure(self, xi, i: int) -> np.ndarray:
-        tang = self.tangents(xi)
-        matrix = pullback(self._triple[i - 1], tang).as_matrix()
-        return -np.linalg.solve(self.metric(xi, tang), matrix)
-
-    def scalar_gradient(self, fn: Callable, xi, scheme: FDScheme) -> np.ndarray:
-        """Gradient of fn o point at xi; fn maps the retracted stencil, (m, dim) -> (m,)."""
-        return self._derivative(fn, xi, scheme)
+    def theta(self, jet, chi) -> np.ndarray:
+        """Canonical connection form chi(orbit part of the tangents), (k, K)."""
+        coef, _ = self._orbit_split(jet)
+        return np.asarray(chi, dtype=float) @ coef
 
 
 def moment_descent_residual(
     action: LinearAction,
     rotator: CircleActionSpec,
     lsp: LevelSetPoint,
-    scheme: FDScheme | None = None,
 ) -> float:
     """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart."""
-    scheme = scheme or FDScheme(h=1e-4, order=4)
     chart = QuotientChart(action, lsp)
     x_bar, _ = descended_circle_data(action, rotator, lsp)
-    grad = chart.scalar_gradient(moment_field(rotator), np.zeros(chart.dim), scheme)
-    covec = interior_product(x_bar, chart.omega_bar(np.zeros(chart.dim), 1))
-    return float(np.max(np.abs(grad - covec.comps)))
+    jet = chart.jet(np.zeros((1, chart.dim)))
+    grad = _stencil_derivatives(moment_field(rotator)(jet[2]), 1, _CHART_TANGENT_SCHEME)[0]
+    covec = x_bar @ chart.omega_bar(jet, 1)[0]
+    return float(np.max(np.abs(grad - covec)))
 
 
 def descended_curvature(
     action: LinearAction,
     rotator: CircleActionSpec,
     lsp: LevelSetPoint,
-    scheme: FDScheme | None = None,
 ) -> FormValue:
     """omega_bar_1 + dd^c(mu_bar / degree) on the quotient chart at xi = 0.
 
     This is the descent of the flat curvature form: the restricted moment
     map is divided by the rotator's rotation degree on the form pencil,
-    matching the flat-space normalisation.
+    matching the flat-space normalisation.  d^c(mu_bar / degree) is one
+    batch callback taking the structure and gradient from one jet.
     """
-    scheme = scheme or FDScheme(h=2e-3, order=4)
-    inner = FDScheme(h=1e-4, order=4)
     chart = QuotientChart(action, lsp)
-    base = chart.omega_bar(np.zeros(chart.dim), 1)
+    base = FormValue.from_matrix(chart.omega_bar(chart.jet(np.zeros((1, chart.dim))), 1)[0])
     degree = rotator.degree
     if degree == 0:
         return base
@@ -565,19 +559,19 @@ def descended_curvature(
     mu = moment_field(rotator)
 
     def dc_form(xi):
-        s_bar = chart.structure(xi, 1)
-        grad = chart.scalar_gradient(mu, xi, inner)
-        return -s_bar.T @ (grad / degree)
+        jet = chart.jet(xi)
+        grad = _stencil_derivatives(mu(jet[2]), len(xi), _CHART_TANGENT_SCHEME) / degree
+        s_bar_t = chart.structure(jet, 1).transpose(0, 2, 1)
+        return -(s_bar_t @ grad[:, :, None])[:, :, 0]
 
-    dc = FormField(lambda rows: np.array([dc_form(xi) for xi in rows]), degree=1, dim=chart.dim)
-    return base + ext_deriv(dc, np.zeros(chart.dim), scheme)
+    dc = FormField(dc_form, degree=1, dim=chart.dim)
+    return base + ext_deriv(dc, np.zeros(chart.dim), _CURVATURE_SCHEME)
 
 
 def canonical_bundle_curvature(
     action: LinearAction,
     chi,
     lsp: LevelSetPoint,
-    scheme: FDScheme | None = None,
 ) -> FormValue:
     """Curvature of the canonical connection of the chi-weight line bundle.
 
@@ -592,20 +586,11 @@ def canonical_bundle_curvature(
         raise ConfigError("one weight per generator required")
     if not lsp.level.is_integral:
         warnings.warn("level is not integral: no global line bundle descends")
-    scheme = scheme or FDScheme(h=2e-3, order=4)
     chart = QuotientChart(action, lsp)
     if np.all(chi == 0.0):
         return FormValue(2, chart.dim)
-
-    def theta(xi):
-        tang = chart.tangents(xi)
-        p, _ = chart._retracted(xi)
-        orbit = np.column_stack([g @ p for g in action.generators])
-        coef = np.linalg.solve(orbit.T @ orbit, orbit.T @ tang)
-        return chi @ coef
-
-    field = FormField(lambda rows: np.array([theta(xi) for xi in rows]), degree=1, dim=chart.dim)
-    return -ext_deriv(field, np.zeros(chart.dim), scheme)
+    field = FormField(lambda xi: chart.theta(chart.jet(xi), chi), degree=1, dim=chart.dim)
+    return -ext_deriv(field, np.zeros(chart.dim), _CURVATURE_SCHEME)
 
 
 # -- multi-centre coordinates ----------------------------------------------------------
@@ -622,8 +607,8 @@ def gh_coordinates(
     """Coordinates (x, V) of the quotient in multi-centre potential form.
 
     x is the moment triple of the residual triholomorphic circle and
-    V^{-1} the squared length of its horizontal field in the quotient
-    metric.  `scale` runs the circle at a multiple of the given speed.
+    V^{-1} the squared length of its horizontal field (the velocity minus
+    its vertical part).  `scale` runs the circle at a multiple of the given speed.
     """
     gen = scale * action_generator(triholo)
     if gen.shape[0] != action.dim:
@@ -636,9 +621,9 @@ def gh_coordinates(
     m = lsp.point
     velocity = gen @ m
     x = np.array([0.5 * np.dot(s @ velocity, m) for s in structures])
-    frame = lsp.frame
-    x_bar = frame.T @ velocity
-    v_inv = float(x_bar @ (frame.T @ frame) @ x_bar)
+    vert = _vertical_frame(lsp)
+    horizontal = velocity - vert @ (vert.T @ velocity)
+    v_inv = float(horizontal @ horizontal)
     if v_inv < 1e-12:
         raise DomainError("residual circle fixes this sample point")
     return x, 1.0 / v_inv

@@ -511,9 +511,10 @@ def _q_type11(rng, cfg: RunConfig) -> float:
     gaps = []
     for lsp in _level_points(action, rng, cfg):
         chart = qt.QuotientChart(action, lsp)
+        jet = chart.jet(np.zeros((1, chart.dim)))
         F = qt.descended_curvature(action, rotator, lsp)
         for i in (1, 2, 3):
-            S = chart.structure(np.zeros(chart.dim), i)
+            S = chart.structure(jet, i)[0]
             gaps.append(type11_residual(F, S, structure_tol=1e-4))
     return _worst(gaps)
 

@@ -43,6 +43,7 @@ from .forms import (
     FormField,
     FormValue,
     ScalarField,
+    _pair_indices,
     ddc,
     ext_deriv,
     fd_gradient,
@@ -267,21 +268,25 @@ def mero_connection(n_char: int, v, xi, zeta: complex, tangent) -> complex:
     )
 
 
-def fz_coefficients(v, xi, zeta: complex) -> np.ndarray:
+def fz_coefficients(v, xi, zeta) -> np.ndarray:
     """Curvature of the meromorphic connection in the chart coframe (dv, dxi, dzeta).
 
     F_Z = (1/zeta) sum_i dxi_i ^ dv_i - (1/2 zeta^2) dzeta ^ b with
     b = sum_i (xi_i dv_i - v_i dxi_i), as the antisymmetric matrix C with
     F_Z(s, t) = s^T C t.  The logarithmic term of the connection is closed
-    and drops out, so F_Z does not depend on the fibre weight.
+    and drops out, so F_Z does not depend on the fibre weight.  v and xi
+    are (..., n) and zeta has their leading shape: one point gives C as
+    (2n+1, 2n+1), a batch gives one C per row.
     """
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    zeta = _off_zero(zeta, "curvature has a pole at zeta = 0")
-    n = len(v)
-    half = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)  # C = half - half^T
-    half[n : 2 * n, :n] = np.eye(n) / zeta
-    half[2 * n, : 2 * n] = np.concatenate([-xi, v]) / (2.0 * zeta**2)
-    return half - half.T
+    v, xi = np.asarray(v, dtype=complex), np.asarray(xi, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    if np.any(zeta == 0):
+        raise DomainError("curvature has a pole at zeta = 0")
+    n = v.shape[-1]
+    half = np.zeros(v.shape[:-1] + (2 * n + 1, 2 * n + 1), dtype=complex)  # C = half - half^T
+    half[..., n : 2 * n, :n] = np.eye(n) / zeta[..., None]
+    half[..., 2 * n, : 2 * n] = np.concatenate([-xi, v], axis=-1) / (2.0 * zeta**2)
+    return half - np.swapaxes(half, -1, -2)
 
 
 def curvature_FZ(v, xi, zeta: complex, s_tangent, t_tangent) -> complex:
@@ -510,28 +515,31 @@ def pack_point(model: FlatModel, z, w, zeta: complex) -> np.ndarray:
 
 
 def unpack_point(model: FlatModel, p):
+    """(z, w, zeta) of one point (4n+2,) or of each row of a batch (..., 4n+2)."""
     p = np.asarray(p, dtype=float)
-    z, w = model.to_complex(p[: model.dim])
-    return z, w, complex(p[model.dim], p[model.dim + 1])
+    z, w = model.to_complex(p[..., : model.dim])
+    return z, w, p[..., model.dim] + 1j * p[..., model.dim + 1]
 
 
 def chart_jacobian(model: FlatModel, p) -> np.ndarray:
-    """Complex Jacobian of the chart functions (v, xi, zeta) in real coordinates."""
+    """Complex Jacobian of the chart functions (v, xi, zeta) in real coordinates.
+
+    p is one point (4n+2,), giving (2n+1, 4n+2), or a batch (..., 4n+2),
+    giving one Jacobian per row.
+    """
     z, w, zeta = unpack_point(model, p)
+    zeta = zeta[..., None]
     n = model.n
-    dim = total_dim(n)
-    jac = np.zeros((2 * n + 1, dim), dtype=complex)
-    for i in range(n):
-        zr, zi = model.z_slots(i)
-        wr, wi = model.w_slots(i)
-        jac[i, zr], jac[i, zi] = 1.0, 1.0j
-        jac[i, wr], jac[i, wi] = zeta, -1.0j * zeta
-        jac[i, 4 * n], jac[i, 4 * n + 1] = np.conj(w[i]), 1.0j * np.conj(w[i])
-        jac[n + i, wr], jac[n + i, wi] = 1.0, 1.0j
-        jac[n + i, zr], jac[n + i, zi] = -zeta, 1.0j * zeta
-        jac[n + i, 4 * n] = -np.conj(z[i])
-        jac[n + i, 4 * n + 1] = -1.0j * np.conj(z[i])
-    jac[2 * n, 4 * n], jac[2 * n, 4 * n + 1] = 1.0, 1.0j
+    i = np.arange(n)
+    (zr, zi), (wr, wi) = model.z_slots(i), model.w_slots(i)
+    jac = np.zeros(zeta.shape[:-1] + (2 * n + 1, total_dim(n)), dtype=complex)
+    jac[..., i, zr], jac[..., i, zi] = 1.0, 1.0j
+    jac[..., i, wr], jac[..., i, wi] = zeta, -1.0j * zeta
+    jac[..., i, 4 * n], jac[..., i, 4 * n + 1] = np.conj(w), 1.0j * np.conj(w)
+    jac[..., n + i, wr], jac[..., n + i, wi] = 1.0, 1.0j
+    jac[..., n + i, zr], jac[..., n + i, zi] = -zeta, 1.0j * zeta
+    jac[..., n + i, 4 * n], jac[..., n + i, 4 * n + 1] = -np.conj(z), -1.0j * np.conj(z)
+    jac[..., 2 * n, 4 * n], jac[..., 2 * n, 4 * n + 1] = 1.0, 1.0j
     return jac
 
 
@@ -690,14 +698,17 @@ def hermitian_curvature_residual(
 def curvature_FZ_field(n: int) -> FormField:
     """F_Z on the real twistor coordinates: J^T C J, C = fz_coefficients, J = chart_jacobian."""
     model = FlatModel(n)
+    rows, cols = _pair_indices(total_dim(n))
 
     def value(p) -> np.ndarray:
-        pt = product_to_chart(*unpack_point(model, p))
+        z, w, zeta = unpack_point(model, p)
+        v = z + zeta[:, None] * np.conj(w)  # product_to_chart on every row
+        xi = w - zeta[:, None] * np.conj(z)
         jac = chart_jacobian(model, p)
-        return FormValue.from_matrix(jac.T @ fz_coefficients(pt.v, pt.xi, pt.zeta) @ jac).comps
+        return (jac.transpose(0, 2, 1) @ fz_coefficients(v, xi, zeta) @ jac)[:, rows, cols]
 
     return FormField(
-        fn=lambda rows: np.array([value(p) for p in rows]),
+        fn=value,
         degree=2,
         dim=total_dim(n),
         clearance=lambda p: float(np.hypot(p[-2], p[-1])),

@@ -15,6 +15,7 @@ from hkgeom import quotient, suites
 from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field, moment_map
 from hkgeom.forms import (
     FDScheme,
+    ScalarField,
     fd_gradient,
     fd_jacobian,
     type11_residual,
@@ -275,8 +276,12 @@ def test_chart_anchors_at_base_point():
     chart = QuotientChart(ACTION, lsp)
     assert chart.dim == 4
     assert np.max(np.abs(chart.point(np.zeros(4)) - lsp.point)) < 1e-12
-    assert np.max(np.abs(chart.tangents(np.zeros(4)) - chart.frame)) < 1e-8
-    assert np.max(np.abs(chart.metric(np.zeros(4)) - np.eye(4))) < 1e-8
+    jet = chart.jet(np.zeros((1, 4)))
+    assert np.max(np.abs(jet[0][0] - lsp.point)) < 1e-12
+    assert np.max(np.abs(jet[1][0] - chart.frame)) < 1e-8
+    assert np.max(np.abs(chart.metric(jet)[0] - np.eye(4))) < 1e-8
+    with pytest.raises(ConfigError):
+        chart.jet(np.zeros(4))  # one point, not a batch
 
 
 def test_curvature_constructions_agree_on_samples():
@@ -293,9 +298,40 @@ def test_canonical_curvature_type_1_1():
     lsp = solved(rng)
     f = canonical_bundle_curvature(ACTION, (1.0,), lsp)
     chart = QuotientChart(ACTION, lsp)
+    jet = chart.jet(np.zeros((1, 4)))
     for i in (1, 2, 3):
-        s = chart.structure(np.zeros(4), i)
+        s = chart.structure(jet, i)[0]
         assert type11_residual(f, s, structure_tol=1e-6) < 1e-5
+
+
+def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
+    # mu scaled by 1 + 1e-3: d mu_bar leaves i_{X_bar} omega_bar_1, and the
+    # descended form leaves the canonical curvature by 1e-3 dd^c mu_bar
+    moment = quotient.moment_field
+
+    def scaled(spec):
+        field = moment(spec)
+        return ScalarField(lambda p: (1.0 + 1e-3) * field.fn(p), dim=field.dim)
+
+    monkeypatch.setattr(quotient, "moment_field", scaled)
+    cfg = suites.RunConfig(suite="quotient")
+    for check_id in (
+        "quotient.moment.descent",
+        "quotient.curvature.match",
+        "quotient.curvature.type11",
+    ):
+        rec = suites.run_check(cfg, check_id)
+        assert not rec.passed, (check_id, rec.residual)
+    # blind spot: omega_bar_1 + s dd^c mu_bar is of type (1,1) for I_bar at
+    # every scale s, so the type check sees the scaling only through J_bar
+    # and K_bar
+    lsp = solved(np.random.default_rng(47))
+    chart = QuotientChart(ACTION, lsp)
+    jet = chart.jet(np.zeros((1, 4)))
+    F = descended_curvature(ACTION, eh_rotator(), lsp)
+    assert type11_residual(F, chart.structure(jet, 1)[0], structure_tol=1e-4) < 1e-5
+    for i in (2, 3):
+        assert type11_residual(F, chart.structure(jet, i)[0], structure_tol=1e-4) > 1e-5
 
 
 def test_canonical_curvature_trivial_character():
@@ -424,17 +460,46 @@ def test_shared_stencil_matches_fd_over_batched_point():
     scheme = quotient._CHART_TANGENT_SCHEME
     mu = moment_field(eh_rotator())
     for xi in (np.zeros(4), 1e-3 * rng.standard_normal(4)):
+        points, tangents, stencil = jet = chart.jet(xi[None, :])
         want = fd_jacobian(chart.point, xi, scheme)
-        assert np.max(np.abs(chart.tangents(xi) - want)) < 1e-12
+        assert np.max(np.abs(tangents[0] - want)) < 1e-12
         grad = fd_gradient(lambda y: mu(chart.point(y)), xi, scheme)
-        assert np.max(np.abs(chart.scalar_gradient(mu, xi, scheme) - grad)) < 1e-12
-        assert np.max(np.abs(chart.metric(xi) - chart.metric(xi, want))) < 1e-12
+        from_jet = quotient._stencil_derivatives(mu(stencil), 1, scheme)[0]
+        assert np.max(np.abs(from_jet - grad)) < 1e-12
+        fd_metric = chart.metric((points, want[None], stencil))
+        assert np.max(np.abs(chart.metric(jet) - fd_metric)) < 1e-12
+
+
+def test_chart_jet_rows_match_single_rows():
+    # every quantity built from a jet is array code over the batch: a row
+    # of a 16-row batch has the bits of that chart point taken alone
+    rng = np.random.default_rng(58)
+    chart = QuotientChart(ACTION, solved(rng))
+    xi = 0.05 * rng.standard_normal((16, 4))
+    jet = chart.jet(xi)
+    stencil_rows = len(jet[2]) // len(xi)
+    assert jet[0].shape == (16, 8) and jet[1].shape == (16, 8, 4)
+    batch = {
+        "metric": chart.metric(jet),
+        "structure": np.stack([chart.structure(jet, i) for i in (1, 2, 3)], axis=1),
+        "theta": chart.theta(jet, (1.0,)),
+    }
+    for row in range(len(xi)):
+        alone = chart.jet(xi[row : row + 1])
+        assert np.array_equal(jet[0][row], alone[0][0])
+        assert np.array_equal(jet[1][row], alone[1][0])
+        # stencil rows are laid out [offset][row][coordinate]
+        per_row = jet[2].reshape(-1, len(xi), 4, 8)[:, row].reshape(stencil_rows, 8)
+        assert np.array_equal(per_row, alone[2])
+        assert np.array_equal(batch["metric"][row], chart.metric(alone)[0])
+        structures = np.stack([chart.structure(alone, i)[0] for i in (1, 2, 3)])
+        assert np.array_equal(batch["structure"][row], structures)
+        assert np.array_equal(batch["theta"][row], chart.theta(alone, (1.0,))[0])
 
 
 def test_descended_curvature_retraction_count(monkeypatch):
-    # one batch (xi and its 16-point tangent stencil) at the base point and
-    # at each of the 16 outer dd^c points; the unbatched chart retracted
-    # 545 single points
+    # one jet at the base point (xi and its 16-point tangent stencil) and
+    # one jet of all 16 outer dd^c points with their stencils
     rows = []
     retract = QuotientChart.point
 
@@ -445,8 +510,8 @@ def test_descended_curvature_retraction_count(monkeypatch):
     monkeypatch.setattr(QuotientChart, "point", counting)
     lsp = solved(np.random.default_rng(55))
     descended_curvature(ACTION, eh_rotator(), lsp)
-    assert len(rows) <= 17
-    assert sum(rows) <= 17 * 17
+    assert len(rows) <= 2
+    assert sum(rows) <= 17 + 16 * 17
 
 
 def test_level_set_point_builds_its_frame_once():

@@ -427,8 +427,8 @@ def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
 
     def doubled(v, xi, zeta):
         C = coefficients(v, xi, zeta)
-        C[-1] *= 2.0  # the dzeta row and column hold the dzeta ^ b term alone
-        C[:, -1] *= 2.0
+        C[..., -1, :] *= 2.0  # the dzeta row and column hold the dzeta ^ b term alone
+        C[..., :, -1] *= 2.0
         return C
 
     monkeypatch.setattr(twistor, "fz_coefficients", doubled)
