@@ -53,13 +53,8 @@ print("chart structure check  max|S1^2 + Id| =",
 
 # -- the residual circle sees a two-centre geometry -------------------------------------
 
-xs, vs = [], []
-for _ in range(25):
-    pt = solve_level(action, level, rng.standard_normal(8))
-    x, v = gh_coordinates(action, eh_residual_circle(), pt, scale=GH_CIRCLE_SCALE)
-    xs.append(x)
-    vs.append(v)
-xs, vs = np.array(xs), np.array(vs)
+points = solve_level(action, level, rng.standard_normal((25, 8)))
+xs, vs = gh_coordinates(action, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
 
 sep, resid = fit_two_centers(xs, vs)
 print("\ntwo-centre fit of 25 (x, V) samples at quarter speed:")
@@ -67,14 +62,7 @@ print("  least-squares residual:", f"{resid:.3e}")
 print("  fitted centre separation:", sep, " (expected c/2 = 0.5)")
 
 for scale_level in (2.0,):
-    level2 = LevelSpec((scale_level,))
-    xs2, vs2 = [], []
-    for _ in range(25):
-        pt = solve_level(action, level2, rng.standard_normal(8))
-        x, v = gh_coordinates(
-            action, eh_residual_circle(), pt, scale=GH_CIRCLE_SCALE
-        )
-        xs2.append(x)
-        vs2.append(v)
-    sep2, _ = fit_two_centers(np.array(xs2), np.array(vs2))
+    points = solve_level(action, LevelSpec((scale_level,)), rng.standard_normal((25, 8)))
+    xs2, vs2 = gh_coordinates(action, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
+    sep2, _ = fit_two_centers(xs2, vs2)
     print(f"  at level c = {scale_level}: separation {sep2}  (linear in c)")

@@ -94,14 +94,10 @@ class LinearAction:
                 if np.max(np.abs(s @ g - g @ s)) > self.structure_tol:
                     raise StructureError(f"generator {idx} is not triholomorphic")
         basis = np.stack([g.ravel() for g in gens], axis=1)
-        table = np.zeros((len(gens), len(gens), len(gens)))
-        worst = 0.0
-        for a, ga in enumerate(gens):
-            for b, gb in enumerate(gens):
-                bracket = (ga @ gb - gb @ ga).ravel()
-                coef, *_ = np.linalg.lstsq(basis, bracket, rcond=None)
-                table[a, b] = coef
-                worst = max(worst, float(np.max(np.abs(basis @ coef - bracket))))
+        # one pseudo-inverse fits every bracket [G_a, G_b] against the basis
+        brackets = np.array([[(ga @ gb - gb @ ga).ravel() for gb in gens] for ga in gens])
+        table = brackets @ np.linalg.pinv(basis).T
+        worst = float(np.max(np.abs(table @ basis.T - brackets)))
         if worst > self.structure_tol:
             raise StructureError(f"generators do not close under bracket ({worst:.2e})")
         object.__setattr__(self, "generators", gens)
@@ -195,6 +191,11 @@ def moment_jacobian(action: LinearAction, m) -> np.ndarray:
 # -- level sets ---------------------------------------------------------------------
 
 
+def _rank_deficient(sv) -> np.ndarray:
+    """Which rows of singular values (..., r), largest first, fail the condition guard."""
+    return (sv[..., 0] < 1e-12) | (sv[..., -1] < sv[..., 0] / _MGS_CONDITION_GUARD)
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSetPoint:
     """A converged point of nu^{-1}(c, 0, 0) with cached derivative data."""
@@ -213,7 +214,7 @@ class LevelSetPoint:
         Built on first use and kept, read-only, so every consumer of this
         point (charts, samples, descended data) shares one frame.
         """
-        vert = _vertical_frame(self)
+        vert = _vertical_frame([self])[0]
         dim = self.point.size
         basis = [np.eye(dim)[:, j] for j in range(dim)]
         frame = _mgs_pivoted(basis, dim - vert.shape[1], against=vert)
@@ -228,8 +229,7 @@ class LevelSetPoint:
             raise ConvergenceError(
                 f"level residual {self.residual:.2e} exceeds 1e-10"
             )
-        sv = np.linalg.svd(self.orbit, compute_uv=False)
-        if sv[0] < 1e-12 or sv[-1] < sv[0] / _MGS_CONDITION_GUARD:
+        if _rank_deficient(np.linalg.svd(self.orbit, compute_uv=False)):
             raise NonFreePointError(
                 "orbit directions are linearly dependent: the action is not "
                 "free at this point"
@@ -243,40 +243,57 @@ def solve_level(
     *,
     tol: float = 1e-12,
     max_iter: int = 40,
-) -> LevelSetPoint:
-    """Newton iteration on nu(m) = (c, 0, 0) from the seed point.
+) -> LevelSetPoint | list[LevelSetPoint]:
+    """Newton iteration on nu(m) = (c, 0, 0) from one seed (dim,) or a batch (k, dim).
 
-    Steps are least-squares solutions against the full moment Jacobian;
-    rank deficiency along the way raises NonFreePointError, running out
-    the iteration budget raises ConvergenceError.
+    Returns a LevelSetPoint for one seed and a list of them for a batch.
+    Each row iterates until its own residual is below ``tol``, so a batch
+    row equals that seed solved alone.  A step is the minimum-norm solution
+    -V^T diag(1/s) U^T res from one batched SVD of the live rows' moment
+    Jacobians, whose singular values also guard the rank: rank deficiency
+    along the way raises NonFreePointError, running out the iteration
+    budget raises ConvergenceError.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
-    m = np.asarray(seed, dtype=float).copy()
-    if m.shape != (action.dim,):
-        raise ConfigError(f"seed must be a vector of length {action.dim}")
-    target = level.target()
-    history = []
+    seeds = np.asarray(seed, dtype=float)
+    if seeds.ndim not in (1, 2) or seeds.shape[-1] != action.dim:
+        raise ConfigError(f"seed must be a vector of length {action.dim} or a batch of them")
+    m = np.atleast_2d(seeds).copy()
+    target = level.target().ravel()
+    history = [[] for _ in m]
+    todo = np.arange(len(m))
     for _ in range(max_iter + 1):
-        res = hk_moment(action, m) - target
-        norm = float(np.linalg.norm(res))
-        history.append(norm)
-        if norm < tol:
-            return LevelSetPoint(
-                point=m,
-                level=level,
-                dnu=moment_jacobian(action, m),
-                orbit=np.column_stack([g @ m for g in action.generators]),
-                residual=norm,
-                history=tuple(history),
-            )
-        jac = moment_jacobian(action, m).reshape(3 * action.dim_g, action.dim)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[0] < 1e-12 or sv[-1] < sv[0] / _MGS_CONDITION_GUARD:
+        res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
+        norms = np.linalg.norm(res, axis=1)
+        for row, norm in zip(todo, norms):
+            history[row].append(float(norm))
+        live = ~(norms < tol)
+        todo, res = todo[live], res[live]
+        if not todo.size:
+            break
+        jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        if np.any(_rank_deficient(sv)):
             raise NonFreePointError("moment Jacobian is rank-deficient")
-        step, *_ = np.linalg.lstsq(jac, -res.ravel(), rcond=None)
-        m = m + step
-    raise ConvergenceError(f"no convergence in {max_iter} Newton steps")
+        coef = (u.transpose(0, 2, 1) @ res[:, :, None]) / sv[:, :, None]
+        m[todo] -= (vt.transpose(0, 2, 1) @ coef)[:, :, 0]
+    else:
+        raise ConvergenceError(f"no convergence in {max_iter} Newton steps")
+    dnu = moment_jacobian(action, m)
+    orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    points = [
+        LevelSetPoint(
+            point=m[row],
+            level=level,
+            dnu=dnu[row],
+            orbit=orbits[row],
+            residual=hist[-1],
+            history=tuple(hist),
+        )
+        for row, hist in enumerate(history)
+    ]
+    return points if seeds.ndim == 2 else points[0]
 
 
 # -- quotient frames ------------------------------------------------------------------
@@ -320,16 +337,24 @@ def _mgs_pivoted(columns, rank, *, guard=_MGS_CONDITION_GUARD, against=None):
     return np.column_stack(out)
 
 
-def _vertical_frame(lsp: LevelSetPoint) -> np.ndarray:
-    dim_g = lsp.orbit.shape[1]
-    cols = [lsp.orbit[:, a] for a in range(dim_g)]
-    cols += [lsp.dnu[a, i] for a in range(dim_g) for i in range(3)]
-    return _mgs_pivoted(cols, 4 * dim_g)
+def _vertical_frame(points) -> np.ndarray:
+    """Orthonormal bases (k, dim, 4 dim_g) of the vertical spaces of k level-set points.
+
+    One SVD of each point's stacked [orbit | d nu] columns: its left
+    singular vectors span them, and its singular values guard the rank.
+    """
+    cols = np.array(
+        [np.concatenate([p.orbit, p.dnu.reshape(-1, p.point.size).T], axis=1) for p in points]
+    )
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    if np.any(_rank_deficient(sv)):
+        raise NonFreePointError("orbit directions and moment gradients are linearly dependent")
+    return u
 
 
 def vertical_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     """Orthonormal span of the orbit directions and the moment gradients."""
-    return _vertical_frame(lsp)
+    return _vertical_frame([lsp])[0]
 
 
 def _pfaffian(m: np.ndarray) -> float:
@@ -383,8 +408,8 @@ def quotient_sample(
     frame = horizontal_frame(action, lsp)
     metric = frame.T @ frame
     omega_bar = tuple(pullback(w, frame) for w in action.model.kahler_triple())
-    inv = np.linalg.inv(metric)
-    structures = tuple(-inv @ w.as_matrix() for w in omega_bar)
+    # the frame is orthonormal, so the metric is the identity and S_i = -omega_bar_i
+    structures = tuple(-w.as_matrix() for w in omega_bar)
     mu_bar = None
     if rotator is not None:
         mu_bar = float(moment_map(rotator, lsp.point))
@@ -599,7 +624,7 @@ def canonical_bundle_curvature(
 def gh_coordinates(
     action: LinearAction,
     triholo: CircleActionSpec,
-    lsp: LevelSetPoint,
+    lsp,
     *,
     scale: float = 1.0,
     commute_tol: float = 1e-10,
@@ -609,23 +634,30 @@ def gh_coordinates(
     x is the moment triple of the residual triholomorphic circle and
     V^{-1} the squared length of its horizontal field (the velocity minus
     its vertical part).  `scale` runs the circle at a multiple of the given speed.
+    ``lsp`` is one LevelSetPoint, giving (x (3,), V), or a sequence of k of
+    them, giving (xs (k, 3), vs (k,)); a batch row equals that point alone.
     """
     gen = scale * action_generator(triholo)
     if gen.shape[0] != action.dim:
         raise ConfigError("circle dimension does not match the action")
-    structures = action.model.structures()
+    structures = np.array(action.model.structures())
     for s in structures:
         if np.max(np.abs(s @ gen - gen @ s)) > commute_tol:
             raise StructureError("residual circle is not triholomorphic")
     _require_commuting(action, gen, commute_tol, "residual circle")
-    m = lsp.point
-    velocity = gen @ m
-    x = np.array([0.5 * np.dot(s @ velocity, m) for s in structures])
-    vert = _vertical_frame(lsp)
-    horizontal = velocity - vert @ (vert.T @ velocity)
-    v_inv = float(horizontal @ horizontal)
-    if v_inv < 1e-12:
-        raise DomainError("residual circle fixes this sample point")
+    single = isinstance(lsp, LevelSetPoint)
+    points = [lsp] if single else list(lsp)
+    m = np.array([p.point for p in points])
+    velocity = (gen @ m[:, :, None])[:, :, 0]
+    s_velocity = (structures @ velocity[:, None, :, None])[..., 0]
+    x = 0.5 * (s_velocity[:, :, None, :] @ m[:, None, :, None])[..., 0, 0]
+    vert = _vertical_frame(points)
+    horizontal = velocity - (vert @ (vert.transpose(0, 2, 1) @ velocity[:, :, None]))[:, :, 0]
+    v_inv = (horizontal[:, None, :] @ horizontal[:, :, None])[:, 0, 0]
+    if np.any(v_inv < 1e-12):
+        raise DomainError("residual circle fixes a sample point")
+    if single:
+        return x[0], float(1.0 / v_inv[0])
     return x, 1.0 / v_inv
 
 

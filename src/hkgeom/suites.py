@@ -479,21 +479,15 @@ def fit_two_centers(xs, vs):
 
 
 def _gh_samples(action, rotator, level_value, rng, count):
-    level = qt.LevelSpec((level_value,))
-    xs, vs = [], []
-    for _ in range(count):
-        lsp = qt.solve_level(action, level, rng.standard_normal(8))
-        x, v = qt.gh_coordinates(action, rotator, lsp, scale=qt.GH_CIRCLE_SCALE)
-        xs.append(x)
-        vs.append(v)
-    return np.array(xs), np.array(vs)
+    """(xs, vs) of count level-set points solved and projected as one batch."""
+    points = qt.solve_level(action, qt.LevelSpec((level_value,)), rng.standard_normal((count, 8)))
+    return qt.gh_coordinates(action, rotator, points, scale=qt.GH_CIRCLE_SCALE)
 
 
 def _level_points(action, rng, cfg: RunConfig):
     """samples // 4 (at least 2) points of the level set at the configured level."""
     level = qt.LevelSpec((_quotient_level(cfg.c),))
-    count = max(2, cfg.samples // 4)
-    return [qt.solve_level(action, level, rng.standard_normal(8)) for _ in range(count)]
+    return qt.solve_level(action, level, rng.standard_normal((max(2, cfg.samples // 4), 8)))
 
 
 def _q_match(rng, cfg: RunConfig) -> float:

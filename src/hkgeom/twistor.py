@@ -67,10 +67,10 @@ def _cvec(x, label: str) -> np.ndarray:
     return out
 
 
-def _off_zero(zeta, message: str) -> complex:
-    """zeta as a complex number; DomainError(message) if it is 0."""
-    zeta = complex(zeta)
-    if zeta == 0:
+def _off_zero(zeta, message: str):
+    """zeta as a complex number, or an array of them; DomainError(message) if any is 0."""
+    zeta = np.asarray(zeta, dtype=complex) if np.ndim(zeta) else complex(zeta)
+    if np.any(zeta == 0):
         raise DomainError(message)
     return zeta
 
@@ -253,19 +253,19 @@ def connection_pair_residual(v, xi, zeta: complex, tangent) -> float:
 # -- meromorphic connection of the weighted rotation -----------------------------------
 
 
-def mero_connection(n_char: int, v, xi, zeta: complex, tangent) -> complex:
+def mero_connection(n_char: int, v, xi, zeta, tangent):
     """The invariant meromorphic connection form on a chart-U tangent.
 
     2 pi i n dzeta/zeta + (1/2 zeta) sum_i (xi_i dv_i - v_i dxi_i),
-    where n is the integer weight of the fibre action.
+    where n is the integer weight of the fibre action.  ``zeta`` is one
+    complex number, giving a complex, or an array of them with (v, xi) and
+    the tangent held fixed, giving one value per entry.
     """
     v, xi = _cvec(v, "v"), _cvec(xi, "xi")
     tv, txi, tzeta = _chart_tangent(tangent, len(v))
     zeta = _off_zero(zeta, "meromorphic connection has a pole at zeta = 0")
-    return complex(
-        2j * np.pi * n_char * tzeta / zeta
-        + np.sum(xi * tv - v * txi) / (2.0 * zeta)
-    )
+    value = 2j * np.pi * n_char * tzeta / zeta + np.sum(xi * tv - v * txi) / (2.0 * zeta)
+    return value if np.ndim(value) else complex(value)
 
 
 def fz_coefficients(v, xi, zeta) -> np.ndarray:
@@ -353,11 +353,18 @@ def _contour(radius: float, nodes: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
+def _contour_values(fn, zs) -> np.ndarray:
+    """fn at every contour node from one call fn(zs); a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(fn(zs), dtype=complex), zs.shape)
+
+
 def laurent_coefficient(fn, k: int, radius: float = CONTOUR_RADIUS, nodes: int = CONTOUR_NODES) -> complex:
-    """Laurent coefficient a_k of fn about 0 by trapezoidal contour quadrature."""
+    """Laurent coefficient a_k of fn about 0 by trapezoidal contour quadrature.
+
+    fn takes the array of contour nodes and returns its values there.
+    """
     zs = _contour(radius, nodes)
-    vals = np.array([fn(zeta) for zeta in zs], dtype=complex)
-    return complex(np.mean(vals * zs ** (-k)))
+    return complex(np.mean(_contour_values(fn, zs) * zs ** (-k)))
 
 def pole_order(
     fn,
@@ -368,11 +375,12 @@ def pole_order(
 ) -> int:
     """Order of the pole of fn at 0, measured by Laurent sampling on |zeta| = radius.
 
-    A coefficient a_{-k} counts as present when its contribution on the
+    fn takes the array of contour nodes and returns its values there.  A
+    coefficient a_{-k} counts as present when its contribution on the
     sampling circle exceeds rel_tol times the largest sample.
     """
     zs = _contour(radius, nodes)
-    vals = np.array([fn(zeta) for zeta in zs], dtype=complex)
+    vals = _contour_values(fn, zs)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0
@@ -394,15 +402,13 @@ def rotation_residue(
 
     The fibre coordinates are held fixed while zeta traverses
     |zeta| = radius; for fibre weight n the measured value is 2 pi i n.
+    The connection is linear in the tangent, so its value on the circle's
+    velocity i zeta is its value on d/dzeta times i zeta.
     """
     zs = _contour(radius, nodes)
     zero_v, zero_xi = np.zeros_like(_cvec(v, "v")), np.zeros_like(_cvec(xi, "xi"))
-    acc = 0.0j
-    for zeta in zs:
-        acc += mero_connection(n_char, v, xi, zeta, (zero_v, zero_xi, 1j * zeta)) * (
-            2 * np.pi / nodes
-        )
-    return complex(acc / (2j * np.pi))
+    along = mero_connection(n_char, v, xi, zs, (zero_v, zero_xi, 1.0)) * (1j * zs)
+    return complex(np.sum(along * (2 * np.pi / nodes)) / (2j * np.pi))
 
 
 def fibre_residue(
@@ -484,10 +490,11 @@ def connection_report(
     def at_zero(zeta):
         return mero_connection(n_char, v, xi, zeta, tangent)
 
-    def at_infinity(zetat):
-        pt = ChartPoint(v, xi, zetat, "V")
-        back, trans = transition_pushforward(pt, tangent)
-        return mero_connection(n_char, back.v, back.xi, back.zeta, trans)
+    def at_infinity(zetats):
+        # the point and tangent pulled back to chart U change with zetat,
+        # so the nodes go through the transition one at a time
+        pulled = (transition_pushforward(ChartPoint(v, xi, zt, "V"), tangent) for zt in zetats)
+        return np.array([mero_connection(n_char, p.v, p.xi, p.zeta, t) for p, t in pulled])
 
     return MeroConnectionReport(
         n_char=n_char,

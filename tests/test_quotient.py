@@ -184,6 +184,10 @@ def test_solver_validates_shapes():
         solve_level(ACTION, LevelSpec((1.0, 1.0)), np.ones(8))
     with pytest.raises(ConfigError):
         solve_level(ACTION, LEVEL, np.ones(5))
+    with pytest.raises(ConfigError):
+        solve_level(ACTION, LEVEL, np.ones((3, 5)))
+    with pytest.raises(ConfigError):
+        solve_level(ACTION, LEVEL, np.ones((2, 3, 8)))
 
 
 # -- quotient samples -----------------------------------------------------------------
@@ -398,6 +402,86 @@ def test_y_length_positive_away_from_fixed_points():
     for _ in range(5):
         _, v = gh_coordinates(ACTION, eh_residual_circle(), solved(rng))
         assert v > 0.0
+
+
+# -- batched level-set solver and multi-centre coordinates ------------------------------
+
+
+def _lstsq_newton(m, level, tol=1e-12, max_iter=40):
+    """Reference: one seed, least-squares Newton steps against the full Jacobian."""
+    history = []
+    for _ in range(max_iter + 1):
+        res = hk_moment(ACTION, m) - level.target()
+        history.append(float(np.linalg.norm(res)))
+        if history[-1] < tol:
+            return m, history
+        jac = moment_jacobian(ACTION, m).reshape(-1, ACTION.dim)
+        m = m + np.linalg.lstsq(jac, -res.ravel(), rcond=None)[0]
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_batch_solve_rows_equal_single_seed_solves():
+    seeds = np.random.default_rng(58).standard_normal((16, 8))
+    batch = solve_level(ACTION, LEVEL, seeds)
+    assert isinstance(batch, list) and len(batch) == 16
+    for seed, lsp in zip(seeds, batch):
+        alone = solve_level(ACTION, LEVEL, seed)
+        for name in ("point", "dnu", "orbit", "residual", "history"):
+            assert np.array_equal(getattr(lsp, name), getattr(alone, name)), name
+        # the SVD step is the least-squares step: same path, rounding apart
+        want, history = _lstsq_newton(seed, LEVEL)
+        assert len(lsp.history) == len(history)
+        assert np.max(np.abs(lsp.point - want)) < 1e-13
+
+
+def test_batch_gh_coordinates_equal_single_calls():
+    points = solve_level(ACTION, LEVEL, np.random.default_rng(59).standard_normal((12, 8)))
+    xs, vs = gh_coordinates(ACTION, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
+    assert xs.shape == (12, 3) and vs.shape == (12,)
+    for row, lsp in enumerate(points):
+        x, v = gh_coordinates(ACTION, eh_residual_circle(), lsp, scale=GH_CIRCLE_SCALE)
+        assert isinstance(v, float)
+        assert np.array_equal(xs[row], x) and vs[row] == v
+
+
+def test_one_bad_row_fails_the_whole_batch():
+    rng = np.random.default_rng(60)
+    origin = np.vstack([rng.standard_normal((3, 8)), np.zeros(8)])
+    with pytest.raises(NonFreePointError):
+        solve_level(ACTION, LevelSpec((0.0,)), origin)
+    far = np.vstack([rng.standard_normal((3, 8)), 50.0 * rng.standard_normal(8)])
+    with pytest.raises(ConvergenceError):
+        solve_level(ACTION, LEVEL, far, max_iter=1)
+    nut = np.zeros(8)
+    nut[4] = np.sqrt(2.0)  # a fixed point of the residual circle
+    points = solve_level(ACTION, LEVEL, np.vstack([rng.standard_normal((3, 8)), nut]))
+    with pytest.raises(DomainError):
+        gh_coordinates(ACTION, eh_residual_circle(), points)
+
+
+def test_quotient_samplers_batch_their_seeds(monkeypatch):
+    # each sampled level costs one solve and one projection, whatever the
+    # sample count, and the Newton steps come from the SVD, not lstsq
+    calls = {"solve_level": 0, "gh_coordinates": 0, "lstsq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_level", "gh_coordinates"):
+        monkeypatch.setattr(quotient, name, counted(name, getattr(quotient, name)))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    cfg = suites.RunConfig(suite="quotient", samples=40)
+    for check_id, count in (("quotient.gh.potential", 1), ("quotient.gh.separation", 2)):
+        calls.update(solve_level=0, gh_coordinates=0)
+        assert suites.run_check(cfg, check_id).passed
+        assert calls["solve_level"] == count and calls["gh_coordinates"] == count
+    report = suites.run_suite(cfg)
+    assert all(record.passed for record in report.records)
+    assert calls["lstsq"] == 0
 
 
 # -- batched moment map and chart retraction -------------------------------------------
