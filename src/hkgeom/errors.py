@@ -27,3 +27,7 @@ class NonFreePointError(HkgeomError):
 
 class ConfigError(HkgeomError):
     """A run configuration or config file could not be parsed or validated."""
+
+
+class SamplingError(HkgeomError):
+    """No admissible sample point was found within the draw budget."""

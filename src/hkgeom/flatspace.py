@@ -251,22 +251,23 @@ def moment_field(spec: CircleActionSpec) -> ScalarField:
     return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n)
 
 
-def hyperholo_curvature(
-    spec: CircleActionSpec, p, scheme: FDScheme | None = None
-) -> FormValue:
+def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = None):
     """Curvature of the invariant line bundle attached to the action.
 
     F = omega1 + dd^c(mu / n) with n the rotation degree (the moment map
     per unit of rotation of omega2 + i omega3); for the trivial action
     F = omega1.  The dd^c term is computed by nested finite differences,
-    so this is constant in p only up to scheme error.
+    so this is constant in p only up to scheme error.  p is one point (a
+    FormValue result) or base points (k, 4n) (a (k, nb) component array).
     """
     model = spec.model()
     deg = spec.degree
     if deg == 0:
-        return model.omega1
+        p = np.asarray(p)
+        return model.omega1 if p.ndim == 1 else np.tile(model.omega1.comps, (len(p), 1))
     mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim)
-    return model.omega1 + ddc(mu, model.I, p, scheme)
+    dd = ddc(mu, model.I, p, scheme)
+    return model.omega1 + dd if isinstance(dd, FormValue) else model.omega1.comps + dd
 
 
 def rotation_degree_check(

@@ -15,9 +15,28 @@ to that point evaluated alone.  That covers ``ScalarField.fn``,
 ``fd_jacobian`` and the surface of ``surface_integral``.  Every
 derivative (``fd_gradient``, ``fd_jacobian``, ``d``, ``d^c``, ``dd^c``,
 the Laplacian, surface tangents) comes from one central-difference
-stencil whose points go to the callable in one call.  One nested
-``dd^c`` stencil of order 4 is ``(4 dim)^2`` points, so the batch holds
-``(4 dim)^2 * dim`` floats: about 350 KB at dim = 14.
+stencil whose points go to the callable in one call.
+
+The operators take base points the same way.  ``fd_gradient``,
+``ext_deriv``, ``dc_deriv``, ``ddc`` and ``laplacian`` take one point
+``(dim,)`` or a batch ``(k, dim)``.  A batch gives ``(k, dim)``
+gradients, ``(k, nb)`` form components or ``(k,)`` Laplacians, each row
+equal to that point alone; one point is a batch of one and gives a
+gradient, a :class:`FormValue` or a float.  A point-dependent complex
+structure is a callable taking ``(m, dim)`` points to ``(m, dim, dim)``
+matrices, and ``type11_residual`` takes the ``(k, nb)`` components of k
+2-forms.  No field call returns more than ``MAX_STENCIL_VALUES`` (4096)
+values: an operator splits its base points into chunks of as many points
+as fit, and at least one.  A scalar field gives one value per stencil
+row and a form field ``nb``, so a scalar field's call holds at most 4096
+stencil rows.  A nested ``dd^c`` stencil of order 4 has ``(4 dim)^2``
+rows per base point (2,304 at dim = 12 and 3,136 at dim = 14), so there
+a chunk is one point and the batch holds at most ``4096 * dim`` floats,
+under 460 KB at dim = 14; a first-derivative stencil has ``4 dim`` rows,
+so 85 points of R^12 fit in one gradient call.  Counting a form field's
+components matters because a form field may build far more than its
+output per row: the twistor F_Z field forms a complex 14 x 14 matrix for
+each of its 91 components' rows at dim = 14.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -47,6 +66,7 @@ __all__ = [
     "FormField",
     "fd_gradient",
     "fd_jacobian",
+    "MAX_STENCIL_VALUES",
     "ext_deriv",
     "dc_deriv",
     "ddc",
@@ -78,6 +98,15 @@ def _basis_position(dim: int, degree: int) -> dict:
 def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices (i, j), i < j, of the degree-2 basis, in its order."""
     return np.triu_indices(dim, 1)
+
+
+def _as_matrices(comps: np.ndarray, dim: int) -> np.ndarray:
+    """Antisymmetric matrices (..., dim, dim) of degree-2 components (..., nb)."""
+    M = np.zeros(comps.shape[:-1] + (dim, dim), dtype=comps.dtype)
+    rows, cols = _pair_indices(dim)
+    M[..., rows, cols] = comps
+    M[..., cols, rows] = -comps
+    return M
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -160,11 +189,7 @@ class FormValue:
         """Degree-2 form as the antisymmetric matrix M with w(X,Y) = X^T M Y."""
         if self.degree != 2:
             raise ValueError("as_matrix requires a degree-2 form")
-        M = np.zeros((self.dim, self.dim), dtype=self.comps.dtype)
-        rows, cols = _pair_indices(self.dim)
-        M[rows, cols] = self.comps
-        M[cols, rows] = -self.comps
-        return M
+        return _as_matrices(self.comps, self.dim)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -305,14 +330,17 @@ class FormField:
         return float(self.clearance(np.asarray(p, dtype=float)))
 
 
-def _require_margin(field, p, scheme: FDScheme):
-    """Reject stencils closer than 10h to the field's singular set."""
-    m = field.margin(p)
-    if m < 10.0 * scheme.h:
-        raise DomainError(
-            f"point at clearance {m:.3e} violates the 10h margin "
-            f"(h = {scheme.h:.3e})"
-        )
+def _require_margin(field, points: np.ndarray, scheme: FDScheme):
+    """Reject stencils closer than 10h to the field's singular set, around every row."""
+    if field.clearance is None:
+        return
+    for q in points:
+        m = field.margin(q)
+        if m < 10.0 * scheme.h:
+            raise DomainError(
+                f"point at clearance {m:.3e} violates the 10h margin "
+                f"(h = {scheme.h:.3e})"
+            )
 
 
 # -- finite differences ---------------------------------------------------------
@@ -320,6 +348,11 @@ def _require_margin(field, p, scheme: FDScheme):
 
 #: stencil offsets, in units of the step, in the order they are evaluated
 _OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
+
+#: the most values one field call returns (a stencil row of a scalar field
+#: is one value, of a form field nb): the operators split their base points
+#: into consecutive chunks under this bound, and never less than one point
+MAX_STENCIL_VALUES = 4096
 
 
 def _fd_reduce(vals, scheme: FDScheme):
@@ -346,6 +379,11 @@ def _stencil_points(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     return pts.reshape(-1, P.shape[1])
 
 
+def _stencil_rows(scheme: FDScheme, dim: int) -> int:
+    """Number of points in the first-derivative stencil of one point of R^dim."""
+    return len(_OFFSETS[scheme.order]) * dim
+
+
 def _stencil_derivatives(vals, k: int, scheme: FDScheme) -> np.ndarray:
     """D[r, i] = d_i at row r of P, from values at ``_stencil_points(P, scheme)``.
 
@@ -364,10 +402,36 @@ def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     return _stencil_derivatives(fn(_stencil_points(P, scheme)), P.shape[0], scheme)
 
 
-def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Gradient vector of a batch scalar callback, (m, dim) -> (m,), at p."""
+def _base_points(p) -> tuple[np.ndarray, bool]:
+    """(P, single): base points as a (k, N) batch, and whether p was one (N,) point."""
     p = np.asarray(p, dtype=float)
-    return _derivatives(fn, p[None, :], scheme)[0]
+    return np.atleast_2d(p), p.ndim == 1
+
+
+def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
+    """op over consecutive chunks of the rows of P, concatenated.
+
+    Each chunk holds as many base points as keep their stencil values (at
+    ``values_per_point`` each) within MAX_STENCIL_VALUES, and at least one.
+    """
+    size = max(1, MAX_STENCIL_VALUES // values_per_point)
+    return np.concatenate([op(P[i : i + size]) for i in range(0, len(P), size)])
+
+
+def _form_result(comps: np.ndarray, degree: int, dim: int, single: bool):
+    """A FormValue for one base point, the (k, nb) components for a batch."""
+    return FormValue(degree, dim, comps[0]) if single else comps
+
+
+def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
+    """Gradient of a batch scalar callback, (m, dim) -> (m,), at p.
+
+    p is one point (dim,), giving (dim,), or base points (k, dim), giving
+    one gradient per row.
+    """
+    P, single = _base_points(p)
+    grads = _chunked(P, _stencil_rows(scheme, P.shape[1]), lambda C: _derivatives(fn, C, scheme))
+    return grads[0] if single else grads
 
 
 def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
@@ -383,38 +447,73 @@ def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
 # -- exterior calculus -----------------------------------------------------------
 
 
-def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> FormValue:
+@lru_cache(maxsize=None)
+def _ext_deriv_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coords, rests, signs) with (dw)_J = sum_m signs[m] d_{coords[J, m]} w_{rests[J, m]}.
+
+    For the J-th basis multi-index of degree ``degree + 1``, coords[J, m]
+    is its m-th index j_m and rests[J, m] the basis position of J without
+    j_m; signs[m] = (-1)^m.
+    """
+    pos_k = _basis_position(dim, degree)
+    top = basis_indices(dim, degree + 1)
+    coords = np.array(top, dtype=int).reshape(len(top), degree + 1)
+    rests = np.array(
+        [[pos_k[J[:m] + J[m + 1 :]] for m in range(degree + 1)] for J in top], dtype=int
+    ).reshape(len(top), degree + 1)
+    return coords, rests, (-1.0) ** np.arange(degree + 1)
+
+
+def ext_deriv(field: FormField, p, scheme: FDScheme | None = None):
     """Exterior derivative of a degree-k form field at p (degree k+1 value).
 
-    Components: (dw)_J = sum_m (-1)^m d_{j_m} w_{J minus j_m}.
+    p is one point (a :class:`FormValue` result) or base points (k, dim)
+    (a (k, nb) component array).  Components:
+    (dw)_J = sum_m (-1)^m d_{j_m} w_{J minus j_m}, summed in order of m.
     """
     scheme = scheme or FDScheme()
-    p = np.asarray(p, dtype=float)
-    _require_margin(field, p, scheme)
-    k, N = field.degree, field.dim
-    jac = fd_jacobian(field, p, scheme)  # jac[I, i] = d_i w_I
-    pos_k = _basis_position(N, k)
-    out = np.zeros(len(basis_indices(N, k + 1)), dtype=jac.dtype)
-    for pos_J, J in enumerate(basis_indices(N, k + 1)):
-        acc = 0.0
-        for m, jm in enumerate(J):
-            rest = J[:m] + J[m + 1 :]
-            acc += (-1.0) ** m * jac[pos_k[rest], jm]
-        out[pos_J] = acc
-    return FormValue(k + 1, N, out)
+    P, single = _base_points(p)
+    coords, rests, signs = _ext_deriv_table(field.dim, field.degree)
+
+    def chunk(C):
+        _require_margin(field, C, scheme)
+        D = _derivatives(field, C, scheme)  # D[r, i, I] = d_i w_I at row r
+        return sum(signs[m] * D[:, coords[:, m], rests[:, m]] for m in range(len(signs)))
+
+    nb = len(basis_indices(field.dim, field.degree))
+    comps = _chunked(P, _stencil_rows(scheme, field.dim) * nb, chunk)
+    return _form_result(comps, field.degree + 1, field.dim, single)
 
 
 #: how far I^2 may deviate from -Id before d^c refuses it
 _STRUCTURE_TOL = 1e-8
 
 
-def _checked_structure(S, dim: int, tol: float, where: str) -> np.ndarray:
-    """S as an array, after checking S^2 = -Id to within tol."""
-    S = np.asarray(S)
-    dev = np.max(np.abs(S @ S + np.eye(dim)))
+def _structures(I, points: np.ndarray, tol: float, where: str) -> np.ndarray:
+    """The structure at every row of points (m, N): (m, N, N), or I itself if constant.
+
+    A callable I takes the whole (m, N) batch and returns (m, N, N).
+    Every matrix must square to -Id to within tol.
+    """
+    N = points.shape[1]
+    S = np.asarray(I(points) if callable(I) else I)
+    if callable(I) and S.shape != (len(points), N, N):
+        raise ValueError(
+            f"structure callable returned shape {S.shape}, expected {(len(points), N, N)}"
+        )
+    dev = np.max(np.abs(S @ S + np.eye(N)))
     if dev > tol:
         raise StructureError(f"I^2 + Id deviates by {dev:.3e} {where}")
     return S
+
+
+def _dc_contract(S: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Rows -S^T grad of d^c: S is one matrix or one per row of grads (m, N).
+
+    A stacked matrix-vector product, which rounds each row as ``-S.T @ grad``
+    alone does; an einsum or a matrix-matrix product does not.
+    """
+    return -(np.swapaxes(S, -1, -2) @ grads[..., None])[..., 0]
 
 
 def dc_deriv(
@@ -424,21 +523,23 @@ def dc_deriv(
     scheme: FDScheme | None = None,
     *,
     structure_tol: float = _STRUCTURE_TOL,
-) -> FormValue:
-    """The 1-form d^c f = -df o I at p.
+):
+    """The 1-form d^c f = -df o I at p, one point (FormValue) or base points (k, dim).
 
-    I may be a constant matrix or a callback p -> matrix; it must square
-    to -Id at p to within structure_tol.  The gradient stencil goes to f
-    in one batch.
+    I may be a constant matrix or a callback taking (m, dim) points to
+    (m, dim, dim) matrices; it must square to -Id at every base point to
+    within structure_tol.  The gradient stencils go to f in one batch.
     """
     scheme = scheme or FDScheme()
-    p = np.asarray(p, dtype=float)
-    _require_margin(f, p, scheme)
-    S = _checked_structure(
-        I(p) if callable(I) else I, len(p), structure_tol, "at the base point"
-    )
-    grad = fd_gradient(f, p, scheme)
-    return FormValue(1, len(p), -S.T @ grad)
+    P, single = _base_points(p)
+    N = P.shape[1]
+
+    def chunk(C):
+        _require_margin(f, C, scheme)
+        S = _structures(I, C, structure_tol, "at the base point")
+        return _dc_contract(S, _derivatives(f, C, scheme))
+
+    return _form_result(_chunked(P, _stencil_rows(scheme, N), chunk), 1, N, single)
 
 
 def ddc(
@@ -447,59 +548,64 @@ def ddc(
     p,
     scheme: FDScheme | None = None,
     inner_scheme: FDScheme | None = None,
-) -> FormValue:
-    """dd^c f at p by nested central differences.
+):
+    """dd^c f at p, one point (FormValue) or base points (k, dim), by nested central differences.
 
     The outer stencil (``scheme``) differentiates the 1-form
     d^c f = -df o I, whose value at each outer point q is -I(q)^T times
     the gradient of f from an ``inner_scheme`` stencil around q (the
     inner scheme defaults to the outer one).  All inner points of all
-    outer points go to f in one batch.  I may be a constant matrix or a
-    callback p -> matrix; it must square to -Id at every outer point.
-    The 10h clearance margin is checked at p for the outer step and at
-    every outer point for the inner step.
+    outer points of a chunk of base points go to f in one batch, and all
+    its outer points to I.  I may be a constant matrix or a callback
+    taking (m, dim) points to (m, dim, dim) matrices; it must square to
+    -Id at every outer point.  The 10h clearance margin is checked at
+    every base point for the outer step and at every outer point for the
+    inner step.
     """
     scheme = scheme or FDScheme()
     inner = inner_scheme or scheme
-    p = np.asarray(p, dtype=float)
-    N = len(p)
-    _require_margin(f, p, scheme)
-    Q = _stencil_points(p[None, :], scheme)
-    for q in Q:
-        _require_margin(f, q, inner)
-    where = "at an outer stencil point"
-    if callable(I):
-        structures = [_checked_structure(I(q), N, _STRUCTURE_TOL, where) for q in Q]
-    else:
-        structures = [_checked_structure(I, N, _STRUCTURE_TOL, where)] * len(Q)
-    grads = _derivatives(f, Q, inner)
-    dc = np.array([-S.T @ grad for S, grad in zip(structures, grads)])
-    D = _stencil_derivatives(dc, 1, scheme)[0]  # D[i, j] = d_i (d^c f)_j
-    a, b = np.array(basis_indices(N, 2)).T
-    return FormValue(2, N, D[a, b] - D[b, a])
+    P, single = _base_points(p)
+    N = P.shape[1]
+    a, b = _pair_indices(N)
+
+    def chunk(C):
+        _require_margin(f, C, scheme)
+        Q = _stencil_points(C, scheme)
+        _require_margin(f, Q, inner)
+        S = _structures(I, Q, _STRUCTURE_TOL, "at an outer stencil point")
+        dc = _dc_contract(S, _derivatives(f, Q, inner))
+        D = _stencil_derivatives(dc, len(C), scheme)  # D[r, i, j] = d_i (d^c f)_j at row r
+        return D[:, a, b] - D[:, b, a]
+
+    rows = _stencil_rows(scheme, N) * _stencil_rows(inner, N)
+    return _form_result(_chunked(P, rows, chunk), 2, N, single)
 
 
-def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> float:
+def laplacian(f: ScalarField, p, scheme: FDScheme | None = None):
     """Flat Laplacian sum_i d^2 f / dx_i^2 by central second differences.
 
-    p and its stencil go to f in one batch.
+    p is one point (a float result) or base points (k, dim) (a (k,)
+    array).  The base points and their stencils go to f in one batch.
     """
     scheme = scheme or FDScheme()
-    p = np.asarray(p, dtype=float)
-    _require_margin(f, p, scheme)
-    vals = f(np.vstack([p, _stencil_points(p[None, :], scheme)]))
-    f0, side = vals[0], vals[1:].reshape(len(_OFFSETS[scheme.order]), len(p))
-    h = scheme.h
-    if scheme.order == 2:
-        terms = (side[0] - 2.0 * f0 + side[1]) / h**2
-    else:
-        terms = (-side[0] + 16.0 * side[1] - 30.0 * f0 + 16.0 * side[2] - side[3]) / (
-            12.0 * h**2
-        )
-    tot = 0.0
-    for term in terms:  # a running sum in coordinate order; np.sum may pair terms
-        tot += term
-    return tot
+    P, single = _base_points(p)
+    N, h = P.shape[1], scheme.h
+
+    def chunk(C):
+        _require_margin(f, C, scheme)
+        vals = f(np.vstack([C, _stencil_points(C, scheme)]))
+        f0, side = vals[: len(C), None], vals[len(C) :].reshape(-1, len(C), N)
+        if scheme.order == 2:
+            terms = (side[0] - 2.0 * f0 + side[1]) / h**2
+        else:
+            terms = (-side[0] + 16.0 * side[1] - 30.0 * f0 + 16.0 * side[2] - side[3]) / (
+                12.0 * h**2
+            )
+        # a running sum in coordinate order; np.sum may pair terms
+        return np.cumsum(terms, axis=1)[:, -1]
+
+    tot = _chunked(P, 1 + _stencil_rows(scheme, N), chunk)
+    return float(tot[0]) if single else tot
 
 
 # -- pointwise algebra ------------------------------------------------------------
@@ -635,19 +741,24 @@ def form_metric_norm(g, w: FormValue) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def type11_residual(F: FormValue, S, *, structure_tol: float = 1e-6) -> float:
+def type11_residual(F, S, *, structure_tol: float = 1e-6):
     """Deviation of a 2-form from type (1,1) w.r.t. the complex structure S.
 
     Returns max over unit tangent pairs of |F(SX,SY) - F(X,Y)|, i.e. the
     spectral norm of S^T M S - M; this is invariant under orthonormal
-    frame changes.  Zero iff F has no (2,0)+(0,2) part.
+    frame changes.  Zero iff F has no (2,0)+(0,2) part.  F is one
+    :class:`FormValue` (a float result) or the (k, nb) components of k
+    forms (a (k,) result); S is one matrix, or one per form (k, N, N).
     """
     S = np.asarray(S)
-    dev = np.max(np.abs(S @ S + np.eye(S.shape[0])))
+    N = S.shape[-1]
+    dev = np.max(np.abs(S @ S + np.eye(N)))
     if dev > structure_tol:
         raise StructureError(f"S^2 + Id deviates by {dev:.3e}")
-    M = F.as_matrix()
-    return float(np.linalg.norm(S.T @ M @ S - M, 2))
+    single = isinstance(F, FormValue)
+    M = _as_matrices(F.comps[None] if single else np.asarray(F), N)
+    norms = np.linalg.norm(np.swapaxes(S, -1, -2) @ M @ S - M, 2, axis=(1, 2))
+    return float(norms[0]) if single else norms
 
 
 # -- quadrature ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ from . import flatspace as fs
 from . import gibbonshawking as gh
 from . import quotient as qt
 from . import twistor as tw
-from .errors import ConfigError, HkgeomError
+from .errors import ConfigError, HkgeomError, SamplingError
 from .forms import (
     FDScheme,
     FormField,
@@ -193,12 +193,12 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
 
 
 def _worst(residuals) -> float:
-    """The largest of ``residuals``, or NaN if any of them is NaN.
+    """The largest entry of the array ``residuals``, or NaN if any of them is NaN.
 
     The builtin ``max`` keeps its running value whenever a comparison with
     NaN is false, so it would drop a NaN sample that is not the first.
     """
-    return float(np.max(np.fromiter(residuals, dtype=float)))
+    return float(np.max(np.asarray(residuals, dtype=float)))
 
 
 # -- flat model -----------------------------------------------------------------------
@@ -219,24 +219,21 @@ def _rotation(cfg: RunConfig, k: int) -> fs.CircleActionSpec:
     return fs.CircleActionSpec(k=(k,) * cfg.n, l=(1,) * cfg.n)
 
 
-def _flat_points(cfg: RunConfig, rng, count):
-    return [rng.uniform(-1.5, 1.5, size=4 * cfg.n) for _ in range(count)]
+def _flat_points(cfg: RunConfig, rng, count) -> np.ndarray:
+    """(count, 4n) points, the same stream as count draws of 4n."""
+    return rng.uniform(-1.5, 1.5, size=(count, 4 * cfg.n))
 
 
 def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
     spec, scheme = _rotation(cfg, k), _flat_scheme(cfg)
     structures = fs.FlatModel(cfg.n).structures()
-    pts = _flat_points(cfg, rng, cfg.samples)
-    curvatures = (fs.hyperholo_curvature(spec, p, scheme) for p in pts)
-    return _worst(type11_residual(F, S) for F in curvatures for S in structures)
+    curvatures = fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), scheme)
+    return _worst([type11_residual(curvatures, S) for S in structures])
 
 
 def _flat_full_norm(rng, cfg: RunConfig) -> float:
     spec, scheme = _rotation(cfg, 1), _flat_scheme(cfg)
-    return _worst(
-        np.max(np.abs(fs.hyperholo_curvature(spec, p, scheme).comps))
-        for p in _flat_points(cfg, rng, cfg.samples)
-    )
+    return _worst(np.abs(fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), scheme)))
 
 
 def _flat_calibration(rng, cfg: RunConfig) -> float:
@@ -244,25 +241,19 @@ def _flat_calibration(rng, cfg: RunConfig) -> float:
     flat1 = fs.FlatModel(1)
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     expected = FormValue.from_dict(2, 4, {(0, 1): 2.0})
-    gaps = []
-    for _ in range(5):
-        got = ddc(f, flat1.I, rng.uniform(-1.5, 1.5, size=4), scheme)
-        gaps.append(np.max(np.abs((got - expected).comps)))
-    return _worst(gaps)
+    got = ddc(f, flat1.I, rng.uniform(-1.5, 1.5, size=(5, 4)), scheme)
+    return _worst(np.abs(got - expected.comps))
 
 
 # -- cotangent model ------------------------------------------------------------------
 
 
-def _cotangent_points(rng, count, b_max=0.8, v_max=0.8):
-    pts = []
-    for _ in range(count):
-        b = complex(*rng.uniform(-b_max, b_max, 2))
-        v = complex(*rng.uniform(-v_max, v_max, 2))
-        if abs(v) < 0.05:
-            v += 0.1 + 0.1j
-        pts.append(ct.CotangentPoint(b, v))
-    return pts
+def _cotangent_points(rng, count, b_max=0.8, v_max=0.8) -> ct.CotangentPoint:
+    """One batch point of count samples, the same stream as count draws of (b, v)."""
+    bound = np.array([b_max, b_max, v_max, v_max])
+    x = rng.uniform(-bound, bound, size=(count, 4))
+    b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+    return ct.CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
 
 
 def _bg_scheme(cfg: RunConfig) -> FDScheme:
@@ -272,40 +263,58 @@ def _bg_scheme(cfg: RunConfig) -> FDScheme:
 def _bg_moment(rng, cfg: RunConfig, index: int) -> float:
     scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, cfg.samples)
-    return _worst(ct.bg_moment_residuals(pt, scheme)[index] for pt in pts)
+    return _worst(
+        [
+            ct.bg_moment_residuals(ct.CotangentPoint(b, v), scheme)[index]
+            for b, v in zip(pts.b, pts.v)
+        ]
+    )
 
 
 def _bg_agreement(rng, cfg: RunConfig) -> float:
-    scheme = _bg_scheme(cfg)
-    pts = _cotangent_points(rng, cfg.samples)
-    return _worst(ct.bg_curvature_residual(pt, scheme) for pt in pts)
+    return _worst(ct.bg_curvature_residual(_cotangent_points(rng, cfg.samples), _bg_scheme(cfg)))
 
 
 def _bg_quaternionic(rng, cfg: RunConfig) -> float:
     """Worst ||J^2 + Id|| over samples // 4 points (>= 2); builds no curvature."""
-    scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
-    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pt, scheme)[1]) for pt in pts)
+    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pts, _bg_scheme(cfg))[1]))
 
 
 def _bg_type11(rng, cfg: RunConfig) -> float:
-    scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
-    reports = (ct.bg_hyperkahler_check(pt, scheme) for pt in pts)
-    return _worst(out[k] for out in reports for k in ("type11_I", "type11_J", "type11_K"))
+    out = ct.bg_hyperkahler_check(pts, _bg_scheme(cfg))
+    return _worst([out[k] for k in ("type11_I", "type11_J", "type11_K")])
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
 
 
-def _gh_points(ghc, count, rng, min_clear=0.4, box=2.5):
+#: consecutive rejected draws after which _gh_points gives up
+_GH_MAX_REJECTIONS = 10_000
+
+
+def _gh_points(ghc, count, rng, min_clear=0.4, box=2.5) -> np.ndarray:
+    """(count, 3) base points with clearance above min_clear, by rejection.
+
+    Raises :class:`SamplingError` when _GH_MAX_REJECTIONS draws in a row
+    are rejected, so a configuration with no admissible region fails
+    instead of hanging.
+    """
     clear = gh.chart_clearance(ghc)
-    pts = []
-    while len(pts) < count:
+    pts = np.empty((count, 3))
+    accepted = rejected = 0
+    while accepted < count:
         x = rng.uniform(-box, box, size=3)
         x[0] = rng.uniform(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5)
         if clear(np.array([*x, 0.0])) > min_clear:
-            pts.append(x)
+            pts[accepted], accepted, rejected = x, accepted + 1, 0
+        else:
+            rejected += 1
+            if rejected >= _GH_MAX_REJECTIONS:
+                raise SamplingError(
+                    f"no point with clearance above {min_clear} in {rejected} draws"
+                )
     return pts
 
 
@@ -317,29 +326,29 @@ def _gh_scheme(cfg: RunConfig) -> FDScheme:
     return cfg.scheme(FDScheme(h=1e-3, order=4))
 
 
-def _star_gap(da: FormValue, grad) -> float:
-    """max |dA - *d phi| on R^3, for d phi given by its gradient."""
-    star = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
-    return float(np.max(np.abs((da - star).comps)))
+def _star_gaps(da: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """max |dA - *d phi| on R^3 per row, for d phi given by its gradients (k, 3).
+
+    The Euclidean star of 1-forms is linear with one entry of +-1 per
+    column, so taking it as the matrix of its values on the basis is exact.
+    """
+    star = np.array([hodge_star(np.eye(3), 1, FormValue(1, 3, e)).comps for e in np.eye(3)])
+    return np.max(np.abs(da - grads @ star), axis=1)
 
 
 def _gh_alpha(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
-    field = gh.alpha_field(ghc)
-    return _worst(
-        _star_gap(ext_deriv(field, x, scheme), gh.potential_gradient(ghc, x))
-        for x in _gh_points(ghc, cfg.samples, rng)
-    )
+    xs = _gh_points(ghc, cfg.samples, rng)
+    grads = np.array([gh.potential_gradient(ghc, x) for x in xs])
+    return _worst(_star_gaps(ext_deriv(gh.alpha_field(ghc), xs, scheme), grads))
 
 
 def _gh_pair(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     data = gh.MonopoleData.from_config(ghc)
     field = FormField(data.A, 1, 3, clearance=gh.chart_clearance(ghc))
-    return _worst(
-        _star_gap(ext_deriv(field, x, scheme), fd_gradient(data.phi, x, scheme))
-        for x in _gh_points(ghc, cfg.samples, rng)
-    )
+    xs = _gh_points(ghc, cfg.samples, rng)
+    return _worst(_star_gaps(ext_deriv(field, xs, scheme), fd_gradient(data.phi, xs, scheme)))
 
 
 def _gh_harmonic(rng, cfg: RunConfig) -> float:
@@ -349,19 +358,18 @@ def _gh_harmonic(rng, cfg: RunConfig) -> float:
         ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
         ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),
     )
-    return _worst(
-        abs(laplacian(f, x, scheme))
-        for x in _gh_points(ghc, cfg.samples, rng)
-        for f in fields
-    )
+    xs = _gh_points(ghc, cfg.samples, rng)
+    return _worst(np.abs([laplacian(f, xs, scheme) for f in fields]))
 
 
 def _gh_asd(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     pts = _gh_points(ghc, max(2, cfg.samples // 3), rng)
     return _worst(
-        gh.asd_residual(ghc, gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi)), scheme)
-        for x in pts
+        [
+            gh.asd_residual(ghc, gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi)), scheme)
+            for x in pts
+        ]
     )
 
 
@@ -369,14 +377,14 @@ def _gh_periods(rng, cfg: RunConfig):
     ghc = _gh_config(cfg)
     measured = [gh.sphere_period(ghc, i) for i in range(1, ghc.num_centers)]
     worst = _worst(
-        abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)
+        [abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)]
     )
     return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
 
 
 def _gh_lift(rng, cfg: RunConfig) -> float:
     ghc = _gh_config(cfg)
-    return _worst(gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng))
+    return _worst([gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng)])
 
 
 def _gh_segments(rng, cfg: RunConfig) -> float:
@@ -491,10 +499,29 @@ def _level_points(action, rng, cfg: RunConfig):
 
 
 def _q_match(rng, cfg: RunConfig) -> float:
+    """Canonical curvature of the weight-c bundle against the descended form, at level c.
+
+    The weight is the level c, not 1.  The map m -> sqrt(c) m carries the
+    level-1 set onto the level-c set and scales the flat metric by c, so
+    the quotient at level c is the level-1 quotient with metric and
+    Kahler forms times c: [omega-bar_c] = c [omega-bar_1].  By
+    Duistermaat-Heckman, the class of the curvature of the canonical
+    (weight-1) connection of the circle bundle over the level-c quotient
+    is d[omega-bar_c]/dc = [omega-bar_1] = [omega-bar_c] / c.  The
+    descended form omega-bar_1 + dd^c(mu-bar / deg) is in the class
+    [omega-bar_c], since the dd^c term is exact, so it is c times the
+    weight-1 curvature.  Both sides are local and the homothety carries
+    each to its level-1 self (the connection, an orthogonal projection,
+    is scale invariant; omega-bar and mu-bar scale by c), so the factor
+    holds pointwise.  The weight-c curvature is c times the weight-1
+    one, since the connection form is linear in the weight; at c = 1
+    this is the weight-1 bundle.
+    """
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    weight = (_quotient_level(cfg.c),)
     gaps = []
     for lsp in _level_points(action, rng, cfg):
-        got = qt.canonical_bundle_curvature(action, (1.0,), lsp)
+        got = qt.canonical_bundle_curvature(action, weight, lsp)
         want = qt.descended_curvature(action, rotator, lsp)
         gaps.append(np.max(np.abs((got - want).comps)))
     return _worst(gaps)
@@ -516,8 +543,7 @@ def _q_type11(rng, cfg: RunConfig) -> float:
 def _q_descent(rng, cfg: RunConfig) -> float:
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     return _worst(
-        qt.moment_descent_residual(action, rotator, lsp)
-        for lsp in _level_points(action, rng, cfg)
+        [qt.moment_descent_residual(action, rotator, lsp) for lsp in _level_points(action, rng, cfg)]
     )
 
 
@@ -545,14 +571,19 @@ def _q_separation(rng, cfg: RunConfig) -> float:
 
 
 def _twistor_samples(cfg: RunConfig, rng, count, min_mod=0.3, max_mod=1.5):
-    out = []
+    """(z, w, zeta) of count samples as arrays (count, n), (count, n), (count,).
+
+    Each sample's draws interleave z, w, |zeta| and arg zeta, so they are
+    drawn sample by sample and stacked.
+    """
+    zs, ws, zetas = [], [], []
     for _ in range(count):
-        z = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
-        w = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+        zs.append(rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
+        ws.append(rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
         mod = rng.uniform(min_mod, max_mod)
         arg = rng.uniform(0.0, 2 * np.pi)
-        out.append((z, w, mod * np.exp(1j * arg)))
-    return out
+        zetas.append(mod * np.exp(1j * arg))
+    return np.array(zs), np.array(ws), np.array(zetas)
 
 
 def _ctangent(rng, n):
@@ -565,7 +596,7 @@ def _chart_tangent(rng, n):
 
 def _tw_pair(rng, cfg: RunConfig) -> float:
     gaps = []
-    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
         pt = tw.product_to_chart(z, w, zeta)
         tangent = _chart_tangent(rng, cfg.n)
         gaps.append(tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, tangent))
@@ -575,7 +606,7 @@ def _tw_pair(rng, cfg: RunConfig) -> float:
 def _tw_invariance(rng, cfg: RunConfig) -> float:
     full = _rotation(cfg, 1)
     gaps = []
-    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
         pt = tw.product_to_chart(z, w, zeta)
         gaps.append(tw.action_invariance_residual(full, pt, _chart_tangent(rng, cfg.n)))
     return _worst(gaps)
@@ -583,7 +614,7 @@ def _tw_invariance(rng, cfg: RunConfig) -> float:
 
 def _tw_restriction(rng, cfg: RunConfig) -> float:
     gaps = []
-    for z, w, zeta in _twistor_samples(cfg, rng, cfg.samples):
+    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
         s = rng.standard_normal(4 * cfg.n)
         t = rng.standard_normal(4 * cfg.n)
         gaps.append(tw.fibre_restriction_residual(z, w, zeta, s, t))
@@ -592,7 +623,7 @@ def _tw_restriction(rng, cfg: RunConfig) -> float:
 
 def _tw_residue(rng, cfg: RunConfig) -> float:
     gaps = []
-    for z, w, _ in _twistor_samples(cfg, rng, max(2, cfg.samples // 2)):
+    for z, w in zip(*_twistor_samples(cfg, rng, max(2, cfg.samples // 2))[:2]):
         m_tan = rng.standard_normal(4 * cfg.n)
         gaps.append(tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes))
     return _worst(gaps)
@@ -621,18 +652,18 @@ def _tw_pole_orders(rng, cfg: RunConfig) -> float:
 
 def _tw_hermitian(rng, cfg: RunConfig) -> float:
     samples = _twistor_samples(cfg, rng, max(2, cfg.samples // 4))
-    return _worst(tw.hermitian_curvature_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
+    return _worst(tw.hermitian_curvature_residual(cfg.n, *samples))
 
 
 def _tw_reality(rng, cfg: RunConfig) -> float:
     samples = _twistor_samples(cfg, rng, cfg.samples)
-    return _worst(tw.reality_residual(z, w, zeta) for z, w, zeta in samples)
+    return _worst([tw.reality_residual(z, w, zeta) for z, w, zeta in zip(*samples)])
 
 
 def _tw_closedness(rng, cfg: RunConfig) -> float:
     count = max(2, cfg.samples // 4)
     samples = _twistor_samples(cfg, rng, count, min_mod=0.7, max_mod=1.3)
-    return _worst(tw.fz_closedness_residual(cfg.n, z, w, zeta) for z, w, zeta in samples)
+    return _worst(tw.fz_closedness_residual(cfg.n, *samples))
 
 
 # -- Dynkin / McKay -------------------------------------------------------------------
@@ -675,8 +706,10 @@ _MCKAY_DIAGRAMS = (
 
 def _dk_mckay(rng, cfg: RunConfig) -> float:
     return _worst(
-        abs(sum(d * d for d in dk.mckay_dims(kind, k)) - dk.gamma_order(kind, k))
-        for kind, k in _MCKAY_DIAGRAMS
+        [
+            abs(sum(d * d for d in dk.mckay_dims(kind, k)) - dk.gamma_order(kind, k))
+            for kind, k in _MCKAY_DIAGRAMS
+        ]
     )
 
 
@@ -708,7 +741,7 @@ CHECKS = (
         "pullback of omega2 + i omega3 under the angle-theta rotation "
         "equals e^{i n theta} (omega2 + i omega3)",
         1e-12,
-        lambda rng, cfg: _worst(fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)),
+        lambda rng, cfg: _worst([fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)]),
     ),
     Check(
         "flat.ddc.calibration", "dd^c(|z|^2 / 2) = 2 dx ^ dy in one flat plane", 1e-8,

@@ -512,12 +512,19 @@ def total_dim(n: int) -> int:
     return 4 * n + 2
 
 
-def pack_point(model: FlatModel, z, w, zeta: complex) -> np.ndarray:
-    """Real coordinates (flat-space packing, Re zeta, Im zeta)."""
-    p = np.empty(total_dim(model.n))
-    p[: model.dim] = model.from_complex(z, w)
-    zeta = complex(zeta)
-    p[model.dim], p[model.dim + 1] = zeta.real, zeta.imag
+def pack_point(model: FlatModel, z, w, zeta) -> np.ndarray:
+    """Real coordinates (flat-space packing, Re zeta, Im zeta).
+
+    One point (z, w of length n, a complex zeta) gives (4n+2,); a batch
+    (z, w of shape (k, n), zeta of shape (k,)) gives (k, 4n+2).
+    """
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    n = model.n
+    p = np.empty(zeta.shape + (total_dim(n),))
+    p[..., : 2 * n : 2], p[..., 1 : 2 * n : 2] = z.real, z.imag
+    p[..., 2 * n : 4 * n : 2], p[..., 2 * n + 1 : 4 * n : 2] = w.real, w.imag
+    p[..., 4 * n], p[..., 4 * n + 1] = zeta.real, zeta.imag
     return p
 
 
@@ -551,18 +558,22 @@ def chart_jacobian(model: FlatModel, p) -> np.ndarray:
 
 
 def twistor_structure(n: int):
-    """Point -> matrix callback for the twistor complex structure.
+    """Points -> matrices callback for the twistor complex structure.
 
     Returns the real (4n+2)-dimensional almost-complex structure in which
     the chart functions are holomorphic: with the Jacobian split A + iB,
-    S solves (A; B) S = (-B; A).
+    S solves (A; B) S = (-B; A).  The callback takes an (m, 4n+2) batch
+    and returns (m, 4n+2, 4n+2) from one stacked solve, or one point and
+    its matrix.
     """
     model = FlatModel(n)
 
     def structure(p) -> np.ndarray:
         jac = chart_jacobian(model, p)
         a, b = jac.real, jac.imag
-        return np.linalg.solve(np.vstack([a, b]), np.vstack([-b, a]))
+        return np.linalg.solve(
+            np.concatenate([a, b], axis=-2), np.concatenate([-b, a], axis=-2)
+        )
 
     return structure
 
@@ -674,18 +685,27 @@ def _embedded_reference(n: int) -> FormValue:
     return FormValue.from_matrix(mat)
 
 
+def _max_abs(form, reference=0.0):
+    """max |component - reference| of one form (a float) or of each row of a batch (an array)."""
+    comps = form.comps if isinstance(form, FormValue) else form
+    out = np.max(np.abs(comps - reference), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
 def hermitian_curvature_residual(
     n: int,
     z,
     w,
-    zeta: complex,
+    zeta,
     scheme: FDScheme | None = None,
     inner_scheme: FDScheme | None = None,
-) -> float:
+):
     """Deviation of dd^c(log h_U) in the twistor structure from 2x the flat curvature.
 
     The reference form has no dzeta components; the residual is the
-    max-abs deviation over all components of the full form.
+    max-abs deviation over all components of the full form.  One point
+    gives a float; a batch (z, w of shape (k, n), zeta (k,)) gives the
+    (k,) residuals from one ddc call.
     """
     model = FlatModel(n)
     p = pack_point(model, z, w, zeta)
@@ -696,7 +716,7 @@ def hermitian_curvature_residual(
         scheme or _DDC_OUTER,
         inner_scheme or _DDC_INNER,
     )
-    return float(np.max(np.abs(got.comps - _embedded_reference(n).comps)))
+    return _max_abs(got, _embedded_reference(n).comps)
 
 
 # -- curvature as a form field on real coordinates ------------------------------------
@@ -722,11 +742,12 @@ def curvature_FZ_field(n: int) -> FormField:
     )
 
 
-def fz_closedness_residual(
-    n: int, z, w, zeta: complex, scheme: FDScheme | None = None
-) -> float:
-    """max |d F_Z| components at the given point (finite differences)."""
+def fz_closedness_residual(n: int, z, w, zeta, scheme: FDScheme | None = None):
+    """max |d F_Z| components at the given point (finite differences).
+
+    One point gives a float; a batch (z, w of shape (k, n), zeta (k,))
+    gives the (k,) residuals from one ext_deriv call.
+    """
     model = FlatModel(n)
     p = pack_point(model, z, w, zeta)
-    d_fz = ext_deriv(curvature_FZ_field(n), p, scheme or _CLOSEDNESS_SCHEME)
-    return float(np.max(np.abs(d_fz.comps)))
+    return _max_abs(ext_deriv(curvature_FZ_field(n), p, scheme or _CLOSEDNESS_SCHEME))

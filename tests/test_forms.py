@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hkgeom import cotangent
+from hkgeom import cotangent, forms
 from hkgeom import gibbonshawking as gh
 from hkgeom.errors import DomainError, MetricError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
@@ -433,7 +433,7 @@ def test_ddc_structure_checked_at_outer_points():
     p0 = np.array([0.3, -0.2, 0.1, 0.4])
 
     def I(q):
-        return I4 * (1.0 + np.linalg.norm(q - p0))
+        return I4 * (1.0 + np.linalg.norm(q - p0, axis=-1))[:, None, None]
 
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     dc_deriv(f, I, p0)
@@ -523,6 +523,190 @@ def test_form_field_rejects_a_batch_of_the_wrong_shape():
     assert field(np.zeros((3, 2))).shape == (3, 2)
     with pytest.raises(ValueError):
         FormField(lambda p: p, degree=2, dim=4)(np.zeros((3, 4)))
+
+
+# -- batched base points ----------------------------------------------------------
+#
+# Every operator takes (k, dim) base points, splits them into chunks whose
+# stencils return at most MAX_STENCIL_VALUES values, and must give each row
+# the bits of that point alone.  Each property runs at the library bound
+# and at 64 values, where a chunk is one to five points, so batches cross
+# chunk boundaries; the fixed cases below also cross the library bound.
+
+BATCH_SETTINGS = settings(max_examples=10, derandomize=True, deadline=None)
+VALUE_BOUNDS = (forms.MAX_STENCIL_VALUES, 64)
+
+
+def _smooth_field(rng, dim, clearance=None):
+    """A non-polynomial ScalarField on R^dim, written with row-wise reductions only."""
+    a, b = rng.uniform(0.5, 1.5, dim), rng.uniform(-1.0, 1.0, dim)
+    return ScalarField(
+        lambda P: np.sin(np.sum(a * P, axis=-1)) + np.sum(b * P * P, axis=-1),
+        dim,
+        clearance=clearance,
+    )
+
+
+def _smooth_form(rng, dim, degree):
+    """A degree-k FormField on R^dim whose component I is sin(a_I x_i + b_I x_j + c_I)."""
+    nb = len(basis_indices(dim, degree))
+    i, j = rng.integers(0, dim, nb), rng.integers(0, dim, nb)
+    a, b, c = rng.uniform(-1.0, 1.0, (3, nb))
+    return FormField(lambda P: np.sin(a * P[:, i] + b * P[:, j] + c), degree, dim)
+
+
+def _rows_equal_alone(op, points):
+    """op on the batch has one row per point, and each row has the bits of op on that point."""
+    batch = op(points)
+    assert len(batch) == len(points)
+    for row, p in zip(batch, points):
+        alone = op(p)
+        alone = alone.comps if isinstance(alone, FormValue) else alone
+        assert np.array_equal(row, alone)
+
+
+def _structure_stack(rng, S, k):
+    """k complex structures A S A^-1 for well-conditioned random A, as (k, N, N)."""
+    A = np.eye(len(S)) + 0.2 * rng.uniform(-1.0, 1.0, (k, len(S), len(S)))
+    return A @ S @ np.linalg.inv(A)
+
+
+@pytest.mark.parametrize("bound", VALUE_BOUNDS)
+def test_batched_d_and_laplacian_rows_equal_each_point_alone(monkeypatch, bound):
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", bound)
+
+    @BATCH_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([2, 4]))
+    def check(seed, k, order):
+        rng = np.random.default_rng(seed)
+        scheme = FDScheme(h=1e-2, order=order)
+        f = _smooth_field(rng, 4)
+        P = rng.uniform(-1.0, 1.0, (k, 4))
+        _rows_equal_alone(lambda p: ddc(f, I4, p, scheme), P)
+        _rows_equal_alone(lambda p: dc_deriv(f, I4, p, scheme), P)
+        _rows_equal_alone(lambda p: laplacian(f, p, scheme), P)
+        _rows_equal_alone(lambda p: fd_gradient(f, p, scheme), P)
+
+    check()
+
+
+@pytest.mark.parametrize("bound", VALUE_BOUNDS)
+def test_batched_ddc_rows_equal_each_point_alone_for_a_callable_structure(monkeypatch, bound):
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", bound)
+
+    @BATCH_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([1, 2]))
+    def check(seed, k, n):
+        rng = np.random.default_rng(seed)
+        f, I = log_hU_field(n), twistor_structure(n)
+        P = _twistor_points(rng, k, n)
+        _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-2), FDScheme(h=1e-3)), P)
+        _rows_equal_alone(lambda p: dc_deriv(f, I, p, FDScheme(h=1e-3)), P)
+
+    check()
+
+
+@pytest.mark.parametrize("bound", VALUE_BOUNDS)
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_batched_ext_deriv_rows_equal_each_point_alone(monkeypatch, bound, degree):
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", bound)
+
+    @BATCH_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([3, 4, 14]))
+    def check(seed, k, dim):
+        rng = np.random.default_rng(seed)
+        w = _smooth_form(rng, dim, degree)
+        _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3)), rng.uniform(-1, 1, (k, dim)))
+
+    check()
+
+
+def test_batched_type11_rows_equal_each_form_alone():
+    @BATCH_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def check(seed, k):
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((k, 6))
+        stack = _structure_stack(rng, I4, k)
+        for S in (J4, stack):
+            batch = type11_residual(F, S)
+            for r in range(k):
+                alone = type11_residual(FormValue(2, 4, F[r]), S if S.ndim == 2 else S[r])
+                assert np.array_equal(batch[r], alone)
+
+    check()
+
+
+def test_batches_beyond_the_library_chunk_keep_every_row():
+    # 130 points of R^3 are two chunks of a 1-form's first-derivative
+    # stencils (113 points of 12 rows and 3 values each); 9 points of R^6
+    # are two chunks of nested dd^c stencils (7 points of 576 rows each)
+    rng = np.random.default_rng(21)
+    w = _smooth_form(rng, 3, 1)
+    assert 130 > forms.MAX_STENCIL_VALUES // (4 * 3 * 3)
+    _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3)), rng.uniform(-1, 1, (130, 3)))
+    P = _twistor_points(rng, 9, 1)
+    assert 9 > forms.MAX_STENCIL_VALUES // (4 * 6) ** 2
+    f, I = log_hU_field(1), twistor_structure(1)
+    _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-3)), P)
+
+
+def test_one_field_call_returns_at_most_the_value_bound():
+    calls = []
+    f = _smooth_field(np.random.default_rng(22), 4)
+    counted = ScalarField(lambda P: calls.append(len(P)) or f.fn(P), 4)
+    P = np.random.default_rng(23).uniform(-1, 1, (40, 4))
+    ddc(counted, I4, P, FDScheme(h=1e-2))
+    assert max(calls) <= forms.MAX_STENCIL_VALUES and sum(calls) == 40 * 16**2
+    calls.clear()
+    laplacian(counted, P[:1])
+    assert calls == [1 + 16]  # never less than one base point
+    # a form field's row counts its nb components: a 2-form on R^14 has 91,
+    # so one point's 56 stencil rows already exceed the bound
+    w = _smooth_form(np.random.default_rng(24), 14, 2)
+    counted = FormField(lambda P: calls.append(len(P)) or w.fn(P), 2, 14)
+    calls.clear()
+    ext_deriv(counted, np.zeros((3, 14)))
+    assert calls == [56, 56, 56]
+
+
+def test_one_bad_row_fails_the_whole_batch():
+    a = np.zeros(4)
+    rng = np.random.default_rng(24)
+    f = _smooth_field(rng, 4, clearance=lambda p: np.linalg.norm(p - a))
+    w = FormField(lambda P: np.sin(P), 1, 4, clearance=lambda p: np.linalg.norm(p - a))
+    P = rng.uniform(0.5, 1.0, (6, 4))
+    P[3] = 1e-3  # inside the 10h margin of the singular point a
+    scheme = FDScheme(h=1e-3)
+    for op in (
+        lambda: ddc(f, I4, P, scheme),
+        lambda: dc_deriv(f, I4, P, scheme),
+        lambda: laplacian(f, P, scheme),
+        lambda: ext_deriv(w, P, scheme),
+    ):
+        with pytest.raises(DomainError):
+            op()
+    P[3] = 0.7
+
+    def I(q):  # a complex structure everywhere but near the fourth point
+        S = np.broadcast_to(I4, (len(q), 4, 4)).copy()
+        S[np.linalg.norm(q - 0.7, axis=-1) < 0.1] *= 2.0
+        return S
+
+    with pytest.raises(StructureError):
+        ddc(f, I, P, scheme)
+    with pytest.raises(StructureError):
+        dc_deriv(f, I, P, scheme)
+    stack = _structure_stack(rng, I4, 6)
+    stack[3] = np.eye(4)
+    with pytest.raises(StructureError):
+        type11_residual(rng.standard_normal((6, 6)), stack)
+
+
+def test_structure_callable_must_return_one_matrix_per_point():
+    f = _smooth_field(np.random.default_rng(25), 4)
+    with pytest.raises(ValueError, match="structure callable"):
+        ddc(f, lambda q: I4, np.zeros(4))
 
 
 # -- Laplacian ----------------------------------------------------------------

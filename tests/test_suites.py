@@ -1,8 +1,15 @@
 """The check table: fixed ids and order, and checks that run independently."""
 
+import tracemalloc
+import warnings
+
+import numpy as np
 import pytest
 
+from hkgeom import gibbonshawking as gh
+from hkgeom import quotient as qt
 from hkgeom import suites
+from hkgeom.cli import main
 from hkgeom.errors import ConfigError
 from hkgeom.suites import CHECKS, RunConfig, run_check, run_suite
 
@@ -92,3 +99,68 @@ def test_check_seeds_differ_by_id_and_seed():
     again = suites._check_rng(cfg, "flat.ddc.calibration").random(4)
     assert (a == again).all()
     assert not (a == b).any() and not (a == c).any()
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_quotient_curvature_match_holds_away_from_level_one(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a non-integral level warns that no global bundle descends
+        rec = run_check(RunConfig(suite="quotient", c=c), "quotient.curvature.match")
+    assert rec.passed, rec.to_dict()
+
+
+def test_weight_one_curvature_is_the_descended_form_over_the_level():
+    # the factor the check's weight c accounts for: F_can(1) = F / c at level c = 2
+    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    (lsp,) = qt.solve_level(action, qt.LevelSpec((2.0,)), np.random.default_rng(0).standard_normal((1, 8)))
+    weight_one = qt.canonical_bundle_curvature(action, (1.0,), lsp).comps
+    descended = qt.descended_curvature(action, rotator, lsp).comps
+    assert np.max(np.abs(2.0 * weight_one - descended)) < 1e-7
+    assert np.max(np.abs(weight_one - descended)) > 0.1
+
+
+def test_verify_quotient_at_level_two_exits_zero(tmp_path):
+    assert main(["verify", "quotient", "--c", "2", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_gh_points_keep_the_draw_stream():
+    ghc = gh.GHConfig(centers=(0.0, 1.0))
+    pts = suites._gh_points(ghc, 6, np.random.default_rng(3))
+    rng, clear, want = np.random.default_rng(3), gh.chart_clearance(ghc), []
+    while len(want) < 6:  # the rejection loop, one draw at a time
+        x = rng.uniform(-2.5, 2.5, size=3)
+        x[0] = rng.uniform(-1.5, 2.5)
+        if clear(np.array([*x, 0.0])) > 0.4:
+            want.append(x)
+    assert pts.shape == (6, 3) and np.array_equal(pts, np.array(want))
+
+
+def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(suites.gh, "chart_clearance", lambda cfg: lambda p: 0.0)
+    rec = run_check(RunConfig(suite="gh"), "gh.monopole.alpha")
+    assert not rec.passed and rec.residual is None
+    assert rec.detail.startswith("SamplingError: no point with clearance above 0.4")
+
+
+@pytest.mark.parametrize(
+    "suite, check_id",
+    [
+        ("flat", "flat.curvature.type11.full"),
+        ("twistor", "twistor.hermitian.curvature"),
+        ("twistor", "twistor.closedness"),
+    ],
+)
+def test_dense_checks_stay_within_their_memory_bound(suite, check_id):
+    # at n = 3 one nested dd^c stencil is 2,304 (flat) or 3,136 (twistor)
+    # rows, and one point's F_Z stencil returns 56 x 91 values, so the
+    # chunk bound keeps each peak near 1 MB or below; all samples' stencils
+    # in one field call would peak at about 12, 5 and 1.9 MB
+    cfg = RunConfig(suite=suite, n=3)
+    run_check(cfg, check_id)  # builds the cached index tables first
+    tracemalloc.start()
+    try:
+        run_check(cfg, check_id)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
