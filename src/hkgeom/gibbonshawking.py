@@ -190,10 +190,10 @@ def gh_potential(cfg: GHConfig, x):
 
 
 def potential_gradient(cfg: GHConfig, x) -> np.ndarray:
-    """Closed-form grad V = -sum_i w_i (x - a_i) / r_i^3."""
+    """Closed-form grad V = -sum_i w_i (x - a_i) / r_i^3, x of shape (..., 3)."""
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
-    return -np.einsum("i,ij->j", np.asarray(cfg.weights) / r**3, d)
+    return -np.einsum("...i,...ij->...j", np.asarray(cfg.weights) / r**3, d)
 
 
 def rotation_lift_f(cfg: GHConfig, x):

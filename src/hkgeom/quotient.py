@@ -55,7 +55,7 @@ from .forms import (
 #: fit is quadratic in the speed), so scale 1/4 gives V = sum_i 1/|x - a_i|.
 GH_CIRCLE_SCALE = 0.25
 
-_MGS_CONDITION_GUARD = 1e8
+_CONDITION_GUARD = 1e8
 
 #: Newton tolerance and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
@@ -193,7 +193,7 @@ def moment_jacobian(action: LinearAction, m) -> np.ndarray:
 
 def _rank_deficient(sv) -> np.ndarray:
     """Which rows of singular values (..., r), largest first, fail the condition guard."""
-    return (sv[..., 0] < 1e-12) | (sv[..., -1] < sv[..., 0] / _MGS_CONDITION_GUARD)
+    return (sv[..., 0] < 1e-12) | (sv[..., -1] < sv[..., 0] / _CONDITION_GUARD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +211,13 @@ class LevelSetPoint:
     def frame(self) -> np.ndarray:
         """The oriented horizontal frame (see ``horizontal_frame``).
 
+        Quaternionic blocks (v, I v, J v, K v) off the vertical frame: the
+        horizontal space is I, J, K-invariant, so no axis choice or
+        orientation flip is needed, and the frame is smooth in the point.
         Built on first use and kept, read-only, so every consumer of this
         point (charts, samples, descended data) shares one frame.
         """
-        vert = _vertical_frame([self])[0]
-        dim = self.point.size
-        basis = [np.eye(dim)[:, j] for j in range(dim)]
-        frame = _mgs_pivoted(basis, dim - vert.shape[1], against=vert)
-        omega1 = pullback(FlatModel(dim // 4).omega1, frame).as_matrix()
-        if _pfaffian(omega1) < 0.0:
-            frame[:, -1] = -frame[:, -1]
+        frame = _quaternionic_frame(_vertical_frame([self])[0])
         frame.flags.writeable = False
         return frame
 
@@ -299,44 +296,6 @@ def solve_level(
 # -- quotient frames ------------------------------------------------------------------
 
 
-def _mgs_pivoted(columns, rank, *, guard=_MGS_CONDITION_GUARD, against=None):
-    """Modified Gram-Schmidt with column pivoting.
-
-    Picks `rank` columns (largest remaining norm first), orthonormalises
-    them (optionally against a pre-existing orthonormal block), and
-    raises NonFreePointError when the pivot norm collapses below the
-    condition guard relative to the largest input norm.
-    """
-    work = np.array(np.column_stack(columns), dtype=float)
-    if against is not None:
-        work = work - against @ (against.T @ work)
-    scale = float(np.max(np.linalg.norm(work, axis=0)))
-    if scale == 0.0:
-        raise NonFreePointError("all candidate directions vanish")
-    out = []
-    alive = list(range(work.shape[1]))
-    for _ in range(rank):
-        norms = np.linalg.norm(work[:, alive], axis=0)
-        best = int(np.argmax(norms))
-        if norms[best] < scale / guard:
-            raise NonFreePointError(
-                f"direction set is rank-deficient beyond the 1e{int(np.log10(guard))} guard"
-            )
-        col = alive.pop(best)
-        q = work[:, col] / np.linalg.norm(work[:, col])
-        # a second orthogonalisation pass keeps the frame orthonormal to
-        # machine precision even for nearly dependent inputs
-        if against is not None:
-            q = q - against @ (against.T @ q)
-        for done in out:
-            q = q - done * (done @ q)
-        q = q / np.linalg.norm(q)
-        out.append(q)
-        for other in alive:
-            work[:, other] -= q * (q @ work[:, other])
-    return np.column_stack(out)
-
-
 def _vertical_frame(points) -> np.ndarray:
     """Orthonormal bases (k, dim, 4 dim_g) of the vertical spaces of k level-set points.
 
@@ -357,26 +316,44 @@ def vertical_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     return _vertical_frame([lsp])[0]
 
 
-def _pfaffian(m: np.ndarray) -> float:
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
-    if n % 2:
-        return 0.0
-    total = 0.0
-    rest = list(range(1, n))
-    for pos, j in enumerate(rest):
-        sign = -1.0 if pos % 2 else 1.0
-        others = rest[:pos] + rest[pos + 1 :]
-        total += sign * m[0, j] * _pfaffian(m[np.ix_(others, others)])
-    return total
+def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
+    """Horizontal frame (dim, dim - w) of blocks (v, I v, J v, K v) off a vertical frame (dim, w).
+
+    The vertical space, spanned by the orbit directions G_a m and the moment
+    gradients S_i G_a m, is the quaternionic span of the orbit, and I, J, K
+    are orthogonal, so they preserve its complement, the horizontal space.
+    Block j projects the fixed generic seed sin((j + 1) (1, ..., dim)) twice
+    off the vertical frame and the earlier blocks and normalises it to v;
+    (v, I v, J v, K v) is then orthonormal with omega_1 = e01 + e23 on it, so
+    the frame is oriented with no sign fix.  Nothing picks among candidates,
+    so the frame is smooth in the vertical frame.  A seed whose projection
+    falls below the condition guard raises NonFreePointError.
+    """
+    dim, width = vert.shape
+    structures = FlatModel(dim // 4).structures()
+    basis = vert
+    for j in range((dim - width) // 4):
+        seed = np.sin((j + 1) * np.arange(1.0, dim + 1.0))
+        v = seed
+        for _ in range(2):
+            v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm < np.linalg.norm(seed) / _CONDITION_GUARD:
+            raise NonFreePointError(f"frame seed {j} is vertical up to the condition guard")
+        v = v / norm
+        basis = np.column_stack([basis, v] + [s @ v for s in structures])
+    return basis[:, width:]
 
 
 def horizontal_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     """Orthonormal basis of ker(d nu) intersected with the orbit complement.
 
-    The frame is oriented so the restricted Kahler triple satisfies
-    omega_i ^ omega_i = +2 vol.  It is ``lsp.frame``: built once per
+    That space is the orthogonal complement of the quaternionic span of
+    the orbit, so I, J and K preserve it, and the frame is made of blocks
+    (v, I v, J v, K v) from fixed seeds (``_quaternionic_frame``).  It is
+    oriented by construction (omega_bar_1 = e01 + e23 on every block, so
+    omega_i ^ omega_i = +2 vol) and smooth in the point: no pivot or sign
+    flip depends on rounding.  It is ``lsp.frame``: built once per
     level-set point, read-only.
     """
     return lsp.frame

@@ -52,6 +52,16 @@ from .report import CheckRecord, Report
 SUITE_NAMES = ("flat", "cotangent", "gh", "quotient", "twistor", "dynkin")
 SUITE_ALIASES = {"bg": "cotangent"}
 
+#: least gap between adjacent centres: gh.lift.segments samples each axis
+#: segment from 5% to 95% of its length, so this keeps its points 5e-8,
+#: five times the potential's CENTER_MARGIN, away from either centre
+_MIN_CENTER_GAP = 100 * gh.CENTER_MARGIN
+#: least positive quotient level: quotient.gh.separation fits the centre
+#: separation c/2 from level-set samples at unit scale, and rounding limits
+#: that fit to about 3e-14 / c^2 (worst over seeds 0-7: 9.7e-9 at c = 1e-3,
+#: 2.2e-6 at 1e-4 and 3.2e-5 at 3e-5, against the tolerance 1e-4)
+_MIN_QUOTIENT_LEVEL = 1e-3
+
 
 # -- run configuration ----------------------------------------------------------------
 
@@ -100,6 +110,8 @@ class RunConfig:
             raise ConfigError("need at least 8 contour nodes")
         if name in ("all", "gh"):
             gh.GHConfig(centers=self.centers, c=self.c)
+            if any(b - a < _MIN_CENTER_GAP for a, b in zip(self.centers, self.centers[1:])):
+                raise ConfigError(f"adjacent centres must be at least {_MIN_CENTER_GAP:g} apart")
         if name in ("all", "quotient"):
             _quotient_level(self.c)
 
@@ -339,7 +351,7 @@ def _star_gaps(da: np.ndarray, grads: np.ndarray) -> np.ndarray:
 def _gh_alpha(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
     xs = _gh_points(ghc, cfg.samples, rng)
-    grads = np.array([gh.potential_gradient(ghc, x) for x in xs])
+    grads = gh.potential_gradient(ghc, xs)
     return _worst(_star_gaps(ext_deriv(gh.alpha_field(ghc), xs, scheme), grads))
 
 
@@ -411,10 +423,15 @@ def _quotient_level(c: float) -> float:
     """The quotient level for a configured c.
 
     c = 0 means the default level 1, since 0 is also the gh suite's
-    default axis constant; a negative level is a configuration error.
+    default axis constant; a negative level, or a positive one below
+    _MIN_QUOTIENT_LEVEL, is a configuration error.
     """
     if c < 0:
         raise ConfigError(f"the quotient level c must be nonnegative, got {c}")
+    if 0 < c < _MIN_QUOTIENT_LEVEL:
+        raise ConfigError(
+            f"the quotient level c must be 0 (level 1) or at least {_MIN_QUOTIENT_LEVEL:g}, got {c}"
+        )
     return c if c > 0 else 1.0
 
 

@@ -119,6 +119,20 @@ def test_quotient_level_rejects_negative_c_when_the_quotient_suite_runs():
     assert suites._quotient_level(2.5) == 2.5
 
 
+def test_run_config_rejects_levels_and_gaps_below_the_resolution_floors():
+    # below 1e-3 the separation fit resolves c/2 only to rounding; centres
+    # closer than 1e-6 leave the segment check no point clear of them
+    for c in (5e-324, 1e-169, 1e-5, 9.99e-4):
+        with pytest.raises(ConfigError, match="quotient level"):
+            RunConfig(suite="quotient", c=c)
+    assert suites._quotient_level(1e-3) == 1e-3
+    assert RunConfig(suite="gh", c=1e-5).c == 1e-5  # a small axis constant is fine
+    for centers in ((0.0, 1e-7), (-1.0, 0.0, 5e-324)):
+        with pytest.raises(ConfigError, match="adjacent centres"):
+            RunConfig(suite="gh", centers=centers)
+    assert RunConfig(suite="gh", centers=(0.0, 1e-6)).centers == (0.0, 1e-6)
+
+
 def test_check_propagates_programming_errors(monkeypatch):
     def broken(graph):
         raise TypeError("unsupported operand")
@@ -277,6 +291,8 @@ def test_verify_unknown_suite_is_usage_error():
         ["verify", "all", "--centers", "1,0"],
         ["verify", "quotient", "--c", "-2"],
         ["verify", "all", "--c", "-2"],
+        ["verify", "quotient", "--c", "1e-5"],
+        ["verify", "gh", "--centers", "0,1e-9"],
     ],
 )
 def test_verify_bad_configuration_exits_two_before_any_check(args, monkeypatch, capsys):

@@ -121,10 +121,15 @@ def test_potential_gradient_and_harmonicity():
         lambda x: gh_potential(THREE, x), 3, clearance=center_clearance(THREE)
     )
     scheme = FDScheme(h=1e-3, order=4)
-    for x in sample_points(THREE, 8, rng):
+    xs = sample_points(THREE, 8, rng)
+    for x in xs:
         fd = fd_gradient(lambda q: gh_potential(THREE, q), x, scheme)
         assert np.max(np.abs(fd - potential_gradient(THREE, x))) < 1e-8
         assert abs(laplacian(field, x, scheme)) < 1e-6
+    # a batch row is that point alone, bit for bit
+    batch = potential_gradient(THREE, np.array(xs))
+    assert batch.shape == (len(xs), 3)
+    assert np.array_equal(batch, np.array([potential_gradient(THREE, x) for x in xs]))
 
 
 def test_monopole_phi_harmonic():

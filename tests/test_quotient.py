@@ -1,5 +1,7 @@
 """Tests for the linear hyperkahler quotient machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,6 +20,7 @@ from hkgeom.forms import (
     ScalarField,
     fd_gradient,
     fd_jacobian,
+    pullback,
     type11_residual,
     wedge,
 )
@@ -47,6 +50,8 @@ from hkgeom.quotient import (
 
 ACTION = eguchi_hanson_action()
 LEVEL = LevelSpec((1.0,))
+#: omega_bar_1 on one block (v, Iv, Jv, Kv) of the horizontal frame
+_E01_E23 = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 def solved(seed_rng, level=LEVEL):
@@ -205,6 +210,45 @@ def test_frames_are_orthonormal_splittings():
     # level-set tangency and orbit-orthogonality of the horizontal block
     assert np.max(np.abs(lsp.dnu.reshape(-1, 8) @ horiz)) < 1e-9
     assert np.max(np.abs(lsp.orbit.T @ horiz)) < 1e-10
+    # oriented with no sign fix: omega_bar_1 = e01 + e23
+    omega1 = pullback(ACTION.model.omega1, horiz).as_matrix()
+    assert np.max(np.abs(omega1 - _E01_E23)) < 1e-12
+
+
+def test_one_ulp_of_vertical_data_moves_the_frame_by_rounding_only():
+    # no pivot or sign choice depends on the last bit of the vertical data
+    points = solve_level(ACTION, LEVEL, np.random.default_rng(61).standard_normal((30, 8)))
+    for lsp in points:
+        for scale in (1.0 + 2e-16, 1.0 - 2e-16):
+            moved = dataclasses.replace(lsp, orbit=lsp.orbit * scale, dnu=lsp.dnu * scale)
+            assert np.max(np.abs(moved.frame - lsp.frame)) <= 1e-14
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 0), (1, 1, 1)])
+def test_frames_of_dimension_eight(weights):
+    # H^3 by a circle: two quaternionic blocks; (1, 0, 0) makes e_0 vertical
+    action = LinearAction.from_torus_weights(
+        [CircleActionSpec(k=weights, l=tuple(-w for w in weights))]
+    )
+    for lsp in solve_level(action, LEVEL, np.random.default_rng(62).standard_normal((6, 12))):
+        frame = horizontal_frame(action, lsp)
+        assert frame.shape == (12, 8)
+        assert np.max(np.abs(frame.T @ frame - np.eye(8))) < 1e-12
+        assert np.max(np.abs(lsp.dnu.reshape(-1, 12) @ frame)) < 1e-12
+        assert np.max(np.abs(lsp.orbit.T @ frame)) < 1e-12
+        for s in action.model.structures():
+            s_bar = frame.T @ s @ frame
+            assert np.max(np.abs(s_bar @ s_bar + np.eye(8))) < 1e-12
+        omega1 = pullback(action.model.omega1, frame).as_matrix()
+        assert np.max(np.abs(omega1 - np.kron(np.eye(2), _E01_E23))) < 1e-12
+
+
+def test_vertical_frame_seed_is_not_free():
+    lsp = solved(np.random.default_rng(63))
+    seed = np.sin(np.arange(1.0, 9.0))
+    bad = dataclasses.replace(lsp, orbit=seed[:, None])
+    with pytest.raises(NonFreePointError):
+        bad.frame
 
 
 def test_quotient_hyperkahler_algebra():
