@@ -21,7 +21,6 @@ from hkgeom.quotient import (
     eh_residual_circle,
     eh_rotator,
     gh_coordinates,
-    quotient_sample,
     solve_level,
 )
 from hkgeom.suites import fit_two_centers
@@ -35,9 +34,8 @@ lsp = solve_level(action, level, rng.standard_normal(8))
 print("Newton solve:", len(lsp.history) - 1, "steps, final residual",
       f"{lsp.residual:.2e}")
 
-sample = quotient_sample(action, lsp)
 print("horizontal metric identity gap:",
-      f"{np.max(np.abs(sample.metric - np.eye(4))):.2e}")
+      f"{np.max(np.abs(lsp.frame.T @ lsp.frame - np.eye(4))):.2e}")
 
 # -- curvature of the canonical connection ----------------------------------------------
 

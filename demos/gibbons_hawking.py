@@ -58,7 +58,7 @@ print("anti-self-duality of the connection curvature:",
 
 # -- periods over segment spheres --------------------------------------------------------
 
-print("\nintegral of omega1 over the segment sphere:")
+print("\nintegral of omega1 over a sphere homologous to the segment sphere:")
 print("  measured:", sphere_period(cfg, 1), "  expected 2 pi (a2 - a1) =",
       2 * np.pi * cfg.spacings[0])
 

@@ -151,8 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, help="random sample count per check")
     verify.add_argument("--seed", type=int, help="RNG seed (fixes the report bytes)")
     verify.add_argument("--tol", type=float, help="override every check tolerance")
-    verify.add_argument("--h", type=float, help="finite-difference step override")
-    verify.add_argument("--order", type=int, choices=(2, 4), help="FD stencil order")
+    verify.add_argument(
+        "--h", type=float,
+        help="finite-difference step override for the flat, cotangent and gh stencils; "
+        "the quotient and twistor stencils keep their fixed steps",
+    )
+    verify.add_argument(
+        "--order", type=int, choices=(2, 4),
+        help="FD stencil order override, for the same stencils as --h",
+    )
     verify.add_argument("--centers", help="comma-separated centre coordinates")
     verify.add_argument("--c", type=float, help="axis constant / quotient level")
     verify.add_argument("--nodes", type=int, help="contour quadrature node count")

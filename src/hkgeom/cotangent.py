@@ -116,15 +116,19 @@ def uf_prime(u):
     return out if out.ndim else float(out)
 
 
-def fu_identity_residual(u_grid, h_frac: float = 0.25) -> float:
+#: step of fu_identity_residual as a fraction of u, so the stencil stays in u > 0
+_FU_STEP_FRACTION = 0.25
+
+
+def fu_identity_residual(u_grid) -> float:
     """Max |d/du (u f(u)) - (sqrt(1+u)-1)/(2u)| with a 4th-order FD in u.
 
-    The step is min(h_frac * u, 0.05) so the stencil stays in u > 0.
+    The step is min(_FU_STEP_FRACTION * u, 0.05) so the stencil stays in u > 0.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     worst = 0.0
     for u in u_grid:
-        scheme = FDScheme(h=min(h_frac * u, 0.05), order=4)
+        scheme = FDScheme(h=min(_FU_STEP_FRACTION * u, 0.05), order=4)
         fd = fd_gradient(lambda x: u_eval(x[:, 0]), [u], scheme)[0]
         target = (np.sqrt(1.0 + u) - 1.0) / (2.0 * u)
         worst = max(worst, abs(fd - target))

@@ -213,9 +213,6 @@ class FormValue:
 
     # -- algebra ---------------------------------------------------------------
 
-    def wedge(self, other: "FormValue") -> "FormValue":
-        return wedge(self, other)
-
     def conjugate(self) -> "FormValue":
         return FormValue(self.degree, self.dim, np.conj(self.comps))
 
@@ -516,19 +513,12 @@ def _dc_contract(S: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return -(np.swapaxes(S, -1, -2) @ grads[..., None])[..., 0]
 
 
-def dc_deriv(
-    f: ScalarField,
-    I,
-    p,
-    scheme: FDScheme | None = None,
-    *,
-    structure_tol: float = _STRUCTURE_TOL,
-):
+def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None):
     """The 1-form d^c f = -df o I at p, one point (FormValue) or base points (k, dim).
 
     I may be a constant matrix or a callback taking (m, dim) points to
     (m, dim, dim) matrices; it must square to -Id at every base point to
-    within structure_tol.  The gradient stencils go to f in one batch.
+    within _STRUCTURE_TOL.  The gradient stencils go to f in one batch.
     """
     scheme = scheme or FDScheme()
     P, single = _base_points(p)
@@ -536,7 +526,7 @@ def dc_deriv(
 
     def chunk(C):
         _require_margin(f, C, scheme)
-        S = _structures(I, C, structure_tol, "at the base point")
+        S = _structures(I, C, _STRUCTURE_TOL, "at the base point")
         return _dc_contract(S, _derivatives(f, C, scheme))
 
     return _form_result(_chunked(P, _stencil_rows(scheme, N), chunk), 1, N, single)

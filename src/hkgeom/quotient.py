@@ -45,7 +45,6 @@ from .forms import (
     _stencil_derivatives,
     _stencil_points,
     ext_deriv,
-    pullback,
 )
 
 #: speed of the Eguchi-Hanson residual circle that makes the recovered
@@ -56,6 +55,17 @@ from .forms import (
 GH_CIRCLE_SCALE = 0.25
 
 _CONDITION_GUARD = 1e8
+
+#: how far a generator may be from antisymmetric, triholomorphic and closed
+#: under brackets before LinearAction refuses it
+_GENERATOR_TOL = 1e-10
+#: Newton tolerance and iteration budget of the level-set solver
+_LEVEL_NEWTON_TOL = 1e-12
+_LEVEL_MAX_ITER = 40
+#: how far the rotator of descended_circle_data, and the residual circle of
+#: gh_coordinates, may be from commuting with the action
+_ROTATOR_COMMUTE_TOL = 1e-12
+_CIRCLE_COMMUTE_TOL = 1e-10
 
 #: Newton tolerance and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
@@ -71,12 +81,11 @@ class LinearAction:
     """Commuting triholomorphic generators of a torus acting on H^n.
 
     Each generator must be antisymmetric (a flat Killing field) and
-    commute with the three complex structures; the bracket table is
-    computed and closure is enforced at construction.
+    commute with the three complex structures, and the generators must
+    close under brackets; all three are checked at construction.
     """
 
     generators: tuple
-    structure_tol: float = 1e-10
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
@@ -88,21 +97,20 @@ class LinearAction:
         model = FlatModel(dim // 4)
         structures = model.structures()
         for idx, g in enumerate(gens):
-            if np.max(np.abs(g + g.T)) > self.structure_tol:
+            if np.max(np.abs(g + g.T)) > _GENERATOR_TOL:
                 raise StructureError(f"generator {idx} is not metric-antisymmetric")
             for s in structures:
-                if np.max(np.abs(s @ g - g @ s)) > self.structure_tol:
+                if np.max(np.abs(s @ g - g @ s)) > _GENERATOR_TOL:
                     raise StructureError(f"generator {idx} is not triholomorphic")
         basis = np.stack([g.ravel() for g in gens], axis=1)
         # one pseudo-inverse fits every bracket [G_a, G_b] against the basis
         brackets = np.array([[(ga @ gb - gb @ ga).ravel() for gb in gens] for ga in gens])
         table = brackets @ np.linalg.pinv(basis).T
         worst = float(np.max(np.abs(table @ basis.T - brackets)))
-        if worst > self.structure_tol:
+        if worst > _GENERATOR_TOL:
             raise StructureError(f"generators do not close under bracket ({worst:.2e})")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_model", model)
-        object.__setattr__(self, "_structure_constants", table)
         # moment_stack[a, i] = S_i G_a: the moment Jacobian rows are its
         # products with m, for one point or a batch
         stack = np.array([[s @ g for s in structures] for g in gens])
@@ -123,10 +131,6 @@ class LinearAction:
     @property
     def dim(self) -> int:
         return self.generators[0].shape[0]
-
-    @property
-    def structure_constants(self) -> np.ndarray:
-        return self._structure_constants.copy()
 
 
 @dataclass(frozen=True)
@@ -152,14 +156,6 @@ class LevelSpec:
         out = np.zeros((len(self.c), 3))
         out[:, 0] = self.c
         return out
-
-
-def coadjoint_residual(action: LinearAction, level: LevelSpec) -> float:
-    """Invariance defect of the level under the coadjoint action: for tori
-    the bracket table vanishes and this is exactly zero."""
-    table = action.structure_constants
-    c = np.asarray(level.c)
-    return float(np.max(np.abs(np.tensordot(table, c, axes=([2], [0])))))
 
 
 # -- moment map ---------------------------------------------------------------------
@@ -234,22 +230,17 @@ class LevelSetPoint:
 
 
 def solve_level(
-    action: LinearAction,
-    level: LevelSpec,
-    seed,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 40,
+    action: LinearAction, level: LevelSpec, seed
 ) -> LevelSetPoint | list[LevelSetPoint]:
     """Newton iteration on nu(m) = (c, 0, 0) from one seed (dim,) or a batch (k, dim).
 
     Returns a LevelSetPoint for one seed and a list of them for a batch.
-    Each row iterates until its own residual is below ``tol``, so a batch
-    row equals that seed solved alone.  A step is the minimum-norm solution
-    -V^T diag(1/s) U^T res from one batched SVD of the live rows' moment
-    Jacobians, whose singular values also guard the rank: rank deficiency
-    along the way raises NonFreePointError, running out the iteration
-    budget raises ConvergenceError.
+    Each row iterates until its own residual is below _LEVEL_NEWTON_TOL, so
+    a batch row equals that seed solved alone.  A step is the minimum-norm
+    solution -V^T diag(1/s) U^T res from one batched SVD of the live rows'
+    moment Jacobians, whose singular values also guard the rank: rank
+    deficiency along the way raises NonFreePointError, running out the
+    budget of _LEVEL_MAX_ITER steps raises ConvergenceError.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
@@ -260,12 +251,12 @@ def solve_level(
     target = level.target().ravel()
     history = [[] for _ in m]
     todo = np.arange(len(m))
-    for _ in range(max_iter + 1):
+    for _ in range(_LEVEL_MAX_ITER + 1):
         res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
         norms = np.linalg.norm(res, axis=1)
         for row, norm in zip(todo, norms):
             history[row].append(float(norm))
-        live = ~(norms < tol)
+        live = ~(norms < _LEVEL_NEWTON_TOL)
         todo, res = todo[live], res[live]
         if not todo.size:
             break
@@ -276,7 +267,7 @@ def solve_level(
         coef = (u.transpose(0, 2, 1) @ res[:, :, None]) / sv[:, :, None]
         m[todo] -= (vt.transpose(0, 2, 1) @ coef)[:, :, 0]
     else:
-        raise ConvergenceError(f"no convergence in {max_iter} Newton steps")
+        raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     dnu = moment_jacobian(action, m)
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
     points = [
@@ -309,11 +300,6 @@ def _vertical_frame(points) -> np.ndarray:
     if np.any(_rank_deficient(sv)):
         raise NonFreePointError("orbit directions and moment gradients are linearly dependent")
     return u
-
-
-def vertical_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
-    """Orthonormal span of the orbit directions and the moment gradients."""
-    return _vertical_frame([lsp])[0]
 
 
 def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
@@ -359,46 +345,6 @@ def horizontal_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
     return lsp.frame
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientSample:
-    """Pointwise quotient data: frame, metric, Kahler triple, structures."""
-
-    frame: np.ndarray
-    metric: np.ndarray
-    omega_bar: tuple
-    structures: tuple
-    mu_bar: float | None = None
-
-    def __post_init__(self):
-        for s in self.structures:
-            dev = np.max(np.abs(s @ s + np.eye(s.shape[0])))
-            if dev > 1e-8:
-                raise StructureError(f"quotient structure fails S^2 = -Id by {dev:.2e}")
-
-
-def quotient_sample(
-    action: LinearAction,
-    lsp: LevelSetPoint,
-    rotator: CircleActionSpec | None = None,
-) -> QuotientSample:
-    """Flat metric and Kahler triple restricted to the horizontal frame."""
-    frame = horizontal_frame(action, lsp)
-    metric = frame.T @ frame
-    omega_bar = tuple(pullback(w, frame) for w in action.model.kahler_triple())
-    # the frame is orthonormal, so the metric is the identity and S_i = -omega_bar_i
-    structures = tuple(-w.as_matrix() for w in omega_bar)
-    mu_bar = None
-    if rotator is not None:
-        mu_bar = float(moment_map(rotator, lsp.point))
-    return QuotientSample(
-        frame=frame,
-        metric=metric,
-        omega_bar=omega_bar,
-        structures=structures,
-        mu_bar=mu_bar,
-    )
-
-
 def _require_commuting(action: LinearAction, gen: np.ndarray, tol: float, label: str):
     for idx, g in enumerate(action.generators):
         dev = np.max(np.abs(gen @ g - g @ gen))
@@ -408,13 +354,7 @@ def _require_commuting(action: LinearAction, gen: np.ndarray, tol: float, label:
             )
 
 
-def descended_circle_data(
-    action: LinearAction,
-    rotator: CircleActionSpec,
-    lsp: LevelSetPoint,
-    *,
-    commute_tol: float = 1e-12,
-):
+def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, lsp: LevelSetPoint):
     """Horizontal rotator field (frame coordinates) and restricted moment value.
 
     The rotator must commute with the action and therefore preserves the
@@ -423,7 +363,7 @@ def descended_circle_data(
     gen = action_generator(rotator)
     if gen.shape[0] != action.dim:
         raise ConfigError("rotator dimension does not match the action")
-    _require_commuting(action, gen, commute_tol, "rotator")
+    _require_commuting(action, gen, _ROTATOR_COMMUTE_TOL, "rotator")
     velocity = gen @ lsp.point
     drift = np.max(np.abs(lsp.dnu.reshape(-1, action.dim) @ velocity))
     if drift > 1e-9:
@@ -604,7 +544,6 @@ def gh_coordinates(
     lsp,
     *,
     scale: float = 1.0,
-    commute_tol: float = 1e-10,
 ):
     """Coordinates (x, V) of the quotient in multi-centre potential form.
 
@@ -619,9 +558,9 @@ def gh_coordinates(
         raise ConfigError("circle dimension does not match the action")
     structures = np.array(action.model.structures())
     for s in structures:
-        if np.max(np.abs(s @ gen - gen @ s)) > commute_tol:
+        if np.max(np.abs(s @ gen - gen @ s)) > _CIRCLE_COMMUTE_TOL:
             raise StructureError("residual circle is not triholomorphic")
-    _require_commuting(action, gen, commute_tol, "residual circle")
+    _require_commuting(action, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
     single = isinstance(lsp, LevelSetPoint)
     points = [lsp] if single else list(lsp)
     m = np.array([p.point for p in points])

@@ -56,10 +56,13 @@ SUITE_ALIASES = {"bg": "cotangent"}
 #: segment from 5% to 95% of its length, so this keeps its points 5e-8,
 #: five times the potential's CENTER_MARGIN, away from either centre
 _MIN_CENTER_GAP = 100 * gh.CENTER_MARGIN
-#: least positive quotient level: quotient.gh.separation fits the centre
-#: separation c/2 from level-set samples at unit scale, and rounding limits
-#: that fit to about 3e-14 / c^2 (worst over seeds 0-7: 9.7e-9 at c = 1e-3,
-#: 2.2e-6 at 1e-4 and 3.2e-5 at 3e-5, against the tolerance 1e-4)
+#: least positive quotient level.  quotient.gh.separation fits the centre
+#: separation c/2 from level-set samples seeded at the level's own scale
+#: sqrt(c); its worst residual over seeds 0-7 at 20 samples is 7.8e-11 at
+#: c = 1e-3, 3.9e-10 at 1e-4 and 9.6e-9 at 1e-5 (3.8e-10, 3.9e-9 and 6.3e-8
+#: at 1 sample), against the tolerance 1e-4.  It still grows as c falls, and
+#: the solver's absolute tolerances (1e-12 on the Newton residual and the
+#: singular values, 1e-12 on 1/V) do not scale with c, so the floor stays.
 _MIN_QUOTIENT_LEVEL = 1e-3
 
 
@@ -116,7 +119,15 @@ class RunConfig:
             _quotient_level(self.c)
 
     def scheme(self, default: FDScheme) -> FDScheme:
-        """The configured FD scheme, falling back per-field to ``default``."""
+        """The configured FD scheme, falling back per-field to ``default``.
+
+        Only the flat, cotangent and gh suites ask for it, so ``h`` and
+        ``order`` reach their stencils alone: every flat check but
+        flat.rotation.degree, the cotangent d^c and dd^c checks (not
+        bg.profile.identity or bg.moment.scaling, whose steps are fixed) and
+        gh.monopole.*, gh.harmonic and gh.connection.asd.  The quotient and
+        twistor stencils use fixed nested steps and ignore both.
+        """
         return FDScheme(
             h=self.h if self.h is not None else default.h,
             order=self.order if self.order is not None else default.order,
@@ -304,10 +315,14 @@ def _bg_type11(rng, cfg: RunConfig) -> float:
 
 #: consecutive rejected draws after which _gh_points gives up
 _GH_MAX_REJECTIONS = 10_000
+#: least clearance of a sampled base point from the centres and the x1-axis,
+#: and the half-width of the (x2, x3) box it is drawn from
+_GH_MIN_CLEARANCE = 0.4
+_GH_BOX = 2.5
 
 
-def _gh_points(ghc, count, rng, min_clear=0.4, box=2.5) -> np.ndarray:
-    """(count, 3) base points with clearance above min_clear, by rejection.
+def _gh_points(ghc, count, rng) -> np.ndarray:
+    """(count, 3) base points with clearance above _GH_MIN_CLEARANCE, by rejection.
 
     Raises :class:`SamplingError` when _GH_MAX_REJECTIONS draws in a row
     are rejected, so a configuration with no admissible region fails
@@ -317,15 +332,15 @@ def _gh_points(ghc, count, rng, min_clear=0.4, box=2.5) -> np.ndarray:
     pts = np.empty((count, 3))
     accepted = rejected = 0
     while accepted < count:
-        x = rng.uniform(-box, box, size=3)
+        x = rng.uniform(-_GH_BOX, _GH_BOX, size=3)
         x[0] = rng.uniform(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5)
-        if clear(np.array([*x, 0.0])) > min_clear:
+        if clear(np.array([*x, 0.0])) > _GH_MIN_CLEARANCE:
             pts[accepted], accepted, rejected = x, accepted + 1, 0
         else:
             rejected += 1
             if rejected >= _GH_MAX_REJECTIONS:
                 raise SamplingError(
-                    f"no point with clearance above {min_clear} in {rejected} draws"
+                    f"no point with clearance above {_GH_MIN_CLEARANCE} in {rejected} draws"
                 )
     return pts
 
@@ -504,8 +519,14 @@ def fit_two_centers(xs, vs):
 
 
 def _gh_samples(action, rotator, level_value, rng, count):
-    """(xs, vs) of count level-set points solved and projected as one batch."""
-    points = qt.solve_level(action, qt.LevelSpec((level_value,)), rng.standard_normal((count, 8)))
+    """(xs, vs) of count level-set points solved and projected as one batch.
+
+    The seeds are standard normal draws times sqrt(c), the homothety that
+    carries the level-1 set onto the level-c set, so the samples sit at the
+    scale of the centres +/- c/4 at every level.
+    """
+    seeds = rng.standard_normal((count, 8)) * np.sqrt(level_value)
+    points = qt.solve_level(action, qt.LevelSpec((level_value,)), seeds)
     return qt.gh_coordinates(action, rotator, points, scale=qt.GH_CIRCLE_SCALE)
 
 

@@ -51,6 +51,13 @@ from .forms import (
 
 CONTOUR_RADIUS = 1e-2
 CONTOUR_NODES = 64
+#: pole_order looks for poles up to this order, and counts a Laurent
+#: coefficient as present above this fraction of the largest sample
+_POLE_MAX_ORDER = 4
+_POLE_REL_TOL = 1e-8
+#: fibre weight of the connection whose residue fibre_residue measures; its
+#: tangents have dzeta = 0, so the weight's term 2 pi i n dzeta/zeta vanishes
+_FIBRE_WEIGHT = 2
 
 CHARTS = ("U", "V")
 
@@ -133,11 +140,20 @@ def transition_pushforward(pt: ChartPoint, tangent):
     return pt.other(), out
 
 
+def _chart_coords(z, w, zeta):
+    """(v, xi) = (z + zeta conj(w), w - zeta conj(z)) over the last axis of z and w.
+
+    zeta is one complex number, or an array of the leading shape of z and w.
+    """
+    zeta = np.asarray(zeta)[..., None]
+    return z + zeta * np.conj(w), w - zeta * np.conj(z)
+
+
 def product_to_chart(z, w, zeta: complex) -> ChartPoint:
     """Chart-U coordinates of the smooth-product point (z, w, zeta)."""
     z, w = _cvec(z, "z"), _cvec(w, "w")
     zeta = complex(zeta)
-    return ChartPoint(z + zeta * np.conj(w), w - zeta * np.conj(z), zeta, "U")
+    return ChartPoint(*_chart_coords(z, w, zeta), zeta, "U")
 
 
 def chart_to_product(pt: ChartPoint):
@@ -345,12 +361,11 @@ def fibre_restriction_residual(z, w, zeta: complex, s, t) -> float:
 # -- contour quadrature -----------------------------------------------------------
 
 
-def _contour(radius: float, nodes: int) -> np.ndarray:
-    if radius <= 0:
-        raise ConfigError("contour radius must be positive")
+def _contour(nodes: int) -> np.ndarray:
+    """The nodes on |zeta| = CONTOUR_RADIUS."""
     if nodes < 4:
         raise ConfigError("contour quadrature needs at least 4 nodes")
-    return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
 def _contour_values(fn, zs) -> np.ndarray:
@@ -358,85 +373,60 @@ def _contour_values(fn, zs) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(zs), dtype=complex), zs.shape)
 
 
-def laurent_coefficient(fn, k: int, radius: float = CONTOUR_RADIUS, nodes: int = CONTOUR_NODES) -> complex:
+def laurent_coefficient(fn, k: int, nodes: int = CONTOUR_NODES) -> complex:
     """Laurent coefficient a_k of fn about 0 by trapezoidal contour quadrature.
 
     fn takes the array of contour nodes and returns its values there.
     """
-    zs = _contour(radius, nodes)
+    zs = _contour(nodes)
     return complex(np.mean(_contour_values(fn, zs) * zs ** (-k)))
 
-def pole_order(
-    fn,
-    radius: float = CONTOUR_RADIUS,
-    nodes: int = CONTOUR_NODES,
-    max_order: int = 4,
-    rel_tol: float = 1e-8,
-) -> int:
-    """Order of the pole of fn at 0, measured by Laurent sampling on |zeta| = radius.
+
+def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
+    """Order of the pole of fn at 0, measured by Laurent sampling on |zeta| = CONTOUR_RADIUS.
 
     fn takes the array of contour nodes and returns its values there.  A
-    coefficient a_{-k} counts as present when its contribution on the
-    sampling circle exceeds rel_tol times the largest sample.
+    coefficient a_{-k}, k <= _POLE_MAX_ORDER, counts as present when its
+    contribution on the sampling circle exceeds _POLE_REL_TOL times the
+    largest sample.
     """
-    zs = _contour(radius, nodes)
+    zs = _contour(nodes)
     vals = _contour_values(fn, zs)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0
-    for k in range(max_order, 0, -1):
+    for k in range(_POLE_MAX_ORDER, 0, -1):
         a = np.mean(vals * zs**k)
-        if abs(a) / radius**k > rel_tol * scale:
+        if abs(a) / CONTOUR_RADIUS**k > _POLE_REL_TOL * scale:
             return k
     return 0
 
 
-def rotation_residue(
-    n_char: int,
-    v,
-    xi,
-    radius: float = CONTOUR_RADIUS,
-    nodes: int = CONTOUR_NODES,
-) -> complex:
+def rotation_residue(n_char: int, v, xi, nodes: int = CONTOUR_NODES) -> complex:
     """(1/2 pi i) x the contour integral of the connection along a small circle.
 
     The fibre coordinates are held fixed while zeta traverses
-    |zeta| = radius; for fibre weight n the measured value is 2 pi i n.
-    The connection is linear in the tangent, so its value on the circle's
-    velocity i zeta is its value on d/dzeta times i zeta.
+    |zeta| = CONTOUR_RADIUS; for fibre weight n the measured value is
+    2 pi i n.  The connection is linear in the tangent, so its value on the
+    circle's velocity i zeta is its value on d/dzeta times i zeta.
     """
-    zs = _contour(radius, nodes)
+    zs = _contour(nodes)
     zero_v, zero_xi = np.zeros_like(_cvec(v, "v")), np.zeros_like(_cvec(xi, "xi"))
     along = mero_connection(n_char, v, xi, zs, (zero_v, zero_xi, 1.0)) * (1j * zs)
     return complex(np.sum(along * (2 * np.pi / nodes)) / (2j * np.pi))
 
 
-def fibre_residue(
-    n_char: int,
-    v,
-    xi,
-    fibre_tangent,
-    radius: float = CONTOUR_RADIUS,
-    nodes: int = CONTOUR_NODES,
-) -> complex:
-    """Residue at zeta = 0 of the connection paired with a fixed fibre tangent."""
+def fibre_residue(v, xi, fibre_tangent, nodes: int = CONTOUR_NODES) -> complex:
+    """Residue at zeta = 0 of the connection (weight _FIBRE_WEIGHT) on a fixed fibre tangent."""
     tv, txi = _cvec(fibre_tangent[0], "tv"), _cvec(fibre_tangent[1], "txi")
     return laurent_coefficient(
-        lambda zeta: mero_connection(n_char, v, xi, zeta, (tv, txi, 0.0j)),
+        lambda zeta: mero_connection(_FIBRE_WEIGHT, v, xi, zeta, (tv, txi, 0.0j)),
         k=-1,
-        radius=radius,
         nodes=nodes,
     )
 
 
-def residue_match_residual(
-    z,
-    w,
-    m_tangent,
-    n_char: int = 2,
-    radius: float = CONTOUR_RADIUS,
-    nodes: int = CONTOUR_NODES,
-) -> float:
+def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> float:
     """Compare the zeta = 0 fibre residue with (-1) x i_X(omega2 + i omega3)/2i.
 
     X is the full-rotation field; on the zeta = 0 fibre the chart
@@ -449,7 +439,7 @@ def residue_match_residual(
     m = model.from_complex(z, w)
     s = np.asarray(m_tangent, dtype=float)
     tz, tw = model.to_complex(s)
-    measured = fibre_residue(n_char, z, w, (tz, tw), radius=radius, nodes=nodes)
+    measured = fibre_residue(z, w, (tz, tw), nodes=nodes)
     omega_c = model.omega2 + 1j * model.omega3
     expected = omega_c(action_vector_field(spec, m), s) / 2j
     return abs(measured - (-1.0) * expected)
@@ -473,18 +463,13 @@ class MeroConnectionReport:
 
 
 def connection_report(
-    n_char: int,
-    v,
-    xi,
-    tangent,
-    radius: float = CONTOUR_RADIUS,
-    nodes: int = CONTOUR_NODES,
+    n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES
 ) -> MeroConnectionReport:
     """Laurent-measure the connection at both sphere poles.
 
     At infinity the supplied data are read as tilde coordinates held
-    fixed on |zetat| = radius and transported back to chart U, so the
-    same closed form is sampled in both charts.
+    fixed on |zetat| = CONTOUR_RADIUS and transported back to chart U, so
+    the same closed form is sampled in both charts.
     """
 
     def at_zero(zeta):
@@ -498,9 +483,9 @@ def connection_report(
 
     return MeroConnectionReport(
         n_char=n_char,
-        pole_order_zero=pole_order(at_zero, radius, nodes),
-        pole_order_infinity=pole_order(at_infinity, radius, nodes),
-        rotation_residue=rotation_residue(n_char, v, xi, radius, nodes),
+        pole_order_zero=pole_order(at_zero, nodes),
+        pole_order_infinity=pole_order(at_infinity, nodes),
+        rotation_residue=rotation_residue(n_char, v, xi, nodes),
     )
 
 
@@ -629,20 +614,17 @@ def log_hU_field(n: int) -> ScalarField:
     return ScalarField(fn=value, dim=total_dim(n))
 
 
-def dbar_scalar(n: int, p, tangent, scheme: FDScheme | None = None) -> complex:
+def dbar_scalar(n: int, p, tangent) -> complex:
     """(0,1) part of d(log h_U) on a real tangent: (df(T) + i df(ST))/2."""
-    scheme = scheme or _DBAR_SCHEME
     p = np.asarray(p, dtype=float)
     field = log_hU_field(n)
-    grad = fd_gradient(field, p, scheme)
+    grad = fd_gradient(field, p, _DBAR_SCHEME)
     s_mat = twistor_structure(n)(p)
     t = np.asarray(tangent, dtype=float)
     return complex(0.5 * (grad @ t + 1j * (grad @ (s_mat @ t))))
 
 
-def dbar_display_residual(
-    n: int, z, w, zeta: complex, tangent, scheme: FDScheme | None = None
-) -> float:
+def dbar_display_residual(n: int, z, w, zeta: complex, tangent) -> float:
     """Check the closed-form (0,1) derivative of log h_U on a real tangent.
 
     displayed: (1/2) sum_i [z_i w_i dconj(zeta) + z_i dconj(z_i)
@@ -661,7 +643,7 @@ def dbar_display_residual(
         - w * np.conj(tw)
         + np.conj(zeta) * (w * tz + z * tw)
     )
-    return abs(dbar_scalar(n, p, t, scheme) - displayed)
+    return abs(dbar_scalar(n, p, t) - displayed)
 
 
 def flat_reference_curvature(n: int) -> FormValue:
@@ -692,14 +674,7 @@ def _max_abs(form, reference=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def hermitian_curvature_residual(
-    n: int,
-    z,
-    w,
-    zeta,
-    scheme: FDScheme | None = None,
-    inner_scheme: FDScheme | None = None,
-):
+def hermitian_curvature_residual(n: int, z, w, zeta):
     """Deviation of dd^c(log h_U) in the twistor structure from 2x the flat curvature.
 
     The reference form has no dzeta components; the residual is the
@@ -709,13 +684,7 @@ def hermitian_curvature_residual(
     """
     model = FlatModel(n)
     p = pack_point(model, z, w, zeta)
-    got = ddc(
-        log_hU_field(n),
-        twistor_structure(n),
-        p,
-        scheme or _DDC_OUTER,
-        inner_scheme or _DDC_INNER,
-    )
+    got = ddc(log_hU_field(n), twistor_structure(n), p, _DDC_OUTER, _DDC_INNER)
     return _max_abs(got, _embedded_reference(n).comps)
 
 
@@ -729,8 +698,7 @@ def curvature_FZ_field(n: int) -> FormField:
 
     def value(p) -> np.ndarray:
         z, w, zeta = unpack_point(model, p)
-        v = z + zeta[:, None] * np.conj(w)  # product_to_chart on every row
-        xi = w - zeta[:, None] * np.conj(z)
+        v, xi = _chart_coords(z, w, zeta)
         jac = chart_jacobian(model, p)
         return (jac.transpose(0, 2, 1) @ fz_coefficients(v, xi, zeta) @ jac)[:, rows, cols]
 
@@ -742,7 +710,7 @@ def curvature_FZ_field(n: int) -> FormField:
     )
 
 
-def fz_closedness_residual(n: int, z, w, zeta, scheme: FDScheme | None = None):
+def fz_closedness_residual(n: int, z, w, zeta):
     """max |d F_Z| components at the given point (finite differences).
 
     One point gives a float; a batch (z, w of shape (k, n), zeta (k,))
@@ -750,4 +718,4 @@ def fz_closedness_residual(n: int, z, w, zeta, scheme: FDScheme | None = None):
     """
     model = FlatModel(n)
     p = pack_point(model, z, w, zeta)
-    return _max_abs(ext_deriv(curvature_FZ_field(n), p, scheme or _CLOSEDNESS_SCHEME))
+    return _max_abs(ext_deriv(curvature_FZ_field(n), p, _CLOSEDNESS_SCHEME))

@@ -22,23 +22,19 @@ from hkgeom.gibbonshawking import (
     GHPoint,
     MonopoleData,
     ahat_curvature,
+    ahat_field,
     alpha_field,
     asd_residual,
     axis_profiles,
-    center_clearance,
     chart_clearance,
-    connection_Ahat,
     f_segment_values,
     gauge_transition_jacobian,
-    gh_alpha,
-    gh_kahler_triple,
     gh_metric,
     gh_potential,
     iY_residual,
     kahler_field,
     lift_gradient,
     lift_identity_residual,
-    monopole_A,
     monopole_phi,
     phi_identity_residual,
     potential_gradient,
@@ -96,7 +92,6 @@ def test_point_validation():
     with pytest.raises(ConfigError):
         GHPoint((1.0, 1.0, 0.0), 0.0, gauge="sideways")
     pt = GHPoint((1.0, 1.0, 0.0), 0.25)
-    assert pt.string_sign == -1.0
     assert np.allclose(pt.chart, [1.0, 1.0, 0.0, 0.25])
 
 
@@ -104,7 +99,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         gh_potential(TWO, np.array([0.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        gh_alpha(TWO, GHPoint((0.5, 1e-5, 0.0), 0.0))
+        alpha_field(TWO)(np.array([0.5, 1e-5, 0.0]))
 
 
 # -- potential and connection alpha --------------------------------------------------
@@ -118,7 +113,7 @@ def test_potential_single_center_unit_distance():
 def test_potential_gradient_and_harmonicity():
     rng = np.random.default_rng(7)
     field = ScalarField(
-        lambda x: gh_potential(THREE, x), 3, clearance=center_clearance(THREE)
+        lambda x: gh_potential(THREE, x), 3, clearance=chart_clearance(THREE)
     )
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(THREE, 8, rng)
@@ -135,7 +130,7 @@ def test_potential_gradient_and_harmonicity():
 def test_monopole_phi_harmonic():
     rng = np.random.default_rng(8)
     field = ScalarField(
-        lambda x: monopole_phi(THREE, x), 3, clearance=center_clearance(THREE)
+        lambda x: monopole_phi(THREE, x), 3, clearance=chart_clearance(THREE)
     )
     scheme = FDScheme(h=1e-3, order=4)
     for x in sample_points(THREE, 6, rng):
@@ -244,7 +239,7 @@ def test_metric_determinant_and_forms_algebra():
         g = gh_metric(TWO, pt)
         v = gh_potential(TWO, x)
         assert np.linalg.det(g) == pytest.approx(v**2, rel=1e-10)
-        triple = gh_kahler_triple(TWO, pt)
+        triple = [kahler_field(TWO, i, pt.gauge)(pt.chart) for i in (1, 2, 3)]
         for i, wi in enumerate(triple):
             for j, wj in enumerate(triple):
                 prod = wedge(wi, wj).comps[0]
@@ -313,9 +308,10 @@ def test_ahat_components():
     pt = GHPoint((0.4, 0.8, -0.3), 0.0)
     v = gh_potential(TWO, pt.x)
     phi = monopole_phi(TWO, pt.x)
-    ahat = connection_Ahat(TWO, pt)
+    ahat = ahat_field(TWO, pt.gauge)(pt.chart)
     assert ahat.comps[3] == pytest.approx(-phi / v)
-    expected_x = monopole_A(TWO, pt).comps - (phi / v) * gh_alpha(TWO, pt).comps
+    a_comps = MonopoleData.from_config(TWO, pt.gauge).A(np.array([pt.x]))[0]
+    expected_x = a_comps - (phi / v) * alpha_field(TWO, pt.gauge)(pt.x).comps
     assert np.allclose(ahat.comps[:3], expected_x)
 
 

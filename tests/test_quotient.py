@@ -30,9 +30,7 @@ from hkgeom.quotient import (
     LevelSpec,
     LinearAction,
     QuotientChart,
-    QuotientSample,
     canonical_bundle_curvature,
-    coadjoint_residual,
     descended_circle_data,
     descended_curvature,
     eguchi_hanson_action,
@@ -43,9 +41,7 @@ from hkgeom.quotient import (
     horizontal_frame,
     moment_descent_residual,
     moment_jacobian,
-    quotient_sample,
     solve_level,
-    vertical_frame,
 )
 
 ACTION = eguchi_hanson_action()
@@ -64,7 +60,11 @@ def solved(seed_rng, level=LEVEL):
 def test_action_construction_and_brackets():
     assert ACTION.dim == 8
     assert ACTION.dim_g == 1
-    assert np.all(ACTION.structure_constants == 0.0)
+    # the generators of a torus commute, so they close under brackets
+    torus = LinearAction.from_torus_weights(
+        [CircleActionSpec(k=(1, 0), l=(-1, 0)), CircleActionSpec(k=(0, 1), l=(0, -1))]
+    )
+    assert torus.dim_g == 2
 
 
 def test_action_rejects_non_skew():
@@ -95,7 +95,6 @@ def test_level_spec():
     assert lv.is_integral
     assert not LevelSpec((0.5,)).is_integral
     assert np.allclose(lv.target(), [[1.0, 0, 0], [-2.0, 0, 0]])
-    assert coadjoint_residual(ACTION, LEVEL) == 0.0
 
 
 # -- moment map -----------------------------------------------------------------------
@@ -178,10 +177,11 @@ def test_solver_returns_immediately_on_level():
     assert len(again.history) == 1
 
 
-def test_solver_budget_exhaustion():
+def test_solver_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(36)
+    monkeypatch.setattr(quotient, "_LEVEL_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_level(ACTION, LEVEL, 50.0 * rng.standard_normal(8), max_iter=1)
+        solve_level(ACTION, LEVEL, 50.0 * rng.standard_normal(8))
 
 
 def test_solver_validates_shapes():
@@ -201,7 +201,7 @@ def test_solver_validates_shapes():
 def test_frames_are_orthonormal_splittings():
     rng = np.random.default_rng(37)
     lsp = solved(rng)
-    vert = vertical_frame(ACTION, lsp)
+    vert = quotient._vertical_frame([lsp])[0]
     horiz = horizontal_frame(ACTION, lsp)
     assert vert.shape == (8, 4) and horiz.shape == (8, 4)
     assert np.max(np.abs(vert.T @ vert - np.eye(4))) < 1e-12
@@ -254,28 +254,20 @@ def test_vertical_frame_seed_is_not_free():
 def test_quotient_hyperkahler_algebra():
     rng = np.random.default_rng(38)
     for _ in range(6):
-        sample = quotient_sample(ACTION, solved(rng))
-        s1, s2, s3 = sample.structures
-        eye = np.eye(4)
+        frame = solved(rng).frame
+        metric = frame.T @ frame
+        omega_bar = [pullback(w, frame) for w in ACTION.model.kahler_triple()]
+        # the frame is orthonormal, so S_i = -g^{-1} omega_bar_i = -omega_bar_i
+        s1, s2, s3 = (-w.as_matrix() for w in omega_bar)
         assert np.max(np.abs(s1 @ s2 - s3)) < 1e-8
         assert np.max(np.abs(s2 @ s3 - s1)) < 1e-8
         assert np.max(np.abs(s3 @ s1 - s2)) < 1e-8
-        vol = np.sqrt(np.linalg.det(sample.metric))
-        for i, wi in enumerate(sample.omega_bar):
-            for j, wj in enumerate(sample.omega_bar):
+        vol = np.sqrt(np.linalg.det(metric))
+        for i, wi in enumerate(omega_bar):
+            for j, wj in enumerate(omega_bar):
                 expect = 2.0 * vol if i == j else 0.0
                 assert wedge(wi, wj).comps[0] == pytest.approx(expect, abs=1e-8)
-        assert np.max(np.abs(sample.metric - eye)) < 1e-10
-
-
-def test_quotient_sample_validates_structures():
-    with pytest.raises(StructureError):
-        QuotientSample(
-            frame=np.eye(4),
-            metric=np.eye(4),
-            omega_bar=(),
-            structures=(np.zeros((4, 4)),),
-        )
+        assert np.max(np.abs(metric - np.eye(4))) < 1e-10
 
 
 # -- descended circle -----------------------------------------------------------------
@@ -494,8 +486,10 @@ def test_one_bad_row_fails_the_whole_batch():
     with pytest.raises(NonFreePointError):
         solve_level(ACTION, LevelSpec((0.0,)), origin)
     far = np.vstack([rng.standard_normal((3, 8)), 50.0 * rng.standard_normal(8)])
-    with pytest.raises(ConvergenceError):
-        solve_level(ACTION, LEVEL, far, max_iter=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotient, "_LEVEL_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            solve_level(ACTION, LEVEL, far)
     nut = np.zeros(8)
     nut[4] = np.sqrt(2.0)  # a fixed point of the residual circle
     points = solve_level(ACTION, LEVEL, np.vstack([rng.standard_normal((3, 8)), nut]))
@@ -646,7 +640,6 @@ def test_level_set_point_builds_its_frame_once():
     lsp = solved(np.random.default_rng(56))
     frame = horizontal_frame(ACTION, lsp)
     assert QuotientChart(ACTION, lsp).frame is frame
-    assert quotient_sample(ACTION, lsp).frame is frame
     assert not frame.flags.writeable
 
 

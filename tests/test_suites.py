@@ -123,6 +123,35 @@ def test_verify_quotient_at_level_two_exits_zero(tmp_path):
     assert main(["verify", "quotient", "--c", "2", "--out", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_separation_fit_stays_conditioned_at_the_level_floor(seed):
+    # seeds at the level's scale sqrt(c): the worst of these four is 2.7e-11,
+    # against 6.2e-9 with unit-scale seeds
+    cfg = RunConfig(suite="quotient", c=suites._MIN_QUOTIENT_LEVEL, seed=seed)
+    rec = run_check(cfg, "quotient.gh.separation")
+    assert rec.passed and rec.residual < 1e-9, rec.to_dict()
+
+
+def _double_potential(monkeypatch):
+    potential = gh.gh_potential
+    monkeypatch.setattr(gh, "gh_potential", lambda cfg, x: 2.0 * potential(cfg, x))
+
+
+def _negate_alpha(monkeypatch):
+    # alpha and A share _string_potential; gh.periods reads only alpha
+    string = gh._string_potential
+    monkeypatch.setattr(gh, "_string_potential", lambda *args: -string(*args))
+
+
+@pytest.mark.parametrize("mutate", [_double_potential, _negate_alpha])
+def test_gh_periods_fail_when_v_or_alpha_is_wrong(monkeypatch, mutate):
+    # the period surface leaves the axis, so omega_1 enters with its V and alpha
+    # terms: V -> 2V is off by 2.3e-3 and alpha -> -alpha by 4.6e-3 (relative)
+    mutate(monkeypatch)
+    rec = run_check(RunConfig(suite="gh", centers=(0.0, 1.0, 3.0)), "gh.periods")
+    assert not rec.passed and rec.residual > 1e-3, rec.to_dict()
+
+
 def test_gh_points_keep_the_draw_stream():
     ghc = gh.GHConfig(centers=(0.0, 1.0))
     pts = suites._gh_points(ghc, 6, np.random.default_rng(3))
