@@ -14,13 +14,13 @@ import numpy as np
 from hkgeom.quotient import (
     GH_CIRCLE_SCALE,
     LevelSpec,
-    QuotientChart,
     canonical_bundle_curvature,
     descended_curvature,
     eguchi_hanson_action,
     eh_residual_circle,
     eh_rotator,
     gh_coordinates,
+    quotient_structures,
     solve_level,
 )
 from hkgeom.suites import fit_two_centers
@@ -44,8 +44,7 @@ descended = descended_curvature(action, eh_rotator(), lsp)
 print("\n|canonical-connection curvature - (omega-bar_1 + dd^c(mu-bar/2))| =",
       f"{np.max(np.abs((canonical - descended).comps)):.3e}")
 
-chart = QuotientChart(action, lsp)
-s1 = chart.structure(chart.jet(np.zeros((1, 4))), 1)[0]
+s1 = quotient_structures(action, lsp)[0]
 print("chart structure check  max|S1^2 + Id| =",
       f"{np.max(np.abs(s1 @ s1 + np.eye(4))):.2e}")
 

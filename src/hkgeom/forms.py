@@ -352,16 +352,17 @@ _OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
 MAX_STENCIL_VALUES = 4096
 
 
-def _fd_reduce(vals, scheme: FDScheme):
+def _fd_reduce(vals, order: int, h):
     """Derivatives from stencil values laid out as [offset][...].
 
     ``vals[o]`` is the value at offset ``_OFFSETS[order][o]`` times the
-    step; entries may be scalars or arrays.  These are the package's only
+    step h; entries may be scalars or arrays, and h a float or an array
+    of steps that broadcasts against them.  These are the package's only
     first-derivative weights.
     """
-    if scheme.order == 2:
-        return (vals[0] - vals[1]) / (2.0 * scheme.h)
-    return (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * scheme.h)
+    if order == 2:
+        return (vals[0] - vals[1]) / (2.0 * h)
+    return (-vals[0] + 8.0 * vals[1] - 8.0 * vals[2] + vals[3]) / (12.0 * h)
 
 
 def _stencil_points(P: np.ndarray, scheme: FDScheme) -> np.ndarray:
@@ -388,7 +389,8 @@ def _stencil_derivatives(vals, k: int, scheme: FDScheme) -> np.ndarray:
     order of the points; P has k rows.
     """
     vals = np.asarray(vals)
-    return _fd_reduce(vals.reshape((len(_OFFSETS[scheme.order]), k, -1) + vals.shape[1:]), scheme)
+    vals = vals.reshape((len(_OFFSETS[scheme.order]), k, -1) + vals.shape[1:])
+    return _fd_reduce(vals, scheme.order, scheme.h)
 
 
 def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
@@ -461,21 +463,30 @@ def _ext_deriv_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.
     return coords, rests, (-1.0) ** np.arange(degree + 1)
 
 
+def _ext_deriv_sum(D: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """Components (k, nb) of dw from the derivatives D[r, i, I] = d_i w_I of a degree-k form.
+
+    (dw)_J = sum_m (-1)^m d_{j_m} w_{J minus j_m}, summed in order of m;
+    the package's one definition of the exterior derivative, for
+    ``ext_deriv`` and for any stencil a caller lays out itself.
+    """
+    coords, rests, signs = _ext_deriv_table(dim, degree)
+    return sum(signs[m] * D[:, coords[:, m], rests[:, m]] for m in range(len(signs)))
+
+
 def ext_deriv(field: FormField, p, scheme: FDScheme | None = None):
     """Exterior derivative of a degree-k form field at p (degree k+1 value).
 
     p is one point (a :class:`FormValue` result) or base points (k, dim)
-    (a (k, nb) component array).  Components:
-    (dw)_J = sum_m (-1)^m d_{j_m} w_{J minus j_m}, summed in order of m.
+    (a (k, nb) component array); the components come from
+    ``_ext_deriv_sum``.
     """
     scheme = scheme or FDScheme()
     P, single = _base_points(p)
-    coords, rests, signs = _ext_deriv_table(field.dim, field.degree)
 
     def chunk(C):
         _require_margin(field, C, scheme)
-        D = _derivatives(field, C, scheme)  # D[r, i, I] = d_i w_I at row r
-        return sum(signs[m] * D[:, coords[:, m], rests[:, m]] for m in range(len(signs)))
+        return _ext_deriv_sum(_derivatives(field, C, scheme), field.dim, field.degree)
 
     nb = len(basis_indices(field.dim, field.degree))
     comps = _chunked(P, _stencil_rows(scheme, field.dim) * nb, chunk)

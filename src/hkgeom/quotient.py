@@ -40,11 +40,14 @@ from .flatspace import (
 )
 from .forms import (
     FDScheme,
-    FormField,
     FormValue,
-    _stencil_derivatives,
+    _chunked,
+    _ext_deriv_sum,
+    _fd_reduce,
+    _form_result,
+    _pair_indices,
     _stencil_points,
-    ext_deriv,
+    _stencil_rows,
 )
 
 #: speed of the Eguchi-Hanson residual circle that makes the recovered
@@ -111,10 +114,10 @@ class LinearAction:
             raise StructureError(f"generators do not close under bracket ({worst:.2e})")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_model", model)
-        # moment_stack[a, i] = S_i G_a: the moment Jacobian rows are its
-        # products with m, for one point or a batch
+        # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
+        # moment Jacobian of any batch of points is the one product m @ W
         stack = np.array([[s @ g for s in structures] for g in gens])
-        object.__setattr__(self, "_moment_stack", stack)
+        object.__setattr__(self, "_moment_stack", np.ascontiguousarray(stack.reshape(-1, dim).T))
 
     @classmethod
     def from_torus_weights(cls, specs) -> "LinearAction":
@@ -165,10 +168,11 @@ def hk_moment(action: LinearAction, m) -> np.ndarray:
     """nu[a, i] = (1/2) omega_i(G_a m, m); quadratic, vanishing at the origin.
 
     ``m`` is one point (dim,), giving (dim_g, 3), or a batch (k, dim),
-    giving (k, dim_g, 3).  Each entry is a separate (1, dim) @ (dim, 1)
-    product of a Jacobian row with m, which BLAS rounds as it rounds
-    ``np.dot`` of the two vectors, so a batch row has the bits of that
-    point alone; a sum over the last axis would round differently.
+    giving (k, dim_g, 3).  The Jacobian rows come from the one product of
+    ``moment_jacobian``; each entry is then a separate (1, dim) @ (dim, 1)
+    product of a row with m, which BLAS rounds as it rounds ``np.dot`` of
+    the two vectors, so a batch row has the bits of that point alone; a
+    sum over the last axis would round differently.
     """
     m = np.asarray(m, dtype=float)
     rows = moment_jacobian(action, m)
@@ -178,10 +182,14 @@ def hk_moment(action: LinearAction, m) -> np.ndarray:
 def moment_jacobian(action: LinearAction, m) -> np.ndarray:
     """d nu at m: rows (a, i) are the covectors (S_i G_a m)^T, i.e. i_{X_a} omega_i.
 
-    Shape (dim_g, 3, dim) for one point, (k, dim_g, 3, dim) for a batch.
+    Shape (dim_g, 3, dim) for one point, (k, dim_g, 3, dim) for a batch,
+    from one product m @ W with the (dim, 3 dim_g dim) stack W of the
+    matrices S_i G_a that ``LinearAction`` builds once, a GEMM for a batch.
+    A batch row has the bits of that point alone, and of the products
+    S_i G_a m one by one (tested at batch sizes 1 to 1000).
     """
     m = np.asarray(m, dtype=float)
-    return (action._moment_stack @ m[..., None, None, :, None])[..., 0]
+    return (m @ action._moment_stack).reshape(m.shape[:-1] + (action.dim_g, 3, action.dim))
 
 
 # -- level sets ---------------------------------------------------------------------
@@ -194,7 +202,12 @@ def _rank_deficient(sv) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LevelSetPoint:
-    """A converged point of nu^{-1}(c, 0, 0) with cached derivative data."""
+    """A converged point of nu^{-1}(c, 0, 0) with cached derivative data.
+
+    ``solve_level`` guards the orbit rank of all the points it solves with
+    one batched SVD; the vertical frame guards it again when a frame is
+    built.
+    """
 
     point: np.ndarray
     level: LevelSpec
@@ -210,22 +223,17 @@ class LevelSetPoint:
         Quaternionic blocks (v, I v, J v, K v) off the vertical frame: the
         horizontal space is I, J, K-invariant, so no axis choice or
         orientation flip is needed, and the frame is smooth in the point.
-        Built on first use and kept, read-only, so every consumer of this
-        point (charts, samples, descended data) shares one frame.
+        Built on first use, or by the first chart batch that holds this
+        point (``_horizontal_frames``), and kept, read-only, so every
+        consumer of this point (charts, descended data) shares one frame.
         """
-        frame = _quaternionic_frame(_vertical_frame([self])[0])
-        frame.flags.writeable = False
-        return frame
+        _horizontal_frames([self])
+        return vars(self)["frame"]
 
     def __post_init__(self):
         if self.residual > 1e-10:
             raise ConvergenceError(
                 f"level residual {self.residual:.2e} exceeds 1e-10"
-            )
-        if _rank_deficient(np.linalg.svd(self.orbit, compute_uv=False)):
-            raise NonFreePointError(
-                "orbit directions are linearly dependent: the action is not "
-                "free at this point"
             )
 
 
@@ -240,7 +248,9 @@ def solve_level(
     solution -V^T diag(1/s) U^T res from one batched SVD of the live rows'
     moment Jacobians, whose singular values also guard the rank: rank
     deficiency along the way raises NonFreePointError, running out the
-    budget of _LEVEL_MAX_ITER steps raises ConvergenceError.
+    budget of _LEVEL_MAX_ITER steps raises ConvergenceError.  One batched
+    SVD of the solved points' orbit directions guards that the action is
+    free at each of them.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
@@ -270,6 +280,10 @@ def solve_level(
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     dnu = moment_jacobian(action, m)
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    if np.any(_rank_deficient(np.linalg.svd(orbits, compute_uv=False))):
+        raise NonFreePointError(
+            "orbit directions are linearly dependent: the action is not free at a solved point"
+        )
     points = [
         LevelSetPoint(
             point=m[row],
@@ -303,7 +317,7 @@ def _vertical_frame(points) -> np.ndarray:
 
 
 def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
-    """Horizontal frame (dim, dim - w) of blocks (v, I v, J v, K v) off a vertical frame (dim, w).
+    """Horizontal frames (k, dim, dim - w) of blocks (v, Iv, Jv, Kv) off vertical ones (k, dim, w).
 
     The vertical space, spanned by the orbit directions G_a m and the moment
     gradients S_i G_a m, is the quaternionic span of the orbit, and I, J, K
@@ -313,22 +327,41 @@ def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
     (v, I v, J v, K v) is then orthonormal with omega_1 = e01 + e23 on it, so
     the frame is oriented with no sign fix.  Nothing picks among candidates,
     so the frame is smooth in the vertical frame.  A seed whose projection
-    falls below the condition guard raises NonFreePointError.
+    falls below the condition guard raises NonFreePointError.  Every step
+    is a stacked matrix-vector product or a (1, dim) @ (dim, 1) dot per
+    frame, so a frame of a batch has the bits of that frame built alone.
     """
-    dim, width = vert.shape
-    structures = FlatModel(dim // 4).structures()
+    k, dim, width = vert.shape
+    structures = np.array(FlatModel(dim // 4).structures())
     basis = vert
     for j in range((dim - width) // 4):
         seed = np.sin((j + 1) * np.arange(1.0, dim + 1.0))
-        v = seed
+        v = np.broadcast_to(seed, (k, dim))
         for _ in range(2):
-            v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm < np.linalg.norm(seed) / _CONDITION_GUARD:
+            v = v - (basis @ (basis.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
+        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        if np.any(norm < np.linalg.norm(seed) / _CONDITION_GUARD):
             raise NonFreePointError(f"frame seed {j} is vertical up to the condition guard")
-        v = v / norm
-        basis = np.column_stack([basis, v] + [s @ v for s in structures])
-    return basis[:, width:]
+        v = v / norm[:, None]
+        block = (structures @ v[:, None, :, None])[..., 0].transpose(0, 2, 1)
+        basis = np.concatenate([basis, v[:, :, None], block], axis=2)
+    return basis[:, :, width:]
+
+
+def _horizontal_frames(points) -> np.ndarray:
+    """The frames (k, dim, K) of level-set points: each point's own ``frame``.
+
+    The points that have not built theirs yet build them together, from
+    one ``_vertical_frame`` SVD and one ``_quaternionic_frame`` pass, and
+    each keeps its row, read-only, as its cached ``LevelSetPoint.frame``.
+    """
+    fresh = [p for p in points if "frame" not in vars(p)]
+    if fresh:
+        frames = _quaternionic_frame(_vertical_frame(fresh))
+        frames.flags.writeable = False
+        for p, frame in zip(fresh, frames):
+            vars(p)["frame"] = frame  # the cache of the cached_property
+    return np.array([p.frame for p in points])
 
 
 def horizontal_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
@@ -354,185 +387,342 @@ def _require_commuting(action: LinearAction, gen: np.ndarray, tol: float, label:
             )
 
 
-def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, lsp: LevelSetPoint):
+def _quotient_dim(action: LinearAction) -> int:
+    """Dimension K of the quotient: dim minus the 4 dim_g vertical directions."""
+    return action.dim - 4 * action.dim_g
+
+
+def _points(lsp) -> tuple[list, bool]:
+    """(points, single): one LevelSetPoint or a sequence of them as a list, and which it was."""
+    if isinstance(lsp, LevelSetPoint):
+        return [lsp], True
+    points = list(lsp)
+    if not points:
+        raise ConfigError("need at least one level-set point")
+    return points, False
+
+
+def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, lsp):
     """Horizontal rotator field (frame coordinates) and restricted moment value.
 
     The rotator must commute with the action and therefore preserves the
-    level set; both facts are checked, not assumed.
+    level set; both facts are checked, not assumed.  ``lsp`` is one
+    LevelSetPoint, giving (x_bar (K,), mu_bar), or a sequence of k of
+    them, giving (x_bars (k, K), mu_bars (k,)); a row equals that point
+    alone.
     """
     gen = action_generator(rotator)
     if gen.shape[0] != action.dim:
         raise ConfigError("rotator dimension does not match the action")
     _require_commuting(action, gen, _ROTATOR_COMMUTE_TOL, "rotator")
-    velocity = gen @ lsp.point
-    drift = np.max(np.abs(lsp.dnu.reshape(-1, action.dim) @ velocity))
+    points, single = _points(lsp)
+    m = np.array([p.point for p in points])
+    velocity = (gen @ m[:, :, None])[:, :, 0]
+    dnu = np.array([p.dnu.reshape(-1, action.dim) for p in points])
+    drift = np.max(np.abs(dnu @ velocity[:, :, None]))
     if drift > 1e-9:
         raise StructureError(f"rotator does not preserve the level set ({drift:.2e})")
-    frame = horizontal_frame(action, lsp)
-    x_bar = frame.T @ velocity
-    return x_bar, float(moment_map(rotator, lsp.point))
+    x_bar = (_horizontal_frames(points).transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
+    mu_bar = moment_map(rotator, m)
+    return (x_bar[0], float(mu_bar[0])) if single else (x_bar, mu_bar)
 
 
 # -- charts and curvature --------------------------------------------------------------
 
 
-class QuotientChart:
-    """Local quotient coordinates by Newton retraction of horizontal moves.
+def _chart_derivatives(vals: np.ndarray, count: int, scheme: FDScheme) -> np.ndarray:
+    """D[c, j, i] = d_i at chart point j of chart c, (k, count, K, ...).
 
-    point(xi) projects m0 + frame.xi back onto the level set.  It takes one
-    chart point (k,) or a batch (m, k) and retracts all rows in one
-    vectorised Newton solve; each row converges on its own, so a batch row
-    equals that point retracted alone.  ``jet`` retracts a batch of chart
-    points together with their whole tangent stencil in one such solve.
-    The pulled-back Kahler forms, the induced metric (orbit directions
-    projected out), the complex structures and the connection form are
-    array functions of a jet, so every quantity at the same points shares
-    one retraction.  The frame is the level-set point's own (``lsp.frame``).
+    ``vals`` (k, offsets count K, ...) holds one value per point of each
+    chart's stencil of its count chart points, laid out
+    [offset][point][coordinate] as ``_stencil_points`` lays out the
+    stencil of one chart's points.
+    """
+    vals = vals.reshape((len(vals), _stencil_rows(scheme, 1), count, -1) + vals.shape[2:])
+    return _fd_reduce(np.moveaxis(vals, 1, 0), scheme.order, scheme.h)
+
+
+class QuotientChart:
+    """Local quotient coordinates at one level-set point, or at k of them at once.
+
+    point(xi) projects m0 + frame.xi back onto the level set.  The chart of
+    one LevelSetPoint takes one chart point (K,) or a batch (m, K); the
+    chart of a sequence of k points takes (k, m, K), row [c] in the chart
+    of point c.  All rows are retracted in one vectorised Newton solve,
+    each with its own base point, frame and level, and each converges on
+    its own, so a row equals that chart point retracted alone in its own
+    chart.  ``jet`` retracts chart points together with their whole tangent
+    stencil in one such solve.  The pulled-back Kahler forms, the induced
+    metric (orbit directions projected out), the complex structures and
+    the connection form are array functions of a jet over any leading
+    axes, ``gradient`` differences a function of the point over a jet's
+    stencil, and ``exterior_derivative`` takes d of a chart one-form at
+    xi = 0 in every chart from one call of it, so every quantity at the
+    same points shares one retraction.  The frames are the level-set
+    points' own (``lsp.frame``), built in one batch.
     """
 
-    def __init__(self, action: LinearAction, lsp: LevelSetPoint):
+    def __init__(self, action: LinearAction, lsp):
+        points, single = _points(lsp)
         self.action = action
         self.lsp = lsp
-        self.frame = horizontal_frame(action, lsp)
-        self._target = lsp.level.target().ravel()
+        self._frames = _horizontal_frames(points)
+        #: (dim, K) for one point, (k, dim, K) for k
+        self.frame = lsp.frame if single else self._frames
+        self._base = np.array([p.point for p in points])
+        self._targets = np.array([p.level.target().ravel() for p in points])
         self._omega = tuple(w.as_matrix() for w in action.model.kahler_triple())
         self._generators = np.array(action.generators)
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[1]
+        return self._frames.shape[2]
 
-    def point(self, xi) -> np.ndarray:
-        """Retraction of xi, (k,) -> (dim,) or (m, k) -> (m, dim).
+    def _rows(self, xi, counts) -> tuple[np.ndarray, np.ndarray]:
+        """(xi, rows): xi as a float array and as (k, m, K), after checking its shape.
 
-        Newton takes the minimum-norm step J^T (J J^T)^{-1} (-res) on every
-        row whose level residual is not yet below the tolerance.
+        ``counts`` are the numbers of row axes allowed between the chart
+        axis (a chart of k points) and the last axis of length K.
         """
         xi = np.asarray(xi, dtype=float)
-        rows = np.atleast_2d(xi)
-        m = self.lsp.point + (self.frame @ rows[:, :, None])[:, :, 0]
+        lead = self.frame.shape[:-2]
+        rows = xi.ndim - len(lead) - 1
+        if rows not in counts or xi.shape[: len(lead)] != lead or xi.shape[-1] != self.dim:
+            shapes = " or ".join(str(lead + ("m",) * c + (self.dim,)) for c in counts)
+            raise ConfigError(f"chart points must have shape {shapes}, got {xi.shape}")
+        return xi, xi.reshape(len(self._base), -1, self.dim)
+
+    def point(self, xi) -> np.ndarray:
+        """Retraction of chart points into H^n, (..., K) -> (..., dim).
+
+        xi is (K,) or (m, K) in the chart of one point, (k, K) or
+        (k, m, K) in the chart of k.  Newton takes the minimum-norm step
+        J^T (J J^T)^{-1} (-res) on every row whose level residual is not
+        yet below the tolerance.
+        """
+        xi, rows = self._rows(xi, (0, 1))
+        m = self._base[:, None, :] + (self._frames[:, None] @ rows[..., None])[..., 0]
+        m = m.reshape(-1, self.action.dim)
+        target = np.repeat(self._targets, rows.shape[1], axis=0)
         todo = np.arange(len(m))
         for _ in range(_CHART_MAX_ITER):
-            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
+            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - target[todo]
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
             todo, res = todo[live], res[live]
             if not todo.size:
-                return m if xi.ndim > 1 else m[0]
+                return m.reshape(xi.shape[:-1] + (self.action.dim,))
             jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
             jac_t = jac.transpose(0, 2, 1)
             m[todo] += (jac_t @ np.linalg.solve(jac @ jac_t, -res[:, :, None]))[:, :, 0]
         raise ConvergenceError("chart retraction did not converge")
 
     def jet(self, xi):
-        """(points, tangents, stencil) of chart points xi (k, K), from one ``point`` call.
+        """(points, tangents, stencil) of chart points xi, from one ``point`` call.
 
-        points (k, N) retracts xi into H^n, tangents (k, N, K) holds
-        d point / d xi, and stencil retracts the stencil of xi, so that
-        ``_stencil_derivatives(f(stencil), k, _CHART_TANGENT_SCHEME)`` is the
-        chart gradient at each row of any batch function f of the point.
+        xi is a batch (m, K) in the chart of one point, (k, m, K) in the
+        chart of k.  points (..., m, dim) retracts xi, tangents
+        (..., m, dim, K) holds d point / d xi, and stencil (..., 4 m K, dim)
+        retracts each chart's tangent stencil of its m points, laid out as
+        ``_stencil_points`` lays it out, for ``gradient``.
         """
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim != 2 or xi.shape[1] != self.dim:
-            raise ConfigError(f"jet takes a batch of chart points (k, {self.dim})")
-        rows = self.point(np.vstack([xi, _stencil_points(xi, _CHART_TANGENT_SCHEME)]))
-        points, stencil = rows[: len(xi)], rows[len(xi) :]
-        tangents = _stencil_derivatives(stencil, len(xi), _CHART_TANGENT_SCHEME)
-        return points, np.ascontiguousarray(tangents.transpose(0, 2, 1)), stencil
+        xi, rows = self._rows(xi, (1,))
+        k, count, K = rows.shape
+        N = self.action.dim
+        # each chart's stencil rows together, [offset][point][coordinate]
+        around = _stencil_points(rows.reshape(-1, K), _CHART_TANGENT_SCHEME)
+        around = around.reshape(-1, k, count * K, K).swapaxes(0, 1).reshape(k, -1, K)
+        lead = self.frame.shape[:-2]
+        out = self.point(np.concatenate([rows, around], axis=1).reshape(lead + (-1, K)))
+        out = out.reshape(k, -1, N)
+        points, stencil = out[:, :count], out[:, count:]
+        tangents = _chart_derivatives(stencil, count, _CHART_TANGENT_SCHEME)
+        return (
+            points.reshape(xi.shape[:-1] + (N,)),
+            np.ascontiguousarray(tangents.swapaxes(-1, -2)).reshape(xi.shape[:-1] + (N, K)),
+            stencil.reshape(lead + (-1, N)),
+        )
+
+    def gradient(self, jet, fn) -> np.ndarray:
+        """Chart gradient (..., m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
+
+        fn gets the stencils of all the jet's charts in one call.
+        """
+        points, _, stencil = jet
+        vals = np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))).reshape(len(self._base), -1)
+        grad = _chart_derivatives(vals, points.shape[-2], _CHART_TANGENT_SCHEME)
+        return grad.reshape(points.shape[:-1] + (self.dim,))
+
+    def exterior_derivative(self, form) -> np.ndarray:
+        """d of a chart one-form at xi = 0, (nb,) in the chart of one point, (k, nb) in that of k.
+
+        ``form`` takes chart points shaped as ``jet`` takes them and returns
+        the one-form's components at each, in the same shape.  It gets the
+        _CURVATURE_SCHEME stencil around 0 of every chart in one call, and
+        ``forms._ext_deriv_sum`` sums the derivatives as ``ext_deriv`` does.
+        """
+        K = self.dim
+        lead = self.frame.shape[:-2]
+        stencil = _stencil_points(np.zeros((1, K)), _CURVATURE_SCHEME)
+        vals = np.asarray(form(np.broadcast_to(stencil, lead + stencil.shape)))
+        D = _chart_derivatives(vals.reshape(len(self._base), -1, K), 1, _CURVATURE_SCHEME)
+        return _ext_deriv_sum(D[:, 0], K, 1).reshape(lead + (-1,))
 
     def omega_bar(self, jet, i: int) -> np.ndarray:
-        """omega_i pulled back to the chart at each jet point, as (k, K, K) matrices."""
+        """omega_i pulled back to the chart at each jet point, as (..., K, K) matrices."""
         _, tangents, _ = jet
-        return tangents.transpose(0, 2, 1) @ self._omega[i - 1] @ tangents
+        return tangents.swapaxes(-1, -2) @ self._omega[i - 1] @ tangents
 
     def _orbit_split(self, jet):
         """(coef, T - O coef) for the orbit O = (G_a p): coef = (O^T O)^{-1} O^T T."""
         points, tangents, _ = jet
-        orbit_t = (self._generators @ points[:, None, :, None])[..., 0]
-        coef = np.linalg.solve(orbit_t @ orbit_t.transpose(0, 2, 1), orbit_t @ tangents)
-        return coef, tangents - orbit_t.transpose(0, 2, 1) @ coef
+        orbit_t = (self._generators @ points[..., None, :, None])[..., 0]
+        coef = np.linalg.solve(orbit_t @ orbit_t.swapaxes(-1, -2), orbit_t @ tangents)
+        return coef, tangents - orbit_t.swapaxes(-1, -2) @ coef
 
     def metric(self, jet) -> np.ndarray:
-        """Quotient metric (k, K, K) at each jet point: the horizontal Gram matrix."""
+        """Quotient metric (..., K, K) at each jet point: the horizontal Gram matrix."""
         _, horizontal = self._orbit_split(jet)
-        return horizontal.transpose(0, 2, 1) @ horizontal
+        return horizontal.swapaxes(-1, -2) @ horizontal
 
     def structure(self, jet, i: int) -> np.ndarray:
-        """Quotient complex structure -g^{-1} omega_bar_i (k, K, K) at each jet point."""
+        """Quotient complex structure -g^{-1} omega_bar_i (..., K, K) at each jet point."""
         return -np.linalg.solve(self.metric(jet), self.omega_bar(jet, i))
 
     def theta(self, jet, chi) -> np.ndarray:
-        """Canonical connection form chi(orbit part of the tangents), (k, K)."""
+        """Canonical connection form chi(orbit part of the tangents), (..., K)."""
         coef, _ = self._orbit_split(jet)
         return np.asarray(chi, dtype=float) @ coef
+
+
+def _over_charts(action: LinearAction, lsp, op) -> np.ndarray:
+    """op(chart) on the chart of each chunk of the level-set points lsp, concatenated.
+
+    ``lsp`` is one LevelSetPoint or a sequence; op returns one row per
+    point of its chart of k.  A chunk holds as many consecutive points as
+    keep the rows of their nested curvature stencils (4 K outer points,
+    each with its 4 K-point tangent stencil: 272 rows at K = 4) within
+    ``forms.MAX_STENCIL_VALUES`` retracted rows, and at least one point,
+    so a retraction takes the same memory at any number of points.
+    """
+    points, _ = _points(lsp)
+    K = _quotient_dim(action)
+    outer = _stencil_rows(_CURVATURE_SCHEME, K)
+    return _chunked(
+        np.arange(len(points)),
+        outer * (1 + _stencil_rows(_CHART_TANGENT_SCHEME, K)),
+        lambda chunk: op(QuotientChart(action, [points[i] for i in chunk])),
+    )
+
+
+def _base_jet(chart: QuotientChart):
+    """The jet of every chart of a chart batch at its base point xi = 0."""
+    return chart.jet(np.zeros((len(chart.frame), 1, chart.dim)))
 
 
 def moment_descent_residual(
     action: LinearAction,
     rotator: CircleActionSpec,
-    lsp: LevelSetPoint,
-) -> float:
-    """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart."""
-    chart = QuotientChart(action, lsp)
-    x_bar, _ = descended_circle_data(action, rotator, lsp)
-    jet = chart.jet(np.zeros((1, chart.dim)))
-    grad = _stencil_derivatives(moment_field(rotator)(jet[2]), 1, _CHART_TANGENT_SCHEME)[0]
-    covec = x_bar @ chart.omega_bar(jet, 1)[0]
-    return float(np.max(np.abs(grad - covec)))
+    lsp,
+):
+    """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart.
+
+    A float for one LevelSetPoint, a (k,) array for a sequence of k; a row
+    equals that point alone.  One jet of every chart per chunk.
+    """
+    mu = moment_field(rotator)
+
+    def residuals(chart):
+        x_bar, _ = descended_circle_data(action, rotator, chart.lsp)
+        jet = _base_jet(chart)
+        covec = (x_bar[:, None, :] @ chart.omega_bar(jet, 1)[:, 0])[:, 0]
+        return np.max(np.abs(chart.gradient(jet, mu)[:, 0] - covec), axis=1)
+
+    out = _over_charts(action, lsp, residuals)
+    return float(out[0]) if isinstance(lsp, LevelSetPoint) else out
+
+
+def quotient_structures(action: LinearAction, lsp) -> np.ndarray:
+    """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of the chart.
+
+    (3, K, K) for one LevelSetPoint, (k, 3, K, K) for a sequence of k; a
+    row equals that point alone.  One jet of every chart per chunk.
+    """
+
+    def structures(chart):
+        jet = _base_jet(chart)
+        return np.stack([chart.structure(jet, i)[:, 0] for i in (1, 2, 3)], axis=1)
+
+    out = _over_charts(action, lsp, structures)
+    return out[0] if isinstance(lsp, LevelSetPoint) else out
 
 
 def descended_curvature(
     action: LinearAction,
     rotator: CircleActionSpec,
-    lsp: LevelSetPoint,
-) -> FormValue:
+    lsp,
+):
     """omega_bar_1 + dd^c(mu_bar / degree) on the quotient chart at xi = 0.
 
     This is the descent of the flat curvature form: the restricted moment
     map is divided by the rotator's rotation degree on the form pencil,
     matching the flat-space normalisation.  d^c(mu_bar / degree) is one
-    batch callback taking the structure and gradient from one jet.
+    chart one-form taking the structure and gradient from one jet, so the
+    outer stencils of all the charts of a chunk make one retraction.  A
+    FormValue for one LevelSetPoint, (k, nb) components for a sequence of
+    k; a row equals that point alone.
     """
-    chart = QuotientChart(action, lsp)
-    base = FormValue.from_matrix(chart.omega_bar(chart.jet(np.zeros((1, chart.dim))), 1)[0])
     degree = rotator.degree
-    if degree == 0:
-        return base
-    descended_circle_data(action, rotator, lsp)  # validates commuting + level drift
+    if degree != 0:
+        descended_circle_data(action, rotator, lsp)  # validates commuting + level drift
     mu = moment_field(rotator)
 
-    def dc_form(xi):
-        jet = chart.jet(xi)
-        grad = _stencil_derivatives(mu(jet[2]), len(xi), _CHART_TANGENT_SCHEME) / degree
-        s_bar_t = chart.structure(jet, 1).transpose(0, 2, 1)
-        return -(s_bar_t @ grad[:, :, None])[:, :, 0]
+    def curvature(chart):
+        omega = chart.omega_bar(_base_jet(chart), 1)[:, 0]
+        base = omega[(slice(None),) + _pair_indices(chart.dim)]
+        if degree == 0:
+            return base
 
-    dc = FormField(dc_form, degree=1, dim=chart.dim)
-    return base + ext_deriv(dc, np.zeros(chart.dim), _CURVATURE_SCHEME)
+        def dc_form(xi):
+            jet = chart.jet(xi)
+            s_bar_t = chart.structure(jet, 1).swapaxes(-1, -2)
+            return -(s_bar_t @ (chart.gradient(jet, mu) / degree)[..., None])[..., 0]
+
+        return base + chart.exterior_derivative(dc_form)
+
+    comps = _over_charts(action, lsp, curvature)
+    return _form_result(comps, 2, _quotient_dim(action), isinstance(lsp, LevelSetPoint))
 
 
 def canonical_bundle_curvature(
     action: LinearAction,
     chi,
-    lsp: LevelSetPoint,
-) -> FormValue:
+    lsp,
+):
     """Curvature of the canonical connection of the chi-weight line bundle.
 
     The connection one-form is chi composed with the metric vertical
     projection; its curvature is computed as the exterior derivative of
     the pulled-back connection form along a local horizontal section,
     with the sign fixed so that integer chi reproduces the descended
-    curvature form.
+    curvature form.  A FormValue for one LevelSetPoint, (k, nb)
+    components for a sequence of k; a row equals that point alone.  A
+    non-integral level warns once per call.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     if chi.shape != (action.dim_g,):
         raise ConfigError("one weight per generator required")
-    if not lsp.level.is_integral:
+    points, single = _points(lsp)
+    if not all(p.level.is_integral for p in points):
         warnings.warn("level is not integral: no global line bundle descends")
-    chart = QuotientChart(action, lsp)
+    K = _quotient_dim(action)
     if np.all(chi == 0.0):
-        return FormValue(2, chart.dim)
-    field = FormField(lambda xi: chart.theta(chart.jet(xi), chi), degree=1, dim=chart.dim)
-    return -ext_deriv(field, np.zeros(chart.dim), _CURVATURE_SCHEME)
+        return _form_result(np.zeros((len(points), K * (K - 1) // 2)), 2, K, single)
+    comps = _over_charts(
+        action,
+        points,
+        lambda chart: -chart.exterior_derivative(lambda xi: chart.theta(chart.jet(xi), chi)),
+    )
+    return _form_result(comps, 2, K, single)
 
 
 # -- multi-centre coordinates ----------------------------------------------------------
@@ -561,8 +751,7 @@ def gh_coordinates(
         if np.max(np.abs(s @ gen - gen @ s)) > _CIRCLE_COMMUTE_TOL:
             raise StructureError("residual circle is not triholomorphic")
     _require_commuting(action, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
-    single = isinstance(lsp, LevelSetPoint)
-    points = [lsp] if single else list(lsp)
+    points, single = _points(lsp)
     m = np.array([p.point for p in points])
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]

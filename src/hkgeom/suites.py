@@ -556,33 +556,26 @@ def _q_match(rng, cfg: RunConfig) -> float:
     this is the weight-1 bundle.
     """
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    weight = (_quotient_level(cfg.c),)
-    gaps = []
-    for lsp in _level_points(action, rng, cfg):
-        got = qt.canonical_bundle_curvature(action, weight, lsp)
-        want = qt.descended_curvature(action, rotator, lsp)
-        gaps.append(np.max(np.abs((got - want).comps)))
-    return _worst(gaps)
+    points = _level_points(action, rng, cfg)
+    got = qt.canonical_bundle_curvature(action, (_quotient_level(cfg.c),), points)
+    want = qt.descended_curvature(action, rotator, points)
+    return _worst(np.abs(got - want))
 
 
 def _q_type11(rng, cfg: RunConfig) -> float:
+    """Worst type-(1,1) residual of the descended form against I_bar, J_bar and K_bar."""
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    gaps = []
-    for lsp in _level_points(action, rng, cfg):
-        chart = qt.QuotientChart(action, lsp)
-        jet = chart.jet(np.zeros((1, chart.dim)))
-        F = qt.descended_curvature(action, rotator, lsp)
-        for i in (1, 2, 3):
-            S = chart.structure(jet, i)[0]
-            gaps.append(type11_residual(F, S, structure_tol=1e-4))
-    return _worst(gaps)
+    points = _level_points(action, rng, cfg)
+    F = qt.descended_curvature(action, rotator, points)
+    S = qt.quotient_structures(action, points)
+    return _worst(
+        type11_residual(np.repeat(F, 3, axis=0), S.reshape((-1,) + S.shape[2:]), structure_tol=1e-4)
+    )
 
 
 def _q_descent(rng, cfg: RunConfig) -> float:
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    return _worst(
-        [qt.moment_descent_residual(action, rotator, lsp) for lsp in _level_points(action, rng, cfg)]
-    )
+    return _worst(qt.moment_descent_residual(action, rotator, _level_points(action, rng, cfg)))
 
 
 def _q_gh_potential(rng, cfg: RunConfig) -> float:

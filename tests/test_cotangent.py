@@ -21,7 +21,7 @@ from hkgeom.cotangent import (
     uf_prime,
 )
 from hkgeom import cotangent
-from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, pullback
+from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, fd_gradient, pullback
 from hkgeom.suites import RunConfig, run_check
 
 
@@ -79,6 +79,26 @@ def test_series_closed_form_continuity_at_switch():
 def test_fu_identity_residual_log_grid():
     grid = np.logspace(-3, 1, 200)
     assert fu_identity_residual(grid) < 1e-7
+
+
+def test_fu_identity_residual_equals_one_gradient_per_value():
+    # reference: one fd_gradient stencil per grid value, each with its own step
+    grid = np.logspace(-3, 1, 200)
+    gaps = []
+    for u in grid:
+        scheme = FDScheme(h=min(0.25 * u, 0.05), order=4)
+        fd = fd_gradient(lambda x: cotangent.u_eval(x[:, 0]), [u], scheme)[0]
+        gaps.append(abs(fd - (np.sqrt(1.0 + u) - 1.0) / (2.0 * u)))
+    assert fu_identity_residual(grid) == max(gaps)
+
+
+def test_fu_identity_fails_on_a_nan_value(monkeypatch):
+    # a NaN late in the grid: a running builtin max would drop it
+    u_eval = cotangent.u_eval
+    monkeypatch.setattr(cotangent, "u_eval", lambda u: np.where(u > 5.0, np.nan, u_eval(u)))
+    assert np.isnan(fu_identity_residual(np.logspace(-3, 1, 200)))
+    record = run_check(RunConfig(suite="cotangent"), "bg.profile.identity")
+    assert not record.passed and record.residual is None
 
 
 def test_uf_prime_closed_forms_agree():

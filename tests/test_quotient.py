@@ -1,6 +1,8 @@
 """Tests for the linear hyperkahler quotient machinery."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hkgeom.errors import (
     NonFreePointError,
     StructureError,
 )
-from hkgeom import quotient, suites
+from hkgeom import forms, quotient, suites
 from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field, moment_map
 from hkgeom.forms import (
     FDScheme,
@@ -41,6 +43,7 @@ from hkgeom.quotient import (
     horizontal_frame,
     moment_descent_residual,
     moment_jacobian,
+    quotient_structures,
     solve_level,
 )
 
@@ -555,6 +558,21 @@ def test_batched_moment_rows_match_per_point_loop(action):
         assert np.max(np.abs(jac[row] - want_jac)) <= 1e-15
 
 
+def _broadcast_jacobian(action, m):
+    """Reference: one matrix-vector product (S_i G_a) m per row and (a, i)."""
+    stack = np.array([[s @ g for s in action.model.structures()] for g in action.generators])
+    return (stack @ m[..., None, None, :, None])[..., 0]
+
+
+@pytest.mark.parametrize("action", [ACTION, TORUS], ids=["circle", "torus"])
+@pytest.mark.parametrize("k", [1, 5, 17, 272, 1000])
+def test_moment_jacobian_product_equals_broadcast_products(action, k):
+    m = 2.0 * np.random.default_rng(72).standard_normal((k, action.dim))
+    jac = moment_jacobian(action, m)
+    assert np.array_equal(jac, _broadcast_jacobian(action, m))
+    assert np.array_equal(jac[k // 2], moment_jacobian(action, m[k // 2]))
+
+
 def test_chart_batch_retraction_matches_single_rows():
     rng = np.random.default_rng(52)
     lsp = solved(rng)
@@ -586,7 +604,7 @@ def test_shared_stencil_matches_fd_over_batched_point():
         want = fd_jacobian(chart.point, xi, scheme)
         assert np.max(np.abs(tangents[0] - want)) < 1e-12
         grad = fd_gradient(lambda y: mu(chart.point(y)), xi, scheme)
-        from_jet = quotient._stencil_derivatives(mu(stencil), 1, scheme)[0]
+        from_jet = chart.gradient(jet, mu)[0]
         assert np.max(np.abs(from_jet - grad)) < 1e-12
         fd_metric = chart.metric((points, want[None], stencil))
         assert np.max(np.abs(chart.metric(jet) - fd_metric)) < 1e-12
@@ -621,12 +639,13 @@ def test_chart_jet_rows_match_single_rows():
 
 def test_descended_curvature_retraction_count(monkeypatch):
     # one jet at the base point (xi and its 16-point tangent stencil) and
-    # one jet of all 16 outer dd^c points with their stencils
+    # one jet of all 16 outer dd^c points with their stencils; a check
+    # retracts those of all its level-set points in the same few calls
     rows = []
     retract = QuotientChart.point
 
     def counting(self, xi):
-        rows.append(np.atleast_2d(xi).shape[0])
+        rows.append(np.asarray(xi).reshape(-1, self.dim).shape[0])
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
@@ -634,6 +653,15 @@ def test_descended_curvature_retraction_count(monkeypatch):
     descended_curvature(ACTION, eh_rotator(), lsp)
     assert len(rows) <= 2
     assert sum(rows) <= 17 + 16 * 17
+    cfg = suites.RunConfig(suite="quotient", samples=40)
+    for check_id, most in (
+        ("quotient.curvature.match", 3),
+        ("quotient.curvature.type11", 3),
+        ("quotient.moment.descent", 1),
+    ):
+        rows.clear()
+        assert suites.run_check(cfg, check_id).passed
+        assert 1 <= len(rows) <= most, (check_id, len(rows))
 
 
 def test_level_set_point_builds_its_frame_once():
@@ -641,6 +669,127 @@ def test_level_set_point_builds_its_frame_once():
     frame = horizontal_frame(ACTION, lsp)
     assert QuotientChart(ACTION, lsp).frame is frame
     assert not frame.flags.writeable
+
+
+# -- chart batches ----------------------------------------------------------------------
+
+
+def _fresh(points):
+    """Copies of level-set points that have not built their frames yet."""
+    return [dataclasses.replace(lsp) for lsp in points]
+
+
+H3 = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1, 1), l=(-1, -1, -1))])
+
+
+@pytest.mark.parametrize("action", [ACTION, H3], ids=["H2", "H3"])
+def test_batch_frames_equal_frames_built_alone(action):
+    rng = np.random.default_rng(70)
+    points = solve_level(action, LEVEL, rng.standard_normal((6, action.dim)))
+    chart = QuotientChart(action, points)  # one batched build of six frames
+    assert chart.frame.shape == (6, action.dim, action.dim - 4)
+    for row, lsp in enumerate(points):
+        alone = dataclasses.replace(lsp).frame
+        assert np.array_equal(chart.frame[row], alone)
+        # each point keeps its row as its own cached, read-only frame
+        assert lsp.frame is lsp.frame and not lsp.frame.flags.writeable
+        assert np.array_equal(lsp.frame, alone)
+
+
+def test_batch_curvatures_equal_single_point_calls():
+    rng = np.random.default_rng(71)
+    points = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
+    rotator = eh_rotator()
+    descended = descended_curvature(ACTION, rotator, points)
+    canonical = canonical_bundle_curvature(ACTION, (1.0,), points)
+    descent = moment_descent_residual(ACTION, rotator, points)
+    structures = quotient_structures(ACTION, points)
+    x_bars, mu_bars = descended_circle_data(ACTION, rotator, points)
+    assert descended.shape == canonical.shape == (6, 6)
+    assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
+    for row, lsp in enumerate(_fresh(points)):
+        assert np.array_equal(descended[row], descended_curvature(ACTION, rotator, lsp).comps)
+        assert np.array_equal(canonical[row], canonical_bundle_curvature(ACTION, (1.0,), lsp).comps)
+        assert descent[row] == moment_descent_residual(ACTION, rotator, lsp)
+        assert np.array_equal(structures[row], quotient_structures(ACTION, lsp))
+        x_bar, mu_bar = descended_circle_data(ACTION, rotator, lsp)
+        assert np.array_equal(x_bars[row], x_bar) and mu_bars[row] == mu_bar
+    assert np.all(canonical_bundle_curvature(ACTION, (0.0,), points) == 0.0)
+    with pytest.raises(ConfigError):
+        descended_curvature(ACTION, rotator, [])
+
+
+def test_chart_batch_anchors_at_its_base_points():
+    rng = np.random.default_rng(73)
+    points = solve_level(ACTION, LEVEL, rng.standard_normal((5, 8)))
+    chart = QuotientChart(ACTION, points)
+    base = np.array([lsp.point for lsp in points])
+    assert np.max(np.abs(chart.point(np.zeros((5, 4))) - base)) < 1e-12
+    points_, tangents, stencil = jet = chart.jet(np.zeros((5, 1, 4)))
+    assert points_.shape == (5, 1, 8) and tangents.shape == (5, 1, 8, 4)
+    assert stencil.shape == (5, 16, 8)
+    assert np.max(np.abs(tangents[:, 0] - chart.frame)) < 1e-8
+    assert np.max(np.abs(chart.metric(jet) - np.eye(4))) < 1e-8
+    for bad in (np.zeros((4, 1, 4)), np.zeros((1, 4)), np.zeros((5, 1, 3))):
+        with pytest.raises(ConfigError):
+            chart.jet(bad)
+    with pytest.raises(ConfigError):
+        chart.point(np.zeros(4))  # one chart point for a chart of five
+
+
+def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
+    rng = np.random.default_rng(74)
+    points = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
+    rotator = eh_rotator()
+
+    def results():
+        return (
+            descended_curvature(ACTION, rotator, _fresh(points)),
+            canonical_bundle_curvature(ACTION, (1.0,), _fresh(points)),
+            moment_descent_residual(ACTION, rotator, _fresh(points)),
+            quotient_structures(ACTION, _fresh(points)),
+        )
+
+    whole = results()
+    charts = []
+    retract = QuotientChart.point
+
+    def counting(self, xi):
+        charts.append(len(self.frame))
+        return retract(self, xi)
+
+    monkeypatch.setattr(QuotientChart, "point", counting)
+    # a point's nested curvature stencil retracts 16 outer points with 16
+    # tangent points each, 272 rows, so a bound of 544 makes chunks of two
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 544)
+    chunked = results()
+    assert set(charts) == {2}
+    for want, got in zip(whole, chunked):
+        assert np.array_equal(want, got)
+
+
+def test_chart_batch_memory_stays_flat_as_points_grow():
+    # 100 level-set points go in chunks of 15 (4096 retracted rows at 272
+    # per point): the check peaks near 3 MB, as at 60 points; one chart
+    # batch of all 100 would peak near 18 MB
+    cfg = suites.RunConfig(suite="quotient", samples=400)
+    tracemalloc.start()
+    try:
+        record = suites.run_check(cfg, "quotient.curvature.type11")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.passed
+    assert peak <= 4e6
+
+
+def test_canonical_curvature_warns_once_per_call():
+    rng = np.random.default_rng(75)
+    points = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal((4, 8)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        canonical_bundle_curvature(ACTION, (1.0,), points)
+    assert [w.category for w in caught] == [UserWarning]
 
 
 # -- two-centre fit and the separation check --------------------------------------------
