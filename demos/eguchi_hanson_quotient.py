@@ -30,21 +30,23 @@ action = eguchi_hanson_action()
 level = LevelSpec((1.0,))
 print("circle weights (1,1)/(-1,-1) on H^2, level c = 1")
 
-lsp = solve_level(action, level, rng.standard_normal(8))
-print("Newton solve:", len(lsp.history) - 1, "steps, final residual",
-      f"{lsp.residual:.2e}")
+# a batch of one level-set point; every quotient function takes a batch
+one = solve_level(action, level, rng.standard_normal((1, 8)))
+print("Newton solve:", len(one.histories[0]) - 1, "steps, final residual",
+      f"{one.residuals[0]:.2e}")
 
+frame = one.frames[0]
 print("horizontal metric identity gap:",
-      f"{np.max(np.abs(lsp.frame.T @ lsp.frame - np.eye(4))):.2e}")
+      f"{np.max(np.abs(frame.T @ frame - np.eye(4))):.2e}")
 
 # -- curvature of the canonical connection ----------------------------------------------
 
-canonical = canonical_bundle_curvature(action, (1.0,), lsp)
-descended = descended_curvature(action, eh_rotator(), lsp)
+canonical = canonical_bundle_curvature(action, (1.0,), one)
+descended = descended_curvature(action, eh_rotator(), one)
 print("\n|canonical-connection curvature - (omega-bar_1 + dd^c(mu-bar/2))| =",
-      f"{np.max(np.abs((canonical - descended).comps)):.3e}")
+      f"{np.max(np.abs(canonical - descended)):.3e}")
 
-s1 = quotient_structures(action, lsp)[0]
+s1 = quotient_structures(action, one)[0, 0]
 print("chart structure check  max|S1^2 + Id| =",
       f"{np.max(np.abs(s1 @ s1 + np.eye(4))):.2e}")
 

@@ -12,6 +12,12 @@ and curvature form, the canonical connection of the associated line
 bundle, and recovery of multi-centre potential coordinates from a
 residual triholomorphic circle.
 
+Everything past the moment map works on batches.  ``solve_level`` takes
+seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
+with their horizontal frames built once for the whole batch; the chart,
+descended and multi-centre functions take that batch and return arrays
+with one row per point, each row equal to that point in a batch of one.
+
 The standard worked example throughout is the Eguchi-Hanson quotient of
 H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
 """
@@ -40,11 +46,9 @@ from .flatspace import (
 )
 from .forms import (
     FDScheme,
-    FormValue,
     _chunked,
     _ext_deriv_sum,
     _fd_reduce,
-    _form_result,
     _pair_indices,
     _stencil_points,
     _stencil_rows,
@@ -201,63 +205,79 @@ def _rank_deficient(sv) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LevelSetPoint:
-    """A converged point of nu^{-1}(c, 0, 0) with cached derivative data.
+class LevelSetPoints:
+    """k converged points of nu^{-1}(c, 0, 0) at one level, with their derivative data.
 
-    ``solve_level`` guards the orbit rank of all the points it solves with
-    one batched SVD; the vertical frame guards it again when a frame is
-    built.
+    ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), ``orbits``
+    (k, dim, dim_g), ``residuals`` (k,) and ``histories`` (one tuple of
+    residual norms per row).  ``solve_level`` guards the orbit rank of all
+    the rows with one batched SVD; the vertical frame guards it again when
+    the frames are built.  A slice ``levels[i:j]`` is the batch of those
+    rows and reads its rows of ``frames``.
     """
 
-    point: np.ndarray
     level: LevelSpec
+    points: np.ndarray
     dnu: np.ndarray
-    orbit: np.ndarray
-    residual: float
-    history: tuple
+    orbits: np.ndarray
+    residuals: np.ndarray
+    histories: tuple
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, rows: slice) -> "LevelSetPoints":
+        if not isinstance(rows, slice):
+            raise TypeError("a level-set batch is indexed by a slice of rows, levels[i:j]")
+        part = LevelSetPoints(
+            self.level,
+            self.points[rows],
+            self.dnu[rows],
+            self.orbits[rows],
+            self.residuals[rows],
+            self.histories[rows],
+        )
+        vars(part)["frames"] = self.frames[rows]  # the cache of the cached_property
+        return part
 
     @cached_property
-    def frame(self) -> np.ndarray:
-        """The oriented horizontal frame (see ``horizontal_frame``).
+    def frames(self) -> np.ndarray:
+        """The oriented horizontal frames (k, dim, K), read-only.
 
-        Quaternionic blocks (v, I v, J v, K v) off the vertical frame: the
-        horizontal space is I, J, K-invariant, so no axis choice or
-        orientation flip is needed, and the frame is smooth in the point.
-        Built on first use, or by the first chart batch that holds this
-        point (``_horizontal_frames``), and kept, read-only, so every
-        consumer of this point (charts, descended data) shares one frame.
+        Orthonormal bases of ker(d nu) intersected with the orbit
+        complement: quaternionic blocks (v, I v, J v, K v) off the vertical
+        frames (``_quaternionic_frame``).  The horizontal space is I, J,
+        K-invariant, so no axis choice or orientation flip is needed, and
+        each frame is smooth in its point.  Built on first use for the
+        whole batch, from one ``_vertical_frame`` SVD and one
+        ``_quaternionic_frame`` pass, and shared by every chart and
+        descended datum built on these rows.
         """
-        _horizontal_frames([self])
-        return vars(self)["frame"]
-
-    def __post_init__(self):
-        if self.residual > 1e-10:
-            raise ConvergenceError(
-                f"level residual {self.residual:.2e} exceeds 1e-10"
-            )
+        frames = np.ascontiguousarray(_quaternionic_frame(_vertical_frame(self)))
+        frames.flags.writeable = False
+        return frames
 
 
-def solve_level(
-    action: LinearAction, level: LevelSpec, seed
-) -> LevelSetPoint | list[LevelSetPoint]:
-    """Newton iteration on nu(m) = (c, 0, 0) from one seed (dim,) or a batch (k, dim).
+def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints:
+    """Newton iteration on nu(m) = (c, 0, 0) from a batch of k seeds (k, dim).
 
-    Returns a LevelSetPoint for one seed and a list of them for a batch.
     Each row iterates until its own residual is below _LEVEL_NEWTON_TOL, so
-    a batch row equals that seed solved alone.  A step is the minimum-norm
-    solution -V^T diag(1/s) U^T res from one batched SVD of the live rows'
-    moment Jacobians, whose singular values also guard the rank: rank
-    deficiency along the way raises NonFreePointError, running out the
-    budget of _LEVEL_MAX_ITER steps raises ConvergenceError.  One batched
-    SVD of the solved points' orbit directions guards that the action is
-    free at each of them.
+    a row equals that seed solved in a batch of one.  A step is the
+    minimum-norm solution -V^T diag(1/s) U^T res from one batched SVD of
+    the live rows' moment Jacobians, whose singular values also guard the
+    rank: rank deficiency along the way raises NonFreePointError, running
+    out the budget of _LEVEL_MAX_ITER steps raises ConvergenceError.  One
+    batched SVD of the solved points' orbit directions guards that the
+    action is free at each of them.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
-    seeds = np.asarray(seed, dtype=float)
-    if seeds.ndim not in (1, 2) or seeds.shape[-1] != action.dim:
-        raise ConfigError(f"seed must be a vector of length {action.dim} or a batch of them")
-    m = np.atleast_2d(seeds).copy()
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[1] != action.dim or not len(seeds):
+        raise ConfigError(
+            f"seeds must have shape (k, {action.dim}) with k >= 1, got {seeds.shape}"
+        )
+    m = seeds.copy()
     target = level.target().ravel()
     history = [[] for _ in m]
     todo = np.arange(len(m))
@@ -278,38 +298,33 @@ def solve_level(
         m[todo] -= (vt.transpose(0, 2, 1) @ coef)[:, :, 0]
     else:
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
-    dnu = moment_jacobian(action, m)
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
     if np.any(_rank_deficient(np.linalg.svd(orbits, compute_uv=False))):
         raise NonFreePointError(
             "orbit directions are linearly dependent: the action is not free at a solved point"
         )
-    points = [
-        LevelSetPoint(
-            point=m[row],
-            level=level,
-            dnu=dnu[row],
-            orbit=orbits[row],
-            residual=hist[-1],
-            history=tuple(hist),
-        )
-        for row, hist in enumerate(history)
-    ]
-    return points if seeds.ndim == 2 else points[0]
+    return LevelSetPoints(
+        level=level,
+        points=m,
+        dnu=moment_jacobian(action, m),
+        orbits=orbits,
+        residuals=np.array([hist[-1] for hist in history]),
+        histories=tuple(tuple(hist) for hist in history),
+    )
 
 
 # -- quotient frames ------------------------------------------------------------------
 
 
-def _vertical_frame(points) -> np.ndarray:
+def _vertical_frame(levels: LevelSetPoints) -> np.ndarray:
     """Orthonormal bases (k, dim, 4 dim_g) of the vertical spaces of k level-set points.
 
     One SVD of each point's stacked [orbit | d nu] columns: its left
     singular vectors span them, and its singular values guard the rank.
     """
-    cols = np.array(
-        [np.concatenate([p.orbit, p.dnu.reshape(-1, p.point.size).T], axis=1) for p in points]
-    )
+    k, dim = levels.points.shape
+    gradients = levels.dnu.reshape(k, -1, dim).transpose(0, 2, 1)
+    cols = np.concatenate([levels.orbits, gradients], axis=2)
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
     if np.any(_rank_deficient(sv)):
         raise NonFreePointError("orbit directions and moment gradients are linearly dependent")
@@ -348,36 +363,6 @@ def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
     return basis[:, :, width:]
 
 
-def _horizontal_frames(points) -> np.ndarray:
-    """The frames (k, dim, K) of level-set points: each point's own ``frame``.
-
-    The points that have not built theirs yet build them together, from
-    one ``_vertical_frame`` SVD and one ``_quaternionic_frame`` pass, and
-    each keeps its row, read-only, as its cached ``LevelSetPoint.frame``.
-    """
-    fresh = [p for p in points if "frame" not in vars(p)]
-    if fresh:
-        frames = _quaternionic_frame(_vertical_frame(fresh))
-        frames.flags.writeable = False
-        for p, frame in zip(fresh, frames):
-            vars(p)["frame"] = frame  # the cache of the cached_property
-    return np.array([p.frame for p in points])
-
-
-def horizontal_frame(action: LinearAction, lsp: LevelSetPoint) -> np.ndarray:
-    """Orthonormal basis of ker(d nu) intersected with the orbit complement.
-
-    That space is the orthogonal complement of the quaternionic span of
-    the orbit, so I, J and K preserve it, and the frame is made of blocks
-    (v, I v, J v, K v) from fixed seeds (``_quaternionic_frame``).  It is
-    oriented by construction (omega_bar_1 = e01 + e23 on every block, so
-    omega_i ^ omega_i = +2 vol) and smooth in the point: no pivot or sign
-    flip depends on rounding.  It is ``lsp.frame``: built once per
-    level-set point, read-only.
-    """
-    return lsp.frame
-
-
 def _require_commuting(action: LinearAction, gen: np.ndarray, tol: float, label: str):
     for idx, g in enumerate(action.generators):
         dev = np.max(np.abs(gen @ g - g @ gen))
@@ -392,39 +377,25 @@ def _quotient_dim(action: LinearAction) -> int:
     return action.dim - 4 * action.dim_g
 
 
-def _points(lsp) -> tuple[list, bool]:
-    """(points, single): one LevelSetPoint or a sequence of them as a list, and which it was."""
-    if isinstance(lsp, LevelSetPoint):
-        return [lsp], True
-    points = list(lsp)
-    if not points:
-        raise ConfigError("need at least one level-set point")
-    return points, False
+def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, levels: LevelSetPoints):
+    """Horizontal rotator fields and restricted moment values, (x_bars (k, K), mu_bars (k,)).
 
-
-def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, lsp):
-    """Horizontal rotator field (frame coordinates) and restricted moment value.
-
-    The rotator must commute with the action and therefore preserves the
-    level set; both facts are checked, not assumed.  ``lsp`` is one
-    LevelSetPoint, giving (x_bar (K,), mu_bar), or a sequence of k of
-    them, giving (x_bars (k, K), mu_bars (k,)); a row equals that point
-    alone.
+    x_bars are in frame coordinates.  The rotator must commute with the
+    action and therefore preserves the level set; both facts are checked,
+    not assumed.  A row equals that point in a batch of one.
     """
     gen = action_generator(rotator)
     if gen.shape[0] != action.dim:
         raise ConfigError("rotator dimension does not match the action")
     _require_commuting(action, gen, _ROTATOR_COMMUTE_TOL, "rotator")
-    points, single = _points(lsp)
-    m = np.array([p.point for p in points])
+    m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
-    dnu = np.array([p.dnu.reshape(-1, action.dim) for p in points])
+    dnu = levels.dnu.reshape(len(m), -1, action.dim)
     drift = np.max(np.abs(dnu @ velocity[:, :, None]))
     if drift > 1e-9:
         raise StructureError(f"rotator does not preserve the level set ({drift:.2e})")
-    x_bar = (_horizontal_frames(points).transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
-    mu_bar = moment_map(rotator, m)
-    return (x_bar[0], float(mu_bar[0])) if single else (x_bar, mu_bar)
+    x_bar = (levels.frames.transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
+    return x_bar, moment_map(rotator, m)
 
 
 # -- charts and curvature --------------------------------------------------------------
@@ -443,70 +414,58 @@ def _chart_derivatives(vals: np.ndarray, count: int, scheme: FDScheme) -> np.nda
 
 
 class QuotientChart:
-    """Local quotient coordinates at one level-set point, or at k of them at once.
+    """Local quotient coordinates at each of k level-set points at once (a chart batch).
 
-    point(xi) projects m0 + frame.xi back onto the level set.  The chart of
-    one LevelSetPoint takes one chart point (K,) or a batch (m, K); the
-    chart of a sequence of k points takes (k, m, K), row [c] in the chart
-    of point c.  All rows are retracted in one vectorised Newton solve,
-    each with its own base point, frame and level, and each converges on
-    its own, so a row equals that chart point retracted alone in its own
-    chart.  ``jet`` retracts chart points together with their whole tangent
-    stencil in one such solve.  The pulled-back Kahler forms, the induced
-    metric (orbit directions projected out), the complex structures and
-    the connection form are array functions of a jet over any leading
-    axes, ``gradient`` differences a function of the point over a jet's
-    stencil, and ``exterior_derivative`` takes d of a chart one-form at
-    xi = 0 in every chart from one call of it, so every quantity at the
-    same points shares one retraction.  The frames are the level-set
-    points' own (``lsp.frame``), built in one batch.
+    point(xi) projects m0 + frame.xi back onto the level set, for chart
+    points (k, m, K), row [c] in the chart of point c.  All rows are
+    retracted in one vectorised Newton solve, each with its own base point
+    and frame, and each converges on its own, so a row equals that chart
+    point retracted alone in its own chart.  ``jet`` retracts chart points
+    together with their whole tangent stencil in one such solve.  The
+    pulled-back Kahler forms, the induced metric (orbit directions
+    projected out), the complex structures and the connection form are
+    array functions of a jet over any leading axes, ``gradient``
+    differences a function of the point over a jet's stencil, and
+    ``exterior_derivative`` takes d of a chart one-form at xi = 0 in every
+    chart from one call of it, so every quantity at the same points shares
+    one retraction.  The frames are the level-set points' own
+    (``levels.frames``).
     """
 
-    def __init__(self, action: LinearAction, lsp):
-        points, single = _points(lsp)
+    def __init__(self, action: LinearAction, levels: LevelSetPoints):
         self.action = action
-        self.lsp = lsp
-        self._frames = _horizontal_frames(points)
-        #: (dim, K) for one point, (k, dim, K) for k
-        self.frame = lsp.frame if single else self._frames
-        self._base = np.array([p.point for p in points])
-        self._targets = np.array([p.level.target().ravel() for p in points])
+        self.levels = levels
+        #: (k, dim, K)
+        self.frames = levels.frames
+        self._target = levels.level.target().ravel()
         self._omega = tuple(w.as_matrix() for w in action.model.kahler_triple())
         self._generators = np.array(action.generators)
 
     @property
     def dim(self) -> int:
-        return self._frames.shape[2]
+        return self.frames.shape[2]
 
-    def _rows(self, xi, counts) -> tuple[np.ndarray, np.ndarray]:
-        """(xi, rows): xi as a float array and as (k, m, K), after checking its shape.
-
-        ``counts`` are the numbers of row axes allowed between the chart
-        axis (a chart of k points) and the last axis of length K.
-        """
+    def _check(self, xi) -> np.ndarray:
+        """xi as a float array, after checking that it is (k, m, K)."""
         xi = np.asarray(xi, dtype=float)
-        lead = self.frame.shape[:-2]
-        rows = xi.ndim - len(lead) - 1
-        if rows not in counts or xi.shape[: len(lead)] != lead or xi.shape[-1] != self.dim:
-            shapes = " or ".join(str(lead + ("m",) * c + (self.dim,)) for c in counts)
-            raise ConfigError(f"chart points must have shape {shapes}, got {xi.shape}")
-        return xi, xi.reshape(len(self._base), -1, self.dim)
+        if xi.ndim != 3 or xi.shape[0] != len(self.frames) or xi.shape[2] != self.dim:
+            raise ConfigError(
+                f"chart points must have shape {(len(self.frames), 'm', self.dim)}, got {xi.shape}"
+            )
+        return xi
 
     def point(self, xi) -> np.ndarray:
-        """Retraction of chart points into H^n, (..., K) -> (..., dim).
+        """Retraction of chart points into H^n, (k, m, K) -> (k, m, dim).
 
-        xi is (K,) or (m, K) in the chart of one point, (k, K) or
-        (k, m, K) in the chart of k.  Newton takes the minimum-norm step
-        J^T (J J^T)^{-1} (-res) on every row whose level residual is not
-        yet below the tolerance.
+        Newton takes the minimum-norm step J^T (J J^T)^{-1} (-res) on every
+        row whose level residual is not yet below the tolerance.
         """
-        xi, rows = self._rows(xi, (0, 1))
-        m = self._base[:, None, :] + (self._frames[:, None] @ rows[..., None])[..., 0]
+        xi = self._check(xi)
+        m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
         m = m.reshape(-1, self.action.dim)
-        target = np.repeat(self._targets, rows.shape[1], axis=0)
         todo = np.arange(len(m))
         for _ in range(_CHART_MAX_ITER):
-            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - target[todo]
+            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
             todo, res = todo[live], res[live]
             if not todo.size:
@@ -517,55 +476,46 @@ class QuotientChart:
         raise ConvergenceError("chart retraction did not converge")
 
     def jet(self, xi):
-        """(points, tangents, stencil) of chart points xi, from one ``point`` call.
+        """(points, tangents, stencil) of chart points xi (k, m, K), from one ``point`` call.
 
-        xi is a batch (m, K) in the chart of one point, (k, m, K) in the
-        chart of k.  points (..., m, dim) retracts xi, tangents
-        (..., m, dim, K) holds d point / d xi, and stencil (..., 4 m K, dim)
-        retracts each chart's tangent stencil of its m points, laid out as
-        ``_stencil_points`` lays it out, for ``gradient``.
+        points (k, m, dim) retracts xi, tangents (k, m, dim, K) holds
+        d point / d xi, and stencil (k, 4 m K, dim) retracts each chart's
+        tangent stencil of its m points, laid out as ``_stencil_points``
+        lays it out, for ``gradient``.
         """
-        xi, rows = self._rows(xi, (1,))
-        k, count, K = rows.shape
-        N = self.action.dim
+        xi = self._check(xi)
+        k, count, K = xi.shape
         # each chart's stencil rows together, [offset][point][coordinate]
-        around = _stencil_points(rows.reshape(-1, K), _CHART_TANGENT_SCHEME)
+        around = _stencil_points(xi.reshape(-1, K), _CHART_TANGENT_SCHEME)
         around = around.reshape(-1, k, count * K, K).swapaxes(0, 1).reshape(k, -1, K)
-        lead = self.frame.shape[:-2]
-        out = self.point(np.concatenate([rows, around], axis=1).reshape(lead + (-1, K)))
-        out = out.reshape(k, -1, N)
+        out = self.point(np.concatenate([xi, around], axis=1))
         points, stencil = out[:, :count], out[:, count:]
         tangents = _chart_derivatives(stencil, count, _CHART_TANGENT_SCHEME)
-        return (
-            points.reshape(xi.shape[:-1] + (N,)),
-            np.ascontiguousarray(tangents.swapaxes(-1, -2)).reshape(xi.shape[:-1] + (N, K)),
-            stencil.reshape(lead + (-1, N)),
-        )
+        return points, np.ascontiguousarray(tangents.swapaxes(-1, -2)), stencil
 
     def gradient(self, jet, fn) -> np.ndarray:
-        """Chart gradient (..., m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
+        """Chart gradient (k, m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
 
         fn gets the stencils of all the jet's charts in one call.
         """
         points, _, stencil = jet
-        vals = np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))).reshape(len(self._base), -1)
-        grad = _chart_derivatives(vals, points.shape[-2], _CHART_TANGENT_SCHEME)
-        return grad.reshape(points.shape[:-1] + (self.dim,))
+        vals = np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))).reshape(len(stencil), -1)
+        return _chart_derivatives(vals, points.shape[1], _CHART_TANGENT_SCHEME)
 
     def exterior_derivative(self, form) -> np.ndarray:
-        """d of a chart one-form at xi = 0, (nb,) in the chart of one point, (k, nb) in that of k.
+        """d of a chart one-form at xi = 0 in every chart, (k, nb).
 
-        ``form`` takes chart points shaped as ``jet`` takes them and returns
-        the one-form's components at each, in the same shape.  It gets the
-        _CURVATURE_SCHEME stencil around 0 of every chart in one call, and
-        ``forms._ext_deriv_sum`` sums the derivatives as ``ext_deriv`` does.
+        ``form`` takes chart points (k, m, K), as ``jet`` takes them, and
+        returns the one-form's components at each, in the same shape.  It
+        gets the _CURVATURE_SCHEME stencil around 0 of every chart in one
+        call, and ``forms._ext_deriv_sum`` sums the derivatives as
+        ``ext_deriv`` does.
         """
         K = self.dim
-        lead = self.frame.shape[:-2]
         stencil = _stencil_points(np.zeros((1, K)), _CURVATURE_SCHEME)
-        vals = np.asarray(form(np.broadcast_to(stencil, lead + stencil.shape)))
-        D = _chart_derivatives(vals.reshape(len(self._base), -1, K), 1, _CURVATURE_SCHEME)
-        return _ext_deriv_sum(D[:, 0], K, 1).reshape(lead + (-1,))
+        vals = np.asarray(form(np.broadcast_to(stencil, (len(self.frames),) + stencil.shape)))
+        D = _chart_derivatives(vals, 1, _CURVATURE_SCHEME)
+        return _ext_deriv_sum(D[:, 0], K, 1)
 
     def omega_bar(self, jet, i: int) -> np.ndarray:
         """omega_i pulled back to the chart at each jet point, as (..., K, K) matrices."""
@@ -594,86 +544,82 @@ class QuotientChart:
         return np.asarray(chi, dtype=float) @ coef
 
 
-def _over_charts(action: LinearAction, lsp, op) -> np.ndarray:
-    """op(chart) on the chart of each chunk of the level-set points lsp, concatenated.
+def _over_charts(action: LinearAction, levels: LevelSetPoints, op) -> np.ndarray:
+    """op(chart) on the chart batch of each chunk of the level-set points, concatenated.
 
-    ``lsp`` is one LevelSetPoint or a sequence; op returns one row per
-    point of its chart of k.  A chunk holds as many consecutive points as
-    keep the rows of their nested curvature stencils (4 K outer points,
-    each with its 4 K-point tangent stencil: 272 rows at K = 4) within
-    ``forms.MAX_STENCIL_VALUES`` retracted rows, and at least one point,
-    so a retraction takes the same memory at any number of points.
+    op returns one row per point of its chart batch.  A chunk holds as
+    many consecutive points as keep the rows of their nested curvature
+    stencils (4 K outer points, each with its 4 K-point tangent stencil:
+    272 rows at K = 4) within ``forms.MAX_STENCIL_VALUES`` retracted rows,
+    and at least one point, so a retraction takes the same memory at any
+    number of points.  Each chunk reads its rows of ``levels.frames``.
     """
-    points, _ = _points(lsp)
     K = _quotient_dim(action)
     outer = _stencil_rows(_CURVATURE_SCHEME, K)
     return _chunked(
-        np.arange(len(points)),
+        levels,
         outer * (1 + _stencil_rows(_CHART_TANGENT_SCHEME, K)),
-        lambda chunk: op(QuotientChart(action, [points[i] for i in chunk])),
+        lambda chunk: op(QuotientChart(action, chunk)),
     )
 
 
 def _base_jet(chart: QuotientChart):
     """The jet of every chart of a chart batch at its base point xi = 0."""
-    return chart.jet(np.zeros((len(chart.frame), 1, chart.dim)))
+    return chart.jet(np.zeros((len(chart.frames), 1, chart.dim)))
 
 
 def moment_descent_residual(
     action: LinearAction,
     rotator: CircleActionSpec,
-    lsp,
-):
-    """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart.
+    levels: LevelSetPoints,
+) -> np.ndarray:
+    """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart, (k,).
 
-    A float for one LevelSetPoint, a (k,) array for a sequence of k; a row
-    equals that point alone.  One jet of every chart per chunk.
+    A row equals that point in a batch of one.  One jet of every chart per
+    chunk.
     """
     mu = moment_field(rotator)
 
     def residuals(chart):
-        x_bar, _ = descended_circle_data(action, rotator, chart.lsp)
+        x_bar, _ = descended_circle_data(action, rotator, chart.levels)
         jet = _base_jet(chart)
         covec = (x_bar[:, None, :] @ chart.omega_bar(jet, 1)[:, 0])[:, 0]
         return np.max(np.abs(chart.gradient(jet, mu)[:, 0] - covec), axis=1)
 
-    out = _over_charts(action, lsp, residuals)
-    return float(out[0]) if isinstance(lsp, LevelSetPoint) else out
+    return _over_charts(action, levels, residuals)
 
 
-def quotient_structures(action: LinearAction, lsp) -> np.ndarray:
-    """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of the chart.
+def quotient_structures(action: LinearAction, levels: LevelSetPoints) -> np.ndarray:
+    """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of each chart, (k, 3, K, K).
 
-    (3, K, K) for one LevelSetPoint, (k, 3, K, K) for a sequence of k; a
-    row equals that point alone.  One jet of every chart per chunk.
+    A row equals that point in a batch of one.  One jet of every chart per
+    chunk.
     """
 
     def structures(chart):
         jet = _base_jet(chart)
         return np.stack([chart.structure(jet, i)[:, 0] for i in (1, 2, 3)], axis=1)
 
-    out = _over_charts(action, lsp, structures)
-    return out[0] if isinstance(lsp, LevelSetPoint) else out
+    return _over_charts(action, levels, structures)
 
 
 def descended_curvature(
     action: LinearAction,
     rotator: CircleActionSpec,
-    lsp,
-):
-    """omega_bar_1 + dd^c(mu_bar / degree) on the quotient chart at xi = 0.
+    levels: LevelSetPoints,
+) -> np.ndarray:
+    """omega_bar_1 + dd^c(mu_bar / degree) on the quotient chart at xi = 0, (k, nb).
 
     This is the descent of the flat curvature form: the restricted moment
     map is divided by the rotator's rotation degree on the form pencil,
     matching the flat-space normalisation.  d^c(mu_bar / degree) is one
     chart one-form taking the structure and gradient from one jet, so the
     outer stencils of all the charts of a chunk make one retraction.  A
-    FormValue for one LevelSetPoint, (k, nb) components for a sequence of
-    k; a row equals that point alone.
+    row equals that point in a batch of one.
     """
     degree = rotator.degree
     if degree != 0:
-        descended_circle_data(action, rotator, lsp)  # validates commuting + level drift
+        descended_circle_data(action, rotator, levels)  # validates commuting + level drift
     mu = moment_field(rotator)
 
     def curvature(chart):
@@ -689,40 +635,36 @@ def descended_curvature(
 
         return base + chart.exterior_derivative(dc_form)
 
-    comps = _over_charts(action, lsp, curvature)
-    return _form_result(comps, 2, _quotient_dim(action), isinstance(lsp, LevelSetPoint))
+    return _over_charts(action, levels, curvature)
 
 
 def canonical_bundle_curvature(
     action: LinearAction,
     chi,
-    lsp,
-):
-    """Curvature of the canonical connection of the chi-weight line bundle.
+    levels: LevelSetPoints,
+) -> np.ndarray:
+    """Curvature of the canonical connection of the chi-weight line bundle, (k, nb).
 
     The connection one-form is chi composed with the metric vertical
     projection; its curvature is computed as the exterior derivative of
     the pulled-back connection form along a local horizontal section,
     with the sign fixed so that integer chi reproduces the descended
-    curvature form.  A FormValue for one LevelSetPoint, (k, nb)
-    components for a sequence of k; a row equals that point alone.  A
+    curvature form.  A row equals that point in a batch of one.  A
     non-integral level warns once per call.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     if chi.shape != (action.dim_g,):
         raise ConfigError("one weight per generator required")
-    points, single = _points(lsp)
-    if not all(p.level.is_integral for p in points):
+    if not levels.level.is_integral:
         warnings.warn("level is not integral: no global line bundle descends")
     K = _quotient_dim(action)
     if np.all(chi == 0.0):
-        return _form_result(np.zeros((len(points), K * (K - 1) // 2)), 2, K, single)
-    comps = _over_charts(
+        return np.zeros((len(levels), K * (K - 1) // 2))
+    return _over_charts(
         action,
-        points,
+        levels,
         lambda chart: -chart.exterior_derivative(lambda xi: chart.theta(chart.jet(xi), chi)),
     )
-    return _form_result(comps, 2, K, single)
 
 
 # -- multi-centre coordinates ----------------------------------------------------------
@@ -731,17 +673,16 @@ def canonical_bundle_curvature(
 def gh_coordinates(
     action: LinearAction,
     triholo: CircleActionSpec,
-    lsp,
+    levels: LevelSetPoints,
     *,
     scale: float = 1.0,
 ):
-    """Coordinates (x, V) of the quotient in multi-centre potential form.
+    """Coordinates (xs (k, 3), vs (k,)) of the quotient in multi-centre potential form.
 
     x is the moment triple of the residual triholomorphic circle and
     V^{-1} the squared length of its horizontal field (the velocity minus
-    its vertical part).  `scale` runs the circle at a multiple of the given speed.
-    ``lsp`` is one LevelSetPoint, giving (x (3,), V), or a sequence of k of
-    them, giving (xs (k, 3), vs (k,)); a batch row equals that point alone.
+    its vertical part).  `scale` runs the circle at a multiple of the given
+    speed.  A row equals that point in a batch of one.
     """
     gen = scale * action_generator(triholo)
     if gen.shape[0] != action.dim:
@@ -751,18 +692,15 @@ def gh_coordinates(
         if np.max(np.abs(s @ gen - gen @ s)) > _CIRCLE_COMMUTE_TOL:
             raise StructureError("residual circle is not triholomorphic")
     _require_commuting(action, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
-    points, single = _points(lsp)
-    m = np.array([p.point for p in points])
+    m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]
     x = 0.5 * (s_velocity[:, :, None, :] @ m[:, None, :, None])[..., 0, 0]
-    vert = _vertical_frame(points)
+    vert = _vertical_frame(levels)
     horizontal = velocity - (vert @ (vert.transpose(0, 2, 1) @ velocity[:, :, None]))[:, :, 0]
     v_inv = (horizontal[:, None, :] @ horizontal[:, :, None])[:, 0, 0]
     if np.any(v_inv < 1e-12):
         raise DomainError("residual circle fixes a sample point")
-    if single:
-        return x[0], float(1.0 / v_inv[0])
     return x, 1.0 / v_inv
 
 

@@ -28,7 +28,7 @@ from hkgeom.forms import (
 )
 from hkgeom.quotient import (
     GH_CIRCLE_SCALE,
-    LevelSetPoint,
+    LevelSetPoints,
     LevelSpec,
     LinearAction,
     QuotientChart,
@@ -40,7 +40,6 @@ from hkgeom.quotient import (
     eh_rotator,
     gh_coordinates,
     hk_moment,
-    horizontal_frame,
     moment_descent_residual,
     moment_jacobian,
     quotient_structures,
@@ -54,7 +53,8 @@ _E01_E23 = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
 def solved(seed_rng, level=LEVEL):
-    return solve_level(ACTION, level, seed_rng.standard_normal(8))
+    """A batch of one level-set point."""
+    return solve_level(ACTION, level, seed_rng.standard_normal((1, 8)))
 
 
 # -- action validation ----------------------------------------------------------------
@@ -159,10 +159,10 @@ def test_moment_equivariance():
 def test_solver_converges_quadratically():
     rng = np.random.default_rng(34)
     for _ in range(10):
-        lsp = solved(rng)
-        assert lsp.residual < 1e-12
-        assert len(lsp.history) <= 20
-        hist = lsp.history
+        one = solved(rng)
+        assert one.residuals[0] < 1e-12
+        hist = one.histories[0]
+        assert len(hist) <= 20
         for r0, r1 in zip(hist, hist[1:]):
             if 1e-8 < r0 < 1e-3:
                 assert r1 < 100.0 * r0**2
@@ -170,32 +170,40 @@ def test_solver_converges_quadratically():
 
 def test_solver_rejects_origin_at_zero_level():
     with pytest.raises(NonFreePointError):
-        solve_level(ACTION, LevelSpec((0.0,)), np.zeros(8))
+        solve_level(ACTION, LevelSpec((0.0,)), np.zeros((1, 8)))
 
 
 def test_solver_returns_immediately_on_level():
     rng = np.random.default_rng(35)
-    lsp = solved(rng)
-    again = solve_level(ACTION, LEVEL, lsp.point)
-    assert len(again.history) == 1
+    again = solve_level(ACTION, LEVEL, solved(rng).points)
+    assert len(again.histories[0]) == 1
 
 
 def test_solver_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(36)
     monkeypatch.setattr(quotient, "_LEVEL_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_level(ACTION, LEVEL, 50.0 * rng.standard_normal(8))
+        solve_level(ACTION, LEVEL, 50.0 * rng.standard_normal((1, 8)))
 
 
 def test_solver_validates_shapes():
     with pytest.raises(ConfigError):
-        solve_level(ACTION, LevelSpec((1.0, 1.0)), np.ones(8))
+        solve_level(ACTION, LevelSpec((1.0, 1.0)), np.ones((1, 8)))
     with pytest.raises(ConfigError):
-        solve_level(ACTION, LEVEL, np.ones(5))
+        solve_level(ACTION, LEVEL, np.ones((1, 5)))
     with pytest.raises(ConfigError):
         solve_level(ACTION, LEVEL, np.ones((3, 5)))
     with pytest.raises(ConfigError):
         solve_level(ACTION, LEVEL, np.ones((2, 3, 8)))
+
+
+def test_solver_rejects_an_empty_or_one_dimensional_seed_batch():
+    # an empty batch fails here, not later in whichever function gets it
+    with pytest.raises(ConfigError, match=r"\(k, 8\)"):
+        solve_level(ACTION, LEVEL, np.zeros((0, 8)))
+    # one seed is a batch of one, (1, 8), not a vector
+    with pytest.raises(ConfigError, match=r"\(k, 8\)"):
+        solve_level(ACTION, LEVEL, np.ones(8))
 
 
 # -- quotient samples -----------------------------------------------------------------
@@ -203,16 +211,16 @@ def test_solver_validates_shapes():
 
 def test_frames_are_orthonormal_splittings():
     rng = np.random.default_rng(37)
-    lsp = solved(rng)
-    vert = quotient._vertical_frame([lsp])[0]
-    horiz = horizontal_frame(ACTION, lsp)
+    one = solved(rng)
+    vert = quotient._vertical_frame(one)[0]
+    horiz = one.frames[0]
     assert vert.shape == (8, 4) and horiz.shape == (8, 4)
     assert np.max(np.abs(vert.T @ vert - np.eye(4))) < 1e-12
     assert np.max(np.abs(horiz.T @ horiz - np.eye(4))) < 1e-12
     assert np.max(np.abs(vert.T @ horiz)) < 1e-12
     # level-set tangency and orbit-orthogonality of the horizontal block
-    assert np.max(np.abs(lsp.dnu.reshape(-1, 8) @ horiz)) < 1e-9
-    assert np.max(np.abs(lsp.orbit.T @ horiz)) < 1e-10
+    assert np.max(np.abs(one.dnu[0].reshape(-1, 8) @ horiz)) < 1e-9
+    assert np.max(np.abs(one.orbits[0].T @ horiz)) < 1e-10
     # oriented with no sign fix: omega_bar_1 = e01 + e23
     omega1 = pullback(ACTION.model.omega1, horiz).as_matrix()
     assert np.max(np.abs(omega1 - _E01_E23)) < 1e-12
@@ -220,11 +228,10 @@ def test_frames_are_orthonormal_splittings():
 
 def test_one_ulp_of_vertical_data_moves_the_frame_by_rounding_only():
     # no pivot or sign choice depends on the last bit of the vertical data
-    points = solve_level(ACTION, LEVEL, np.random.default_rng(61).standard_normal((30, 8)))
-    for lsp in points:
-        for scale in (1.0 + 2e-16, 1.0 - 2e-16):
-            moved = dataclasses.replace(lsp, orbit=lsp.orbit * scale, dnu=lsp.dnu * scale)
-            assert np.max(np.abs(moved.frame - lsp.frame)) <= 1e-14
+    levels = solve_level(ACTION, LEVEL, np.random.default_rng(61).standard_normal((30, 8)))
+    for scale in (1.0 + 2e-16, 1.0 - 2e-16):
+        moved = dataclasses.replace(levels, orbits=levels.orbits * scale, dnu=levels.dnu * scale)
+        assert np.max(np.abs(moved.frames - levels.frames)) <= 1e-14
 
 
 @pytest.mark.parametrize("weights", [(1, 0, 0), (1, 1, 1)])
@@ -233,12 +240,12 @@ def test_frames_of_dimension_eight(weights):
     action = LinearAction.from_torus_weights(
         [CircleActionSpec(k=weights, l=tuple(-w for w in weights))]
     )
-    for lsp in solve_level(action, LEVEL, np.random.default_rng(62).standard_normal((6, 12))):
-        frame = horizontal_frame(action, lsp)
-        assert frame.shape == (12, 8)
+    levels = solve_level(action, LEVEL, np.random.default_rng(62).standard_normal((6, 12)))
+    assert levels.frames.shape == (6, 12, 8)
+    for frame, dnu, orbit in zip(levels.frames, levels.dnu, levels.orbits):
         assert np.max(np.abs(frame.T @ frame - np.eye(8))) < 1e-12
-        assert np.max(np.abs(lsp.dnu.reshape(-1, 12) @ frame)) < 1e-12
-        assert np.max(np.abs(lsp.orbit.T @ frame)) < 1e-12
+        assert np.max(np.abs(dnu.reshape(-1, 12) @ frame)) < 1e-12
+        assert np.max(np.abs(orbit.T @ frame)) < 1e-12
         for s in action.model.structures():
             s_bar = frame.T @ s @ frame
             assert np.max(np.abs(s_bar @ s_bar + np.eye(8))) < 1e-12
@@ -247,17 +254,17 @@ def test_frames_of_dimension_eight(weights):
 
 
 def test_vertical_frame_seed_is_not_free():
-    lsp = solved(np.random.default_rng(63))
+    one = solved(np.random.default_rng(63))
     seed = np.sin(np.arange(1.0, 9.0))
-    bad = dataclasses.replace(lsp, orbit=seed[:, None])
+    bad = dataclasses.replace(one, orbits=seed[None, :, None])
     with pytest.raises(NonFreePointError):
-        bad.frame
+        bad.frames
 
 
 def test_quotient_hyperkahler_algebra():
     rng = np.random.default_rng(38)
     for _ in range(6):
-        frame = solved(rng).frame
+        frame = solved(rng).frames[0]
         metric = frame.T @ frame
         omega_bar = [pullback(w, frame) for w in ACTION.model.kahler_triple()]
         # the frame is orthonormal, so S_i = -g^{-1} omega_bar_i = -omega_bar_i
@@ -278,22 +285,22 @@ def test_quotient_hyperkahler_algebra():
 
 def test_descended_moment_is_restriction():
     rng = np.random.default_rng(39)
-    lsp = solved(rng)
-    x_bar, mu_bar = descended_circle_data(ACTION, eh_rotator(), lsp)
-    m = lsp.point
-    assert mu_bar == pytest.approx(-0.5 * np.dot(m, m))
-    assert mu_bar == pytest.approx(moment_map(eh_rotator(), m))
-    assert x_bar.shape == (4,)
+    one = solved(rng)
+    x_bar, mu_bar = descended_circle_data(ACTION, eh_rotator(), one)
+    m = one.points[0]
+    assert x_bar.shape == (1, 4) and mu_bar.shape == (1,)
+    assert mu_bar[0] == pytest.approx(-0.5 * np.dot(m, m))
+    assert mu_bar[0] == pytest.approx(moment_map(eh_rotator(), m))
     trivial = CircleActionSpec(k=(0, 0), l=(0, 0))
-    x0, mu0 = descended_circle_data(ACTION, trivial, lsp)
-    assert np.all(x0 == 0.0) and mu0 == 0.0
+    x0, mu0 = descended_circle_data(ACTION, trivial, one)
+    assert np.all(x0 == 0.0) and np.all(mu0 == 0.0)
 
 
 def test_descended_moment_equation():
     rng = np.random.default_rng(40)
     for _ in range(3):
-        lsp = solved(rng)
-        assert moment_descent_residual(ACTION, eh_rotator(), lsp) < 1e-7
+        residual = moment_descent_residual(ACTION, eh_rotator(), solved(rng))
+        assert residual.shape == (1,) and residual[0] < 1e-7
 
 
 def test_rotator_must_commute():
@@ -304,10 +311,10 @@ def test_rotator_must_commute():
         (np.block([[swap, np.zeros((4, 4))], [np.zeros((4, 4)), swap]]),)
     )
     rng = np.random.default_rng(41)
-    lsp = solve_level(swap_action, LevelSpec((0.4,)), rng.standard_normal(8))
+    one = solve_level(swap_action, LevelSpec((0.4,)), rng.standard_normal((1, 8)))
     weighted = CircleActionSpec(k=(1, 2), l=(-1, -2))
     with pytest.raises(StructureError):
-        descended_circle_data(swap_action, weighted, lsp)
+        descended_circle_data(swap_action, weighted, one)
 
 
 # -- charts and curvature -------------------------------------------------------------
@@ -315,36 +322,38 @@ def test_rotator_must_commute():
 
 def test_chart_anchors_at_base_point():
     rng = np.random.default_rng(42)
-    lsp = solved(rng)
-    chart = QuotientChart(ACTION, lsp)
+    one = solved(rng)
+    chart = QuotientChart(ACTION, one)
     assert chart.dim == 4
-    assert np.max(np.abs(chart.point(np.zeros(4)) - lsp.point)) < 1e-12
-    jet = chart.jet(np.zeros((1, 4)))
-    assert np.max(np.abs(jet[0][0] - lsp.point)) < 1e-12
-    assert np.max(np.abs(jet[1][0] - chart.frame)) < 1e-8
-    assert np.max(np.abs(chart.metric(jet)[0] - np.eye(4))) < 1e-8
-    with pytest.raises(ConfigError):
-        chart.jet(np.zeros(4))  # one point, not a batch
+    assert np.max(np.abs(chart.point(np.zeros((1, 1, 4)))[0, 0] - one.points[0])) < 1e-12
+    jet = chart.jet(np.zeros((1, 1, 4)))
+    assert np.max(np.abs(jet[0][0, 0] - one.points[0])) < 1e-12
+    assert np.max(np.abs(jet[1][0, 0] - chart.frames[0])) < 1e-8
+    assert np.max(np.abs(chart.metric(jet)[0, 0] - np.eye(4))) < 1e-8
+    for bad in (np.zeros(4), np.zeros((1, 4))):  # chart points are (k, m, K)
+        with pytest.raises(ConfigError):
+            chart.jet(bad)
 
 
 def test_curvature_constructions_agree_on_samples():
     rng = np.random.default_rng(43)
     for _ in range(3):
-        lsp = solved(rng)
-        descended = descended_curvature(ACTION, eh_rotator(), lsp)
-        canonical = canonical_bundle_curvature(ACTION, (1.0,), lsp)
-        assert np.max(np.abs((descended - canonical).comps)) < 1e-5
+        one = solved(rng)
+        descended = descended_curvature(ACTION, eh_rotator(), one)
+        canonical = canonical_bundle_curvature(ACTION, (1.0,), one)
+        assert descended.shape == canonical.shape == (1, 6)
+        assert np.max(np.abs(descended - canonical)) < 1e-5
 
 
 def test_canonical_curvature_type_1_1():
     rng = np.random.default_rng(44)
-    lsp = solved(rng)
-    f = canonical_bundle_curvature(ACTION, (1.0,), lsp)
-    chart = QuotientChart(ACTION, lsp)
-    jet = chart.jet(np.zeros((1, 4)))
+    one = solved(rng)
+    f = canonical_bundle_curvature(ACTION, (1.0,), one)
+    chart = QuotientChart(ACTION, one)
+    jet = chart.jet(np.zeros((1, 1, 4)))
     for i in (1, 2, 3):
-        s = chart.structure(jet, i)[0]
-        assert type11_residual(f, s, structure_tol=1e-6) < 1e-5
+        s = chart.structure(jet, i)[:, 0]
+        assert type11_residual(f, s, structure_tol=1e-6)[0] < 1e-5
 
 
 def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
@@ -368,27 +377,26 @@ def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
     # blind spot: omega_bar_1 + s dd^c mu_bar is of type (1,1) for I_bar at
     # every scale s, so the type check sees the scaling only through J_bar
     # and K_bar
-    lsp = solved(np.random.default_rng(47))
-    chart = QuotientChart(ACTION, lsp)
-    jet = chart.jet(np.zeros((1, 4)))
-    F = descended_curvature(ACTION, eh_rotator(), lsp)
-    assert type11_residual(F, chart.structure(jet, 1)[0], structure_tol=1e-4) < 1e-5
+    one = solved(np.random.default_rng(47))
+    chart = QuotientChart(ACTION, one)
+    jet = chart.jet(np.zeros((1, 1, 4)))
+    F = descended_curvature(ACTION, eh_rotator(), one)
+    assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
     for i in (2, 3):
-        assert type11_residual(F, chart.structure(jet, i)[0], structure_tol=1e-4) > 1e-5
+        assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5
 
 
 def test_canonical_curvature_trivial_character():
     rng = np.random.default_rng(45)
-    lsp = solved(rng)
-    f = canonical_bundle_curvature(ACTION, (0.0,), lsp)
-    assert np.all(f.comps == 0.0)
+    f = canonical_bundle_curvature(ACTION, (0.0,), solved(rng))
+    assert f.shape == (1, 6) and np.all(f == 0.0)
 
 
 def test_canonical_curvature_flags_nonintegral_level():
     rng = np.random.default_rng(46)
-    lsp = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal(8))
+    one = solved(rng, LevelSpec((0.75,)))
     with pytest.warns(UserWarning):
-        canonical_bundle_curvature(ACTION, (1.0,), lsp)
+        canonical_bundle_curvature(ACTION, (1.0,), one)
 
 
 # -- multi-centre coordinates ---------------------------------------------------------
@@ -398,13 +406,13 @@ def test_gh_coordinates_match_two_center_model():
     rng = np.random.default_rng(47)
     nut_plus = np.array([1.0, 0.0, 0.0])
     for _ in range(8):
-        lsp = solved(rng)
-        x, v = gh_coordinates(ACTION, eh_residual_circle(), lsp)
+        one = solved(rng)
+        (x,), (v,) = gh_coordinates(ACTION, eh_residual_circle(), one)
         pred = 1.0 / np.linalg.norm(x - nut_plus) + 1.0 / np.linalg.norm(x + nut_plus)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
         # quarter speed gives the unit-coefficient model with centres at +/- c/4
-        x_s, v_s = gh_coordinates(
-            ACTION, eh_residual_circle(), lsp, scale=GH_CIRCLE_SCALE
+        (x_s,), (v_s,) = gh_coordinates(
+            ACTION, eh_residual_circle(), one, scale=GH_CIRCLE_SCALE
         )
         assert np.allclose(x_s, 0.25 * x, rtol=1e-12)
         pred_s = 1.0 / np.linalg.norm(x_s - nut_plus / 4) + 1.0 / np.linalg.norm(
@@ -417,8 +425,7 @@ def test_gh_coordinates_scale_linearly_with_level():
     rng = np.random.default_rng(48)
     # the fixed points sit at (+/- c, 0, 0): doubled level, doubled centres
     for c in (1.0, 2.0):
-        lsp = solve_level(ACTION, LevelSpec((c,)), rng.standard_normal(8))
-        x, v = gh_coordinates(ACTION, eh_residual_circle(), lsp)
+        (x,), (v,) = gh_coordinates(ACTION, eh_residual_circle(), solved(rng, LevelSpec((c,))))
         nut = np.array([c, 0.0, 0.0])
         pred = 1.0 / np.linalg.norm(x - nut) + 1.0 / np.linalg.norm(x + nut)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
@@ -426,21 +433,19 @@ def test_gh_coordinates_scale_linearly_with_level():
 
 def test_gh_coordinates_validation():
     rng = np.random.default_rng(49)
-    lsp = solved(rng)
     with pytest.raises(StructureError):
-        gh_coordinates(ACTION, eh_rotator(), lsp)  # not triholomorphic
-    nut = np.zeros(8)
-    nut[4] = np.sqrt(2.0)  # z = 0, w = (sqrt(2), 0): a fixed point of Y
-    nut_lsp = solve_level(ACTION, LEVEL, nut)
+        gh_coordinates(ACTION, eh_rotator(), solved(rng))  # not triholomorphic
+    nut = np.zeros((1, 8))
+    nut[0, 4] = np.sqrt(2.0)  # z = 0, w = (sqrt(2), 0): a fixed point of Y
     with pytest.raises(DomainError):
-        gh_coordinates(ACTION, eh_residual_circle(), nut_lsp)
+        gh_coordinates(ACTION, eh_residual_circle(), solve_level(ACTION, LEVEL, nut))
 
 
 def test_y_length_positive_away_from_fixed_points():
     rng = np.random.default_rng(50)
     for _ in range(5):
         _, v = gh_coordinates(ACTION, eh_residual_circle(), solved(rng))
-        assert v > 0.0
+        assert v[0] > 0.0
 
 
 # -- batched level-set solver and multi-centre coordinates ------------------------------
@@ -459,28 +464,36 @@ def _lstsq_newton(m, level, tol=1e-12, max_iter=40):
     raise AssertionError("reference Newton did not converge")
 
 
+def _alone(levels, row):
+    """Row ``row`` of a level-set batch as a batch of one that builds its own frame."""
+    return dataclasses.replace(levels[row : row + 1])
+
+
 def test_batch_solve_rows_equal_single_seed_solves():
     seeds = np.random.default_rng(58).standard_normal((16, 8))
     batch = solve_level(ACTION, LEVEL, seeds)
-    assert isinstance(batch, list) and len(batch) == 16
-    for seed, lsp in zip(seeds, batch):
-        alone = solve_level(ACTION, LEVEL, seed)
-        for name in ("point", "dnu", "orbit", "residual", "history"):
-            assert np.array_equal(getattr(lsp, name), getattr(alone, name)), name
+    assert isinstance(batch, LevelSetPoints) and len(batch) == 16
+    with pytest.raises(TypeError):
+        batch[0]  # a row is the batch of one batch[0:1]
+    for row, seed in enumerate(seeds):
+        alone = solve_level(ACTION, LEVEL, seeds[row : row + 1])
+        for name in ("points", "dnu", "orbits", "residuals"):
+            assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)[0]), name
+        assert batch.histories[row] == alone.histories[0]
         # the SVD step is the least-squares step: same path, rounding apart
         want, history = _lstsq_newton(seed, LEVEL)
-        assert len(lsp.history) == len(history)
-        assert np.max(np.abs(lsp.point - want)) < 1e-13
+        assert len(batch.histories[row]) == len(history)
+        assert np.max(np.abs(batch.points[row] - want)) < 1e-13
 
 
 def test_batch_gh_coordinates_equal_single_calls():
-    points = solve_level(ACTION, LEVEL, np.random.default_rng(59).standard_normal((12, 8)))
-    xs, vs = gh_coordinates(ACTION, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
+    levels = solve_level(ACTION, LEVEL, np.random.default_rng(59).standard_normal((12, 8)))
+    xs, vs = gh_coordinates(ACTION, eh_residual_circle(), levels, scale=GH_CIRCLE_SCALE)
     assert xs.shape == (12, 3) and vs.shape == (12,)
-    for row, lsp in enumerate(points):
-        x, v = gh_coordinates(ACTION, eh_residual_circle(), lsp, scale=GH_CIRCLE_SCALE)
-        assert isinstance(v, float)
-        assert np.array_equal(xs[row], x) and vs[row] == v
+    for row in range(12):
+        one = levels[row : row + 1]
+        x, v = gh_coordinates(ACTION, eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
+        assert np.array_equal(xs[row], x[0]) and vs[row] == v[0]
 
 
 def test_one_bad_row_fails_the_whole_batch():
@@ -574,16 +587,21 @@ def test_moment_jacobian_product_equals_broadcast_products(action, k):
 
 
 def test_chart_batch_retraction_matches_single_rows():
+    # row r of a chart batch of k points equals the chart of levels[r:r+1],
+    # and each chart point equals that point retracted alone
     rng = np.random.default_rng(52)
-    lsp = solved(rng)
-    chart = QuotientChart(ACTION, lsp)
-    xi = 0.05 * rng.standard_normal((24, 4))
-    batch = chart.point(xi)
-    assert batch.shape == (24, 8)
+    levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
+    xi = 0.05 * rng.standard_normal((3, 8, 4))
+    batch = QuotientChart(ACTION, levels).point(xi)
+    assert batch.shape == (3, 8, 8)
     target = LEVEL.target()
-    for row, x in enumerate(xi):
-        assert np.max(np.abs(batch[row] - chart.point(x))) < 1e-13
-        assert np.linalg.norm(hk_moment(ACTION, batch[row]) - target) < 1e-14
+    for row in range(3):
+        chart = QuotientChart(ACTION, levels[row : row + 1])
+        assert np.array_equal(batch[row], chart.point(xi[row : row + 1])[0])
+        for j in range(8):
+            alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
+            assert np.max(np.abs(batch[row, j] - alone)) < 1e-13
+            assert np.linalg.norm(hk_moment(ACTION, batch[row, j]) - target) < 1e-14
 
 
 def test_chart_retraction_budget_exhaustion(monkeypatch):
@@ -591,7 +609,7 @@ def test_chart_retraction_budget_exhaustion(monkeypatch):
     chart = QuotientChart(ACTION, solved(rng))
     monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        chart.point(np.full((3, 4), 0.1))
+        chart.point(np.full((1, 3, 4), 0.1))
 
 
 def test_shared_stencil_matches_fd_over_batched_point():
@@ -599,42 +617,50 @@ def test_shared_stencil_matches_fd_over_batched_point():
     chart = QuotientChart(ACTION, solved(rng))
     scheme = quotient._CHART_TANGENT_SCHEME
     mu = moment_field(eh_rotator())
+
+    def retract(y):
+        return chart.point(y[None])[0]
+
     for xi in (np.zeros(4), 1e-3 * rng.standard_normal(4)):
-        points, tangents, stencil = jet = chart.jet(xi[None, :])
-        want = fd_jacobian(chart.point, xi, scheme)
-        assert np.max(np.abs(tangents[0] - want)) < 1e-12
-        grad = fd_gradient(lambda y: mu(chart.point(y)), xi, scheme)
-        from_jet = chart.gradient(jet, mu)[0]
+        points, tangents, stencil = jet = chart.jet(xi[None, None, :])
+        want = fd_jacobian(retract, xi, scheme)
+        assert np.max(np.abs(tangents[0, 0] - want)) < 1e-12
+        grad = fd_gradient(lambda y: mu(retract(y)), xi, scheme)
+        from_jet = chart.gradient(jet, mu)[0, 0]
         assert np.max(np.abs(from_jet - grad)) < 1e-12
-        fd_metric = chart.metric((points, want[None], stencil))
+        fd_metric = chart.metric((points, want[None, None], stencil))
         assert np.max(np.abs(chart.metric(jet) - fd_metric)) < 1e-12
 
 
 def test_chart_jet_rows_match_single_rows():
-    # every quantity built from a jet is array code over the batch: a row
-    # of a 16-row batch has the bits of that chart point taken alone
+    # every quantity built from a jet is array code over the batch: chart
+    # point j of row r of a chart batch has the bits of that chart point
+    # taken alone in the chart of levels[r:r+1]
     rng = np.random.default_rng(58)
-    chart = QuotientChart(ACTION, solved(rng))
-    xi = 0.05 * rng.standard_normal((16, 4))
+    levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
+    chart = QuotientChart(ACTION, levels)
+    xi = 0.05 * rng.standard_normal((3, 16, 4))
     jet = chart.jet(xi)
-    stencil_rows = len(jet[2]) // len(xi)
-    assert jet[0].shape == (16, 8) and jet[1].shape == (16, 8, 4)
+    stencil_rows = jet[2].shape[1] // 16
+    assert jet[0].shape == (3, 16, 8) and jet[1].shape == (3, 16, 8, 4)
     batch = {
         "metric": chart.metric(jet),
-        "structure": np.stack([chart.structure(jet, i) for i in (1, 2, 3)], axis=1),
+        "structure": np.stack([chart.structure(jet, i) for i in (1, 2, 3)], axis=2),
         "theta": chart.theta(jet, (1.0,)),
     }
-    for row in range(len(xi)):
-        alone = chart.jet(xi[row : row + 1])
-        assert np.array_equal(jet[0][row], alone[0][0])
-        assert np.array_equal(jet[1][row], alone[1][0])
-        # stencil rows are laid out [offset][row][coordinate]
-        per_row = jet[2].reshape(-1, len(xi), 4, 8)[:, row].reshape(stencil_rows, 8)
-        assert np.array_equal(per_row, alone[2])
-        assert np.array_equal(batch["metric"][row], chart.metric(alone)[0])
-        structures = np.stack([chart.structure(alone, i)[0] for i in (1, 2, 3)])
-        assert np.array_equal(batch["structure"][row], structures)
-        assert np.array_equal(batch["theta"][row], chart.theta(alone, (1.0,))[0])
+    for row in range(3):
+        one = QuotientChart(ACTION, levels[row : row + 1])
+        for j in range(16):
+            alone = one.jet(xi[row : row + 1, j : j + 1])
+            assert np.array_equal(jet[0][row, j], alone[0][0, 0])
+            assert np.array_equal(jet[1][row, j], alone[1][0, 0])
+            # stencil rows are laid out [offset][point][coordinate]
+            per_point = jet[2][row].reshape(-1, 16, 4, 8)[:, j].reshape(stencil_rows, 8)
+            assert np.array_equal(per_point, alone[2][0])
+            assert np.array_equal(batch["metric"][row, j], one.metric(alone)[0, 0])
+            structures = np.stack([one.structure(alone, i)[0, 0] for i in (1, 2, 3)])
+            assert np.array_equal(batch["structure"][row, j], structures)
+            assert np.array_equal(batch["theta"][row, j], one.theta(alone, (1.0,))[0, 0])
 
 
 def test_descended_curvature_retraction_count(monkeypatch):
@@ -649,8 +675,7 @@ def test_descended_curvature_retraction_count(monkeypatch):
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
-    lsp = solved(np.random.default_rng(55))
-    descended_curvature(ACTION, eh_rotator(), lsp)
+    descended_curvature(ACTION, eh_rotator(), solved(np.random.default_rng(55)))
     assert len(rows) <= 2
     assert sum(rows) <= 17 + 16 * 17
     cfg = suites.RunConfig(suite="quotient", samples=40)
@@ -664,19 +689,36 @@ def test_descended_curvature_retraction_count(monkeypatch):
         assert 1 <= len(rows) <= most, (check_id, len(rows))
 
 
-def test_level_set_point_builds_its_frame_once():
-    lsp = solved(np.random.default_rng(56))
-    frame = horizontal_frame(ACTION, lsp)
-    assert QuotientChart(ACTION, lsp).frame is frame
-    assert not frame.flags.writeable
+@pytest.mark.parametrize("samples", [40, 400])
+def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
+    # a check's level-set batch builds the frames of all its points in one
+    # pass, and each chunk of its chart batches reads its rows of them; at
+    # 400 samples the 100 points go in 7 chunks
+    calls = []
+    build = quotient._quaternionic_frame
+
+    def counting(vert):
+        calls.append(len(vert))
+        return build(vert)
+
+    monkeypatch.setattr(quotient, "_quaternionic_frame", counting)
+    cfg = suites.RunConfig(suite="quotient", samples=samples)
+    for check_id in (
+        "quotient.curvature.match",
+        "quotient.curvature.type11",
+        "quotient.moment.descent",
+    ):
+        calls.clear()
+        assert suites.run_check(cfg, check_id).passed
+        assert calls == [samples // 4], (check_id, calls)
+    one = solved(np.random.default_rng(56))
+    calls.clear()
+    assert QuotientChart(ACTION, one).frames is one.frames
+    assert one[0:1].frames.base is one.frames and calls == [1]
+    assert not one.frames.flags.writeable
 
 
 # -- chart batches ----------------------------------------------------------------------
-
-
-def _fresh(points):
-    """Copies of level-set points that have not built their frames yet."""
-    return [dataclasses.replace(lsp) for lsp in points]
 
 
 H3 = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1, 1), l=(-1, -1, -1))])
@@ -685,69 +727,70 @@ H3 = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1, 1), l=(-1, -1, -
 @pytest.mark.parametrize("action", [ACTION, H3], ids=["H2", "H3"])
 def test_batch_frames_equal_frames_built_alone(action):
     rng = np.random.default_rng(70)
-    points = solve_level(action, LEVEL, rng.standard_normal((6, action.dim)))
-    chart = QuotientChart(action, points)  # one batched build of six frames
-    assert chart.frame.shape == (6, action.dim, action.dim - 4)
-    for row, lsp in enumerate(points):
-        alone = dataclasses.replace(lsp).frame
-        assert np.array_equal(chart.frame[row], alone)
-        # each point keeps its row as its own cached, read-only frame
-        assert lsp.frame is lsp.frame and not lsp.frame.flags.writeable
-        assert np.array_equal(lsp.frame, alone)
+    levels = solve_level(action, LEVEL, rng.standard_normal((6, action.dim)))
+    chart = QuotientChart(action, levels)  # one batched build of six frames
+    assert chart.frames.shape == (6, action.dim, action.dim - 4)
+    assert levels.frames is levels.frames and not levels.frames.flags.writeable
+    for row in range(6):
+        alone = _alone(levels, row).frames[0]
+        assert np.array_equal(chart.frames[row], alone)
+        # a slice reads its rows of the batch's frames, read-only
+        part = levels[row : row + 1].frames
+        assert np.array_equal(part[0], alone) and not part.flags.writeable
 
 
 def test_batch_curvatures_equal_single_point_calls():
     rng = np.random.default_rng(71)
-    points = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
+    levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
     rotator = eh_rotator()
-    descended = descended_curvature(ACTION, rotator, points)
-    canonical = canonical_bundle_curvature(ACTION, (1.0,), points)
-    descent = moment_descent_residual(ACTION, rotator, points)
-    structures = quotient_structures(ACTION, points)
-    x_bars, mu_bars = descended_circle_data(ACTION, rotator, points)
+    descended = descended_curvature(ACTION, rotator, levels)
+    canonical = canonical_bundle_curvature(ACTION, (1.0,), levels)
+    descent = moment_descent_residual(ACTION, rotator, levels)
+    structures = quotient_structures(ACTION, levels)
+    x_bars, mu_bars = descended_circle_data(ACTION, rotator, levels)
     assert descended.shape == canonical.shape == (6, 6)
     assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
-    for row, lsp in enumerate(_fresh(points)):
-        assert np.array_equal(descended[row], descended_curvature(ACTION, rotator, lsp).comps)
-        assert np.array_equal(canonical[row], canonical_bundle_curvature(ACTION, (1.0,), lsp).comps)
-        assert descent[row] == moment_descent_residual(ACTION, rotator, lsp)
-        assert np.array_equal(structures[row], quotient_structures(ACTION, lsp))
-        x_bar, mu_bar = descended_circle_data(ACTION, rotator, lsp)
-        assert np.array_equal(x_bars[row], x_bar) and mu_bars[row] == mu_bar
-    assert np.all(canonical_bundle_curvature(ACTION, (0.0,), points) == 0.0)
-    with pytest.raises(ConfigError):
-        descended_curvature(ACTION, rotator, [])
+    for row in range(6):
+        one = _alone(levels, row)
+        assert np.array_equal(descended[row], descended_curvature(ACTION, rotator, one)[0])
+        assert np.array_equal(canonical[row], canonical_bundle_curvature(ACTION, (1.0,), one)[0])
+        assert descent[row] == moment_descent_residual(ACTION, rotator, one)[0]
+        assert np.array_equal(structures[row], quotient_structures(ACTION, one)[0])
+        x_bar, mu_bar = descended_circle_data(ACTION, rotator, one)
+        assert np.array_equal(x_bars[row], x_bar[0]) and mu_bars[row] == mu_bar[0]
+    assert np.all(canonical_bundle_curvature(ACTION, (0.0,), levels) == 0.0)
 
 
 def test_chart_batch_anchors_at_its_base_points():
     rng = np.random.default_rng(73)
-    points = solve_level(ACTION, LEVEL, rng.standard_normal((5, 8)))
-    chart = QuotientChart(ACTION, points)
-    base = np.array([lsp.point for lsp in points])
-    assert np.max(np.abs(chart.point(np.zeros((5, 4))) - base)) < 1e-12
+    levels = solve_level(ACTION, LEVEL, rng.standard_normal((5, 8)))
+    chart = QuotientChart(ACTION, levels)
+    assert np.max(np.abs(chart.point(np.zeros((5, 1, 4)))[:, 0] - levels.points)) < 1e-12
     points_, tangents, stencil = jet = chart.jet(np.zeros((5, 1, 4)))
     assert points_.shape == (5, 1, 8) and tangents.shape == (5, 1, 8, 4)
     assert stencil.shape == (5, 16, 8)
-    assert np.max(np.abs(tangents[:, 0] - chart.frame)) < 1e-8
+    assert np.max(np.abs(tangents[:, 0] - chart.frames)) < 1e-8
     assert np.max(np.abs(chart.metric(jet) - np.eye(4))) < 1e-8
     for bad in (np.zeros((4, 1, 4)), np.zeros((1, 4)), np.zeros((5, 1, 3))):
         with pytest.raises(ConfigError):
             chart.jet(bad)
-    with pytest.raises(ConfigError):
-        chart.point(np.zeros(4))  # one chart point for a chart of five
+    for bad in (np.zeros(4), np.zeros((5, 4))):  # chart points are (k, m, K)
+        with pytest.raises(ConfigError):
+            chart.point(bad)
 
 
 def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     rng = np.random.default_rng(74)
-    points = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
+    levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
     rotator = eh_rotator()
 
     def results():
+        # fresh copies, so each call builds its own frames
         return (
-            descended_curvature(ACTION, rotator, _fresh(points)),
-            canonical_bundle_curvature(ACTION, (1.0,), _fresh(points)),
-            moment_descent_residual(ACTION, rotator, _fresh(points)),
-            quotient_structures(ACTION, _fresh(points)),
+            descended_curvature(ACTION, rotator, dataclasses.replace(levels)),
+            canonical_bundle_curvature(ACTION, (1.0,), dataclasses.replace(levels)),
+            moment_descent_residual(ACTION, rotator, dataclasses.replace(levels)),
+            quotient_structures(ACTION, dataclasses.replace(levels)),
         )
 
     whole = results()
@@ -755,7 +798,7 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     retract = QuotientChart.point
 
     def counting(self, xi):
-        charts.append(len(self.frame))
+        charts.append(len(self.frames))
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
@@ -785,10 +828,10 @@ def test_chart_batch_memory_stays_flat_as_points_grow():
 
 def test_canonical_curvature_warns_once_per_call():
     rng = np.random.default_rng(75)
-    points = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal((4, 8)))
+    levels = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal((4, 8)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        canonical_bundle_curvature(ACTION, (1.0,), points)
+        canonical_bundle_curvature(ACTION, (1.0,), levels)
     assert [w.category for w in caught] == [UserWarning]
 
 

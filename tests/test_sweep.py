@@ -2,7 +2,7 @@
 
 ``verify all`` at n = 1, 2, 3 and the quotient suite at 40 samples (the
 benchmark's quotient-newton configuration), each for seeds 0-15; the
-batched quotient chart residuals against one call per level-set point at
+batched quotient chart residuals against one call per 1-row batch at
 40 samples and at levels 2 and 0.5, seeds 0-15; and ``verify all`` on 60
 derandomized ``hypothesis`` draws of n, centres, level c, sample count
 and seed, each either passing every check or rejected by ``RunConfig``
@@ -42,23 +42,24 @@ def test_quotient_40_samples_passes(seed):
 
 
 def _single_point_residuals(cfg):
-    """The three quotient chart residuals, each the worst of one call per level-set point."""
+    """The three quotient chart residuals, each the worst of one call per batch levels[r:r+1]."""
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     weight = (suites._quotient_level(cfg.c),)
 
-    def points(check_id):
-        return suites._level_points(action, suites._check_rng(cfg, check_id), cfg)
+    def rows(check_id):
+        levels = suites._level_points(action, suites._check_rng(cfg, check_id), cfg)
+        return [levels[r : r + 1] for r in range(len(levels))]
 
     match, type11, descent = [], [], []
-    for p in points("quotient.curvature.match"):
+    for p in rows("quotient.curvature.match"):
         got = qt.canonical_bundle_curvature(action, weight, p)
-        match.append(np.max(np.abs((got - qt.descended_curvature(action, rotator, p)).comps)))
-    for p in points("quotient.curvature.type11"):
+        match.append(np.max(np.abs(got - qt.descended_curvature(action, rotator, p))))
+    for p in rows("quotient.curvature.type11"):
         F = qt.descended_curvature(action, rotator, p)
-        for S in qt.quotient_structures(action, p):
-            type11.append(type11_residual(F, S, structure_tol=1e-4))
-    for p in points("quotient.moment.descent"):
-        descent.append(qt.moment_descent_residual(action, rotator, p))
+        for S in qt.quotient_structures(action, p)[0]:
+            type11.append(type11_residual(F, S, structure_tol=1e-4)[0])
+    for p in rows("quotient.moment.descent"):
+        descent.append(qt.moment_descent_residual(action, rotator, p)[0])
     return {
         "quotient.curvature.match": float(max(match)),
         "quotient.curvature.type11": float(max(type11)),
