@@ -63,8 +63,8 @@ GH_CIRCLE_SCALE = 0.25
 
 _CONDITION_GUARD = 1e8
 
-#: how far a generator may be from antisymmetric, triholomorphic and closed
-#: under brackets before LinearAction refuses it
+#: how far a generator may be from antisymmetric, triholomorphic and
+#: commuting with the others before LinearAction refuses it
 _GENERATOR_TOL = 1e-10
 #: Newton tolerance and iteration budget of the level-set solver
 _LEVEL_NEWTON_TOL = 1e-12
@@ -89,7 +89,9 @@ class LinearAction:
 
     Each generator must be antisymmetric (a flat Killing field) and
     commute with the three complex structures, and the generators must
-    close under brackets; all three are checked at construction.
+    commute with each other; all three are checked at construction.  The
+    Newton step of the level-set solvers (``_newton_step``) rests on the
+    last: for commuting generators J J^T = G (x) I_3.
     """
 
     generators: tuple
@@ -109,13 +111,8 @@ class LinearAction:
             for s in structures:
                 if np.max(np.abs(s @ g - g @ s)) > _GENERATOR_TOL:
                     raise StructureError(f"generator {idx} is not triholomorphic")
-        basis = np.stack([g.ravel() for g in gens], axis=1)
-        # one pseudo-inverse fits every bracket [G_a, G_b] against the basis
-        brackets = np.array([[(ga @ gb - gb @ ga).ravel() for gb in gens] for ga in gens])
-        table = brackets @ np.linalg.pinv(basis).T
-        worst = float(np.max(np.abs(table @ basis.T - brackets)))
-        if worst > _GENERATOR_TOL:
-            raise StructureError(f"generators do not close under bracket ({worst:.2e})")
+        for idx, g in enumerate(gens):
+            _require_commuting(gens[:idx], g, _GENERATOR_TOL, f"generator {idx}")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_model", model)
         # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
@@ -199,9 +196,50 @@ def moment_jacobian(action: LinearAction, m) -> np.ndarray:
 # -- level sets ---------------------------------------------------------------------
 
 
-def _rank_deficient(sv) -> np.ndarray:
-    """Which rows of singular values (..., r), largest first, fail the condition guard."""
-    return (sv[..., 0] < 1e-12) | (sv[..., -1] < sv[..., 0] / _CONDITION_GUARD)
+def _rank_deficient(gram_eigs) -> np.ndarray:
+    """Which rows of Gram eigenvalues (..., r), smallest first, fail the condition guard.
+
+    The eigenvalues of a Gram matrix are the squared singular values of
+    the vectors it pairs, so the guard on them is the squared guard on
+    those vectors: the largest must reach 1e-24 and the condition number
+    stay within _CONDITION_GUARD ** 2, 1e16 where the vectors' own is 1e8.
+    A NaN fails the guard.
+    """
+    top = gram_eigs[..., -1]
+    return ~((top >= 1e-24) & (gram_eigs[..., 0] >= top / _CONDITION_GUARD**2))
+
+
+def _newton_step(jac, res) -> np.ndarray:
+    """Minimum-norm Newton steps -J^T (G^{-1} (x) I_3) res (r, dim) of r rows at once.
+
+    ``jac`` (r, 3 dim_g, dim) holds moment Jacobians with rows (a, i) and
+    ``res`` (r, 3 dim_g) their residuals.  For commuting triholomorphic
+    generators J J^T = G (x) I_3, where G_ab = <G_a m, G_b m> is the
+    orbit Gram matrix: g(S_i X_a, S_j X_b) = delta_ij g(X_a, X_b) +
+    eps_ijk omega_k(X_a, X_b), and omega_k(X_a, X_b) is the derivative of
+    nu_b along X_a, zero for commuting generators.  S_1 is orthogonal, so
+    G = X X^T for the (a, 0) rows X.  G is SPD, and one elimination
+    without pivoting, vectorised over the rows, solves it; for a circle
+    that is the one division res / |X|^2.  A row whose G fails the
+    condition guard raises NonFreePointError.
+    """
+    r, width, _ = jac.shape
+    dim_g = width // 3
+    orbit = jac[:, 0::3]
+    gram = orbit @ orbit.transpose(0, 2, 1)
+    if np.any(_rank_deficient(np.linalg.eigvalsh(gram))):
+        raise NonFreePointError("orbit Gram matrix is singular up to the condition guard")
+    coef = res.reshape(r, dim_g, 3).copy()
+    for j in range(dim_g):
+        for i in range(j + 1, dim_g):
+            factor = gram[:, i, j] / gram[:, j, j]
+            gram[:, i] -= factor[:, None] * gram[:, j]
+            coef[:, i] -= factor[:, None] * coef[:, j]
+    for j in reversed(range(dim_g)):
+        for i in range(j + 1, dim_g):
+            coef[:, j] -= gram[:, j, i, None] * coef[:, i]
+        coef[:, j] /= gram[:, j, j, None]
+    return -(jac.transpose(0, 2, 1) @ coef.reshape(r, width, 1))[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +249,10 @@ class LevelSetPoints:
     ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), ``orbits``
     (k, dim, dim_g), ``residuals`` (k,) and ``histories`` (one tuple of
     residual norms per row).  ``solve_level`` guards the orbit rank of all
-    the rows with one batched SVD; the vertical frame guards it again when
-    the frames are built.  A slice ``levels[i:j]`` is the batch of those
-    rows and reads its rows of ``frames``.
+    the rows with the eigenvalues of their stacked orbit Gram matrices;
+    the vertical frame guards it again when the frames are built.  A
+    slice ``levels[i:j]`` is the batch of those rows and reads its rows
+    of ``frames``.
     """
 
     level: LevelSpec
@@ -263,12 +302,11 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
 
     Each row iterates until its own residual is below _LEVEL_NEWTON_TOL, so
     a row equals that seed solved in a batch of one.  A step is the
-    minimum-norm solution -V^T diag(1/s) U^T res from one batched SVD of
-    the live rows' moment Jacobians, whose singular values also guard the
-    rank: rank deficiency along the way raises NonFreePointError, running
-    out the budget of _LEVEL_MAX_ITER steps raises ConvergenceError.  One
-    batched SVD of the solved points' orbit directions guards that the
-    action is free at each of them.
+    minimum-norm solution ``_newton_step`` of the live rows, whose orbit
+    Gram matrices also guard the rank: rank deficiency along the way
+    raises NonFreePointError, running out the budget of _LEVEL_MAX_ITER
+    steps raises ConvergenceError.  The eigenvalues of the solved points'
+    orbit Gram matrices guard that the action is free at each of them.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
@@ -291,15 +329,11 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
         if not todo.size:
             break
         jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
-        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-        if np.any(_rank_deficient(sv)):
-            raise NonFreePointError("moment Jacobian is rank-deficient")
-        coef = (u.transpose(0, 2, 1) @ res[:, :, None]) / sv[:, :, None]
-        m[todo] -= (vt.transpose(0, 2, 1) @ coef)[:, :, 0]
+        m[todo] += _newton_step(jac, res)
     else:
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
-    if np.any(_rank_deficient(np.linalg.svd(orbits, compute_uv=False))):
+    if np.any(_rank_deficient(np.linalg.eigvalsh(orbits.transpose(0, 2, 1) @ orbits))):
         raise NonFreePointError(
             "orbit directions are linearly dependent: the action is not free at a solved point"
         )
@@ -326,7 +360,7 @@ def _vertical_frame(levels: LevelSetPoints) -> np.ndarray:
     gradients = levels.dnu.reshape(k, -1, dim).transpose(0, 2, 1)
     cols = np.concatenate([levels.orbits, gradients], axis=2)
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    if np.any(_rank_deficient(sv)):
+    if np.any(_rank_deficient(sv[:, ::-1] ** 2)):
         raise NonFreePointError("orbit directions and moment gradients are linearly dependent")
     return u
 
@@ -363,8 +397,8 @@ def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
     return basis[:, :, width:]
 
 
-def _require_commuting(action: LinearAction, gen: np.ndarray, tol: float, label: str):
-    for idx, g in enumerate(action.generators):
+def _require_commuting(generators, gen: np.ndarray, tol: float, label: str):
+    for idx, g in enumerate(generators):
         dev = np.max(np.abs(gen @ g - g @ gen))
         if dev > tol:
             raise StructureError(
@@ -387,7 +421,7 @@ def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, level
     gen = action_generator(rotator)
     if gen.shape[0] != action.dim:
         raise ConfigError("rotator dimension does not match the action")
-    _require_commuting(action, gen, _ROTATOR_COMMUTE_TOL, "rotator")
+    _require_commuting(action.generators, gen, _ROTATOR_COMMUTE_TOL, "rotator")
     m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     dnu = levels.dnu.reshape(len(m), -1, action.dim)
@@ -457,8 +491,10 @@ class QuotientChart:
     def point(self, xi) -> np.ndarray:
         """Retraction of chart points into H^n, (k, m, K) -> (k, m, dim).
 
-        Newton takes the minimum-norm step J^T (J J^T)^{-1} (-res) on every
-        row whose level residual is not yet below the tolerance.
+        Newton takes the minimum-norm step ``_newton_step`` on every row
+        whose level residual is not yet below the tolerance; a row whose
+        orbit Gram matrix fails the condition guard raises
+        NonFreePointError.
         """
         xi = self._check(xi)
         m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
@@ -471,8 +507,7 @@ class QuotientChart:
             if not todo.size:
                 return m.reshape(xi.shape[:-1] + (self.action.dim,))
             jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
-            jac_t = jac.transpose(0, 2, 1)
-            m[todo] += (jac_t @ np.linalg.solve(jac @ jac_t, -res[:, :, None]))[:, :, 0]
+            m[todo] += _newton_step(jac, res)
         raise ConvergenceError("chart retraction did not converge")
 
     def jet(self, xi):
@@ -691,7 +726,7 @@ def gh_coordinates(
     for s in structures:
         if np.max(np.abs(s @ gen - gen @ s)) > _CIRCLE_COMMUTE_TOL:
             raise StructureError("residual circle is not triholomorphic")
-    _require_commuting(action, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
+    _require_commuting(action.generators, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
     m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]
