@@ -6,6 +6,10 @@ line bundle.  This script evaluates the chart transition, the exact
 difference A_V - A_U = -d(v.xi/2 zeta), the meromorphic connection with
 its simple poles and residues, and the hermitian metric log h_U whose
 dd^{c_Z} reproduces the flat curvature form on every fibre.
+
+Every closed form takes a batch of points, v and xi of shape (k, n) and
+zeta of shape (k,), with chart tangents packed as (k, 2n+1) in the order
+(dv, dxi, dzeta); this script evaluates batches of one point.
 """
 
 import numpy as np
@@ -27,21 +31,22 @@ n = 2
 
 
 def cpair():
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    """One point's n complex coordinates, a (1, n) batch."""
+    return rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
 
 
 z, w = cpair(), cpair()
-zeta = 0.6 + 0.3j
-pt = product_to_chart(z, w, zeta)
-print("chart point v =", np.round(pt.v, 4))
-print("          xi =", np.round(pt.xi, 4))
-print("transition g_UV =", transition_gUV(pt.v, pt.xi, pt.zeta))
+zeta = np.array([0.6 + 0.3j])
+v, xi = product_to_chart(z, w, zeta)
+print("chart point v =", np.round(v[0], 4))
+print("          xi =", np.round(xi[0], 4))
+print("transition g_UV =", transition_gUV(v, xi, zeta)[0])
 
 # -- the two one-forms differ by an exact term -------------------------------------------
 
-tan = (cpair(), cpair(), complex(*rng.standard_normal(2)))
+tan = np.concatenate([cpair(), cpair(), [[complex(*rng.standard_normal(2))]]], axis=1)
 print("\n|A_V - A_U + d(v.xi/2 zeta)| =",
-      f"{connection_pair_residual(pt.v, pt.xi, pt.zeta, tan):.3e}")
+      f"{connection_pair_residual(v, xi, zeta, tan)[0]:.3e}")
 
 # -- meromorphic connection: poles and residues ------------------------------------------
 
@@ -51,23 +56,23 @@ print("  pole order at zeta = 0:       ", report.pole_order_zero)
 print("  pole order at zeta = infinity:", report.pole_order_infinity)
 print("  rotation residue:", report.rotation_residue, " (expected 4 pi i)")
 for n_char in (1, 3):
-    got = rotation_residue(n_char, cpair(), cpair())
+    got = rotation_residue(n_char, cpair(), cpair())[0]
     print(f"  n = {n_char}: residue {got}  vs 2 pi i n = {2j * np.pi * n_char}")
 
 # -- fibrewise data -----------------------------------------------------------------------
 
 worst = max(
     fibre_restriction_residual(
-        cpair(), cpair(), complex(rng.uniform(0.4, 1.3)),
-        rng.standard_normal(4 * n), rng.standard_normal(4 * n),
-    )
+        cpair(), cpair(), [rng.uniform(0.4, 1.3)],
+        rng.standard_normal((1, 4 * n)), rng.standard_normal((1, 4 * n)),
+    )[0]
     for _ in range(10)
 )
 print("\nfibre restriction of F_Z vs the structure pencil, worst of 10:",
       f"{worst:.3e}")
 
-print("log h_U at the sample point:", log_hU(z, w, zeta))
+print("log h_U at the sample point:", log_hU(z, w, zeta)[0])
 print("antipodal reality of the metric pair:",
-      f"{reality_residual(z, w, zeta):.3e}")
+      f"{reality_residual(z, w, zeta)[0]:.3e}")
 print("dd^{c_Z} log h_U vs twice the flat curvature:",
-      f"{hermitian_curvature_residual(n, z, w, zeta):.3e}")
+      f"{hermitian_curvature_residual(n, z, w, zeta)[0]:.3e}")

@@ -72,11 +72,12 @@ class FlatModel:
         return z, w
 
     def from_complex(self, z, w) -> np.ndarray:
+        """The real point of (z, w), or of each row of (k, n) batches: the inverse of to_complex."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        p = np.empty(self.dim)
-        p[: 2 * self.n : 2], p[1 : 2 * self.n : 2] = z.real, z.imag
-        p[2 * self.n :: 2], p[2 * self.n + 1 :: 2] = w.real, w.imag
+        p = np.empty(z.shape[:-1] + (self.dim,))
+        p[..., : 2 * self.n : 2], p[..., 1 : 2 * self.n : 2] = z.real, z.imag
+        p[..., 2 * self.n :: 2], p[..., 2 * self.n + 1 :: 2] = w.real, w.imag
         return p
 
     # -- structures ------------------------------------------------------------
@@ -226,8 +227,8 @@ def action_rotation(spec: CircleActionSpec, theta: float) -> np.ndarray:
 
 
 def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:
-    """X(p) = d/dt at t=0 of the weighted rotation through p."""
-    return action_generator(spec) @ np.asarray(p, dtype=float)
+    """X(p) = d/dt at t=0 of the weighted rotation through p, or through each row of (k, 4n)."""
+    return np.asarray(p, dtype=float) @ action_generator(spec).T
 
 
 def moment_map(spec: CircleActionSpec, p) -> float | np.ndarray:

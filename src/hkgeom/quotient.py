@@ -218,28 +218,39 @@ def _newton_step(jac, res) -> np.ndarray:
     orbit Gram matrix: g(S_i X_a, S_j X_b) = delta_ij g(X_a, X_b) +
     eps_ijk omega_k(X_a, X_b), and omega_k(X_a, X_b) is the derivative of
     nu_b along X_a, zero for commuting generators.  S_1 is orthogonal, so
-    G = X X^T for the (a, 0) rows X.  G is SPD, and one elimination
-    without pivoting, vectorised over the rows, solves it; for a circle
+    G = X X^T for the (a, 0) rows X.  G is SPD, and ``_gram_solve``
+    solves it by one elimination vectorised over the rows; for a circle
     that is the one division res / |X|^2.  A row whose G fails the
     condition guard raises NonFreePointError.
     """
     r, width, _ = jac.shape
-    dim_g = width // 3
     orbit = jac[:, 0::3]
     gram = orbit @ orbit.transpose(0, 2, 1)
     if np.any(_rank_deficient(np.linalg.eigvalsh(gram))):
         raise NonFreePointError("orbit Gram matrix is singular up to the condition guard")
-    coef = res.reshape(r, dim_g, 3).copy()
-    for j in range(dim_g):
-        for i in range(j + 1, dim_g):
-            factor = gram[:, i, j] / gram[:, j, j]
-            gram[:, i] -= factor[:, None] * gram[:, j]
-            coef[:, i] -= factor[:, None] * coef[:, j]
-    for j in reversed(range(dim_g)):
-        for i in range(j + 1, dim_g):
-            coef[:, j] -= gram[:, j, i, None] * coef[:, i]
-        coef[:, j] /= gram[:, j, j, None]
+    coef = _gram_solve(gram, res.reshape(r, width // 3, 3))
     return -(jac.transpose(0, 2, 1) @ coef.reshape(r, width, 1))[:, :, 0]
+
+
+def _gram_solve(gram, rhs) -> np.ndarray:
+    """G^{-1} rhs for SPD Gram matrices G (..., g, g) and right-hand sides (..., g, c).
+
+    One elimination without pivoting, vectorised over the leading axes;
+    for a circle (g = 1) it is the one division rhs / G.  The caller
+    guards G's condition: a singular G gives inf or NaN, not an error.
+    """
+    gram, coef = gram.copy(), rhs.copy()
+    g = gram.shape[-1]
+    for j in range(g):
+        for i in range(j + 1, g):
+            factor = gram[..., i, j] / gram[..., j, j]
+            gram[..., i, :] -= factor[..., None] * gram[..., j, :]
+            coef[..., i, :] -= factor[..., None] * coef[..., j, :]
+    for j in reversed(range(g)):
+        for i in range(j + 1, g):
+            coef[..., j, :] -= gram[..., j, i, None] * coef[..., i, :]
+        coef[..., j, :] /= gram[..., j, j, None]
+    return coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,10 +569,14 @@ class QuotientChart:
         return tangents.swapaxes(-1, -2) @ self._omega[i - 1] @ tangents
 
     def _orbit_split(self, jet):
-        """(coef, T - O coef) for the orbit O = (G_a p): coef = (O^T O)^{-1} O^T T."""
+        """(coef, T - O coef) for the orbit O = (G_a p): coef = (O^T O)^{-1} O^T T.
+
+        Each jet point's orbit Gram matrix O^T O passed the condition guard
+        already, in a Newton step of the retraction or in solve_level.
+        """
         points, tangents, _ = jet
         orbit_t = (self._generators @ points[..., None, :, None])[..., 0]
-        coef = np.linalg.solve(orbit_t @ orbit_t.swapaxes(-1, -2), orbit_t @ tangents)
+        coef = _gram_solve(orbit_t @ orbit_t.swapaxes(-1, -2), orbit_t @ tangents)
         return coef, tangents - orbit_t.swapaxes(-1, -2) @ coef
 
     def metric(self, jet) -> np.ndarray:

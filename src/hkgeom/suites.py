@@ -617,67 +617,63 @@ def _twistor_samples(cfg: RunConfig, rng, count, min_mod=0.3, max_mod=1.5):
     return np.array(zs), np.array(ws), np.array(zetas)
 
 
-def _ctangent(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _complex_draws(a, n: int) -> np.ndarray:
+    """Complex (k, m n) rows from real draws (k, 2 m n) laid out as Re, Im of each n-block."""
+    a = a.reshape(len(a), -1, 2, n)
+    return (a[:, :, 0] + 1j * a[:, :, 1]).reshape(len(a), -1)
 
 
-def _chart_tangent(rng, n):
-    return (_ctangent(rng, n), _ctangent(rng, n), complex(*rng.standard_normal(2)))
+def _chart_points(rng, count, n):
+    """count chart points (v, xi), each (count, n); a row draws Re v, Im v, Re xi, Im xi."""
+    vxi = _complex_draws(rng.standard_normal((count, 4 * n)), n)
+    return vxi[:, :n], vxi[:, n:]
+
+
+def _chart_tangents(rng, count, n) -> np.ndarray:
+    """count chart tangents (count, 2n+1); a row draws Re, Im of dv, then of dxi, then of dzeta."""
+    a = rng.standard_normal((count, 4 * n + 2))
+    fibre, zeta = _complex_draws(a[:, : 4 * n], n), _complex_draws(a[:, 4 * n :], 1)
+    return np.concatenate([fibre, zeta], axis=1)
 
 
 def _tw_pair(rng, cfg: RunConfig) -> float:
-    gaps = []
-    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
-        pt = tw.product_to_chart(z, w, zeta)
-        tangent = _chart_tangent(rng, cfg.n)
-        gaps.append(tw.connection_pair_residual(pt.v, pt.xi, pt.zeta, tangent))
-    return _worst(gaps)
+    z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
+    v, xi = tw.product_to_chart(z, w, zeta)
+    tangents = _chart_tangents(rng, cfg.samples, cfg.n)
+    return _worst(tw.connection_pair_residual(v, xi, zeta, tangents))
 
 
 def _tw_invariance(rng, cfg: RunConfig) -> float:
-    full = _rotation(cfg, 1)
-    gaps = []
-    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
-        pt = tw.product_to_chart(z, w, zeta)
-        gaps.append(tw.action_invariance_residual(full, pt, _chart_tangent(rng, cfg.n)))
-    return _worst(gaps)
+    z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
+    v, xi = tw.product_to_chart(z, w, zeta)
+    tangents = _chart_tangents(rng, cfg.samples, cfg.n)
+    return _worst(tw.action_invariance_residual(_rotation(cfg, 1), v, xi, zeta, tangents))
 
 
 def _tw_restriction(rng, cfg: RunConfig) -> float:
-    gaps = []
-    for z, w, zeta in zip(*_twistor_samples(cfg, rng, cfg.samples)):
-        s = rng.standard_normal(4 * cfg.n)
-        t = rng.standard_normal(4 * cfg.n)
-        gaps.append(tw.fibre_restriction_residual(z, w, zeta, s, t))
-    return _worst(gaps)
+    samples = _twistor_samples(cfg, rng, cfg.samples)
+    s, t = np.split(rng.standard_normal((cfg.samples, 8 * cfg.n)), 2, axis=1)
+    return _worst(tw.fibre_restriction_residual(*samples, s, t))
 
 
 def _tw_residue(rng, cfg: RunConfig) -> float:
-    gaps = []
-    for z, w in zip(*_twistor_samples(cfg, rng, max(2, cfg.samples // 2))[:2]):
-        m_tan = rng.standard_normal(4 * cfg.n)
-        gaps.append(tw.residue_match_residual(z, w, m_tan, nodes=cfg.nodes))
-    return _worst(gaps)
+    count = max(2, cfg.samples // 2)
+    z, w, _ = _twistor_samples(cfg, rng, count)
+    m_tangents = rng.standard_normal((count, 4 * cfg.n))
+    return _worst(tw.residue_match_residual(z, w, m_tangents, nodes=cfg.nodes))
 
 
 def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
     gaps = []
     for n_char in (1, 2, 5):
-        got = tw.rotation_residue(
-            n_char, _ctangent(rng, cfg.n), _ctangent(rng, cfg.n), nodes=cfg.nodes
-        )
-        gaps.append(abs(got - 2j * np.pi * n_char))
+        got = tw.rotation_residue(n_char, *_chart_points(rng, 1, cfg.n), nodes=cfg.nodes)
+        gaps.append(np.abs(got - 2j * np.pi * n_char))
     return _worst(gaps)
 
 
 def _tw_pole_orders(rng, cfg: RunConfig) -> float:
-    report = tw.connection_report(
-        2,
-        _ctangent(rng, cfg.n),
-        _ctangent(rng, cfg.n),
-        _chart_tangent(rng, cfg.n),
-        nodes=cfg.nodes,
-    )
+    v, xi = _chart_points(rng, 1, cfg.n)
+    report = tw.connection_report(2, v, xi, _chart_tangents(rng, 1, cfg.n), nodes=cfg.nodes)
     return abs(report.pole_order_zero - 1) + abs(report.pole_order_infinity - 1)
 
 
@@ -687,8 +683,7 @@ def _tw_hermitian(rng, cfg: RunConfig) -> float:
 
 
 def _tw_reality(rng, cfg: RunConfig) -> float:
-    samples = _twistor_samples(cfg, rng, cfg.samples)
-    return _worst([tw.reality_residual(z, w, zeta) for z, w, zeta in zip(*samples)])
+    return _worst(tw.reality_residual(*_twistor_samples(cfg, rng, cfg.samples)))
 
 
 def _tw_closedness(rng, cfg: RunConfig) -> float:

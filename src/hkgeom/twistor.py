@@ -18,6 +18,19 @@ of the weighted rotation (with its logarithmic term), its curvature, and
 the hermitian metric of the bundle, together with contour-quadrature
 residue and pole-order measurements.
 
+Every closed form takes a batch of k points and returns one value per
+row, a (k,) array for a residual:
+
+* chart points are v, xi of shape (k, n) and zeta of shape (k,), complex;
+  smooth-product points are z, w of shape (k, n) with the same zeta;
+* chart tangents are one packed complex (k, 2n+1) array in the coframe
+  order (dv, dxi, dzeta) of ``fz_coefficients``; a tangent of any other
+  shape raises ConfigError;
+* real flat tangents are (k, 4n) and real twistor tangents (k, 4n+2).
+
+A row of a batch equals the same point evaluated as a batch of one, bit
+for bit.
+
 F_Z is one coefficient matrix, ``fz_coefficients``.  On vertical tangents it
 is (-2i) times the pencil (omega2 + i omega3)/(2 i zeta) + omega1 +
 zeta (omega2 - i omega3)/(2i), as ``fibre_restriction_residual`` derives.
@@ -59,169 +72,144 @@ _POLE_REL_TOL = 1e-8
 #: tangents have dzeta = 0, so the weight's term 2 pi i n dzeta/zeta vanishes
 _FIBRE_WEIGHT = 2
 
-CHARTS = ("U", "V")
-
 _DBAR_SCHEME = FDScheme(h=1e-4, order=4)
 _DDC_OUTER = FDScheme(h=2e-3, order=4)
 _DDC_INNER = FDScheme(h=1e-4, order=4)
 _CLOSEDNESS_SCHEME = FDScheme(h=1e-3, order=4)
 
 
-def _cvec(x, label: str) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(x, dtype=complex))
-    if out.ndim != 1:
-        raise ConfigError(f"{label} must be a vector, got shape {out.shape}")
-    return out
-
-
-def _off_zero(zeta, message: str):
-    """zeta as a complex number, or an array of them; DomainError(message) if any is 0."""
-    zeta = np.asarray(zeta, dtype=complex) if np.ndim(zeta) else complex(zeta)
+def _zeta(zeta, message: str) -> np.ndarray:
+    """zeta as a complex array; DomainError(message) if an entry is 0."""
+    zeta = np.asarray(zeta, dtype=complex)
     if np.any(zeta == 0):
         raise DomainError(message)
     return zeta
 
 
-def _chart_tangent(tangent, n: int):
-    """A chart tangent (tv, txi, tzeta) as two complex n-vectors and a complex."""
-    tv, txi, tzeta = tangent
-    tv, txi = _cvec(tv, "tv"), _cvec(txi, "txi")
-    if len(tv) != n or len(txi) != n:
+def _tangent(tangent, v) -> np.ndarray:
+    """Chart tangents as a complex (k, 2n+1) array at the (k, n) points v.
+
+    Any other shape raises ConfigError naming the expected length.
+    """
+    tangent = np.asarray(tangent, dtype=complex)
+    k, n = np.shape(v)
+    if tangent.shape != (k, 2 * n + 1):
         raise ConfigError(
-            f"tangent components must have length {n}, got {len(tv)} and {len(txi)}"
+            f"chart tangents on H^{n} have length {2 * n + 1} = 2n+1 (dv, dxi, dzeta): "
+            f"expected shape {(k, 2 * n + 1)}, got {tangent.shape}"
         )
-    return tv, txi, complex(tzeta)
+    return tangent
+
+
+def _split(tangent, v):
+    """(dv, dxi, dzeta) of shapes (k, n), (k, n), (k,) of chart tangents at the points v."""
+    tangent, n = _tangent(tangent, v), np.shape(v)[1]
+    return tangent[:, :n], tangent[:, n : 2 * n], tangent[:, 2 * n]
+
+
+def _pairing(s, M, t) -> np.ndarray:
+    """s_r^T M t_r of each row r, from one stacked matmul; M is (m, m) or (k, m, m).
+
+    A stacked matmul rounds each row as the same product of one row does,
+    which an einsum or a row-wise sum does not.
+    """
+    return (s[:, None, :] @ M @ t[:, :, None])[:, 0, 0]
+
+
+def _modulus(x) -> np.ndarray:
+    """|x| of complex values, as hypot of the parts.
+
+    numpy's vectorised absolute value of a complex array can differ by an
+    ulp from hypot, which abs() of a Python complex uses; the residuals
+    take hypot, so they round as a computation on scalars would.
+    """
+    return np.hypot(x.real, x.imag)
 
 
 # -- charts ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A twistor-space point in chart "U" (zeta finite) or "V" (tilde coords)."""
+def chart_transition(v, xi, zeta, tangent):
+    """The chart transition and its pushforward: ((v/zeta, xi/zeta, 1/zeta), transported tangent).
 
-    v: np.ndarray
-    xi: np.ndarray
-    zeta: complex
-    chart: str = "U"
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _cvec(self.v, "v"))
-        object.__setattr__(self, "xi", _cvec(self.xi, "xi"))
-        object.__setattr__(self, "zeta", complex(self.zeta))
-        if self.chart not in CHARTS:
-            raise ConfigError(f"chart must be one of {CHARTS}, got {self.chart!r}")
-        if self.v.shape != self.xi.shape:
-            raise ConfigError("v and xi must have the same length")
-
-    @property
-    def n(self) -> int:
-        return len(self.v)
-
-    def other(self) -> "ChartPoint":
-        """The same point in the opposite chart; an exact involution."""
-        zeta = _off_zero(self.zeta, "chart transition undefined on the zeta = 0 fibre")
-        target = "V" if self.chart == "U" else "U"
-        return ChartPoint(self.v / zeta, self.xi / zeta, 1.0 / zeta, target)
-
-
-def transition_pushforward(pt: ChartPoint, tangent):
-    """Transport (tv, txi, tzeta) through the chart transition at pt.
-
-    Returns the pair (image point, transported tangent).
+    The map is its own inverse, so it takes chart-U points to chart V and
+    chart-V points back.  The tangent (dv, dxi, dzeta) goes to
+    (dv/zeta - v dzeta/zeta^2, dxi/zeta - xi dzeta/zeta^2, -dzeta/zeta^2).
     """
-    tv, txi, tzeta = _chart_tangent(tangent, pt.n)
-    z2 = pt.zeta * pt.zeta
-    out = (
-        tv / pt.zeta - pt.v * tzeta / z2,
-        txi / pt.zeta - pt.xi * tzeta / z2,
-        -tzeta / z2,
-    )
-    return pt.other(), out
+    tv, txi, tzeta = _split(tangent, v)
+    zeta = _zeta(zeta, "chart transition undefined on the zeta = 0 fibre")
+    z1, z2, tz = zeta[:, None], (zeta * zeta)[:, None], tzeta[:, None]
+    tilde = np.concatenate([tv / z1 - v * tz / z2, txi / z1 - xi * tz / z2, -tz / z2], axis=1)
+    return (v / z1, xi / z1, 1.0 / zeta), tilde
 
 
-def _chart_coords(z, w, zeta):
-    """(v, xi) = (z + zeta conj(w), w - zeta conj(z)) over the last axis of z and w.
+def product_to_chart(z, w, zeta):
+    """Chart-U coordinates (v, xi) = (z + zeta conj(w), w - zeta conj(z)) of smooth-product points.
 
-    zeta is one complex number, or an array of the leading shape of z and w.
+    zeta has the leading shape of z and w; chart U keeps it as it is.
     """
     zeta = np.asarray(zeta)[..., None]
     return z + zeta * np.conj(w), w - zeta * np.conj(z)
 
 
-def product_to_chart(z, w, zeta: complex) -> ChartPoint:
-    """Chart-U coordinates of the smooth-product point (z, w, zeta)."""
-    z, w = _cvec(z, "z"), _cvec(w, "w")
-    zeta = complex(zeta)
-    return ChartPoint(*_chart_coords(z, w, zeta), zeta, "U")
+def chart_to_product(v, xi, zeta):
+    """Invert the smooth-product map: chart-U points -> (z, w)."""
+    zeta = np.asarray(zeta, dtype=complex)[:, None]
+    denom = 1.0 + np.abs(zeta) ** 2
+    return (v - zeta * np.conj(xi)) / denom, (xi + zeta * np.conj(v)) / denom
 
 
-def chart_to_product(pt: ChartPoint):
-    """Invert the smooth-product map: chart-U point -> (z, w).
+def vertical_lift(zeta, m_tangent) -> np.ndarray:
+    """Push real flat tangents (k, 4n) to vertical chart-U tangents (k, 2n+1), dzeta = 0.
 
-    V-chart points are routed through the transition and therefore
-    require zeta != 0 there.
+    The chart map is complex-linear in (z, w) at fixed zeta, so the lift
+    is the chart map applied to the tangent.
     """
-    if pt.chart == "V":
-        pt = pt.other()
-    denom = 1.0 + abs(pt.zeta) ** 2
-    z = (pt.v - pt.zeta * np.conj(pt.xi)) / denom
-    w = (pt.xi + pt.zeta * np.conj(pt.v)) / denom
-    return z, w
-
-
-def vertical_lift(z, w, zeta: complex, m_tangent):
-    """Push a real flat-space tangent to a vertical chart-U tangent (tzeta = 0)."""
-    z = _cvec(z, "z")
-    model = FlatModel(len(z))
-    tz, tw = model.to_complex(np.asarray(m_tangent, dtype=float))
-    zeta = complex(zeta)
-    return tz + zeta * np.conj(tw), tw - zeta * np.conj(tz), 0.0j
+    m_tangent = np.asarray(m_tangent, dtype=float)
+    tz, tw = FlatModel(m_tangent.shape[1] // 4).to_complex(m_tangent)
+    tv, txi = product_to_chart(tz, tw, zeta)
+    return np.concatenate([tv, txi, np.zeros((len(tv), 1))], axis=1)
 
 
 # -- fibrewise symplectic pencil --------------------------------------------------
 
 
-def fibre_symplectic(model: FlatModel, zeta: complex, s, t) -> complex:
-    """The quadratic symplectic pencil evaluated on real vertical tangents.
+def fibre_symplectic(model: FlatModel, zeta, s, t) -> np.ndarray:
+    """The quadratic symplectic pencil on real vertical tangents s, t (k, 4n), (k,).
 
     (omega2 + i omega3)(s,t) + 2i zeta omega1(s,t)
                              + zeta^2 (omega2 - i omega3)(s,t).
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    w1 = model.omega1(s, t)
-    w2 = model.omega2(s, t)
-    w3 = model.omega3(s, t)
-    zeta = complex(zeta)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    w1, w2, w3 = (_pairing(s, w.as_matrix(), t) for w in model.kahler_triple())
+    zeta = np.asarray(zeta, dtype=complex)
     return (w2 + 1j * w3) + 2j * zeta * w1 + zeta**2 * (w2 - 1j * w3)
 
 
 # -- line-bundle transition ---------------------------------------------------------
 
 
-def _half_overlap(v, xi, zeta: complex, where: str = "zeta") -> complex:
+def _half_overlap(v, xi, zeta, where: str = "zeta") -> np.ndarray:
     """sum_i v_i xi_i / 2 zeta, the exponent of the transition function."""
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    zeta = _off_zero(zeta, f"transition function has an essential singularity at {where} = 0")
-    return complex(np.sum(v * xi) / (2.0 * zeta))
+    zeta = _zeta(zeta, f"transition function has an essential singularity at {where} = 0")
+    return np.sum(np.asarray(v) * xi, axis=-1) / (2.0 * zeta)
 
 
-def transition_gUV(v, xi, zeta: complex) -> complex:
+def transition_gUV(v, xi, zeta) -> np.ndarray:
     """Holomorphic transition function exp(-sum_i v_i xi_i / 2 zeta)."""
-    return complex(np.exp(-_half_overlap(v, xi, zeta)))
+    return np.exp(-_half_overlap(v, xi, zeta))
 
 
-def transition_gVU(vt, xit, zetat: complex) -> complex:
+def transition_gVU(vt, xit, zetat) -> np.ndarray:
     """Inverse transition in tilde coordinates: exp(+sum_i vt_i xit_i / 2 zetat).
 
     Since sum v xi / 2 zeta takes the same value in either chart, the
     inverse carries the opposite exponent sign.
     """
-    return complex(np.exp(_half_overlap(vt, xit, zetat, "zetat")))
+    return np.exp(_half_overlap(vt, xit, zetat, "zetat"))
 
 
-def log_gUV_sq(v, xi, zeta: complex) -> float:
+def log_gUV_sq(v, xi, zeta) -> np.ndarray:
     """log |g_UV|^2 = -Re(sum_i v_i xi_i / zeta)."""
     return -2.0 * _half_overlap(v, xi, zeta).real
 
@@ -229,59 +217,48 @@ def log_gUV_sq(v, xi, zeta: complex) -> float:
 # -- semi-free-action connection pair --------------------------------------------------
 
 
-def semifree_AU(v, xi, zeta: complex, tangent) -> complex:
+def semifree_AU(v, xi, zeta, tangent) -> np.ndarray:
     """Chart-U connection form of the w-only rotation: (1/2 zeta) sum v_i d xi_i."""
-    v = _cvec(v, "v")
-    _, txi, _ = _chart_tangent(tangent, len(v))
-    zeta = _off_zero(zeta, "connection form has a pole at zeta = 0")
-    return complex(np.sum(v * txi) / (2.0 * zeta))
+    _, txi, _ = _split(tangent, v)
+    zeta = _zeta(zeta, "connection form has a pole at zeta = 0")
+    return np.sum(v * txi, axis=-1) / (2.0 * zeta)
 
 
-def semifree_AV(vt, xit, zetat: complex, tangent) -> complex:
+def semifree_AV(vt, xit, zetat, tangent) -> np.ndarray:
     """Chart-V connection form: -(1/2 zetat) sum xit_i d vt_i."""
-    xit = _cvec(xit, "xit")
-    tvt, _, _ = _chart_tangent(tangent, len(xit))
-    zetat = _off_zero(zetat, "connection form has a pole at zetat = 0")
-    return complex(-np.sum(xit * tvt) / (2.0 * zetat))
+    tvt, _, _ = _split(tangent, vt)
+    zetat = _zeta(zetat, "connection form has a pole at zetat = 0")
+    return -np.sum(xit * tvt, axis=-1) / (2.0 * zetat)
 
 
-def overlap_potential_d(v, xi, zeta: complex, tangent) -> complex:
-    """Exact differential of sum_i v_i xi_i / 2 zeta on a chart-U tangent."""
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = _chart_tangent(tangent, len(v))
-    zeta = _off_zero(zeta, "overlap potential has a pole at zeta = 0")
-    return complex(
-        np.sum(xi * tv + v * txi) / (2.0 * zeta)
-        - np.sum(v * xi) * tzeta / (2.0 * zeta**2)
-    )
+def overlap_potential_d(v, xi, zeta, tangent) -> np.ndarray:
+    """Exact differential of sum_i v_i xi_i / 2 zeta on chart-U tangents."""
+    tv, txi, tzeta = _split(tangent, v)
+    zeta = _zeta(zeta, "overlap potential has a pole at zeta = 0")
+    return np.sum(xi * tv + v * txi, axis=-1) / (2.0 * zeta) - np.sum(
+        v * xi, axis=-1
+    ) * tzeta / (2.0 * zeta**2)
 
 
-def connection_pair_residual(v, xi, zeta: complex, tangent) -> float:
-    """|(A_V - A_U + d(sum v xi / 2 zeta))(tangent)| at a chart-U point."""
-    pt = ChartPoint(v, xi, zeta)
-    other, tilde = transition_pushforward(pt, tangent)
-    lhs = semifree_AV(other.v, other.xi, other.zeta, tilde) - semifree_AU(
-        v, xi, zeta, tangent
-    )
-    return abs(lhs + overlap_potential_d(v, xi, zeta, tangent))
+def connection_pair_residual(v, xi, zeta, tangent) -> np.ndarray:
+    """|(A_V - A_U + d(sum v xi / 2 zeta))(tangent)| at chart-U points."""
+    (vt, xit, zetat), tilde = chart_transition(v, xi, zeta, tangent)
+    lhs = semifree_AV(vt, xit, zetat, tilde) - semifree_AU(v, xi, zeta, tangent)
+    return _modulus(lhs + overlap_potential_d(v, xi, zeta, tangent))
 
 
 # -- meromorphic connection of the weighted rotation -----------------------------------
 
 
-def mero_connection(n_char: int, v, xi, zeta, tangent):
-    """The invariant meromorphic connection form on a chart-U tangent.
+def mero_connection(n_char: int, v, xi, zeta, tangent) -> np.ndarray:
+    """The invariant meromorphic connection form on chart-U tangents.
 
     2 pi i n dzeta/zeta + (1/2 zeta) sum_i (xi_i dv_i - v_i dxi_i),
-    where n is the integer weight of the fibre action.  ``zeta`` is one
-    complex number, giving a complex, or an array of them with (v, xi) and
-    the tangent held fixed, giving one value per entry.
+    where n is the integer weight of the fibre action.
     """
-    v, xi = _cvec(v, "v"), _cvec(xi, "xi")
-    tv, txi, tzeta = _chart_tangent(tangent, len(v))
-    zeta = _off_zero(zeta, "meromorphic connection has a pole at zeta = 0")
-    value = 2j * np.pi * n_char * tzeta / zeta + np.sum(xi * tv - v * txi) / (2.0 * zeta)
-    return value if np.ndim(value) else complex(value)
+    tv, txi, tzeta = _split(tangent, v)
+    zeta = _zeta(zeta, "meromorphic connection has a pole at zeta = 0")
+    return 2j * np.pi * n_char * tzeta / zeta + np.sum(xi * tv - v * txi, axis=-1) / (2.0 * zeta)
 
 
 def fz_coefficients(v, xi, zeta) -> np.ndarray:
@@ -290,14 +267,11 @@ def fz_coefficients(v, xi, zeta) -> np.ndarray:
     F_Z = (1/zeta) sum_i dxi_i ^ dv_i - (1/2 zeta^2) dzeta ^ b with
     b = sum_i (xi_i dv_i - v_i dxi_i), as the antisymmetric matrix C with
     F_Z(s, t) = s^T C t.  The logarithmic term of the connection is closed
-    and drops out, so F_Z does not depend on the fibre weight.  v and xi
-    are (..., n) and zeta has their leading shape: one point gives C as
-    (2n+1, 2n+1), a batch gives one C per row.
+    and drops out, so F_Z does not depend on the fibre weight.  One C
+    (2n+1, 2n+1) per row of the batch, over any leading shape of v and xi.
     """
     v, xi = np.asarray(v, dtype=complex), np.asarray(xi, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)[..., None]
-    if np.any(zeta == 0):
-        raise DomainError("curvature has a pole at zeta = 0")
+    zeta = _zeta(zeta, "curvature has a pole at zeta = 0")[..., None]
     n = v.shape[-1]
     half = np.zeros(v.shape[:-1] + (2 * n + 1, 2 * n + 1), dtype=complex)  # C = half - half^T
     half[..., n : 2 * n, :n] = np.eye(n) / zeta[..., None]
@@ -305,40 +279,32 @@ def fz_coefficients(v, xi, zeta) -> np.ndarray:
     return half - np.swapaxes(half, -1, -2)
 
 
-def curvature_FZ(v, xi, zeta: complex, s_tangent, t_tangent) -> complex:
-    """F_Z(s, t) = s^T C t on two chart-U tangents, C = fz_coefficients."""
-    n = len(_cvec(v, "v"))
-    s, t = (
-        np.concatenate([tv, txi, [tzeta]])
-        for tv, txi, tzeta in (_chart_tangent(x, n) for x in (s_tangent, t_tangent))
-    )
-    return complex(s @ fz_coefficients(v, xi, zeta) @ t)
+def curvature_FZ(v, xi, zeta, s_tangent, t_tangent) -> np.ndarray:
+    """F_Z(s, t) = s^T C t on two batches of chart-U tangents, C = fz_coefficients."""
+    s, t = _tangent(s_tangent, v), _tangent(t_tangent, v)
+    return _pairing(s, fz_coefficients(v, xi, zeta), t)
 
 
-def lifted_action_field(spec: CircleActionSpec, pt: ChartPoint):
-    """Holomorphic lift of the weighted rotation to the twistor space.
+def lifted_action_field(spec: CircleActionSpec, v, xi, zeta) -> np.ndarray:
+    """Holomorphic lift of the weighted rotation to the twistor space, as chart-U tangents.
 
     In chart U the lift is i(k*v, l*xi, degree*zeta) per plane; its sphere
     projection is degree * (i zeta d/dzeta).
     """
-    if pt.chart != "U":
-        raise ConfigError("the lift is expressed in chart-U coordinates")
-    if pt.n != spec.n:
-        raise ConfigError(
-            f"action has {spec.n} planes but the point has {pt.n}"
-        )
+    if np.shape(v)[1] != spec.n:
+        raise ConfigError(f"action has {spec.n} planes but the points have {np.shape(v)[1]}")
     k = np.asarray(spec.k, dtype=float)
     l = np.asarray(spec.l, dtype=float)
-    return 1j * k * pt.v, 1j * l * pt.xi, 1j * spec.degree * pt.zeta
+    lift_zeta = 1j * spec.degree * np.asarray(zeta, dtype=complex)
+    return np.concatenate([1j * k * v, 1j * l * xi, lift_zeta[:, None]], axis=1)
 
 
-def action_invariance_residual(spec: CircleActionSpec, pt: ChartPoint, tangent) -> float:
+def action_invariance_residual(spec: CircleActionSpec, v, xi, zeta, tangent) -> np.ndarray:
     """|i_V F_Z (tangent)| for the lifted rotation field V."""
-    lift = lifted_action_field(spec, pt)
-    return abs(curvature_FZ(pt.v, pt.xi, pt.zeta, lift, tangent))
+    return _modulus(curvature_FZ(v, xi, zeta, lifted_action_field(spec, v, xi, zeta), tangent))
 
 
-def fibre_restriction_residual(z, w, zeta: complex, s, t) -> float:
+def fibre_restriction_residual(z, w, zeta, s, t) -> np.ndarray:
     """Deviation of F_Z on vertical tangents from (-2i) x the symplectic pencil display.
 
     The display is the pencil divided by 2 i zeta.  The factor -2i comes
@@ -347,15 +313,11 @@ def fibre_restriction_residual(z, w, zeta: complex, s, t) -> float:
     sxi = sw - zeta conj(sz) turn (1/zeta) sum_i dxi_i ^ dv_i into -1/zeta
     times the pencil, which is -2i times the display.
     """
-    z = _cvec(z, "z")
-    model = FlatModel(len(z))
-    zeta = _off_zero(zeta, "the fibre comparison needs zeta != 0")
-    pt = product_to_chart(z, w, zeta)
-    s_lift = vertical_lift(z, w, zeta, s)
-    t_lift = vertical_lift(z, w, zeta, t)
-    lhs = curvature_FZ(pt.v, pt.xi, pt.zeta, s_lift, t_lift)
-    display = fibre_symplectic(model, zeta, s, t) / (2j * zeta)
-    return abs(lhs - (-2j) * display)
+    zeta = _zeta(zeta, "the fibre comparison needs zeta != 0")
+    v, xi = product_to_chart(z, w, zeta)
+    lhs = curvature_FZ(v, xi, zeta, vertical_lift(zeta, s), vertical_lift(zeta, t))
+    display = fibre_symplectic(FlatModel(np.shape(z)[1]), zeta, s, t) / (2j * zeta)
+    return _modulus(lhs - (-2j) * display)
 
 
 # -- contour quadrature -----------------------------------------------------------
@@ -368,18 +330,28 @@ def _contour(nodes: int) -> np.ndarray:
     return CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
-def _contour_values(fn, zs) -> np.ndarray:
-    """fn at every contour node from one call fn(zs); a scalar result is broadcast."""
-    return np.broadcast_to(np.asarray(fn(zs), dtype=complex), zs.shape)
+def _around_contour(zs, v, xi, tangent):
+    """(v, xi, zeta, tangent) with each of the k rows repeated once per node and zeta the nodes.
+
+    Row r * len(zs) + j is row r at node j, so values reshape to (k, nodes).
+    """
+    reps = len(zs)
+    return (
+        np.repeat(v, reps, axis=0),
+        np.repeat(xi, reps, axis=0),
+        np.tile(zs, len(v)),
+        np.repeat(tangent, reps, axis=0),
+    )
 
 
-def laurent_coefficient(fn, k: int, nodes: int = CONTOUR_NODES) -> complex:
-    """Laurent coefficient a_k of fn about 0 by trapezoidal contour quadrature.
+def laurent_coefficient(fn, k: int, nodes: int = CONTOUR_NODES):
+    """Laurent coefficient a_k about 0 by trapezoidal contour quadrature.
 
-    fn takes the array of contour nodes and returns its values there.
+    fn takes the array of contour nodes and returns its values there, or
+    one row of values per function, (..., nodes); a_k comes per row.
     """
     zs = _contour(nodes)
-    return complex(np.mean(_contour_values(fn, zs) * zs ** (-k)))
+    return np.mean(fn(zs) * zs ** (-k), axis=-1)
 
 
 def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
@@ -391,7 +363,7 @@ def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
     largest sample.
     """
     zs = _contour(nodes)
-    vals = _contour_values(fn, zs)
+    vals = fn(zs)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0
@@ -402,8 +374,8 @@ def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
     return 0
 
 
-def rotation_residue(n_char: int, v, xi, nodes: int = CONTOUR_NODES) -> complex:
-    """(1/2 pi i) x the contour integral of the connection along a small circle.
+def rotation_residue(n_char: int, v, xi, nodes: int = CONTOUR_NODES) -> np.ndarray:
+    """(1/2 pi i) x the contour integral of the connection along a small circle, (k,).
 
     The fibre coordinates are held fixed while zeta traverses
     |zeta| = CONTOUR_RADIUS; for fibre weight n the measured value is
@@ -411,38 +383,45 @@ def rotation_residue(n_char: int, v, xi, nodes: int = CONTOUR_NODES) -> complex:
     circle's velocity i zeta is its value on d/dzeta times i zeta.
     """
     zs = _contour(nodes)
-    zero_v, zero_xi = np.zeros_like(_cvec(v, "v")), np.zeros_like(_cvec(xi, "xi"))
-    along = mero_connection(n_char, v, xi, zs, (zero_v, zero_xi, 1.0)) * (1j * zs)
-    return complex(np.sum(along * (2 * np.pi / nodes)) / (2j * np.pi))
+    d_zeta = np.zeros((len(v), 2 * np.shape(v)[1] + 1), dtype=complex)
+    d_zeta[:, -1] = 1.0
+    values = mero_connection(n_char, *_around_contour(zs, v, xi, d_zeta))
+    along = values.reshape(len(v), nodes) * (1j * zs)
+    return np.sum(along * (2 * np.pi / nodes), axis=-1) / (2j * np.pi)
 
 
-def fibre_residue(v, xi, fibre_tangent, nodes: int = CONTOUR_NODES) -> complex:
-    """Residue at zeta = 0 of the connection (weight _FIBRE_WEIGHT) on a fixed fibre tangent."""
-    tv, txi = _cvec(fibre_tangent[0], "tv"), _cvec(fibre_tangent[1], "txi")
+def fibre_residue(v, xi, tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
+    """Residue at zeta = 0 of the connection (weight _FIBRE_WEIGHT) on fixed chart tangents, (k,).
+
+    The fibre directions are the tangents with dzeta = 0; a dzeta
+    component would add 2 pi i _FIBRE_WEIGHT dzeta to the residue.
+    """
+    tangent = _tangent(tangent, v)
     return laurent_coefficient(
-        lambda zeta: mero_connection(_FIBRE_WEIGHT, v, xi, zeta, (tv, txi, 0.0j)),
+        lambda zs: mero_connection(_FIBRE_WEIGHT, *_around_contour(zs, v, xi, tangent)).reshape(
+            len(v), len(zs)
+        ),
         k=-1,
         nodes=nodes,
     )
 
 
-def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> float:
-    """Compare the zeta = 0 fibre residue with (-1) x i_X(omega2 + i omega3)/2i.
+def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
+    """Compare the zeta = 0 fibre residue with (-1) x i_X(omega2 + i omega3)/2i, (k,).
 
     X is the full-rotation field; on the zeta = 0 fibre the chart
-    coordinates coincide with (z, w) and the measured fibre-direction
-    residue equals minus the contracted complex symplectic form.
+    coordinates coincide with (z, w), so the fibre tangents are the
+    vertical lifts at zeta = 0, and the measured fibre-direction residue
+    equals minus the contracted complex symplectic form.
     """
-    z, w = _cvec(z, "z"), _cvec(w, "w")
-    model = FlatModel(len(z))
+    model = FlatModel(np.shape(z)[1])
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
-    m = model.from_complex(z, w)
     s = np.asarray(m_tangent, dtype=float)
-    tz, tw = model.to_complex(s)
-    measured = fibre_residue(z, w, (tz, tw), nodes=nodes)
-    omega_c = model.omega2 + 1j * model.omega3
-    expected = omega_c(action_vector_field(spec, m), s) / 2j
-    return abs(measured - (-1.0) * expected)
+    measured = fibre_residue(z, w, vertical_lift(0.0, s), nodes=nodes)
+    omega_c = (model.omega2 + 1j * model.omega3).as_matrix()
+    x = action_vector_field(spec, model.from_complex(z, w))
+    expected = _pairing(x, omega_c, s) / 2j
+    return _modulus(measured - (-1.0) * expected)
 
 
 @dataclass(frozen=True)
@@ -465,27 +444,29 @@ class MeroConnectionReport:
 def connection_report(
     n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES
 ) -> MeroConnectionReport:
-    """Laurent-measure the connection at both sphere poles.
+    """Laurent-measure the connection at both sphere poles of one point, a 1-row batch.
 
     At infinity the supplied data are read as tilde coordinates held
     fixed on |zetat| = CONTOUR_RADIUS and transported back to chart U, so
-    the same closed form is sampled in both charts.
+    the same closed form is sampled in both charts; one chart transition
+    takes every node back.
     """
+    tangent = _tangent(tangent, v)
+    if len(tangent) != 1:
+        raise ConfigError(f"connection_report takes one point, a 1-row batch, not {len(tangent)}")
 
-    def at_zero(zeta):
-        return mero_connection(n_char, v, xi, zeta, tangent)
+    def at_zero(zs):
+        return mero_connection(n_char, *_around_contour(zs, v, xi, tangent))
 
     def at_infinity(zetats):
-        # the point and tangent pulled back to chart U change with zetat,
-        # so the nodes go through the transition one at a time
-        pulled = (transition_pushforward(ChartPoint(v, xi, zt, "V"), tangent) for zt in zetats)
-        return np.array([mero_connection(n_char, p.v, p.xi, p.zeta, t) for p, t in pulled])
+        (pv, pxi, pzeta), pulled = chart_transition(*_around_contour(zetats, v, xi, tangent))
+        return mero_connection(n_char, pv, pxi, pzeta, pulled)
 
     return MeroConnectionReport(
         n_char=n_char,
         pole_order_zero=pole_order(at_zero, nodes),
         pole_order_infinity=pole_order(at_infinity, nodes),
-        rotation_residue=rotation_residue(n_char, v, xi, nodes),
+        rotation_residue=complex(rotation_residue(n_char, v, xi, nodes)[0]),
     )
 
 
@@ -498,11 +479,7 @@ def total_dim(n: int) -> int:
 
 
 def pack_point(model: FlatModel, z, w, zeta) -> np.ndarray:
-    """Real coordinates (flat-space packing, Re zeta, Im zeta).
-
-    One point (z, w of length n, a complex zeta) gives (4n+2,); a batch
-    (z, w of shape (k, n), zeta of shape (k,)) gives (k, 4n+2).
-    """
+    """Real coordinates (flat packing, Re zeta, Im zeta), (k, 4n+2), of z, w (k, n), zeta (k,)."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
     n = model.n
@@ -514,7 +491,7 @@ def pack_point(model: FlatModel, z, w, zeta) -> np.ndarray:
 
 
 def unpack_point(model: FlatModel, p):
-    """(z, w, zeta) of one point (4n+2,) or of each row of a batch (..., 4n+2)."""
+    """(z, w, zeta) of each row of real twistor coordinates (k, 4n+2)."""
     p = np.asarray(p, dtype=float)
     z, w = model.to_complex(p[..., : model.dim])
     return z, w, p[..., model.dim] + 1j * p[..., model.dim + 1]
@@ -523,8 +500,7 @@ def unpack_point(model: FlatModel, p):
 def chart_jacobian(model: FlatModel, p) -> np.ndarray:
     """Complex Jacobian of the chart functions (v, xi, zeta) in real coordinates.
 
-    p is one point (4n+2,), giving (2n+1, 4n+2), or a batch (..., 4n+2),
-    giving one Jacobian per row.
+    One (2n+1, 4n+2) Jacobian per row of p (k, 4n+2).
     """
     z, w, zeta = unpack_point(model, p)
     zeta = zeta[..., None]
@@ -548,8 +524,7 @@ def twistor_structure(n: int):
     Returns the real (4n+2)-dimensional almost-complex structure in which
     the chart functions are holomorphic: with the Jacobian split A + iB,
     S solves (A; B) S = (-B; A).  The callback takes an (m, 4n+2) batch
-    and returns (m, 4n+2, 4n+2) from one stacked solve, or one point and
-    its matrix.
+    and returns (m, 4n+2, 4n+2) from one stacked solve.
     """
     model = FlatModel(n)
 
@@ -566,84 +541,61 @@ def twistor_structure(n: int):
 # -- hermitian metric ------------------------------------------------------------
 
 
-def _log_hU(z, w, zeta_re, zeta_im):
-    """log h_U over the last axis of z and w; zeta is given by its parts.
+def log_hU(z, w, zeta) -> np.ndarray:
+    """(1/2) sum_i (|z_i|^2 - |w_i|^2) + Re(conj(zeta) sum_i z_i w_i), over the last axis.
 
     Re(conj(zeta) s) is written as Re zeta Re s + Im zeta Im s: numpy
-    rounds a product of complex arrays differently from a product of
-    complex scalars, and the real form keeps a batch row bit-identical
-    to the same point evaluated alone.
+    may round a product of complex arrays with a fused multiply-add and a
+    product of complex scalars without one, and the real form rounds the
+    same either way.
     """
+    zeta = np.asarray(zeta)
     s = np.sum(z * w, axis=-1)
     return 0.5 * np.sum(np.abs(z) ** 2 - np.abs(w) ** 2, axis=-1) + (
-        zeta_re * s.real + zeta_im * s.imag
+        zeta.real * s.real + zeta.imag * s.imag
     )
 
 
-def log_hU(z, w, zeta: complex) -> float:
-    """(1/2) sum_i (|z_i|^2 - |w_i|^2) + Re(conj(zeta) sum_i z_i w_i)."""
-    z, w = _cvec(z, "z"), _cvec(w, "w")
-    zeta = complex(zeta)
-    return float(_log_hU(z, w, zeta.real, zeta.imag))
-
-
-def log_hV(z, w, zeta: complex) -> float:
+def log_hV(z, w, zeta) -> np.ndarray:
     """Antipodal reality partner: -log h_U at (z, w, -1/conj(zeta))."""
-    zeta = _off_zero(zeta, "the antipode of zeta = 0 lies outside chart U")
+    zeta = _zeta(zeta, "the antipode of zeta = 0 lies outside chart U")
     return -log_hU(z, w, -1.0 / np.conj(zeta))
 
 
-def reality_residual(z, w, zeta: complex) -> float:
-    """|log h_V - log h_U + log |g_UV|^2| at a smooth-product point."""
-    pt = product_to_chart(z, w, zeta)
-    return abs(
-        log_hV(z, w, zeta)
-        - log_hU(z, w, zeta)
-        + log_gUV_sq(pt.v, pt.xi, pt.zeta)
-    )
+def reality_residual(z, w, zeta) -> np.ndarray:
+    """|log h_V - log h_U + log |g_UV|^2| at smooth-product points."""
+    v, xi = product_to_chart(z, w, zeta)
+    return np.abs(log_hV(z, w, zeta) - log_hU(z, w, zeta) + log_gUV_sq(v, xi, zeta))
 
 
 def log_hU_field(n: int) -> ScalarField:
     """log h_U as a scalar field on (m, 4n + 2) batches of real twistor coordinates."""
     model = FlatModel(n)
-
-    def value(p):
-        z, w = model.to_complex(p[..., : model.dim])
-        return _log_hU(z, w, p[..., model.dim], p[..., model.dim + 1])
-
-    return ScalarField(fn=value, dim=total_dim(n))
+    return ScalarField(fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n))
 
 
-def dbar_scalar(n: int, p, tangent) -> complex:
-    """(0,1) part of d(log h_U) on a real tangent: (df(T) + i df(ST))/2."""
+def dbar_scalar(n: int, p, tangent) -> np.ndarray:
+    """(0,1) part of d(log h_U) on real twistor tangents (k, 4n+2) at p: (df(T) + i df(ST))/2."""
     p = np.asarray(p, dtype=float)
-    field = log_hU_field(n)
-    grad = fd_gradient(field, p, _DBAR_SCHEME)
-    s_mat = twistor_structure(n)(p)
-    t = np.asarray(tangent, dtype=float)
-    return complex(0.5 * (grad @ t + 1j * (grad @ (s_mat @ t))))
+    grad = fd_gradient(log_hU_field(n), p, _DBAR_SCHEME)
+    ones = np.eye(total_dim(n)) + 1j * twistor_structure(n)(p)
+    return 0.5 * _pairing(grad, ones, np.asarray(tangent, dtype=float))
 
 
-def dbar_display_residual(n: int, z, w, zeta: complex, tangent) -> float:
-    """Check the closed-form (0,1) derivative of log h_U on a real tangent.
+def dbar_display_residual(n: int, z, w, zeta, tangent) -> np.ndarray:
+    """Check the closed-form (0,1) derivative of log h_U on real twistor tangents (k, 4n+2).
 
     displayed: (1/2) sum_i [z_i w_i dconj(zeta) + z_i dconj(z_i)
                - w_i dconj(w_i) + conj(zeta) d(z_i w_i)].
     """
     model = FlatModel(n)
-    z, w = _cvec(z, "z"), _cvec(w, "w")
-    zeta = complex(zeta)
-    p = pack_point(model, z, w, zeta)
-    t = np.asarray(tangent, dtype=float)
-    tz, tw = model.to_complex(t[: model.dim])
-    tzeta = complex(t[model.dim], t[model.dim + 1])
+    tz, tw, tzeta = unpack_point(model, tangent)
+    tzeta, zeta_c = tzeta[:, None], np.conj(np.asarray(zeta, dtype=complex))[:, None]
     displayed = 0.5 * np.sum(
-        z * w * np.conj(tzeta)
-        + z * np.conj(tz)
-        - w * np.conj(tw)
-        + np.conj(zeta) * (w * tz + z * tw)
+        z * w * np.conj(tzeta) + z * np.conj(tz) - w * np.conj(tw) + zeta_c * (w * tz + z * tw),
+        axis=-1,
     )
-    return abs(dbar_scalar(n, p, t) - displayed)
+    return np.abs(dbar_scalar(n, pack_point(model, z, w, zeta), tangent) - displayed)
 
 
 def flat_reference_curvature(n: int) -> FormValue:
@@ -667,25 +619,16 @@ def _embedded_reference(n: int) -> FormValue:
     return FormValue.from_matrix(mat)
 
 
-def _max_abs(form, reference=0.0):
-    """max |component - reference| of one form (a float) or of each row of a batch (an array)."""
-    comps = form.comps if isinstance(form, FormValue) else form
-    out = np.max(np.abs(comps - reference), axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def hermitian_curvature_residual(n: int, z, w, zeta):
-    """Deviation of dd^c(log h_U) in the twistor structure from 2x the flat curvature.
+def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
+    """Deviation of dd^c(log h_U) in the twistor structure from 2x the flat curvature, (k,).
 
     The reference form has no dzeta components; the residual is the
-    max-abs deviation over all components of the full form.  One point
-    gives a float; a batch (z, w of shape (k, n), zeta (k,)) gives the
-    (k,) residuals from one ddc call.
+    max-abs deviation over all components of the full form, from one ddc
+    call for the batch.
     """
-    model = FlatModel(n)
-    p = pack_point(model, z, w, zeta)
+    p = pack_point(FlatModel(n), z, w, zeta)
     got = ddc(log_hU_field(n), twistor_structure(n), p, _DDC_OUTER, _DDC_INNER)
-    return _max_abs(got, _embedded_reference(n).comps)
+    return np.max(np.abs(got - _embedded_reference(n).comps), axis=-1)
 
 
 # -- curvature as a form field on real coordinates ------------------------------------
@@ -698,7 +641,7 @@ def curvature_FZ_field(n: int) -> FormField:
 
     def value(p) -> np.ndarray:
         z, w, zeta = unpack_point(model, p)
-        v, xi = _chart_coords(z, w, zeta)
+        v, xi = product_to_chart(z, w, zeta)
         jac = chart_jacobian(model, p)
         return (jac.transpose(0, 2, 1) @ fz_coefficients(v, xi, zeta) @ jac)[:, rows, cols]
 
@@ -710,12 +653,7 @@ def curvature_FZ_field(n: int) -> FormField:
     )
 
 
-def fz_closedness_residual(n: int, z, w, zeta):
-    """max |d F_Z| components at the given point (finite differences).
-
-    One point gives a float; a batch (z, w of shape (k, n), zeta (k,))
-    gives the (k,) residuals from one ext_deriv call.
-    """
-    model = FlatModel(n)
-    p = pack_point(model, z, w, zeta)
-    return _max_abs(ext_deriv(curvature_FZ_field(n), p, _CLOSEDNESS_SCHEME))
+def fz_closedness_residual(n: int, z, w, zeta) -> np.ndarray:
+    """max |d F_Z| components at each point (finite differences), (k,), from one ext_deriv call."""
+    p = pack_point(FlatModel(n), z, w, zeta)
+    return np.max(np.abs(ext_deriv(curvature_FZ_field(n), p, _CLOSEDNESS_SCHEME)), axis=-1)

@@ -8,12 +8,22 @@ derandomized ``hypothesis`` draws of n, centres, level c, sample count
 and seed, each either passing every check or rejected by ``RunConfig``
 for a stated resolution floor.
 
+The ``hypothesis`` draws are derandomized but not fixed across commits:
+hypothesis 6.131 and later mines literal constants from the local
+modules (``hypothesis/internal/constants_ast.py``) and draws one of them
+in place of a generated value with probability 0.05 for integers and
+0.15 for floats (``providers._maybe_draw_constant``).  A constant changed
+anywhere under ``src/`` therefore changes the drawn configurations, even
+with ``derandomize=True``.  The ``@example`` rows pin what must be covered
+at every commit: each ``RunConfig`` floor itself, which must pass, and a
+value just below each floor, which must be rejected.
+
 Marked slow (several minutes); run with ``pytest -m slow``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkgeom import quotient as qt
@@ -86,13 +96,24 @@ def test_batched_quotient_residuals_equal_single_point_calls(seed, config):
     samples=st.sampled_from([1, 3, 8, 20, 60]),
     seed=st.integers(0, 2**32 - 1),
 )
+# a centre gap of exactly _MIN_CENTER_GAP and the level c = _MIN_QUOTIENT_LEVEL pass ...
+@example(n=2, centers=[0.0, suites._MIN_CENTER_GAP], c=0.0, samples=20, seed=0)
+@example(n=2, centers=[0.0, 1.0], c=suites._MIN_QUOTIENT_LEVEL, samples=1, seed=3)
+# ... and one value just below either floor is rejected
+@example(
+    n=2, centers=[0.0, np.nextafter(suites._MIN_CENTER_GAP, 0.0)], c=0.0, samples=20, seed=0
+)
+@example(
+    n=2, centers=[0.0, 1.0], c=np.nextafter(suites._MIN_QUOTIENT_LEVEL, 0.0), samples=20, seed=0
+)
 def test_random_configurations_pass(n, centers, c, samples, seed):
-    try:
-        cfg = RunConfig(n=n, centers=tuple(centers), c=c, samples=samples, seed=seed)
-    except ConfigError:
-        # only the stated resolution floors may turn a drawn configuration away
-        tight = any(b - a < suites._MIN_CENTER_GAP for a, b in zip(centers, centers[1:]))
-        assert tight or 0 < c < suites._MIN_QUOTIENT_LEVEL
+    params = dict(n=n, centers=tuple(centers), c=c, samples=samples, seed=seed)
+    tight = any(b - a < suites._MIN_CENTER_GAP for a, b in zip(centers, centers[1:]))
+    if tight or 0 < c < suites._MIN_QUOTIENT_LEVEL:
+        # the stated resolution floors turn a configuration away, and only they may
+        with pytest.raises(ConfigError):
+            RunConfig(**params)
         return
+    cfg = RunConfig(**params)
     failures = _failures(cfg)
     assert not failures, f"{cfg}: {failures}"
