@@ -32,34 +32,29 @@ print("  max |(u f)' - (sqrt(1+u)-1)/(2u)| =", f"{fu_identity_residual(grid):.3e
 
 # -- potentials and the moment map ------------------------------------------------------
 
-pt = CotangentPoint(0.3 - 0.2j, 0.4 + 0.5j)
-print("\nat (b, v) =", (pt.b, pt.v))
-print("  h =", potential_h(pt))
-print("  k =", potential_k(pt))
-print("  mu =", bg_moment_map(pt))
+# every function takes a batch of points: b and v of shape (k,)
+pt = CotangentPoint([0.3 - 0.2j], [0.4 + 0.5j])
+print("\nat (b, v) =", (pt.b[0], pt.v[0]))
+print("  h =", potential_h(pt)[0])
+print("  k =", potential_k(pt)[0])
+print("  mu =", bg_moment_map(pt)[0])
 
-worst_scale, worst_ix = 0.0, 0.0
-pts = []
-for _ in range(25):
-    b = complex(*rng.uniform(-0.8, 0.8, 2))
-    v = complex(*rng.uniform(-0.8, 0.8, 2))
-    if abs(v) < 0.05:
-        v += 0.1 + 0.1j
-    pts.append(CotangentPoint(b, v))
-for q in pts:
-    s, ix = bg_moment_residuals(q, scheme)
-    worst_scale, worst_ix = max(worst_scale, s), max(worst_ix, ix)
+x = rng.uniform(-0.8, 0.8, size=(25, 4))
+b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+pts = CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
+scale, ix = bg_moment_residuals(pts, scheme)
 print("\nmoment map two ways, 25 random points:")
-print("  vs scaling derivative of h:  ", f"{worst_scale:.3e}")
-print("  vs -i_X d^c h:               ", f"{worst_ix:.3e}")
+print("  vs scaling derivative of h:  ", f"{scale.max():.3e}")
+print("  vs -i_X d^c h:               ", f"{ix.max():.3e}")
 
 # -- two expressions for the curvature ---------------------------------------------------
 
-worst = max(bg_curvature_residual(q, scheme) for q in pts[:8])
+first = CotangentPoint(pts.b[:8], pts.v[:8])
+worst = bg_curvature_residual(first, scheme).max()
 print("\n|omega1 + dd^c mu - (p*omega + dd^c k)| worst over 8 points:",
       f"{worst:.3e}")
 
-out = bg_hyperkahler_check(pts[0], scheme)
+out = bg_hyperkahler_check(CotangentPoint(pts.b[:1], pts.v[:1]), scheme)
 print("\nreconstructed triple at one point:")
 for key, val in out.items():
-    print(f"  {key}: {val:.3e}")
+    print(f"  {key}: {val[0]:.3e}")

@@ -37,28 +37,22 @@ print("full rotation   (1,1): rotation degree n =", full.degree)
 print("degree scaling of omega2 + i omega3, max dev:",
       max(rotation_degree_check(semi), rotation_degree_check(full)))
 
-p = rng.uniform(-1.5, 1.5, size=8)
-print("\nsample point p =", np.round(p, 3))
-print("mu_semifree(p) =", moment_map(semi, p))
+# every function of a point takes a batch (k, 8) and returns one row per point
+p = rng.uniform(-1.5, 1.5, size=(1, 8))
+print("\nsample point p =", np.round(p[0], 3))
+print("mu_semifree(p) =", moment_map(semi, p)[0])
 print("X(p) w-block (z-block is fixed at weight 0):",
-      np.round(action_vector_field(semi, p)[4:], 4))
+      np.round(action_vector_field(semi, p)[0, 4:], 4))
 
 # -- the curvature form is (1,1) for the whole 2-sphere of structures -------------------
 
 print("\ntype-(1,1) residuals of F = omega1 + dd^c(mu/deg), 20 random points")
 for spec, name in ((semi, "weights (0,1)"), (full, "weights (1,1)")):
-    worst = 0.0
-    for _ in range(20):
-        q = rng.uniform(-1.5, 1.5, size=8)
-        F = hyperholo_curvature(spec, q, scheme)
-        worst = max(worst, max(type11_residual(F, S) for S in (I, J, K)))
+    F = hyperholo_curvature(spec, rng.uniform(-1.5, 1.5, size=(20, 8)), scheme)
+    worst = max(type11_residual(F, S).max() for S in (I, J, K))
     print(f"  {name}: worst residual {worst:.3e}")
 
 # -- the equal-weight rotation carries the trivial bundle ------------------------------
 
-worst = 0.0
-for _ in range(20):
-    q = rng.uniform(-1.5, 1.5, size=8)
-    F = hyperholo_curvature(full, q, scheme)
-    worst = max(worst, float(np.max(np.abs(F.comps))))
-print(f"\nfull rotation: max |F| over 20 points = {worst:.3e}  (expected 0)")
+F = hyperholo_curvature(full, rng.uniform(-1.5, 1.5, size=(20, 8)), scheme)
+print(f"\nfull rotation: max |F| over 20 points = {np.max(np.abs(F)):.3e}  (expected 0)")

@@ -13,7 +13,6 @@ import numpy as np
 from hkgeom.forms import FDScheme, FormValue, ext_deriv, hodge_star
 from hkgeom.gibbonshawking import (
     GHConfig,
-    GHPoint,
     MonopoleData,
     alpha_field,
     asd_residual,
@@ -30,31 +29,29 @@ cfg = GHConfig(centers=(0.0, 1.0))
 scheme = FDScheme(h=1e-3, order=4)
 print("two centres at x1 = 0 and 1, unit weights, c = 0")
 
-x = np.array([0.4, 0.7, -0.3])
-print("V(x) =", gh_potential(cfg, x), " at x =", x)
+# every function takes a batch: base points (k, 3), chart points (k, 4)
+x = np.array([[0.4, 0.7, -0.3]])
+print("V(x) =", gh_potential(cfg, x)[0], " at x =", x[0])
 print("metric determinant at a sample 4-point:",
-      np.linalg.det(gh_metric(cfg, GHPoint(tuple(x), 0.3))))
+      np.linalg.det(gh_metric(cfg, np.array([[*x[0], 0.3]]), "string-down")[0]))
 
 # -- d alpha = *dV and the monopole pair -------------------------------------------------
 
 
-clear = chart_clearance(cfg)
 alpha = alpha_field(cfg)  # takes (m, 3) batches of base points, as every stencil does
 data = MonopoleData.from_config(cfg)
+ys = rng.uniform(-1.5, 2.0, size=(8, 3))
+ys = ys[chart_clearance(cfg)(ys) >= 0.4]
 worst = 0.0
-for _ in range(8):
-    y = rng.uniform(-1.5, 2.0, size=3)
-    if clear(y) < 0.4:
-        continue
-    dalpha = ext_deriv(alpha, y, scheme)
-    star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, potential_gradient(cfg, y)))
-    worst = max(worst, float(np.max(np.abs((dalpha - star_dv).comps))))
+for dalpha, grad in zip(ext_deriv(alpha, ys, scheme), potential_gradient(cfg, ys)):
+    star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
+    worst = max(worst, float(np.max(np.abs(dalpha - star_dv.comps))))
 print("\nmax |d alpha - *dV| over random points:", f"{worst:.3e}")
-print("phi(x) =", data.phi(x), " (harmonic, paired with A by dA = *d phi)")
+print("phi(x) =", data.phi(x)[0], " (harmonic, paired with A by dA = *d phi)")
 
-pt4 = GHPoint(tuple(x), 1.1)
+chart = np.array([[*x[0], 1.1]])
 print("anti-self-duality of the connection curvature:",
-      f"{asd_residual(cfg, pt4, scheme):.3e}")
+      f"{asd_residual(cfg, chart, 'string-down', scheme)[0]:.3e}")
 
 # -- periods over segment spheres --------------------------------------------------------
 

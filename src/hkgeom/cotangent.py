@@ -17,6 +17,12 @@ omega = 2 dx^dy / (1+|b|^2)^2 (integral class, Gauss curvature 2).  The
 identity (u f(u))' = (sqrt(1+u)-1)/(2u) and the hyperkähler property
 J^2 = -Id jointly pin these normalizations; both are verified in the
 test suite rather than assumed.
+
+Every function of a point takes a batch: a :class:`CotangentPoint` of k
+points (b and v of shape (k,)), and returns one row per point, (k,)
+values, (k, 6) form components or (k, 4, 4) matrices, each row equal to
+that point alone in a batch of one.  The profiles f, g and (u f)' act
+elementwise on arrays of u.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import ConfigError, MetricError
 from .forms import (
     _OFFSETS,
     FDScheme,
@@ -33,9 +39,9 @@ from .forms import (
     ScalarField,
     _as_matrices,
     _fd_reduce,
+    _points,
     dc_deriv,
     ddc,
-    fd_gradient,
     type11_residual,
 )
 
@@ -79,7 +85,7 @@ OMEGA2 = FormValue(2, 4, np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0]))
 OMEGA3 = FormValue(2, 4, np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0]))
 
 
-def _u_scalar(u):
+def _u_array(u):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("profiles are defined for u >= 0")
@@ -88,7 +94,7 @@ def _u_scalar(u):
 
 def f_profile(u):
     """f(u), with a 4-term series below SERIES_SWITCH to avoid cancellation."""
-    u = _u_scalar(u)
+    u = _u_array(u)
     out = np.empty_like(u)
     small = u < SERIES_SWITCH
     us = u[small]
@@ -96,26 +102,25 @@ def f_profile(u):
     ub = u[~small]
     s = np.sqrt(1.0 + ub)
     out[~small] = (s - 1.0 - np.log((1.0 + s) / 2.0)) / ub
-    return out if out.ndim else float(out)
+    return out
 
 
 def g_profile(u):
     """g(u) = -log((1+sqrt(1+u))/2)/u, with series fallback near 0."""
-    u = _u_scalar(u)
+    u = _u_array(u)
     out = np.empty_like(u)
     small = u < SERIES_SWITCH
     us = u[small]
     out[small] = -0.25 + 3.0 * us / 32.0 - 5.0 * us**2 / 96.0 + 35.0 * us**3 / 1024.0
     ub = u[~small]
     out[~small] = -np.log((1.0 + np.sqrt(1.0 + ub)) / 2.0) / ub
-    return out if out.ndim else float(out)
+    return out
 
 
 def uf_prime(u):
     """(u f(u))' = 1/(2(1+sqrt(1+u))), i.e. (sqrt(1+u)-1)/(2u)."""
-    u = _u_scalar(u)
-    out = np.asarray(1.0 / (2.0 * (1.0 + np.sqrt(1.0 + u))))
-    return out if out.ndim else float(out)
+    u = _u_array(u)
+    return 1.0 / (2.0 * (1.0 + np.sqrt(1.0 + u)))
 
 
 #: step of fu_identity_residual as a fraction of u, so the stencil stays in u > 0
@@ -146,71 +151,64 @@ def u_eval(u):
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """A point of T*CP^1 in the affine chart: base b, fibre covector v.
+    """k points of T*CP^1 in the affine chart: bases b and fibre covectors v, complex (k,)."""
 
-    b and v may also be complex arrays of one shape, which makes the
-    point a batch; the chart fields evaluate their stencils that way.
-    """
+    b: np.ndarray
+    v: np.ndarray
 
-    b: complex
-    v: complex
+    def __post_init__(self):
+        b = np.asarray(self.b, dtype=complex)
+        v = np.asarray(self.v, dtype=complex)
+        if b.ndim != 1 or b.shape != v.shape:
+            raise ConfigError(f"b and v must both have shape (k,), got {b.shape} and {v.shape}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "v", v)
 
     @property
     def coords(self) -> np.ndarray:
-        """Chart coordinates (4,) of a point, or (m, 4) of a batch."""
-        b, v = np.asarray(self.b), np.asarray(self.v)
-        return np.stack([b.real, b.imag, v.real, v.imag], axis=-1)
+        """Chart coordinates (k, 4)."""
+        return np.stack([self.b.real, self.b.imag, self.v.real, self.v.imag], axis=-1)
 
     @classmethod
     def from_coords(cls, q) -> "CotangentPoint":
-        """The point at chart coordinates q, or the batch of an (m, 4) array."""
-        q = np.asarray(q, dtype=float)
-        return cls(b=q[..., 0] + 1j * q[..., 1], v=q[..., 2] + 1j * q[..., 3])
+        """The points at chart coordinates q (k, 4)."""
+        q = _points(q, 4)
+        return cls(b=q[:, 0] + 1j * q[:, 1], v=q[:, 2] + 1j * q[:, 3])
 
 
-def base_form(pt: CotangentPoint):
-    """The pulled-back base Kähler form p*omega = 2 dx^dy / (1+|b|^2)^2.
+def base_form(pt: CotangentPoint) -> np.ndarray:
+    """The pulled-back base Kähler form p*omega = 2 dx^dy / (1+|b|^2)^2, components (k, 6).
 
-    A FormValue at one point; the (m, 6) components at a batch point.
     The factor is Python float arithmetic on each b: numpy's complex
     ``abs`` and its ``** 2`` round differently from ``abs(complex)`` and
     the C ``pow`` in about a third and 0.1% of cases.
     """
-    lam = [2.0 / (1.0 + abs(b) ** 2) ** 2 for b in np.ravel(pt.b).tolist()]
-    comps = np.zeros(np.shape(pt.b) + (6,))
-    comps[..., 0] = np.reshape(lam, np.shape(pt.b))
-    return FormValue(2, 4, comps) if comps.ndim == 1 else comps
+    comps = np.zeros((len(pt.b), 6))
+    comps[:, 0] = [2.0 / (1.0 + abs(b) ** 2) ** 2 for b in pt.b.tolist()]
+    return comps
 
 
 # -- potentials and moment map ----------------------------------------------------------
 
 
-def _paired(pt: CotangentPoint, profile):
-    """u profile(u) / 2 at pt, with u = (1+|b|^2)^2 |v|^2.
-
-    A batch point gives an (m,) array.  A single point is evaluated as a
-    batch of one, because numpy rounds some scalar operations (``x ** 2``)
-    differently from array ones, and a batch row must equal its point.
-    """
-    batch = np.ndim(pt.b) > 0
-    b, v = np.atleast_1d(pt.b), np.atleast_1d(pt.v)
-    u = (1.0 + np.abs(b) ** 2) ** 2 * np.abs(v) ** 2
-    value = 0.5 * u * profile(u)
-    return value if batch else float(value[0])
+def _paired(pt: CotangentPoint, profile) -> np.ndarray:
+    """u profile(u) / 2 at each point, with u = (1+|b|^2)^2 |v|^2, (k,)."""
+    u = (1.0 + np.abs(pt.b) ** 2) ** 2 * np.abs(pt.v) ** 2
+    return 0.5 * u * profile(u)
 
 
-def potential_h(pt: CotangentPoint) -> float:
-    """Hyperkähler potential h = (f(u)v, v) = u f(u) / 2."""
+def potential_h(pt: CotangentPoint) -> np.ndarray:
+    """Hyperkähler potential h = (f(u)v, v) = u f(u) / 2, (k,)."""
     return _paired(pt, f_profile)
 
 
-def potential_k(pt: CotangentPoint) -> float:
-    """Curvature potential k = (g(u)v, v) = u g(u) / 2 = h + mu."""
+def potential_k(pt: CotangentPoint) -> np.ndarray:
+    """Curvature potential k = (g(u)v, v) = u g(u) / 2 = h + mu, (k,)."""
     return _paired(pt, g_profile)
 
 
-def bg_moment_map(pt: CotangentPoint) -> float:
-    """Moment map of the fibre circle action: mu = -2((uf)'(u) v, v) = -u (uf)'(u)."""
+def bg_moment_map(pt: CotangentPoint) -> np.ndarray:
+    """Moment map of the fibre circle action: mu = -2((uf)'(u) v, v) = -u (uf)'(u), (k,)."""
     return -2.0 * _paired(pt, uf_prime)
 
 
@@ -221,40 +219,26 @@ def _chart_field(op) -> ScalarField:
 # -- forms on the chart --------------------------------------------------------------------
 
 
-def bg_omega1(pt: CotangentPoint, scheme: FDScheme | None = None):
-    """omega1 = p*omega + dd^c h on the chart.
-
-    Here and below, a batch point gives (m, 6) components where one point
-    gives a FormValue, and (m,) residuals where it gives a float.
-    """
+def bg_omega1(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+    """omega1 = p*omega + dd^c h on the chart, components (k, 6)."""
     scheme = scheme or FDScheme()
     h = _chart_field(potential_h)
     return base_form(pt) + ddc(h, I, pt.coords, scheme)
 
 
-def bg_curvature(pt: CotangentPoint, scheme: FDScheme | None = None):
-    """Line-bundle curvature F = p*omega + dd^c k."""
+def bg_curvature(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+    """Line-bundle curvature F = p*omega + dd^c k, components (k, 6)."""
     scheme = scheme or FDScheme()
     k = _chart_field(potential_k)
     return base_form(pt) + ddc(k, I, pt.coords, scheme)
 
 
-def _comps(form) -> np.ndarray:
-    return form.comps if isinstance(form, FormValue) else form
-
-
-def _per_point(values):
-    """A float for one point's value, the array itself for a batch."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme | None = None):
-    """Max component gap between p*omega + dd^c k and omega1 + dd^c mu."""
+def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+    """Max component gap between p*omega + dd^c k and omega1 + dd^c mu, (k,)."""
     scheme = scheme or FDScheme()
     mu = _chart_field(bg_moment_map)
     lhs = bg_omega1(pt, scheme) + ddc(mu, I, pt.coords, scheme)
-    rhs = bg_curvature(pt, scheme)
-    return _per_point(np.max(np.abs(_comps(lhs) - _comps(rhs)), axis=-1))
+    return np.max(np.abs(lhs - bg_curvature(pt, scheme)), axis=-1)
 
 
 #: stencil for d/d lambda of h(lambda^{-1} v) at lambda = 1
@@ -263,27 +247,30 @@ _LAMBDA_SCHEME = FDScheme(h=1e-5, order=4)
 
 def bg_moment_residuals(
     pt: CotangentPoint, scheme: FDScheme | None = None
-) -> tuple[float, float]:
-    """Two independent checks of the moment map value at pt.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent checks of the moment map at each point, two (k,) arrays.
 
-    Returns (|mu - d/d lambda h(lambda^{-1} v)|_{lambda=1}|,
-             |mu + i_X d^c h|) with X the fibre rotation field.
+    Returns |mu - d/d lambda h(lambda^{-1} v)|_{lambda=1}| from one
+    potential_h call over the lambda stencil of every point, and
+    |mu + i_X d^c h| with X the fibre rotation field from one dc_deriv
+    call.  The pairing with X is a stacked (1, 4) @ (4, 1) product, which
+    rounds each row as a dot product of that row alone does.
     """
     scheme = scheme or FDScheme()
     mu = bg_moment_map(pt)
 
-    def h_scaled(lam):
-        # v / lambda part by part, as Python divides a complex by a real
-        v = pt.v.real / lam[:, 0] + 1j * (pt.v.imag / lam[:, 0])
-        return potential_h(CotangentPoint(np.full(len(lam), pt.b), v))
+    # lambda = 1 + offset * h, laid out (offset, point); v / lambda part by
+    # part, as Python divides a complex by a real
+    lam = 1.0 + np.array(_OFFSETS[_LAMBDA_SCHEME.order])[:, None] * _LAMBDA_SCHEME.h
+    v = pt.v.real / lam + 1j * (pt.v.imag / lam)
+    b = np.broadcast_to(pt.b, v.shape)
+    h_scaled = potential_h(CotangentPoint(b.ravel(), v.ravel())).reshape(v.shape)
+    res_lambda = np.abs(mu - _fd_reduce(h_scaled, _LAMBDA_SCHEME.order, _LAMBDA_SCHEME.h))
 
-    dh = fd_gradient(h_scaled, [1.0], _LAMBDA_SCHEME)[0]
-    res_lambda = abs(mu - dh)
-
-    h = _chart_field(potential_h)
-    dch = dc_deriv(h, I, pt.coords, scheme)
-    X = np.array([0.0, 0.0, -pt.v.imag, pt.v.real])  # d/dtheta of v -> e^{i theta} v
-    res_ix = abs(mu + complex(dch(X)).real)
+    dch = dc_deriv(_chart_field(potential_h), I, pt.coords, scheme)
+    zero = np.zeros(len(pt.v))
+    X = np.stack([zero, zero, -pt.v.imag, pt.v.real], axis=-1)  # d/dtheta of v -> e^{i theta} v
+    res_ix = np.abs(mu + (dch[:, None, :] @ X[:, :, None])[:, 0, 0])
     return res_lambda, res_ix
 
 
@@ -291,10 +278,10 @@ def bg_structures(pt: CotangentPoint, scheme: FDScheme | None = None):
     """The triple (I, J, K) reconstructed from omega1 alone.
 
     g is built from (omega1, I); J from g^{-1} omega2 with omega2 the real
-    part of the canonical symplectic form db^dv; K = I J.  At a batch
-    point J and K are (m, 4, 4) stacks, and any bad row raises.
+    part of the canonical symplectic form db^dv; K = I J.  J and K are
+    (k, 4, 4) stacks, and any bad row raises.
     """
-    G = _as_matrices(_comps(bg_omega1(pt, scheme)), 4) @ I
+    G = _as_matrices(bg_omega1(pt, scheme), 4) @ I
     G_t = np.swapaxes(G, -1, -2)
     if np.max(np.abs(G - G_t)) > 1e-6:
         raise MetricError("reconstructed metric is not symmetric")
@@ -305,9 +292,9 @@ def bg_structures(pt: CotangentPoint, scheme: FDScheme | None = None):
     return I, J, I @ J
 
 
-def bg_quaternionic_residual(J: np.ndarray):
-    """||J^2 + Id||, max-abs over the entries, for J (4, 4) or each of (m, 4, 4)."""
-    return _per_point(np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1)))
+def bg_quaternionic_residual(J: np.ndarray) -> np.ndarray:
+    """||J^2 + Id||, max-abs over the entries, for each J of (k, 4, 4), (k,)."""
+    return np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1))
 
 
 def bg_hyperkahler_check(pt: CotangentPoint, scheme: FDScheme | None = None) -> dict:

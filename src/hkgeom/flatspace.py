@@ -16,6 +16,12 @@ Weighted circle actions ``(z_j, w_j) -> (e^{i k_j t} z_j, e^{i l_j t} w_j)``
 rotate ``omega2 + i omega3`` by ``e^{i n t}`` with n = k_j + l_j (required
 equal for all j); their moment maps and the curvature of the associated
 invariant line bundle are computed here.
+
+The functions of a point (``action_vector_field``, ``moment_map``,
+``hyperholo_curvature``) take a batch of points (k, 4n) and return one
+row per point, each equal to that point alone in a batch of one; any
+other shape is a ConfigError naming (k, 4n).  The coordinate packing
+``to_complex`` / ``from_complex`` works on any leading shape.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .forms import FDScheme, FormValue, ScalarField, ddc
+from .forms import FDScheme, FormValue, ScalarField, _points, ddc, pullback
 
 __all__ = [
     "FlatModel",
@@ -227,48 +233,44 @@ def action_rotation(spec: CircleActionSpec, theta: float) -> np.ndarray:
 
 
 def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:
-    """X(p) = d/dt at t=0 of the weighted rotation through p, or through each row of (k, 4n)."""
-    return np.asarray(p, dtype=float) @ action_generator(spec).T
+    """X = d/dt at t=0 of the weighted rotation through each point of p (k, 4n), (k, 4n)."""
+    return _points(p, 4 * spec.n) @ action_generator(spec).T
 
 
-def moment_map(spec: CircleActionSpec, p) -> float | np.ndarray:
-    """Moment map of the action for omega1: mu = -1/2 sum(k|z|^2 + l|w|^2).
+def moment_map(spec: CircleActionSpec, p) -> np.ndarray:
+    """Moment map of the action for omega1 at points p (k, 4n): mu = -1/2 sum(k|z|^2 + l|w|^2), (k,).
 
-    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  Returns a
-    float for one point and an (m,) array for an (m, 4n) batch.  The
-    weighted sums are reductions over the last axis, not BLAS dot
-    products, whose rounding depends on the batch shape; so each row of
-    a batch gives the same bits as that point alone.
+    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  The weighted
+    sums are reductions over the last axis, not BLAS dot products, whose
+    rounding depends on the batch shape; so each row of a batch gives the
+    same bits as that point alone.
     """
-    model = spec.model()
-    z, w = model.to_complex(p)
+    z, w = spec.model().to_complex(_points(p, 4 * spec.n))
     k = np.asarray(spec.k, dtype=float)
     l = np.asarray(spec.l, dtype=float)
-    mu = -0.5 * ((k * np.abs(z) ** 2).sum(-1) + (l * np.abs(w) ** 2).sum(-1))
-    return float(mu) if mu.ndim == 0 else mu
+    return -0.5 * ((k * np.abs(z) ** 2).sum(-1) + (l * np.abs(w) ** 2).sum(-1))
 
 
 def moment_field(spec: CircleActionSpec) -> ScalarField:
     return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n)
 
 
-def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = None):
-    """Curvature of the invariant line bundle attached to the action.
+def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = None) -> np.ndarray:
+    """Curvature of the invariant line bundle attached to the action, at p (k, 4n).
 
     F = omega1 + dd^c(mu / n) with n the rotation degree (the moment map
     per unit of rotation of omega2 + i omega3); for the trivial action
     F = omega1.  The dd^c term is computed by nested finite differences,
-    so this is constant in p only up to scheme error.  p is one point (a
-    FormValue result) or base points (k, 4n) (a (k, nb) component array).
+    so this is constant in p only up to scheme error.  Returns the (k, nb)
+    components.
     """
     model = spec.model()
+    P = _points(p, model.dim)
     deg = spec.degree
     if deg == 0:
-        p = np.asarray(p)
-        return model.omega1 if p.ndim == 1 else np.tile(model.omega1.comps, (len(p), 1))
+        return np.tile(model.omega1.comps, (len(P), 1))
     mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim)
-    dd = ddc(mu, model.I, p, scheme)
-    return model.omega1 + dd if isinstance(dd, FormValue) else model.omega1.comps + dd
+    return model.omega1.comps + ddc(mu, model.I, P, scheme)
 
 
 def rotation_degree_check(
@@ -276,8 +278,6 @@ def rotation_degree_check(
 ) -> float:
     """Max deviation of the finite pullback of omega2 + i omega3 from
     e^{i n theta} scaling, over sampled rotation angles."""
-    from .forms import pullback
-
     model = spec.model()
     omega_c = model.omega2 + 1j * model.omega3
     if thetas is None:

@@ -17,17 +17,22 @@ derivative (``fd_gradient``, ``fd_jacobian``, ``d``, ``d^c``, ``dd^c``,
 the Laplacian, surface tangents) comes from one central-difference
 stencil whose points go to the callable in one call.
 
-The operators take base points the same way.  ``fd_gradient``,
-``ext_deriv``, ``dc_deriv``, ``ddc`` and ``laplacian`` take one point
-``(dim,)`` or a batch ``(k, dim)``.  A batch gives ``(k, dim)``
-gradients, ``(k, nb)`` form components or ``(k,)`` Laplacians, each row
-equal to that point alone; one point is a batch of one and gives a
-gradient, a :class:`FormValue` or a float.  A point-dependent complex
-structure is a callable taking ``(m, dim)`` points to ``(m, dim, dim)``
+The operators take base points the same way, and only that way.
+``fd_gradient``, ``fd_jacobian``, ``ext_deriv``, ``dc_deriv``, ``ddc``,
+``laplacian`` and the field calls take a batch ``(k, dim)`` and give
+``(k, dim)`` gradients, ``(k, N, dim)`` Jacobians, ``(k, nb)`` form
+components or ``(k,)`` values, each row equal to that point alone in a
+batch of one; any other shape is a :class:`ConfigError` naming
+``(k, dim)``.  A field's clearance, a point-dependent complex structure
+and ``type11_residual`` follow the same rule: a clearance maps ``(m,
+dim)`` points to ``(m,)`` distances, a structure to ``(m, dim, dim)``
 matrices, and ``type11_residual`` takes the ``(k, nb)`` components of k
-2-forms.  No field call returns more than ``MAX_STENCIL_VALUES`` (4096)
-values: an operator splits its base points into chunks of as many points
-as fit, and at least one.  A scalar field gives one value per stencil
+2-forms.  :class:`FormValue` is the one-point form, for the pointwise
+algebra (wedge, interior product, pullback, Hodge star).
+
+No field call returns more than ``MAX_STENCIL_VALUES`` (4096) values: an
+operator splits its base points into chunks of as many points as fit,
+and at least one.  A scalar field gives one value per stencil
 row and a form field ``nb``, so a scalar field's call holds at most 4096
 stencil rows.  A nested ``dd^c`` stencil of order 4 has ``(4 dim)^2``
 rows per base point (2,304 at dim = 12 and 3,136 at dim = 14), so there
@@ -56,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MetricError, StructureError
+from .errors import ConfigError, DomainError, MetricError, StructureError
 
 __all__ = [
     "basis_indices",
@@ -271,15 +276,24 @@ class FDScheme:
         return (2.0 if self.order == 4 else 1.0) * self.h
 
 
+def _points(p, dim: int | None = None) -> np.ndarray:
+    """p as a float batch of points (k, dim); any other shape is a ConfigError."""
+    P = np.asarray(p, dtype=float)
+    if P.ndim != 2 or (dim is not None and P.shape[1] != dim):
+        raise ConfigError(
+            f"points must have shape (k, {'dim' if dim is None else dim}), got shape {P.shape}"
+        )
+    return P
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar-valued field: batch callback plus optional domain clearance.
 
-    ``fn`` maps an ``(m, dim)`` batch to its ``(m,)`` values.  The field
-    called on a batch returns those values; called on one point
-    ``(dim,)`` it evaluates a batch of one and returns its scalar.
-    ``clearance(p)`` returns the distance from one point p to the field's
-    singular set; None means the field is globally smooth.
+    ``fn`` maps an ``(m, dim)`` batch to its ``(m,)`` values, and the
+    field called on a batch returns them.  ``clearance`` maps the same
+    batch to each point's distance ``(m,)`` from the field's singular
+    set; None means the field is globally smooth.
     """
 
     fn: Callable
@@ -287,14 +301,7 @@ class ScalarField:
     clearance: Callable | None = None
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        values = self.fn(np.atleast_2d(p))
-        return values if p.ndim > 1 else values[0]
-
-    def margin(self, p) -> float:
-        if self.clearance is None:
-            return np.inf
-        return float(self.clearance(np.asarray(p, dtype=float)))
+        return self.fn(_points(p, self.dim))
 
 
 @dataclass(frozen=True)
@@ -302,9 +309,9 @@ class FormField:
     """A degree-k form field with declared degree/dimension and clearance.
 
     ``fn`` maps an ``(m, dim)`` batch to the ``(m, nb)`` components of
-    the form at each row, on the basis ``basis_indices(dim, degree)``.
-    The field called on a batch returns those components; called on one
-    point ``(dim,)`` it returns a :class:`FormValue`.
+    the form at each row, on the basis ``basis_indices(dim, degree)``,
+    and the field called on a batch returns them.  ``clearance`` is as
+    for :class:`ScalarField`.
     """
 
     fn: Callable
@@ -313,31 +320,29 @@ class FormField:
     clearance: Callable | None = None
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        rows = np.atleast_2d(p)
-        comps = np.asarray(self.fn(rows))
-        shape = (len(rows), len(basis_indices(self.dim, self.degree)))
+        P = _points(p, self.dim)
+        comps = np.asarray(self.fn(P))
+        shape = (len(P), len(basis_indices(self.dim, self.degree)))
         if comps.shape != shape:
             raise ValueError(f"form field returned shape {comps.shape}, expected {shape}")
-        return comps if p.ndim > 1 else FormValue(self.degree, self.dim, comps[0])
-
-    def margin(self, p) -> float:
-        if self.clearance is None:
-            return np.inf
-        return float(self.clearance(np.asarray(p, dtype=float)))
+        return comps
 
 
 def _require_margin(field, points: np.ndarray, scheme: FDScheme):
     """Reject stencils closer than 10h to the field's singular set, around every row."""
     if field.clearance is None:
         return
-    for q in points:
-        m = field.margin(q)
-        if m < 10.0 * scheme.h:
-            raise DomainError(
-                f"point at clearance {m:.3e} violates the 10h margin "
-                f"(h = {scheme.h:.3e})"
-            )
+    clear = np.asarray(field.clearance(points))
+    if clear.shape != (len(points),):
+        raise ValueError(
+            f"clearance callable returned shape {clear.shape}, expected {(len(points),)}"
+        )
+    bad = np.flatnonzero(clear < 10.0 * scheme.h)
+    if len(bad):
+        raise DomainError(
+            f"point at clearance {clear[bad[0]]:.3e} violates the 10h margin "
+            f"(h = {scheme.h:.3e})"
+        )
 
 
 # -- finite differences ---------------------------------------------------------
@@ -401,12 +406,6 @@ def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     return _stencil_derivatives(fn(_stencil_points(P, scheme)), P.shape[0], scheme)
 
 
-def _base_points(p) -> tuple[np.ndarray, bool]:
-    """(P, single): base points as a (k, N) batch, and whether p was one (N,) point."""
-    p = np.asarray(p, dtype=float)
-    return np.atleast_2d(p), p.ndim == 1
-
-
 def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
     """op over consecutive chunks of the rows of P, concatenated.
 
@@ -417,30 +416,20 @@ def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
     return np.concatenate([op(P[i : i + size]) for i in range(0, len(P), size)])
 
 
-def _form_result(comps: np.ndarray, degree: int, dim: int, single: bool):
-    """A FormValue for one base point, the (k, nb) components for a batch."""
-    return FormValue(degree, dim, comps[0]) if single else comps
-
-
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Gradient of a batch scalar callback, (m, dim) -> (m,), at p.
-
-    p is one point (dim,), giving (dim,), or base points (k, dim), giving
-    one gradient per row.
-    """
-    P, single = _base_points(p)
-    grads = _chunked(P, _stencil_rows(scheme, P.shape[1]), lambda C: _derivatives(fn, C, scheme))
-    return grads[0] if single else grads
+    """Gradients (k, dim) of a batch scalar callback, (m, dim) -> (m,), at base points p (k, dim)."""
+    P = _points(p)
+    return _chunked(P, _stencil_rows(scheme, P.shape[1]), lambda C: _derivatives(fn, C, scheme))
 
 
 def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Jacobian at p of a batch callback (m, dim) -> (m, N); column j is the x_j partial.
+    """Jacobians (k, N, dim) at base points p (k, dim) of a batch callback (m, dim) -> (m, N).
 
-    The result is C-ordered, not a transposed view: BLAS rounds products
-    with a transposed operand differently, by a few ulps.
+    Column j of each Jacobian is the x_j partial.  The result is
+    C-ordered, not a transposed view: BLAS rounds products with a
+    transposed operand differently, by a few ulps.
     """
-    p = np.asarray(p, dtype=float)
-    return np.ascontiguousarray(_derivatives(fn, p[None, :], scheme)[0].T)
+    return np.ascontiguousarray(np.swapaxes(_derivatives(fn, _points(p), scheme), 1, 2))
 
 
 # -- exterior calculus -----------------------------------------------------------
@@ -474,23 +463,21 @@ def _ext_deriv_sum(D: np.ndarray, dim: int, degree: int) -> np.ndarray:
     return sum(signs[m] * D[:, coords[:, m], rests[:, m]] for m in range(len(signs)))
 
 
-def ext_deriv(field: FormField, p, scheme: FDScheme | None = None):
-    """Exterior derivative of a degree-k form field at p (degree k+1 value).
+def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> np.ndarray:
+    """Exterior derivative of a degree-k form field at base points p (k, dim).
 
-    p is one point (a :class:`FormValue` result) or base points (k, dim)
-    (a (k, nb) component array); the components come from
+    Returns the (k, nb) components of the degree k+1 forms, from
     ``_ext_deriv_sum``.
     """
     scheme = scheme or FDScheme()
-    P, single = _base_points(p)
+    P = _points(p, field.dim)
 
     def chunk(C):
         _require_margin(field, C, scheme)
         return _ext_deriv_sum(_derivatives(field, C, scheme), field.dim, field.degree)
 
     nb = len(basis_indices(field.dim, field.degree))
-    comps = _chunked(P, _stencil_rows(scheme, field.dim) * nb, chunk)
-    return _form_result(comps, field.degree + 1, field.dim, single)
+    return _chunked(P, _stencil_rows(scheme, field.dim) * nb, chunk)
 
 
 #: how far I^2 may deviate from -Id before d^c refuses it
@@ -524,23 +511,22 @@ def _dc_contract(S: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return -(np.swapaxes(S, -1, -2) @ grads[..., None])[..., 0]
 
 
-def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None):
-    """The 1-form d^c f = -df o I at p, one point (FormValue) or base points (k, dim).
+def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
+    """The 1-form d^c f = -df o I at base points p (k, dim), as components (k, dim).
 
     I may be a constant matrix or a callback taking (m, dim) points to
     (m, dim, dim) matrices; it must square to -Id at every base point to
     within _STRUCTURE_TOL.  The gradient stencils go to f in one batch.
     """
     scheme = scheme or FDScheme()
-    P, single = _base_points(p)
-    N = P.shape[1]
+    P = _points(p, f.dim)
 
     def chunk(C):
         _require_margin(f, C, scheme)
         S = _structures(I, C, _STRUCTURE_TOL, "at the base point")
         return _dc_contract(S, _derivatives(f, C, scheme))
 
-    return _form_result(_chunked(P, _stencil_rows(scheme, N), chunk), 1, N, single)
+    return _chunked(P, _stencil_rows(scheme, f.dim), chunk)
 
 
 def ddc(
@@ -549,8 +535,8 @@ def ddc(
     p,
     scheme: FDScheme | None = None,
     inner_scheme: FDScheme | None = None,
-):
-    """dd^c f at p, one point (FormValue) or base points (k, dim), by nested central differences.
+) -> np.ndarray:
+    """dd^c f at base points p (k, dim), as components (k, nb), by nested central differences.
 
     The outer stencil (``scheme``) differentiates the 1-form
     d^c f = -df o I, whose value at each outer point q is -I(q)^T times
@@ -565,8 +551,8 @@ def ddc(
     """
     scheme = scheme or FDScheme()
     inner = inner_scheme or scheme
-    P, single = _base_points(p)
-    N = P.shape[1]
+    P = _points(p, f.dim)
+    N = f.dim
     a, b = _pair_indices(N)
 
     def chunk(C):
@@ -579,18 +565,18 @@ def ddc(
         return D[:, a, b] - D[:, b, a]
 
     rows = _stencil_rows(scheme, N) * _stencil_rows(inner, N)
-    return _form_result(_chunked(P, rows, chunk), 2, N, single)
+    return _chunked(P, rows, chunk)
 
 
-def laplacian(f: ScalarField, p, scheme: FDScheme | None = None):
-    """Flat Laplacian sum_i d^2 f / dx_i^2 by central second differences.
+def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> np.ndarray:
+    """Flat Laplacian sum_i d^2 f / dx_i^2 at base points p (k, dim), (k,).
 
-    p is one point (a float result) or base points (k, dim) (a (k,)
-    array).  The base points and their stencils go to f in one batch.
+    Central second differences; the base points and their stencils go to
+    f in one batch.
     """
     scheme = scheme or FDScheme()
-    P, single = _base_points(p)
-    N, h = P.shape[1], scheme.h
+    P = _points(p, f.dim)
+    N, h = f.dim, scheme.h
 
     def chunk(C):
         _require_margin(f, C, scheme)
@@ -605,8 +591,7 @@ def laplacian(f: ScalarField, p, scheme: FDScheme | None = None):
         # a running sum in coordinate order; np.sum may pair terms
         return np.cumsum(terms, axis=1)[:, -1]
 
-    tot = _chunked(P, 1 + _stencil_rows(scheme, N), chunk)
-    return float(tot[0]) if single else tot
+    return _chunked(P, 1 + _stencil_rows(scheme, N), chunk)
 
 
 # -- pointwise algebra ------------------------------------------------------------
@@ -742,24 +727,27 @@ def form_metric_norm(g, w: FormValue) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def type11_residual(F, S, *, structure_tol: float = 1e-6):
-    """Deviation of a 2-form from type (1,1) w.r.t. the complex structure S.
+def type11_residual(F, S, *, structure_tol: float = 1e-6) -> np.ndarray:
+    """Deviation of k 2-forms from type (1,1) w.r.t. the complex structure S, (k,).
 
     Returns max over unit tangent pairs of |F(SX,SY) - F(X,Y)|, i.e. the
     spectral norm of S^T M S - M; this is invariant under orthonormal
-    frame changes.  Zero iff F has no (2,0)+(0,2) part.  F is one
-    :class:`FormValue` (a float result) or the (k, nb) components of k
-    forms (a (k,) result); S is one matrix, or one per form (k, N, N).
+    frame changes.  Zero iff F has no (2,0)+(0,2) part.  F holds the
+    (k, nb) components of k forms; S is one matrix, or one per form
+    (k, N, N).
     """
     S = np.asarray(S)
     N = S.shape[-1]
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[1] != len(basis_indices(N, 2)):
+        raise ConfigError(
+            f"2-forms must have shape (k, {len(basis_indices(N, 2))}), got shape {F.shape}"
+        )
     dev = np.max(np.abs(S @ S + np.eye(N)))
     if dev > structure_tol:
         raise StructureError(f"S^2 + Id deviates by {dev:.3e}")
-    single = isinstance(F, FormValue)
-    M = _as_matrices(F.comps[None] if single else np.asarray(F), N)
-    norms = np.linalg.norm(np.swapaxes(S, -1, -2) @ M @ S - M, 2, axis=(1, 2))
-    return float(norms[0]) if single else norms
+    M = _as_matrices(F, N)
+    return np.linalg.norm(np.swapaxes(S, -1, -2) @ M @ S - M, 2, axis=(1, 2))
 
 
 # -- quadrature ---------------------------------------------------------------------

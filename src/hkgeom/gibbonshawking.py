@@ -14,13 +14,15 @@ anti-self-dual connection form Ahat on the total space.
 Chart coordinates are ordered (x1, x2, x3, theta); the positive
 orientation is the coordinate order, which makes the omega_i self-dual.
 
-Functions of a base point take x of shape (..., 3) and return (...)
-values (a float for one point) or (..., 3) covectors; chart fields take
-(m, 4) batches.  Each of alpha, A, Ahat and omega_i is one batch formula
-(``alpha_field``, ``MonopoleData.A``, ``ahat_field``, ``kahler_field``); a
-field called on one point returns its FormValue.
-Dirac-string gauges: "string-down" puts every string on the axis below
-its centre (alpha regular above), "string-up" the reverse.
+Every function takes a batch: base points x of shape (k, 3) or chart
+points p of shape (k, 4), and returns one row per point, (k,) values,
+(k, 3) covectors, (k, nb) form components or (k, 4, 4) matrices, each
+row equal to that point alone in a batch of one.  Any other shape is a
+ConfigError naming (k, 3) or (k, 4).  Each of alpha, A, Ahat and omega_i
+is one batch formula (``alpha_field``, ``MonopoleData.A``,
+``ahat_field``, ``kahler_field``).  The Dirac gauge is an argument:
+"string-down" puts every string on the axis below its centre (alpha
+regular above), "string-up" the reverse.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from .forms import (
     FDScheme,
     FormField,
     FormValue,
+    _as_matrices,
+    _points,
     ext_deriv,
     fd_gradient,
     hodge_star,
-    interior_product,
     surface_integral,
 )
 
@@ -106,81 +109,61 @@ class GHConfig:
         return tuple(w * (self.top - a) for a, w in zip(self.centers, self.weights))
 
 
-@dataclass(frozen=True)
-class GHPoint:
-    """A chart point: base position x in R^3, fibre angle, Dirac gauge."""
-
-    x: tuple
-    theta: float = 0.0
-    gauge: str = "string-down"
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (3,):
-            raise ConfigError("base point must be a 3-vector")
-        _string_sign(self.gauge)  # validates the gauge
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "theta", float(self.theta))
-
-    @property
-    def chart(self) -> np.ndarray:
-        """Coordinates (x1, x2, x3, theta)."""
-        return np.array([*self.x, self.theta])
-
-
 # -- base-space scalars ------------------------------------------------------------
 
 
 def _offsets(cfg: GHConfig, x) -> np.ndarray:
-    """x - a_i for every centre: (..., 3) -> (..., k, 3)."""
-    x = np.asarray(x, dtype=float)
-    d = np.repeat(x[..., None, :], cfg.num_centers, axis=-2)
+    """x - a_i for every centre: base points (k, 3) -> (k, centres, 3)."""
+    x = _points(x, 3)
+    d = np.repeat(x[:, None, :], cfg.num_centers, axis=1)
     d[..., 0] -= np.asarray(cfg.centers)
     return d
 
 
 def _distances(cfg: GHConfig, x, margin: float = CENTER_MARGIN) -> np.ndarray:
-    """|x - a_i| for every centre: (..., 3) -> (..., k)."""
+    """|x - a_i| for every centre: (k, 3) -> (k, centres)."""
     r = np.linalg.norm(_offsets(cfg, x), axis=-1)
     if np.any(r <= margin):
         raise DomainError(f"point within {margin:.1e} of a centre")
     return r
 
 
-def _scalar_or_batch(values):
-    """A float for the value at one point, the array itself for a batch."""
-    return float(values) if np.ndim(values) == 0 else values
+def _chart(p) -> np.ndarray:
+    """Chart points (k, 4), coordinates (x1, x2, x3, theta)."""
+    return _points(p, 4)
 
 
 def chart_clearance(cfg: GHConfig) -> Callable:
-    """Distance to the nearer of the centres and the x1-axis.
+    """Distance (m,) to the nearer of the centres and the x1-axis.
 
-    Takes a chart point (x1, x2, x3, theta) or a base point (x1, x2, x3).
+    The callback takes chart points (m, 4) or base points (m, 3).
     """
 
     def clear(p):
         p = np.asarray(p, dtype=float)
-        rho = float(np.hypot(p[1], p[2]))
-        return min(rho, float(np.linalg.norm(_offsets(cfg, p[:3]), axis=1).min()))
+        if p.ndim != 2 or p.shape[1] not in (3, 4):
+            raise ConfigError(f"points must have shape (k, 3) or (k, 4), got shape {p.shape}")
+        rho = np.hypot(p[:, 1], p[:, 2])
+        return np.minimum(rho, np.linalg.norm(_offsets(cfg, p[:, :3]), axis=-1).min(axis=-1))
 
     return clear
 
 
-def gh_potential(cfg: GHConfig, x):
-    """V(x) = sum_i w_i / |x - a_i|, for x of shape (..., 3)."""
+def gh_potential(cfg: GHConfig, x) -> np.ndarray:
+    """V(x) = sum_i w_i / |x - a_i| at base points x (k, 3), (k,)."""
     r = _distances(cfg, x)
-    return _scalar_or_batch(np.sum(np.asarray(cfg.weights) * (1.0 / r), axis=-1))
+    return np.sum(np.asarray(cfg.weights) * (1.0 / r), axis=-1)
 
 
 def potential_gradient(cfg: GHConfig, x) -> np.ndarray:
-    """Closed-form grad V = -sum_i w_i (x - a_i) / r_i^3, x of shape (..., 3)."""
+    """Closed-form grad V = -sum_i w_i (x - a_i) / r_i^3 at base points x (k, 3), (k, 3)."""
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
     return -np.einsum("...i,...ij->...j", np.asarray(cfg.weights) / r**3, d)
 
 
-def rotation_lift_f(cfg: GHConfig, x):
-    """Hamiltonian-lift function f = sum_i w_i (x1 - a_i)/|x - a_i| + c, x of shape (..., 3).
+def rotation_lift_f(cfg: GHConfig, x) -> np.ndarray:
+    """Hamiltonian-lift function f = sum_i w_i (x1 - a_i)/|x - a_i| + c at x (k, 3), (k,).
 
     On any open axis segment every term is exactly +/- w_i, so f is
     locally constant there; with unit weights, c = 0 and an even number
@@ -188,35 +171,40 @@ def rotation_lift_f(cfg: GHConfig, x):
     """
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
-    return _scalar_or_batch(np.sum(np.asarray(cfg.weights) * (d[..., 0] / r), axis=-1) + cfg.c)
+    return np.sum(np.asarray(cfg.weights) * (d[..., 0] / r), axis=-1) + cfg.c
 
 
 def lift_gradient(cfg: GHConfig, x) -> np.ndarray:
-    """Closed-form df: sum_i w_i (e1 / r_i - (x1 - a_i) (x - a_i) / r_i^3)."""
+    """Closed-form df = sum_i w_i (e1 / r_i - (x1 - a_i) (x - a_i) / r_i^3) at x (k, 3), (k, 3).
+
+    The e1 term is a stacked (1, centres) @ (centres, 1) product, which
+    rounds each row as ``np.dot`` of that row alone does.
+    """
     d = _offsets(cfg, x)
     r = _distances(cfg, x)
     w = np.asarray(cfg.weights)
-    out = -np.einsum("i,ij->j", w * d[:, 0] / r**3, d)
-    out[0] += float(np.dot(w, 1.0 / r))
+    out = -np.einsum("...i,...ij->...j", w * d[..., 0] / r**3, d)
+    out[:, 0] += ((1.0 / r)[:, None, :] @ w[:, None])[:, 0, 0]
     return out
 
 
-def lift_identity_residual(cfg: GHConfig, x) -> float:
-    """Residual of df + i_X (*dV) = 0 for the axis rotation X = x2 d3 - x3 d2.
+def lift_identity_residual(cfg: GHConfig, x) -> np.ndarray:
+    """Residual of df + i_X (*dV) = 0 for the axis rotation X = x2 d3 - x3 d2, (k,).
 
     Componentwise, i_X(*dV) = (x2 V_2 + x3 V_3, -x2 V_1, -x3 V_1) in the
     basis (dx1, dx2, dx3); the lift gradient is its negative.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(x, 3)
     grad_v = potential_gradient(cfg, x)
-    ix_star_dv = np.array(
+    ix_star_dv = np.stack(
         [
-            x[1] * grad_v[1] + x[2] * grad_v[2],
-            -x[1] * grad_v[0],
-            -x[2] * grad_v[0],
-        ]
+            x[:, 1] * grad_v[:, 1] + x[:, 2] * grad_v[:, 2],
+            -x[:, 1] * grad_v[:, 0],
+            -x[:, 2] * grad_v[:, 0],
+        ],
+        axis=-1,
     )
-    return float(np.max(np.abs(lift_gradient(cfg, x) + ix_star_dv)))
+    return np.max(np.abs(lift_gradient(cfg, x) + ix_star_dv), axis=-1)
 
 
 def f_segment_values(cfg: GHConfig) -> tuple:
@@ -228,30 +216,30 @@ def f_segment_values(cfg: GHConfig) -> tuple:
     return tuple(vals)
 
 
-def monopole_phi(cfg: GHConfig, x):
-    """phi = sum_i w_i (a_top - a_i)/|x - a_i| + c, for x of shape (..., 3).
+def monopole_phi(cfg: GHConfig, x) -> np.ndarray:
+    """phi = sum_i w_i (a_top - a_i)/|x - a_i| + c at base points x (k, 3), (k,).
 
     The top term drops out.
     """
     r = _distances(cfg, x)
-    return _scalar_or_batch(np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c)
+    return np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c
 
 
-def phi_identity_residual(cfg: GHConfig, x) -> float:
-    """|phi - (-x1 V + f + a_top V)|: the two monopole displays differ by the
-    gauge shift with constant a_top."""
-    x = np.asarray(x, dtype=float)
+def phi_identity_residual(cfg: GHConfig, x) -> np.ndarray:
+    """|phi - (-x1 V + f + a_top V)| at x (k, 3), (k,): the two monopole
+    displays differ by the gauge shift with constant a_top."""
+    x = _points(x, 3)
     v = gh_potential(cfg, x)
-    alt = -x[0] * v + rotation_lift_f(cfg, x) + cfg.top * v
-    return abs(monopole_phi(cfg, x) - alt)
+    alt = -x[:, 0] * v + rotation_lift_f(cfg, x) + cfg.top * v
+    return np.abs(monopole_phi(cfg, x) - alt)
 
 
 # -- gauge-dependent 1-forms --------------------------------------------------------
 
 
 def _azimuth_covector(x) -> np.ndarray:
-    """d(azimuth) = (x2 dx3 - x3 dx2)/rho^2: (..., 3) -> covectors (..., 3)."""
-    x = np.asarray(x, dtype=float)
+    """d(azimuth) = (x2 dx3 - x3 dx2)/rho^2: base points (k, 3) -> covectors (k, 3)."""
+    x = _points(x, 3)
     rho2 = x[..., 1] ** 2 + x[..., 2] ** 2
     if np.any(rho2 < MIN_AXIS_RADIUS**2):
         raise DomainError(
@@ -268,7 +256,7 @@ def _string_sign(gauge: str) -> float:
 
 
 def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
-    """sum_i q_i ((x1 - a_i)/r_i + s) d(azimuth): (..., 3) -> covectors (..., 3).
+    """sum_i q_i ((x1 - a_i)/r_i + s) d(azimuth): (k, 3) -> covectors (k, 3).
 
     s is the gauge's string sign.  The charges ``cfg.weights`` give alpha
     and ``cfg.dirac_charges`` give A.
@@ -310,13 +298,15 @@ class MonopoleData:
 # -- metric and Kahler triple -------------------------------------------------------
 
 
-def gh_metric(cfg: GHConfig, pt: GHPoint) -> np.ndarray:
-    """g = V dx.dx + V^{-1} (dtheta + alpha)^2 in chart coordinates."""
-    v = gh_potential(cfg, pt.x)
-    eta = np.append(alpha_field(cfg, pt.gauge)(pt.x).comps, 1.0)  # dtheta + alpha
-    g = np.zeros((4, 4))
-    g[:3, :3] = v * np.eye(3)
-    g += np.outer(eta, eta) / v
+def gh_metric(cfg: GHConfig, p, gauge: str) -> np.ndarray:
+    """g = V dx.dx + V^{-1} (dtheta + alpha)^2 at chart points p (k, 4), (k, 4, 4)."""
+    x = _chart(p)[:, :3]
+    v = gh_potential(cfg, x)[:, None, None]
+    alpha = alpha_field(cfg, gauge)(x)
+    eta = np.concatenate([alpha, np.ones((len(x), 1))], axis=1)  # dtheta + alpha
+    g = np.zeros((len(x), 4, 4))
+    g[:, :3, :3] = v * np.eye(3)
+    g += eta[:, :, None] * eta[:, None, :] / v
     return g
 
 
@@ -326,7 +316,7 @@ def _kahler_comps(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     omega_i = V dx_j ^ dx_k + dx_i ^ (dtheta + alpha), (i, j, k) cyclic, on
     the basis (01, 02, 03, 12, 13, 23).
     """
-    x = np.asarray(p, dtype=float)[:, :3]
+    x = _chart(p)[:, :3]
     v = gh_potential(cfg, x)
     a1, a2, a3 = _string_potential(cfg, x, cfg.weights, gauge).T
     o, l = np.zeros_like(v), np.ones_like(v)
@@ -348,7 +338,7 @@ def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField
 
 def _ahat_comps(cfg: GHConfig, p, gauge: str, gauge_shift: float) -> np.ndarray:
     """Ahat = A - phi V^{-1} (dtheta + alpha) at chart points (m, 4), as components (m, 4)."""
-    x = np.asarray(p, dtype=float)[:, :3]
+    x = _chart(p)[:, :3]
     v = gh_potential(cfg, x)
     ratio = ((monopole_phi(cfg, x) + gauge_shift * v) / v)[:, None]
     alpha = _string_potential(cfg, x, cfg.weights, gauge)
@@ -370,47 +360,55 @@ def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0
 
 def ahat_curvature(
     cfg: GHConfig,
-    pt: GHPoint,
+    p,
+    gauge: str,
     scheme: FDScheme | None = None,
     gauge_shift: float = 0.0,
-) -> FormValue:
-    """F = d(Ahat) by finite differences in the chart."""
+) -> np.ndarray:
+    """F = d(Ahat) at chart points p (k, 4), as components (k, 6), by finite differences."""
     scheme = scheme or FDScheme(h=1e-4, order=4)
-    return ext_deriv(ahat_field(cfg, pt.gauge, gauge_shift), pt.chart, scheme)
+    return ext_deriv(ahat_field(cfg, gauge, gauge_shift), p, scheme)
 
 
-def asd_residual(cfg: GHConfig, pt: GHPoint, scheme: FDScheme | None = None) -> float:
-    """max-norm of *F + F for F = d(Ahat): zero iff F is anti-self-dual."""
-    f = ahat_curvature(cfg, pt, scheme)
-    star_f = hodge_star(gh_metric(cfg, pt), 1, f)
-    return float(np.max(np.abs((star_f + f).comps)))
+def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -> np.ndarray:
+    """max-norm of *F + F for F = d(Ahat) at chart points p (k, 4), (k,): zero iff F is ASD.
+
+    One ext_deriv call and one metric batch; the Hodge star is taken row by row.
+    """
+    f = ahat_curvature(cfg, p, gauge, scheme)
+    g = gh_metric(cfg, p, gauge)
+    star = np.array([hodge_star(gi, 1, FormValue(2, 4, fi)).comps for gi, fi in zip(g, f)])
+    return np.max(np.abs(star + f), axis=-1)
 
 
-def iY_residual(cfg: GHConfig, pt: GHPoint, scheme: FDScheme | None = None) -> float:
-    """max-norm of i_Y dAhat - d(phi/V) for the fibre circle Y = d/dtheta."""
+def iY_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -> np.ndarray:
+    """max-norm of i_Y dAhat - d(phi/V) at chart points p (k, 4), (k,), for Y = d/dtheta.
+
+    i_Y F is row 3 of F's antisymmetric matrix.
+    """
     scheme = scheme or FDScheme(h=1e-4, order=4)
-    f = ahat_curvature(cfg, pt, scheme)
-    contracted = interior_product(np.array([0.0, 0.0, 0.0, 1.0]), f)
+    contracted = _as_matrices(ahat_curvature(cfg, p, gauge, scheme), 4)[:, 3]
 
-    def ratio(p):
-        return monopole_phi(cfg, p[..., :3]) / gh_potential(cfg, p[..., :3])
+    def ratio(q):
+        return monopole_phi(cfg, q[:, :3]) / gh_potential(cfg, q[:, :3])
 
-    grad = fd_gradient(ratio, pt.chart, scheme)
-    return float(np.max(np.abs(contracted.comps - grad)))
+    grad = fd_gradient(ratio, p, scheme)
+    return np.max(np.abs(contracted - grad), axis=-1)
 
 
 def gauge_transition_jacobian(cfg: GHConfig, x, from_gauge: str, to_gauge: str) -> np.ndarray:
-    """Chart Jacobian d(to)/d(from) for the Dirac-gauge change.
+    """Chart Jacobians d(to)/d(from) (k, 4, 4) for the Dirac-gauge change at x (k, 3).
 
     The fibre form dtheta + alpha is globally defined, so switching the
     string convention re-parametrises theta by (s_from - s_to) * W *
     azimuth with W the total weight.  Forms in the `to` chart pull back
     through this Jacobian to the `from` chart.
     """
-    jac = np.eye(4)
+    azimuth = _azimuth_covector(x)
+    jac = np.tile(np.eye(4), (len(azimuth), 1, 1))
     total_weight = float(sum(cfg.weights))
     shift = _string_sign(from_gauge) - _string_sign(to_gauge)
-    jac[3, :3] = shift * total_weight * _azimuth_covector(x)
+    jac[:, 3, :3] = shift * total_weight * azimuth
     return jac
 
 

@@ -284,14 +284,8 @@ def _bg_scheme(cfg: RunConfig) -> FDScheme:
 
 
 def _bg_moment(rng, cfg: RunConfig, index: int) -> float:
-    scheme = _bg_scheme(cfg)
     pts = _cotangent_points(rng, cfg.samples)
-    return _worst(
-        [
-            ct.bg_moment_residuals(ct.CotangentPoint(b, v), scheme)[index]
-            for b, v in zip(pts.b, pts.v)
-        ]
-    )
+    return _worst(ct.bg_moment_residuals(pts, _bg_scheme(cfg))[index])
 
 
 def _bg_agreement(rng, cfg: RunConfig) -> float:
@@ -334,7 +328,7 @@ def _gh_points(ghc, count, rng) -> np.ndarray:
     while accepted < count:
         x = rng.uniform(-_GH_BOX, _GH_BOX, size=3)
         x[0] = rng.uniform(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5)
-        if clear(np.array([*x, 0.0])) > _GH_MIN_CLEARANCE:
+        if clear(x[None])[0] > _GH_MIN_CLEARANCE:
             pts[accepted], accepted, rejected = x, accepted + 1, 0
         else:
             rejected += 1
@@ -391,13 +385,9 @@ def _gh_harmonic(rng, cfg: RunConfig) -> float:
 
 def _gh_asd(rng, cfg: RunConfig) -> float:
     ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
-    pts = _gh_points(ghc, max(2, cfg.samples // 3), rng)
-    return _worst(
-        [
-            gh.asd_residual(ghc, gh.GHPoint(tuple(x), rng.uniform(0.0, 2 * np.pi)), scheme)
-            for x in pts
-        ]
-    )
+    xs = _gh_points(ghc, max(2, cfg.samples // 3), rng)
+    chart = np.column_stack([xs, rng.uniform(0.0, 2 * np.pi, size=len(xs))])
+    return _worst(gh.asd_residual(ghc, chart, "string-down", scheme))
 
 
 def _gh_periods(rng, cfg: RunConfig):
@@ -411,19 +401,18 @@ def _gh_periods(rng, cfg: RunConfig):
 
 def _gh_lift(rng, cfg: RunConfig) -> float:
     ghc = _gh_config(cfg)
-    return _worst([gh.lift_identity_residual(ghc, x) for x in _gh_points(ghc, cfg.samples, rng)])
+    return _worst(gh.lift_identity_residual(ghc, _gh_points(ghc, cfg.samples, rng)))
 
 
 def _gh_segments(rng, cfg: RunConfig) -> float:
+    """Four axis points per open segment, 5% to 95% of the way along it, segment by segment."""
     ghc = _gh_config(cfg)
-    edges = (ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5)
-    gaps = []
-    for j, expected in enumerate(gh.f_segment_values(ghc)):
-        lo, hi = edges[j], edges[j + 1]
-        for t in rng.uniform(0.05, 0.95, size=4):
-            x = np.array([lo + t * (hi - lo), 0.0, 0.0])
-            gaps.append(abs(gh.rotation_lift_f(ghc, x) - expected))
-    return _worst(gaps)
+    edges = np.array([ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    x1 = lo + rng.uniform(0.05, 0.95, size=(len(lo), 4)) * (hi - lo)
+    x = np.column_stack([x1.ravel(), np.zeros((x1.size, 2))])
+    f = gh.rotation_lift_f(ghc, x).reshape(x1.shape)
+    return _worst(np.abs(f - np.array(gh.f_segment_values(ghc))[:, None]))
 
 
 def _even_unit_centers(cfg: RunConfig) -> bool:

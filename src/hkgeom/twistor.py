@@ -649,7 +649,7 @@ def curvature_FZ_field(n: int) -> FormField:
         fn=value,
         degree=2,
         dim=total_dim(n),
-        clearance=lambda p: float(np.hypot(p[-2], p[-1])),
+        clearance=lambda p: np.hypot(p[:, -2], p[:, -1]),
     )
 
 

@@ -26,14 +26,16 @@ from hkgeom.suites import RunConfig, run_check
 
 
 def _random_points(rng, count, b_max=0.8, v_max=0.8):
-    pts = []
-    for _ in range(count):
-        b = complex(*rng.uniform(-b_max, b_max, 2))
-        v = complex(*rng.uniform(-v_max, v_max, 2))
-        if abs(v) < 0.05:
-            v += 0.1 + 0.1j
-        pts.append(CotangentPoint(b, v))
-    return pts
+    """One batch of count points, drawn (Re b, Im b, Re v, Im v) point by point."""
+    bound = np.array([b_max, b_max, v_max, v_max])
+    x = rng.uniform(-bound, bound, (count, 4))
+    b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+    return CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
+
+
+def _one(b, v):
+    """The batch of the one point (b, v)."""
+    return CotangentPoint([b], [v])
 
 
 # -- scalar profiles ------------------------------------------------------------
@@ -87,7 +89,7 @@ def test_fu_identity_residual_equals_one_gradient_per_value():
     gaps = []
     for u in grid:
         scheme = FDScheme(h=min(0.25 * u, 0.05), order=4)
-        fd = fd_gradient(lambda x: cotangent.u_eval(x[:, 0]), [u], scheme)[0]
+        fd = fd_gradient(lambda x: cotangent.u_eval(x[:, 0]), [[u]], scheme)[0, 0]
         gaps.append(abs(fd - (np.sqrt(1.0 + u) - 1.0) / (2.0 * u)))
     assert fu_identity_residual(grid) == max(gaps)
 
@@ -110,50 +112,45 @@ def test_uf_prime_closed_forms_agree():
 
 
 def test_potential_vanishes_at_zero_covector():
-    pt = CotangentPoint(0.3 + 0.1j, 0.0)
-    assert potential_h(pt) == 0.0
-    assert potential_k(pt) == 0.0
-    assert bg_moment_map(pt) == 0.0
+    pt = _one(0.3 + 0.1j, 0.0)
+    assert potential_h(pt)[0] == 0.0
+    assert potential_k(pt)[0] == 0.0
+    assert bg_moment_map(pt)[0] == 0.0
 
 
 def test_potential_scalar_reduction():
     # CP^1: h = f(u) * u/2 with u = (1+|b|^2)^2 |v|^2
-    rng = np.random.default_rng(17)
-    for pt in _random_points(rng, 10):
-        u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
-        assert np.isclose(potential_h(pt), f_profile(u) * u / 2, atol=1e-13)
-        assert np.isclose(potential_k(pt), g_profile(u) * u / 2, atol=1e-13)
-        assert np.isclose(
-            bg_moment_map(pt), -uf_prime(u) * u, atol=1e-13
-        )
+    pt = _random_points(np.random.default_rng(17), 10)
+    u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
+    assert np.allclose(potential_h(pt), f_profile(u) * u / 2, atol=1e-13)
+    assert np.allclose(potential_k(pt), g_profile(u) * u / 2, atol=1e-13)
+    assert np.allclose(bg_moment_map(pt), -uf_prime(u) * u, atol=1e-13)
 
 
 def test_potential_homogeneity():
-    pt = CotangentPoint(0.2 - 0.4j, 0.3 + 0.5j)
+    pt = _one(0.2 - 0.4j, 0.3 + 0.5j)
     scaled = CotangentPoint(pt.b, 2.0 * pt.v)
     u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
-    assert np.isclose(
-        potential_h(scaled), f_profile(4 * u) * 4 * u / 2, atol=1e-12
-    )
+    assert np.allclose(potential_h(scaled), f_profile(4 * u) * 4 * u / 2, atol=1e-12)
 
 
 def test_moment_map_scaling_identity():
     # mu(lambda v) recomputed in closed form matches the u -> lambda^2 u formula
-    pt = CotangentPoint(0.5 + 0.2j, 0.4 - 0.1j)
+    pt = _one(0.5 + 0.2j, 0.4 - 0.1j)
     u = (1 + abs(pt.b) ** 2) ** 2 * abs(pt.v) ** 2
     for lam in (0.5, 2.0, 3.0):
         scaled = CotangentPoint(pt.b, lam * pt.v)
         expected = -2.0 * uf_prime(lam**2 * u) * (lam**2 * u / 2)
-        assert np.isclose(bg_moment_map(scaled), expected, atol=1e-9)
+        assert np.allclose(bg_moment_map(scaled), expected, atol=1e-9)
 
 
 def test_circle_invariance_exact():
-    pt = CotangentPoint(0.1 + 0.7j, 0.3 - 0.2j)
-    h0, mu0 = potential_h(pt), bg_moment_map(pt)
+    pt = _one(0.1 + 0.7j, 0.3 - 0.2j)
+    h0, mu0 = potential_h(pt)[0], bg_moment_map(pt)[0]
     for th in (0.7, 2.1, 4.4):
         rpt = CotangentPoint(pt.b, np.exp(1j * th) * pt.v)
-        assert abs(potential_h(rpt) - h0) < 1e-12
-        assert abs(bg_moment_map(rpt) - mu0) < 1e-12
+        assert abs(potential_h(rpt)[0] - h0) < 1e-12
+        assert abs(bg_moment_map(rpt)[0] - mu0) < 1e-12
 
 
 @pytest.mark.parametrize("profile", [potential_h, potential_k, bg_moment_map])
@@ -162,20 +159,18 @@ def test_profile_fields_batch_match_rows(profile):
     rows = rng.uniform(-0.8, 0.8, size=(200, 4))
     batch = profile(CotangentPoint.from_coords(rows))
     assert batch.shape == (200,)
-    single = np.array([profile(CotangentPoint.from_coords(q)) for q in rows])
-    assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-15
-    assert isinstance(profile(CotangentPoint.from_coords(rows[0])), float)
+    single = np.array([profile(CotangentPoint.from_coords(q[None]))[0] for q in rows])
+    assert np.array_equal(batch, single)
 
 
 # -- moment-map consistency -------------------------------------------------------
 
 
 def test_moment_map_residuals():
-    rng = np.random.default_rng(18)
-    for pt in _random_points(rng, 10):
-        res_lambda, res_ix = bg_moment_residuals(pt)
-        assert res_lambda < 1e-7
-        assert res_ix < 1e-6
+    res_lambda, res_ix = bg_moment_residuals(_random_points(np.random.default_rng(18), 10))
+    assert res_lambda.shape == res_ix.shape == (10,)
+    assert np.all(res_lambda < 1e-7)
+    assert np.all(res_ix < 1e-6)
 
 
 # -- forms ------------------------------------------------------------------------
@@ -185,74 +180,62 @@ def test_omega1_restricts_to_base_form_on_zero_section():
     E = np.zeros((4, 2))
     E[0, 0] = E[1, 1] = 1.0  # base directions
     for b in (0.0, 0.4 - 0.2j, -0.6 + 0.3j):
-        pt = CotangentPoint(b, 0.0)
-        w1 = bg_omega1(pt)
-        restricted = pullback(w1, E)
-        base = pullback(base_form(pt), E)
+        pt = _one(b, 0.0)
+        restricted = pullback(FormValue(2, 4, bg_omega1(pt)[0]), E)
+        base = pullback(FormValue(2, 4, base_form(pt)[0]), E)
         assert np.allclose(restricted.comps, base.comps, atol=1e-8)
 
 
 def test_omega1_closed_and_nondegenerate():
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda ps: np.array([bg_omega1(CotangentPoint.from_coords(p), inner).comps for p in ps]),
-        degree=2,
-        dim=4,
+        lambda ps: bg_omega1(CotangentPoint.from_coords(ps), inner), degree=2, dim=4
     )
-    rng = np.random.default_rng(19)
-    for pt in _random_points(rng, 3, b_max=0.6, v_max=0.5):
-        dw = ext_deriv(field, pt.coords, FDScheme(h=1e-2, order=4))
-        assert dw.norm() < 1e-6
-        w1 = bg_omega1(pt, inner)
-        # nondegeneracy via the Pfaffian of the component matrix
-        M = w1.as_matrix()
+    pts = _random_points(np.random.default_rng(19), 3, b_max=0.6, v_max=0.5)
+    dw = ext_deriv(field, pts.coords, FDScheme(h=1e-2, order=4))
+    assert np.max(np.linalg.norm(dw, axis=-1)) < 1e-6
+    # nondegeneracy via the Pfaffian of the component matrix
+    for comps in bg_omega1(pts, inner):
+        M = FormValue(2, 4, comps).as_matrix()
         pf = M[0, 1] * M[2, 3] - M[0, 2] * M[1, 3] + M[0, 3] * M[1, 2]
         assert abs(pf) > 0.05
 
 
 def test_curvature_two_expressions_agree():
-    rng = np.random.default_rng(20)
-    for pt in _random_points(rng, 10):
-        assert bg_curvature_residual(pt) < 1e-5
+    assert np.all(bg_curvature_residual(_random_points(np.random.default_rng(20), 10)) < 1e-5)
 
 
 def test_curvature_restricts_to_base_form_on_zero_section():
     E = np.zeros((4, 2))
     E[0, 0] = E[1, 1] = 1.0
-    pt = CotangentPoint(0.25 + 0.5j, 0.0)
-    F = bg_curvature(pt)
-    base = pullback(base_form(pt), E)
+    pt = _one(0.25 + 0.5j, 0.0)
+    F = FormValue(2, 4, bg_curvature(pt)[0])
+    base = pullback(FormValue(2, 4, base_form(pt)[0]), E)
     assert np.allclose(pullback(F, E).comps, base.comps, atol=1e-8)
 
 
 def test_curvature_closed():
     inner = FDScheme(h=1e-3, order=4)
     field = FormField(
-        lambda ps: np.array([bg_curvature(CotangentPoint.from_coords(p), inner).comps for p in ps]),
-        degree=2,
-        dim=4,
+        lambda ps: bg_curvature(CotangentPoint.from_coords(ps), inner), degree=2, dim=4
     )
-    pt = CotangentPoint(0.3 + 0.1j, 0.4 - 0.3j)
+    pt = _one(0.3 + 0.1j, 0.4 - 0.3j)
     dF = ext_deriv(field, pt.coords, FDScheme(h=1e-2, order=4))
-    assert dF.norm() < 1e-6
+    assert np.linalg.norm(dF) < 1e-6
 
 
 def test_hyperkahler_check_near_zero_section():
-    rng = np.random.default_rng(21)
-    for pt in _random_points(rng, 8, b_max=0.7, v_max=0.5):
-        rep = bg_hyperkahler_check(pt)
-        assert rep["J2"] < 1e-6
-        for key in ("type11_I", "type11_J", "type11_K"):
-            assert rep[key] < 1e-6
+    rep = bg_hyperkahler_check(_random_points(np.random.default_rng(21), 8, b_max=0.7, v_max=0.5))
+    for key in ("J2", "type11_I", "type11_J", "type11_K"):
+        assert rep[key].shape == (8,) and np.all(rep[key] < 1e-6), key
 
 
 def test_curvature_type11_for_I_exact_on_zero_section():
     # at v=0 the curvature is the base form, which is (1,1) for I
     from hkgeom.forms import type11_residual
 
-    pt = CotangentPoint(0.2 + 0.6j, 0.0)
-    F = bg_curvature(pt)
-    assert type11_residual(F, I) < 1e-9
+    F = bg_curvature(_one(0.2 + 0.6j, 0.0))
+    assert type11_residual(F, I)[0] < 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -93,13 +93,13 @@ def test_action_spec_requires_constant_degree():
 def test_action_vector_field_examples():
     spec = CircleActionSpec(k=(0,), l=(1,))
     m = spec.model()
-    p = m.from_complex(1.0, 1.0)
+    p = m.from_complex([[1.0]], [[1.0]])
     X = action_vector_field(spec, p)
-    assert np.allclose(X, [0.0, 0.0, 0.0, 1.0])  # (0, i) in complex notation
+    assert np.allclose(X, [[0.0, 0.0, 0.0, 1.0]])  # (0, i) in complex notation
 
     spec2 = CircleActionSpec(k=(1,), l=(1,))
     X2 = action_vector_field(spec2, p)
-    assert np.allclose(X2, [0.0, 1.0, 0.0, 1.0])  # (i, i)
+    assert np.allclose(X2, [[0.0, 1.0, 0.0, 1.0]])  # (i, i)
 
     trivial = CircleActionSpec(k=(0,), l=(0,))
     assert np.allclose(action_vector_field(trivial, p), 0.0)
@@ -124,15 +124,15 @@ def test_action_generator_is_killing_and_omega1_invariant():
 def test_moment_map_values():
     spec = CircleActionSpec(k=(0,), l=(1,))
     m = spec.model()
-    p = m.from_complex(1.5 + 0.5j, 2.0 - 1.0j)
-    assert np.isclose(moment_map(spec, p), -0.5 * (2.0**2 + 1.0**2))
+    p = m.from_complex([[1.5 + 0.5j]], [[2.0 - 1.0j]])
+    assert np.isclose(moment_map(spec, p)[0], -0.5 * (2.0**2 + 1.0**2))
     full = CircleActionSpec(k=(1,), l=(1,))
     assert np.isclose(
-        moment_map(full, p), -0.5 * (abs(1.5 + 0.5j) ** 2 + abs(2.0 - 1.0j) ** 2)
+        moment_map(full, p)[0], -0.5 * (abs(1.5 + 0.5j) ** 2 + abs(2.0 - 1.0j) ** 2)
     )
     trivial = CircleActionSpec(k=(0,), l=(0,))
-    assert moment_map(trivial, p) == 0.0
-    assert moment_map(spec, np.zeros(4)) == 0.0  # mu(0) = 0 normalization
+    assert moment_map(trivial, p)[0] == 0.0
+    assert moment_map(spec, np.zeros((1, 4)))[0] == 0.0  # mu(0) = 0 normalization
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -146,8 +146,7 @@ def test_moment_map_batch_matches_rows(n):
     ):
         batch = moment_map(spec, rows)
         assert batch.shape == (200,)
-        assert np.array_equal(batch, [moment_map(spec, row) for row in rows])
-        assert isinstance(moment_map(spec, rows[0]), float)
+        assert np.array_equal(batch, [moment_map(spec, row[None])[0] for row in rows])
 
 
 def test_moment_map_defining_equation():
@@ -161,10 +160,9 @@ def test_moment_map_defining_equation():
     ):
         m = spec.model()
         mu = moment_field(spec)
-        for _ in range(100):
-            p = rng.uniform(-1, 1, size=m.dim)
-            dmu = fd_gradient(mu, p, scheme)
-            ix = interior_product(action_vector_field(spec, p), m.omega1)
+        P = rng.uniform(-1, 1, size=(100, m.dim))
+        for dmu, X in zip(fd_gradient(mu, P, scheme), action_vector_field(spec, P)):
+            ix = interior_product(X, m.omega1)
             assert np.max(np.abs(dmu - ix.comps)) < 1e-9
 
 
@@ -175,27 +173,23 @@ def test_curvature_weight_01():
     spec = CircleActionSpec(k=(0,), l=(1,))
     rng = np.random.default_rng(14)
     expected = np.array([1.0, 0, 0, 0, 0, -1.0])  # (i/2)(dz dzbar - dw dwbar)
-    for _ in range(5):
-        p = rng.uniform(-1, 1, size=4)
-        F = hyperholo_curvature(spec, p, FDScheme(h=1e-3, order=4))
-        assert np.allclose(F.comps, expected, atol=1e-9)
+    F = hyperholo_curvature(spec, rng.uniform(-1, 1, size=(5, 4)), FDScheme(h=1e-3, order=4))
+    assert np.allclose(F, expected, atol=1e-9)
 
 
 def test_curvature_full_rotation_vanishes():
     # degree-2 full rotation: the associated bundle is flat
     spec = CircleActionSpec(k=(1,), l=(1,))
     rng = np.random.default_rng(15)
-    for _ in range(5):
-        p = rng.uniform(-1, 1, size=4)
-        F = hyperholo_curvature(spec, p, FDScheme(h=1e-3, order=4))
-        assert F.norm() < 1e-9
+    F = hyperholo_curvature(spec, rng.uniform(-1, 1, size=(5, 4)), FDScheme(h=1e-3, order=4))
+    assert np.max(np.linalg.norm(F, axis=-1)) < 1e-9
 
 
 def test_curvature_trivial_action_is_omega1():
     spec = CircleActionSpec(k=(0, 0), l=(0, 0))
     m = spec.model()
-    F = hyperholo_curvature(spec, np.ones(m.dim) * 0.3)
-    assert np.allclose(F.comps, m.omega1.comps)
+    F = hyperholo_curvature(spec, np.full((2, m.dim), 0.3))
+    assert np.array_equal(F, [m.omega1.comps] * 2)
 
 
 def test_curvature_type11_for_all_structures():
@@ -206,23 +200,17 @@ def test_curvature_type11_for_all_structures():
         CircleActionSpec(k=(1, 1), l=(1, 1)),
     ):
         m = spec.model()
-        for _ in range(20):
-            p = rng.uniform(-1, 1, size=m.dim)
-            F = hyperholo_curvature(spec, p, FDScheme(h=1e-3, order=4))
-            for S in m.structures():
-                assert type11_residual(F, S) < 1e-8
+        F = hyperholo_curvature(spec, rng.uniform(-1, 1, size=(20, m.dim)), FDScheme(h=1e-3, order=4))
+        for S in m.structures():
+            assert np.max(type11_residual(F, S)) < 1e-8
 
 
 def test_curvature_is_closed():
     spec = CircleActionSpec(k=(0,), l=(1,))
     scheme = FDScheme(h=1e-3, order=4)
-    field = FormField(
-        lambda ps: np.array([hyperholo_curvature(spec, p, scheme).comps for p in ps]),
-        degree=2,
-        dim=4,
-    )
-    dF = ext_deriv(field, [0.2, -0.4, 0.5, 0.1], FDScheme(h=1e-2, order=2))
-    assert dF.norm() < 1e-5
+    field = FormField(lambda ps: hyperholo_curvature(spec, ps, scheme), degree=2, dim=4)
+    dF = ext_deriv(field, [[0.2, -0.4, 0.5, 0.1]], FDScheme(h=1e-2, order=2))
+    assert np.linalg.norm(dF) < 1e-5
 
 
 # -- rotation degree -------------------------------------------------------------

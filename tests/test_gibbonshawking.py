@@ -19,7 +19,6 @@ from hkgeom.forms import (
 )
 from hkgeom.gibbonshawking import (
     GHConfig,
-    GHPoint,
     MonopoleData,
     ahat_curvature,
     ahat_field,
@@ -47,15 +46,20 @@ THREE = GHConfig(centers=(0.0, 2.0, 3.0))
 
 
 def sample_points(cfg, count, rng, min_clear=0.4, box=2.5):
-    """Random base points with clearance from the centres and the axis."""
+    """Random base points (count, 3) with clearance from the centres and the axis."""
     clear = chart_clearance(cfg)
     pts = []
     while len(pts) < count:
         x = rng.uniform(-box, box, size=3)
         x[0] = rng.uniform(cfg.centers[0] - 1.5, cfg.centers[-1] + 1.5)
-        if clear(np.array([*x, 0.0])) > min_clear:
+        if clear(x[None])[0] > min_clear:
             pts.append(x)
-    return pts
+    return np.array(pts)
+
+
+def chart_points(xs, thetas):
+    """Chart points (k, 4) from base points (k, 3) and fibre angles (k,)."""
+    return np.column_stack([xs, np.broadcast_to(thetas, len(xs))])
 
 
 # -- configuration and domain guards ----------------------------------------------
@@ -87,19 +91,21 @@ def test_config_validation():
 
 
 def test_point_validation():
+    # points are (k, 3) base or (k, 4) chart batches; the gauge is checked by name
+    with pytest.raises(ConfigError, match=r"\(k, 3\)"):
+        gh_potential(TWO, np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ConfigError, match=r"\(k, 4\)"):
+        gh_metric(TWO, np.array([[1.0, 1.0, 0.0]]), "string-down")
     with pytest.raises(ConfigError):
-        GHPoint((0.0, 0.0), 0.0)
-    with pytest.raises(ConfigError):
-        GHPoint((1.0, 1.0, 0.0), 0.0, gauge="sideways")
-    pt = GHPoint((1.0, 1.0, 0.0), 0.25)
-    assert np.allclose(pt.chart, [1.0, 1.0, 0.0, 0.25])
+        gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "sideways")
+    assert gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "string-up").shape == (1, 4, 4)
 
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        gh_potential(TWO, np.array([0.0, 0.0, 0.0]))
+        gh_potential(TWO, np.array([[0.0, 0.0, 0.0]]))
     with pytest.raises(DomainError):
-        alpha_field(TWO)(np.array([0.5, 1e-5, 0.0]))
+        alpha_field(TWO)(np.array([[0.5, 1e-5, 0.0]]))
 
 
 # -- potential and connection alpha --------------------------------------------------
@@ -107,7 +113,7 @@ def test_domain_guards():
 
 def test_potential_single_center_unit_distance():
     cfg = GHConfig(centers=(0.0,))
-    assert gh_potential(cfg, np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
+    assert gh_potential(cfg, np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(1.0)
 
 
 def test_potential_gradient_and_harmonicity():
@@ -117,14 +123,9 @@ def test_potential_gradient_and_harmonicity():
     )
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(THREE, 8, rng)
-    for x in xs:
-        fd = fd_gradient(lambda q: gh_potential(THREE, q), x, scheme)
-        assert np.max(np.abs(fd - potential_gradient(THREE, x))) < 1e-8
-        assert abs(laplacian(field, x, scheme)) < 1e-6
-    # a batch row is that point alone, bit for bit
-    batch = potential_gradient(THREE, np.array(xs))
-    assert batch.shape == (len(xs), 3)
-    assert np.array_equal(batch, np.array([potential_gradient(THREE, x) for x in xs]))
+    fd = fd_gradient(lambda q: gh_potential(THREE, q), xs, scheme)
+    assert np.max(np.abs(fd - potential_gradient(THREE, xs))) < 1e-8
+    assert np.max(np.abs(laplacian(field, xs, scheme))) < 1e-6
 
 
 def test_monopole_phi_harmonic():
@@ -133,8 +134,7 @@ def test_monopole_phi_harmonic():
         lambda x: monopole_phi(THREE, x), 3, clearance=chart_clearance(THREE)
     )
     scheme = FDScheme(h=1e-3, order=4)
-    for x in sample_points(THREE, 6, rng):
-        assert abs(laplacian(field, x, scheme)) < 1e-6
+    assert np.max(np.abs(laplacian(field, sample_points(THREE, 6, rng), scheme))) < 1e-6
 
 
 @pytest.mark.parametrize("gauge", ["string-down", "string-up"])
@@ -143,11 +143,10 @@ def test_alpha_solves_star_dV(gauge):
     cfg = TWO
     field = alpha_field(cfg, gauge)
     scheme = FDScheme(h=1e-3, order=4)
-    for x in sample_points(cfg, 12, rng):
-        dalpha = ext_deriv(field, x, scheme)
-        dv = FormValue(1, 3, potential_gradient(cfg, x))
-        star_dv = hodge_star(np.eye(3), 1, dv)
-        assert np.max(np.abs((dalpha - star_dv).comps)) < 1e-6
+    xs = sample_points(cfg, 12, rng)
+    for dalpha, grad in zip(ext_deriv(field, xs, scheme), potential_gradient(cfg, xs)):
+        star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
+        assert np.max(np.abs(dalpha - star_dv.comps)) < 1e-6
 
 
 def test_monopole_pair_dA_star_dphi():
@@ -156,17 +155,15 @@ def test_monopole_pair_dA_star_dphi():
     data = MonopoleData.from_config(cfg)
     a_field = FormField(data.A, 1, 3, clearance=chart_clearance(cfg))
     scheme = FDScheme(h=1e-3, order=4)
-    for x in sample_points(cfg, 10, rng):
-        da = ext_deriv(a_field, x, scheme)
-        dphi = FormValue(1, 3, fd_gradient(data.phi, x, scheme))
-        star_dphi = hodge_star(np.eye(3), 1, dphi)
-        assert np.max(np.abs((da - star_dphi).comps)) < 1e-6
+    xs = sample_points(cfg, 10, rng)
+    for da, dphi in zip(ext_deriv(a_field, xs, scheme), fd_gradient(data.phi, xs, scheme)):
+        star_dphi = hodge_star(np.eye(3), 1, FormValue(1, 3, dphi))
+        assert np.max(np.abs(da - star_dphi.comps)) < 1e-6
 
 
 def test_phi_gauge_identity_and_integrality():
     rng = np.random.default_rng(11)
-    for x in sample_points(THREE, 10, rng):
-        assert phi_identity_residual(THREE, x) < 1e-12
+    assert np.max(phi_identity_residual(THREE, sample_points(THREE, 10, rng))) < 1e-12
     assert all(q == round(q) for q in THREE.dirac_charges)
 
 
@@ -176,26 +173,25 @@ def test_phi_gauge_identity_and_integrality():
 def test_lift_gradient_matches_fd():
     rng = np.random.default_rng(12)
     scheme = FDScheme(h=1e-3, order=4)
-    for x in sample_points(THREE, 8, rng):
-        fd = fd_gradient(lambda q: rotation_lift_f(THREE, q), x, scheme)
-        assert np.max(np.abs(fd - lift_gradient(THREE, x))) < 1e-8
+    xs = sample_points(THREE, 8, rng)
+    fd = fd_gradient(lambda q: rotation_lift_f(THREE, q), xs, scheme)
+    assert np.max(np.abs(fd - lift_gradient(THREE, xs))) < 1e-8
 
 
 def test_lift_identity_closed_form():
     rng = np.random.default_rng(13)
-    for x in sample_points(THREE, 10, rng):
-        assert lift_identity_residual(THREE, x) < 1e-13
+    assert np.max(lift_identity_residual(THREE, sample_points(THREE, 10, rng))) < 1e-13
 
 
 def test_lift_identity_via_forms():
     # df + i_X(*dV) = 0 for the axis rotation X = (0, -x3, x2)
     rng = np.random.default_rng(14)
-    for x in sample_points(TWO, 6, rng):
-        dv = FormValue(1, 3, potential_gradient(TWO, x))
-        star_dv = hodge_star(np.eye(3), 1, dv)
+    xs = sample_points(TWO, 6, rng)
+    for x, grad, df in zip(xs, potential_gradient(TWO, xs), lift_gradient(TWO, xs)):
+        star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
         rot = np.array([0.0, -x[2], x[1]])
         contracted = interior_product(rot, star_dv)
-        assert np.max(np.abs(lift_gradient(TWO, x) + contracted.comps)) < 1e-13
+        assert np.max(np.abs(df + contracted.comps)) < 1e-13
 
 
 def test_lift_constant_on_axis_segments():
@@ -209,24 +205,24 @@ def test_lift_constant_on_axis_segments():
         (4.5, 6.0, 4),
     ]
     for lo, hi, seg in probes:
-        for x1 in np.linspace(lo, hi, 5):
-            val = rotation_lift_f(cfg, np.array([x1, 0.0, 0.0]))
-            assert val == expected[seg]
+        x1 = np.linspace(lo, hi, 5)
+        vals = rotation_lift_f(cfg, np.column_stack([x1, 0 * x1, 0 * x1]))
+        assert np.all(vals == expected[seg])
 
 
 def test_lift_trivial_above_top_and_middle_zero():
     cfg = GHConfig(centers=(0.0, 1.0, 3.0, 4.0), c=0.25)
     # above the top centre every term is +1
-    assert rotation_lift_f(cfg, np.array([9.0, 0.0, 0.0])) == 4.0 + 0.25
+    assert rotation_lift_f(cfg, np.array([[9.0, 0.0, 0.0]]))[0] == 4.0 + 0.25
     # even number of centres, c = 0: the middle segment is exactly zero
     for count in (2, 4, 6):
         centers = tuple(float(i) for i in range(count))
         mid = (centers[count // 2 - 1] + centers[count // 2]) / 2.0
         even_cfg = GHConfig(centers=centers)
-        assert rotation_lift_f(even_cfg, np.array([mid, 0.0, 0.0])) == 0.0
+        assert rotation_lift_f(even_cfg, np.array([[mid, 0.0, 0.0]]))[0] == 0.0
     # odd number of centres: the same segment value is nonzero
     odd_cfg = GHConfig(centers=(0.0, 1.0, 2.0))
-    assert rotation_lift_f(odd_cfg, np.array([0.5, 0.0, 0.0])) == -1.0
+    assert rotation_lift_f(odd_cfg, np.array([[0.5, 0.0, 0.0]]))[0] == -1.0
 
 
 # -- metric and Kahler triple ---------------------------------------------------------
@@ -234,12 +230,12 @@ def test_lift_trivial_above_top_and_middle_zero():
 
 def test_metric_determinant_and_forms_algebra():
     rng = np.random.default_rng(15)
-    for x in sample_points(TWO, 6, rng):
-        pt = GHPoint(tuple(x), rng.uniform(0, 2 * np.pi))
-        g = gh_metric(TWO, pt)
-        v = gh_potential(TWO, x)
+    xs = sample_points(TWO, 6, rng)
+    p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
+    fields = [kahler_field(TWO, i, "string-down")(p) for i in (1, 2, 3)]
+    for g, v, *comps in zip(gh_metric(TWO, p, "string-down"), gh_potential(TWO, xs), *fields):
         assert np.linalg.det(g) == pytest.approx(v**2, rel=1e-10)
-        triple = [kahler_field(TWO, i, pt.gauge)(pt.chart) for i in (1, 2, 3)]
+        triple = [FormValue(2, 4, c) for c in comps]
         for i, wi in enumerate(triple):
             for j, wj in enumerate(triple):
                 prod = wedge(wi, wj).comps[0]
@@ -255,10 +251,9 @@ def test_kahler_forms_closed(i):
     rng = np.random.default_rng(16 + i)
     scheme = FDScheme(h=1e-3, order=4)
     field = kahler_field(TWO, i)
-    for x in sample_points(TWO, 5, rng, min_clear=0.5):
-        p = np.array([*x, rng.uniform(0, 2 * np.pi)])
-        dw = ext_deriv(field, p, scheme)
-        assert np.max(np.abs(dw.comps)) < 1e-6
+    xs = sample_points(TWO, 5, rng, min_clear=0.5)
+    dw = ext_deriv(field, chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs))), scheme)
+    assert np.max(np.abs(dw)) < 1e-6
 
 
 # -- anti-self-dual connection --------------------------------------------------------
@@ -266,53 +261,61 @@ def test_kahler_forms_closed(i):
 
 def test_ahat_anti_self_dual():
     rng = np.random.default_rng(21)
-    for x in sample_points(TWO, 10, rng, min_clear=0.45):
-        pt = GHPoint(tuple(x), rng.uniform(0, 2 * np.pi))
-        assert asd_residual(TWO, pt) < 1e-5
+    xs = sample_points(TWO, 10, rng, min_clear=0.45)
+    p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
+    assert np.max(asd_residual(TWO, p, "string-down")) < 1e-5
 
 
 def test_ahat_anti_self_dual_three_centers():
     rng = np.random.default_rng(22)
-    for x in sample_points(THREE, 4, rng, min_clear=0.5):
-        pt = GHPoint(tuple(x), 0.0)
-        assert asd_residual(THREE, pt) < 1e-5
+    xs = sample_points(THREE, 4, rng, min_clear=0.5)
+    assert np.max(asd_residual(THREE, chart_points(xs, 0.0), "string-down")) < 1e-5
 
 
 def test_iY_contraction_of_curvature():
     rng = np.random.default_rng(23)
-    for x in sample_points(TWO, 6, rng, min_clear=0.45):
-        pt = GHPoint(tuple(x), rng.uniform(0, 2 * np.pi))
-        assert iY_residual(TWO, pt) < 1e-5
+    xs = sample_points(TWO, 6, rng, min_clear=0.45)
+    p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
+    assert np.max(iY_residual(TWO, p, "string-down")) < 1e-5
+    # i_Y F against the one-point algebra, row by row
+    for f, q in zip(ahat_curvature(TWO, p, "string-down"), p):
+        contracted = interior_product(np.array([0.0, 0.0, 0.0, 1.0]), FormValue(2, 4, f))
+        grad = fd_gradient(
+            lambda r: monopole_phi(TWO, r[:, :3]) / gh_potential(TWO, r[:, :3]),
+            q[None],
+            FDScheme(h=1e-4, order=4),
+        )[0]
+        assert np.max(np.abs(contracted.comps - grad)) < 1e-5
 
 
 def test_gauge_shift_leaves_curvature():
     rng = np.random.default_rng(24)
-    for x in sample_points(TWO, 4, rng, min_clear=0.5):
-        pt = GHPoint(tuple(x), 0.1)
-        f0 = ahat_curvature(TWO, pt)
-        f1 = ahat_curvature(TWO, pt, gauge_shift=0.7)
-        assert np.max(np.abs((f1 - f0).comps)) < 1e-8
+    p = chart_points(sample_points(TWO, 4, rng, min_clear=0.5), 0.1)
+    f0 = ahat_curvature(TWO, p, "string-down")
+    f1 = ahat_curvature(TWO, p, "string-down", gauge_shift=0.7)
+    assert np.max(np.abs(f1 - f0)) < 1e-8
 
 
 def test_string_gauges_agree_after_transition():
     rng = np.random.default_rng(25)
-    for x in sample_points(TWO, 4, rng, min_clear=0.5):
-        f_down = ahat_curvature(TWO, GHPoint(tuple(x), 0.2, "string-down"))
-        f_up = ahat_curvature(TWO, GHPoint(tuple(x), 0.2, "string-up"))
-        jac = gauge_transition_jacobian(TWO, x, "string-down", "string-up")
-        moved = pullback(f_up, jac)
-        assert np.max(np.abs((moved - f_down).comps)) < 1e-8
+    xs = sample_points(TWO, 4, rng, min_clear=0.5)
+    p = chart_points(xs, 0.2)
+    f_down = ahat_curvature(TWO, p, "string-down")
+    f_up = ahat_curvature(TWO, p, "string-up")
+    jacs = gauge_transition_jacobian(TWO, xs, "string-down", "string-up")
+    for down, up, jac in zip(f_down, f_up, jacs):
+        moved = pullback(FormValue(2, 4, up), jac)
+        assert np.max(np.abs(moved.comps - down)) < 1e-8
 
 
 def test_ahat_components():
-    pt = GHPoint((0.4, 0.8, -0.3), 0.0)
-    v = gh_potential(TWO, pt.x)
-    phi = monopole_phi(TWO, pt.x)
-    ahat = ahat_field(TWO, pt.gauge)(pt.chart)
-    assert ahat.comps[3] == pytest.approx(-phi / v)
-    a_comps = MonopoleData.from_config(TWO, pt.gauge).A(np.array([pt.x]))[0]
-    expected_x = a_comps - (phi / v) * alpha_field(TWO, pt.gauge)(pt.x).comps
-    assert np.allclose(ahat.comps[:3], expected_x)
+    x = np.array([[0.4, 0.8, -0.3]])
+    v, phi = gh_potential(TWO, x)[0], monopole_phi(TWO, x)[0]
+    ahat = ahat_field(TWO, "string-down")(chart_points(x, 0.0))[0]
+    assert ahat[3] == pytest.approx(-phi / v)
+    a_comps = MonopoleData.from_config(TWO, "string-down").A(x)[0]
+    expected_x = a_comps - (phi / v) * alpha_field(TWO, "string-down")(x)[0]
+    assert np.allclose(ahat[:3], expected_x)
 
 
 # -- periods and profiles -------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_descended_moment_is_restriction():
     m = one.points[0]
     assert x_bar.shape == (1, 4) and mu_bar.shape == (1,)
     assert mu_bar[0] == pytest.approx(-0.5 * np.dot(m, m))
-    assert mu_bar[0] == pytest.approx(moment_map(eh_rotator(), m))
+    assert mu_bar[0] == pytest.approx(moment_map(eh_rotator(), m[None])[0])
     trivial = CircleActionSpec(k=(0, 0), l=(0, 0))
     x0, mu0 = descended_circle_data(ACTION, trivial, one)
     assert np.all(x0 == 0.0) and np.all(mu0 == 0.0)
@@ -742,9 +742,9 @@ def test_shared_stencil_matches_fd_over_batched_point():
 
     for xi in (np.zeros(4), 1e-3 * rng.standard_normal(4)):
         points, tangents, stencil = jet = chart.jet(xi[None, None, :])
-        want = fd_jacobian(retract, xi, scheme)
+        want = fd_jacobian(retract, xi[None], scheme)[0]
         assert np.max(np.abs(tangents[0, 0] - want)) < 1e-12
-        grad = fd_gradient(lambda y: mu(retract(y)), xi, scheme)
+        grad = fd_gradient(lambda y: mu(retract(y)), xi[None], scheme)[0]
         from_jet = chart.gradient(jet, mu)[0, 0]
         assert np.max(np.abs(from_jet - grad)) < 1e-12
         fd_metric = chart.metric((points, want[None, None], stencil))

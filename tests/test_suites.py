@@ -159,13 +159,13 @@ def test_gh_points_keep_the_draw_stream():
     while len(want) < 6:  # the rejection loop, one draw at a time
         x = rng.uniform(-2.5, 2.5, size=3)
         x[0] = rng.uniform(-1.5, 2.5)
-        if clear(np.array([*x, 0.0])) > 0.4:
+        if clear(x[None])[0] > 0.4:
             want.append(x)
     assert pts.shape == (6, 3) and np.array_equal(pts, np.array(want))
 
 
 def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(suites.gh, "chart_clearance", lambda cfg: lambda p: 0.0)
+    monkeypatch.setattr(suites.gh, "chart_clearance", lambda cfg: lambda p: np.zeros(len(p)))
     rec = run_check(RunConfig(suite="gh"), "gh.monopole.alpha")
     assert not rec.passed and rec.residual is None
     assert rec.detail.startswith("SamplingError: no point with clearance above 0.4")
