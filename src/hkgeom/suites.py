@@ -95,6 +95,11 @@ class RunConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         object.__setattr__(self, "suite", name)
         object.__setattr__(self, "centers", tuple(float(a) for a in self.centers))
+        for field in ("n", "samples", "seed", "nodes"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
         if self.samples < 1:

@@ -91,6 +91,19 @@ def test_run_check_rejects_a_check_the_configuration_does_not_run():
         run_check(RunConfig(suite="gh", centers=(0.0,)), "gh.periods")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", 2.5), ("n", 2.0), ("seed", 1.5), ("nodes", 16.5), ("samples", "20"), ("n", True)],
+)
+def test_run_config_rejects_non_integer_counts(field, value):
+    # these reached the checks and raised TypeError mid-run; a ConfigError exits 2
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        RunConfig(**{field: value})
+    # a numpy integer is an integer, stored as int so the report stays JSON
+    cfg = RunConfig(**{field: np.int64(8)})
+    assert type(getattr(cfg, field)) is int and cfg == RunConfig(**{field: 8})
+
+
 def test_check_seeds_differ_by_id_and_seed():
     cfg = RunConfig()
     a = suites._check_rng(cfg, "flat.ddc.calibration").random(4)
