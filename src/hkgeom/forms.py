@@ -668,22 +668,19 @@ def pullback(w: FormValue, A: np.ndarray) -> FormValue:
 
 
 def _raise_indices(Ginv: np.ndarray, w: FormValue) -> np.ndarray:
-    """Contravariant components w^I = det(Ginv[I, I']) w_{I'} on the sorted basis."""
+    """Contravariant components w^I = det(Ginv[I, I']) w_{I'} on the sorted basis.
+
+    The k-th compound matrix of Ginv, every (I, I') minor of it, comes
+    from one stacked determinant.
+    """
     k, N = w.degree, w.dim
     if k == 0:
         return w.comps.copy()
     if k == 1:
         return Ginv @ w.comps
-    idx = basis_indices(N, k)
-    out = np.zeros(len(idx), dtype=w.comps.dtype)
-    for pI, I in enumerate(idx):
-        acc = 0.0
-        for pIp, Ip in enumerate(idx):
-            c = w.comps[pIp]
-            if c != 0:
-                acc += np.linalg.det(Ginv[np.ix_(I, Ip)]) * c
-        out[pI] = acc
-    return out
+    idx = np.array(basis_indices(N, k), dtype=int).reshape(-1, k)
+    compound = np.linalg.det(Ginv[idx[:, None, :, None], idx[None, :, None, :]])
+    return compound @ w.comps
 
 
 def _check_metric(g: np.ndarray) -> np.ndarray:
