@@ -21,7 +21,8 @@ from hkgeom.cotangent import (
     uf_prime,
 )
 from hkgeom import cotangent
-from hkgeom.forms import FDScheme, FormField, FormValue, ext_deriv, fd_gradient, pullback
+from hkgeom.errors import ConfigError
+from hkgeom.forms import FDScheme, FormField, FormValue, dc_deriv, ext_deriv, fd_gradient, pullback
 from hkgeom.suites import RunConfig, run_check
 
 
@@ -258,3 +259,76 @@ def test_quaternionic_check_builds_no_curvature(monkeypatch):
 
     monkeypatch.setattr(cotangent, "bg_curvature", no_curvature)
     assert run_check(RunConfig(suite="cotangent"), "bg.structure.quaternionic").passed
+
+
+# -- one batch convention -----------------------------------------------------------
+
+_K = 5
+_PTS = _random_points(np.random.default_rng(60), _K)
+_J = cotangent.bg_structures(_PTS)[1]
+
+
+def _rows(r):
+    """Rows r of the shared batch; an integer r gives 0-d b and v."""
+    return CotangentPoint(_PTS.b[r], _PTS.v[r])
+
+
+#: every batched closed form, on rows r of the shared batch (a slice)
+_BATCHED = {
+    "coords": lambda r: _rows(r).coords,
+    "from_coords": lambda r: CotangentPoint.from_coords(_PTS.coords[r]).coords,
+    "base_form": lambda r: base_form(_rows(r)),
+    "potential_h": lambda r: potential_h(_rows(r)),
+    "potential_k": lambda r: potential_k(_rows(r)),
+    "bg_moment_map": lambda r: bg_moment_map(_rows(r)),
+    "bg_omega1": lambda r: bg_omega1(_rows(r)),
+    "bg_curvature": lambda r: bg_curvature(_rows(r)),
+    "bg_curvature_residual": lambda r: bg_curvature_residual(_rows(r)),
+    "bg_moment_residuals": lambda r: bg_moment_residuals(_rows(r)),
+    "bg_structures": lambda r: cotangent.bg_structures(_rows(r))[1:],  # I is one constant
+    "bg_quaternionic_residual": lambda r: cotangent.bg_quaternionic_residual(_J[r]),
+    "bg_hyperkahler_check": lambda r: tuple(bg_hyperkahler_check(_rows(r)).values()),
+}
+
+
+def _leaves(value):
+    """The arrays of a result, which may nest tuples."""
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in _leaves(part)]
+    return [np.asarray(value)]
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batch_row_equals_one_row_batch(name):
+    call = _BATCHED[name]
+    batch = _leaves(call(slice(None)))
+    for r in range(_K):
+        alone = _leaves(call(slice(r, r + 1)))
+        for whole, one in zip(batch, alone, strict=True):
+            assert whole.shape[0] == _K and one.shape[0] == 1
+            assert np.array_equal(whole[r : r + 1], one), (name, r)
+
+
+@pytest.mark.parametrize("name", sorted(set(_BATCHED) - {"bg_quaternionic_residual"}))
+def test_one_point_is_rejected(name):
+    # an integer index gives one point, 0-d b and v or 1-D coordinates
+    with pytest.raises(ConfigError, match=r"shape \(k,( 4)?\)"):
+        _BATCHED[name](0)
+
+
+def test_moment_residuals_equal_the_per_point_stencil_and_dot():
+    # reference: one lambda gradient and one FormValue contraction per point
+    scheme = FDScheme()
+    got = bg_moment_residuals(_PTS, scheme)
+    for r, (b, v) in enumerate(zip(_PTS.b, _PTS.v)):
+        one = _rows(slice(r, r + 1))
+        mu = bg_moment_map(one)[0]
+
+        def h_scaled(lam):
+            scaled = v.real / lam[:, 0] + 1j * (v.imag / lam[:, 0])
+            return potential_h(CotangentPoint(np.full(len(lam), b), scaled))
+
+        dh = fd_gradient(h_scaled, [[1.0]], FDScheme(h=1e-5, order=4))[0, 0]
+        dch = dc_deriv(cotangent._chart_field(potential_h), I, one.coords, scheme)[0]
+        ix = FormValue(1, 4, dch)(np.array([0.0, 0.0, -v.imag, v.real]))
+        assert got[0][r] == abs(mu - dh) and got[1][r] == abs(mu + ix), r

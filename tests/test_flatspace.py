@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hkgeom.errors import StructureError
+from hkgeom.errors import ConfigError, StructureError
 from hkgeom.flatspace import (
     CircleActionSpec,
     FlatModel,
@@ -233,3 +233,36 @@ def test_finite_rotation_matches_generator():
 
     for th in (0.3, 1.2):
         assert np.allclose(action_rotation(spec, th), expm(th * A), atol=1e-12)
+
+
+# -- one batch convention -----------------------------------------------------------
+
+_K = 5
+_SPEC = CircleActionSpec(k=(2, -1), l=(-1, 2))
+_TRIVIAL = CircleActionSpec(k=(0, 0), l=(0, 0))
+_P = np.random.default_rng(60).uniform(-1.5, 1.5, (_K, 8))
+
+#: every batched closed form, on rows r of the shared batch (a slice)
+_BATCHED = {
+    "action_vector_field": lambda r: action_vector_field(_SPEC, _P[r]),
+    "moment_map": lambda r: moment_map(_SPEC, _P[r]),
+    "moment_field": lambda r: moment_field(_SPEC)(_P[r]),
+    "hyperholo_curvature": lambda r: hyperholo_curvature(_SPEC, _P[r], FDScheme(h=1e-2)),
+    "hyperholo_curvature[trivial]": lambda r: hyperholo_curvature(_TRIVIAL, _P[r]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batch_row_equals_one_row_batch(name):
+    call = _BATCHED[name]
+    batch = call(slice(None))
+    assert batch.shape[0] == _K
+    for r in range(_K):
+        assert np.array_equal(batch[r : r + 1], call(slice(r, r + 1))), (name, r)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_one_point_is_rejected(name):
+    # an integer index hands every function a 1-D point
+    with pytest.raises(ConfigError, match=r"shape \(k, 8\)"):
+        _BATCHED[name](0)

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from hkgeom import cotangent, forms
 from hkgeom import gibbonshawking as gh
-from hkgeom.errors import DomainError, MetricError, StructureError
+from hkgeom.errors import ConfigError, DomainError, MetricError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
 from hkgeom.forms import (
     FDScheme,
@@ -694,6 +694,44 @@ def test_one_bad_row_fails_the_whole_batch():
     stack[3] = np.eye(4)
     with pytest.raises(StructureError):
         type11_residual(rng.standard_normal((6, 6)), stack)
+
+
+#: every operator and field call, on points p
+_F4 = ScalarField(lambda P: np.sum(P * P, axis=-1), 4)
+_W4 = FormField(lambda P: np.sin(P), 1, 4)
+_OPERATORS = {
+    "fd_gradient": lambda p: fd_gradient(_F4, p, FDScheme()),
+    "fd_jacobian": lambda p: fd_jacobian(_W4, p, FDScheme()),
+    "ext_deriv": lambda p: ext_deriv(_W4, p),
+    "dc_deriv": lambda p: dc_deriv(_F4, I4, p),
+    "ddc": lambda p: ddc(_F4, I4, p),
+    "laplacian": lambda p: laplacian(_F4, p),
+    "ScalarField": lambda p: _F4(p),
+    "FormField": lambda p: _W4(p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_operators_take_batches_only(name):
+    call = _OPERATORS[name]
+    assert len(call(np.zeros((2, 4)))) == 2
+    with pytest.raises(ConfigError, match=r"shape \((k, 4|k, dim)\), got shape \(4,\)"):
+        call(np.zeros(4))
+    if name != "fd_gradient" and name != "fd_jacobian":  # they take any dim
+        with pytest.raises(ConfigError, match=r"shape \(k, 4\), got shape \(2, 3\)"):
+            call(np.zeros((2, 3)))
+
+
+def test_type11_residual_takes_batches_only():
+    assert type11_residual(OMEGA1.comps[None], I4).shape == (1,)
+    with pytest.raises(ConfigError, match=r"shape \(k, 6\), got shape \(6,\)"):
+        type11_residual(OMEGA1.comps, I4)
+
+
+def test_clearance_must_return_one_distance_per_point():
+    f = ScalarField(_F4.fn, 4, clearance=lambda P: np.linalg.norm(P))  # one norm for the batch
+    with pytest.raises(ValueError, match="clearance callable"):
+        laplacian(f, np.ones((3, 4)))
 
 
 def test_structure_callable_must_return_one_matrix_per_point():

@@ -344,3 +344,63 @@ def test_axis_profiles():
     assert prof["V"][0] == pytest.approx(1.0 + 1.0 / 3.0 + 0.25)
     with pytest.raises(DomainError):
         axis_profiles(THREE, np.array([2.0]))
+
+
+# -- one batch convention -----------------------------------------------------------
+
+# weights other than 1 and c != 0 make the products inexact, so a reduction
+# whose rounding depends on the batch size would show
+_CFG = GHConfig(centers=(0.0, 1.0), weights=(0.7, 1.3), c=0.3)
+_K = 5
+_X = sample_points(_CFG, _K, np.random.default_rng(60), min_clear=0.45)
+_P = chart_points(_X, np.random.default_rng(61).uniform(0, 2 * np.pi, _K))
+
+#: every batched closed form, on rows r of the shared batch (a slice)
+_BATCHED = {
+    "gh_potential": lambda r: gh_potential(_CFG, _X[r]),
+    "potential_gradient": lambda r: potential_gradient(_CFG, _X[r]),
+    "rotation_lift_f": lambda r: rotation_lift_f(_CFG, _X[r]),
+    "lift_gradient": lambda r: lift_gradient(_CFG, _X[r]),
+    "lift_identity_residual": lambda r: lift_identity_residual(_CFG, _X[r]),
+    "monopole_phi": lambda r: monopole_phi(_CFG, _X[r]),
+    "phi_identity_residual": lambda r: phi_identity_residual(_CFG, _X[r]),
+    "chart_clearance[base]": lambda r: chart_clearance(_CFG)(_X[r]),
+    "chart_clearance[chart]": lambda r: chart_clearance(_CFG)(_P[r]),
+    "alpha_field": lambda r: alpha_field(_CFG, "string-up")(_X[r]),
+    "MonopoleData.phi": lambda r: MonopoleData.from_config(_CFG).phi(_X[r]),
+    "MonopoleData.A": lambda r: MonopoleData.from_config(_CFG, "string-up").A(_X[r]),
+    "gh_metric": lambda r: gh_metric(_CFG, _P[r], "string-up"),
+    "kahler_field": lambda r: tuple(kahler_field(_CFG, i)(_P[r]) for i in (1, 2, 3)),
+    "ahat_field": lambda r: ahat_field(_CFG, "string-up", gauge_shift=0.7)(_P[r]),
+    "ahat_curvature": lambda r: ahat_curvature(_CFG, _P[r], "string-down", gauge_shift=0.7),
+    "asd_residual": lambda r: asd_residual(_CFG, _P[r], "string-up"),
+    "iY_residual": lambda r: iY_residual(_CFG, _P[r], "string-down"),
+    "gauge_transition_jacobian": lambda r: gauge_transition_jacobian(
+        _CFG, _X[r], "string-down", "string-up"
+    ),
+}
+
+
+def _leaves(value):
+    """The arrays of a result, which may nest tuples."""
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in _leaves(part)]
+    return [np.asarray(value)]
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_batch_row_equals_one_row_batch(name):
+    call = _BATCHED[name]
+    batch = _leaves(call(slice(None)))
+    for r in range(_K):
+        alone = _leaves(call(slice(r, r + 1)))
+        for whole, one in zip(batch, alone, strict=True):
+            assert whole.shape[0] == _K and one.shape[0] == 1
+            assert np.array_equal(whole[r : r + 1], one), (name, r)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_one_point_is_rejected(name):
+    # an integer index hands every function a 1-D point
+    with pytest.raises(ConfigError, match=r"shape \(k, [34]\)"):
+        _BATCHED[name](0)

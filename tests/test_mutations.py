@@ -7,9 +7,12 @@ without it, and asserts that the check then fails at the default
 configuration.
 """
 
+import numpy as np
 import pytest
 
-from hkgeom import twistor
+from hkgeom import cotangent, quotient, suites, twistor
+from hkgeom import gibbonshawking as gh
+from hkgeom.forms import ScalarField, type11_residual
 from hkgeom.suites import RunConfig, run_check
 
 
@@ -70,3 +73,127 @@ def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
     for check_id in ("twistor.closedness", "twistor.rotation.invariance"):
         rec = run_check(cfg, check_id)
         assert not rec.passed, (check_id, rec.residual)
+
+
+# -- Gibbons-Hawking ------------------------------------------------------------------
+
+
+def _double_potential(monkeypatch):
+    potential = gh.gh_potential
+    monkeypatch.setattr(gh, "gh_potential", lambda cfg, x: 2.0 * potential(cfg, x))
+
+
+def _negate_alpha(monkeypatch):
+    # alpha and A share _string_potential; gh.periods reads only alpha
+    string = gh._string_potential
+    monkeypatch.setattr(gh, "_string_potential", lambda *args: -string(*args))
+
+
+@pytest.mark.parametrize("mutate", [_double_potential, _negate_alpha])
+def test_gh_periods_fail_when_v_or_alpha_is_wrong(monkeypatch, mutate):
+    # the period surface leaves the axis, so omega_1 enters with its V and alpha
+    # terms: V -> 2V is off by 2.3e-3 and alpha -> -alpha by 4.6e-3 (relative)
+    mutate(monkeypatch)
+    rec = run_check(RunConfig(suite="gh", centers=(0.0, 1.0, 3.0)), "gh.periods")
+    assert not rec.passed and rec.residual > 1e-3, rec.to_dict()
+
+
+def _first_row_everywhere(fn):
+    """A batch slip: every row gets the value of the first."""
+    return lambda cfg, x: np.broadcast_to(fn(cfg, x[:1]), np.shape(x))
+
+
+def _rows_reversed(fn):
+    """A batch slip: the rows come back in reverse order."""
+    return lambda cfg, x: fn(cfg, x)[::-1]
+
+
+#: check id -> (the gibbonshawking function the defect replaces, the defect)
+GH_MUTATIONS = {
+    # phi -> -phi in Ahat = A - phi V^-1 (dtheta + alpha): dA = *d phi no
+    # longer pairs with phi, and F gains a self-dual part (0.98 at seed 0, tol 1e-5)
+    "gh.connection.asd": ("monopole_phi", lambda fn: lambda cfg, x: -fn(cfg, x)),
+    # grad V of the first sample paired with every sample's df (4.5, tol 1e-10)
+    "gh.lift.identity": ("potential_gradient", _first_row_everywhere),
+    # f of the mirrored segment: the outer segments trade -2 and +2 (4.0, tol 0)
+    "gh.lift.segments": ("rotation_lift_f", _rows_reversed),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(GH_MUTATIONS))
+def test_gh_mutation_fails(check_id, monkeypatch):
+    cfg = RunConfig(suite="gh")
+    assert run_check(cfg, check_id).passed
+    name, mutate = GH_MUTATIONS[check_id]
+    monkeypatch.setattr(gh, name, mutate(getattr(gh, name)))
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 0.5, (check_id, rec.residual)
+
+
+# -- cotangent ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check_id, tol", [("bg.moment.scaling", 1e-7), ("bg.moment.contraction", 1e-6)])
+def test_moment_map_scaled_alone_fails_the_moment_checks(check_id, tol, monkeypatch):
+    # both checks are linear in the potentials, so a joint rescaling of h
+    # and mu is invisible; mu alone times 1 + 1e-3 is off by 4.1e-4
+    # (scaling) and 3.6e-4 (contraction) at seed 0
+    cfg = RunConfig(suite="cotangent")
+    assert run_check(cfg, check_id).passed
+    moment = cotangent.bg_moment_map
+    monkeypatch.setattr(cotangent, "bg_moment_map", lambda pt: (1.0 + 1e-3) * moment(pt))
+    rec = run_check(cfg, check_id)
+    assert rec.tolerance == tol and not rec.passed and rec.residual > 1e-4, rec.to_dict()
+
+
+# -- quotient -------------------------------------------------------------------------
+
+
+def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
+    # mu scaled by 1 + 1e-3: d mu_bar leaves i_{X_bar} omega_bar_1, and the
+    # descended form leaves the canonical curvature by 1e-3 dd^c mu_bar
+    moment = quotient.moment_field
+
+    def scaled(spec):
+        field = moment(spec)
+        return ScalarField(lambda p: (1.0 + 1e-3) * field.fn(p), dim=field.dim)
+
+    monkeypatch.setattr(quotient, "moment_field", scaled)
+    cfg = RunConfig(suite="quotient")
+    for check_id in (
+        "quotient.moment.descent",
+        "quotient.curvature.match",
+        "quotient.curvature.type11",
+    ):
+        rec = run_check(cfg, check_id)
+        assert not rec.passed, (check_id, rec.residual)
+    # blind spot: omega_bar_1 + s dd^c mu_bar is of type (1,1) for I_bar at
+    # every scale s, so the type check sees the scaling only through J_bar
+    # and K_bar
+    action = quotient.eguchi_hanson_action()
+    one = quotient.solve_level(
+        action, quotient.LevelSpec((1.0,)), np.random.default_rng(47).standard_normal((1, 8))
+    )
+    chart = quotient.QuotientChart(action, one)
+    jet = chart.jet(np.zeros((1, 1, 4)))
+    F = quotient.descended_curvature(action, quotient.eh_rotator(), one)
+    assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
+    for i in (2, 3):
+        assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5
+
+
+def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
+    # at the doubled level the samples follow centres at +/- c/3, not c/4
+    samples = suites._gh_samples
+
+    def wrong_at_doubled_level(action, rotator, level_value, rng, count):
+        xs, vs = samples(action, rotator, level_value, rng, count)
+        if level_value == 2.0:
+            a = np.array([level_value / 3.0, 0.0, 0.0])
+            vs = 1.0 / np.linalg.norm(xs - a, axis=1) + 1.0 / np.linalg.norm(xs + a, axis=1)
+        return xs, vs
+
+    monkeypatch.setattr(suites, "_gh_samples", wrong_at_doubled_level)
+    cfg = RunConfig(suite="quotient", samples=8)
+    sep = run_check(cfg, "quotient.gh.separation")
+    assert sep.residual > 1e-4 and not sep.passed

@@ -19,7 +19,6 @@ from hkgeom import forms, quotient, suites
 from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field, moment_map
 from hkgeom.forms import (
     FDScheme,
-    ScalarField,
     fd_gradient,
     fd_jacobian,
     pullback,
@@ -378,36 +377,6 @@ def test_canonical_curvature_type_1_1():
     for i in (1, 2, 3):
         s = chart.structure(jet, i)[:, 0]
         assert type11_residual(f, s, structure_tol=1e-6)[0] < 1e-5
-
-
-def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
-    # mu scaled by 1 + 1e-3: d mu_bar leaves i_{X_bar} omega_bar_1, and the
-    # descended form leaves the canonical curvature by 1e-3 dd^c mu_bar
-    moment = quotient.moment_field
-
-    def scaled(spec):
-        field = moment(spec)
-        return ScalarField(lambda p: (1.0 + 1e-3) * field.fn(p), dim=field.dim)
-
-    monkeypatch.setattr(quotient, "moment_field", scaled)
-    cfg = suites.RunConfig(suite="quotient")
-    for check_id in (
-        "quotient.moment.descent",
-        "quotient.curvature.match",
-        "quotient.curvature.type11",
-    ):
-        rec = suites.run_check(cfg, check_id)
-        assert not rec.passed, (check_id, rec.residual)
-    # blind spot: omega_bar_1 + s dd^c mu_bar is of type (1,1) for I_bar at
-    # every scale s, so the type check sees the scaling only through J_bar
-    # and K_bar
-    one = solved(np.random.default_rng(47))
-    chart = QuotientChart(ACTION, one)
-    jet = chart.jet(np.zeros((1, 1, 4)))
-    F = descended_curvature(ACTION, eh_rotator(), one)
-    assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
-    for i in (2, 3):
-        assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5
 
 
 def test_canonical_curvature_trivial_character():
@@ -972,20 +941,3 @@ def test_separation_check_passes_with_one_sample(seed):
     cfg = suites.RunConfig(suite="quotient", samples=1, seed=seed)
     sep = suites.run_check(cfg, "quotient.gh.separation")
     assert sep.passed, sep.residual
-
-
-def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
-    # at the doubled level the samples follow centres at +/- c/3, not c/4
-    samples = suites._gh_samples
-
-    def wrong_at_doubled_level(action, rotator, level_value, rng, count):
-        xs, vs = samples(action, rotator, level_value, rng, count)
-        if level_value == 2.0:
-            a = np.array([level_value / 3.0, 0.0, 0.0])
-            vs = 1.0 / np.linalg.norm(xs - a, axis=1) + 1.0 / np.linalg.norm(xs + a, axis=1)
-        return xs, vs
-
-    monkeypatch.setattr(suites, "_gh_samples", wrong_at_doubled_level)
-    cfg = suites.RunConfig(suite="quotient", samples=8)
-    sep = suites.run_check(cfg, "quotient.gh.separation")
-    assert sep.residual > 1e-4 and not sep.passed
