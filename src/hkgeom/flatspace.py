@@ -238,7 +238,7 @@ def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:
 
 
 def moment_map(spec: CircleActionSpec, p) -> np.ndarray:
-    """Moment map of the action for omega1 at points p (k, 4n): mu = -1/2 sum(k|z|^2 + l|w|^2), (k,).
+    """Moment map mu = -1/2 sum(k|z|^2 + l|w|^2) of the action for omega1 at p (k, 4n), (k,).
 
     Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  The weighted
     sums are reductions over the last axis, not BLAS dot products, whose

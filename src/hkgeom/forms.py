@@ -417,7 +417,7 @@ def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
-    """Gradients (k, dim) of a batch scalar callback, (m, dim) -> (m,), at base points p (k, dim)."""
+    """Gradients (k, dim) at base points p (k, dim) of a batch scalar callback (m, dim) -> (m,)."""
     P = _points(p)
     return _chunked(P, _stencil_rows(scheme, P.shape[1]), lambda C: _derivatives(fn, C, scheme))
 

@@ -128,11 +128,6 @@ def _distances(cfg: GHConfig, x, margin: float = CENTER_MARGIN) -> np.ndarray:
     return r
 
 
-def _chart(p) -> np.ndarray:
-    """Chart points (k, 4), coordinates (x1, x2, x3, theta)."""
-    return _points(p, 4)
-
-
 def chart_clearance(cfg: GHConfig) -> Callable:
     """Distance (m,) to the nearer of the centres and the x1-axis.
 
@@ -300,7 +295,7 @@ class MonopoleData:
 
 def gh_metric(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     """g = V dx.dx + V^{-1} (dtheta + alpha)^2 at chart points p (k, 4), (k, 4, 4)."""
-    x = _chart(p)[:, :3]
+    x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)[:, None, None]
     alpha = alpha_field(cfg, gauge)(x)
     eta = np.concatenate([alpha, np.ones((len(x), 1))], axis=1)  # dtheta + alpha
@@ -316,7 +311,7 @@ def _kahler_comps(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     omega_i = V dx_j ^ dx_k + dx_i ^ (dtheta + alpha), (i, j, k) cyclic, on
     the basis (01, 02, 03, 12, 13, 23).
     """
-    x = _chart(p)[:, :3]
+    x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)
     a1, a2, a3 = _string_potential(cfg, x, cfg.weights, gauge).T
     o, l = np.zeros_like(v), np.ones_like(v)
@@ -338,7 +333,7 @@ def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField
 
 def _ahat_comps(cfg: GHConfig, p, gauge: str, gauge_shift: float) -> np.ndarray:
     """Ahat = A - phi V^{-1} (dtheta + alpha) at chart points (m, 4), as components (m, 4)."""
-    x = _chart(p)[:, :3]
+    x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)
     ratio = ((monopole_phi(cfg, x) + gauge_shift * v) / v)[:, None]
     alpha = _string_potential(cfg, x, cfg.weights, gauge)

@@ -200,7 +200,8 @@ def test_curvature_type11_for_all_structures():
         CircleActionSpec(k=(1, 1), l=(1, 1)),
     ):
         m = spec.model()
-        F = hyperholo_curvature(spec, rng.uniform(-1, 1, size=(20, m.dim)), FDScheme(h=1e-3, order=4))
+        P = rng.uniform(-1, 1, size=(20, m.dim))
+        F = hyperholo_curvature(spec, P, FDScheme(h=1e-3, order=4))
         for S in m.structures():
             assert np.max(type11_residual(F, S)) < 1e-8
 

@@ -360,7 +360,10 @@ def _nested_ddc(f, I, p, scheme, inner=None):
     """Reference: ext_deriv of the d^c 1-form field, one d^c stencil per outer point."""
     inner = inner or scheme
     dc = FormField(
-        _rows(lambda q: dc_deriv(f, I, q[None], inner)[0]), degree=1, dim=f.dim, clearance=f.clearance
+        _rows(lambda q: dc_deriv(f, I, q[None], inner)[0]),
+        degree=1,
+        dim=f.dim,
+        clearance=f.clearance,
     )
     return ext_deriv(dc, p, scheme)
 
@@ -406,7 +409,8 @@ def test_batched_gradient_equals_pointwise_gradient():
     f = log_hU_field(2)
     S = twistor_structure(2)
     for scheme, _ in SCHEMES:
-        p = pack_point(FlatModel(2), rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), [0.5j])
+        z, w = rng.standard_normal((1, 2)), rng.standard_normal((1, 2))
+        p = pack_point(FlatModel(2), z, w, [0.5j])
         want = -S(p)[0].T @ fd_gradient(f, p, scheme)[0]
         assert np.array_equal(dc_deriv(f, S, p, scheme)[0], want)
 

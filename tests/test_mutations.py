@@ -133,7 +133,9 @@ def test_gh_mutation_fails(check_id, monkeypatch):
 # -- cotangent ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("check_id, tol", [("bg.moment.scaling", 1e-7), ("bg.moment.contraction", 1e-6)])
+@pytest.mark.parametrize(
+    "check_id, tol", [("bg.moment.scaling", 1e-7), ("bg.moment.contraction", 1e-6)]
+)
 def test_moment_map_scaled_alone_fails_the_moment_checks(check_id, tol, monkeypatch):
     # both checks are linear in the potentials, so a joint rescaling of h
     # and mu is invisible; mu alone times 1 + 1e-3 is off by 4.1e-4
