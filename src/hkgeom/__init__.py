@@ -11,7 +11,7 @@ a CLI that runs the verification suites and emits JSON/CSV reports.
 __version__ = "0.1.0"
 
 from . import errors
-from .forms import FDScheme, FormField, FormValue, ScalarField
+from .forms import FDScheme, FormField, ScalarField
 from .report import CheckRecord, Report
 from .suites import RunConfig, run_suite
 
@@ -20,7 +20,6 @@ __all__ = [
     "CheckRecord",
     "FDScheme",
     "FormField",
-    "FormValue",
     "Report",
     "RunConfig",
     "ScalarField",

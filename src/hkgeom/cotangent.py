@@ -35,7 +35,6 @@ from .errors import ConfigError, MetricError
 from .forms import (
     _OFFSETS,
     FDScheme,
-    FormValue,
     ScalarField,
     _as_matrices,
     _fd_reduce,
@@ -80,9 +79,11 @@ I = np.array(
     ]
 )
 I.flags.writeable = False
-#: omega2 + i omega3 = db ^ dv on the chart (constant coefficients)
-OMEGA2 = FormValue(2, 4, np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0]))
-OMEGA3 = FormValue(2, 4, np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0]))
+#: omega2 + i omega3 = db ^ dv on the chart (constant coefficients), as the
+#: antisymmetric matrices of dx0^dx2 - dx1^dx3 and dx0^dx3 + dx1^dx2
+OMEGA2 = _as_matrices(np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0]), 4)
+OMEGA3 = _as_matrices(np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0]), 4)
+OMEGA2.flags.writeable = OMEGA3.flags.writeable = False
 
 
 def _u_array(u):
@@ -288,7 +289,7 @@ def bg_structures(pt: CotangentPoint, scheme: FDScheme | None = None):
     G = 0.5 * (G + G_t)
     if np.linalg.eigvalsh(G).min() <= 0:
         raise MetricError("reconstructed metric is not positive definite")
-    J = -np.linalg.solve(G, np.broadcast_to(OMEGA2.as_matrix(), G.shape))
+    J = -np.linalg.solve(G, np.broadcast_to(OMEGA2, G.shape))
     return I, J, I @ J
 
 

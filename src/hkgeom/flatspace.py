@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .forms import FDScheme, FormValue, ScalarField, _points, ddc, pullback
+from .forms import FDScheme, ScalarField, _pair_indices, _points, ddc
 
 __all__ = [
     "FlatModel",
@@ -122,44 +122,24 @@ class FlatModel:
 
     # -- Kähler triple ------------------------------------------------------------
 
-    def _omega_from(self, S: np.ndarray) -> FormValue:
-        return FormValue.from_matrix(S.T)  # omega(X,Y) = g(SX,Y) = X^T S^T Y
+    # each Kähler form as its antisymmetric matrix S^T:
+    # omega(X, Y) = g(SX, Y) = X^T S^T Y
 
     @cached_property
-    def omega1(self) -> FormValue:
-        return self._omega_from(self.I)
+    def omega1(self) -> np.ndarray:
+        return self.I.T
 
     @cached_property
-    def omega2(self) -> FormValue:
-        return self._omega_from(self.J)
+    def omega2(self) -> np.ndarray:
+        return self.J.T
 
     @cached_property
-    def omega3(self) -> FormValue:
-        return self._omega_from(self.K)
+    def omega3(self) -> np.ndarray:
+        return self.K.T
 
-    def kahler_triple(self) -> tuple[FormValue, FormValue, FormValue]:
-        """The three constant Kähler 2-forms in real coordinates."""
+    def kahler_triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three constant Kähler 2-forms in real coordinates, as (dim, dim) matrices."""
         return self.omega1, self.omega2, self.omega3
-
-    # -- complex coordinate covectors -----------------------------------------------
-
-    def dz(self, i: int) -> FormValue:
-        zr, zi = self.z_slots(i)
-        c = np.zeros(self.dim, dtype=complex)
-        c[zr], c[zi] = 1.0, 1.0j
-        return FormValue(1, self.dim, c)
-
-    def dw(self, i: int) -> FormValue:
-        wr, wi = self.w_slots(i)
-        c = np.zeros(self.dim, dtype=complex)
-        c[wr], c[wi] = 1.0, 1.0j
-        return FormValue(1, self.dim, c)
-
-    def dzbar(self, i: int) -> FormValue:
-        return self.dz(i).conjugate()
-
-    def dwbar(self, i: int) -> FormValue:
-        return self.dw(i).conjugate()
 
 
 @dataclass(frozen=True)
@@ -267,25 +247,31 @@ def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = Non
     model = spec.model()
     P = _points(p, model.dim)
     deg = spec.degree
+    omega1 = model.omega1[_pair_indices(model.dim)]
     if deg == 0:
-        return np.tile(model.omega1.comps, (len(P), 1))
+        return np.tile(omega1, (len(P), 1))
     mu = ScalarField(lambda q: moment_map(spec, q) / deg, dim=model.dim)
-    return model.omega1.comps + ddc(mu, model.I, P, scheme)
+    return omega1 + ddc(mu, model.I, P, scheme)
 
 
 def rotation_degree_check(
     spec: CircleActionSpec, thetas: Sequence[float] | None = None
 ) -> float:
     """Max deviation of the finite pullback of omega2 + i omega3 from
-    e^{i n theta} scaling, over sampled rotation angles."""
+    e^{i n theta} scaling, over sampled rotation angles.
+
+    The pullback R^T M R is taken on the basis pairs (i, j), i < j, as the
+    stacked products R[:, i]^T M R[:, j].
+    """
     model = spec.model()
     omega_c = model.omega2 + 1j * model.omega3
+    rows, cols = _pair_indices(model.dim)
     if thetas is None:
         thetas = np.linspace(0.1, 2 * np.pi - 0.1, 7)
     worst = 0.0
     for th in thetas:
-        R = action_rotation(spec, float(th))
-        pulled = pullback(omega_c, R)
-        expected = np.exp(1j * spec.degree * th) * omega_c
-        worst = max(worst, float(np.max(np.abs(pulled.comps - expected.comps))))
+        Rt = action_rotation(spec, float(th)).T
+        pulled = (Rt[rows, None, :] @ omega_c @ Rt[cols, :, None])[:, 0, 0]
+        expected = np.exp(1j * spec.degree * th) * omega_c[rows, cols]
+        worst = max(worst, float(np.max(np.abs(pulled - expected))))
     return worst

@@ -1,10 +1,9 @@
-"""Finite-difference exterior calculus and pointwise tensor algebra.
+"""Finite-difference exterior calculus, the Hodge star and the type-(1,1) residual.
 
 Differential forms are carried by their components on the canonical
 ordered multi-index basis (dx0^dx1, dx0^dx2, ... in lexicographic
-order), so antisymmetry is structural and wedge / interior products
-reduce to index bookkeeping.  Derivatives (d, d^c, Laplacian) are
-central finite differences on user-supplied evaluation callbacks;
+order), so antisymmetry is structural.  Derivatives (d, d^c, Laplacian)
+are central finite differences on user-supplied evaluation callbacks;
 there is no symbolic layer.
 
 Every callable a stencil evaluates has one contract: it takes an
@@ -23,12 +22,13 @@ The operators take base points the same way, and only that way.
 ``(k, dim)`` gradients, ``(k, N, dim)`` Jacobians, ``(k, nb)`` form
 components or ``(k,)`` values, each row equal to that point alone in a
 batch of one; any other shape is a :class:`ConfigError` naming
-``(k, dim)``.  A field's clearance, a point-dependent complex structure
-and ``type11_residual`` follow the same rule: a clearance maps ``(m,
-dim)`` points to ``(m,)`` distances, a structure to ``(m, dim, dim)``
-matrices, and ``type11_residual`` takes the ``(k, nb)`` components of k
-2-forms.  :class:`FormValue` is the one-point form, for the pointwise
-algebra (wedge, interior product, pullback, Hodge star).
+``(k, dim)``.  A field's clearance, a point-dependent complex structure,
+``type11_residual`` and ``hodge_star`` follow the same rule: a clearance
+maps ``(m, dim)`` points to ``(m,)`` distances, a structure to ``(m,
+dim, dim)`` matrices, and ``type11_residual`` and ``hodge_star`` take the
+``(k, nb)`` components of k forms, with one matrix or one per form.
+Component arrays, and for a 2-form its antisymmetric matrix M with
+w(X, Y) = X^T M Y, are the package's only representation of a form.
 
 No field call returns more than ``MAX_STENCIL_VALUES`` (4096) values: an
 operator splits its base points into chunks of as many points as fit,
@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +65,6 @@ from .errors import ConfigError, DomainError, MetricError, StructureError
 
 __all__ = [
     "basis_indices",
-    "FormValue",
     "FDScheme",
     "ScalarField",
     "FormField",
@@ -76,11 +75,7 @@ __all__ = [
     "dc_deriv",
     "ddc",
     "laplacian",
-    "wedge",
-    "interior_product",
-    "pullback",
     "hodge_star",
-    "form_metric_norm",
     "type11_residual",
     "surface_integral",
 ]
@@ -112,146 +107,6 @@ def _as_matrices(comps: np.ndarray, dim: int) -> np.ndarray:
     M[..., rows, cols] = comps
     M[..., cols, rows] = -comps
     return M
-
-
-def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort an index tuple by adjacent swaps, tracking the permutation sign.
-
-    Returns (sorted tuple, sign); sign is 0 if any index repeats.
-    """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
-class FormValue:
-    """A degree-k antisymmetric tensor at a point of R^dim.
-
-    Components are stored on the sorted multi-index basis
-    ``basis_indices(dim, degree)`` and may be real or complex.
-    """
-
-    __slots__ = ("degree", "dim", "comps")
-
-    def __init__(self, degree: int, dim: int, comps=None):
-        nb = len(basis_indices(dim, degree))
-        if comps is None:
-            comps = np.zeros(nb)
-        else:
-            comps = np.asarray(comps)
-            if comps.shape != (nb,):
-                raise ValueError(
-                    f"degree-{degree} form on R^{dim} needs {nb} components, "
-                    f"got shape {comps.shape}"
-                )
-            if not np.iscomplexobj(comps):
-                comps = comps.astype(float)
-        self.degree = degree
-        self.dim = dim
-        self.comps = comps
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, degree: int, dim: int, entries: dict) -> "FormValue":
-        """Build a form from {multi-index tuple: value}; indices may be unsorted."""
-        comps = np.zeros(len(basis_indices(dim, degree)), dtype=complex)
-        pos = _basis_position(dim, degree)
-        for idx, val in entries.items():
-            srt, sgn = _sort_with_sign(tuple(idx))
-            if sgn == 0:
-                continue
-            comps[pos[srt]] += sgn * val
-        if np.allclose(comps.imag, 0.0):
-            comps = comps.real.copy()
-        return cls(degree, dim, comps)
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "FormValue":
-        """Degree-2 form from an antisymmetric matrix M, w(X,Y) = X^T M Y."""
-        M = np.asarray(M)
-        return cls(2, M.shape[0], M[_pair_indices(M.shape[0])])
-
-    # -- component access -----------------------------------------------------
-
-    def comp(self, indices: Sequence[int]):
-        """Signed component lookup for an arbitrary (possibly unsorted) index tuple."""
-        srt, sgn = _sort_with_sign(tuple(indices))
-        if sgn == 0:
-            return self.comps.dtype.type(0)
-        return sgn * self.comps[_basis_position(self.dim, self.degree)[srt]]
-
-    def as_matrix(self) -> np.ndarray:
-        """Degree-2 form as the antisymmetric matrix M with w(X,Y) = X^T M Y."""
-        if self.degree != 2:
-            raise ValueError("as_matrix requires a degree-2 form")
-        return _as_matrices(self.comps, self.dim)
-
-    # -- evaluation -----------------------------------------------------------
-
-    def __call__(self, *vectors):
-        """Evaluate on degree-many tangent vectors (multilinear, alternating)."""
-        if len(vectors) != self.degree:
-            raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        if self.degree == 0:
-            return self.comps[0]
-        cols = np.column_stack([np.asarray(v) for v in vectors])
-        if self.degree == 1:
-            return self.comps @ cols[:, 0]
-        if self.degree == 2:
-            return cols[:, 0] @ self.as_matrix() @ cols[:, 1]
-        total = 0.0
-        for pos, idx in enumerate(basis_indices(self.dim, self.degree)):
-            c = self.comps[pos]
-            if c != 0:
-                total = total + c * np.linalg.det(cols[list(idx), :])
-        return total
-
-    # -- algebra ---------------------------------------------------------------
-
-    def conjugate(self) -> "FormValue":
-        return FormValue(self.degree, self.dim, np.conj(self.comps))
-
-    def norm(self) -> float:
-        """Euclidean norm of the stored components."""
-        return float(np.linalg.norm(self.comps))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return FormValue(self.degree, self.dim, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return FormValue(self.degree, self.dim, self.comps - other.comps)
-
-    def __neg__(self):
-        return FormValue(self.degree, self.dim, -self.comps)
-
-    def __mul__(self, scalar):
-        return FormValue(self.degree, self.dim, self.comps * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return FormValue(self.degree, self.dim, self.comps / scalar)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, FormValue):
-            raise TypeError("can only combine FormValue with FormValue")
-        if (self.degree, self.dim) != (other.degree, other.dim):
-            raise ValueError("degree/dimension mismatch")
-
-    def __repr__(self):
-        return f"FormValue(degree={self.degree}, dim={self.dim}, comps={self.comps!r})"
 
 
 # -- field handles -------------------------------------------------------------
@@ -594,134 +449,91 @@ def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> np.ndarray:
     return _chunked(P, 1 + _stencil_rows(scheme, N), chunk)
 
 
-# -- pointwise algebra ------------------------------------------------------------
-
-
-def wedge(a: FormValue, b: FormValue) -> FormValue:
-    """Wedge product by index combinatorics on the sorted bases."""
-    if a.dim != b.dim:
-        raise ValueError("wedge requires forms on the same space")
-    N = a.dim
-    k = a.degree + b.degree
-    dtype = np.result_type(a.comps, b.comps)
-    out = np.zeros(len(basis_indices(N, k)), dtype=dtype)
-    pos_k = _basis_position(N, k)
-    for pa, ia in enumerate(basis_indices(N, a.degree)):
-        ca = a.comps[pa]
-        if ca == 0:
-            continue
-        for pb, ib in enumerate(basis_indices(N, b.degree)):
-            cb = b.comps[pb]
-            if cb == 0:
-                continue
-            srt, sgn = _sort_with_sign(ia + ib)
-            if sgn != 0:
-                out[pos_k[srt]] += sgn * ca * cb
-    return FormValue(k, N, out)
-
-
-def interior_product(X, w: FormValue) -> FormValue:
-    """i_X w: contraction of the first slot with the tangent vector X."""
-    X = np.asarray(X)
-    if w.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    N = w.dim
-    out = np.zeros(len(basis_indices(N, w.degree - 1)), dtype=np.result_type(X, w.comps))
-    for pos_J, J in enumerate(basis_indices(N, w.degree - 1)):
-        acc = 0.0
-        for i in range(N):
-            xi = X[i]
-            if xi != 0:
-                acc += xi * w.comp((i,) + J)
-        out[pos_J] = acc
-    return FormValue(w.degree - 1, N, out)
-
-
-def pullback(w: FormValue, A: np.ndarray) -> FormValue:
-    """Pull back w through the linear map with matrix A (columns = images).
-
-    A maps R^m -> R^dim(w); the result is a degree-k form on R^m.  With a
-    rectangular frame matrix this is the restriction of w to the frame.
-    """
-    # in C order every column A[:, j] is strided, as the columns that
-    # FormValue.__call__ stacks are; BLAS rounds a product with a
-    # contiguous column differently
-    A = np.ascontiguousarray(A)
-    N_target, m = A.shape
-    if N_target != w.dim:
-        raise ValueError("frame matrix rows must match the form's dimension")
-    k = w.degree
-    if k == 0:
-        return FormValue(0, m, w.comps.copy())
-    out = np.zeros(len(basis_indices(m, k)), dtype=np.result_type(w.comps, A))
-    if k == 2:
-        M = w.as_matrix()
-        for pos_J, (i, j) in enumerate(basis_indices(m, 2)):
-            out[pos_J] = A[:, i] @ M @ A[:, j]
-        return FormValue(2, m, out)
-    for pos_J, J in enumerate(basis_indices(m, k)):
-        out[pos_J] = w(*[A[:, j] for j in J])
-    return FormValue(k, m, out)
-
-
 # -- metric operations -------------------------------------------------------------
 
 
-def _raise_indices(Ginv: np.ndarray, w: FormValue) -> np.ndarray:
-    """Contravariant components w^I = det(Ginv[I, I']) w_{I'} on the sorted basis.
+@lru_cache(maxsize=None)
+def _star_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, signs): the star sends basis element I to signs[I] dx^J, J at targets[I].
 
-    The k-th compound matrix of Ginv, every (I, I') minor of it, comes
-    from one stacked determinant.
+    J is the sorted complement of I, and signs[I] the sign of the
+    permutation (I, J) of (0, ..., dim - 1), (-1) to the number of pairs
+    i in I, j in J with i > j.
     """
-    k, N = w.degree, w.dim
-    if k == 0:
-        return w.comps.copy()
-    if k == 1:
-        return Ginv @ w.comps
-    idx = np.array(basis_indices(N, k), dtype=int).reshape(-1, k)
-    compound = np.linalg.det(Ginv[idx[:, None, :, None], idx[None, :, None, :]])
-    return compound @ w.comps
+    pos_out = _basis_position(dim, dim - degree)
+    targets, signs = [], []
+    for I in basis_indices(dim, degree):
+        J = tuple(j for j in range(dim) if j not in I)
+        targets.append(pos_out[J])
+        signs.append((-1) ** sum(i > j for i in I for j in J))
+    return np.array(targets, dtype=int), np.array(signs, dtype=int)
 
 
-def _check_metric(g: np.ndarray) -> np.ndarray:
+def _raise_indices(Ginv: np.ndarray, F: np.ndarray, degree: int) -> np.ndarray:
+    """Contravariant components w^I = det(Ginv[I, I']) w_{I'} of the rows of F (k, nb).
+
+    Ginv is one inverse metric (N, N) or one per row (k, N, N).  The
+    degree-th compound matrix of Ginv, every (I, I') minor of it, comes
+    from one stacked determinant.  It is made contiguous: the determinant
+    returns a strided array, and BLAS rounds a product with it differently.
+    """
+    if degree == 0:
+        return F.copy()
+    compound = Ginv
+    if degree > 1:
+        idx = np.array(basis_indices(Ginv.shape[-1], degree), dtype=int)
+        minors = Ginv[..., idx[:, None, :, None], idx[None, :, None, :]]
+        compound = np.ascontiguousarray(np.linalg.det(minors))
+    return (compound @ F[:, :, None])[:, :, 0]
+
+
+def _check_metric(g) -> np.ndarray:
+    """g as float metrics, (N, N) or (k, N, N), each symmetric to 1e-12 and positive definite.
+
+    The symmetry bound is absolute (rtol 0); eigvalsh reads one triangle
+    only, so it could not see an asymmetric metric.
+    """
     g = np.asarray(g, dtype=float)
-    if not np.allclose(g, g.T, atol=1e-12):
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
+        raise ConfigError(f"metrics must have shape (N, N) or (k, N, N), got shape {g.shape}")
+    if not np.allclose(g, np.swapaxes(g, -1, -2), rtol=0.0, atol=1e-12):
         raise MetricError("metric matrix is not symmetric")
-    evals = np.linalg.eigvalsh(g)
-    if evals.min() <= 0:
-        raise MetricError(f"metric not positive definite (min eigenvalue {evals.min():.3e})")
+    least = np.min(np.linalg.eigvalsh(g), initial=np.inf)
+    if least <= 0:
+        raise MetricError(f"metric not positive definite (min eigenvalue {least:.3e})")
     return g
 
 
-def hodge_star(g, orientation: int, w: FormValue) -> FormValue:
-    """Metric Hodge dual, defined by a ^ *b = <a,b>_g vol_g.
+def hodge_star(g, orientation: int, comps, degree: int) -> np.ndarray:
+    """Metric Hodge duals of k forms, defined by a ^ *b = <a,b>_g vol_g.
 
-    orientation (+1/-1) fixes whether the coordinate order gives the
-    positive volume form.
+    comps holds the (k, nb) components of k degree-``degree`` forms on
+    ``basis_indices(N, degree)``; the result holds the (k, nb') components
+    of their duals, of degree N - degree.  g is one metric (N, N) or one
+    per form (k, N, N), validated once for the batch.  orientation (+1/-1)
+    fixes whether the coordinate order gives the positive volume form.
+    Each row equals that form and its metric alone in a batch of one.
     """
-    g = _check_metric(g)
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    N, k = w.dim, w.degree
-    Ginv = np.linalg.inv(g)
-    sqrtdet = np.sqrt(np.linalg.det(g))
-    raised = _raise_indices(Ginv, w)
-    out = np.zeros(len(basis_indices(N, N - k)), dtype=w.comps.dtype)
-    pos_out = _basis_position(N, N - k)
-    full = set(range(N))
-    for pI, I in enumerate(basis_indices(N, k)):
-        J = tuple(sorted(full - set(I)))
-        _, sgn = _sort_with_sign(I + J)
-        out[pos_out[J]] = orientation * sgn * sqrtdet * raised[pI]
-    return FormValue(N - k, N, out)
-
-
-def form_metric_norm(g, w: FormValue) -> float:
-    """Pointwise metric norm: sqrt(sum_I conj(w_I) w^I) on the sorted basis."""
     g = _check_metric(g)
-    raised = _raise_indices(np.linalg.inv(g), w)
-    val = np.real(np.sum(np.conj(w.comps) * raised))
-    return float(np.sqrt(max(val, 0.0)))
+    N = g.shape[-1]
+    nb = len(basis_indices(N, degree))
+    F = np.asarray(comps)
+    if not 0 <= degree <= N or F.ndim != 2 or F.shape[1] != nb:
+        raise ConfigError(
+            f"degree-{degree} forms on R^{N} must have shape (k, nb) = (k, {nb}), "
+            f"got shape {F.shape}"
+        )
+    if g.ndim == 3 and len(g) != len(F):
+        raise ConfigError(f"{len(F)} forms need {len(F)} metrics, got {len(g)}")
+    F = np.ascontiguousarray(F, dtype=np.result_type(F, float))
+    raised = _raise_indices(np.linalg.inv(g), F, degree)
+    sqrtdet = np.sqrt(np.linalg.det(g))[..., None]
+    targets, signs = _star_table(N, degree)
+    out = np.empty_like(raised)
+    out[:, targets] = orientation * signs * sqrtdet * raised
+    return out
 
 
 def type11_residual(F, S, *, structure_tol: float = 1e-6) -> np.ndarray:

@@ -36,7 +36,6 @@ from .errors import ConfigError, DomainError
 from .forms import (
     FDScheme,
     FormField,
-    FormValue,
     _as_matrices,
     _points,
     ext_deriv,
@@ -368,11 +367,10 @@ def ahat_curvature(
 def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -> np.ndarray:
     """max-norm of *F + F for F = d(Ahat) at chart points p (k, 4), (k,): zero iff F is ASD.
 
-    One ext_deriv call and one metric batch; the Hodge star is taken row by row.
+    One ext_deriv call, one metric batch and one hodge_star call.
     """
     f = ahat_curvature(cfg, p, gauge, scheme)
-    g = gh_metric(cfg, p, gauge)
-    star = np.array([hodge_star(gi, 1, FormValue(2, 4, fi)).comps for gi, fi in zip(g, f)])
+    star = hodge_star(gh_metric(cfg, p, gauge), 1, f, 2)
     return np.max(np.abs(star + f), axis=-1)
 
 

@@ -483,7 +483,7 @@ class QuotientChart:
         #: (k, dim, K)
         self.frames = levels.frames
         self._target = levels.level.target().ravel()
-        self._omega = tuple(w.as_matrix() for w in action.model.kahler_triple())
+        self._omega = action.model.kahler_triple()
         self._generators = np.array(action.generators)
 
     @property

@@ -54,8 +54,8 @@ from .flatspace import CircleActionSpec, FlatModel, action_vector_field
 from .forms import (
     FDScheme,
     FormField,
-    FormValue,
     ScalarField,
+    _as_matrices,
     _pair_indices,
     ddc,
     ext_deriv,
@@ -181,7 +181,7 @@ def fibre_symplectic(model: FlatModel, zeta, s, t) -> np.ndarray:
                              + zeta^2 (omega2 - i omega3)(s,t).
     """
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    w1, w2, w3 = (_pairing(s, w.as_matrix(), t) for w in model.kahler_triple())
+    w1, w2, w3 = (_pairing(s, w, t) for w in model.kahler_triple())
     zeta = np.asarray(zeta, dtype=complex)
     return (w2 + 1j * w3) + 2j * zeta * w1 + zeta**2 * (w2 - 1j * w3)
 
@@ -418,7 +418,7 @@ def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.nd
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
     s = np.asarray(m_tangent, dtype=float)
     measured = fibre_residue(z, w, vertical_lift(0.0, s), nodes=nodes)
-    omega_c = (model.omega2 + 1j * model.omega3).as_matrix()
+    omega_c = model.omega2 + 1j * model.omega3
     x = action_vector_field(spec, model.from_complex(z, w))
     expected = _pairing(x, omega_c, s) / 2j
     return _modulus(measured - (-1.0) * expected)
@@ -598,25 +598,26 @@ def dbar_display_residual(n: int, z, w, zeta, tangent) -> np.ndarray:
     return np.abs(dbar_scalar(n, pack_point(model, z, w, zeta), tangent) - displayed)
 
 
-def flat_reference_curvature(n: int) -> FormValue:
-    """Exact curvature of the half-rotation bundle on flat space.
+def flat_reference_curvature(n: int) -> np.ndarray:
+    """Exact curvature of the half-rotation bundle on flat space, components (nb,).
 
     omega1 + dd^c(mu) for the w-only rotation: sum_i dx_i ^ dy_i taken
     with weight +1 on each z-plane and -1 on each w-plane.
     """
     model = FlatModel(n)
-    entries = {}
+    M = np.zeros((model.dim, model.dim))
     for i in range(n):
-        entries[model.z_slots(i)] = 1.0
-        entries[model.w_slots(i)] = -1.0
-    return FormValue.from_dict(2, model.dim, entries)
+        M[model.z_slots(i)] = 1.0
+        M[model.w_slots(i)] = -1.0
+    return M[_pair_indices(model.dim)]
 
 
-def _embedded_reference(n: int) -> FormValue:
+def _embedded_reference(n: int) -> np.ndarray:
+    """Twice the flat reference on the first 4n coordinates of R^(4n+2), components (nb,)."""
     dim = total_dim(n)
     mat = np.zeros((dim, dim))
-    mat[: 4 * n, : 4 * n] = 2.0 * flat_reference_curvature(n).as_matrix()
-    return FormValue.from_matrix(mat)
+    mat[: 4 * n, : 4 * n] = 2.0 * _as_matrices(flat_reference_curvature(n), 4 * n)
+    return mat[_pair_indices(dim)]
 
 
 def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
@@ -628,7 +629,7 @@ def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
     """
     p = pack_point(FlatModel(n), z, w, zeta)
     got = ddc(log_hU_field(n), twistor_structure(n), p, _DDC_OUTER, _DDC_INNER)
-    return np.max(np.abs(got - _embedded_reference(n).comps), axis=-1)
+    return np.max(np.abs(got - _embedded_reference(n)), axis=-1)
 
 
 # -- curvature as a form field on real coordinates ------------------------------------

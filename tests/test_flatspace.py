@@ -21,10 +21,30 @@ from hkgeom.forms import (
     ScalarField,
     ext_deriv,
     fd_gradient,
-    interior_product,
     type11_residual,
-    wedge,
 )
+
+
+def _upper(M):
+    """Components of a 2-form's matrix on the basis dx_i^dx_j, i < j, in order."""
+    return M[np.triu_indices(len(M), 1)]
+
+
+def _wedge(a, b):
+    """The matrix of the wedge of two 1-forms: a b^T - b a^T."""
+    return np.outer(a, b) - np.outer(b, a)
+
+
+def _dz(m, i):
+    c = np.zeros(m.dim, dtype=complex)
+    c[list(m.z_slots(i))] = 1.0, 1.0j
+    return c
+
+
+def _dw(m, i):
+    c = np.zeros(m.dim, dtype=complex)
+    c[list(m.w_slots(i))] = 1.0, 1.0j
+    return c
 
 
 def test_quaternion_relations():
@@ -41,33 +61,31 @@ def test_quaternion_relations():
 def test_kahler_triple_n1_components():
     m = FlatModel(1)
     w1, w2, w3 = m.kahler_triple()
-    assert np.allclose(w1.comps, [1, 0, 0, 0, 0, 1])  # dx0^dx1 + dx2^dx3
-    assert np.allclose(w2.comps, [0, 1, 0, 0, -1, 0])  # dx0^dx2 - dx1^dx3
-    assert np.allclose(w3.comps, [0, 0, 1, 1, 0, 0])  # dx0^dx3 + dx1^dx2
+    assert np.allclose(_upper(w1), [1, 0, 0, 0, 0, 1])  # dx0^dx1 + dx2^dx3
+    assert np.allclose(_upper(w2), [0, 1, 0, 0, -1, 0])  # dx0^dx2 - dx1^dx3
+    assert np.allclose(_upper(w3), [0, 0, 1, 1, 0, 0])  # dx0^dx3 + dx1^dx2
+    for w in (w1, w2, w3):
+        assert w.shape == (4, 4) and np.array_equal(w, -w.T)
 
 
 def test_omega_matches_complex_formulas():
     m = FlatModel(2)
     w1, w2, w3 = m.kahler_triple()
     # omega1 = (i/2) sum(dz dzbar + dw dwbar); omega2 + i omega3 = sum dz^dw
-    acc1 = None
-    acc_c = None
-    for i in range(m.n):
-        t1 = 0.5j * (
-            wedge(m.dz(i), m.dzbar(i)) + wedge(m.dw(i), m.dwbar(i))
-        )
-        tc = wedge(m.dz(i), m.dw(i))
-        acc1 = t1 if acc1 is None else acc1 + t1
-        acc_c = tc if acc_c is None else acc_c + tc
-    assert np.allclose(acc1.comps, w1.comps, atol=1e-14)
-    assert np.allclose(acc_c.comps, (w2 + 1j * w3).comps, atol=1e-14)
+    acc1 = sum(
+        0.5j * (_wedge(_dz(m, i), np.conj(_dz(m, i))) + _wedge(_dw(m, i), np.conj(_dw(m, i))))
+        for i in range(m.n)
+    )
+    acc_c = sum(_wedge(_dz(m, i), _dw(m, i)) for i in range(m.n))
+    assert np.allclose(_upper(acc1), _upper(w1), atol=1e-14)
+    assert np.allclose(_upper(acc_c), _upper(w2 + 1j * w3), atol=1e-14)
 
 
 def test_omega_complex_on_unit_tangent_pair():
     m = FlatModel(1)
     X = m.from_complex(1.0, 0.0)  # tangent dz = 1
     Y = m.from_complex(0.0, 1.0)  # tangent dw = 1
-    val = (m.omega2 + 1j * m.omega3)(X, Y)
+    val = X @ (m.omega2 + 1j * m.omega3) @ Y  # omega(X, Y) = X^T M Y
     assert np.isclose(val, 1.0)
 
 
@@ -77,7 +95,7 @@ def test_omega_is_g_compatible_with_structures():
     for S, w in zip(m.structures(), m.kahler_triple()):
         for _ in range(10):
             X, Y = rng.standard_normal(m.dim), rng.standard_normal(m.dim)
-            assert np.isclose(w(X, Y), (S @ X) @ m.metric @ Y, atol=1e-12)
+            assert np.isclose(X @ w @ Y, (S @ X) @ m.metric @ Y, atol=1e-12)
 
 
 # -- circle actions -----------------------------------------------------------
@@ -114,7 +132,7 @@ def test_action_generator_is_killing_and_omega1_invariant():
         A = action_generator(spec)
         assert np.max(np.abs(A + A.T)) < 1e-12  # Killing for the flat metric
         m = spec.model()
-        M1 = m.omega1.as_matrix()
+        M1 = m.omega1
         # infinitesimal invariance of omega1: A^T M + M A = 0
         assert np.max(np.abs(A.T @ M1 + M1 @ A)) < 1e-12
         # the action is I-holomorphic
@@ -162,8 +180,8 @@ def test_moment_map_defining_equation():
         mu = moment_field(spec)
         P = rng.uniform(-1, 1, size=(100, m.dim))
         for dmu, X in zip(fd_gradient(mu, P, scheme), action_vector_field(spec, P)):
-            ix = interior_product(X, m.omega1)
-            assert np.max(np.abs(dmu - ix.comps)) < 1e-9
+            ix = X @ m.omega1  # i_X of a 2-form with matrix M is X^T M
+            assert np.max(np.abs(dmu - ix)) < 1e-9
 
 
 # -- curvature of the associated bundle ------------------------------------------
@@ -189,7 +207,7 @@ def test_curvature_trivial_action_is_omega1():
     spec = CircleActionSpec(k=(0, 0), l=(0, 0))
     m = spec.model()
     F = hyperholo_curvature(spec, np.full((2, m.dim), 0.3))
-    assert np.array_equal(F, [m.omega1.comps] * 2)
+    assert np.array_equal(F, [_upper(m.omega1)] * 2)
 
 
 def test_curvature_type11_for_all_structures():

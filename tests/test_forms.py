@@ -9,26 +9,28 @@ from hypothesis.extra import numpy as hnp
 from hkgeom import cotangent, forms
 from hkgeom import gibbonshawking as gh
 from hkgeom.errors import ConfigError, DomainError, MetricError, StructureError
-from hkgeom.flatspace import CircleActionSpec, FlatModel, moment_field
+from hkgeom.flatspace import (
+    CircleActionSpec,
+    FlatModel,
+    action_rotation,
+    moment_field,
+    rotation_degree_check,
+)
 from hkgeom.forms import (
     FDScheme,
     FormField,
-    FormValue,
     ScalarField,
+    _as_matrices,
     basis_indices,
     dc_deriv,
     ddc,
     ext_deriv,
     fd_gradient,
     fd_jacobian,
-    form_metric_norm,
     hodge_star,
-    interior_product,
     laplacian,
-    pullback,
     surface_integral,
     type11_residual,
-    wedge,
 )
 from hkgeom.twistor import curvature_FZ_field, log_hU_field, pack_point, twistor_structure
 
@@ -53,9 +55,9 @@ J4 = np.array(
 )
 K4 = I4 @ J4
 
-OMEGA1 = FormValue(2, 4, np.array([1.0, 0, 0, 0, 0, 1.0]))  # dx0^dx1 + dx2^dx3
-OMEGA2 = FormValue(2, 4, np.array([0, 1.0, 0, 0, -1.0, 0]))  # dx0^dx2 - dx1^dx3
-OMEGA3 = FormValue(2, 4, np.array([0, 0, 1.0, 1.0, 0, 0]))  # dx0^dx3 + dx1^dx2
+OMEGA1 = np.array([1.0, 0, 0, 0, 0, 1.0])  # dx0^dx1 + dx2^dx3
+OMEGA2 = np.array([0, 1.0, 0, 0, -1.0, 0])  # dx0^dx2 - dx1^dx3
+OMEGA3 = np.array([0, 0, 1.0, 1.0, 0, 0])  # dx0^dx3 + dx1^dx2
 
 
 def _rows(fn):
@@ -69,95 +71,54 @@ def test_basis_indices_shape():
     assert basis_indices(3, 0) == ((),)
 
 
-def test_formvalue_antisymmetry_random_pairs():
-    rng = np.random.default_rng(0)
-    w = FormValue(3, 6, rng.standard_normal(len(basis_indices(6, 3))))
-    for _ in range(50):
-        idx = list(rng.choice(6, size=3, replace=False))
-        a, b = rng.choice(3, size=2, replace=False)
-        swapped = idx.copy()
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        assert w.comp(idx) == -w.comp(swapped)
-    assert w.comp((1, 1, 2)) == 0.0
-
-
-def test_formvalue_evaluation_matches_determinant():
-    rng = np.random.default_rng(1)
-    w = FormValue(2, 4, rng.standard_normal(6))
-    X, Y = rng.standard_normal(4), rng.standard_normal(4)
-    direct = sum(
-        w.comps[p] * (X[i] * Y[j] - X[j] * Y[i])
-        for p, (i, j) in enumerate(basis_indices(4, 2))
-    )
-    assert np.isclose(w(X, Y), direct)
-    assert np.isclose(w(X, Y), -w(Y, X))
-    assert np.isclose(w(X, X), 0.0)
-
-
-def test_wedge_associative_and_graded_commutative():
-    rng = np.random.default_rng(2)
-    a = FormValue(1, 5, rng.standard_normal(5))
-    b = FormValue(1, 5, rng.standard_normal(5))
-    c = FormValue(2, 5, rng.standard_normal(10))
-    ab = wedge(a, b)
-    assert np.allclose(ab.comps, -wedge(b, a).comps)  # odd-odd anticommute
-    assert np.allclose(wedge(ab, c).comps, wedge(a, wedge(b, c)).comps)
-    assert np.allclose(wedge(a, c).comps, wedge(c, a).comps)  # odd-even commute
-
-
-def test_interior_product_contracts_first_slot():
-    rng = np.random.default_rng(3)
-    w = FormValue(3, 5, rng.standard_normal(10))
-    X = rng.standard_normal(5)
-    Y = rng.standard_normal(5)
-    Z = rng.standard_normal(5)
-    assert np.isclose(interior_product(X, w)(Y, Z), w(X, Y, Z))
-
-
 def test_pullback_by_rotation_preserves_evaluation():
+    # the pullback of a 2-form with matrix M by A is A^T M A, and
+    # omega(X, Y) is X^T M Y: so (A^T M A)(X, Y) = M(AX, AY)
     rng = np.random.default_rng(4)
-    w = FormValue(2, 4, rng.standard_normal(6))
+    M = _as_matrices(rng.standard_normal(6), 4)
     A = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    wA = pullback(w, A)
     X, Y = rng.standard_normal(4), rng.standard_normal(4)
-    assert np.isclose(wA(X, Y), w(A @ X, A @ Y))
+    assert np.isclose(X @ (A.T @ M @ A) @ Y, (A @ X) @ M @ (A @ Y))
 
 
-def _loop_matrix(w):
+def _loop_matrix(comps, dim):
     """Reference: the degree-2 matrix filled entry by entry."""
-    M = np.zeros((w.dim, w.dim), dtype=w.comps.dtype)
-    for pos, (i, j) in enumerate(basis_indices(w.dim, 2)):
-        M[i, j] = w.comps[pos]
-        M[j, i] = -w.comps[pos]
+    M = np.zeros((dim, dim), dtype=comps.dtype)
+    for pos, (i, j) in enumerate(basis_indices(dim, 2)):
+        M[i, j] = comps[pos]
+        M[j, i] = -comps[pos]
     return M
 
 
 def test_as_matrix_and_pullback_bitwise_equal_per_pair_evaluation():
-    # reference: w(A[:, i], A[:, j]) per pair, each rebuilding the matrix
     rng = np.random.default_rng(6)
     for trial in range(300):
-        n, m = rng.integers(2, 15, size=2)
-        comps = rng.standard_normal(n * (n - 1) // 2)
-        A = rng.standard_normal((n, m))
+        n = int(rng.integers(2, 15))
+        comps = rng.standard_normal((3, n * (n - 1) // 2))
         if trial % 2:
-            comps = comps + 1j * rng.standard_normal(comps.size)
-        if trial % 3 == 0:
-            A = A + 1j * rng.standard_normal((n, m))
-        if trial % 5 == 0:
-            A = np.asfortranarray(A)
-        w = FormValue(2, n, comps)
-        assert np.array_equal(w.as_matrix(), _loop_matrix(w))
-        want = np.array(
-            [
-                np.column_stack([A[:, i], A[:, j]])[:, 0]
-                @ _loop_matrix(w)
-                @ np.column_stack([A[:, i], A[:, j]])[:, 1]
-                for i, j in basis_indices(m, 2)
-            ]
-        )
-        got = pullback(w, A).comps
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+            comps = comps + 1j * rng.standard_normal(comps.shape)
+        got = _as_matrices(comps, n)
+        assert got.dtype == comps.dtype
+        assert np.array_equal(got, [_loop_matrix(c, n) for c in comps])
+    # rotation_degree_check pulls omega2 + i omega3 back by stacked
+    # products; reference: R[:, i] @ M @ R[:, j] per pair, M filled entry by entry
+    thetas = np.linspace(0.1, 2 * np.pi - 0.1, 7)
+    for n in (1, 2, 3):
+        for spec in (
+            CircleActionSpec(k=(0,) * n, l=(1,) * n),
+            CircleActionSpec(k=(1,) * n, l=(1,) * n),
+            CircleActionSpec(k=(2,) * n, l=(-1,) * n),
+        ):
+            m = spec.model()
+            omega_c = (m.omega2 + 1j * m.omega3)[np.triu_indices(m.dim, 1)]
+            M = _loop_matrix(omega_c, m.dim)
+            want = 0.0
+            for th in thetas:
+                R = action_rotation(spec, float(th))
+                pulled = np.array([R[:, i] @ M @ R[:, j] for i, j in basis_indices(m.dim, 2)])
+                gap = np.abs(pulled - np.exp(1j * spec.degree * th) * omega_c)
+                want = max(want, float(np.max(gap)))
+            assert rotation_degree_check(spec, thetas) == want
 
 
 # -- exterior derivative -------------------------------------------------
@@ -343,7 +304,7 @@ def test_flat_moment_map_curvature_identity():
     expected = np.array([1.0, 0, 0, 0, 0, -1.0])
     for _ in range(5):
         p = rng.uniform(-1, 1, size=(1, 4))
-        F = OMEGA1.comps + ddc(mu, I4, p, FDScheme(h=1e-3, order=4))
+        F = OMEGA1 + ddc(mu, I4, p, FDScheme(h=1e-3, order=4))
         assert np.allclose(F, expected, atol=1e-9)
 
 
@@ -727,9 +688,9 @@ def test_operators_take_batches_only(name):
 
 
 def test_type11_residual_takes_batches_only():
-    assert type11_residual(OMEGA1.comps[None], I4).shape == (1,)
+    assert type11_residual(OMEGA1[None], I4).shape == (1,)
     with pytest.raises(ConfigError, match=r"shape \(k, 6\), got shape \(6,\)"):
-        type11_residual(OMEGA1.comps, I4)
+        type11_residual(OMEGA1, I4)
 
 
 def test_clearance_must_return_one_distance_per_point():
@@ -771,27 +732,30 @@ def test_laplacian_harmonic_kernel():
 
 
 def test_hodge_star_euclidean_r3():
-    w = FormValue(1, 3, [1.0, 0.0, 0.0])  # dx1
-    s = hodge_star(np.eye(3), +1, w)
-    expect = FormValue.from_dict(2, 3, {(1, 2): 1.0})  # dx2^dx3
-    assert np.allclose(s.comps, expect.comps)
+    s = hodge_star(np.eye(3), +1, [[1.0, 0.0, 0.0]], 1)  # dx1
+    assert np.allclose(s, [[0.0, 0.0, 1.0]])  # dx2^dx3
 
 
 def test_hodge_star_self_dual_triple_r4():
-    for w in (OMEGA1, OMEGA2, OMEGA3):
-        s = hodge_star(np.eye(4), +1, w)
-        assert np.allclose(s.comps, w.comps, atol=1e-14)
+    triple = np.array([OMEGA1, OMEGA2, OMEGA3])
+    assert np.allclose(hodge_star(np.eye(4), +1, triple, 2), triple, atol=1e-14)
 
 
 def test_hodge_star_double_application_sign():
     rng = np.random.default_rng(8)
     for (N, k) in [(3, 1), (4, 2), (4, 1), (5, 2)]:
-        w = FormValue(k, N, rng.standard_normal(len(basis_indices(N, k))))
+        w = rng.standard_normal((1, len(basis_indices(N, k))))
         A = rng.standard_normal((N, N))
         g = A @ A.T + N * np.eye(N)
-        ss = hodge_star(g, +1, hodge_star(g, +1, w))
+        ss = hodge_star(g, +1, hodge_star(g, +1, w, k), N - k)
         sign = (-1) ** (k * (N - k))
-        assert np.allclose(ss.comps, sign * w.comps, atol=1e-10)
+        assert np.allclose(ss, sign * w, atol=1e-10)
+
+
+def _norm_2form(g, comps):
+    """Metric norm of a 2-form with matrix M: sqrt(tr(M^T G^-1 M G^-1) / 2)."""
+    M, Gi = _as_matrices(comps, len(g)), np.linalg.inv(g)
+    return np.sqrt(0.5 * np.trace(M.T @ Gi @ M @ Gi))
 
 
 def test_hodge_star_isometry():
@@ -799,10 +763,10 @@ def test_hodge_star_isometry():
     for _ in range(10):
         A = rng.standard_normal((4, 4))
         g = A @ A.T + 4 * np.eye(4)
-        w = FormValue(2, 4, rng.standard_normal(6))
+        w = rng.standard_normal(6)
         assert np.isclose(
-            form_metric_norm(g, hodge_star(g, +1, w)),
-            form_metric_norm(g, w),
+            _norm_2form(g, hodge_star(g, +1, w[None], 2)[0]),
+            _norm_2form(g, w),
             atol=1e-10,
         )
 
@@ -819,7 +783,7 @@ def test_hodge_star_spherical_gauge_potential():
 
     def dV(p):
         r = np.linalg.norm(p)
-        return FormValue(1, 3, -0.5 * p / r**3)
+        return -0.5 * p / r**3
 
     field = FormField(
         alpha, degree=1, dim=3, clearance=lambda p: np.hypot(p[:, 1], p[:, 2])
@@ -830,26 +794,73 @@ def test_hodge_star_spherical_gauge_potential():
         if np.hypot(p[1], p[2]) < 0.3:
             continue
         da = ext_deriv(field, p[None], FDScheme(h=1e-4, order=4))[0]
-        sdv = hodge_star(np.eye(3), +1, dV(p))
-        assert np.allclose(da, sdv.comps, atol=1e-6)
+        sdv = hodge_star(np.eye(3), +1, dV(p)[None], 1)[0]
+        assert np.allclose(da, sdv, atol=1e-6)
 
 
 def test_hodge_star_rejects_singular_metric():
-    w = FormValue(1, 2, [1.0, 0.0])
     with pytest.raises(MetricError):
-        hodge_star(np.diag([1.0, 0.0]), +1, w)
+        hodge_star(np.diag([1.0, 0.0]), +1, [[1.0, 0.0]], 1)
+
+
+def test_hodge_star_rejects_an_asymmetric_metric():
+    # off by 1e-6 in one entry: inside numpy's default rtol of 1e-5, but far
+    # outside the absolute 1e-12 the check states; eigvalsh alone reads one
+    # triangle and would pass it
+    g = np.array([[2.0, 1.0 + 1e-6], [1.0, 2.0]])
+    with pytest.raises(MetricError, match="not symmetric"):
+        hodge_star(g, +1, [[1.0, 0.0]], 1)
+    with pytest.raises(MetricError, match="not symmetric"):
+        hodge_star(np.array([np.eye(2), g]), +1, np.ones((2, 2)), 1)
+
+
+def _gh_star_batch(rows):
+    cfg = gh.GHConfig(centers=(0.0, 1.0, 3.0))
+    rng = np.random.default_rng(30)
+    x = rng.uniform(-1.0, 4.0, size=(rows, 3))
+    x[:, 1:] += np.sign(x[:, 1:]) * 0.5  # off the axis and the centres
+    p = np.column_stack([x, rng.uniform(0.0, 2.0 * np.pi, rows)])
+    return gh.gh_metric(cfg, p, "string-down"), rng.standard_normal((rows, 6))
+
+
+def test_hodge_star_rows_equal_their_one_row_batches():
+    g, F = _gh_star_batch(60)
+    star = hodge_star(g, 1, F, 2)
+    assert star.shape == (60, 6)
+    for r in range(60):
+        assert np.array_equal(star[r], hodge_star(g[r : r + 1], 1, F[r : r + 1], 2)[0]), r
+        assert np.array_equal(star[r], hodge_star(g[r], 1, F[r : r + 1], 2)[0]), r
+    # a non-contiguous batch of forms, with one metric for all of them
+    wide = np.random.default_rng(31).standard_normal((40, 12))
+    strided = wide[:, ::2]
+    assert not strided.flags.c_contiguous
+    star = hodge_star(g[0], -1, strided, 2)
+    for r in range(40):
+        assert np.array_equal(star[r], hodge_star(g[0], -1, strided[r : r + 1], 2)[0]), r
+    assert np.array_equal(star, hodge_star(g[0], -1, np.ascontiguousarray(strided), 2))
+
+
+def test_hodge_star_takes_batches_only():
+    with pytest.raises(ConfigError, match=r"shape \(k, nb\) = \(k, 6\), got shape \(6,\)"):
+        hodge_star(np.eye(4), 1, OMEGA1, 2)
+    with pytest.raises(ConfigError, match=r"shape \(k, nb\) = \(k, 4\), got shape \(1, 6\)"):
+        hodge_star(np.eye(4), 1, OMEGA1[None], 1)
+    with pytest.raises(ConfigError, match="2 forms need 2 metrics, got 3"):
+        hodge_star(np.array([np.eye(4)] * 3), 1, np.ones((2, 6)), 2)
+    with pytest.raises(ConfigError, match=r"metrics must have shape"):
+        hodge_star(np.eye(4)[0], 1, np.ones((2, 4)), 1)
 
 
 # -- type (1,1) residual ---------------------------------------------------------
 
 
 def test_type11_omega1_is_11_for_I():
-    assert type11_residual(OMEGA1.comps[None], I4)[0] < 1e-14
+    assert type11_residual(OMEGA1[None], I4)[0] < 1e-14
 
 
 def test_type11_omega2_is_20_plus_02_for_I():
     # omega2 is (2,0)+(0,2) for I: residual is 2 (direct flat-basis expansion)
-    assert np.isclose(type11_residual(OMEGA2.comps[None], I4)[0], 2.0)
+    assert np.isclose(type11_residual(OMEGA2[None], I4)[0], 2.0)
 
 
 def test_type11_flat_curvature_all_structures():
@@ -860,18 +871,18 @@ def test_type11_flat_curvature_all_structures():
 
 def test_type11_invariant_under_frame_rotation():
     rng = np.random.default_rng(11)
-    F = FormValue(2, 4, rng.standard_normal(6))
-    base = type11_residual(F.comps[None], I4)[0]
+    F = rng.standard_normal(6)
+    base = type11_residual(F[None], I4)[0]
     for _ in range(5):
         Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        Fq = pullback(F, Q)
+        Fq = (Q.T @ _as_matrices(F, 4) @ Q)[np.triu_indices(4, 1)]  # the pullback Q^T M Q
         Sq = Q.T @ I4 @ Q
-        assert np.isclose(type11_residual(Fq.comps[None], Sq)[0], base, atol=1e-10)
+        assert np.isclose(type11_residual(Fq[None], Sq)[0], base, atol=1e-10)
 
 
 def test_type11_rejects_non_structure():
     with pytest.raises(StructureError):
-        type11_residual(OMEGA1.comps[None], np.eye(4))
+        type11_residual(OMEGA1[None], np.eye(4))
 
 
 # -- surface integration -----------------------------------------------------------

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from hkgeom.errors import ConfigError, DomainError
+from hkgeom.suites import RunConfig, run_check
+from hkgeom import gibbonshawking
 from hkgeom.forms import (
     FDScheme,
     FormField,
-    FormValue,
     ScalarField,
+    _as_matrices,
     ext_deriv,
     fd_gradient,
     hodge_star,
-    interior_product,
     laplacian,
-    pullback,
-    wedge,
 )
 from hkgeom.gibbonshawking import (
     GHConfig,
@@ -144,9 +143,9 @@ def test_alpha_solves_star_dV(gauge):
     field = alpha_field(cfg, gauge)
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(cfg, 12, rng)
-    for dalpha, grad in zip(ext_deriv(field, xs, scheme), potential_gradient(cfg, xs)):
-        star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
-        assert np.max(np.abs(dalpha - star_dv.comps)) < 1e-6
+    star_dv = hodge_star(np.eye(3), 1, potential_gradient(cfg, xs), 1)
+    for dalpha, star in zip(ext_deriv(field, xs, scheme), star_dv):
+        assert np.max(np.abs(dalpha - star)) < 1e-6
 
 
 def test_monopole_pair_dA_star_dphi():
@@ -156,9 +155,9 @@ def test_monopole_pair_dA_star_dphi():
     a_field = FormField(data.A, 1, 3, clearance=chart_clearance(cfg))
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(cfg, 10, rng)
-    for da, dphi in zip(ext_deriv(a_field, xs, scheme), fd_gradient(data.phi, xs, scheme)):
-        star_dphi = hodge_star(np.eye(3), 1, FormValue(1, 3, dphi))
-        assert np.max(np.abs(da - star_dphi.comps)) < 1e-6
+    star_dphi = hodge_star(np.eye(3), 1, fd_gradient(data.phi, xs, scheme), 1)
+    for da, star in zip(ext_deriv(a_field, xs, scheme), star_dphi):
+        assert np.max(np.abs(da - star)) < 1e-6
 
 
 def test_phi_gauge_identity_and_integrality():
@@ -187,11 +186,11 @@ def test_lift_identity_via_forms():
     # df + i_X(*dV) = 0 for the axis rotation X = (0, -x3, x2)
     rng = np.random.default_rng(14)
     xs = sample_points(TWO, 6, rng)
-    for x, grad, df in zip(xs, potential_gradient(TWO, xs), lift_gradient(TWO, xs)):
-        star_dv = hodge_star(np.eye(3), 1, FormValue(1, 3, grad))
+    star_dv = hodge_star(np.eye(3), 1, potential_gradient(TWO, xs), 1)
+    for x, star, df in zip(xs, star_dv, lift_gradient(TWO, xs)):
         rot = np.array([0.0, -x[2], x[1]])
-        contracted = interior_product(rot, star_dv)
-        assert np.max(np.abs(df + contracted.comps)) < 1e-13
+        contracted = rot @ _as_matrices(star, 3)  # i_X of a 2-form with matrix M is X^T M
+        assert np.max(np.abs(df + contracted)) < 1e-13
 
 
 def test_lift_constant_on_axis_segments():
@@ -228,6 +227,11 @@ def test_lift_trivial_above_top_and_middle_zero():
 # -- metric and Kahler triple ---------------------------------------------------------
 
 
+def _top_wedge(a, b):
+    """The dx0^dx1^dx2^dx3 component of a ^ b for 2-forms on R^4: the epsilon pairing."""
+    return a[0] * b[5] - a[1] * b[4] + a[2] * b[3] + a[3] * b[2] - a[4] * b[1] + a[5] * b[0]
+
+
 def test_metric_determinant_and_forms_algebra():
     rng = np.random.default_rng(15)
     xs = sample_points(TWO, 6, rng)
@@ -235,15 +239,13 @@ def test_metric_determinant_and_forms_algebra():
     fields = [kahler_field(TWO, i, "string-down")(p) for i in (1, 2, 3)]
     for g, v, *comps in zip(gh_metric(TWO, p, "string-down"), gh_potential(TWO, xs), *fields):
         assert np.linalg.det(g) == pytest.approx(v**2, rel=1e-10)
-        triple = [FormValue(2, 4, c) for c in comps]
-        for i, wi in enumerate(triple):
-            for j, wj in enumerate(triple):
-                prod = wedge(wi, wj).comps[0]
+        for i, wi in enumerate(comps):
+            for j, wj in enumerate(comps):
+                prod = _top_wedge(wi, wj)
                 expect = 2.0 * v if i == j else 0.0
                 assert prod == pytest.approx(expect, abs=1e-12)
-        for wi in triple:
-            star = hodge_star(g, 1, wi)
-            assert np.max(np.abs((star - wi).comps)) < 1e-10
+        triple = np.array(comps)
+        assert np.max(np.abs(hodge_star(g, 1, triple, 2) - triple)) < 1e-10
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -266,6 +268,19 @@ def test_ahat_anti_self_dual():
     assert np.max(asd_residual(TWO, p, "string-down")) < 1e-5
 
 
+def test_asd_check_makes_one_hodge_star_call(monkeypatch):
+    calls = []
+
+    def counted(g, orientation, comps, degree):
+        calls.append(np.shape(comps))
+        return hodge_star(g, orientation, comps, degree)
+
+    monkeypatch.setattr(gibbonshawking, "hodge_star", counted)
+    record = run_check(RunConfig(suite="gh", samples=60), "gh.connection.asd")
+    assert record.passed
+    assert calls == [(20, 6)]
+
+
 def test_ahat_anti_self_dual_three_centers():
     rng = np.random.default_rng(22)
     xs = sample_points(THREE, 4, rng, min_clear=0.5)
@@ -277,15 +292,15 @@ def test_iY_contraction_of_curvature():
     xs = sample_points(TWO, 6, rng, min_clear=0.45)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
     assert np.max(iY_residual(TWO, p, "string-down")) < 1e-5
-    # i_Y F against the one-point algebra, row by row
+    # i_Y F = Y^T M for F's matrix M, row by row
     for f, q in zip(ahat_curvature(TWO, p, "string-down"), p):
-        contracted = interior_product(np.array([0.0, 0.0, 0.0, 1.0]), FormValue(2, 4, f))
+        contracted = np.array([0.0, 0.0, 0.0, 1.0]) @ _as_matrices(f, 4)
         grad = fd_gradient(
             lambda r: monopole_phi(TWO, r[:, :3]) / gh_potential(TWO, r[:, :3]),
             q[None],
             FDScheme(h=1e-4, order=4),
         )[0]
-        assert np.max(np.abs(contracted.comps - grad)) < 1e-5
+        assert np.max(np.abs(contracted - grad)) < 1e-5
 
 
 def test_gauge_shift_leaves_curvature():
@@ -304,8 +319,8 @@ def test_string_gauges_agree_after_transition():
     f_up = ahat_curvature(TWO, p, "string-up")
     jacs = gauge_transition_jacobian(TWO, xs, "string-down", "string-up")
     for down, up, jac in zip(f_down, f_up, jacs):
-        moved = pullback(FormValue(2, 4, up), jac)
-        assert np.max(np.abs(moved.comps - down)) < 1e-8
+        moved = (jac.T @ _as_matrices(up, 4) @ jac)[np.triu_indices(4, 1)]  # the pullback E^T M E
+        assert np.max(np.abs(moved - down)) < 1e-8
 
 
 def test_ahat_components():

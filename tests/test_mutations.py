@@ -10,7 +10,7 @@ configuration.
 import numpy as np
 import pytest
 
-from hkgeom import cotangent, quotient, suites, twistor
+from hkgeom import cotangent, flatspace, quotient, suites, twistor
 from hkgeom import gibbonshawking as gh
 from hkgeom.forms import ScalarField, type11_residual
 from hkgeom.suites import RunConfig, run_check
@@ -26,6 +26,10 @@ def _scaled_pencil(fn):
 
 def _without(fn):
     return lambda *args: 0.0 * fn(*args)
+
+
+def _halved(fn):
+    return lambda *args: 0.5 * fn(*args)
 
 
 def _double_pole(fn):
@@ -46,6 +50,8 @@ TWISTOR_MUTATIONS = {
     # log h_V - log h_U without its log |g_UV|^2 term
     "twistor.reality": ("log_gUV_sq", _without),
     "twistor.pole.orders": ("mero_connection", _double_pole),
+    # the reference once the flat curvature instead of twice (1.0, tol 1e-6)
+    "twistor.hermitian.curvature": ("_embedded_reference", _halved),
 }
 
 
@@ -75,6 +81,31 @@ def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
         assert not rec.passed, (check_id, rec.residual)
 
 
+# -- flat ---------------------------------------------------------------------------
+
+
+def test_reversed_rotation_fails_the_rotation_degree(monkeypatch):
+    # exp(-theta A) scales omega2 + i omega3 by e^{-i n theta}, off from
+    # e^{i n theta} by 2|sin(n theta)| (1.79 at the default angles, tol 1e-12)
+    cfg = RunConfig(suite="flat")
+    assert run_check(cfg, "flat.rotation.degree").passed
+    rotation = flatspace.action_rotation
+    monkeypatch.setattr(flatspace, "action_rotation", lambda spec, theta: rotation(spec, -theta))
+    rec = run_check(cfg, "flat.rotation.degree")
+    assert not rec.passed and rec.residual > 1.0, rec.to_dict()
+
+
+def test_halved_ddc_fails_the_calibration(monkeypatch):
+    # dd^c = i ddbar instead of 2i ddbar: dd^c(|z|^2 / 2) reads 1 dx0^dx1
+    # against the reference 2 dx0^dx1 (1.0, tol 1e-8)
+    cfg = RunConfig(suite="flat")
+    assert run_check(cfg, "flat.ddc.calibration").passed
+    ddc = suites.ddc
+    monkeypatch.setattr(suites, "ddc", lambda *args: 0.5 * ddc(*args))
+    rec = run_check(cfg, "flat.ddc.calibration")
+    assert not rec.passed and rec.residual > 0.5, rec.to_dict()
+
+
 # -- Gibbons-Hawking ------------------------------------------------------------------
 
 
@@ -96,6 +127,24 @@ def test_gh_periods_fail_when_v_or_alpha_is_wrong(monkeypatch, mutate):
     mutate(monkeypatch)
     rec = run_check(RunConfig(suite="gh", centers=(0.0, 1.0, 3.0)), "gh.periods")
     assert not rec.passed and rec.residual > 1e-3, rec.to_dict()
+
+
+def _flip_star(monkeypatch):
+    # the opposite orientation of R^3: *e = -(the star of e)
+    star = suites.hodge_star
+    monkeypatch.setattr(suites, "hodge_star", lambda g, o, comps, k: star(g, -o, comps, k))
+
+
+@pytest.mark.parametrize("mutate", [_flip_star, _negate_alpha])
+@pytest.mark.parametrize("check_id", ["gh.monopole.alpha", "gh.monopole.pair"])
+def test_monopole_rows_fail_on_a_flipped_star_or_string_potential(check_id, mutate, monkeypatch):
+    # either defect gives d alpha = -*dV and dA = -*d phi: 1.94 (alpha) and
+    # 0.95 (pair) at seed 0, tol 1e-6
+    cfg = RunConfig(suite="gh")
+    assert run_check(cfg, check_id).passed
+    mutate(monkeypatch)
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 1e-2, (check_id, rec.residual)
 
 
 def _first_row_everywhere(fn):
