@@ -54,12 +54,14 @@ Conventions fixed here and used everywhere else in the package:
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError, MetricError, StructureError
 
@@ -210,6 +212,15 @@ _OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
 #: is one value, of a form field nb): the operators split their base points
 #: into consecutive chunks under this bound, and never less than one point
 MAX_STENCIL_VALUES = 4096
+#: freed heap that glibc keeps instead of returning it (M_TOP_PAD, option -2).
+#: Each chunk frees a few hundred kB of temporaries at the top of the heap,
+#: and under the default trim threshold every chunk would hand them back and
+#: fault them in again (1,500 page faults per flat curvature call at n = 3)
+_HEAP_TOP_PAD = 16 << 20
+try:
+    ctypes.CDLL(None).mallopt(-2, _HEAP_TOP_PAD)
+except (AttributeError, OSError, TypeError):  # another C library: nothing to keep
+    pass
 
 
 def _fd_reduce(vals, order: int, h):
@@ -576,7 +587,7 @@ def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float
     """
     if w.degree != 2:
         raise ValueError("surface_integral expects a degree-2 form field")
-    nodes, wts = np.polynomial.legendre.leggauss(4)
+    nodes, wts = leggauss(4)
     width = 1.0 / resolution
     coords = ((np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width).ravel()
     params = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)

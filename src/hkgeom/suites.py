@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from numpy.random import Generator, SeedSequence, default_rng
 
 from . import cotangent as ct
 from . import dynkin as dk
@@ -58,7 +58,7 @@ _MIN_CENTER_GAP = 100 * gh.CENTER_MARGIN
 #: least positive quotient level.  quotient.gh.separation fits the centre
 #: separation c/2 from level-set samples seeded at the level's own scale
 #: sqrt(c); its worst residual over seeds 0-7 at 20 samples is 7.8e-11 at
-#: c = 1e-3, 3.9e-10 at 1e-4 and 9.6e-9 at 1e-5 (3.8e-10, 3.9e-9 and 6.3e-8
+#: c = 1e-3, 3.9e-10 at 1e-4 and 9.7e-9 at 1e-5 (3.8e-10, 3.9e-9 and 6.3e-8
 #: at 1 sample), against the tolerance 1e-4.  It still grows as c falls, and
 #: the solver's absolute tolerances (1e-12 on the Newton residual and the
 #: singular values, 1e-12 on 1/V) do not scale with c, so the floor stays.
@@ -180,14 +180,14 @@ class Check:
 _NUMERICAL_ERRORS = (HkgeomError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _check_rng(cfg: RunConfig, check_id: str) -> np.random.Generator:
+def _check_rng(cfg: RunConfig, check_id: str) -> Generator:
     """The check's own generator: the run seed spawned by a CRC-32 of its id.
 
     Python's ``hash`` of a string is salted per process, so it cannot key
     a reproducible stream.
     """
     key = (zlib.crc32(check_id.encode()),)
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+    return default_rng(SeedSequence(cfg.seed, spawn_key=key))
 
 
 def _run(cfg: RunConfig, check: Check) -> CheckRecord:
@@ -450,6 +450,9 @@ def _eh_centers(level_value: float) -> np.ndarray:
 
 #: points of the axis scan that starts the two-centre fit
 _FIT_SCAN_POINTS = 256
+#: most Gauss-Newton steps of the two-centre fit; on level-set samples at
+#: levels 1e-3 to 40 it stops after 3 to 9
+_FIT_MAX_STEPS = 50
 
 
 def fit_two_centers(xs, vs):
@@ -467,8 +470,11 @@ def fit_two_centers(xs, vs):
 
     The start uses the samples alone.  The fit has local minima, so it
     first scans centres (-a, 0, 0), (a, 0, 0) for a on a grid up to twice
-    the largest |x|, refines every local minimum of the scan in a, and
-    starts the free six-parameter fit from the best of them.
+    the largest |x| and starts from the grid point of least cost.
+    Gauss-Newton steps on the six centre coordinates follow, each the
+    least-squares solution of the linearised residuals; the first step
+    that does not lower the sum of squares ends the fit, which keeps the
+    best centres found.
     """
     xs = np.asarray(xs, dtype=float)
     inverse = 1.0 / np.asarray(vs, dtype=float)
@@ -476,39 +482,31 @@ def fit_two_centers(xs, vs):
     def reduced(r1, r2):
         return r1 * r2 / (r1 + r2) - inverse
 
-    def residuals(params):
-        a1, a2 = params[:3], params[3:]
-        return reduced(np.linalg.norm(xs - a1, axis=1), np.linalg.norm(xs - a2, axis=1))
-
     rho2 = xs[:, 1] ** 2 + xs[:, 2] ** 2  # squared distances from the x1-axis
-
-    def axis_cost(a):
-        """Sum of squared residuals for centres (-a, 0, 0), (a, 0, 0), per entry of a."""
-        a = np.asarray(a, dtype=float)[..., None]
-        r1 = np.sqrt((xs[:, 0] + a) ** 2 + rho2)
-        r2 = np.sqrt((xs[:, 0] - a) ** 2 + rho2)
-        return np.sum(reduced(r1, r2) ** 2, axis=-1)
-
     step = 2.0 * np.max(np.linalg.norm(xs, axis=1)) / _FIT_SCAN_POINTS
-    grid = step * np.arange(1, _FIT_SCAN_POINTS + 1)
-    cost = axis_cost(grid)
-    padded = np.concatenate([[np.inf], cost, [np.inf]])
-    minima = np.flatnonzero((cost <= padded[:-2]) & (cost <= padded[2:]))
-    refined = [
-        minimize_scalar(
-            axis_cost,
-            bounds=(grid[i] - step if i else 0.5 * step, grid[i] + step),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        for i in minima
-    ]
-    half = min(refined, key=lambda r: r.fun).x
-    start = np.array([-half, 0.0, 0.0, half, 0.0, 0.0])
-    fit = least_squares(residuals, start, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    a1, a2 = fit.x[:3], fit.x[3:]
-    model = 1.0 / np.linalg.norm(xs - a1, axis=1) + 1.0 / np.linalg.norm(xs - a2, axis=1)
-    return float(np.linalg.norm(a2 - a1)), float(np.linalg.norm(model * inverse - 1.0))
+    a = step * np.arange(1, _FIT_SCAN_POINTS + 1)[:, None]
+    r1 = np.sqrt((xs[:, 0] + a) ** 2 + rho2)
+    r2 = np.sqrt((xs[:, 0] - a) ** 2 + rho2)
+    half = a[np.argmin(np.sum(reduced(r1, r2) ** 2, axis=1)), 0]
+
+    def linearised(centres):
+        """Residuals, their (m, 6) Jacobian in the centre coordinates, and r_i (m, 2)."""
+        offsets = xs[:, None, :] - centres  # x - a1, x - a2
+        r = np.linalg.norm(offsets, axis=2)
+        # d/da_i of r1 r2 / (r1 + r2) is -r_j^2 / ((r1 + r2)^2 r_i) (x - a_i), j the other centre
+        weight = -r[:, ::-1] ** 2 / (r.sum(axis=1, keepdims=True) ** 2 * r)
+        return reduced(r[:, 0], r[:, 1]), (weight[:, :, None] * offsets).reshape(-1, 6), r
+
+    centres = np.array([[-half, 0.0, 0.0], [half, 0.0, 0.0]])
+    res, jac, r = linearised(centres)
+    for _ in range(_FIT_MAX_STEPS):
+        trial = centres + np.linalg.lstsq(jac, -res, rcond=None)[0].reshape(2, 3)
+        trial_res, trial_jac, trial_r = linearised(trial)
+        if not trial_res @ trial_res < res @ res:
+            break
+        centres, res, jac, r = trial, trial_res, trial_jac, trial_r
+    fit = np.linalg.norm((1.0 / r[:, 0] + 1.0 / r[:, 1]) * inverse - 1.0)
+    return float(np.linalg.norm(centres[1] - centres[0])), float(fit)
 
 
 def _gh_samples(action, rotator, level_value, rng, count):

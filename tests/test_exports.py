@@ -1,10 +1,13 @@
 """Every name a module exports through __all__, or a demo imports, must exist,
-and every demo runs to the end."""
+every demo runs to the end, and the library needs numpy alone."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,23 @@ def test_demo_runs(path, capsys):
 
 def test_the_demos_are_found():
     assert DEMOS  # an empty parametrisation would skip, not fail
+
+
+_WITHOUT_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None  # importing scipy or a submodule now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import hkgeom, hkgeom.cli
+from hkgeom.suites import RunConfig, run_suite
+print(json.dumps(run_suite(RunConfig()).summary))
+"""
+
+
+def test_the_library_runs_without_scipy():
+    # scipy is a test oracle only: the package and every check run on numpy
+    src = str(Path(hkgeom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, src], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"total": 37, "passed": 37, "failed": 0}

@@ -1,5 +1,10 @@
 """Tests for the finite-difference exterior calculus core."""
 
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -703,6 +708,32 @@ def test_structure_callable_must_return_one_matrix_per_point():
     f = _smooth_field(np.random.default_rng(25), 4)
     with pytest.raises(ValueError, match="structure callable"):
         ddc(f, lambda q: I4, np.zeros((1, 4)))
+
+
+_CHUNK_FAULTS = """\
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from hkgeom.suites import RunConfig, run_check
+cfg = RunConfig(suite="flat", n=3)
+run_check(cfg, "flat.curvature.type11.full")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    run_check(cfg, "flat.curvature.type11.full")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is a glibc option")
+def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
+    # in a fresh process that imports numpy alone, each of the 20 nested dd^c
+    # chunks of this check freed its temporaries back to the system and
+    # faulted them in again, 1,500 page faults per run; the heap pad keeps them
+    src = str(Path(forms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHUNK_FAULTS, src], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 # -- Laplacian ----------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_moment_map_scaled_alone_fails_the_moment_checks(check_id, tol, monkeypa
     assert rec.tolerance == tol and not rec.passed and rec.residual > 1e-4, rec.to_dict()
 
 
+def test_scaled_f_profile_fails_the_profile_identity(monkeypatch):
+    # (u f)' against its closed form with f times 1 + 1e-3: off by 2.5e-4 at
+    # seed 0, tol 1e-7
+    cfg = RunConfig(suite="cotangent")
+    assert run_check(cfg, "bg.profile.identity").passed
+    profile = cotangent.f_profile
+    monkeypatch.setattr(cotangent, "f_profile", lambda u: (1.0 + 1e-3) * profile(u))
+    rec = run_check(cfg, "bg.profile.identity")
+    assert not rec.passed and rec.residual > 1e-4, rec.to_dict()
+
+
 # -- quotient -------------------------------------------------------------------------
 
 
@@ -231,6 +242,16 @@ def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
     assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
     for i in (2, 3):
         assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5
+
+
+def test_wrong_circle_scale_fails_the_gh_potential(monkeypatch):
+    # the residual circle read at speed 0.3 instead of 1/4 rescales V and x
+    # away from the two-centre potential at +/- c/4 (0.42 at seed 0, tol 1e-5)
+    cfg = RunConfig(suite="quotient")
+    assert run_check(cfg, "quotient.gh.potential").passed
+    monkeypatch.setattr(quotient, "GH_CIRCLE_SCALE", 0.3)
+    rec = run_check(cfg, "quotient.gh.potential")
+    assert not rec.passed and rec.residual > 0.1, rec.to_dict()
 
 
 def test_separation_check_fails_on_a_wrong_potential(monkeypatch):

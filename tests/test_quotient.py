@@ -516,7 +516,8 @@ def test_one_bad_row_fails_the_whole_batch():
 def test_quotient_samplers_batch_their_seeds(monkeypatch):
     # each sampled level costs one solve and one projection, whatever the
     # sample count, and the Newton steps come from the orbit Gram matrix,
-    # not lstsq
+    # not lstsq (the two-centre fit's Gauss-Newton steps, lstsq solves by
+    # design, are not counted)
     calls = {"solve_level": 0, "gh_coordinates": 0, "lstsq": 0}
 
     def counted(name, fn):
@@ -528,7 +529,15 @@ def test_quotient_samplers_batch_their_seeds(monkeypatch):
 
     for name in ("solve_level", "gh_coordinates"):
         monkeypatch.setattr(quotient, name, counted(name, getattr(quotient, name)))
-    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    lstsq, fit = np.linalg.lstsq, suites.fit_two_centers
+
+    def fit_uncounted(xs, vs):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", lstsq)
+            return fit(xs, vs)
+
+    monkeypatch.setattr(suites, "fit_two_centers", fit_uncounted)
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
     cfg = suites.RunConfig(suite="quotient", samples=40)
     for check_id, count in (("quotient.gh.potential", 1), ("quotient.gh.separation", 2)):
         calls.update(solve_level=0, gh_coordinates=0)
@@ -940,6 +949,21 @@ def test_two_center_fit_recovers_a_level_it_is_not_told():
         sep, resid = suites.fit_two_centers(xs, vs)
         assert sep == pytest.approx(c / 2.0, rel=1e-9)
         assert resid < 1e-9
+
+
+@pytest.mark.parametrize("count", [6, 12, 40])
+def test_two_center_fit_frees_all_six_coordinates(count, monkeypatch):
+    # centres off the x1-axis and off the origin: the axis scan only starts
+    # the fit, and Gauss-Newton stops when a step no longer lowers the sum of
+    # squares (6 to 9 steps here), well before the step cap
+    centres = np.array([[-0.35, 0.1, 0.05], [0.45, -0.05, 0.1]])
+    xs = np.random.default_rng(5).standard_normal((count, 3))
+    vs = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in centres)
+    steps, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: steps.append(1) or lstsq(*a, **kw))
+    sep, resid = suites.fit_two_centers(xs, vs)
+    assert sep == pytest.approx(np.linalg.norm(centres[1] - centres[0]), rel=1e-12)
+    assert resid < 1e-14 and len(steps) < suites._FIT_MAX_STEPS
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -139,7 +139,7 @@ def test_verify_quotient_at_level_two_exits_zero(tmp_path):
 @pytest.mark.parametrize("seed", range(4))
 def test_separation_fit_stays_conditioned_at_the_level_floor(seed):
     # seeds at the level's scale sqrt(c): the worst of these four is 2.7e-11,
-    # against 6.2e-9 with unit-scale seeds
+    # against 3.6e-10 with unit-scale seeds
     cfg = RunConfig(suite="quotient", c=suites._MIN_QUOTIENT_LEVEL, seed=seed)
     rec = run_check(cfg, "quotient.gh.separation")
     assert rec.passed and rec.residual < 1e-9, rec.to_dict()
