@@ -200,15 +200,15 @@ def _cmd_verify(args) -> int:
         given["suite"] = args.suite_pos
     if "centers" in given:
         given["centers"] = parse_centers(given["centers"])
-    cfg = RunConfig(**given)
-    report = run_suite(cfg)
+    report = run_suite(RunConfig(**given))
     for line in report.lines():
         print(line, file=sys.stderr)
     summary = report.summary
     print(
         f"{summary['passed']}/{summary['total']} checks passed", file=sys.stderr
     )
-    write_json(report, cfg.out, include_timings=cfg.timings)
+    timings = _merge(args, file_values, "timings", False)
+    write_json(report, _merge(args, file_values, "out", None), include_timings=timings)
     return report.exit_code
 
 

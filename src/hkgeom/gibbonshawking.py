@@ -36,10 +36,8 @@ from .errors import ConfigError, DomainError
 from .forms import (
     FDScheme,
     FormField,
-    _as_matrices,
     _points,
     ext_deriv,
-    fd_gradient,
     hodge_star,
     surface_integral,
 )
@@ -219,15 +217,6 @@ def monopole_phi(cfg: GHConfig, x) -> np.ndarray:
     return np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c
 
 
-def phi_identity_residual(cfg: GHConfig, x) -> np.ndarray:
-    """|phi - (-x1 V + f + a_top V)| at x (k, 3), (k,): the two monopole
-    displays differ by the gauge shift with constant a_top."""
-    x = _points(x, 3)
-    v = gh_potential(cfg, x)
-    alt = -x[:, 0] * v + rotation_lift_f(cfg, x) + cfg.top * v
-    return np.abs(monopole_phi(cfg, x) - alt)
-
-
 # -- gauge-dependent 1-forms --------------------------------------------------------
 
 
@@ -372,37 +361,6 @@ def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -
     f = ahat_curvature(cfg, p, gauge, scheme)
     star = hodge_star(gh_metric(cfg, p, gauge), 1, f, 2)
     return np.max(np.abs(star + f), axis=-1)
-
-
-def iY_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -> np.ndarray:
-    """max-norm of i_Y dAhat - d(phi/V) at chart points p (k, 4), (k,), for Y = d/dtheta.
-
-    i_Y F is row 3 of F's antisymmetric matrix.
-    """
-    scheme = scheme or FDScheme(h=1e-4, order=4)
-    contracted = _as_matrices(ahat_curvature(cfg, p, gauge, scheme), 4)[:, 3]
-
-    def ratio(q):
-        return monopole_phi(cfg, q[:, :3]) / gh_potential(cfg, q[:, :3])
-
-    grad = fd_gradient(ratio, p, scheme)
-    return np.max(np.abs(contracted - grad), axis=-1)
-
-
-def gauge_transition_jacobian(cfg: GHConfig, x, from_gauge: str, to_gauge: str) -> np.ndarray:
-    """Chart Jacobians d(to)/d(from) (k, 4, 4) for the Dirac-gauge change at x (k, 3).
-
-    The fibre form dtheta + alpha is globally defined, so switching the
-    string convention re-parametrises theta by (s_from - s_to) * W *
-    azimuth with W the total weight.  Forms in the `to` chart pull back
-    through this Jacobian to the `from` chart.
-    """
-    azimuth = _azimuth_covector(x)
-    jac = np.tile(np.eye(4), (len(azimuth), 1, 1))
-    total_weight = float(sum(cfg.weights))
-    shift = _string_sign(from_gauge) - _string_sign(to_gauge)
-    jac[:, 3, :3] = shift * total_weight * azimuth
-    return jac
 
 
 # -- periods and profiles ------------------------------------------------------------

@@ -85,8 +85,6 @@ class RunConfig:
     centers: tuple = (0.0, 1.0)
     c: float = 0.0
     nodes: int = tw.CONTOUR_NODES
-    out: str | None = None
-    timings: bool = False
 
     def __post_init__(self):
         name = SUITE_ALIASES.get(self.suite, self.suite)

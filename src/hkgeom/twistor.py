@@ -59,7 +59,6 @@ from .forms import (
     _pair_indices,
     ddc,
     ext_deriv,
-    fd_gradient,
 )
 
 CONTOUR_RADIUS = 1e-2
@@ -72,7 +71,6 @@ _POLE_REL_TOL = 1e-8
 #: tangents have dzeta = 0, so the weight's term 2 pi i n dzeta/zeta vanishes
 _FIBRE_WEIGHT = 2
 
-_DBAR_SCHEME = FDScheme(h=1e-4, order=4)
 _DDC_OUTER = FDScheme(h=2e-3, order=4)
 _DDC_INNER = FDScheme(h=1e-4, order=4)
 _CLOSEDNESS_SCHEME = FDScheme(h=1e-3, order=4)
@@ -152,13 +150,6 @@ def product_to_chart(z, w, zeta):
     return z + zeta * np.conj(w), w - zeta * np.conj(z)
 
 
-def chart_to_product(v, xi, zeta):
-    """Invert the smooth-product map: chart-U points -> (z, w)."""
-    zeta = np.asarray(zeta, dtype=complex)[:, None]
-    denom = 1.0 + np.abs(zeta) ** 2
-    return (v - zeta * np.conj(xi)) / denom, (xi + zeta * np.conj(v)) / denom
-
-
 def vertical_lift(zeta, m_tangent) -> np.ndarray:
     """Push real flat tangents (k, 4n) to vertical chart-U tangents (k, 2n+1), dzeta = 0.
 
@@ -198,15 +189,6 @@ def _half_overlap(v, xi, zeta, where: str = "zeta") -> np.ndarray:
 def transition_gUV(v, xi, zeta) -> np.ndarray:
     """Holomorphic transition function exp(-sum_i v_i xi_i / 2 zeta)."""
     return np.exp(-_half_overlap(v, xi, zeta))
-
-
-def transition_gVU(vt, xit, zetat) -> np.ndarray:
-    """Inverse transition in tilde coordinates: exp(+sum_i vt_i xit_i / 2 zetat).
-
-    Since sum v xi / 2 zeta takes the same value in either chart, the
-    inverse carries the opposite exponent sign.
-    """
-    return np.exp(_half_overlap(vt, xit, zetat, "zetat"))
 
 
 def log_gUV_sq(v, xi, zeta) -> np.ndarray:
@@ -572,30 +554,6 @@ def log_hU_field(n: int) -> ScalarField:
     """log h_U as a scalar field on (m, 4n + 2) batches of real twistor coordinates."""
     model = FlatModel(n)
     return ScalarField(fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n))
-
-
-def dbar_scalar(n: int, p, tangent) -> np.ndarray:
-    """(0,1) part of d(log h_U) on real twistor tangents (k, 4n+2) at p: (df(T) + i df(ST))/2."""
-    p = np.asarray(p, dtype=float)
-    grad = fd_gradient(log_hU_field(n), p, _DBAR_SCHEME)
-    ones = np.eye(total_dim(n)) + 1j * twistor_structure(n)(p)
-    return 0.5 * _pairing(grad, ones, np.asarray(tangent, dtype=float))
-
-
-def dbar_display_residual(n: int, z, w, zeta, tangent) -> np.ndarray:
-    """Check the closed-form (0,1) derivative of log h_U on real twistor tangents (k, 4n+2).
-
-    displayed: (1/2) sum_i [z_i w_i dconj(zeta) + z_i dconj(z_i)
-               - w_i dconj(w_i) + conj(zeta) d(z_i w_i)].
-    """
-    model = FlatModel(n)
-    tz, tw, tzeta = unpack_point(model, tangent)
-    tzeta, zeta_c = tzeta[:, None], np.conj(np.asarray(zeta, dtype=complex))[:, None]
-    displayed = 0.5 * np.sum(
-        z * w * np.conj(tzeta) + z * np.conj(tz) - w * np.conj(tw) + zeta_c * (w * tz + z * tw),
-        axis=-1,
-    )
-    return np.abs(dbar_scalar(n, pack_point(model, z, w, zeta), tangent) - displayed)
 
 
 def flat_reference_curvature(n: int) -> np.ndarray:

@@ -336,6 +336,15 @@ def test_verify_flags_override_config_file(tmp_path):
     assert doc["params"]["samples"] == 3
 
 
+def test_verify_config_file_sets_out_and_timings(tmp_path):
+    out = tmp_path / "r.json"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"out = {out}\ntimings = true\n", encoding="utf-8")
+    assert run(["verify", "dynkin", "--config", str(cfg)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert all("wall_time" in r for r in doc["checks"])
+
+
 def test_verify_gh_reports_expected_periods(tmp_path):
     out = tmp_path / "gh.json"
     rc = run(

@@ -1,5 +1,6 @@
 """Every name a module exports through __all__, or a demo imports, must exist,
-every demo runs to the end, and the library needs numpy alone."""
+every public function is used, every demo runs to the end, and the library
+needs numpy alone."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import hkgeom
 
 MODULES = ["hkgeom"] + [f"hkgeom.{m.name}" for m in pkgutil.iter_modules(hkgeom.__path__)]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SOURCES = sorted(Path(hkgeom.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,6 +46,34 @@ def test_demo_runs(path, capsys):
 
 def test_the_demos_are_found():
     assert DEMOS  # an empty parametrisation would skip, not fail
+
+
+#: public functions that nothing in the package or the demos calls, and why
+#: they stay
+_UNCALLED = {
+    "run_check": "the documented entry point for running one check by id",
+    "fd_jacobian": "a documented forms operator, and the test oracle for quotient Jacobians",
+}
+
+
+def test_every_public_function_is_used():
+    # an identity that no check, CLI path or demo reaches is either a suite
+    # row or dead code; reads of a name or an attribute count as uses, a
+    # def, an import and an __all__ string do not
+    public, used = {}, set()
+    for path in SOURCES + DEMOS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in SOURCES:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    public[node.name] = f"{path.stem}.{node.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert set(_UNCALLED) <= set(public)
+    assert sorted(public[n] for n in set(public) - used - set(_UNCALLED)) == []
 
 
 _WITHOUT_SCIPY = """\

@@ -81,6 +81,19 @@ def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
         assert not rec.passed, (check_id, rec.residual)
 
 
+def test_shifted_fibre_weight_fails_the_rotation_residue(monkeypatch):
+    # the connection of weight n + 1 has residue 2 pi i (n + 1): off by 2 pi
+    # (6.28, tol 1e-10)
+    cfg = RunConfig(suite="twistor")
+    assert run_check(cfg, "twistor.residue.rotation").passed
+    connection = twistor.mero_connection
+    monkeypatch.setattr(
+        twistor, "mero_connection", lambda n_char, *args: connection(n_char + 1, *args)
+    )
+    rec = run_check(cfg, "twistor.residue.rotation")
+    assert not rec.passed and rec.residual > 6.0, rec.to_dict()
+
+
 # -- flat ---------------------------------------------------------------------------
 
 
@@ -104,6 +117,17 @@ def test_halved_ddc_fails_the_calibration(monkeypatch):
     monkeypatch.setattr(suites, "ddc", lambda *args: 0.5 * ddc(*args))
     rec = run_check(cfg, "flat.ddc.calibration")
     assert not rec.passed and rec.residual > 0.5, rec.to_dict()
+
+
+def test_scaled_moment_map_fails_the_full_rotation(monkeypatch):
+    # omega1 + dd^c(mu / 2) with mu times 1.001 leaves 1e-3 omega1 (1.0e-3,
+    # tol 1e-9)
+    cfg = RunConfig(suite="flat")
+    assert run_check(cfg, "flat.full-rotation.trivial").passed
+    moment = flatspace.moment_map
+    monkeypatch.setattr(flatspace, "moment_map", lambda spec, p: 1.001 * moment(spec, p))
+    rec = run_check(cfg, "flat.full-rotation.trivial")
+    assert not rec.passed and rec.residual > 5e-4, rec.to_dict()
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
@@ -177,6 +201,28 @@ def test_gh_mutation_fails(check_id, monkeypatch):
     monkeypatch.setattr(gh, name, mutate(getattr(gh, name)))
     rec = run_check(cfg, check_id)
     assert not rec.passed and rec.residual > 0.5, (check_id, rec.residual)
+
+
+def test_non_harmonic_potential_fails_the_laplacian(monkeypatch):
+    # V + 1e-3 |x|^2 has Laplacian 6e-3 everywhere (tol 1e-6)
+    cfg = RunConfig(suite="gh")
+    assert run_check(cfg, "gh.harmonic").passed
+    potential = gh.gh_potential
+    monkeypatch.setattr(
+        gh, "gh_potential", lambda ghc, x: potential(ghc, x) + 1e-3 * np.sum(x * x, axis=-1)
+    )
+    rec = run_check(cfg, "gh.harmonic")
+    assert not rec.passed and rec.residual > 5e-3, rec.to_dict()
+
+
+def test_shifted_segment_values_fail_the_middle_segment(monkeypatch):
+    # every segment constant off by 1e-3, the middle gap too (1e-3, tol 0)
+    cfg = RunConfig(suite="gh")
+    assert run_check(cfg, "gh.lift.middle-segment").passed
+    values = gh.f_segment_values
+    monkeypatch.setattr(gh, "f_segment_values", lambda ghc: tuple(v + 1e-3 for v in values(ghc)))
+    rec = run_check(cfg, "gh.lift.middle-segment")
+    assert not rec.passed and rec.residual > 5e-4, rec.to_dict()
 
 
 # -- cotangent ------------------------------------------------------------------------

@@ -5,20 +5,18 @@ import pytest
 
 from hkgeom.errors import ConfigError, DomainError, StructureError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, hyperholo_curvature
-from hkgeom.forms import _as_matrices
+from hkgeom.forms import FDScheme, _as_matrices, fd_gradient
 from hkgeom import twistor
 from hkgeom.suites import RunConfig, run_check
 from hkgeom.twistor import (
     MeroConnectionReport,
     action_invariance_residual,
     chart_jacobian,
-    chart_to_product,
     chart_transition,
     connection_pair_residual,
     connection_report,
     curvature_FZ,
     curvature_FZ_field,
-    dbar_display_residual,
     fibre_restriction_residual,
     fibre_symplectic,
     flat_reference_curvature,
@@ -40,7 +38,6 @@ from hkgeom.twistor import (
     semifree_AV,
     total_dim,
     transition_gUV,
-    transition_gVU,
     twistor_structure,
     unpack_point,
     vertical_lift,
@@ -92,19 +89,26 @@ def test_chart_transition_is_exact_involution():
     assert np.all(np.abs(zeta2 - zeta) < 1e-13 * np.abs(zeta))
 
 
+def _chart_to_product(v, xi, zeta):
+    """The inverse of product_to_chart: (v - zeta conj(xi), xi + zeta conj(v)) / (1 + |zeta|^2)."""
+    zeta = np.asarray(zeta, dtype=complex)[:, None]
+    denom = 1.0 + np.abs(zeta) ** 2
+    return (v - zeta * np.conj(xi)) / denom, (xi + zeta * np.conj(v)) / denom
+
+
 def test_product_round_trip():
     rng = np.random.default_rng(61)
     z, w = _cpair(rng, 20, 3), _cpair(rng, 20, 3)
     zeta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     v, xi = product_to_chart(z, w, zeta)
-    z2, w2 = chart_to_product(v, xi, zeta)
+    z2, w2 = _chart_to_product(v, xi, zeta)
     assert np.max(np.abs(z2 - z)) < 1e-14
     assert np.max(np.abs(w2 - w)) < 1e-14
     # there and back through chart V gives the same answer away from zeta = 0
     far = np.abs(zeta) > 0.3
     there, _ = chart_transition(v[far], xi[far], zeta[far], _zero_tangent(far.sum(), 3))
     back, _ = chart_transition(*there, _zero_tangent(far.sum(), 3))
-    z3, w3 = chart_to_product(*back)
+    z3, w3 = _chart_to_product(*back)
     assert np.max(np.abs(z3 - z[far])) < 1e-12
     assert np.max(np.abs(w3 - w[far])) < 1e-12
 
@@ -164,16 +168,16 @@ def test_transition_trivial_and_hand_value():
     assert transition_gUV(np.ones((1, 1)), np.ones((1, 1)), [1.0]) == pytest.approx([np.exp(-0.5)])
     with pytest.raises(DomainError):
         transition_gUV(np.ones((1, 1)), np.ones((1, 1)), [0.0])
-    with pytest.raises(DomainError):
-        transition_gVU(np.ones((1, 1)), np.ones((1, 1)), [0.0])
 
 
 def test_transition_cocycle():
     rng = np.random.default_rng(65)
     for n in (1, 2, 3):
         v, xi, zeta = _cpair(rng, 20, n), _cpair(rng, 20, n), _czeta(rng, 20)
-        other, _ = chart_transition(v, xi, zeta, _zero_tangent(20, n))
-        prod = transition_gUV(v, xi, zeta) * transition_gVU(*other)
+        (vt, xit, zetat), _ = chart_transition(v, xi, zeta, _zero_tangent(20, n))
+        # g_VU in tilde coordinates: exp(+sum_i vt_i xit_i / 2 zetat)
+        g_vu = np.exp(np.sum(vt * xit, axis=-1) / (2.0 * zetat))
+        prod = transition_gUV(v, xi, zeta) * g_vu
         assert np.max(np.abs(prod - 1.0)) < 1e-12
 
 
@@ -436,7 +440,20 @@ def test_dbar_display():
     z, w = _cpair(rng, 20, 1), _cpair(rng, 20, 1)
     zeta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     tangent = rng.standard_normal((20, total_dim(1)))
-    assert np.all(dbar_display_residual(1, z, w, zeta, tangent) < 1e-9)
+    # the (0,1) part of d(log h_U) on real tangents T: (df(T) + i df(ST)) / 2
+    p = pack_point(FlatModel(1), z, w, zeta)
+    grad = fd_gradient(log_hU_field(1), p, FDScheme(h=1e-4, order=4))
+    ones = np.eye(total_dim(1)) + 1j * twistor_structure(1)(p)
+    dbar = 0.5 * np.einsum("ki,kij,kj->k", grad, ones, tangent)
+    # displayed: (1/2) sum_i [z_i w_i dconj(zeta) + z_i dconj(z_i) - w_i dconj(w_i)
+    #            + conj(zeta) d(z_i w_i)]
+    tz, tw, tzeta = unpack_point(FlatModel(1), tangent)
+    tzeta, zeta_c = tzeta[:, None], np.conj(zeta)[:, None]
+    displayed = 0.5 * np.sum(
+        z * w * np.conj(tzeta) + z * np.conj(tz) - w * np.conj(tw) + zeta_c * (w * tz + z * tw),
+        axis=-1,
+    )
+    assert np.all(np.abs(dbar - displayed) < 1e-9)
 
 
 def test_hermitian_curvature_matches_flat():
@@ -506,18 +523,15 @@ _ZETA = _czeta(_RNG, _K, 0.7)
 _S, _T = _tangent(_RNG, _K, _N), _tangent(_RNG, _K, _N)
 _MS, _MT = _RNG.standard_normal((_K, 4 * _N)), _RNG.standard_normal((_K, 4 * _N))
 _P = pack_point(FlatModel(_N), _Z, _W, _ZETA)
-_RT = _RNG.standard_normal((_K, total_dim(_N)))
 _ROTATION = CircleActionSpec(k=(1, 2), l=(1, 0))
 
 #: every batched closed form, on rows r of the shared batch (a slice)
 _BATCHED = {
     "chart_transition": lambda r: chart_transition(_V[r], _XI[r], _ZETA[r], _S[r]),
     "product_to_chart": lambda r: product_to_chart(_Z[r], _W[r], _ZETA[r]),
-    "chart_to_product": lambda r: chart_to_product(_V[r], _XI[r], _ZETA[r]),
     "vertical_lift": lambda r: vertical_lift(_ZETA[r], _MS[r]),
     "fibre_symplectic": lambda r: fibre_symplectic(FlatModel(_N), _ZETA[r], _MS[r], _MT[r]),
     "transition_gUV": lambda r: transition_gUV(_V[r], _XI[r], _ZETA[r]),
-    "transition_gVU": lambda r: transition_gVU(_V[r], _XI[r], _ZETA[r]),
     "log_gUV_sq": lambda r: log_gUV_sq(_V[r], _XI[r], _ZETA[r]),
     "semifree_AU": lambda r: semifree_AU(_V[r], _XI[r], _ZETA[r], _S[r]),
     "semifree_AV": lambda r: semifree_AV(_V[r], _XI[r], _ZETA[r], _S[r]),
@@ -542,8 +556,6 @@ _BATCHED = {
     "pack_point": lambda r: pack_point(FlatModel(_N), _Z[r], _W[r], _ZETA[r]),
     "unpack_point": lambda r: unpack_point(FlatModel(_N), _P[r]),
     "chart_jacobian": lambda r: chart_jacobian(FlatModel(_N), _P[r]),
-    "dbar_scalar": lambda r: twistor.dbar_scalar(_N, _P[r], _RT[r]),
-    "dbar_display_residual": lambda r: dbar_display_residual(_N, _Z[r], _W[r], _ZETA[r], _RT[r]),
     "hermitian_curvature_residual": lambda r: hermitian_curvature_residual(
         _N, _Z[r], _W[r], _ZETA[r]
     ),
