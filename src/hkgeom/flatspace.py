@@ -71,11 +71,19 @@ class FlatModel:
         return 2 * self.n + 2 * i, 2 * self.n + 2 * i + 1
 
     def to_complex(self, p) -> tuple[np.ndarray, np.ndarray]:
-        """(z, w) of a point, or of each row of an (m, 4n) batch."""
-        p = np.asarray(p)
-        z = p[..., : 2 * self.n : 2] + 1j * p[..., 1 : 2 * self.n : 2]
-        w = p[..., 2 * self.n :: 2] + 1j * p[..., 2 * self.n + 1 :: 2]
-        return z, w
+        """(z, w) of a point, or of each row of an (m, 4n) batch.
+
+        The wire order stores each (Re, Im) pair next to each other, so z
+        and w are read-only complex views of p with no copy: they alias
+        p, and change with it.  p is copied first only if it is not a
+        float array or its last axis is strided.
+        """
+        p = np.asarray(p, dtype=float)
+        if p.strides[-1] != p.itemsize:
+            p = np.ascontiguousarray(p)
+        c = p.view(complex)
+        c.flags.writeable = False
+        return c[..., : self.n], c[..., self.n :]
 
     def from_complex(self, z, w) -> np.ndarray:
         """The real point of (z, w), or of each row of (k, n) batches: the inverse of to_complex."""

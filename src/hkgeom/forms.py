@@ -34,14 +34,18 @@ No field call returns more than ``MAX_STENCIL_VALUES`` (4096) values: an
 operator splits its base points into chunks of as many points as fit,
 and at least one.  A scalar field gives one value per stencil
 row and a form field ``nb``, so a scalar field's call holds at most 4096
-stencil rows.  A nested ``dd^c`` stencil of order 4 has ``(4 dim)^2``
-rows per base point (2,304 at dim = 12 and 3,136 at dim = 14), so there
-a chunk is one point and the batch holds at most ``4096 * dim`` floats,
-under 460 KB at dim = 14; a first-derivative stencil has ``4 dim`` rows,
-so 85 points of R^12 fit in one gradient call.  Counting a form field's
-components matters because a form field may build far more than its
-output per row: the twistor F_Z field forms a complex 14 x 14 matrix for
-each of its 91 components' rows at dim = 14.
+stencil rows.  A nested ``dd^c`` stencil of order 4 with one scheme
+inside and out has ``(4 dim)^2`` points per base point but only
+``16 dim (dim + 1) / 2`` distinct ones, and each distinct point is
+evaluated once: 1,248 rows at dim = 12, so a chunk is three points.
+With different inner and outer steps no two points coincide, and the
+twistor stencil keeps all 3,136 rows at dim = 14, so there a chunk is
+one point and the batch holds at most ``4096 * dim`` floats, under
+460 KB; a first-derivative stencil has ``4 dim`` rows, so 85 points of
+R^12 fit in one gradient call.  Counting a form field's components
+matters because a form field may build far more than its output per
+row: the twistor F_Z field forms a complex 14 x 14 matrix for each of
+its 91 components' rows at dim = 14.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -395,6 +399,42 @@ def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray
     return _chunked(P, _stencil_rows(scheme, f.dim), chunk)
 
 
+@lru_cache(maxsize=None)
+def _nested_table(outer: FDScheme, inner: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
+    """(cols_a, steps_a, cols_b, steps_b, back): the distinct points of a nested stencil.
+
+    Nested point [o2, o1, i, j], the order of ``_stencil_points`` applied
+    to its own output, is the base point with coordinate i moved by the
+    outer step s of o1 and then coordinate j by the inner step t of o2.
+    For i != j it moves two coordinates, so it has the bits of every
+    point that moves the same two coordinates by the same steps; its key
+    is (lower coordinate, its step, higher coordinate, its step).  For
+    i = j the key is (i, s, i, t) in that order, as (x + s) + t and
+    (x + t) + s may round apart.  Distinct point u moves coordinate
+    cols_a[u] by steps_a[u] and then cols_b[u] by steps_b[u], and nested
+    point m, flattened in C order, is distinct point back[m].
+    """
+    s = np.array(_OFFSETS[outer.order]) * outer.h
+    t = np.array(_OFFSETS[inner.order]) * inner.h
+    o2, o1, i, j = np.indices((len(t), len(s), dim, dim)).reshape(4, -1)
+    swap = i > j
+    keys = np.stack(
+        [
+            np.where(swap, j, i),
+            np.where(swap, t[o2], s[o1]),
+            np.where(swap, i, j),
+            np.where(swap, s[o1], t[o2]),
+        ],
+        axis=1,
+    )
+    distinct, back = np.unique(keys, axis=0, return_inverse=True)
+    cols_a, steps_a, cols_b, steps_b = distinct.T
+    table = (cols_a.astype(int), steps_a, cols_b.astype(int), steps_b, back.reshape(-1))
+    for column in table:  # shared by every caller through the cache
+        column.flags.writeable = False
+    return table
+
+
 def ddc(
     f: ScalarField,
     I,
@@ -407,31 +447,40 @@ def ddc(
     The outer stencil (``scheme``) differentiates the 1-form
     d^c f = -df o I, whose value at each outer point q is -I(q)^T times
     the gradient of f from an ``inner_scheme`` stencil around q (the
-    inner scheme defaults to the outer one).  All inner points of all
-    outer points of a chunk of base points go to f in one batch, and all
-    its outer points to I.  I may be a constant matrix or a callback
-    taking (m, dim) points to (m, dim, dim) matrices; it must square to
-    -Id at every outer point.  The 10h clearance margin is checked at
-    every base point for the outer step and at every outer point for the
-    inner step.
+    inner scheme defaults to the outer one).  The distinct inner points
+    of all outer points of a chunk of base points go to f in one batch,
+    each once (see ``_nested_table``), and all its outer points to I.
+    A coordinate that neither step moves keeps its bits, where the plain
+    nested sum adds 0.0 to it and may flip the sign of a zero.  I may be
+    a constant matrix or a callback taking (m, dim) points to (m, dim,
+    dim) matrices; it must square to -Id at every outer point.  The 10h
+    clearance margin is checked at every base point for the outer step
+    and at every outer point for the inner step.
     """
     scheme = scheme or FDScheme()
     inner = inner_scheme or scheme
     P = _points(p, f.dim)
     N = f.dim
     a, b = _pair_indices(N)
+    cols_a, steps_a, cols_b, steps_b, back = _nested_table(scheme, inner, N)
+    rows = np.arange(len(cols_a))
 
     def chunk(C):
         _require_margin(f, C, scheme)
         Q = _stencil_points(C, scheme)
         _require_margin(f, Q, inner)
         S = _structures(I, Q, _STRUCTURE_TOL, "at an outer stencil point")
-        dc = _dc_contract(S, _derivatives(f, Q, inner))
+        pts = np.repeat(C[:, None, :], len(rows), axis=1)
+        pts[:, rows, cols_a] += steps_a
+        pts[:, rows, cols_b] += steps_b
+        vals = np.asarray(f(pts.reshape(-1, N))).reshape(len(C), -1)[:, back]
+        # [r, o2, o1, i, j] -> [o2, o1, r, i, j], the order of the nested stencil points
+        vals = np.swapaxes(vals.reshape(len(C), -1, N * N), 0, 1).reshape(-1)
+        dc = _dc_contract(S, _stencil_derivatives(vals, len(Q), inner))
         D = _stencil_derivatives(dc, len(C), scheme)  # D[r, i, j] = d_i (d^c f)_j at row r
         return D[:, a, b] - D[:, b, a]
 
-    rows = _stencil_rows(scheme, N) * _stencil_rows(inner, N)
-    return _chunked(P, rows, chunk)
+    return _chunked(P, len(rows), chunk)
 
 
 def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> np.ndarray:

@@ -89,6 +89,23 @@ def test_omega_complex_on_unit_tangent_pair():
     assert np.isclose(val, 1.0)
 
 
+def test_to_complex_reads_p_in_place_and_inverts_from_complex():
+    m = FlatModel(2)
+    p = np.random.default_rng(13).standard_normal((5, 8))
+    z, w = m.to_complex(p)
+    assert np.shares_memory(z, p) and np.shares_memory(w, p)
+    assert not z.flags.writeable and not w.flags.writeable
+    assert np.array_equal(z, p[:, 0:4:2] + 1j * p[:, 1:4:2])
+    assert np.array_equal(w, p[:, 4::2] + 1j * p[:, 5::2])
+    assert np.array_equal(m.from_complex(z, w), p)
+    # a strided or integer p is copied first and gives the same values
+    wide = np.zeros((5, 16))
+    wide[:, ::2] = p
+    for q, want in ((wide[:, ::2], p), (np.arange(8), np.arange(8.0))):
+        zq, wq = m.to_complex(q)
+        assert np.array_equal(m.from_complex(zq, wq), want)
+
+
 def test_omega_is_g_compatible_with_structures():
     rng = np.random.default_rng(12)
     m = FlatModel(2)

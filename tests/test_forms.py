@@ -37,7 +37,14 @@ from hkgeom.forms import (
     surface_integral,
     type11_residual,
 )
-from hkgeom.twistor import curvature_FZ_field, log_hU_field, pack_point, twistor_structure
+from hkgeom.twistor import (
+    _DDC_INNER,
+    _DDC_OUTER,
+    curvature_FZ_field,
+    log_hU_field,
+    pack_point,
+    twistor_structure,
+)
 
 # Standard complex structure on R^2 = C (z = x + iy) and on R^4 = H
 # (z = x0 + i x1, w = x2 + i x3), columns are images of basis vectors.
@@ -602,14 +609,15 @@ def test_batched_type11_rows_equal_each_form_alone():
 
 def test_batches_beyond_the_library_chunk_keep_every_row():
     # 130 points of R^3 are two chunks of a 1-form's first-derivative
-    # stencils (113 points of 12 rows and 3 values each); 9 points of R^6
-    # are two chunks of nested dd^c stencils (7 points of 576 rows each)
+    # stencils (113 points of 12 rows and 3 values each); 13 points of R^6
+    # are two chunks of nested dd^c stencils (12 points of 336 distinct rows
+    # each)
     rng = np.random.default_rng(21)
     w = _smooth_form(rng, 3, 1)
     assert 130 > forms.MAX_STENCIL_VALUES // (4 * 3 * 3)
     _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3)), rng.uniform(-1, 1, (130, 3)))
-    P = _twistor_points(rng, 9, 1)
-    assert 9 > forms.MAX_STENCIL_VALUES // (4 * 6) ** 2
+    P = _twistor_points(rng, 13, 1)
+    assert 13 > forms.MAX_STENCIL_VALUES // (4**2 * 6 * 7 // 2)
     f, I = log_hU_field(1), twistor_structure(1)
     _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-3)), P)
 
@@ -620,7 +628,8 @@ def test_one_field_call_returns_at_most_the_value_bound():
     counted = ScalarField(lambda P: calls.append(len(P)) or f.fn(P), 4)
     P = np.random.default_rng(23).uniform(-1, 1, (40, 4))
     ddc(counted, I4, P, FDScheme(h=1e-2))
-    assert max(calls) <= forms.MAX_STENCIL_VALUES and sum(calls) == 40 * 16**2
+    # 160 distinct rows of the 256 nested stencil points per point of R^4
+    assert max(calls) <= forms.MAX_STENCIL_VALUES and sum(calls) == 40 * 160
     calls.clear()
     laplacian(counted, P[:1])
     assert calls == [1 + 16]  # never less than one base point
@@ -631,6 +640,89 @@ def test_one_field_call_returns_at_most_the_value_bound():
     calls.clear()
     ext_deriv(counted, np.zeros((3, 14)))
     assert calls == [56, 56, 56]
+
+
+def _every_point_ddc(f, I, P, scheme, inner):
+    """dd^c with every nested stencil point evaluated: the inner stencil of each outer point."""
+    Q = forms._stencil_points(P, scheme)
+    S = I(Q) if callable(I) else I
+    vals = f(forms._stencil_points(Q, inner))
+    dc = forms._dc_contract(S, forms._stencil_derivatives(vals, len(Q), inner))
+    D = forms._stencil_derivatives(dc, len(P), scheme)
+    a, b = np.triu_indices(f.dim, 1)
+    return D[:, a, b] - D[:, b, a]
+
+
+def _turning_structure(n):
+    """cos t I + sin t J at t = 0.3 sum(x) on flat H^n: a point-dependent complex structure."""
+    model = FlatModel(n)
+
+    def structure(Q):
+        t = 0.3 * np.sum(Q, axis=1)[:, None, None]
+        return np.cos(t) * model.I + np.sin(t) * model.J
+
+    return structure
+
+
+def _no_zero_points(rng, k, dim):
+    """(k, dim) points whose coordinates all lie in 0.2 <= |x| <= 1."""
+    return rng.uniform(0.2, 1.0, (k, dim)) * rng.choice([-1.0, 1.0], (k, dim))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 3])
+def test_ddc_has_the_bits_of_every_nested_point_evaluated(n, order, k):
+    rng = np.random.default_rng(25 + n + order + k)
+    f = _smooth_field(rng, 4 * n)
+    P = _no_zero_points(rng, k, 4 * n)
+    scheme = FDScheme(h=1e-2, order=order)
+    for I in (FlatModel(n).I, _turning_structure(n)):
+        want = _every_point_ddc(f, I, P, scheme, scheme)
+        assert np.array_equal(ddc(f, I, P, scheme), want)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_twistor_ddc_has_the_bits_of_every_nested_point_evaluated(k):
+    rng = np.random.default_rng(26 + k)
+    f, I = log_hU_field(3), twistor_structure(3)
+    P = _twistor_points(rng, k, 3)
+    assert np.all(P != 0.0)
+    want = _every_point_ddc(f, I, P, _DDC_OUTER, _DDC_INNER)
+    assert np.array_equal(ddc(f, I, P, _DDC_OUTER, _DDC_INNER), want)
+
+
+@pytest.mark.parametrize(
+    "dim, scheme, inner",
+    [
+        (4, FDScheme(h=1e-2, order=2), None),
+        (4, FDScheme(h=1e-2, order=4), None),
+        (12, FDScheme(h=1e-2, order=4), None),
+        (14, _DDC_OUTER, _DDC_INNER),
+    ],
+)
+def test_ddc_evaluates_each_distinct_point_once(dim, scheme, inner):
+    rng = np.random.default_rng(27)
+    seen = []
+    f = _smooth_field(rng, dim)
+    counted = ScalarField(lambda Q: seen.append(Q.copy()) or f.fn(Q), dim)
+    P = _no_zero_points(rng, 2, dim)
+    ddc(counted, np.kron(np.eye(dim // 2), I2), P, scheme, inner)
+    rows = np.concatenate(seen)
+    O = len(forms._OFFSETS[scheme.order])
+    per_point = O**2 * dim * (dim + 1) // 2 if inner is None else (4 * dim) ** 2
+    assert len(rows) == 2 * per_point
+    # a point that moves two coordinates is never sent twice; one that moves
+    # a coordinate by s and then t may round to the bits of t then s, or of
+    # the base point, so only differing steps keep every row distinct
+    two = np.sum(rows.reshape(2, per_point, dim) != P[:, None, :], axis=2).ravel() == 2
+    assert np.sum(two) == 2 * O**2 * dim * (dim - 1) // (2 if inner is None else 1)
+    assert len(np.unique(rows[two], axis=0)) == np.sum(two)
+    if inner is not None:
+        assert len(np.unique(rows, axis=0)) == len(rows)
+    # the same points as the full nested stencil, which repeats each off-diagonal one
+    nested = forms._stencil_points(forms._stencil_points(P, scheme), inner or scheme)
+    assert np.array_equal(np.unique(rows, axis=0), np.unique(nested, axis=0))
 
 
 def test_one_bad_row_fails_the_whole_batch():
@@ -714,20 +806,21 @@ _CHUNK_FAULTS = """\
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from hkgeom.suites import RunConfig, run_check
-cfg = RunConfig(suite="flat", n=3)
-run_check(cfg, "flat.curvature.type11.full")
+cfg = RunConfig(suite="quotient")
+run_check(cfg, "quotient.curvature.match")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    run_check(cfg, "flat.curvature.type11.full")
+    run_check(cfg, "quotient.curvature.match")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is a glibc option")
 def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
-    # in a fresh process that imports numpy alone, each of the 20 nested dd^c
-    # chunks of this check freed its temporaries back to the system and
-    # faulted them in again, 1,500 page faults per run; the heap pad keeps them
+    # in a fresh process that imports numpy alone, the chunks of this check's
+    # nested chart stencils free their temporaries back to the system and
+    # fault them in again, 554 page faults over the three runs; the heap pad
+    # keeps them
     src = str(Path(forms.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _CHUNK_FAULTS, src], capture_output=True, text=True, timeout=300

@@ -130,6 +130,23 @@ def test_scaled_moment_map_fails_the_full_rotation(monkeypatch):
     assert not rec.passed and rec.residual > 5e-4, rec.to_dict()
 
 
+@pytest.mark.parametrize(
+    "check_id, residual",
+    [("flat.curvature.type11.semifree", 2e-3), ("flat.curvature.type11.full", 1e-3)],
+)
+def test_non_invariant_moment_map_fails_the_type11_rows(check_id, residual, monkeypatch):
+    # mu + 1e-3 x0^2: dd^c x0^2 is of type (1,1) for I but not for J or K,
+    # off by 1e-3 / deg (2.0e-3 semifree, 1.0e-3 full, tol 1e-8)
+    cfg = RunConfig(suite="flat")
+    assert run_check(cfg, check_id).passed
+    moment = flatspace.moment_map
+    monkeypatch.setattr(
+        flatspace, "moment_map", lambda spec, p: moment(spec, p) + 1e-3 * p[:, 0] ** 2
+    )
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 0.5 * residual, rec.to_dict()
+
+
 # -- Gibbons-Hawking ------------------------------------------------------------------
 
 

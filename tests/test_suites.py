@@ -173,10 +173,11 @@ def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
     ],
 )
 def test_dense_checks_stay_within_their_memory_bound(suite, check_id):
-    # at n = 3 one nested dd^c stencil is 2,304 (flat) or 3,136 (twistor)
-    # rows, and one point's F_Z stencil returns 56 x 91 values, so the
-    # chunk bound keeps each peak near 1 MB or below; all samples' stencils
-    # in one field call would peak at about 12, 5 and 1.9 MB
+    # at n = 3 one nested dd^c stencil has 1,248 distinct rows (flat, three
+    # points to a chunk) or 3,136 (twistor, one point), and one point's F_Z
+    # stencil returns 56 x 91 values, so the chunk bound keeps each peak near
+    # 1 MB or below; all samples' stencils in one field call would peak at
+    # about 12, 5 and 1.9 MB
     cfg = RunConfig(suite=suite, n=3)
     run_check(cfg, check_id)  # builds the cached index tables first
     tracemalloc.start()
