@@ -17,6 +17,9 @@ seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
 with their horizontal frames built once for the whole batch; the chart,
 descended and multi-centre functions take that batch and return arrays
 with one row per point, each row equal to that point in a batch of one.
+The chart at a level-set point m0 is the graph m0 + F xi + N c over its
+horizontal frame F, with N = d nu(m0)^T, so its tangents are closed-form
+(implicit function theorem) and only curvature stencils are retracted.
 
 The standard worked example throughout is the Eguchi-Hanson quotient of
 H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
@@ -52,6 +55,7 @@ from .forms import (
     _pair_indices,
     _stencil_points,
     _stencil_rows,
+    fd_gradient,
 )
 
 #: speed of the Eguchi-Hanson residual circle that makes the recovered
@@ -77,7 +81,7 @@ _CIRCLE_COMMUTE_TOL = 1e-10
 #: Newton tolerance and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
 _CHART_MAX_ITER = 60
-#: stencil for the chart tangents d point / d xi (and the chart gradients)
+#: stencil of the ambient gradients that chart gradients contract with the tangents
 _CHART_TANGENT_SCHEME = FDScheme(h=1e-4, order=4)
 #: outer stencil of the descended and canonical curvature forms
 _CURVATURE_SCHEME = FDScheme(h=2e-3, order=4)
@@ -90,8 +94,8 @@ class LinearAction:
     Each generator must be antisymmetric (a flat Killing field) and
     commute with the three complex structures, and the generators must
     commute with each other; all three are checked at construction.  The
-    Newton step of the level-set solvers (``_newton_step``) rests on the
-    last: for commuting generators J J^T = G (x) I_3.
+    Newton step of ``solve_level`` (``_newton_step``) rests on the last:
+    for commuting generators J J^T = G (x) I_3.
     """
 
     generators: tuple
@@ -217,19 +221,25 @@ def _newton_step(jac, res) -> np.ndarray:
     generators J J^T = G (x) I_3, where G_ab = <G_a m, G_b m> is the
     orbit Gram matrix: g(S_i X_a, S_j X_b) = delta_ij g(X_a, X_b) +
     eps_ijk omega_k(X_a, X_b), and omega_k(X_a, X_b) is the derivative of
-    nu_b along X_a, zero for commuting generators.  S_1 is orthogonal, so
-    G = X X^T for the (a, 0) rows X.  G is SPD, and ``_gram_solve``
-    solves it by one elimination vectorised over the rows; for a circle
-    that is the one division res / |X|^2.  A row whose G fails the
-    condition guard raises NonFreePointError.
+    nu_b along X_a, zero for commuting generators.  G is SPD, and
+    ``_gram_solve`` solves it by one elimination vectorised over the rows;
+    for a circle that is the one division res / |X|^2.
     """
     r, width, _ = jac.shape
+    coef = _gram_solve(_orbit_gram(jac), res.reshape(r, width // 3, 3))
+    return -(jac.transpose(0, 2, 1) @ coef.reshape(r, width, 1))[:, :, 0]
+
+
+def _orbit_gram(jac) -> np.ndarray:
+    """Orbit Gram matrices G = X X^T (r, g, g) of the (a, 0) rows X of jac (r, 3 g, dim).
+
+    S_1 is orthogonal, so these are <G_a m, G_b m>.  NonFreePointError if a
+    row's G fails the condition guard."""
     orbit = jac[:, 0::3]
     gram = orbit @ orbit.transpose(0, 2, 1)
     if np.any(_rank_deficient(np.linalg.eigvalsh(gram))):
         raise NonFreePointError("orbit Gram matrix is singular up to the condition guard")
-    coef = _gram_solve(gram, res.reshape(r, width // 3, 3))
-    return -(jac.transpose(0, 2, 1) @ coef.reshape(r, width, 1))[:, :, 0]
+    return gram
 
 
 def _gram_solve(gram, rhs) -> np.ndarray:
@@ -446,35 +456,23 @@ def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, level
 # -- charts and curvature --------------------------------------------------------------
 
 
-def _chart_derivatives(vals: np.ndarray, count: int, scheme: FDScheme) -> np.ndarray:
-    """D[c, j, i] = d_i at chart point j of chart c, (k, count, K, ...).
-
-    ``vals`` (k, offsets count K, ...) holds one value per point of each
-    chart's stencil of its count chart points, laid out
-    [offset][point][coordinate] as ``_stencil_points`` lays out the
-    stencil of one chart's points.
-    """
-    vals = vals.reshape((len(vals), _stencil_rows(scheme, 1), count, -1) + vals.shape[2:])
-    return _fd_reduce(np.moveaxis(vals, 1, 0), scheme.order, scheme.h)
-
-
 class QuotientChart:
     """Local quotient coordinates at each of k level-set points at once (a chart batch).
 
-    point(xi) projects m0 + frame.xi back onto the level set, for chart
-    points (k, m, K), row [c] in the chart of point c.  All rows are
-    retracted in one vectorised Newton solve, each with its own base point
-    and frame, and each converges on its own, so a row equals that chart
-    point retracted alone in its own chart.  ``jet`` retracts chart points
-    together with their whole tangent stencil in one such solve.  The
-    pulled-back Kahler forms, the induced metric (orbit directions
+    The chart of point c is the graph point(xi) = m0 + F xi + N c(xi) over
+    its horizontal frame F, with N = d nu(m0)^T and c in R^{3 dim_g} solved
+    so that the point is on the level set, for chart points (k, m, K), row
+    [c] in the chart of point c.  All rows are retracted in one vectorised
+    Newton solve, each with its own base point and frames, and each
+    converges on its own, so a row equals that chart point retracted alone
+    in its own chart.  ``jet`` adds the exact tangents to one such solve.
+    The pulled-back Kahler forms, the induced metric (orbit directions
     projected out), the complex structures and the connection form are
-    array functions of a jet over any leading axes, ``gradient``
-    differences a function of the point over a jet's stencil, and
-    ``exterior_derivative`` takes d of a chart one-form at xi = 0 in every
-    chart from one call of it, so every quantity at the same points shares
-    one retraction.  The frames are the level-set points' own
-    (``levels.frames``).
+    array functions of a jet over any leading axes, ``gradient`` contracts
+    an ambient gradient with a jet's tangents, and ``exterior_derivative``
+    takes d of a chart one-form at xi = 0 in every chart from one call of
+    it, so every quantity at the same points shares one retraction.  The
+    frames are the level-set points' own (``levels.frames``).
     """
 
     def __init__(self, action: LinearAction, levels: LevelSetPoints):
@@ -482,6 +480,8 @@ class QuotientChart:
         self.levels = levels
         #: (k, dim, K)
         self.frames = levels.frames
+        #: (k, dim, 3 dim_g), N = d nu(m0)^T
+        self._normals = levels.dnu.reshape(len(levels), -1, action.dim).transpose(0, 2, 1)
         self._target = levels.level.target().ravel()
         self._omega = action.model.kahler_triple()
         self._generators = np.array(action.generators)
@@ -502,10 +502,10 @@ class QuotientChart:
     def point(self, xi) -> np.ndarray:
         """Retraction of chart points into H^n, (k, m, K) -> (k, m, dim).
 
-        Newton takes the minimum-norm step ``_newton_step`` on every row
-        whose level residual is not yet below the tolerance; a row whose
-        orbit Gram matrix fails the condition guard raises
-        NonFreePointError.
+        Newton moves m = m0 + F xi along N only: m <- m - N (J N)^{-1} res
+        with J = d nu(m), on every row whose level residual is not yet
+        below the tolerance (at m0, J N = G (x) I_3).  A row whose orbit
+        Gram matrix fails the condition guard raises NonFreePointError.
         """
         xi = self._check(xi)
         m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
@@ -518,35 +518,35 @@ class QuotientChart:
             if not todo.size:
                 return m.reshape(xi.shape[:-1] + (self.action.dim,))
             jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
-            m[todo] += _newton_step(jac, res)
+            _orbit_gram(jac)  # the rank guard
+            normals = self._normals[todo // xi.shape[1]]
+            m[todo] -= (normals @ np.linalg.solve(jac @ normals, res[:, :, None]))[:, :, 0]
         raise ConvergenceError("chart retraction did not converge")
 
     def jet(self, xi):
-        """(points, tangents, stencil) of chart points xi (k, m, K), from one ``point`` call.
+        """(points, tangents) of chart points xi (k, m, K), from one ``point`` call.
 
-        points (k, m, dim) retracts xi, tangents (k, m, dim, K) holds
-        d point / d xi, and stencil (k, 4 m K, dim) retracts each chart's
-        tangent stencil of its m points, laid out as ``_stencil_points``
-        lays it out, for ``gradient``.
+        points (k, m, dim) retracts xi and tangents (k, m, dim, K) holds
+        d point / d xi.  Differentiating nu(point) = target along the graph
+        gives it exactly (implicit function theorem), with no stencil:
+        T = F - N (J N)^{-1} J F at the retracted point.
         """
-        xi = self._check(xi)
-        k, count, K = xi.shape
-        # each chart's stencil rows together, [offset][point][coordinate]
-        around = _stencil_points(xi.reshape(-1, K), _CHART_TANGENT_SCHEME)
-        around = around.reshape(-1, k, count * K, K).swapaxes(0, 1).reshape(k, -1, K)
-        out = self.point(np.concatenate([xi, around], axis=1))
-        points, stencil = out[:, :count], out[:, count:]
-        tangents = _chart_derivatives(stencil, count, _CHART_TANGENT_SCHEME)
-        return points, np.ascontiguousarray(tangents.swapaxes(-1, -2)), stencil
+        points = self.point(xi)
+        k, count, dim = points.shape
+        jac = moment_jacobian(self.action, points.reshape(-1, dim)).reshape(k, count, -1, dim)
+        frames, normals = self.frames[:, None], self._normals[:, None]
+        return points, frames - normals @ np.linalg.solve(jac @ normals, jac @ frames)
 
     def gradient(self, jet, fn) -> np.ndarray:
         """Chart gradient (k, m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
 
-        fn gets the stencils of all the jet's charts in one call.
+        The ambient ``fd_gradient`` of fn over _CHART_TANGENT_SCHEME at the
+        jet's points, whose stencils are closed-form and are not retracted,
+        contracted with the jet's tangents.
         """
-        points, _, stencil = jet
-        vals = np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))).reshape(len(stencil), -1)
-        return _chart_derivatives(vals, points.shape[1], _CHART_TANGENT_SCHEME)
+        points, tangents = jet
+        grad = fd_gradient(fn, points.reshape(-1, points.shape[-1]), _CHART_TANGENT_SCHEME)
+        return (grad.reshape(points.shape)[..., None, :] @ tangents)[..., 0, :]
 
     def exterior_derivative(self, form) -> np.ndarray:
         """d of a chart one-form at xi = 0 in every chart, (k, nb).
@@ -560,12 +560,13 @@ class QuotientChart:
         K = self.dim
         stencil = _stencil_points(np.zeros((1, K)), _CURVATURE_SCHEME)
         vals = np.asarray(form(np.broadcast_to(stencil, (len(self.frames),) + stencil.shape)))
-        D = _chart_derivatives(vals, 1, _CURVATURE_SCHEME)
-        return _ext_deriv_sum(D[:, 0], K, 1)
+        vals = vals.reshape((len(vals), -1, K) + vals.shape[2:])  # [chart][offset][coordinate]
+        D = _fd_reduce(np.moveaxis(vals, 1, 0), _CURVATURE_SCHEME.order, _CURVATURE_SCHEME.h)
+        return _ext_deriv_sum(D, K, 1)
 
     def omega_bar(self, jet, i: int) -> np.ndarray:
         """omega_i pulled back to the chart at each jet point, as (..., K, K) matrices."""
-        _, tangents, _ = jet
+        _, tangents = jet
         return tangents.swapaxes(-1, -2) @ self._omega[i - 1] @ tangents
 
     def _orbit_split(self, jet):
@@ -574,7 +575,7 @@ class QuotientChart:
         Each jet point's orbit Gram matrix O^T O passed the condition guard
         already, in a Newton step of the retraction or in solve_level.
         """
-        points, tangents, _ = jet
+        points, tangents = jet
         orbit_t = (self._generators @ points[..., None, :, None])[..., 0]
         coef = _gram_solve(orbit_t @ orbit_t.swapaxes(-1, -2), orbit_t @ tangents)
         return coef, tangents - orbit_t.swapaxes(-1, -2) @ coef
@@ -598,17 +599,15 @@ def _over_charts(action: LinearAction, levels: LevelSetPoints, op) -> np.ndarray
     """op(chart) on the chart batch of each chunk of the level-set points, concatenated.
 
     op returns one row per point of its chart batch.  A chunk holds as
-    many consecutive points as keep the rows of their nested curvature
-    stencils (4 K outer points, each with its 4 K-point tangent stencil:
-    272 rows at K = 4) within ``forms.MAX_STENCIL_VALUES`` retracted rows,
-    and at least one point, so a retraction takes the same memory at any
-    number of points.  Each chunk reads its rows of ``levels.frames``.
+    many consecutive points as keep the rows of their outer curvature
+    stencils (4 K retracted points each: the jets' tangents are
+    closed-form) within ``forms.MAX_STENCIL_VALUES``, and at least one
+    point, so a retraction takes the same memory at any number of points.
+    Each chunk reads its rows of ``levels.frames``.
     """
-    K = _quotient_dim(action)
-    outer = _stencil_rows(_CURVATURE_SCHEME, K)
     return _chunked(
         levels,
-        outer * (1 + _stencil_rows(_CHART_TANGENT_SCHEME, K)),
+        _stencil_rows(_CURVATURE_SCHEME, _quotient_dim(action)),
         lambda chunk: op(QuotientChart(action, chunk)),
     )
 

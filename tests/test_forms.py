@@ -806,21 +806,20 @@ _CHUNK_FAULTS = """\
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from hkgeom.suites import RunConfig, run_check
-cfg = RunConfig(suite="quotient")
-run_check(cfg, "quotient.curvature.match")
+cfg = RunConfig(suite="gh")
+run_check(cfg, "gh.periods")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    run_check(cfg, "quotient.curvature.match")
+    run_check(cfg, "gh.periods")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is a glibc option")
 def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
-    # in a fresh process that imports numpy alone, the chunks of this check's
-    # nested chart stencils free their temporaries back to the system and
-    # fault them in again, 554 page faults over the three runs; the heap pad
-    # keeps them
+    # in a fresh process without the heap pad, the chunks of this check's
+    # period quadratures free their temporaries back to the system and fault
+    # them in again, 1,880 page faults over the three runs; the pad keeps them
     src = str(Path(forms.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _CHUNK_FAULTS, src], capture_output=True, text=True, timeout=300

@@ -10,7 +10,7 @@ configuration.
 import numpy as np
 import pytest
 
-from hkgeom import cotangent, flatspace, quotient, suites, twistor
+from hkgeom import cotangent, dynkin, flatspace, quotient, suites, twistor
 from hkgeom import gibbonshawking as gh
 from hkgeom.forms import ScalarField, type11_residual
 from hkgeom.suites import RunConfig, run_check
@@ -332,3 +332,49 @@ def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
     cfg = RunConfig(suite="quotient", samples=8)
     sep = run_check(cfg, "quotient.gh.separation")
     assert sep.residual > 1e-4 and not sep.passed
+
+
+# -- Dynkin / McKay -----------------------------------------------------------------
+
+
+def _odd_cycle_signed(fn):
+    # an odd cycle answered with the all-(+1) assignment instead of None
+    return lambda graph: fn(graph) or (1,) * graph.num_vertices
+
+
+def _first_sign_flipped(fn):
+    # c_0 flipped, so c_0 c_j = +1 on every edge at vertex 0
+    def mutated(graph):
+        signs = fn(graph)
+        return None if signs is None else (-signs[0],) + signs[1:]
+
+    return mutated
+
+
+def _marks_doubled(fn):
+    # a null vector of the Cartan matrix that is not the minimal one
+    return lambda *args: tuple(2 * d for d in fn(*args))
+
+
+#: check id -> (the dynkin function the defect replaces, the defect); each
+#: row has tolerance 0, so any miscount fails it
+DYNKIN_MUTATIONS = {
+    # the even k (odd cycles) come out signable: residual 4, k = 2, 4, 6, 8
+    "dynkin.signs.a-series": ("dynkin_signs", _odd_cycle_signed),
+    # all eight diagrams violate an edge: residual 8
+    "dynkin.signs.de-series": ("dynkin_signs", _first_sign_flipped),
+    # sum d_i^2 = 4 |Gamma|: residual 360, at E8
+    "dynkin.mckay.order": ("mckay_dims", _marks_doubled),
+    # one orientation per edge instead of both: dimension 2, not 4
+    "dynkin.quiver.a1": ("quiver_dim", _halved),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(DYNKIN_MUTATIONS))
+def test_dynkin_mutation_fails(check_id, monkeypatch):
+    cfg = RunConfig(suite="dynkin")
+    assert run_check(cfg, check_id).passed
+    name, mutate = DYNKIN_MUTATIONS[check_id]
+    monkeypatch.setattr(dynkin, name, mutate(getattr(dynkin, name)))
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 0, (check_id, rec.to_dict())

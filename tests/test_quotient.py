@@ -685,10 +685,27 @@ def test_torus_retraction_on_h3_matches_single_rows():
             assert np.linalg.norm(hk_moment(TORUS_H3, alone) - level.target()) < 1e-14
 
 
-def test_newton_solvers_make_no_svd_or_solve_call(monkeypatch):
-    # the Newton steps and rank guards of both solvers are the closed-form
-    # Gram step and eigvalsh; the frames' vertical SVD is counted to show
-    # that the counters see a call
+def test_torus_curvature_match_takes_the_level_as_weight():
+    # the curvature match with dim_g = 2, outside the suite: on the H^3
+    # 2-torus at level (1, 2) the descended form of the rotator
+    # (1, 1, 1)/(1, 1, 1) is the canonical curvature of the bundle whose
+    # weight is the level, as for a circle (suites._q_match) at the row's
+    # tolerance 1e-5 (measured 1.3e-9); the weight (1, 1) misses by 0.37
+    rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
+    seeds = np.random.default_rng(0).standard_normal((4, 12))
+    levels = solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds)
+    want = descended_curvature(TORUS_H3, rotator, levels)
+    assert want.shape == (4, 6)
+    assert np.max(np.abs(canonical_bundle_curvature(TORUS_H3, (1.0, 2.0), levels) - want)) < 1e-5
+    assert np.max(np.abs(canonical_bundle_curvature(TORUS_H3, (1.0, 1.0), levels) - want)) >= 0.29
+
+
+def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
+    # solve_level's steps and the rank guards of both solvers are the
+    # closed-form Gram step and eigvalsh; the chart retraction solves one
+    # stacked (J N) system per Newton step, three here (worst residuals
+    # 1.4e-2, 3.3e-5, 1.8e-10, then below 1e-14); the frames' vertical SVD
+    # is counted to show that the counters see a call
     calls = {"svd": 0, "solve": 0}
 
     def counted(name, fn):
@@ -703,9 +720,10 @@ def test_newton_solvers_make_no_svd_or_solve_call(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
-    chart.point(0.05 * rng.standard_normal((1, 20, 4)))
     assert calls == {"svd": 0, "solve": 0}
-    assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 1, "solve": 0}
+    chart.point(0.05 * rng.standard_normal((1, 20, 4)))
+    assert calls == {"svd": 0, "solve": 3}
+    assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 1, "solve": 3}
 
 
 def test_chart_retraction_budget_exhaustion(monkeypatch):
@@ -716,24 +734,35 @@ def test_chart_retraction_budget_exhaustion(monkeypatch):
         chart.point(np.full((1, 3, 4), 0.1))
 
 
-def test_shared_stencil_matches_fd_over_batched_point():
-    rng = np.random.default_rng(54)
-    chart = QuotientChart(ACTION, solved(rng))
+def test_chart_tangents_equal_fd_of_the_retraction():
+    # the jet's tangents are exact (implicit function theorem), so they equal
+    # fd_jacobian of point at xi = 0 and off it, on a circle and on the
+    # H^3 2-torus; the FD side carries roundoff eps |m| / h and each
+    # retracted point's Newton error (tolerance 1e-14) over h = 1e-4:
+    # measured worst 4.6e-12 (tangents) and 2.5e-11 (gradients, |mu| up to
+    # about 5) over 20 seeds
+    torus_rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
     scheme = quotient._CHART_TANGENT_SCHEME
-    mu = moment_field(eh_rotator())
+    for action, level, rotator in (
+        (ACTION, LEVEL, eh_rotator()),
+        (TORUS_H3, LevelSpec((1.0, 2.0)), torus_rotator),
+    ):
+        rng = np.random.default_rng(54)
+        levels = solve_level(action, level, rng.standard_normal((1, action.dim)))
+        chart = QuotientChart(action, levels)
+        mu = moment_field(rotator)
 
-    def retract(y):
-        return chart.point(y[None])[0]
+        def retract(y):
+            return chart.point(y[None])[0]
 
-    for xi in (np.zeros(4), 1e-3 * rng.standard_normal(4)):
-        points, tangents, stencil = jet = chart.jet(xi[None, None, :])
-        want = fd_jacobian(retract, xi[None], scheme)[0]
-        assert np.max(np.abs(tangents[0, 0] - want)) < 1e-12
-        grad = fd_gradient(lambda y: mu(retract(y)), xi[None], scheme)[0]
-        from_jet = chart.gradient(jet, mu)[0, 0]
-        assert np.max(np.abs(from_jet - grad)) < 1e-12
-        fd_metric = chart.metric((points, want[None, None], stencil))
-        assert np.max(np.abs(chart.metric(jet) - fd_metric)) < 1e-12
+        for xi in (np.zeros(chart.dim), 2e-3 * rng.standard_normal(chart.dim)):
+            points, tangents = jet = chart.jet(xi[None, None, :])
+            want = fd_jacobian(retract, xi[None], scheme)[0]
+            assert np.max(np.abs(tangents[0, 0] - want)) < 1e-10
+            grad = fd_gradient(lambda y: mu(retract(y)), xi[None], scheme)[0]
+            assert np.max(np.abs(chart.gradient(jet, mu)[0, 0] - grad)) < 1e-9
+            fd_metric = chart.metric((points, want[None, None]))
+            assert np.max(np.abs(chart.metric(jet) - fd_metric)) < 1e-10
 
 
 def test_chart_jet_rows_match_single_rows():
@@ -743,14 +772,15 @@ def test_chart_jet_rows_match_single_rows():
     rng = np.random.default_rng(58)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
     chart = QuotientChart(ACTION, levels)
+    mu = moment_field(eh_rotator())
     xi = 0.05 * rng.standard_normal((3, 16, 4))
     jet = chart.jet(xi)
-    stencil_rows = jet[2].shape[1] // 16
     assert jet[0].shape == (3, 16, 8) and jet[1].shape == (3, 16, 8, 4)
     batch = {
         "metric": chart.metric(jet),
         "structure": np.stack([chart.structure(jet, i) for i in (1, 2, 3)], axis=2),
         "theta": chart.theta(jet, (1.0,)),
+        "gradient": chart.gradient(jet, mu),
     }
     for row in range(3):
         one = QuotientChart(ACTION, levels[row : row + 1])
@@ -758,18 +788,17 @@ def test_chart_jet_rows_match_single_rows():
             alone = one.jet(xi[row : row + 1, j : j + 1])
             assert np.array_equal(jet[0][row, j], alone[0][0, 0])
             assert np.array_equal(jet[1][row, j], alone[1][0, 0])
-            # stencil rows are laid out [offset][point][coordinate]
-            per_point = jet[2][row].reshape(-1, 16, 4, 8)[:, j].reshape(stencil_rows, 8)
-            assert np.array_equal(per_point, alone[2][0])
             assert np.array_equal(batch["metric"][row, j], one.metric(alone)[0, 0])
             structures = np.stack([one.structure(alone, i)[0, 0] for i in (1, 2, 3)])
             assert np.array_equal(batch["structure"][row, j], structures)
             assert np.array_equal(batch["theta"][row, j], one.theta(alone, (1.0,))[0, 0])
+            assert np.array_equal(batch["gradient"][row, j], one.gradient(alone, mu)[0, 0])
 
 
 def test_descended_curvature_retraction_count(monkeypatch):
-    # one jet at the base point (xi and its 16-point tangent stencil) and
-    # one jet of all 16 outer dd^c points with their stencils; a check
+    # one jet at the base points and one jet of the 4 K = 16 outer dd^c
+    # points of each: 1 + 4 K = 17 retracted rows per level-set point, as
+    # the tangents and the gradients' stencils are closed-form; a check
     # retracts those of all its level-set points in the same few calls
     rows = []
     retract = QuotientChart.point
@@ -779,9 +808,9 @@ def test_descended_curvature_retraction_count(monkeypatch):
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
-    descended_curvature(ACTION, eh_rotator(), solved(np.random.default_rng(55)))
-    assert len(rows) <= 2
-    assert sum(rows) <= 17 + 16 * 17
+    levels = solve_level(ACTION, LEVEL, np.random.default_rng(55).standard_normal((3, 8)))
+    descended_curvature(ACTION, eh_rotator(), levels)
+    assert rows == [3, 3 * 16] and sum(rows) <= 3 * (1 + 4 * 4)
     cfg = suites.RunConfig(suite="quotient", samples=40)
     for check_id, most in (
         ("quotient.curvature.match", 3),
@@ -796,8 +825,9 @@ def test_descended_curvature_retraction_count(monkeypatch):
 @pytest.mark.parametrize("samples", [40, 400])
 def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
     # a check's level-set batch builds the frames of all its points in one
-    # pass, and each chunk of its chart batches reads its rows of them; at
-    # 400 samples the 100 points go in 7 chunks
+    # pass, and each chunk of its chart batches reads its rows of them; a
+    # bound of 240 rows makes chunks of 15 points (16 retracted rows each),
+    # so at 400 samples the 100 points go in 7 chunks
     calls = []
     build = quotient._quaternionic_frame
 
@@ -806,6 +836,7 @@ def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
         return build(vert)
 
     monkeypatch.setattr(quotient, "_quaternionic_frame", counting)
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 240)
     cfg = suites.RunConfig(suite="quotient", samples=samples)
     for check_id in (
         "quotient.curvature.match",
@@ -870,11 +901,12 @@ def test_chart_batch_anchors_at_its_base_points():
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((5, 8)))
     chart = QuotientChart(ACTION, levels)
     assert np.max(np.abs(chart.point(np.zeros((5, 1, 4)))[:, 0] - levels.points)) < 1e-12
-    points_, tangents, stencil = jet = chart.jet(np.zeros((5, 1, 4)))
+    points_, tangents = jet = chart.jet(np.zeros((5, 1, 4)))
     assert points_.shape == (5, 1, 8) and tangents.shape == (5, 1, 8, 4)
-    assert stencil.shape == (5, 16, 8)
-    assert np.max(np.abs(tangents[:, 0] - chart.frames)) < 1e-8
-    assert np.max(np.abs(chart.metric(jet) - np.eye(4))) < 1e-8
+    # the tangents are exact: F - N (J N)^{-1} J F with J F zero up to
+    # rounding (measured 1.8e-14 and 2.2e-16)
+    assert np.max(np.abs(tangents[:, 0] - chart.frames)) < 1e-12
+    assert np.max(np.abs(chart.metric(jet) - np.eye(4))) < 1e-12
     for bad in (np.zeros((4, 1, 4)), np.zeros((1, 4)), np.zeros((5, 1, 3))):
         with pytest.raises(ConfigError):
             chart.jet(bad)
@@ -906,9 +938,10 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
-    # a point's nested curvature stencil retracts 16 outer points with 16
-    # tangent points each, 272 rows, so a bound of 544 makes chunks of two
-    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 544)
+    # a point's curvature stencil retracts its 16 outer points, so a bound
+    # of 32 makes chunks of two (and the gradients' stencils go one point
+    # at a time)
+    monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 32)
     chunked = results()
     assert set(charts) == {2}
     for want, got in zip(whole, chunked):
@@ -916,9 +949,9 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
 
 
 def test_chart_batch_memory_stays_flat_as_points_grow():
-    # 100 level-set points go in chunks of 15 (4096 retracted rows at 272
-    # per point): the check peaks near 3 MB, as at 60 points; one chart
-    # batch of all 100 would peak near 18 MB
+    # chunks hold up to 256 level-set points (4096 retracted rows at 16
+    # per point); the 100 points here go in one and peak near 1.6 MB, and
+    # a full chunk peaks near 4.2 MB (traced, at 1,200 and 2,400 samples)
     cfg = suites.RunConfig(suite="quotient", samples=400)
     tracemalloc.start()
     try:
