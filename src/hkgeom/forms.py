@@ -32,20 +32,15 @@ w(X, Y) = X^T M Y, are the package's only representation of a form.
 
 No field call returns more than ``MAX_STENCIL_VALUES`` (4096) values: an
 operator splits its base points into chunks of as many points as fit,
-and at least one.  A scalar field gives one value per stencil
-row and a form field ``nb``, so a scalar field's call holds at most 4096
-stencil rows.  A nested ``dd^c`` stencil of order 4 with one scheme
-inside and out has ``(4 dim)^2`` points per base point but only
-``16 dim (dim + 1) / 2`` distinct ones, and each distinct point is
-evaluated once: 1,248 rows at dim = 12, so a chunk is three points.
-With different inner and outer steps no two points coincide, and the
-twistor stencil keeps all 3,136 rows at dim = 14, so there a chunk is
-one point and the batch holds at most ``4096 * dim`` floats, under
-460 KB; a first-derivative stencil has ``4 dim`` rows, so 85 points of
-R^12 fit in one gradient call.  Counting a form field's components
-matters because a form field may build far more than its output per
-row: the twistor F_Z field forms a complex 14 x 14 matrix for each of
-its 91 components' rows at dim = 14.
+and at least one.  A scalar field gives one value per stencil row and a
+form field ``nb``.  A first-derivative stencil has ``4 dim`` rows, so 85
+points of R^12 fit in one gradient call.  A nested ``dd^c`` stencil of
+order 4 has ``(4 dim)^2`` points per base point, and each of its
+``16 dim (dim + 1) / 2`` distinct points is evaluated once: 1,248 rows
+at dim = 12 (three base points to a chunk), 1,680 at dim = 14 (two).  A
+form field's components count because it may build far more than its
+output per row: the twistor F_Z field forms a complex 14 x 14 matrix for
+each of its 91 components' rows at dim = 14.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -219,7 +214,7 @@ MAX_STENCIL_VALUES = 4096
 #: freed heap that glibc keeps instead of returning it (M_TOP_PAD, option -2).
 #: Each chunk frees a few hundred kB of temporaries at the top of the heap,
 #: and under the default trim threshold every chunk would hand them back and
-#: fault them in again (1,500 page faults per flat curvature call at n = 3)
+#: fault them in again (about 480 page faults per twistor dd^c call at n = 3)
 _HEAP_TOP_PAD = 16 << 20
 try:
     ctypes.CDLL(None).mallopt(-2, _HEAP_TOP_PAD)
@@ -297,9 +292,13 @@ def fd_jacobian(fn: Callable, p, scheme: FDScheme) -> np.ndarray:
 
     Column j of each Jacobian is the x_j partial.  The result is
     C-ordered, not a transposed view: BLAS rounds products with a
-    transposed operand differently, by a few ulps.
+    transposed operand differently, by a few ulps.  The width N, which
+    sizes the chunks, comes from fn at the first base point.
     """
-    return np.ascontiguousarray(np.swapaxes(_derivatives(fn, _points(p), scheme), 1, 2))
+    P = _points(p)
+    values = _stencil_rows(scheme, P.shape[1]) * np.shape(fn(P[:1]))[1]
+    D = _chunked(P, values, lambda C: _derivatives(fn, C, scheme))
+    return np.ascontiguousarray(np.swapaxes(D, 1, 2))
 
 
 # -- exterior calculus -----------------------------------------------------------
@@ -400,31 +399,25 @@ def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _nested_table(outer: FDScheme, inner: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
+def _nested_table(scheme: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
     """(cols_a, steps_a, cols_b, steps_b, back): the distinct points of a nested stencil.
 
-    Nested point [o2, o1, i, j], the order of ``_stencil_points`` applied
-    to its own output, is the base point with coordinate i moved by the
-    outer step s of o1 and then coordinate j by the inner step t of o2.
-    For i != j it moves two coordinates, so it has the bits of every
-    point that moves the same two coordinates by the same steps; its key
-    is (lower coordinate, its step, higher coordinate, its step).  For
-    i = j the key is (i, s, i, t) in that order, as (x + s) + t and
-    (x + t) + s may round apart.  Distinct point u moves coordinate
-    cols_a[u] by steps_a[u] and then cols_b[u] by steps_b[u], and nested
-    point m, flattened in C order, is distinct point back[m].
+    Nested point [o2, o1, i, j] (``_stencil_points`` applied to its own
+    output) moves coordinate i of the base point by the step s of o1 and
+    then j by the step t of o2.  For i != j its key is (lower coordinate,
+    its step, higher coordinate, its step): every point that moves the
+    same two coordinates by the same steps has its bits.  For i = j the
+    key is (i, s, i, t), as (x + s) + t and (x + t) + s may round apart.
+    Distinct point u moves coordinate cols_a[u] by steps_a[u] and then
+    cols_b[u] by steps_b[u]; nested point m, in C order, is distinct
+    point back[m].
     """
-    s = np.array(_OFFSETS[outer.order]) * outer.h
-    t = np.array(_OFFSETS[inner.order]) * inner.h
-    o2, o1, i, j = np.indices((len(t), len(s), dim, dim)).reshape(4, -1)
+    steps = np.array(_OFFSETS[scheme.order]) * scheme.h
+    o2, o1, i, j = np.indices((len(steps), len(steps), dim, dim)).reshape(4, -1)
     swap = i > j
+    s, t = steps[o1], steps[o2]
     keys = np.stack(
-        [
-            np.where(swap, j, i),
-            np.where(swap, t[o2], s[o1]),
-            np.where(swap, i, j),
-            np.where(swap, s[o1], t[o2]),
-        ],
+        [np.where(swap, j, i), np.where(swap, t, s), np.where(swap, i, j), np.where(swap, s, t)],
         axis=1,
     )
     distinct, back = np.unique(keys, axis=0, return_inverse=True)
@@ -435,40 +428,29 @@ def _nested_table(outer: FDScheme, inner: FDScheme, dim: int) -> tuple[np.ndarra
     return table
 
 
-def ddc(
-    f: ScalarField,
-    I,
-    p,
-    scheme: FDScheme | None = None,
-    inner_scheme: FDScheme | None = None,
-) -> np.ndarray:
+def ddc(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
     """dd^c f at base points p (k, dim), as components (k, nb), by nested central differences.
 
-    The outer stencil (``scheme``) differentiates the 1-form
-    d^c f = -df o I, whose value at each outer point q is -I(q)^T times
-    the gradient of f from an ``inner_scheme`` stencil around q (the
-    inner scheme defaults to the outer one).  The distinct inner points
-    of all outer points of a chunk of base points go to f in one batch,
-    each once (see ``_nested_table``), and all its outer points to I.
-    A coordinate that neither step moves keeps its bits, where the plain
-    nested sum adds 0.0 to it and may flip the sign of a zero.  I may be
-    a constant matrix or a callback taking (m, dim) points to (m, dim,
-    dim) matrices; it must square to -Id at every outer point.  The 10h
-    clearance margin is checked at every base point for the outer step
-    and at every outer point for the inner step.
+    The stencil differentiates the 1-form d^c f = -df o I, whose value at
+    each outer point q is -I(q)^T times the gradient of f from the same
+    stencil around q.  The distinct inner points of a chunk of base points
+    go to f in one batch, each once (see ``_nested_table``), and all its
+    outer points to I.  A coordinate that neither step moves keeps its
+    bits, where the plain nested sum adds 0.0 to it and may flip the sign
+    of a zero.  I may be a constant matrix or a callback taking (m, dim)
+    points to (m, dim, dim) matrices; it must square to -Id at every
+    outer point.  The 10h clearance margin holds at every base and outer point.
     """
     scheme = scheme or FDScheme()
-    inner = inner_scheme or scheme
     P = _points(p, f.dim)
     N = f.dim
     a, b = _pair_indices(N)
-    cols_a, steps_a, cols_b, steps_b, back = _nested_table(scheme, inner, N)
+    cols_a, steps_a, cols_b, steps_b, back = _nested_table(scheme, N)
     rows = np.arange(len(cols_a))
 
     def chunk(C):
-        _require_margin(f, C, scheme)
         Q = _stencil_points(C, scheme)
-        _require_margin(f, Q, inner)
+        _require_margin(f, np.vstack([C, Q]), scheme)
         S = _structures(I, Q, _STRUCTURE_TOL, "at an outer stencil point")
         pts = np.repeat(C[:, None, :], len(rows), axis=1)
         pts[:, rows, cols_a] += steps_a
@@ -476,7 +458,7 @@ def ddc(
         vals = np.asarray(f(pts.reshape(-1, N))).reshape(len(C), -1)[:, back]
         # [r, o2, o1, i, j] -> [o2, o1, r, i, j], the order of the nested stencil points
         vals = np.swapaxes(vals.reshape(len(C), -1, N * N), 0, 1).reshape(-1)
-        dc = _dc_contract(S, _stencil_derivatives(vals, len(Q), inner))
+        dc = _dc_contract(S, _stencil_derivatives(vals, len(Q), scheme))
         D = _stencil_derivatives(dc, len(C), scheme)  # D[r, i, j] = d_i (d^c f)_j at row r
         return D[:, a, b] - D[:, b, a]
 
@@ -631,8 +613,10 @@ def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float
 
     Composite 4-point Gauss-Legendre quadrature on resolution x resolution
     panels.  ``surf`` maps an (m, 2) batch of parameters (s, t) to the
-    (m, N) surface points; every node goes to it, to its tangent stencil
-    (central differences) and to ``w`` in one batch each.
+    (m, N) surface points.  The tangents are ``fd_jacobian`` of it (central
+    differences), and the nodes' surface points go to ``w`` in chunks of
+    at most MAX_STENCIL_VALUES values each; the weighted sum runs over all
+    nodes at once.
     """
     if w.degree != 2:
         raise ValueError("surface_integral expects a degree-2 form field")
@@ -642,9 +626,8 @@ def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float
     params = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
     node_wts = np.tile(wts, resolution)
     weights = np.outer(node_wts, node_wts).ravel() * (0.5 * width) ** 2
-    tangents = _derivatives(surf, params, _SURFACE_TANGENT_SCHEME)  # [node, (d/ds, d/dt), N]
-    ds, dt = tangents[:, 0], tangents[:, 1]
+    ds, dt = np.moveaxis(fd_jacobian(surf, params, _SURFACE_TANGENT_SCHEME), 2, 0)  # (m, N) each
     rows, cols = _pair_indices(w.dim)
-    comps = w(surf(params))
+    comps = _chunked(params, max(w.dim, len(rows)), lambda C: w(surf(C)))
     values = np.sum(comps * (ds[:, rows] * dt[:, cols] - ds[:, cols] * dt[:, rows]), axis=1)
     return float(np.sum(weights * values))

@@ -19,7 +19,7 @@ descended and multi-centre functions take that batch and return arrays
 with one row per point, each row equal to that point in a batch of one.
 The chart at a level-set point m0 is the graph m0 + F xi + N c over its
 horizontal frame F, with N = d nu(m0)^T, so its tangents are closed-form
-(implicit function theorem) and only curvature stencils are retracted.
+(implicit function theorem); one stencil step serves every derivative.
 
 The standard worked example throughout is the Eguchi-Hanson quotient of
 H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
@@ -81,10 +81,10 @@ _CIRCLE_COMMUTE_TOL = 1e-10
 #: Newton tolerance and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
 _CHART_MAX_ITER = 60
-#: stencil of the ambient gradients that chart gradients contract with the tangents
-_CHART_TANGENT_SCHEME = FDScheme(h=1e-4, order=4)
-#: outer stencil of the descended and canonical curvature forms
-_CURVATURE_SCHEME = FDScheme(h=2e-3, order=4)
+#: the chart's one stencil, for d of the curvature forms and the ambient moment-map
+#: gradients; a moment map is quadratic, so the order-4 stencil has no truncation
+#: error on it and a smaller step would only add roundoff eps |mu| / h
+_CHART_SCHEME = FDScheme(h=2e-3, order=4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,12 +540,12 @@ class QuotientChart:
     def gradient(self, jet, fn) -> np.ndarray:
         """Chart gradient (k, m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
 
-        The ambient ``fd_gradient`` of fn over _CHART_TANGENT_SCHEME at the
-        jet's points, whose stencils are closed-form and are not retracted,
+        The ambient ``fd_gradient`` of fn over _CHART_SCHEME at the jet's
+        points, whose stencils are closed-form and are not retracted,
         contracted with the jet's tangents.
         """
         points, tangents = jet
-        grad = fd_gradient(fn, points.reshape(-1, points.shape[-1]), _CHART_TANGENT_SCHEME)
+        grad = fd_gradient(fn, points.reshape(-1, points.shape[-1]), _CHART_SCHEME)
         return (grad.reshape(points.shape)[..., None, :] @ tangents)[..., 0, :]
 
     def exterior_derivative(self, form) -> np.ndarray:
@@ -553,15 +553,15 @@ class QuotientChart:
 
         ``form`` takes chart points (k, m, K), as ``jet`` takes them, and
         returns the one-form's components at each, in the same shape.  It
-        gets the _CURVATURE_SCHEME stencil around 0 of every chart in one
+        gets the _CHART_SCHEME stencil around 0 of every chart in one
         call, and ``forms._ext_deriv_sum`` sums the derivatives as
         ``ext_deriv`` does.
         """
         K = self.dim
-        stencil = _stencil_points(np.zeros((1, K)), _CURVATURE_SCHEME)
+        stencil = _stencil_points(np.zeros((1, K)), _CHART_SCHEME)
         vals = np.asarray(form(np.broadcast_to(stencil, (len(self.frames),) + stencil.shape)))
         vals = vals.reshape((len(vals), -1, K) + vals.shape[2:])  # [chart][offset][coordinate]
-        D = _fd_reduce(np.moveaxis(vals, 1, 0), _CURVATURE_SCHEME.order, _CURVATURE_SCHEME.h)
+        D = _fd_reduce(np.moveaxis(vals, 1, 0), _CHART_SCHEME.order, _CHART_SCHEME.h)
         return _ext_deriv_sum(D, K, 1)
 
     def omega_bar(self, jet, i: int) -> np.ndarray:
@@ -607,7 +607,7 @@ def _over_charts(action: LinearAction, levels: LevelSetPoints, op) -> np.ndarray
     """
     return _chunked(
         levels,
-        _stencil_rows(_CURVATURE_SCHEME, _quotient_dim(action)),
+        _stencil_rows(_CHART_SCHEME, _quotient_dim(action)),
         lambda chunk: op(QuotientChart(action, chunk)),
     )
 

@@ -68,6 +68,11 @@ _MIN_QUOTIENT_LEVEL = 1e-3
 # -- run configuration ----------------------------------------------------------------
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number: an int or float (numpy's too), not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a suite run depends on; fixed seed means fixed report.
@@ -91,7 +96,13 @@ class RunConfig:
         if name != "all" and name not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}")
         object.__setattr__(self, "suite", name)
+        if not np.iterable(self.centers) or not all(map(_is_real, self.centers)):
+            raise ConfigError(f"centers must be a sequence of real numbers, got {self.centers!r}")
         object.__setattr__(self, "centers", tuple(float(a) for a in self.centers))
+        for field in ("tol", "h", "c"):
+            value = getattr(self, field)
+            if not (_is_real(value) or (value is None and field != "c")):
+                raise ConfigError(f"{field} must be a real number, got {value!r}")
         for field in ("n", "samples", "seed", "nodes"):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -95,6 +95,14 @@ def test_run_config_validation():
         {"h": float("inf")},
         {"c": float("nan")},
         {"c": float("-inf")},
+        {"c": "1"},
+        {"c": True},
+        {"c": None},
+        {"tol": "1e-3"},
+        {"h": "x"},
+        {"h": [1]},
+        {"centers": ("a", 1)},
+        {"centers": 1.0},
     ],
 )
 def test_run_config_rejects_non_finite_and_negative_values(bad):

@@ -38,8 +38,7 @@ from hkgeom.forms import (
     type11_residual,
 )
 from hkgeom.twistor import (
-    _DDC_INNER,
-    _DDC_OUTER,
+    _DDC_SCHEME,
     curvature_FZ_field,
     log_hU_field,
     pack_point,
@@ -329,11 +328,10 @@ def test_dc_rejects_non_complex_structure():
 # -- batched dd^c against the nested composition ------------------------------
 
 
-def _nested_ddc(f, I, p, scheme, inner=None):
+def _nested_ddc(f, I, p, scheme):
     """Reference: ext_deriv of the d^c 1-form field, one d^c stencil per outer point."""
-    inner = inner or scheme
     dc = FormField(
-        _rows(lambda q: dc_deriv(f, I, q[None], inner)[0]),
+        _rows(lambda q: dc_deriv(f, I, q[None], scheme)[0]),
         degree=1,
         dim=f.dim,
         clearance=f.clearance,
@@ -342,46 +340,45 @@ def _nested_ddc(f, I, p, scheme, inner=None):
 
 
 SCHEMES = [
-    (FDScheme(h=1e-3, order=4), None),
-    (FDScheme(h=1e-2, order=2), None),
-    (FDScheme(h=1e-2, order=4), FDScheme(h=1e-3, order=4)),
+    pytest.param(FDScheme(h=1e-3, order=4), id="scheme0-None"),
+    pytest.param(FDScheme(h=1e-2, order=2), id="scheme1-None"),
 ]
 
 
-@pytest.mark.parametrize("scheme, inner", SCHEMES)
-def test_batched_ddc_equals_nested_constant_structure(scheme, inner):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_ddc_equals_nested_constant_structure(scheme):
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         model = FlatModel(n)
         spec = CircleActionSpec(k=(1,) * n, l=(1,) * n)
         p = rng.uniform(-1.5, 1.5, size=(1, 4 * n))
-        got = ddc(moment_field(spec), model.I, p, scheme, inner)
-        want = _nested_ddc(moment_field(spec), model.I, p, scheme, inner)
+        got = ddc(moment_field(spec), model.I, p, scheme)
+        want = _nested_ddc(moment_field(spec), model.I, p, scheme)
         assert np.array_equal(got, want)
     # a plain callback written for batches
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     p = rng.uniform(-1.5, 1.5, size=(1, 4))
-    got = ddc(f, I4, p, scheme, inner)
-    assert np.array_equal(got, _nested_ddc(f, I4, p, scheme, inner))
+    got = ddc(f, I4, p, scheme)
+    assert np.array_equal(got, _nested_ddc(f, I4, p, scheme))
 
 
-@pytest.mark.parametrize("scheme, inner", SCHEMES)
-def test_batched_ddc_equals_nested_point_dependent_structure(scheme, inner):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_ddc_equals_nested_point_dependent_structure(scheme):
     rng = np.random.default_rng(12)
     for n in (1, 2):
         model = FlatModel(n)
         zeta = 0.8 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1))
         p = pack_point(model, rng.standard_normal((1, n)), rng.standard_normal((1, n)), zeta)
         f, I = log_hU_field(n), twistor_structure(n)
-        got = ddc(f, I, p, scheme, inner)
-        assert np.array_equal(got, _nested_ddc(f, I, p, scheme, inner))
+        got = ddc(f, I, p, scheme)
+        assert np.array_equal(got, _nested_ddc(f, I, p, scheme))
 
 
 def test_batched_gradient_equals_pointwise_gradient():
     rng = np.random.default_rng(13)
     f = log_hU_field(2)
     S = twistor_structure(2)
-    for scheme, _ in SCHEMES:
+    for scheme in (FDScheme(h=1e-3, order=4), FDScheme(h=1e-2, order=2)):
         z, w = rng.standard_normal((1, 2)), rng.standard_normal((1, 2))
         p = pack_point(FlatModel(2), z, w, [0.5j])
         want = -S(p)[0].T @ fd_gradient(f, p, scheme)[0]
@@ -389,20 +386,20 @@ def test_batched_gradient_equals_pointwise_gradient():
 
 
 def test_ddc_margin_checked_at_outer_points():
-    # base clearance 0.101 passes 10h for the outer step (h = 1e-3) and
-    # the inner one (h = 1e-2); the outer point 2e-3 closer does not
+    # base clearance 0.101 passes 10h (h = 1e-2); the outer point 2h closer
+    # does not, and base clearance 0.121 keeps every outer point clear
     a = np.array([0.0, 0.0])
     f = ScalarField(
         lambda p: np.log(np.linalg.norm(p - a, axis=-1)),
         dim=2,
         clearance=lambda p: np.linalg.norm(p - a, axis=-1),
     )
-    outer, inner = FDScheme(h=1e-3, order=4), FDScheme(h=1e-2, order=4)
+    scheme = FDScheme(h=1e-2, order=4)
     with pytest.raises(DomainError):
-        ddc(f, I2, [[0.101, 0.0]], outer, inner)
+        ddc(f, I2, [[0.101, 0.0]], scheme)
     with pytest.raises(DomainError):
-        _nested_ddc(f, I2, [[0.101, 0.0]], outer, inner)
-    ddc(f, I2, [[0.103, 0.0]], outer, inner)
+        _nested_ddc(f, I2, [[0.101, 0.0]], scheme)
+    ddc(f, I2, [[0.121, 0.0]], scheme)
 
 
 def test_ddc_structure_checked_at_outer_points():
@@ -570,7 +567,7 @@ def test_batched_ddc_rows_equal_each_point_alone_for_a_callable_structure(monkey
         rng = np.random.default_rng(seed)
         f, I = log_hU_field(n), twistor_structure(n)
         P = _twistor_points(rng, k, n)
-        _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-2), FDScheme(h=1e-3)), P)
+        _rows_equal_alone(lambda p: ddc(f, I, p, _DDC_SCHEME), P)
         _rows_equal_alone(lambda p: dc_deriv(f, I, p, FDScheme(h=1e-3)), P)
 
     check()
@@ -640,14 +637,32 @@ def test_one_field_call_returns_at_most_the_value_bound():
     calls.clear()
     ext_deriv(counted, np.zeros((3, 14)))
     assert calls == [56, 56, 56]
+    # a map's row counts its N outputs: after the first point alone, which
+    # fixes N = 14, chunks of 5 points of 56 stencil rows and 14 values each
+    values = []
+    fd_jacobian(lambda P: values.append(P.size) or np.sin(P), np.zeros((10, 14)), FDScheme())
+    assert values == [14, 5 * 56 * 14, 5 * 56 * 14]
+    # quadrature nodes: fd_jacobian's 4 tangent-stencil rows of N = 14
+    # values per node (after one node alone), then each node's point and its
+    # 91 form components
+    values.clear()
+
+    def surface(P):
+        values.append(14 * len(P))
+        return np.column_stack([P, np.zeros((len(P), 12))])
+
+    counted = FormField(lambda P: values.append(91 * len(P)) or w.fn(P), 2, 14)
+    surface_integral(counted, surface, resolution=4)  # 256 nodes
+    assert max(values) <= forms.MAX_STENCIL_VALUES
+    assert sum(values) == 14 + 256 * 4 * 14 + 256 * (14 + 91)
 
 
-def _every_point_ddc(f, I, P, scheme, inner):
+def _every_point_ddc(f, I, P, scheme):
     """dd^c with every nested stencil point evaluated: the inner stencil of each outer point."""
     Q = forms._stencil_points(P, scheme)
     S = I(Q) if callable(I) else I
-    vals = f(forms._stencil_points(Q, inner))
-    dc = forms._dc_contract(S, forms._stencil_derivatives(vals, len(Q), inner))
+    vals = f(forms._stencil_points(Q, scheme))
+    dc = forms._dc_contract(S, forms._stencil_derivatives(vals, len(Q), scheme))
     D = forms._stencil_derivatives(dc, len(P), scheme)
     a, b = np.triu_indices(f.dim, 1)
     return D[:, a, b] - D[:, b, a]
@@ -678,7 +693,7 @@ def test_ddc_has_the_bits_of_every_nested_point_evaluated(n, order, k):
     P = _no_zero_points(rng, k, 4 * n)
     scheme = FDScheme(h=1e-2, order=order)
     for I in (FlatModel(n).I, _turning_structure(n)):
-        want = _every_point_ddc(f, I, P, scheme, scheme)
+        want = _every_point_ddc(f, I, P, scheme)
         assert np.array_equal(ddc(f, I, P, scheme), want)
 
 
@@ -688,40 +703,37 @@ def test_twistor_ddc_has_the_bits_of_every_nested_point_evaluated(k):
     f, I = log_hU_field(3), twistor_structure(3)
     P = _twistor_points(rng, k, 3)
     assert np.all(P != 0.0)
-    want = _every_point_ddc(f, I, P, _DDC_OUTER, _DDC_INNER)
-    assert np.array_equal(ddc(f, I, P, _DDC_OUTER, _DDC_INNER), want)
+    want = _every_point_ddc(f, I, P, _DDC_SCHEME)
+    assert np.array_equal(ddc(f, I, P, _DDC_SCHEME), want)
 
 
 @pytest.mark.parametrize(
-    "dim, scheme, inner",
+    "dim, scheme, per_point",
     [
-        (4, FDScheme(h=1e-2, order=2), None),
-        (4, FDScheme(h=1e-2, order=4), None),
-        (12, FDScheme(h=1e-2, order=4), None),
-        (14, _DDC_OUTER, _DDC_INNER),
+        pytest.param(4, FDScheme(h=1e-2, order=2), 40, id="4-scheme0-None"),
+        pytest.param(4, FDScheme(h=1e-2, order=4), 160, id="4-scheme1-None"),
+        pytest.param(12, FDScheme(h=1e-2, order=4), 1248, id="12-scheme2-None"),
+        pytest.param(14, _DDC_SCHEME, 1680, id="14-twistor"),
     ],
 )
-def test_ddc_evaluates_each_distinct_point_once(dim, scheme, inner):
+def test_ddc_evaluates_each_distinct_point_once(dim, scheme, per_point):
     rng = np.random.default_rng(27)
     seen = []
     f = _smooth_field(rng, dim)
     counted = ScalarField(lambda Q: seen.append(Q.copy()) or f.fn(Q), dim)
     P = _no_zero_points(rng, 2, dim)
-    ddc(counted, np.kron(np.eye(dim // 2), I2), P, scheme, inner)
+    ddc(counted, np.kron(np.eye(dim // 2), I2), P, scheme)
     rows = np.concatenate(seen)
     O = len(forms._OFFSETS[scheme.order])
-    per_point = O**2 * dim * (dim + 1) // 2 if inner is None else (4 * dim) ** 2
-    assert len(rows) == 2 * per_point
+    assert per_point == O**2 * dim * (dim + 1) // 2 and len(rows) == 2 * per_point
     # a point that moves two coordinates is never sent twice; one that moves
     # a coordinate by s and then t may round to the bits of t then s, or of
-    # the base point, so only differing steps keep every row distinct
+    # the base point
     two = np.sum(rows.reshape(2, per_point, dim) != P[:, None, :], axis=2).ravel() == 2
-    assert np.sum(two) == 2 * O**2 * dim * (dim - 1) // (2 if inner is None else 1)
+    assert np.sum(two) == 2 * O**2 * dim * (dim - 1) // 2
     assert len(np.unique(rows[two], axis=0)) == np.sum(two)
-    if inner is not None:
-        assert len(np.unique(rows, axis=0)) == len(rows)
     # the same points as the full nested stencil, which repeats each off-diagonal one
-    nested = forms._stencil_points(forms._stencil_points(P, scheme), inner or scheme)
+    nested = forms._stencil_points(forms._stencil_points(P, scheme), scheme)
     assert np.array_equal(np.unique(rows, axis=0), np.unique(nested, axis=0))
 
 
@@ -806,11 +818,11 @@ _CHUNK_FAULTS = """\
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from hkgeom.suites import RunConfig, run_check
-cfg = RunConfig(suite="gh")
-run_check(cfg, "gh.periods")
+cfg = RunConfig(suite="twistor", n=3)
+run_check(cfg, "twistor.hermitian.curvature")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    run_check(cfg, "gh.periods")
+    run_check(cfg, "twistor.hermitian.curvature")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -818,8 +830,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is a glibc option")
 def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
     # in a fresh process without the heap pad, the chunks of this check's
-    # period quadratures free their temporaries back to the system and fault
-    # them in again, 1,880 page faults over the three runs; the pad keeps them
+    # nested dd^c stencils at dim 14 free their temporaries back to the
+    # system and fault them in again, 1,437 page faults over the three runs;
+    # the pad keeps them
     src = str(Path(forms.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _CHUNK_FAULTS, src], capture_output=True, text=True, timeout=300

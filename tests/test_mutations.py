@@ -271,6 +271,32 @@ def test_scaled_f_profile_fails_the_profile_identity(monkeypatch):
     assert not rec.passed and rec.residual > 1e-4, rec.to_dict()
 
 
+@pytest.mark.parametrize("check_id", ["bg.curvature.agreement", "bg.curvature.type11"])
+def test_scaled_g_profile_fails_the_curvature_rows(check_id, monkeypatch):
+    # k = u g / 2 with g times 1.01: dd^c k leaves omega1 + dd^c mu by 1.4e-2
+    # (agreement, tol 1e-5) and is no longer of type (1,1), 1.5e-2 (tol
+    # 1e-6), at seed 0; the structures come from h, so the type row reads a
+    # residual and not a StructureError
+    cfg = RunConfig(suite="cotangent")
+    assert run_check(cfg, check_id).passed
+    profile = cotangent.g_profile
+    monkeypatch.setattr(cotangent, "g_profile", lambda u: 1.01 * profile(u))
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 1e-3, rec.to_dict()
+
+
+def test_scaled_f_profile_fails_the_quaternionic_structure(monkeypatch):
+    # h = u f / 2 with f times 1.01 moves the metric g from (omega1, I) off
+    # omega2, so J = -g^{-1} omega2 misses J^2 = -Id by 1.3e-2 at seed 0
+    # (tol 1e-6)
+    cfg = RunConfig(suite="cotangent")
+    assert run_check(cfg, "bg.structure.quaternionic").passed
+    profile = cotangent.f_profile
+    monkeypatch.setattr(cotangent, "f_profile", lambda u: 1.01 * profile(u))
+    rec = run_check(cfg, "bg.structure.quaternionic")
+    assert not rec.passed and rec.residual > 1e-3, rec.to_dict()
+
+
 # -- quotient -------------------------------------------------------------------------
 
 

@@ -742,7 +742,7 @@ def test_chart_tangents_equal_fd_of_the_retraction():
     # measured worst 4.6e-12 (tangents) and 2.5e-11 (gradients, |mu| up to
     # about 5) over 20 seeds
     torus_rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
-    scheme = quotient._CHART_TANGENT_SCHEME
+    scheme = FDScheme(h=1e-4, order=4)
     for action, level, rotator in (
         (ACTION, LEVEL, eh_rotator()),
         (TORUS_H3, LevelSpec((1.0, 2.0)), torus_rotator),

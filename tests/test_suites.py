@@ -174,10 +174,10 @@ def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
 )
 def test_dense_checks_stay_within_their_memory_bound(suite, check_id):
     # at n = 3 one nested dd^c stencil has 1,248 distinct rows (flat, three
-    # points to a chunk) or 3,136 (twistor, one point), and one point's F_Z
+    # points to a chunk) or 1,680 (twistor, two points), and one point's F_Z
     # stencil returns 56 x 91 values, so the chunk bound keeps each peak near
-    # 1 MB or below; all samples' stencils in one field call would peak at
-    # about 12, 5 and 1.9 MB
+    # 1 MB or below (measured 0.68, 1.06 and 0.39 MB); all samples' stencils
+    # in one field call would peak at about 4.0, 2.3 and 1.8 MB
     cfg = RunConfig(suite=suite, n=3)
     run_check(cfg, check_id)  # builds the cached index tables first
     tracemalloc.start()
@@ -186,4 +186,4 @@ def test_dense_checks_stay_within_their_memory_bound(suite, check_id):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3e6
+    assert peak <= 1.5e6
