@@ -10,16 +10,17 @@ axis segments.
 
 import numpy as np
 
-from hkgeom.forms import FDScheme, ext_deriv, hodge_star
+from hkgeom.forms import FDScheme, ext_deriv, fd_gradient, hodge_star
 from hkgeom.gibbonshawking import (
     GHConfig,
-    MonopoleData,
     alpha_field,
     asd_residual,
     chart_clearance,
     f_segment_values,
     gh_metric,
     gh_potential,
+    monopole_field,
+    monopole_phi,
     potential_gradient,
     sphere_period,
 )
@@ -39,14 +40,16 @@ print("metric determinant at a sample 4-point:",
 
 
 alpha = alpha_field(cfg)  # takes (m, 3) batches of base points, as every stencil does
-data = MonopoleData.from_config(cfg)
 ys = rng.uniform(-1.5, 2.0, size=(8, 3))
 ys = ys[chart_clearance(cfg)(ys) >= 0.4]
 # one Hodge star for the batch: the rows of dV are the (k, 3) components of k 1-forms
 star_dv = hodge_star(np.eye(3), 1, potential_gradient(cfg, ys), 1)
 worst = float(np.max(np.abs(ext_deriv(alpha, ys, scheme) - star_dv)))
 print("\nmax |d alpha - *dV| over random points:", f"{worst:.3e}")
-print("phi(x) =", data.phi(x)[0], " (harmonic, paired with A by dA = *d phi)")
+print("phi(x) =", monopole_phi(cfg, x)[0], " (harmonic, paired with A by dA = *d phi)")
+star_dphi = hodge_star(np.eye(3), 1, fd_gradient(lambda y: monopole_phi(cfg, y), ys, scheme), 1)
+worst = float(np.max(np.abs(ext_deriv(monopole_field(cfg), ys, scheme) - star_dphi)))
+print("max |dA - *d phi| over the same points:", f"{worst:.3e}")
 
 chart = np.array([[*x[0], 1.1]])
 print("anti-self-duality of the connection curvature:",

@@ -44,6 +44,7 @@ from .suites import (
 )
 
 _SUITE_CHOICES = (*SUITE_NAMES, *SUITE_ALIASES, "all")
+_PROFILE_SUITES = ("gh", "quotient")
 
 #: the RunConfig fields that a verify flag or config-file key may set
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     profiles = sub.add_parser("profiles", help="emit CSV profile data")
-    profiles.add_argument("--suite", choices=("gh", "quotient"), default="gh")
+    profiles.add_argument("--suite", choices=_PROFILE_SUITES, help="default: gh")
     profiles.add_argument("--config", help="key = value defaults file")
     profiles.add_argument("--centers", help="comma-separated centre coordinates")
     profiles.add_argument("--weights", help="comma-separated per-centre weights")
@@ -248,7 +249,9 @@ def _axis_grid(ghc: gh.GHConfig, samples: int) -> np.ndarray:
 
 def _cmd_profiles(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    suite = args.suite or file_values.get("suite", "gh")
+    suite = _merge(args, file_values, "suite", "gh")
+    if suite not in _PROFILE_SUITES:
+        raise ConfigError(f"profiles suite must be one of {_PROFILE_SUITES}, got {suite!r}")
     samples = int(_merge(args, file_values, "samples", 200))
     out = _merge(args, file_values, "out", "profiles.csv")
     c = float(_merge(args, file_values, "c", 0.0))

@@ -41,7 +41,6 @@ from .forms import (
     _points,
     dc_deriv,
     ddc,
-    type11_residual,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "bg_moment_residuals",
     "bg_structures",
     "bg_quaternionic_residual",
-    "bg_hyperkahler_check",
 ]
 
 SERIES_SWITCH = 1e-4
@@ -297,15 +295,3 @@ def bg_quaternionic_residual(J: np.ndarray) -> np.ndarray:
     """||J^2 + Id||, max-abs over the entries, for each J of (k, 4, 4), (k,)."""
     return np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1))
 
-
-def bg_hyperkahler_check(pt: CotangentPoint, scheme: FDScheme | None = None) -> dict:
-    """Keys 'J2' = ||J^2 + Id|| and 'type11_I/J/K' for F, with (I, J, K) = bg_structures."""
-    _, J, K = bg_structures(pt, scheme)
-    F = bg_curvature(pt, scheme)
-    tol = 1e-4  # structure matrices carry FD error; residual reported separately
-    return {
-        "J2": bg_quaternionic_residual(J),
-        "type11_I": type11_residual(F, I, structure_tol=tol),
-        "type11_J": type11_residual(F, J, structure_tol=tol),
-        "type11_K": type11_residual(F, K, structure_tol=tol),
-    }

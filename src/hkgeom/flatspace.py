@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -262,11 +261,13 @@ def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = Non
     return omega1 + ddc(mu, model.I, P, scheme)
 
 
-def rotation_degree_check(
-    spec: CircleActionSpec, thetas: Sequence[float] | None = None
-) -> float:
+#: the rotation angles at which rotation_degree_check samples the pullback
+ROTATION_ANGLES = np.linspace(0.1, 2 * np.pi - 0.1, 7)
+
+
+def rotation_degree_check(spec: CircleActionSpec) -> float:
     """Max deviation of the finite pullback of omega2 + i omega3 from
-    e^{i n theta} scaling, over sampled rotation angles.
+    e^{i n theta} scaling, over the angles ROTATION_ANGLES.
 
     The pullback R^T M R is taken on the basis pairs (i, j), i < j, as the
     stacked products R[:, i]^T M R[:, j].
@@ -274,10 +275,8 @@ def rotation_degree_check(
     model = spec.model()
     omega_c = model.omega2 + 1j * model.omega3
     rows, cols = _pair_indices(model.dim)
-    if thetas is None:
-        thetas = np.linspace(0.1, 2 * np.pi - 0.1, 7)
     worst = 0.0
-    for th in thetas:
+    for th in ROTATION_ANGLES:
         Rt = action_rotation(spec, float(th)).T
         pulled = (Rt[rows, None, :] @ omega_c @ Rt[cols, :, None])[:, 0, 0]
         expected = np.exp(1j * spec.degree * th) * omega_c[rows, cols]

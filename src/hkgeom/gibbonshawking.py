@@ -19,7 +19,7 @@ points p of shape (k, 4), and returns one row per point, (k,) values,
 (k, 3) covectors, (k, nb) form components or (k, 4, 4) matrices, each
 row equal to that point alone in a batch of one.  Any other shape is a
 ConfigError naming (k, 3) or (k, 4).  Each of alpha, A, Ahat and omega_i
-is one batch formula (``alpha_field``, ``MonopoleData.A``,
+is one batch formula (``alpha_field``, ``monopole_field``,
 ``ahat_field``, ``kahler_field``).  The Dirac gauge is an argument:
 "string-down" puts every string on the axis below its centre (alpha
 regular above), "string-up" the reverse.
@@ -256,26 +256,13 @@ def alpha_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
     return FormField(lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=clear)
 
 
-@dataclass(frozen=True)
-class MonopoleData:
-    """A harmonic scalar and a gauge potential with dA = *dphi.
-
-    Both are batch callbacks on R^3: ``phi`` maps (m, 3) points to (m,)
-    values and ``A`` to the (m, 3) components of the 1-form.
-    """
-
-    phi: Callable
-    A: Callable
-    gauge: str = "string-down"
-
-    @classmethod
-    def from_config(cls, cfg: GHConfig, gauge: str = "string-down") -> "MonopoleData":
-        _string_sign(gauge)  # validates the gauge
-        return cls(
-            phi=lambda x: monopole_phi(cfg, x),
-            A=lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge),
-            gauge=gauge,
-        )
+def monopole_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
+    """A with dA = *d phi (phi = ``monopole_phi``) as a FormField on R^3: (m, 3) -> (m, 3)."""
+    _string_sign(gauge)  # validates the gauge before the first call
+    clear = chart_clearance(cfg)
+    return FormField(
+        lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge), 1, 3, clearance=clear
+    )
 
 
 # -- metric and Kahler triple -------------------------------------------------------
@@ -285,7 +272,7 @@ def gh_metric(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     """g = V dx.dx + V^{-1} (dtheta + alpha)^2 at chart points p (k, 4), (k, 4, 4)."""
     x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)[:, None, None]
-    alpha = alpha_field(cfg, gauge)(x)
+    alpha = _string_potential(cfg, x, cfg.weights, gauge)
     eta = np.concatenate([alpha, np.ones((len(x), 1))], axis=1)  # dtheta + alpha
     g = np.zeros((len(x), 4, 4))
     g[:, :3, :3] = v * np.eye(3)

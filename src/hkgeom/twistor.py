@@ -45,11 +45,9 @@ Conventions fixed by measurement (see the module tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DomainError, StructureError
+from .errors import ConfigError, DomainError
 from .flatspace import CircleActionSpec, FlatModel, action_vector_field
 from .forms import (
     FDScheme,
@@ -407,27 +405,8 @@ def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.nd
     return _modulus(measured - (-1.0) * expected)
 
 
-@dataclass(frozen=True)
-class MeroConnectionReport:
-    """Measured pole and residue data of the invariant meromorphic connection."""
-
-    n_char: int
-    pole_order_zero: int
-    pole_order_infinity: int
-    rotation_residue: complex
-
-    def __post_init__(self):
-        if self.pole_order_zero > 1 or self.pole_order_infinity > 1:
-            raise StructureError(
-                "meromorphic connection must have at most simple poles, measured "
-                f"orders ({self.pole_order_zero}, {self.pole_order_infinity})"
-            )
-
-
-def connection_report(
-    n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES
-) -> MeroConnectionReport:
-    """Laurent-measure the connection at both sphere poles of one point, a 1-row batch.
+def pole_orders(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) -> tuple[int, int]:
+    """Pole orders of the connection at zeta = 0 and infinity over one point, a 1-row batch.
 
     At infinity the supplied data are read as tilde coordinates held
     fixed on |zetat| = CONTOUR_RADIUS and transported back to chart U, so
@@ -436,7 +415,7 @@ def connection_report(
     """
     tangent = _tangent(tangent, v)
     if len(tangent) != 1:
-        raise ConfigError(f"connection_report takes one point, a 1-row batch, not {len(tangent)}")
+        raise ConfigError(f"pole_orders takes one point, a 1-row batch, not {len(tangent)}")
 
     def at_zero(zs):
         return mero_connection(n_char, *_around_contour(zs, v, xi, tangent))
@@ -445,12 +424,7 @@ def connection_report(
         (pv, pxi, pzeta), pulled = chart_transition(*_around_contour(zetats, v, xi, tangent))
         return mero_connection(n_char, pv, pxi, pzeta, pulled)
 
-    return MeroConnectionReport(
-        n_char=n_char,
-        pole_order_zero=pole_order(at_zero, nodes),
-        pole_order_infinity=pole_order(at_infinity, nodes),
-        rotation_residue=complex(rotation_residue(n_char, v, xi, nodes)[0]),
-    )
+    return pole_order(at_zero, nodes), pole_order(at_infinity, nodes)
 
 
 # -- real-coordinate bridge ---------------------------------------------------------
@@ -463,14 +437,8 @@ def total_dim(n: int) -> int:
 
 def pack_point(model: FlatModel, z, w, zeta) -> np.ndarray:
     """Real coordinates (flat packing, Re zeta, Im zeta), (k, 4n+2), of z, w (k, n), zeta (k,)."""
-    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    n = model.n
-    p = np.empty(zeta.shape + (total_dim(n),))
-    p[..., : 2 * n : 2], p[..., 1 : 2 * n : 2] = z.real, z.imag
-    p[..., 2 * n : 4 * n : 2], p[..., 2 * n + 1 : 4 * n : 2] = w.real, w.imag
-    p[..., 4 * n], p[..., 4 * n + 1] = zeta.real, zeta.imag
-    return p
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    return np.concatenate([model.from_complex(z, w), zeta.real, zeta.imag], axis=-1)
 
 
 def unpack_point(model: FlatModel, p):

@@ -103,11 +103,30 @@ def test_run_config_validation():
         {"h": [1]},
         {"centers": ("a", 1)},
         {"centers": 1.0},
+        {"order": 4.0},
+        {"order": "4"},
+        {"order": True},
+        {"order": np.float64(4)},
+        {"c": np.float64("nan")},
+        {"h": np.float32(-1e-2)},
     ],
 )
 def test_run_config_rejects_non_finite_and_negative_values(bad):
     with pytest.raises(ConfigError):
         RunConfig(suite="flat", **bad)
+
+
+def test_run_config_numpy_numbers_round_trip_through_the_report():
+    # numpy scalars are stored as the Python numbers they hold, so the JSON
+    # report can write them; a Python int c stays an int
+    cfg = RunConfig(
+        suite="dynkin", c=np.float32(1), h=np.float32(1e-2), tol=np.float64(0.5), order=np.int64(4)
+    )
+    assert [type(getattr(cfg, f)) for f in ("c", "h", "tol", "order")] == [float, float, float, int]
+    params = json.loads(run_suite(cfg).to_json())["params"]
+    assert params["c"] == 1.0 and params["h"] == float(np.float32(1e-2)) and params["order"] == 4
+    assert json.loads(run_suite(RunConfig(suite="dynkin", c=1)).to_json())["params"]["c"] == 1
+    assert RunConfig(suite="dynkin", **params) == cfg
 
 
 def test_run_config_validates_centres_only_when_gh_runs():
@@ -573,6 +592,24 @@ def test_profiles_quotient_zero_c_is_the_default_level(tmp_path):
     assert run([*args, "--c", "0", "--out", str(a)]) == 0
     assert run([*args, "--c", "1", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_profiles_reads_the_suite_from_the_config_file(tmp_path):
+    # precedence: --suite, then the file's suite key, then gh
+    conf, out = tmp_path / "p.conf", tmp_path / "p.csv"
+    conf.write_text("suite = quotient\nsamples = 3\n", encoding="utf-8")
+    assert run(["profiles", "--config", str(conf), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("x1,x2,x3,r1,r2,V\n")
+    assert run(["profiles", "--config", str(conf), "--suite", "gh", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("x1,V,f,phi\n")
+
+
+def test_profiles_rejects_a_config_file_suite_without_profiles(tmp_path, capsys):
+    conf, out = tmp_path / "p.conf", tmp_path / "p.csv"
+    conf.write_text("suite = flat\n", encoding="utf-8")
+    assert run(["profiles", "--config", str(conf), "--out", str(out)]) == 2
+    assert "profiles suite must be one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profiles_csv_full_precision(tmp_path):

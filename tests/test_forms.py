@@ -15,6 +15,7 @@ from hkgeom import cotangent, forms
 from hkgeom import gibbonshawking as gh
 from hkgeom.errors import ConfigError, DomainError, MetricError, StructureError
 from hkgeom.flatspace import (
+    ROTATION_ANGLES,
     CircleActionSpec,
     FlatModel,
     action_rotation,
@@ -113,7 +114,6 @@ def test_as_matrix_and_pullback_bitwise_equal_per_pair_evaluation():
         assert np.array_equal(got, [_loop_matrix(c, n) for c in comps])
     # rotation_degree_check pulls omega2 + i omega3 back by stacked
     # products; reference: R[:, i] @ M @ R[:, j] per pair, M filled entry by entry
-    thetas = np.linspace(0.1, 2 * np.pi - 0.1, 7)
     for n in (1, 2, 3):
         for spec in (
             CircleActionSpec(k=(0,) * n, l=(1,) * n),
@@ -124,12 +124,12 @@ def test_as_matrix_and_pullback_bitwise_equal_per_pair_evaluation():
             omega_c = (m.omega2 + 1j * m.omega3)[np.triu_indices(m.dim, 1)]
             M = _loop_matrix(omega_c, m.dim)
             want = 0.0
-            for th in thetas:
+            for th in ROTATION_ANGLES:
                 R = action_rotation(spec, float(th))
                 pulled = np.array([R[:, i] @ M @ R[:, j] for i, j in basis_indices(m.dim, 2)])
                 gap = np.abs(pulled - np.exp(1j * spec.degree * th) * omega_c)
                 want = max(want, float(np.max(gap)))
-            assert rotation_degree_check(spec, thetas) == want
+            assert rotation_degree_check(spec) == want
 
 
 # -- exterior derivative -------------------------------------------------
@@ -465,12 +465,8 @@ FIELD_FACTORIES = {
         )
         for gauge in gh.GAUGES
     },
-    "MonopoleData.phi": lambda rng: (
-        gh.MonopoleData.from_config(GH_TWO).phi,
-        _gh_chart_points(rng, 17)[:, :3],
-    ),
-    "MonopoleData.A": lambda rng: (
-        gh.MonopoleData.from_config(GH_TWO, "string-up").A,
+    "monopole_field": lambda rng: (
+        gh.monopole_field(GH_TWO, "string-up"),
         _gh_chart_points(rng, 17)[:, :3],
     ),
     "curvature_FZ_field": lambda rng: (curvature_FZ_field(2), _twistor_points(rng, 17, 2)),

@@ -8,7 +8,6 @@ from hkgeom.suites import RunConfig, run_check
 from hkgeom import gibbonshawking
 from hkgeom.forms import (
     FDScheme,
-    FormField,
     ScalarField,
     _as_matrices,
     ext_deriv,
@@ -18,7 +17,6 @@ from hkgeom.forms import (
 )
 from hkgeom.gibbonshawking import (
     GHConfig,
-    MonopoleData,
     ahat_curvature,
     ahat_field,
     alpha_field,
@@ -31,6 +29,7 @@ from hkgeom.gibbonshawking import (
     kahler_field,
     lift_gradient,
     lift_identity_residual,
+    monopole_field,
     monopole_phi,
     potential_gradient,
     rotation_lift_f,
@@ -94,6 +93,8 @@ def test_point_validation():
         gh_metric(TWO, np.array([[1.0, 1.0, 0.0]]), "string-down")
     with pytest.raises(ConfigError):
         gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "sideways")
+    with pytest.raises(ConfigError):
+        monopole_field(TWO, "sideways")  # at construction, before any call
     assert gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "string-up").shape == (1, 4, 4)
 
 
@@ -148,12 +149,11 @@ def test_alpha_solves_star_dV(gauge):
 def test_monopole_pair_dA_star_dphi():
     rng = np.random.default_rng(10)
     cfg = THREE
-    data = MonopoleData.from_config(cfg)
-    a_field = FormField(data.A, 1, 3, clearance=chart_clearance(cfg))
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(cfg, 10, rng)
-    star_dphi = hodge_star(np.eye(3), 1, fd_gradient(data.phi, xs, scheme), 1)
-    for da, star in zip(ext_deriv(a_field, xs, scheme), star_dphi):
+    dphi = fd_gradient(lambda x: monopole_phi(cfg, x), xs, scheme)
+    star_dphi = hodge_star(np.eye(3), 1, dphi, 1)
+    for da, star in zip(ext_deriv(monopole_field(cfg), xs, scheme), star_dphi):
         assert np.max(np.abs(da - star)) < 1e-6
 
 
@@ -333,7 +333,7 @@ def test_ahat_components():
     v, phi = gh_potential(TWO, x)[0], monopole_phi(TWO, x)[0]
     ahat = ahat_field(TWO, "string-down")(chart_points(x, 0.0))[0]
     assert ahat[3] == pytest.approx(-phi / v)
-    a_comps = MonopoleData.from_config(TWO, "string-down").A(x)[0]
+    a_comps = monopole_field(TWO, "string-down")(x)[0]
     expected_x = a_comps - (phi / v) * alpha_field(TWO, "string-down")(x)[0]
     assert np.allclose(ahat[:3], expected_x)
 
@@ -386,8 +386,7 @@ _BATCHED = {
     "chart_clearance[base]": lambda r: chart_clearance(_CFG)(_X[r]),
     "chart_clearance[chart]": lambda r: chart_clearance(_CFG)(_P[r]),
     "alpha_field": lambda r: alpha_field(_CFG, "string-up")(_X[r]),
-    "MonopoleData.phi": lambda r: MonopoleData.from_config(_CFG).phi(_X[r]),
-    "MonopoleData.A": lambda r: MonopoleData.from_config(_CFG, "string-up").A(_X[r]),
+    "monopole_field": lambda r: monopole_field(_CFG, "string-up")(_X[r]),
     "gh_metric": lambda r: gh_metric(_CFG, _P[r], "string-up"),
     "kahler_field": lambda r: tuple(kahler_field(_CFG, i)(_P[r]) for i in (1, 2, 3)),
     "ahat_field": lambda r: ahat_field(_CFG, "string-up", gauge_shift=0.7)(_P[r]),

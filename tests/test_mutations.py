@@ -65,6 +65,16 @@ def test_twistor_mutation_fails(check_id, monkeypatch):
     assert not rec.passed, (check_id, rec.residual)
 
 
+def test_double_pole_at_zero_is_a_residual(monkeypatch):
+    # an added 1/zeta^2 raises the order at zeta = 0 to 2 and leaves the
+    # simple pole at infinity (it is zetat^2 there), so the row reads
+    # |2 - 1| + |1 - 1| = 1 and raises nothing
+    cfg = RunConfig(suite="twistor")
+    monkeypatch.setattr(twistor, "mero_connection", _double_pole(twistor.mero_connection))
+    rec = run_check(cfg, "twistor.pole.orders")
+    assert not rec.passed and rec.residual == 1.0, rec.to_dict()
+
+
 def test_doubled_dzeta_term_fails_closedness_and_invariance(monkeypatch):
     coefficients = twistor.fz_coefficients
 

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from hkgeom.errors import ConfigError, DomainError, StructureError
+from hkgeom.errors import ConfigError, DomainError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, hyperholo_curvature
 from hkgeom.forms import FDScheme, _as_matrices, fd_gradient
 from hkgeom import twistor
 from hkgeom.suites import RunConfig, run_check
 from hkgeom.twistor import (
-    MeroConnectionReport,
     action_invariance_residual,
     chart_jacobian,
     chart_transition,
     connection_pair_residual,
-    connection_report,
     curvature_FZ,
     curvature_FZ_field,
     fibre_restriction_residual,
@@ -30,6 +28,7 @@ from hkgeom.twistor import (
     mero_connection,
     pack_point,
     pole_order,
+    pole_orders,
     product_to_chart,
     reality_residual,
     residue_match_residual,
@@ -350,19 +349,14 @@ def test_pole_order_measurement():
     assert pole_order(lambda zeta: 0.0) == 0
 
 
-def test_connection_report_simple_poles():
+def test_pole_orders_are_simple_at_both_ends():
     rng = np.random.default_rng(77)
-    rep = connection_report(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2))
-    assert rep.pole_order_zero == 1
-    assert rep.pole_order_infinity == 1
-    assert abs(rep.rotation_residue - 4j * np.pi) < 1e-10
-    with pytest.raises(StructureError):
-        MeroConnectionReport(1, 2, 1, 0.0j)
+    assert pole_orders(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2)) == (1, 1)
     with pytest.raises(ConfigError, match="1-row batch"):
-        connection_report(2, _cpair(rng, 2, 2), _cpair(rng, 2, 2), _tangent(rng, 2, 2))
+        pole_orders(2, _cpair(rng, 2, 2), _cpair(rng, 2, 2), _tangent(rng, 2, 2))
 
 
-def test_connection_report_transitions_once_at_infinity(monkeypatch):
+def test_pole_orders_transition_once_at_infinity(monkeypatch):
     # the nodes at infinity go through one chart transition, not one each
     calls = []
     transition = twistor.chart_transition
@@ -373,7 +367,7 @@ def test_connection_report_transitions_once_at_infinity(monkeypatch):
 
     monkeypatch.setattr(twistor, "chart_transition", counted)
     rng = np.random.default_rng(78)
-    connection_report(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2), nodes=16)
+    pole_orders(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2), nodes=16)
     assert calls == [16]
 
 
@@ -616,7 +610,7 @@ _TANGENT_CALLS = {
     "connection_pair_residual": lambda t: connection_pair_residual(_V2, _XI2, _ZETA1, t),
     "chart_transition": lambda t: chart_transition(_V2, _XI2, _ZETA1, t),
     "fibre_residue": lambda t: twistor.fibre_residue(_V2, _XI2, t),
-    "connection_report": lambda t: connection_report(2, _V2, _XI2, t),
+    "pole_orders": lambda t: pole_orders(2, _V2, _XI2, t),
 }
 
 
