@@ -37,7 +37,8 @@ form field ``nb``.  A first-derivative stencil has ``4 dim`` rows, so 85
 points of R^12 fit in one gradient call.  A nested ``dd^c`` stencil of
 order 4 has ``(4 dim)^2`` points per base point, and each of its
 ``16 dim (dim + 1) / 2`` distinct points is evaluated once: 1,248 rows
-at dim = 12 (three base points to a chunk), 1,680 at dim = 14 (two).  A
+at dim = 12 (three base points to a chunk), 1,680 at dim = 14 (two).
+Order 2 has ``4 dim (dim + 1) / 2``: 312 rows at dim = 12 (13).  A
 form field's components count because it may build far more than its
 output per row: the twistor F_Z field forms a complex 14 x 14 matrix for
 each of its 91 components' rows at dim = 14.

@@ -709,6 +709,7 @@ def test_twistor_ddc_has_the_bits_of_every_nested_point_evaluated(k):
         pytest.param(4, FDScheme(h=1e-2, order=2), 40, id="4-scheme0-None"),
         pytest.param(4, FDScheme(h=1e-2, order=4), 160, id="4-scheme1-None"),
         pytest.param(12, FDScheme(h=1e-2, order=4), 1248, id="12-scheme2-None"),
+        pytest.param(12, FDScheme(h=1e-1, order=2), 312, id="12-flat"),
         pytest.param(14, _DDC_SCHEME, 1680, id="14-twistor"),
     ],
 )

@@ -165,6 +165,25 @@ def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "overrides, per_point",
+    [({}, 312), ({"order": 4, "h": 1e-2}, 1248)],
+    ids=["order-2", "order-4-override"],
+)
+def test_flat_stencil_field_rows(monkeypatch, overrides, per_point):
+    # the flat fields are quadratic, so the suite's order-2 nested stencil
+    # (312 distinct rows per point at dim 12) is exact; cfg.order and cfg.h
+    # still reach the row, at 1,248 rows per point for order 4
+    rows = []
+    moment_map = suites.fs.moment_map
+    monkeypatch.setattr(
+        suites.fs, "moment_map", lambda spec, p: rows.append(len(p)) or moment_map(spec, p)
+    )
+    cfg = RunConfig(suite="flat", n=3, **overrides)
+    assert run_check(cfg, "flat.curvature.type11.full").passed
+    assert sum(rows) == cfg.samples * per_point == 20 * per_point
+
+
+@pytest.mark.parametrize(
     "suite, check_id",
     [
         ("flat", "flat.curvature.type11.full"),
@@ -173,11 +192,11 @@ def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
     ],
 )
 def test_dense_checks_stay_within_their_memory_bound(suite, check_id):
-    # at n = 3 one nested dd^c stencil has 1,248 distinct rows (flat, three
-    # points to a chunk) or 1,680 (twistor, two points), and one point's F_Z
-    # stencil returns 56 x 91 values, so the chunk bound keeps each peak near
-    # 1 MB or below (measured 0.68, 1.06 and 0.39 MB); all samples' stencils
-    # in one field call would peak at about 4.0, 2.3 and 1.8 MB
+    # at n = 3 one nested dd^c stencil has 312 distinct rows (flat, order 2,
+    # 13 points to a chunk) or 1,680 (twistor, two points), and one point's
+    # F_Z stencil returns 56 x 91 values, so the chunk bound keeps each peak
+    # near 1 MB or below (measured 0.73, 1.06 and 0.39 MB); all samples'
+    # stencils in one field call would peak at about 1.1, 2.3 and 1.8 MB
     cfg = RunConfig(suite=suite, n=3)
     run_check(cfg, check_id)  # builds the cached index tables first
     tracemalloc.start()
