@@ -16,13 +16,13 @@ import numpy as np
 
 from hkgeom.twistor import (
     connection_pair_residual,
+    connection_residue,
     fibre_restriction_residual,
     hermitian_curvature_residual,
     log_hU,
     pole_orders,
     product_to_chart,
     reality_residual,
-    rotation_residue,
     transition_gUV,
 )
 
@@ -55,9 +55,11 @@ zero, infinity = pole_orders(2, v0, xi0, tan)
 print("\ninvariant connection for character n = 2:")
 print("  pole order at zeta = 0:       ", zero)
 print("  pole order at zeta = infinity:", infinity)
-print("  rotation residue:", rotation_residue(2, v0, xi0)[0], " (expected 4 pi i)")
+d_zeta = np.zeros((1, 2 * n + 1), dtype=complex)
+d_zeta[0, -1] = 1.0
+print("  rotation residue:", connection_residue(2, v0, xi0, d_zeta)[0], " (expected 4 pi i)")
 for n_char in (1, 3):
-    got = rotation_residue(n_char, cpair(), cpair())[0]
+    got = connection_residue(n_char, cpair(), cpair(), d_zeta)[0]
     print(f"  n = {n_char}: residue {got}  vs 2 pi i n = {2j * np.pi * n_char}")
 
 # -- fibrewise data -----------------------------------------------------------------------

@@ -275,7 +275,7 @@ def _cmd_profiles(args) -> int:
     xs, vs = _gh_samples(
         qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, samples
     )
-    centers = _eh_centers(level_value)
+    centers = [np.array([a, 0.0, 0.0]) for a in _eh_centers(level_value).centers]
     rows = []
     for x, v in zip(xs, vs):
         r1, r2 = (float(np.linalg.norm(x - a)) for a in centers)

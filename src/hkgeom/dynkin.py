@@ -23,7 +23,11 @@ KINDS = ("A", "D", "E6", "E7", "E8")
 
 
 def _diagram_edges(kind: str, k=None):
-    """Vertex count and undirected edge multiset of the extended diagram."""
+    """Vertex count and undirected edge multiset of the extended diagram; checks (kind, k)."""
+    if kind not in KINDS:
+        raise ConfigError(f"diagram kind must be one of {KINDS}")
+    if kind.startswith("E") and k is not None:
+        raise ConfigError("E-series diagrams take no index")
     if kind == "A":
         if k is None or k < 1:
             raise ConfigError("A-series needs k >= 1")
@@ -38,36 +42,23 @@ def _diagram_edges(kind: str, k=None):
         edges += [(k - 2, k - 1), (k - 2, k)]
         return k + 1, tuple(edges)
     if kind == "E6":
-        if k is not None:
-            raise ConfigError("E-series diagrams take no index")
         return 7, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6))
     if kind == "E7":
-        if k is not None:
-            raise ConfigError("E-series diagrams take no index")
         return 8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))
-    if kind == "E8":
-        if k is not None:
-            raise ConfigError("E-series diagrams take no index")
-        return 9, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
-    raise ConfigError(f"diagram kind must be one of {KINDS}")
+    return 9, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
 
 
 def gamma_order(kind: str, k=None) -> int:
-    """Order of the binary polyhedral group attached to the diagram."""
+    """Order of the binary polyhedral group attached to the diagram.
+
+    A closed form in (kind, k): dynkin.mckay.order checks sum d_i^2 over the marks against it.
+    """
+    _diagram_edges(kind, k)
     if kind == "A":
-        if k is None or k < 1:
-            raise ConfigError("A-series needs k >= 1")
         return k + 1
     if kind == "D":
-        if k is None or k < 4:
-            raise ConfigError("D-series needs k >= 4")
         return 4 * k - 8
-    orders = {"E6": 24, "E7": 48, "E8": 120}
-    if kind not in orders:
-        raise ConfigError(f"diagram kind must be one of {KINDS}")
-    if k is not None:
-        raise ConfigError("E-series diagrams take no index")
-    return orders[kind]
+    return {"E6": 24, "E7": 48, "E8": 120}[kind]
 
 
 def _adjacency(num_vertices: int, edges) -> np.ndarray:

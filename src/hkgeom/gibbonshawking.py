@@ -252,6 +252,7 @@ def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
 
 def alpha_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
     """alpha as a FormField on R^3: (m, 3) batches -> (m, 3) components."""
+    _string_sign(gauge)  # validates the gauge before the first call
     clear = chart_clearance(cfg)
     return FormField(lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=clear)
 
@@ -298,6 +299,7 @@ def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField
     """omega_i as a chart FormField, (m, 4) batches -> (m, 6) components."""
     if i not in (1, 2, 3):
         raise ConfigError("Kahler index must be 1, 2 or 3")
+    _string_sign(gauge)  # validates the gauge before the first call
     return FormField(
         lambda p: _kahler_comps(cfg, p, gauge)[:, i - 1], 2, 4, clearance=chart_clearance(cfg)
     )
@@ -323,6 +325,7 @@ def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0
     (A + shift * alpha, phi + shift * V), which changes Ahat by the closed
     form -shift * dtheta and so leaves the curvature unchanged.
     """
+    _string_sign(gauge)  # validates the gauge before the first call
     return FormField(
         lambda p: _ahat_comps(cfg, p, gauge, gauge_shift), 1, 4, clearance=chart_clearance(cfg)
     )

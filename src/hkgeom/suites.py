@@ -169,10 +169,9 @@ class RunConfig:
 class Check:
     """One named identity held to a tolerance.
 
-    ``residual(rng, cfg)`` returns the residual, or (residual, detail) when
-    the detail text comes from the same computation; otherwise the record
-    carries ``detail``.  ``when(cfg)``, if given, says whether the check
-    applies to the configuration at all.
+    ``residual(rng, cfg)`` returns the residual, or (residual, detail) to
+    give the record a detail text.  ``when(cfg)``, if given, says whether
+    the check applies to the configuration at all.
     """
 
     id: str
@@ -180,7 +179,6 @@ class Check:
     tol: float
     residual: Callable
     when: Callable | None = None
-    detail: str = ""
 
     @property
     def suite(self) -> str:
@@ -212,7 +210,7 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
     """
     tolerance = cfg.tol if cfg.tol is not None else check.tol
     rng = _check_rng(cfg, check.id)
-    detail = check.detail
+    detail = ""
     start = time.perf_counter()
     try:
         out = check.residual(rng, cfg)
@@ -466,9 +464,9 @@ def _quotient_level(c: float) -> float:
     return c if c > 0 else 1.0
 
 
-def _eh_centers(level_value: float) -> np.ndarray:
-    """Centres (+/- c/4, 0, 0) of the quarter-speed two-centre potential at level c."""
-    return np.array([[-level_value / 4.0, 0.0, 0.0], [level_value / 4.0, 0.0, 0.0]])
+def _eh_centers(level_value: float) -> gh.GHConfig:
+    """The quarter-speed two-centre potential at level c: unit centres at x1 = +/- c/4."""
+    return gh.GHConfig(centers=(-level_value / 4.0, level_value / 4.0))
 
 
 #: points of the axis scan that starts the two-centre fit
@@ -597,7 +595,7 @@ def _q_gh_potential(rng, cfg: RunConfig) -> float:
     xs, vs = _gh_samples(
         qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, cfg.samples
     )
-    predicted = sum(1.0 / np.linalg.norm(xs - a, axis=1) for a in _eh_centers(level_value))
+    predicted = gh.gh_potential(_eh_centers(level_value), xs)
     return float(np.max(np.abs(vs - predicted) / predicted))
 
 
@@ -678,9 +676,11 @@ def _tw_residue(rng, cfg: RunConfig) -> float:
 
 
 def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
+    d_zeta = np.zeros((1, 2 * cfg.n + 1), dtype=complex)
+    d_zeta[:, -1] = 1.0
     gaps = []
     for n_char in (1, 2, 5):
-        got = tw.rotation_residue(n_char, *_chart_points(rng, 1, cfg.n), nodes=cfg.nodes)
+        got = tw.connection_residue(n_char, *_chart_points(rng, 1, cfg.n), d_zeta, nodes=cfg.nodes)
         gaps.append(np.abs(got - 2j * np.pi * n_char))
     return _worst(gaps)
 
@@ -823,8 +823,10 @@ CHECKS = (
     Check("gh.lift.segments", "f is exactly constant on each open axis segment", 0.0, _gh_segments),
     Check(
         "gh.lift.middle-segment", "with 2m unit centres and c = 0, f = 0 on the middle gap", 0.0,
-        lambda rng, cfg: abs(gh.f_segment_values(_gh_config(cfg))[len(cfg.centers) // 2]),
-        when=_even_unit_centers, detail=_MIDDLE_GAP_NOTE,
+        lambda rng, cfg: (
+            abs(gh.f_segment_values(_gh_config(cfg))[len(cfg.centers) // 2]), _MIDDLE_GAP_NOTE
+        ),
+        when=_even_unit_centers,
     ),
     Check(
         "quotient.curvature.match",

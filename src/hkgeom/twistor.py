@@ -65,8 +65,8 @@ CONTOUR_NODES = 64
 #: coefficient as present above this fraction of the largest sample
 _POLE_MAX_ORDER = 4
 _POLE_REL_TOL = 1e-8
-#: fibre weight of the connection whose residue fibre_residue measures; its
-#: tangents have dzeta = 0, so the weight's term 2 pi i n dzeta/zeta vanishes
+#: the connection's weight in residue_match_residual; its fibre tangents
+#: have dzeta = 0, so the weight's term 2 pi i n dzeta/zeta vanishes
 _FIBRE_WEIGHT = 2
 
 #: one step inside and out for dd^c log h_U: log h_U is cubic, so the order-4 inner
@@ -325,16 +325,6 @@ def _around_contour(zs, v, xi, tangent):
     )
 
 
-def laurent_coefficient(fn, k: int, nodes: int = CONTOUR_NODES):
-    """Laurent coefficient a_k about 0 by trapezoidal contour quadrature.
-
-    fn takes the array of contour nodes and returns its values there, or
-    one row of values per function, (..., nodes); a_k comes per row.
-    """
-    zs = _contour(nodes)
-    return np.mean(fn(zs) * zs ** (-k), axis=-1)
-
-
 def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
     """Order of the pole of fn at 0, measured by Laurent sampling on |zeta| = CONTOUR_RADIUS.
 
@@ -355,36 +345,19 @@ def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
     return 0
 
 
-def rotation_residue(n_char: int, v, xi, nodes: int = CONTOUR_NODES) -> np.ndarray:
-    """(1/2 pi i) x the contour integral of the connection along a small circle, (k,).
+def connection_residue(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
+    """Residue at zeta = 0 of the weight-n_char connection on fixed chart tangents, (k,).
 
-    The fibre coordinates are held fixed while zeta traverses
-    |zeta| = CONTOUR_RADIUS; for fibre weight n the measured value is
-    2 pi i n.  The connection is linear in the tangent, so its value on the
-    circle's velocity i zeta is its value on d/dzeta times i zeta.
-    """
-    zs = _contour(nodes)
-    d_zeta = np.zeros((len(v), 2 * np.shape(v)[1] + 1), dtype=complex)
-    d_zeta[:, -1] = 1.0
-    values = mero_connection(n_char, *_around_contour(zs, v, xi, d_zeta))
-    along = values.reshape(len(v), nodes) * (1j * zs)
-    return np.sum(along * (2 * np.pi / nodes), axis=-1) / (2j * np.pi)
-
-
-def fibre_residue(v, xi, tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
-    """Residue at zeta = 0 of the connection (weight _FIBRE_WEIGHT) on fixed chart tangents, (k,).
-
-    The fibre directions are the tangents with dzeta = 0; a dzeta
-    component would add 2 pi i _FIBRE_WEIGHT dzeta to the residue.
+    The mean of A(tangent) zeta over the nodes on |zeta| = CONTOUR_RADIUS,
+    (v, xi) and the tangent held fixed: the trapezoidal rule for (1/2 pi i)
+    times the contour integral of A(tangent) dzeta.  The term 2 pi i n
+    dzeta/zeta adds 2 pi i n dzeta, so d/dzeta gives the rotation residue
+    2 pi i n and a fibre tangent (dzeta = 0) the fibre residue.
     """
     tangent = _tangent(tangent, v)
-    return laurent_coefficient(
-        lambda zs: mero_connection(_FIBRE_WEIGHT, *_around_contour(zs, v, xi, tangent)).reshape(
-            len(v), len(zs)
-        ),
-        k=-1,
-        nodes=nodes,
-    )
+    zs = _contour(nodes)
+    values = mero_connection(n_char, *_around_contour(zs, v, xi, tangent))
+    return np.mean(values.reshape(len(v), nodes) * zs, axis=-1)
 
 
 def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
@@ -398,7 +371,7 @@ def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.nd
     model = FlatModel(np.shape(z)[1])
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
     s = np.asarray(m_tangent, dtype=float)
-    measured = fibre_residue(z, w, vertical_lift(0.0, s), nodes=nodes)
+    measured = connection_residue(_FIBRE_WEIGHT, z, w, vertical_lift(0.0, s), nodes=nodes)
     omega_c = model.omega2 + 1j * model.omega3
     x = action_vector_field(spec, model.from_complex(z, w))
     expected = _pairing(x, omega_c, s) / 2j

@@ -91,17 +91,26 @@ def test_diagram_shapes():
     assert extended_diagram("A", 3).tag == "A3"
 
 
+_BAD_DIAGRAMS = [
+    ("A", 0, "A-series needs k >= 1"),
+    ("A", None, "A-series needs k >= 1"),
+    ("D", 3, "D-series needs k >= 4"),
+    ("E6", 6, "E-series diagrams take no index"),
+    ("B", 2, "diagram kind must be one of"),
+    ("F4", None, "diagram kind must be one of"),
+]
+
+
+@pytest.mark.parametrize("build", [extended_diagram, mckay_dims, gamma_order])
+@pytest.mark.parametrize(
+    "kind, k, message", _BAD_DIAGRAMS, ids=[f"{kind}-{k}" for kind, k, _ in _BAD_DIAGRAMS]
+)
+def test_bad_diagram_raises(build, kind, k, message):
+    with pytest.raises(ConfigError, match=message):
+        build(kind, k)
+
+
 def test_validation_errors():
-    with pytest.raises(ConfigError):
-        extended_diagram("B", 2)
-    with pytest.raises(ConfigError):
-        extended_diagram("A", 0)
-    with pytest.raises(ConfigError):
-        extended_diagram("D", 3)
-    with pytest.raises(ConfigError):
-        extended_diagram("E6", 6)
-    with pytest.raises(ConfigError):
-        gamma_order("F4")
     with pytest.raises(ConfigError):
         DynkinGraph("bad", 3, ((0, 1),), (1, 1, 1))  # disconnected
     with pytest.raises(ConfigError):

@@ -93,8 +93,14 @@ def test_point_validation():
         gh_metric(TWO, np.array([[1.0, 1.0, 0.0]]), "string-down")
     with pytest.raises(ConfigError):
         gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "sideways")
-    with pytest.raises(ConfigError):
-        monopole_field(TWO, "sideways")  # at construction, before any call
+    for build in (
+        lambda: alpha_field(TWO, "sideways"),
+        lambda: monopole_field(TWO, "sideways"),
+        lambda: kahler_field(TWO, 1, "sideways"),
+        lambda: ahat_field(TWO, "sideways"),
+    ):
+        with pytest.raises(ConfigError, match="gauge must be one of"):
+            build()  # at construction, before any call
     assert gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "string-up").shape == (1, 4, 4)
 
 

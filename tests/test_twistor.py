@@ -13,6 +13,7 @@ from hkgeom.twistor import (
     chart_jacobian,
     chart_transition,
     connection_pair_residual,
+    connection_residue,
     curvature_FZ,
     curvature_FZ_field,
     fibre_restriction_residual,
@@ -32,7 +33,6 @@ from hkgeom.twistor import (
     product_to_chart,
     reality_residual,
     residue_match_residual,
-    rotation_residue,
     semifree_AU,
     semifree_AV,
     total_dim,
@@ -327,11 +327,31 @@ def test_curvature_is_exterior_derivative_of_connection():
 # -- residues and pole orders ---------------------------------------------------------
 
 
-def test_rotation_residue_verbatim():
+def _d_dzeta(k, n):
+    """k copies of the chart tangent d/dzeta, packed (k, 2n+1)."""
+    tangent = _zero_tangent(k, n)
+    tangent[:, -1] = 1.0
+    return tangent
+
+
+def test_connection_residue_on_d_dzeta_is_the_rotation_residue():
     rng = np.random.default_rng(75)
     for n_char in (1, 2, 5):
-        res = rotation_residue(n_char, _cpair(rng, 3, 2), _cpair(rng, 3, 2))
+        res = connection_residue(n_char, _cpair(rng, 3, 2), _cpair(rng, 3, 2), _d_dzeta(3, 2))
         assert np.all(np.abs(res - 2j * np.pi * n_char) < 1e-10)
+
+
+def test_connection_residue_is_linear_in_dzeta():
+    # a fibre tangent (dzeta = 0) gives the fibre residue, the same for every
+    # weight; adding d/dzeta adds the rotation residue 2 pi i n
+    rng = np.random.default_rng(74)
+    v, xi, fibre = _cpair(rng, 3, 2), _cpair(rng, 3, 2), _tangent(rng, 3, 2)
+    fibre[:, -1] = 0.0
+    base = connection_residue(0, v, xi, fibre)
+    for n_char in (1, 2, 5):
+        assert np.all(np.abs(connection_residue(n_char, v, xi, fibre) - base) < 1e-12)
+        res = connection_residue(n_char, v, xi, fibre + _d_dzeta(3, 2))
+        assert np.all(np.abs(res - (base + 2j * np.pi * n_char)) < 1e-10)
 
 
 def test_fibre_residue_matches_contracted_form():
@@ -541,8 +561,12 @@ _BATCHED = {
     "fibre_restriction_residual": lambda r: fibre_restriction_residual(
         _Z[r], _W[r], _ZETA[r], _MS[r], _MT[r]
     ),
-    "rotation_residue": lambda r: rotation_residue(2, _V[r], _XI[r], nodes=16),
-    "fibre_residue": lambda r: twistor.fibre_residue(_V[r], _XI[r], _S[r], nodes=16),
+    "connection_residue[dzeta]": lambda r: connection_residue(
+        2, _V[r], _XI[r], _d_dzeta(_K, _N)[r], nodes=16
+    ),
+    "connection_residue[fibre]": lambda r: connection_residue(
+        2, _V[r], _XI[r], vertical_lift(_ZETA[r], _MS[r]), nodes=16
+    ),
     "residue_match_residual": lambda r: residue_match_residual(_Z[r], _W[r], _MS[r], nodes=16),
     "log_hU": lambda r: log_hU(_Z[r], _W[r], _ZETA[r]),
     "log_hV": lambda r: log_hV(_Z[r], _W[r], _ZETA[r]),
@@ -609,7 +633,7 @@ _TANGENT_CALLS = {
     "semifree_AV": lambda t: semifree_AV(_V2, _XI2, _ZETA1, t),
     "connection_pair_residual": lambda t: connection_pair_residual(_V2, _XI2, _ZETA1, t),
     "chart_transition": lambda t: chart_transition(_V2, _XI2, _ZETA1, t),
-    "fibre_residue": lambda t: twistor.fibre_residue(_V2, _XI2, t),
+    "connection_residue": lambda t: connection_residue(2, _V2, _XI2, t),
     "pole_orders": lambda t: pole_orders(2, _V2, _XI2, t),
 }
 
