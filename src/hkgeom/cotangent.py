@@ -218,23 +218,20 @@ def _chart_field(op) -> ScalarField:
 # -- forms on the chart --------------------------------------------------------------------
 
 
-def bg_omega1(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+def bg_omega1(pt: CotangentPoint, scheme: FDScheme) -> np.ndarray:
     """omega1 = p*omega + dd^c h on the chart, components (k, 6)."""
-    scheme = scheme or FDScheme()
     h = _chart_field(potential_h)
     return base_form(pt) + ddc(h, I, pt.coords, scheme)
 
 
-def bg_curvature(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+def bg_curvature(pt: CotangentPoint, scheme: FDScheme) -> np.ndarray:
     """Line-bundle curvature F = p*omega + dd^c k, components (k, 6)."""
-    scheme = scheme or FDScheme()
     k = _chart_field(potential_k)
     return base_form(pt) + ddc(k, I, pt.coords, scheme)
 
 
-def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme | None = None) -> np.ndarray:
+def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme) -> np.ndarray:
     """Max component gap between p*omega + dd^c k and omega1 + dd^c mu, (k,)."""
-    scheme = scheme or FDScheme()
     mu = _chart_field(bg_moment_map)
     lhs = bg_omega1(pt, scheme) + ddc(mu, I, pt.coords, scheme)
     return np.max(np.abs(lhs - bg_curvature(pt, scheme)), axis=-1)
@@ -244,9 +241,7 @@ def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme | None = None) ->
 _LAMBDA_SCHEME = FDScheme(h=1e-5, order=4)
 
 
-def bg_moment_residuals(
-    pt: CotangentPoint, scheme: FDScheme | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def bg_moment_residuals(pt: CotangentPoint, scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
     """Two independent checks of the moment map at each point, two (k,) arrays.
 
     Returns |mu - d/d lambda h(lambda^{-1} v)|_{lambda=1}| from one
@@ -255,7 +250,6 @@ def bg_moment_residuals(
     call.  The pairing with X is a stacked (1, 4) @ (4, 1) product, which
     rounds each row as a dot product of that row alone does.
     """
-    scheme = scheme or FDScheme()
     mu = bg_moment_map(pt)
 
     # lambda = 1 + offset * h, laid out (offset, point); v / lambda part by
@@ -273,7 +267,7 @@ def bg_moment_residuals(
     return res_lambda, res_ix
 
 
-def bg_structures(pt: CotangentPoint, scheme: FDScheme | None = None):
+def bg_structures(pt: CotangentPoint, scheme: FDScheme):
     """The triple (I, J, K) reconstructed from omega1 alone.
 
     g is built from (omega1, I); J from g^{-1} omega2 with omega2 the real

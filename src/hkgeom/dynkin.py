@@ -106,18 +106,8 @@ class DynkinGraph:
             raise ConfigError("one mark per vertex required")
         if any(int(d) < 1 for d in self.marks):
             raise ConfigError("marks must be positive integers")
-        if self.num_vertices > 1:
-            seen = {0}
-            queue = deque([0])
-            neigh = self.neighbours
-            while queue:
-                v = queue.popleft()
-                for u in neigh[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-            if len(seen) != self.num_vertices:
-                raise ConfigError("diagram must be connected")
+        if len(_bfs_parents(self)) != self.num_vertices:
+            raise ConfigError("diagram must be connected")
 
     @property
     def neighbours(self) -> dict:
@@ -135,24 +125,32 @@ def extended_diagram(kind: str, k=None) -> DynkinGraph:
     return DynkinGraph(tag, num, edges, mckay_dims(kind, k))
 
 
-def dynkin_signs(graph: DynkinGraph):
-    """A +/-1 assignment with opposite signs across every edge, or None.
-
-    Breadth-first two-colouring; an odd cycle makes the constraint
-    unsatisfiable, in which case None is returned.
-    """
-    colors = [0] * graph.num_vertices
-    colors[0] = 1
+def _bfs_parents(graph: DynkinGraph) -> dict:
+    """Breadth-first parent of each vertex reachable from 0, in visit order; 0 is its own."""
+    parents = {0: 0}
     queue = deque([0])
     neigh = graph.neighbours
     while queue:
         v = queue.popleft()
         for u in neigh[v]:
-            if colors[u] == 0:
-                colors[u] = -colors[v]
+            if u not in parents:
+                parents[u] = v
                 queue.append(u)
-            elif colors[u] == colors[v]:
-                return None
+    return parents
+
+
+def dynkin_signs(graph: DynkinGraph):
+    """A +/-1 assignment with opposite signs across every edge, or None.
+
+    Breadth-first two-colouring: each vertex takes the sign opposite its
+    parent's, the parity of its distance from vertex 0.  An edge joining
+    equal signs closes an odd cycle, and then None is returned.
+    """
+    colors = [0] * graph.num_vertices
+    for v, parent in _bfs_parents(graph).items():
+        colors[v] = 1 if v == 0 else -colors[parent]
+    if any(colors[i] == colors[j] for i, j in graph.edges):
+        return None
     return tuple(colors)
 
 

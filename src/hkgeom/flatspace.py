@@ -242,7 +242,7 @@ def moment_field(spec: CircleActionSpec) -> ScalarField:
     return ScalarField(lambda p: moment_map(spec, p), dim=4 * spec.n)
 
 
-def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme | None = None) -> np.ndarray:
+def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme) -> np.ndarray:
     """Curvature of the invariant line bundle attached to the action, at p (k, 4n).
 
     F = omega1 + dd^c(mu / n) with n the rotation degree (the moment map

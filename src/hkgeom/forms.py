@@ -118,8 +118,8 @@ def _as_matrices(comps: np.ndarray, dim: int) -> np.ndarray:
 class FDScheme:
     """Central finite-difference scheme: step h, order 2 or 4."""
 
-    h: float = 1e-3
-    order: int = 4
+    h: float
+    order: int
 
     def __post_init__(self):
         if not self.h > 0:
@@ -140,6 +140,8 @@ def _points(p, dim: int | None = None) -> np.ndarray:
         raise ConfigError(
             f"points must have shape (k, {'dim' if dim is None else dim}), got shape {P.shape}"
         )
+    if len(P) == 0:
+        raise ConfigError(f"a batch needs at least one point, got shape {P.shape}")
     return P
 
 
@@ -335,13 +337,12 @@ def _ext_deriv_sum(D: np.ndarray, dim: int, degree: int) -> np.ndarray:
     return sum(signs[m] * D[:, coords[:, m], rests[:, m]] for m in range(len(signs)))
 
 
-def ext_deriv(field: FormField, p, scheme: FDScheme | None = None) -> np.ndarray:
+def ext_deriv(field: FormField, p, scheme: FDScheme) -> np.ndarray:
     """Exterior derivative of a degree-k form field at base points p (k, dim).
 
     Returns the (k, nb) components of the degree k+1 forms, from
     ``_ext_deriv_sum``.
     """
-    scheme = scheme or FDScheme()
     P = _points(p, field.dim)
 
     def chunk(C):
@@ -383,14 +384,13 @@ def _dc_contract(S: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return -(np.swapaxes(S, -1, -2) @ grads[..., None])[..., 0]
 
 
-def dc_deriv(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
+def dc_deriv(f: ScalarField, I, p, scheme: FDScheme) -> np.ndarray:
     """The 1-form d^c f = -df o I at base points p (k, dim), as components (k, dim).
 
     I may be a constant matrix or a callback taking (m, dim) points to
     (m, dim, dim) matrices; it must square to -Id at every base point to
     within _STRUCTURE_TOL.  The gradient stencils go to f in one batch.
     """
-    scheme = scheme or FDScheme()
     P = _points(p, f.dim)
 
     def chunk(C):
@@ -431,7 +431,7 @@ def _nested_table(scheme: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def ddc(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
+def ddc(f: ScalarField, I, p, scheme: FDScheme) -> np.ndarray:
     """dd^c f at base points p (k, dim), as components (k, nb), by nested central differences.
 
     The stencil differentiates the 1-form d^c f = -df o I, whose value at
@@ -444,7 +444,6 @@ def ddc(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
     points to (m, dim, dim) matrices; it must square to -Id at every
     outer point.  The 10h clearance margin holds at every base and outer point.
     """
-    scheme = scheme or FDScheme()
     P = _points(p, f.dim)
     N = f.dim
     a, b = _pair_indices(N)
@@ -468,13 +467,12 @@ def ddc(f: ScalarField, I, p, scheme: FDScheme | None = None) -> np.ndarray:
     return _chunked(P, len(rows), chunk)
 
 
-def laplacian(f: ScalarField, p, scheme: FDScheme | None = None) -> np.ndarray:
+def laplacian(f: ScalarField, p, scheme: FDScheme) -> np.ndarray:
     """Flat Laplacian sum_i d^2 f / dx_i^2 at base points p (k, dim), (k,).
 
     Central second differences; the base points and their stencils go to
     f in one batch.
     """
-    scheme = scheme or FDScheme()
     P = _points(p, f.dim)
     N, h = f.dim, scheme.h
 
@@ -623,6 +621,9 @@ def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float
     """
     if w.degree != 2:
         raise ValueError("surface_integral expects a degree-2 form field")
+    integral = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
+    if not integral or resolution < 1:
+        raise ConfigError(f"resolution must be a positive integer, got {resolution!r}")
     nodes, wts = leggauss(4)
     width = 1.0 / resolution
     coords = ((np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width).ravel()

@@ -117,12 +117,13 @@ def _offsets(cfg: GHConfig, x) -> np.ndarray:
     return d
 
 
-def _distances(cfg: GHConfig, x, margin: float = CENTER_MARGIN) -> np.ndarray:
-    """|x - a_i| for every centre: (k, 3) -> (k, centres)."""
-    r = np.linalg.norm(_offsets(cfg, x), axis=-1)
-    if np.any(r <= margin):
-        raise DomainError(f"point within {margin:.1e} of a centre")
-    return r
+def _distances(cfg: GHConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """(x - a_i, |x - a_i|) for every centre: (k, 3) -> (k, centres, 3), (k, centres)."""
+    d = _offsets(cfg, x)
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r <= CENTER_MARGIN):
+        raise DomainError(f"point within {CENTER_MARGIN:.1e} of a centre")
+    return d, r
 
 
 def chart_clearance(cfg: GHConfig) -> Callable:
@@ -143,14 +144,13 @@ def chart_clearance(cfg: GHConfig) -> Callable:
 
 def gh_potential(cfg: GHConfig, x) -> np.ndarray:
     """V(x) = sum_i w_i / |x - a_i| at base points x (k, 3), (k,)."""
-    r = _distances(cfg, x)
+    _, r = _distances(cfg, x)
     return np.sum(np.asarray(cfg.weights) * (1.0 / r), axis=-1)
 
 
 def potential_gradient(cfg: GHConfig, x) -> np.ndarray:
     """Closed-form grad V = -sum_i w_i (x - a_i) / r_i^3 at base points x (k, 3), (k, 3)."""
-    d = _offsets(cfg, x)
-    r = _distances(cfg, x)
+    d, r = _distances(cfg, x)
     return -np.einsum("...i,...ij->...j", np.asarray(cfg.weights) / r**3, d)
 
 
@@ -161,8 +161,7 @@ def rotation_lift_f(cfg: GHConfig, x) -> np.ndarray:
     locally constant there; with unit weights, c = 0 and an even number
     of centres it vanishes identically on the middle segment.
     """
-    d = _offsets(cfg, x)
-    r = _distances(cfg, x)
+    d, r = _distances(cfg, x)
     return np.sum(np.asarray(cfg.weights) * (d[..., 0] / r), axis=-1) + cfg.c
 
 
@@ -172,8 +171,7 @@ def lift_gradient(cfg: GHConfig, x) -> np.ndarray:
     The e1 term is a stacked (1, centres) @ (centres, 1) product, which
     rounds each row as ``np.dot`` of that row alone does.
     """
-    d = _offsets(cfg, x)
-    r = _distances(cfg, x)
+    d, r = _distances(cfg, x)
     w = np.asarray(cfg.weights)
     out = -np.einsum("...i,...ij->...j", w * d[..., 0] / r**3, d)
     out[:, 0] += ((1.0 / r)[:, None, :] @ w[:, None])[:, 0, 0]
@@ -213,7 +211,7 @@ def monopole_phi(cfg: GHConfig, x) -> np.ndarray:
 
     The top term drops out.
     """
-    r = _distances(cfg, x)
+    _, r = _distances(cfg, x)
     return np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c
 
 
@@ -244,8 +242,7 @@ def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
     s is the gauge's string sign.  The charges ``cfg.weights`` give alpha
     and ``cfg.dirac_charges`` give A.
     """
-    d = _offsets(cfg, x)
-    r = _distances(cfg, x)
+    d, r = _distances(cfg, x)
     coeff = np.sum(np.asarray(charges) * (d[..., 0] / r + _string_sign(gauge)), axis=-1)
     return coeff[..., None] * _azimuth_covector(x)
 
@@ -332,18 +329,13 @@ def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0
 
 
 def ahat_curvature(
-    cfg: GHConfig,
-    p,
-    gauge: str,
-    scheme: FDScheme | None = None,
-    gauge_shift: float = 0.0,
+    cfg: GHConfig, p, gauge: str, scheme: FDScheme, gauge_shift: float = 0.0
 ) -> np.ndarray:
     """F = d(Ahat) at chart points p (k, 4), as components (k, 6), by finite differences."""
-    scheme = scheme or FDScheme(h=1e-4, order=4)
     return ext_deriv(ahat_field(cfg, gauge, gauge_shift), p, scheme)
 
 
-def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme | None = None) -> np.ndarray:
+def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme) -> np.ndarray:
     """max-norm of *F + F for F = d(Ahat) at chart points p (k, 4), (k,): zero iff F is ASD.
 
     One ext_deriv call, one metric batch and one hodge_star call.

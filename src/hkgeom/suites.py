@@ -19,6 +19,7 @@ ids), ``gh``, ``quotient``, ``twistor``, ``dynkin``, and ``all``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import zlib
@@ -150,16 +151,10 @@ class RunConfig:
         )
 
     def params_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "tol": self.tol,
-            "h": self.h,
-            "order": self.order,
-            "centers": list(self.centers),
-            "c": self.c,
-            "nodes": self.nodes,
-        }
+        """Every field but ``suite`` and ``seed``, which the report holds itself."""
+        params = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        del params["suite"], params["seed"]
+        return {**params, "centers": list(self.centers)}
 
 
 # -- the check row and how one runs ---------------------------------------------------

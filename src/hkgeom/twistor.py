@@ -53,7 +53,6 @@ from .forms import (
     FDScheme,
     FormField,
     ScalarField,
-    _as_matrices,
     _pair_indices,
     ddc,
     ext_deriv,
@@ -498,26 +497,19 @@ def log_hU_field(n: int) -> ScalarField:
     return ScalarField(fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n))
 
 
-def flat_reference_curvature(n: int) -> np.ndarray:
-    """Exact curvature of the half-rotation bundle on flat space, components (nb,).
+def _embedded_reference(n: int) -> np.ndarray:
+    """Twice the exact flat curvature of the half-rotation bundle, on R^(4n+2), components (nb,).
 
-    omega1 + dd^c(mu) for the w-only rotation: sum_i dx_i ^ dy_i taken
-    with weight +1 on each z-plane and -1 on each w-plane.
+    The flat curvature omega1 + dd^c(mu) of the w-only rotation is
+    sum_i dx_i ^ dy_i with weight +1 on each z-plane and -1 on each
+    w-plane; the last two (zeta) coordinates carry no component.
     """
     model = FlatModel(n)
-    M = np.zeros((model.dim, model.dim))
+    mat = np.zeros((total_dim(n), total_dim(n)))
     for i in range(n):
-        M[model.z_slots(i)] = 1.0
-        M[model.w_slots(i)] = -1.0
-    return M[_pair_indices(model.dim)]
-
-
-def _embedded_reference(n: int) -> np.ndarray:
-    """Twice the flat reference on the first 4n coordinates of R^(4n+2), components (nb,)."""
-    dim = total_dim(n)
-    mat = np.zeros((dim, dim))
-    mat[: 4 * n, : 4 * n] = 2.0 * _as_matrices(flat_reference_curvature(n), 4 * n)
-    return mat[_pair_indices(dim)]
+        mat[model.z_slots(i)] = 2.0
+        mat[model.w_slots(i)] = -2.0
+    return mat[_pair_indices(total_dim(n))]
 
 
 def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:

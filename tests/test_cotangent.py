@@ -46,6 +46,10 @@ def _one(b, v):
     return CotangentPoint([b], [v])
 
 
+#: the stencil of every d^c and dd^c below that does not pick its own
+_SCHEME = FDScheme(h=1e-3, order=4)
+
+
 # -- scalar profiles ------------------------------------------------------------
 
 
@@ -175,7 +179,7 @@ def test_profile_fields_batch_match_rows(profile):
 
 
 def test_moment_map_residuals():
-    res_lambda, res_ix = bg_moment_residuals(_random_points(np.random.default_rng(18), 10))
+    res_lambda, res_ix = bg_moment_residuals(_random_points(np.random.default_rng(18), 10), _SCHEME)
     assert res_lambda.shape == res_ix.shape == (10,)
     assert np.all(res_lambda < 1e-7)
     assert np.all(res_ix < 1e-6)
@@ -190,7 +194,7 @@ def test_omega1_restricts_to_base_form_on_zero_section():
     for b in (0.0, 0.4 - 0.2j, -0.6 + 0.3j):
         pt = _one(b, 0.0)
         # the pullback of a 2-form with matrix M to the frame E is E^T M E
-        restricted = E.T @ _as_matrices(bg_omega1(pt)[0], 4) @ E
+        restricted = E.T @ _as_matrices(bg_omega1(pt, _SCHEME)[0], 4) @ E
         base = E.T @ _as_matrices(base_form(pt)[0], 4) @ E
         assert np.allclose(restricted, base, atol=1e-8)
 
@@ -210,7 +214,8 @@ def test_omega1_closed_and_nondegenerate():
 
 
 def test_curvature_two_expressions_agree():
-    assert np.all(bg_curvature_residual(_random_points(np.random.default_rng(20), 10)) < 1e-5)
+    pts = _random_points(np.random.default_rng(20), 10)
+    assert np.all(bg_curvature_residual(pts, _SCHEME) < 1e-5)
 
 
 def test_curvature_restricts_to_base_form_on_zero_section():
@@ -218,7 +223,7 @@ def test_curvature_restricts_to_base_form_on_zero_section():
     E[0, 0] = E[1, 1] = 1.0
     pt = _one(0.25 + 0.5j, 0.0)
     # the pullback of a 2-form with matrix M to the frame E is E^T M E
-    F = E.T @ _as_matrices(bg_curvature(pt)[0], 4) @ E
+    F = E.T @ _as_matrices(bg_curvature(pt, _SCHEME)[0], 4) @ E
     base = E.T @ _as_matrices(base_form(pt)[0], 4) @ E
     assert np.allclose(F, base, atol=1e-8)
 
@@ -235,13 +240,13 @@ def test_curvature_closed():
 
 def _type11_residuals(pt):
     """F's (1,1) residual for each of (I, J, K) = bg_structures, as bg.curvature.type11 takes it."""
-    structures, F = cotangent.bg_structures(pt), bg_curvature(pt)
+    structures, F = cotangent.bg_structures(pt, _SCHEME), bg_curvature(pt, _SCHEME)
     return tuple(type11_residual(F, S, structure_tol=1e-4) for S in structures)
 
 
 def test_hyperkahler_check_near_zero_section():
     pt = _random_points(np.random.default_rng(21), 8, b_max=0.7, v_max=0.5)
-    residuals = (cotangent.bg_quaternionic_residual(cotangent.bg_structures(pt)[1]),)
+    residuals = (cotangent.bg_quaternionic_residual(cotangent.bg_structures(pt, _SCHEME)[1]),)
     residuals += _type11_residuals(pt)
     for name, res in zip(("J2", "type11_I", "type11_J", "type11_K"), residuals, strict=True):
         assert res.shape == (8,) and np.all(res < 1e-6), name
@@ -251,7 +256,7 @@ def test_curvature_type11_for_I_exact_on_zero_section():
     # at v=0 the curvature is the base form, which is (1,1) for I
     from hkgeom.forms import type11_residual
 
-    F = bg_curvature(_one(0.2 + 0.6j, 0.0))
+    F = bg_curvature(_one(0.2 + 0.6j, 0.0), _SCHEME)
     assert type11_residual(F, I)[0] < 1e-9
 
 
@@ -281,7 +286,7 @@ def test_quaternionic_check_builds_no_curvature(monkeypatch):
 
 _K = 5
 _PTS = _random_points(np.random.default_rng(60), _K)
-_J = cotangent.bg_structures(_PTS)[1]
+_J = cotangent.bg_structures(_PTS, _SCHEME)[1]
 
 
 def _rows(r):
@@ -297,11 +302,11 @@ _BATCHED = {
     "potential_h": lambda r: potential_h(_rows(r)),
     "potential_k": lambda r: potential_k(_rows(r)),
     "bg_moment_map": lambda r: bg_moment_map(_rows(r)),
-    "bg_omega1": lambda r: bg_omega1(_rows(r)),
-    "bg_curvature": lambda r: bg_curvature(_rows(r)),
-    "bg_curvature_residual": lambda r: bg_curvature_residual(_rows(r)),
-    "bg_moment_residuals": lambda r: bg_moment_residuals(_rows(r)),
-    "bg_structures": lambda r: cotangent.bg_structures(_rows(r))[1:],  # I is one constant
+    "bg_omega1": lambda r: bg_omega1(_rows(r), _SCHEME),
+    "bg_curvature": lambda r: bg_curvature(_rows(r), _SCHEME),
+    "bg_curvature_residual": lambda r: bg_curvature_residual(_rows(r), _SCHEME),
+    "bg_moment_residuals": lambda r: bg_moment_residuals(_rows(r), _SCHEME),
+    "bg_structures": lambda r: cotangent.bg_structures(_rows(r), _SCHEME)[1:],  # I is one constant
     "bg_quaternionic_residual": lambda r: cotangent.bg_quaternionic_residual(_J[r]),
     "type11_residual": lambda r: _type11_residuals(_rows(r)),
 }
@@ -334,8 +339,7 @@ def test_one_point_is_rejected(name):
 
 def test_moment_residuals_equal_the_per_point_stencil_and_dot():
     # reference: one lambda gradient and one 1-form evaluation dch . X per point
-    scheme = FDScheme()
-    got = bg_moment_residuals(_PTS, scheme)
+    got = bg_moment_residuals(_PTS, _SCHEME)
     for r, (b, v) in enumerate(zip(_PTS.b, _PTS.v)):
         one = _rows(slice(r, r + 1))
         mu = bg_moment_map(one)[0]
@@ -345,6 +349,6 @@ def test_moment_residuals_equal_the_per_point_stencil_and_dot():
             return potential_h(CotangentPoint(np.full(len(lam), b), scaled))
 
         dh = fd_gradient(h_scaled, [[1.0]], FDScheme(h=1e-5, order=4))[0, 0]
-        dch = dc_deriv(cotangent._chart_field(potential_h), I, one.coords, scheme)[0]
+        dch = dc_deriv(cotangent._chart_field(potential_h), I, one.coords, _SCHEME)[0]
         ix = dch @ np.array([0.0, 0.0, -v.imag, v.real])
         assert got[0][r] == abs(mu - dh) and got[1][r] == abs(mu + ix), r

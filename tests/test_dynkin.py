@@ -122,3 +122,13 @@ def test_validation_errors():
 def test_custom_triangle_has_no_signs():
     triangle = DynkinGraph("triangle", 3, ((0, 1), (1, 2), (2, 0)), (1, 1, 1))
     assert dynkin_signs(triangle) is None
+
+
+def test_single_vertex_has_one_sign():
+    assert dynkin_signs(DynkinGraph("point", 1, (), (1,))) == (1,)
+
+
+def test_even_square_alternates():
+    # the 4-cycle 0-1-3-2-0: vertices 1 and 2 are 0's children, 3 is a grandchild
+    square = DynkinGraph("square", 4, ((0, 1), (1, 3), (3, 2), (2, 0)), (1, 1, 1, 1))
+    assert dynkin_signs(square) == (1, -1, -1, 1)

@@ -223,7 +223,7 @@ def test_curvature_full_rotation_vanishes():
 def test_curvature_trivial_action_is_omega1():
     spec = CircleActionSpec(k=(0, 0), l=(0, 0))
     m = spec.model()
-    F = hyperholo_curvature(spec, np.full((2, m.dim), 0.3))
+    F = hyperholo_curvature(spec, np.full((2, m.dim), 0.3), FDScheme(h=1e-3, order=4))
     assert np.array_equal(F, [_upper(m.omega1)] * 2)
 
 
@@ -283,8 +283,10 @@ _BATCHED = {
     "action_vector_field": lambda r: action_vector_field(_SPEC, _P[r]),
     "moment_map": lambda r: moment_map(_SPEC, _P[r]),
     "moment_field": lambda r: moment_field(_SPEC)(_P[r]),
-    "hyperholo_curvature": lambda r: hyperholo_curvature(_SPEC, _P[r], FDScheme(h=1e-2)),
-    "hyperholo_curvature[trivial]": lambda r: hyperholo_curvature(_TRIVIAL, _P[r]),
+    "hyperholo_curvature": lambda r: hyperholo_curvature(_SPEC, _P[r], FDScheme(h=1e-2, order=4)),
+    "hyperholo_curvature[trivial]": lambda r: hyperholo_curvature(
+        _TRIVIAL, _P[r], FDScheme(h=1e-3, order=4)
+    ),
 }
 
 

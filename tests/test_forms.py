@@ -20,6 +20,7 @@ from hkgeom.flatspace import (
     FlatModel,
     action_rotation,
     moment_field,
+    moment_map,
     rotation_degree_check,
 )
 from hkgeom.forms import (
@@ -296,7 +297,7 @@ def test_d_squared_vanishes_on_polynomial_forms(degree):
 
 def test_dc_of_constant_is_zero():
     f = ScalarField(lambda p: np.full(len(p), 3.7), dim=2)
-    w = dc_deriv(f, I2, [[0.1, 0.2]])
+    w = dc_deriv(f, I2, [[0.1, 0.2]], FDScheme(h=1e-3, order=4))
     assert np.allclose(w, 0.0, atol=1e-12)
 
 
@@ -322,7 +323,7 @@ def test_flat_moment_map_curvature_identity():
 def test_dc_rejects_non_complex_structure():
     f = ScalarField(lambda p: p[:, 0], dim=2)
     with pytest.raises(StructureError):
-        dc_deriv(f, np.eye(2), [[0.0, 0.0]])
+        dc_deriv(f, np.eye(2), [[0.0, 0.0]], FDScheme(h=1e-3, order=4))
 
 
 # -- batched dd^c against the nested composition ------------------------------
@@ -410,7 +411,7 @@ def test_ddc_structure_checked_at_outer_points():
         return I4 * (1.0 + np.linalg.norm(q - p0, axis=-1))[:, None, None]
 
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
-    dc_deriv(f, I, p0[None])
+    dc_deriv(f, I, p0[None], FDScheme(h=1e-3, order=4))
     with pytest.raises(StructureError):
         ddc(f, I, p0[None], FDScheme(h=1e-3, order=4))
 
@@ -564,7 +565,7 @@ def test_batched_ddc_rows_equal_each_point_alone_for_a_callable_structure(monkey
         f, I = log_hU_field(n), twistor_structure(n)
         P = _twistor_points(rng, k, n)
         _rows_equal_alone(lambda p: ddc(f, I, p, _DDC_SCHEME), P)
-        _rows_equal_alone(lambda p: dc_deriv(f, I, p, FDScheme(h=1e-3)), P)
+        _rows_equal_alone(lambda p: dc_deriv(f, I, p, FDScheme(h=1e-3, order=4)), P)
 
     check()
 
@@ -579,7 +580,8 @@ def test_batched_ext_deriv_rows_equal_each_point_alone(monkeypatch, bound, degre
     def check(seed, k, dim):
         rng = np.random.default_rng(seed)
         w = _smooth_form(rng, dim, degree)
-        _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3)), rng.uniform(-1, 1, (k, dim)))
+        P = rng.uniform(-1, 1, (k, dim))
+        _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3, order=4)), P)
 
     check()
 
@@ -608,11 +610,12 @@ def test_batches_beyond_the_library_chunk_keep_every_row():
     rng = np.random.default_rng(21)
     w = _smooth_form(rng, 3, 1)
     assert 130 > forms.MAX_STENCIL_VALUES // (4 * 3 * 3)
-    _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3)), rng.uniform(-1, 1, (130, 3)))
+    P = rng.uniform(-1, 1, (130, 3))
+    _rows_equal_alone(lambda p: ext_deriv(w, p, FDScheme(h=1e-3, order=4)), P)
     P = _twistor_points(rng, 13, 1)
     assert 13 > forms.MAX_STENCIL_VALUES // (4**2 * 6 * 7 // 2)
     f, I = log_hU_field(1), twistor_structure(1)
-    _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-3)), P)
+    _rows_equal_alone(lambda p: ddc(f, I, p, FDScheme(h=1e-3, order=4)), P)
 
 
 def test_one_field_call_returns_at_most_the_value_bound():
@@ -620,23 +623,25 @@ def test_one_field_call_returns_at_most_the_value_bound():
     f = _smooth_field(np.random.default_rng(22), 4)
     counted = ScalarField(lambda P: calls.append(len(P)) or f.fn(P), 4)
     P = np.random.default_rng(23).uniform(-1, 1, (40, 4))
-    ddc(counted, I4, P, FDScheme(h=1e-2))
+    ddc(counted, I4, P, FDScheme(h=1e-2, order=4))
     # 160 distinct rows of the 256 nested stencil points per point of R^4
     assert max(calls) <= forms.MAX_STENCIL_VALUES and sum(calls) == 40 * 160
     calls.clear()
-    laplacian(counted, P[:1])
+    laplacian(counted, P[:1], FDScheme(h=1e-3, order=4))
     assert calls == [1 + 16]  # never less than one base point
     # a form field's row counts its nb components: a 2-form on R^14 has 91,
     # so one point's 56 stencil rows already exceed the bound
     w = _smooth_form(np.random.default_rng(24), 14, 2)
     counted = FormField(lambda P: calls.append(len(P)) or w.fn(P), 2, 14)
     calls.clear()
-    ext_deriv(counted, np.zeros((3, 14)))
+    ext_deriv(counted, np.zeros((3, 14)), FDScheme(h=1e-3, order=4))
     assert calls == [56, 56, 56]
     # a map's row counts its N outputs: after the first point alone, which
     # fixes N = 14, chunks of 5 points of 56 stencil rows and 14 values each
     values = []
-    fd_jacobian(lambda P: values.append(P.size) or np.sin(P), np.zeros((10, 14)), FDScheme())
+    fd_jacobian(
+        lambda P: values.append(P.size) or np.sin(P), np.zeros((10, 14)), FDScheme(h=1e-3, order=4)
+    )
     assert values == [14, 5 * 56 * 14, 5 * 56 * 14]
     # quadrature nodes: fd_jacobian's 4 tangent-stencil rows of N = 14
     # values per node (after one node alone), then each node's point and its
@@ -741,7 +746,7 @@ def test_one_bad_row_fails_the_whole_batch():
     w = FormField(lambda P: np.sin(P), 1, 4, clearance=lambda p: np.linalg.norm(p - a, axis=-1))
     P = rng.uniform(0.5, 1.0, (6, 4))
     P[3] = 1e-3  # inside the 10h margin of the singular point a
-    scheme = FDScheme(h=1e-3)
+    scheme = FDScheme(h=1e-3, order=4)
     for op in (
         lambda: ddc(f, I4, P, scheme),
         lambda: dc_deriv(f, I4, P, scheme),
@@ -771,12 +776,12 @@ def test_one_bad_row_fails_the_whole_batch():
 _F4 = ScalarField(lambda P: np.sum(P * P, axis=-1), 4)
 _W4 = FormField(lambda P: np.sin(P), 1, 4)
 _OPERATORS = {
-    "fd_gradient": lambda p: fd_gradient(_F4, p, FDScheme()),
-    "fd_jacobian": lambda p: fd_jacobian(_W4, p, FDScheme()),
-    "ext_deriv": lambda p: ext_deriv(_W4, p),
-    "dc_deriv": lambda p: dc_deriv(_F4, I4, p),
-    "ddc": lambda p: ddc(_F4, I4, p),
-    "laplacian": lambda p: laplacian(_F4, p),
+    "fd_gradient": lambda p: fd_gradient(_F4, p, FDScheme(h=1e-3, order=4)),
+    "fd_jacobian": lambda p: fd_jacobian(_W4, p, FDScheme(h=1e-3, order=4)),
+    "ext_deriv": lambda p: ext_deriv(_W4, p, FDScheme(h=1e-3, order=4)),
+    "dc_deriv": lambda p: dc_deriv(_F4, I4, p, FDScheme(h=1e-3, order=4)),
+    "ddc": lambda p: ddc(_F4, I4, p, FDScheme(h=1e-3, order=4)),
+    "laplacian": lambda p: laplacian(_F4, p, FDScheme(h=1e-3, order=4)),
     "ScalarField": lambda p: _F4(p),
     "FormField": lambda p: _W4(p),
 }
@@ -791,6 +796,21 @@ def test_operators_take_batches_only(name):
     if name != "fd_gradient" and name != "fd_jacobian":  # they take any dim
         with pytest.raises(ConfigError, match=r"shape \(k, 4\), got shape \(2, 3\)"):
             call(np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match=r"at least one point, got shape \(0, 4\)"):
+        call(np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gh.gh_potential(gh.GHConfig(centers=(0.0, 1.0)), np.zeros((0, 3))),
+        lambda: moment_map(CircleActionSpec(k=(1,), l=(1,)), np.zeros((0, 4))),
+    ],
+    ids=["gh_potential", "moment_map"],
+)
+def test_closed_forms_reject_an_empty_batch(call):
+    with pytest.raises(ConfigError, match="at least one point"):
+        call()
 
 
 def test_type11_residual_takes_batches_only():
@@ -802,13 +822,13 @@ def test_type11_residual_takes_batches_only():
 def test_clearance_must_return_one_distance_per_point():
     f = ScalarField(_F4.fn, 4, clearance=lambda P: np.linalg.norm(P))  # one norm for the batch
     with pytest.raises(ValueError, match="clearance callable"):
-        laplacian(f, np.ones((3, 4)))
+        laplacian(f, np.ones((3, 4)), FDScheme(h=1e-3, order=4))
 
 
 def test_structure_callable_must_return_one_matrix_per_point():
     f = _smooth_field(np.random.default_rng(25), 4)
     with pytest.raises(ValueError, match="structure callable"):
-        ddc(f, lambda q: I4, np.zeros((1, 4)))
+        ddc(f, lambda q: I4, np.zeros((1, 4)), FDScheme(h=1e-3, order=4))
 
 
 _CHUNK_FAULTS = """\
@@ -843,9 +863,10 @@ def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
 
 def test_laplacian_quadratics():
     f = ScalarField(lambda p: p[:, 0] ** 2, dim=3)
-    assert np.isclose(laplacian(f, [[0.2, 0.3, 0.4]])[0], 2.0, atol=1e-8)
+    assert np.isclose(laplacian(f, [[0.2, 0.3, 0.4]], FDScheme(h=1e-3, order=4))[0], 2.0, atol=1e-8)
     g = ScalarField(lambda p: np.sum(p * p, axis=-1), dim=3)
-    assert np.isclose(laplacian(g, [[0.5, -0.1, 0.2]])[0], 6.0, atol=1e-8)
+    lap = laplacian(g, [[0.5, -0.1, 0.2]], FDScheme(h=1e-3, order=4))
+    assert np.isclose(lap[0], 6.0, atol=1e-8)
 
 
 def test_laplacian_harmonic_kernel():
@@ -1058,12 +1079,19 @@ def test_surface_integral_refinement_converges():
     assert abs(fine - finest) < 1e-9
 
 
+@pytest.mark.parametrize("resolution", [0, -2, 2.5])
+def test_surface_integral_takes_a_positive_integer_resolution(resolution):
+    w = FormField(lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1)), degree=2, dim=3)
+    with pytest.raises(ConfigError, match=f"positive integer, got {resolution}"):
+        surface_integral(w, lambda st: np.column_stack([st, 0.0 * st[:, 0]]), resolution)
+
+
 # -- scheme validation ---------------------------------------------------------------
 
 
 def test_fdscheme_validation():
     with pytest.raises(ValueError):
-        FDScheme(h=-1e-3)
+        FDScheme(h=-1e-3, order=4)
     with pytest.raises(ValueError):
-        FDScheme(order=3)
+        FDScheme(h=1e-3, order=3)
     assert FDScheme(h=1e-3, order=4).radius == pytest.approx(2e-3)

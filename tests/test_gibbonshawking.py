@@ -38,6 +38,8 @@ from hkgeom.gibbonshawking import (
 
 TWO = GHConfig(centers=(0.0, 1.0))
 THREE = GHConfig(centers=(0.0, 2.0, 3.0))
+#: the stencil of every d(Ahat) below
+_AHAT_SCHEME = FDScheme(h=1e-4, order=4)
 
 
 def sample_points(cfg, count, rng, min_clear=0.4, box=2.5):
@@ -272,7 +274,7 @@ def test_ahat_anti_self_dual():
     rng = np.random.default_rng(21)
     xs = sample_points(TWO, 10, rng, min_clear=0.45)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
-    assert np.max(asd_residual(TWO, p, "string-down")) < 1e-5
+    assert np.max(asd_residual(TWO, p, "string-down", _AHAT_SCHEME)) < 1e-5
 
 
 def test_asd_check_makes_one_hodge_star_call(monkeypatch):
@@ -291,7 +293,7 @@ def test_asd_check_makes_one_hodge_star_call(monkeypatch):
 def test_ahat_anti_self_dual_three_centers():
     rng = np.random.default_rng(22)
     xs = sample_points(THREE, 4, rng, min_clear=0.5)
-    assert np.max(asd_residual(THREE, chart_points(xs, 0.0), "string-down")) < 1e-5
+    assert np.max(asd_residual(THREE, chart_points(xs, 0.0), "string-down", _AHAT_SCHEME)) < 1e-5
 
 
 def test_iY_contraction_of_curvature():
@@ -299,7 +301,7 @@ def test_iY_contraction_of_curvature():
     xs = sample_points(TWO, 6, rng, min_clear=0.45)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
     # i_Y F = Y^T M for F's matrix M, row by row
-    for f, q in zip(ahat_curvature(TWO, p, "string-down"), p):
+    for f, q in zip(ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME), p):
         contracted = np.array([0.0, 0.0, 0.0, 1.0]) @ _as_matrices(f, 4)
         grad = fd_gradient(
             lambda r: monopole_phi(TWO, r[:, :3]) / gh_potential(TWO, r[:, :3]),
@@ -312,8 +314,8 @@ def test_iY_contraction_of_curvature():
 def test_gauge_shift_leaves_curvature():
     rng = np.random.default_rng(24)
     p = chart_points(sample_points(TWO, 4, rng, min_clear=0.5), 0.1)
-    f0 = ahat_curvature(TWO, p, "string-down")
-    f1 = ahat_curvature(TWO, p, "string-down", gauge_shift=0.7)
+    f0 = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME)
+    f1 = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME, gauge_shift=0.7)
     assert np.max(np.abs(f1 - f0)) < 1e-8
 
 
@@ -321,8 +323,8 @@ def test_string_gauges_agree_after_transition():
     rng = np.random.default_rng(25)
     xs = sample_points(TWO, 4, rng, min_clear=0.5)
     p = chart_points(xs, 0.2)
-    f_down = ahat_curvature(TWO, p, "string-down")
-    f_up = ahat_curvature(TWO, p, "string-up")
+    f_down = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME)
+    f_up = ahat_curvature(TWO, p, "string-up", _AHAT_SCHEME)
     # dtheta + alpha is global, so the string-up chart re-parametrises theta by
     # (s_down - s_up) * W * azimuth = -2W * azimuth, W the total weight
     rho2 = xs[:, 1] ** 2 + xs[:, 2] ** 2
@@ -396,8 +398,10 @@ _BATCHED = {
     "gh_metric": lambda r: gh_metric(_CFG, _P[r], "string-up"),
     "kahler_field": lambda r: tuple(kahler_field(_CFG, i)(_P[r]) for i in (1, 2, 3)),
     "ahat_field": lambda r: ahat_field(_CFG, "string-up", gauge_shift=0.7)(_P[r]),
-    "ahat_curvature": lambda r: ahat_curvature(_CFG, _P[r], "string-down", gauge_shift=0.7),
-    "asd_residual": lambda r: asd_residual(_CFG, _P[r], "string-up"),
+    "ahat_curvature": lambda r: ahat_curvature(
+        _CFG, _P[r], "string-down", _AHAT_SCHEME, gauge_shift=0.7
+    ),
+    "asd_residual": lambda r: asd_residual(_CFG, _P[r], "string-up", _AHAT_SCHEME),
 }
 
 

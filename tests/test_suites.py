@@ -1,5 +1,6 @@
 """The check table: fixed ids and order, and checks that run independently."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hkgeom import quotient as qt
 from hkgeom import suites
 from hkgeom.cli import main
 from hkgeom.errors import ConfigError
+from hkgeom.forms import FDScheme
 from hkgeom.suites import CHECKS, RunConfig, run_check, run_suite
 
 #: the ids of ``verify all`` at the default configuration, in report order
@@ -102,6 +104,20 @@ def test_run_config_rejects_non_integer_counts(field, value):
     # a numpy integer is an integer, stored as int so the report stays JSON
     cfg = RunConfig(**{field: np.int64(8)})
     assert type(getattr(cfg, field)) is int and cfg == RunConfig(**{field: 8})
+
+
+def test_report_params_hold_every_field_but_suite_and_seed():
+    params = RunConfig(centers=(0, 1, 3)).params_dict()
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(params) == names - {"suite", "seed"}
+    assert params["centers"] == [0.0, 1.0, 3.0]
+
+
+def test_a_stencil_has_no_implicit_step():
+    with pytest.raises(TypeError):
+        FDScheme()
+    with pytest.raises(TypeError):
+        FDScheme(h=1e-3)
 
 
 def test_check_seeds_differ_by_id_and_seed():

@@ -5,7 +5,7 @@ import pytest
 
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, hyperholo_curvature
-from hkgeom.forms import FDScheme, _as_matrices, fd_gradient
+from hkgeom.forms import FDScheme, _as_matrices, _pair_indices, fd_gradient
 from hkgeom import twistor
 from hkgeom.suites import RunConfig, run_check
 from hkgeom.twistor import (
@@ -18,7 +18,6 @@ from hkgeom.twistor import (
     curvature_FZ_field,
     fibre_restriction_residual,
     fibre_symplectic,
-    flat_reference_curvature,
     fz_closedness_residual,
     hermitian_curvature_residual,
     lifted_action_field,
@@ -481,9 +480,18 @@ def test_hermitian_curvature_zeta_zero_slice():
     rng = np.random.default_rng(83)
     z, w = _cpair(rng, 1, 1), _cpair(rng, 1, 1)
     assert hermitian_curvature_residual(1, z, w, np.zeros(1))[0] < 1e-6
-    # the reference constant form is the flat-space curvature of the same action
-    flat = hyperholo_curvature(SEMI, np.array([[0.3, -0.2, 0.8, 0.1]]))
-    assert np.max(np.abs(flat[0] - flat_reference_curvature(1))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_embedded_reference_is_twice_the_flat_curvature(n):
+    # the reference constant form is twice the flat-space curvature of the
+    # w-only rotation on the first 4n coordinates, and has no zeta components
+    ref = _as_matrices(twistor._embedded_reference(n), total_dim(n))
+    assert not ref[4 * n :].any() and not ref[:, 4 * n :].any()
+    semi = CircleActionSpec(k=(0,) * n, l=(1,) * n)
+    p = np.random.default_rng(83 + n).uniform(-1.0, 1.0, (2, 4 * n))
+    flat = hyperholo_curvature(semi, p, FDScheme(h=1e-3, order=4))
+    assert np.max(np.abs(flat - ref[: 4 * n, : 4 * n][_pair_indices(4 * n)] / 2)) < 1e-9
 
 
 def test_reality_identity():
