@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MetricError
+from .flatspace import FlatModel
 from .forms import (
     _OFFSETS,
     FDScheme,
@@ -52,7 +53,6 @@ __all__ = [
     "CotangentPoint",
     "I",
     "OMEGA2",
-    "OMEGA3",
     "base_form",
     "potential_h",
     "potential_k",
@@ -60,28 +60,20 @@ __all__ = [
     "bg_omega1",
     "bg_curvature",
     "bg_curvature_residual",
-    "bg_moment_residuals",
+    "bg_scaling_residual",
+    "bg_contraction_residual",
     "bg_structures",
     "bg_quaternionic_residual",
 ]
 
 SERIES_SWITCH = 1e-4
 
-#: the constant complex structure I on the (Re b, Im b, Re v, Im v) chart
-I = np.array(
-    [
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-)
-I.flags.writeable = False
-#: omega2 + i omega3 = db ^ dv on the chart (constant coefficients), as the
-#: antisymmetric matrices of dx0^dx2 - dx1^dx3 and dx0^dx3 + dx1^dx2
-OMEGA2 = _as_matrices(np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0]), 4)
-OMEGA3 = _as_matrices(np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0]), 4)
-OMEGA2.flags.writeable = OMEGA3.flags.writeable = False
+#: the (Re b, Im b, Re v, Im v) chart is flat H^1 with (z, w) = (b, v); I and
+#: omega2 = Re(db ^ dv) are its constant structure and form, omega2 made
+#: contiguous since BLAS may round a product with a transposed view differently
+_CHART = FlatModel(1)
+I, OMEGA2 = _CHART.I, np.ascontiguousarray(_CHART.omega2)
+I.flags.writeable = OMEGA2.flags.writeable = False
 
 
 def _u_array(u):
@@ -166,13 +158,13 @@ class CotangentPoint:
     @property
     def coords(self) -> np.ndarray:
         """Chart coordinates (k, 4)."""
-        return np.stack([self.b.real, self.b.imag, self.v.real, self.v.imag], axis=-1)
+        return _CHART.from_complex(self.b[:, None], self.v[:, None])
 
     @classmethod
     def from_coords(cls, q) -> "CotangentPoint":
-        """The points at chart coordinates q (k, 4)."""
-        q = _points(q, 4)
-        return cls(b=q[:, 0] + 1j * q[:, 1], v=q[:, 2] + 1j * q[:, 3])
+        """The points at chart coordinates q (k, 4), bit for bit (read-only views of q)."""
+        b, v = _CHART.to_complex(_points(q, 4))
+        return cls(b=b[:, 0], v=v[:, 0])
 
 
 def base_form(pt: CotangentPoint) -> np.ndarray:
@@ -241,30 +233,32 @@ def bg_curvature_residual(pt: CotangentPoint, scheme: FDScheme) -> np.ndarray:
 _LAMBDA_SCHEME = FDScheme(h=1e-5, order=4)
 
 
-def bg_moment_residuals(pt: CotangentPoint, scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent checks of the moment map at each point, two (k,) arrays.
+def bg_scaling_residual(pt: CotangentPoint) -> np.ndarray:
+    """|mu - d/d lambda h(lambda^{-1} v)|_{lambda=1}| at each point, (k,).
 
-    Returns |mu - d/d lambda h(lambda^{-1} v)|_{lambda=1}| from one
-    potential_h call over the lambda stencil of every point, and
-    |mu + i_X d^c h| with X the fibre rotation field from one dc_deriv
-    call.  The pairing with X is a stacked (1, 4) @ (4, 1) product, which
-    rounds each row as a dot product of that row alone does.
+    One potential_h call covers every point's lambda stencil, whose step is fixed.
     """
-    mu = bg_moment_map(pt)
-
-    # lambda = 1 + offset * h, laid out (offset, point); v / lambda part by
-    # part, as Python divides a complex by a real
-    lam = 1.0 + np.array(_OFFSETS[_LAMBDA_SCHEME.order])[:, None] * _LAMBDA_SCHEME.h
+    order, step = _LAMBDA_SCHEME.order, _LAMBDA_SCHEME.h
+    # lambda = 1 + offset * step, laid out (offset, point); v / lambda part
+    # by part, as Python divides a complex by a real
+    lam = 1.0 + np.array(_OFFSETS[order])[:, None] * step
     v = pt.v.real / lam + 1j * (pt.v.imag / lam)
     b = np.broadcast_to(pt.b, v.shape)
     h_scaled = potential_h(CotangentPoint(b.ravel(), v.ravel())).reshape(v.shape)
-    res_lambda = np.abs(mu - _fd_reduce(h_scaled, _LAMBDA_SCHEME.order, _LAMBDA_SCHEME.h))
+    return np.abs(bg_moment_map(pt) - _fd_reduce(h_scaled, order, step))
 
+
+def bg_contraction_residual(pt: CotangentPoint, scheme: FDScheme) -> np.ndarray:
+    """|mu + i_X d^c h| at each point, X the fibre rotation field, (k,).
+
+    d^c h comes from one dc_deriv call.  The pairing with X is a stacked
+    (1, 4) @ (4, 1) product, which rounds each row as a dot product of
+    that row alone does.
+    """
     dch = dc_deriv(_chart_field(potential_h), I, pt.coords, scheme)
     zero = np.zeros(len(pt.v))
     X = np.stack([zero, zero, -pt.v.imag, pt.v.real], axis=-1)  # d/dtheta of v -> e^{i theta} v
-    res_ix = np.abs(mu + (dch[:, None, :] @ X[:, :, None])[:, 0, 0])
-    return res_lambda, res_ix
+    return np.abs(bg_moment_map(pt) + (dch[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
 def bg_structures(pt: CotangentPoint, scheme: FDScheme):

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConfigError, StructureError
 from .forms import FDScheme, ScalarField, _pair_indices, _points, ddc
 
 __all__ = [
@@ -47,16 +47,12 @@ __all__ = [
 ]
 
 
-def _rot_block(sign: float = 1.0) -> np.ndarray:
-    return np.array([[0.0, -sign], [sign, 0.0]])
-
-
 class FlatModel:
-    """Flat H^n: constant complex structures I, J, K, metric, Kähler triple."""
+    """Flat H^n: constant complex structures I, J, K and the Kähler triple."""
 
     def __init__(self, n: int = 1):
-        if n < 1:
-            raise ValueError("quaternionic dimension must be >= 1")
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ConfigError(f"quaternionic dimension must be an integer >= 1, got {n!r}")
         self.n = n
         self.dim = 4 * n
 
@@ -97,32 +93,25 @@ class FlatModel:
 
     @cached_property
     def I(self) -> np.ndarray:
-        blocks = [_rot_block()] * (2 * self.n)
+        # i (x + iy) = -y + ix on every (Re, Im) pair
+        re = np.arange(0, self.dim, 2)
         out = np.zeros((self.dim, self.dim))
-        for b, blk in enumerate(blocks):
-            out[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = blk
+        out[re + 1, re], out[re, re + 1] = 1.0, -1.0
         return out
 
     @cached_property
     def J(self) -> np.ndarray:
+        # J(dz, dw) = (-conj(dw), conj(dz))
+        zr = np.arange(0, 2 * self.n, 2)
+        wr = zr + 2 * self.n
         out = np.zeros((self.dim, self.dim))
-        for i in range(self.n):
-            zr, zi = self.z_slots(i)
-            wr, wi = self.w_slots(i)
-            # J(dz, dw) = (-conj(dw), conj(dz))
-            out[wr, zr] = 1.0
-            out[wi, zi] = -1.0
-            out[zr, wr] = -1.0
-            out[zi, wi] = 1.0
+        out[wr, zr], out[wr + 1, zr + 1] = 1.0, -1.0
+        out[zr, wr], out[zr + 1, wr + 1] = -1.0, 1.0
         return out
 
     @cached_property
     def K(self) -> np.ndarray:
         return self.I @ self.J
-
-    @cached_property
-    def metric(self) -> np.ndarray:
-        return np.eye(self.dim)
 
     def structures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.I, self.J, self.K
@@ -164,11 +153,11 @@ class CircleActionSpec:
         k = tuple(int(x) for x in self.k)
         l = tuple(int(x) for x in self.l)
         if len(k) != len(l) or not k:
-            raise ValueError("weight vectors k, l must be non-empty, equal length")
+            raise ConfigError(f"k, l must be non-empty and of equal length, got {self.k}, {self.l}")
         if np.any(np.asarray(self.k) != np.asarray(k)) or np.any(
             np.asarray(self.l) != np.asarray(l)
         ):
-            raise ValueError("weights must be integers")
+            raise ConfigError(f"weights must be integers, got {self.k!r}, {self.l!r}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         degrees = {ki + li for ki, li in zip(k, l)}
@@ -191,32 +180,20 @@ class CircleActionSpec:
         return FlatModel(self.n)
 
 
+def _plane_weights(spec: CircleActionSpec) -> np.ndarray:
+    """The weight of each real coordinate: k_j on both slots of z_j, l_j on those of w_j, (4n,)."""
+    return np.repeat(np.array(spec.k + spec.l, dtype=float), 2)
+
+
 def action_generator(spec: CircleActionSpec) -> np.ndarray:
-    """Matrix A with flow p -> exp(t A) p; X(p) = A p."""
-    model = spec.model()
-    A = np.zeros((model.dim, model.dim))
-    for i, (ki, li) in enumerate(zip(spec.k, spec.l)):
-        zr, zi = model.z_slots(i)
-        wr, wi = model.w_slots(i)
-        A[zr : zi + 1, zr : zi + 1] = _rot_block(float(ki))
-        A[wr : wi + 1, wr : wi + 1] = _rot_block(float(li))
-    return A
+    """Matrix A with flow p -> exp(t A) p; X(p) = A p: I with each row scaled by its weight."""
+    return _plane_weights(spec)[:, None] * spec.model().I
 
 
 def action_rotation(spec: CircleActionSpec, theta: float) -> np.ndarray:
-    """The finite rotation matrix exp(theta * A) (block-diagonal, exact)."""
-    model = spec.model()
-    R = np.zeros((model.dim, model.dim))
-
-    def rot(a):
-        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-
-    for i, (ki, li) in enumerate(zip(spec.k, spec.l)):
-        zr, _ = model.z_slots(i)
-        wr, _ = model.w_slots(i)
-        R[zr : zr + 2, zr : zr + 2] = rot(ki * theta)
-        R[wr : wr + 2, wr : wr + 2] = rot(li * theta)
-    return R
+    """The finite rotation exp(theta A) = cos(theta w) + sin(theta w) I, w the plane weights."""
+    a = theta * _plane_weights(spec)
+    return np.diag(np.cos(a)) + np.sin(a)[:, None] * spec.model().I
 
 
 def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:

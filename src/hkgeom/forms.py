@@ -122,10 +122,10 @@ class FDScheme:
     order: int
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("FD step h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ConfigError(f"FD step h must be finite and positive, got {self.h!r}")
         if self.order not in (2, 4):
-            raise ValueError("FD order must be 2 or 4")
+            raise ConfigError(f"FD order must be 2 or 4, got {self.order!r}")
 
     @property
     def radius(self) -> float:

@@ -706,9 +706,6 @@ def canonical_bundle_curvature(
         raise ConfigError("one weight per generator required")
     if not levels.level.is_integral:
         warnings.warn("level is not integral: no global line bundle descends")
-    K = _quotient_dim(action)
-    if np.all(chi == 0.0):
-        return np.zeros((len(levels), K * (K - 1) // 2))
     return _over_charts(
         action,
         levels,

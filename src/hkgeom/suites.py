@@ -298,11 +298,6 @@ def _bg_scheme(cfg: RunConfig) -> FDScheme:
     return cfg.scheme(FDScheme(h=1e-3, order=4))
 
 
-def _bg_moment(rng, cfg: RunConfig, index: int) -> float:
-    pts = _cotangent_points(rng, cfg.samples)
-    return _worst(ct.bg_moment_residuals(pts, _bg_scheme(cfg))[index])
-
-
 def _bg_agreement(rng, cfg: RunConfig) -> float:
     # dd^c(h + mu - k) = 0 is linear in the stencil, so its truncation
     # cancels between the two sides and roundoff, ~(1.5/h)^2 eps |k|, is
@@ -788,11 +783,13 @@ CHECKS = (
     ),
     Check(
         "bg.moment.scaling", "mu(v) = d/d lambda h(lambda^{-1} v) at lambda = 1", 1e-7,
-        lambda rng, cfg: _bg_moment(rng, cfg, 0),
+        lambda rng, cfg: _worst(ct.bg_scaling_residual(_cotangent_points(rng, cfg.samples))),
     ),
     Check(
         "bg.moment.contraction", "mu = -i_X d^c h for the fibre rotation field X", 1e-6,
-        lambda rng, cfg: _bg_moment(rng, cfg, 1),
+        lambda rng, cfg: _worst(
+            ct.bg_contraction_residual(_cotangent_points(rng, cfg.samples), _bg_scheme(cfg))
+        ),
     ),
     Check("bg.curvature.agreement", "omega1 + dd^c mu = p*omega + dd^c k", 1e-5, _bg_agreement),
     Check(

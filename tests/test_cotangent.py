@@ -8,10 +8,11 @@ from hkgeom.cotangent import (
     CotangentPoint,
     base_form,
     bg_curvature,
+    bg_contraction_residual,
     bg_curvature_residual,
     bg_moment_map,
-    bg_moment_residuals,
     bg_omega1,
+    bg_scaling_residual,
     f_profile,
     fu_identity_residual,
     g_profile,
@@ -179,7 +180,8 @@ def test_profile_fields_batch_match_rows(profile):
 
 
 def test_moment_map_residuals():
-    res_lambda, res_ix = bg_moment_residuals(_random_points(np.random.default_rng(18), 10), _SCHEME)
+    pts = _random_points(np.random.default_rng(18), 10)
+    res_lambda, res_ix = bg_scaling_residual(pts), bg_contraction_residual(pts, _SCHEME)
     assert res_lambda.shape == res_ix.shape == (10,)
     assert np.all(res_lambda < 1e-7)
     assert np.all(res_ix < 1e-6)
@@ -305,7 +307,8 @@ _BATCHED = {
     "bg_omega1": lambda r: bg_omega1(_rows(r), _SCHEME),
     "bg_curvature": lambda r: bg_curvature(_rows(r), _SCHEME),
     "bg_curvature_residual": lambda r: bg_curvature_residual(_rows(r), _SCHEME),
-    "bg_moment_residuals": lambda r: bg_moment_residuals(_rows(r), _SCHEME),
+    "bg_scaling_residual": lambda r: bg_scaling_residual(_rows(r)),
+    "bg_contraction_residual": lambda r: bg_contraction_residual(_rows(r), _SCHEME),
     "bg_structures": lambda r: cotangent.bg_structures(_rows(r), _SCHEME)[1:],  # I is one constant
     "bg_quaternionic_residual": lambda r: cotangent.bg_quaternionic_residual(_J[r]),
     "type11_residual": lambda r: _type11_residuals(_rows(r)),
@@ -337,9 +340,24 @@ def test_one_point_is_rejected(name):
         _BATCHED[name](0)
 
 
+def test_from_coords_round_trips_the_bits():
+    # -0.0 entries: q0 + 1j * q1 would turn each into +0.0
+    q = np.array([[-0.0, 0.5, -0.0, -0.0], [0.3, -0.0, 0.0, -0.2]])
+    back = CotangentPoint.from_coords(q).coords
+    assert back.tobytes() == q.tobytes()
+
+
+def test_chart_constants_are_the_flat_structures():
+    # I multiplies b and v by i; omega2 = Re(db ^ dv) = dx0^dx2 - dx1^dx3
+    assert np.array_equal(I, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert np.array_equal(cotangent.OMEGA2, _as_matrices(np.array([0, 1.0, 0, 0, -1.0, 0]), 4))
+    for M in (I, cotangent.OMEGA2):
+        assert M.flags.c_contiguous and not M.flags.writeable
+
+
 def test_moment_residuals_equal_the_per_point_stencil_and_dot():
     # reference: one lambda gradient and one 1-form evaluation dch . X per point
-    got = bg_moment_residuals(_PTS, _SCHEME)
+    got = bg_scaling_residual(_PTS), bg_contraction_residual(_PTS, _SCHEME)
     for r, (b, v) in enumerate(zip(_PTS.b, _PTS.v)):
         one = _rows(slice(r, r + 1))
         mu = bg_moment_map(one)[0]

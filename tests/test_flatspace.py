@@ -112,7 +112,8 @@ def test_omega_is_g_compatible_with_structures():
     for S, w in zip(m.structures(), m.kahler_triple()):
         for _ in range(10):
             X, Y = rng.standard_normal(m.dim), rng.standard_normal(m.dim)
-            assert np.isclose(X @ w @ Y, (S @ X) @ m.metric @ Y, atol=1e-12)
+            # the flat metric g is the identity: omega(X, Y) = g(SX, Y) = (SX) . Y
+            assert np.isclose(X @ w @ Y, (S @ X) @ Y, atol=1e-12)
 
 
 # -- circle actions -----------------------------------------------------------
@@ -123,6 +124,16 @@ def test_action_spec_requires_constant_degree():
         CircleActionSpec(k=(1, 0), l=(0, 0))
     spec = CircleActionSpec(k=(1, 0), l=(1, 2))
     assert spec.degree == 2
+
+
+def test_bad_dimension_or_weights_are_config_errors():
+    for n in (0, 1.5):
+        with pytest.raises(ConfigError, match=f"got {n}"):
+            FlatModel(n)
+    with pytest.raises(ConfigError, match="equal length"):
+        CircleActionSpec(k=(1,), l=())
+    with pytest.raises(ConfigError, match="integers, got"):
+        CircleActionSpec(k=(1.5,), l=(1,))
 
 
 def test_action_vector_field_examples():

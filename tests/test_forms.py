@@ -1090,8 +1090,9 @@ def test_surface_integral_takes_a_positive_integer_resolution(resolution):
 
 
 def test_fdscheme_validation():
-    with pytest.raises(ValueError):
-        FDScheme(h=-1e-3, order=4)
-    with pytest.raises(ValueError):
+    for h in (-1e-3, 0.0, np.inf, np.nan):
+        with pytest.raises(ConfigError, match=f"got {h!r}"):
+            FDScheme(h=h, order=4)
+    with pytest.raises(ConfigError, match="got 3"):
         FDScheme(h=1e-3, order=3)
     assert FDScheme(h=1e-3, order=4).radius == pytest.approx(2e-3)
