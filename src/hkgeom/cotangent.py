@@ -73,7 +73,7 @@ SERIES_SWITCH = 1e-4
 #: contiguous since BLAS may round a product with a transposed view differently
 _CHART = FlatModel(1)
 I, OMEGA2 = _CHART.I, np.ascontiguousarray(_CHART.omega2)
-I.flags.writeable = OMEGA2.flags.writeable = False
+OMEGA2.flags.writeable = False  # I is read-only already, as FlatModel's structures are
 
 
 def _u_array(u):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -69,8 +70,12 @@ def _adjacency(num_vertices: int, edges) -> np.ndarray:
     return adj
 
 
+@lru_cache(maxsize=None)
 def mckay_dims(kind: str, k=None) -> tuple:
-    """Marks d_i: minimal positive integer null vector of the affine Cartan matrix."""
+    """Marks d_i: minimal positive integer null vector of the affine Cartan matrix.
+
+    One SVD per diagram and process: the marks are an immutable tuple.
+    """
     num, edges = _diagram_edges(kind, k)
     cartan = 2 * np.eye(num) - _adjacency(num, edges)
     _, s, vt = np.linalg.svd(cartan)
@@ -118,8 +123,12 @@ class DynkinGraph:
         return out
 
 
+@lru_cache(maxsize=None)
 def extended_diagram(kind: str, k=None) -> DynkinGraph:
-    """The extended A_k/D_k/E6/E7/E8 diagram with its computed marks."""
+    """The extended A_k/D_k/E6/E7/E8 diagram with its computed marks.
+
+    Built once per diagram and process; a DynkinGraph is frozen and holds tuples.
+    """
     num, edges = _diagram_edges(kind, k)
     tag = kind if kind.startswith("E") else f"{kind}{k}"
     return DynkinGraph(tag, num, edges, mckay_dims(kind, k))

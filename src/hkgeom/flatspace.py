@@ -27,7 +27,7 @@ other shape is a ConfigError naming (k, 4n).  The coordinate packing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,8 +47,17 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class FlatModel:
-    """Flat H^n: constant complex structures I, J, K and the Kähler triple."""
+    """Flat H^n: constant complex structures I, J, K and the Kähler triple.
+
+    I, J and K are built on first use and are read-only, as are the
+    Kähler forms, their transposes.
+    """
 
     def __init__(self, n: int = 1):
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -97,7 +106,7 @@ class FlatModel:
         re = np.arange(0, self.dim, 2)
         out = np.zeros((self.dim, self.dim))
         out[re + 1, re], out[re, re + 1] = 1.0, -1.0
-        return out
+        return _read_only(out)
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -107,11 +116,11 @@ class FlatModel:
         out = np.zeros((self.dim, self.dim))
         out[wr, zr], out[wr + 1, zr + 1] = 1.0, -1.0
         out[zr, wr], out[zr + 1, wr + 1] = -1.0, 1.0
-        return out
+        return _read_only(out)
 
     @cached_property
     def K(self) -> np.ndarray:
-        return self.I @ self.J
+        return _read_only(self.I @ self.J)
 
     def structures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.I, self.J, self.K
@@ -136,6 +145,12 @@ class FlatModel:
     def kahler_triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three constant Kähler 2-forms in real coordinates, as (dim, dim) matrices."""
         return self.omega1, self.omega2, self.omega3
+
+
+@lru_cache(maxsize=None)
+def _shared_model(n: int) -> FlatModel:
+    """The one FlatModel(n) of the process, so its structures are built once per n."""
+    return FlatModel(n)
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,8 @@ class CircleActionSpec:
         return self.k[0] + self.l[0]
 
     def model(self) -> FlatModel:
-        return FlatModel(self.n)
+        """The flat model of n coordinates, one shared object per n."""
+        return _shared_model(self.n)
 
 
 def _plane_weights(spec: CircleActionSpec) -> np.ndarray:

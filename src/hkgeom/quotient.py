@@ -43,6 +43,7 @@ from .errors import (
 from .flatspace import (
     CircleActionSpec,
     FlatModel,
+    _shared_model,
     action_generator,
     moment_field,
     moment_map,
@@ -95,19 +96,21 @@ class LinearAction:
     commute with the three complex structures, and the generators must
     commute with each other; all three are checked at construction.  The
     Newton step of ``solve_level`` (``_newton_step``) rests on the last:
-    for commuting generators J J^T = G (x) I_3.
+    for commuting generators J J^T = G (x) I_3.  The generators are
+    copied, and they and the moment stack are read-only, so an action can
+    be shared.
     """
 
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
+        gens = tuple(np.array(g, dtype=float) for g in self.generators)
         if not gens:
             raise ConfigError("need at least one generator")
         dim = gens[0].shape[0]
         if dim % 4 != 0 or any(g.shape != (dim, dim) for g in gens):
             raise ConfigError("generators must be square matrices of equal 4n size")
-        model = FlatModel(dim // 4)
+        model = _shared_model(dim // 4)
         structures = model.structures()
         for idx, g in enumerate(gens):
             if np.max(np.abs(g + g.T)) > _GENERATOR_TOL:
@@ -117,12 +120,15 @@ class LinearAction:
                     raise StructureError(f"generator {idx} is not triholomorphic")
         for idx, g in enumerate(gens):
             _require_commuting(gens[:idx], g, _GENERATOR_TOL, f"generator {idx}")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_model", model)
         # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
         # moment Jacobian of any batch of points is the one product m @ W
         stack = np.array([[s @ g for s in structures] for g in gens])
-        object.__setattr__(self, "_moment_stack", np.ascontiguousarray(stack.reshape(-1, dim).T))
+        stack = np.ascontiguousarray(stack.reshape(-1, dim).T)
+        for array in gens + (stack,):
+            array.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_model", model)
+        object.__setattr__(self, "_moment_stack", stack)
 
     @classmethod
     def from_torus_weights(cls, specs) -> "LinearAction":
@@ -179,9 +185,18 @@ def hk_moment(action: LinearAction, m) -> np.ndarray:
     the two vectors, so a batch row has the bits of that point alone; a
     sum over the last axis would round differently.
     """
+    return _moment_and_jacobian(action, m)[0]
+
+
+def _moment_and_jacobian(action: LinearAction, m):
+    """(hk_moment, moment_jacobian) at m, both from the one product m @ W.
+
+    A Newton step needs the residual and the Jacobian at the same points,
+    so it takes both from here and makes one product, not two.
+    """
     m = np.asarray(m, dtype=float)
     rows = moment_jacobian(action, m)
-    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0]
+    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0], rows
 
 
 def moment_jacobian(action: LinearAction, m) -> np.ndarray:
@@ -341,16 +356,16 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     history = [[] for _ in m]
     todo = np.arange(len(m))
     for _ in range(_LEVEL_MAX_ITER + 1):
-        res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
+        nu, jac = _moment_and_jacobian(action, m[todo])
+        res = nu.reshape(len(todo), target.size) - target
         norms = np.linalg.norm(res, axis=1)
         for row, norm in zip(todo, norms):
             history[row].append(float(norm))
         live = ~(norms < _LEVEL_NEWTON_TOL)
-        todo, res = todo[live], res[live]
+        todo, res, jac = todo[live], res[live], jac[live]
         if not todo.size:
             break
-        jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
-        m[todo] += _newton_step(jac, res)
+        m[todo] += _newton_step(jac.reshape(len(todo), target.size, action.dim), res)
     else:
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
@@ -402,7 +417,7 @@ def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
     frame, so a frame of a batch has the bits of that frame built alone.
     """
     k, dim, width = vert.shape
-    structures = np.array(FlatModel(dim // 4).structures())
+    structures = np.array(_shared_model(dim // 4).structures())
     basis = vert
     for j in range((dim - width) // 4):
         seed = np.sin((j + 1) * np.arange(1.0, dim + 1.0))
@@ -512,12 +527,13 @@ class QuotientChart:
         m = m.reshape(-1, self.action.dim)
         todo = np.arange(len(m))
         for _ in range(_CHART_MAX_ITER):
-            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
+            nu, jac = _moment_and_jacobian(self.action, m[todo])
+            res = nu.reshape(len(todo), -1) - self._target
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
-            todo, res = todo[live], res[live]
+            todo, res, jac = todo[live], res[live], jac[live]
             if not todo.size:
                 return m.reshape(xi.shape[:-1] + (self.action.dim,))
-            jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
+            jac = jac.reshape(len(todo), -1, m.shape[1])
             _orbit_gram(jac)  # the rank guard
             normals = self._normals[todo // xi.shape[1]]
             m[todo] -= (normals @ np.linalg.solve(jac @ normals, res[:, :, None]))[:, :, 0]
@@ -754,10 +770,12 @@ def gh_coordinates(
 
 
 def eguchi_hanson_action() -> LinearAction:
-    """H^2 circle with weights (+1,+1) on z and (-1,-1) on w."""
-    return LinearAction.from_torus_weights(
-        [CircleActionSpec(k=(1, 1), l=(-1, -1))]
-    )
+    """H^2 circle with weights (+1,+1) on z and (-1,-1) on w.
+
+    One action, built at import; its arrays are read-only, so every
+    caller shares it.
+    """
+    return _EGUCHI_HANSON
 
 
 def eh_rotator() -> CircleActionSpec:
@@ -768,3 +786,6 @@ def eh_rotator() -> CircleActionSpec:
 def eh_residual_circle() -> CircleActionSpec:
     """Triholomorphic circle surviving the quotient: weights (+1,-1)/(-1,+1)."""
     return CircleActionSpec(k=(1, -1), l=(-1, 1))
+
+
+_EGUCHI_HANSON = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1), l=(-1, -1))])

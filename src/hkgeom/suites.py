@@ -259,7 +259,7 @@ def _flat_points(cfg: RunConfig, rng, count) -> np.ndarray:
 
 def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
     spec, scheme = _rotation(cfg, k), _flat_scheme(cfg)
-    structures = fs.FlatModel(cfg.n).structures()
+    structures = spec.model().structures()
     curvatures = fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), scheme)
     return _worst([type11_residual(curvatures, S) for S in structures])
 
@@ -334,25 +334,42 @@ _GH_BOX = 2.5
 def _gh_points(ghc, count, rng) -> np.ndarray:
     """(count, 3) base points with clearance above _GH_MIN_CLEARANCE, by rejection.
 
-    Raises :class:`SamplingError` when _GH_MAX_REJECTIONS draws in a row
-    are rejected, so a configuration with no admissible region fails
-    instead of hanging.
+    A candidate is four uniform doubles drawn in the order (unused, x2,
+    x3, x1): the first three on (-_GH_BOX, _GH_BOX), the fourth on the x1
+    range from 1.5 before the first centre to 1.5 past the last.  The
+    candidates are drawn and tested in batches, and the generator is then
+    reset to have used four doubles per candidate up to the count-th
+    accepted one, so the points and every later draw are those of testing
+    one candidate at a time.  Raises :class:`SamplingError` when
+    _GH_MAX_REJECTIONS candidates in a row are rejected, so a
+    configuration with no admissible region fails instead of hanging.
     """
     clear = gh.chart_clearance(ghc)
-    pts = np.empty((count, 3))
-    accepted = rejected = 0
-    while accepted < count:
-        x = rng.uniform(-_GH_BOX, _GH_BOX, size=3)
-        x[0] = rng.uniform(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5)
-        if clear(x[None])[0] > _GH_MIN_CLEARANCE:
-            pts[accepted], accepted, rejected = x, accepted + 1, 0
-        else:
-            rejected += 1
-            if rejected >= _GH_MAX_REJECTIONS:
-                raise SamplingError(
-                    f"no point with clearance above {_GH_MIN_CLEARANCE} in {rejected} draws"
-                )
-    return pts
+    low = np.array([-_GH_BOX, -_GH_BOX, -_GH_BOX, ghc.centers[0] - 1.5])
+    high = np.array([_GH_BOX, _GH_BOX, _GH_BOX, ghc.centers[-1] + 1.5])
+    start = rng.bit_generator.state
+    found, need, drawn, streak = [], count, 0, 0
+    size = count + count // 8 + 8  # about 2% of the candidates are rejected
+    while True:
+        x = rng.uniform(low, high, size=(size, 4))[:, [3, 1, 2]]
+        hits = np.flatnonzero(clear(x) > _GH_MIN_CLEARANCE)[:need]
+        # the rejections in a row before each hit, and after the last one
+        runs = np.diff(hits, prepend=-1 - streak) - 1
+        streak = size - 1 - hits[-1] if len(hits) else streak + size
+        found.append(x[hits])
+        need -= len(hits)
+        if np.any(runs >= _GH_MAX_REJECTIONS) or (need and streak >= _GH_MAX_REJECTIONS):
+            raise SamplingError(
+                f"no point with clearance above {_GH_MIN_CLEARANCE} "
+                f"in {_GH_MAX_REJECTIONS} draws"
+            )
+        if not need:
+            break
+        drawn += size
+        size = min(2 * size, _GH_MAX_REJECTIONS)
+    rng.bit_generator.state = start
+    rng.random(4 * (drawn + hits[-1] + 1))
+    return np.concatenate(found)
 
 
 def _gh_config(cfg: RunConfig):
@@ -606,17 +623,22 @@ def _q_separation(rng, cfg: RunConfig) -> float:
 def _twistor_samples(cfg: RunConfig, rng, count, min_mod=0.3, max_mod=1.5):
     """(z, w, zeta) of count samples as arrays (count, n), (count, n), (count,).
 
-    Each sample's draws interleave z, w, |zeta| and arg zeta, so they are
-    drawn sample by sample and stacked.
+    Sample by sample, the draws are 4n standard normals, Re z, Im z, Re w
+    and Im w, n each, then two uniform doubles u, from which |zeta| =
+    min_mod + (max_mod - min_mod) u_0 and arg zeta = 2 pi u_1, as
+    ``rng.uniform`` forms them.  A ziggurat normal takes a varying number
+    of bits, so each sample makes its own two calls into ``rng``.
     """
-    zs, ws, zetas = [], [], []
-    for _ in range(count):
-        zs.append(rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
-        ws.append(rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n))
-        mod = rng.uniform(min_mod, max_mod)
-        arg = rng.uniform(0.0, 2 * np.pi)
-        zetas.append(mod * np.exp(1j * arg))
-    return np.array(zs), np.array(ws), np.array(zetas)
+    normals = np.empty((count, 4, cfg.n))
+    u = np.empty((count, 2))
+    for row_normals, row_u in zip(normals, u):
+        rng.standard_normal(out=row_normals)
+        rng.random(out=row_u)
+    mod = min_mod + (max_mod - min_mod) * u[:, 0]
+    arg = 2 * np.pi * u[:, 1]
+    z = normals[:, 0] + 1j * normals[:, 1]
+    w = normals[:, 2] + 1j * normals[:, 3]
+    return z, w, mod * np.exp(1j * arg)
 
 
 def _complex_draws(a, n: int) -> np.ndarray:

@@ -119,6 +119,16 @@ def test_omega_is_g_compatible_with_structures():
 # -- circle actions -----------------------------------------------------------
 
 
+def test_one_shared_model_per_n_with_read_only_structures():
+    model = CircleActionSpec(k=(1, 0), l=(0, 1)).model()
+    assert model is CircleActionSpec(k=(2, 2), l=(1, 1)).model() and model.n == 2
+    assert CircleActionSpec(k=(1,), l=(1,)).model().n == 1
+    for S in (model.I, model.J, model.K, model.omega1, model.omega2, model.omega3):
+        with pytest.raises(ValueError, match="read-only"):
+            S[0, 1] = 5.0
+    assert np.array_equal(FlatModel(2).K, model.K)
+
+
 def test_action_spec_requires_constant_degree():
     with pytest.raises(StructureError):
         CircleActionSpec(k=(1, 0), l=(0, 0))

@@ -13,7 +13,7 @@ import pytest
 from hkgeom import cotangent, dynkin, flatspace, quotient, suites, twistor
 from hkgeom import gibbonshawking as gh
 from hkgeom.forms import ScalarField, type11_residual
-from hkgeom.suites import RunConfig, run_check
+from hkgeom.suites import RunConfig, run_check, run_suite
 
 
 def _negated(fn):
@@ -404,6 +404,29 @@ DYNKIN_MUTATIONS = {
     # one orientation per edge instead of both: dimension 2, not 4
     "dynkin.quiver.a1": ("quiver_dim", _halved),
 }
+
+
+def test_mutations_fail_after_a_run_has_filled_the_caches(monkeypatch):
+    # the diagrams, their marks and the Eguchi-Hanson action are built once
+    # per process; a defect patched in after an unpatched run of the whole
+    # suite must still reach every row it breaks
+    for suite in ("dynkin", "quotient"):
+        assert run_suite(RunConfig(suite=suite)).summary["failed"] == 0
+    for check_id, (name, mutate) in DYNKIN_MUTATIONS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(dynkin, name, mutate(getattr(dynkin, name)))
+            assert not run_check(RunConfig(suite="dynkin"), check_id).passed, check_id
+    with monkeypatch.context() as patch:
+        patch.setattr(quotient, "GH_CIRCLE_SCALE", 0.3)
+        assert not run_check(RunConfig(suite="quotient"), "quotient.gh.potential").passed
+    moment = quotient.moment_field
+
+    def scaled(spec):
+        return ScalarField(lambda p: 1.001 * moment(spec).fn(p), dim=4 * spec.n)
+
+    monkeypatch.setattr(quotient, "moment_field", scaled)
+    for check_id in ("quotient.moment.descent", "quotient.curvature.match"):
+        assert not run_check(RunConfig(suite="quotient"), check_id).passed, check_id
 
 
 @pytest.mark.parametrize("check_id", sorted(DYNKIN_MUTATIONS))

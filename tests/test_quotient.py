@@ -67,6 +67,19 @@ def test_action_construction_and_brackets():
     assert torus.dim_g == 2
 
 
+def test_the_eguchi_hanson_action_is_shared_and_read_only():
+    # built once per process, so no caller may write into the arrays every row shares
+    action = eguchi_hanson_action()
+    assert action is ACTION
+    for array in (*action.generators, action._moment_stack):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 1] = 1.0
+    # a caller's generator is copied, not made read-only under the caller
+    gen = action_generator(CircleActionSpec(k=(1, 1), l=(-1, -1)))
+    assert LinearAction((gen,)).generators[0] is not gen and gen.flags.writeable
+    assert np.array_equal(action.generators[0], gen)
+
+
 def test_action_rejects_non_skew():
     with pytest.raises(StructureError):
         LinearAction((np.eye(8),))
