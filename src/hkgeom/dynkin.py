@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -29,6 +28,8 @@ def _diagram_edges(kind: str, k=None):
         raise ConfigError(f"diagram kind must be one of {KINDS}")
     if kind.startswith("E") and k is not None:
         raise ConfigError("E-series diagrams take no index")
+    if k is not None and not isinstance(k, (int, np.integer)):
+        raise ConfigError(f"diagram index must be an integer, got {k!r}")
     if kind == "A":
         if k is None or k < 1:
             raise ConfigError("A-series needs k >= 1")
@@ -70,14 +71,9 @@ def _adjacency(num_vertices: int, edges) -> np.ndarray:
     return adj
 
 
-@lru_cache(maxsize=None)
-def mckay_dims(kind: str, k=None) -> tuple:
-    """Marks d_i: minimal positive integer null vector of the affine Cartan matrix.
-
-    One SVD per diagram and process: the marks are an immutable tuple.
-    """
-    num, edges = _diagram_edges(kind, k)
-    cartan = 2 * np.eye(num) - _adjacency(num, edges)
+def _null_marks(num_vertices: int, edges) -> tuple:
+    """The minimal positive integer null vector of the affine Cartan matrix, by one SVD."""
+    cartan = 2 * np.eye(num_vertices) - _adjacency(num_vertices, edges)
     _, s, vt = np.linalg.svd(cartan)
     if s[-2] < 1e-9:
         raise StructureError("affine Cartan matrix has corank > 1")
@@ -123,15 +119,26 @@ class DynkinGraph:
         return out
 
 
-@lru_cache(maxsize=None)
+def _build_diagram(kind: str, k=None) -> DynkinGraph:
+    num, edges = _diagram_edges(kind, k)
+    tag = kind if kind.startswith("E") else f"{kind}{k}"
+    return DynkinGraph(tag, num, edges, _null_marks(num, edges))
+
+
 def extended_diagram(kind: str, k=None) -> DynkinGraph:
     """The extended A_k/D_k/E6/E7/E8 diagram with its computed marks.
 
-    Built once per diagram and process; a DynkinGraph is frozen and holds tuples.
+    A1-A9, D4-D8 and E6-E8 are built once, at import, and shared (a
+    DynkinGraph is frozen and holds tuples); any other is built per call.
     """
-    num, edges = _diagram_edges(kind, k)
-    tag = kind if kind.startswith("E") else f"{kind}{k}"
-    return DynkinGraph(tag, num, edges, mckay_dims(kind, k))
+    _diagram_edges(kind, k)  # the checks, also for a diagram built at import
+    graph = _DIAGRAMS.get((kind, k))
+    return _build_diagram(kind, k) if graph is None else graph
+
+
+def mckay_dims(kind: str, k=None) -> tuple:
+    """Marks d_i: minimal positive integer null vector of the affine Cartan matrix."""
+    return extended_diagram(kind, k).marks
 
 
 def _bfs_parents(graph: DynkinGraph) -> dict:
@@ -166,3 +173,13 @@ def dynkin_signs(graph: DynkinGraph):
 def quiver_dim(graph: DynkinGraph) -> int:
     """Complex dimension of the quiver space: sum of d_i d_j over directed edges."""
     return 2 * sum(graph.marks[i] * graph.marks[j] for i, j in graph.edges)
+
+
+_DIAGRAMS = {
+    (kind, k): _build_diagram(kind, k)
+    for kind, k in (
+        *(("A", k) for k in range(1, 10)),
+        *(("D", k) for k in range(4, 9)),
+        *((label, None) for label in ("E6", "E7", "E8")),
+    )
+}

@@ -27,7 +27,7 @@ other shape is a ConfigError naming (k, 4n).  The coordinate packing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class FlatModel:
     """Flat H^n: constant complex structures I, J, K and the Kähler triple.
 
     I, J and K are built on first use and are read-only, as are the
-    Kähler forms, their transposes.
+    Kähler forms, their transposes.  ``CircleActionSpec.model()`` hands out
+    one shared model per n up to 3, built at import.
     """
 
     def __init__(self, n: int = 1):
@@ -147,10 +148,18 @@ class FlatModel:
         return self.omega1, self.omega2, self.omega3
 
 
-@lru_cache(maxsize=None)
+#: H^1, H^2 and H^3 with their structures, built at import and shared by
+#: every circle action and linear action on them (the Eguchi-Hanson H^2,
+#: and the flat and twistor runs up to n = 3)
+_SHARED_MODELS = {n: FlatModel(n) for n in (1, 2, 3)}
+for _model in _SHARED_MODELS.values():
+    _model.structures()
+
+
 def _shared_model(n: int) -> FlatModel:
-    """The one FlatModel(n) of the process, so its structures are built once per n."""
-    return FlatModel(n)
+    """The model of H^n: one shared object for n <= 3, a new one above."""
+    model = _SHARED_MODELS.get(n)
+    return FlatModel(n) if model is None else model
 
 
 @dataclass(frozen=True)
@@ -192,7 +201,7 @@ class CircleActionSpec:
         return self.k[0] + self.l[0]
 
     def model(self) -> FlatModel:
-        """The flat model of n coordinates, one shared object per n."""
+        """The flat model of n coordinates, one shared object per n <= 3."""
         return _shared_model(self.n)
 
 

@@ -185,18 +185,9 @@ def hk_moment(action: LinearAction, m) -> np.ndarray:
     the two vectors, so a batch row has the bits of that point alone; a
     sum over the last axis would round differently.
     """
-    return _moment_and_jacobian(action, m)[0]
-
-
-def _moment_and_jacobian(action: LinearAction, m):
-    """(hk_moment, moment_jacobian) at m, both from the one product m @ W.
-
-    A Newton step needs the residual and the Jacobian at the same points,
-    so it takes both from here and makes one product, not two.
-    """
     m = np.asarray(m, dtype=float)
     rows = moment_jacobian(action, m)
-    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0], rows
+    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0]
 
 
 def moment_jacobian(action: LinearAction, m) -> np.ndarray:
@@ -356,16 +347,16 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     history = [[] for _ in m]
     todo = np.arange(len(m))
     for _ in range(_LEVEL_MAX_ITER + 1):
-        nu, jac = _moment_and_jacobian(action, m[todo])
-        res = nu.reshape(len(todo), target.size) - target
+        res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
         norms = np.linalg.norm(res, axis=1)
         for row, norm in zip(todo, norms):
             history[row].append(float(norm))
         live = ~(norms < _LEVEL_NEWTON_TOL)
-        todo, res, jac = todo[live], res[live], jac[live]
+        todo, res = todo[live], res[live]
         if not todo.size:
             break
-        m[todo] += _newton_step(jac.reshape(len(todo), target.size, action.dim), res)
+        jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
+        m[todo] += _newton_step(jac, res)
     else:
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
@@ -527,13 +518,12 @@ class QuotientChart:
         m = m.reshape(-1, self.action.dim)
         todo = np.arange(len(m))
         for _ in range(_CHART_MAX_ITER):
-            nu, jac = _moment_and_jacobian(self.action, m[todo])
-            res = nu.reshape(len(todo), -1) - self._target
+            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
-            todo, res, jac = todo[live], res[live], jac[live]
+            todo, res = todo[live], res[live]
             if not todo.size:
                 return m.reshape(xi.shape[:-1] + (self.action.dim,))
-            jac = jac.reshape(len(todo), -1, m.shape[1])
+            jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
             _orbit_gram(jac)  # the rank guard
             normals = self._normals[todo // xi.shape[1]]
             m[todo] -= (normals @ np.linalg.solve(jac @ normals, res[:, :, None]))[:, :, 0]

@@ -91,11 +91,24 @@ def test_diagram_shapes():
     assert extended_diagram("A", 3).tag == "A3"
 
 
+def test_built_diagrams_are_shared_and_others_built_per_call():
+    # A1-A9, D4-D8 and E6-E8 come from the table built at import
+    assert extended_diagram("D", 6) is extended_diagram("D", 6)
+    assert mckay_dims("E7") is extended_diagram("E7").marks
+    wide = extended_diagram("A", 12)
+    assert wide is not extended_diagram("A", 12)
+    assert wide.tag == "A12" and mckay_dims("A", 12) == (1,) * 13
+    assert mckay_dims("D", 10) == (1, 1) + (2,) * 7 + (1, 1)
+
+
 _BAD_DIAGRAMS = [
     ("A", 0, "A-series needs k >= 1"),
     ("A", None, "A-series needs k >= 1"),
     ("D", 3, "D-series needs k >= 4"),
     ("E6", 6, "E-series diagrams take no index"),
+    # a whole float equals a diagram built at import; neither is an index
+    ("A", 3.0, "diagram index must be an integer"),
+    ("D", 4.5, "diagram index must be an integer"),
     ("B", 2, "diagram kind must be one of"),
     ("F4", None, "diagram kind must be one of"),
 ]

@@ -127,6 +127,9 @@ def test_one_shared_model_per_n_with_read_only_structures():
         with pytest.raises(ValueError, match="read-only"):
             S[0, 1] = 5.0
     assert np.array_equal(FlatModel(2).K, model.K)
+    # above n = 3 each call builds its own model
+    wide = CircleActionSpec(k=(1,) * 4, l=(0,) * 4)
+    assert wide.model() is not wide.model() and wide.model().n == 4
 
 
 def test_action_spec_requires_constant_degree():

@@ -406,10 +406,10 @@ DYNKIN_MUTATIONS = {
 }
 
 
-def test_mutations_fail_after_a_run_has_filled_the_caches(monkeypatch):
-    # the diagrams, their marks and the Eguchi-Hanson action are built once
-    # per process; a defect patched in after an unpatched run of the whole
-    # suite must still reach every row it breaks
+def test_mutations_fail_after_an_unpatched_run(monkeypatch):
+    # the diagrams, their marks and the Eguchi-Hanson action are built once,
+    # at import, and shared; a defect patched in after an unpatched run of
+    # the whole suite must still reach every row it breaks
     for suite in ("dynkin", "quotient"):
         assert run_suite(RunConfig(suite=suite)).summary["failed"] == 0
     for check_id, (name, mutate) in DYNKIN_MUTATIONS.items():

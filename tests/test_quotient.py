@@ -68,7 +68,7 @@ def test_action_construction_and_brackets():
 
 
 def test_the_eguchi_hanson_action_is_shared_and_read_only():
-    # built once per process, so no caller may write into the arrays every row shares
+    # built once, at import, so no caller may write into the arrays every row shares
     action = eguchi_hanson_action()
     assert action is ACTION
     for array in (*action.generators, action._moment_stack):
