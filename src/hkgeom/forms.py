@@ -10,10 +10,9 @@ Every callable a stencil evaluates has one contract: it takes an
 ``(m, dim)`` batch of points and returns one row per point, ``(m,)``
 values, ``(m, nb)`` form components or ``(m, N)`` points, each row equal
 to that point evaluated alone.  That covers ``ScalarField.fn``,
-``FormField.fn``, the callables given to ``fd_gradient`` and
-``fd_jacobian`` and the surface of ``surface_integral``.  Every
-derivative (``fd_gradient``, ``fd_jacobian``, ``d``, ``d^c``, ``dd^c``,
-the Laplacian, surface tangents) comes from one central-difference
+``FormField.fn`` and the callables given to ``fd_gradient`` and
+``fd_jacobian``.  Every derivative (``fd_gradient``, ``fd_jacobian``,
+``d``, ``d^c``, ``dd^c``, the Laplacian) comes from one central-difference
 stencil whose points go to the callable in one call.
 
 The operators take base points the same way, and only that way.
@@ -61,7 +60,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError, MetricError, StructureError
 
@@ -79,7 +77,6 @@ __all__ = [
     "laplacian",
     "hodge_star",
     "type11_residual",
-    "surface_integral",
 ]
 
 
@@ -217,8 +214,8 @@ MAX_STENCIL_VALUES = 4096
 #: freed heap that glibc keeps instead of returning it (M_TOP_PAD, option -2).
 #: Each chunk frees a few hundred kB of temporaries at the top of the heap,
 #: and under the default trim threshold every chunk would hand them back and
-#: fault them in again: without the pad gh.periods takes 936 minor faults and
-#: twistor.hermitian.curvature 267 (1,500 at n = 3) over three warm runs, 0
+#: fault them in again: without the pad twistor.hermitian.curvature takes 390
+#: minor faults (1,494 at n = 3) over three warm runs in a fresh process, 0
 #: with it.  Smaller chunks cannot help: a one-chunk twistor dd^c takes 119.
 _HEAP_TOP_PAD = 16 << 20
 try:
@@ -601,37 +598,3 @@ def type11_residual(F, S, *, structure_tol: float = 1e-6) -> np.ndarray:
     M = _as_matrices(F, N)
     return np.linalg.norm(np.swapaxes(S, -1, -2) @ M @ S - M, 2, axis=(1, 2))
 
-
-# -- quadrature ---------------------------------------------------------------------
-
-
-#: second-order central differences for the tangents of a parametrized surface
-_SURFACE_TANGENT_SCHEME = FDScheme(h=1e-5, order=2)
-
-
-def surface_integral(w: FormField, surf: Callable, resolution: int = 8) -> float:
-    """Integral of a 2-form field over a parametrized surface [0,1]^2 -> R^N.
-
-    Composite 4-point Gauss-Legendre quadrature on resolution x resolution
-    panels.  ``surf`` maps an (m, 2) batch of parameters (s, t) to the
-    (m, N) surface points.  The tangents are ``fd_jacobian`` of it (central
-    differences), and the nodes' surface points go to ``w`` in chunks of
-    at most MAX_STENCIL_VALUES values each; the weighted sum runs over all
-    nodes at once.
-    """
-    if w.degree != 2:
-        raise ValueError("surface_integral expects a degree-2 form field")
-    integral = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
-    if not integral or resolution < 1:
-        raise ConfigError(f"resolution must be a positive integer, got {resolution!r}")
-    nodes, wts = leggauss(4)
-    width = 1.0 / resolution
-    coords = ((np.arange(resolution)[:, None] + 0.5 + 0.5 * nodes) * width).ravel()
-    params = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
-    node_wts = np.tile(wts, resolution)
-    weights = np.outer(node_wts, node_wts).ravel() * (0.5 * width) ** 2
-    ds, dt = np.moveaxis(fd_jacobian(surf, params, _SURFACE_TANGENT_SCHEME), 2, 0)  # (m, N) each
-    rows, cols = _pair_indices(w.dim)
-    comps = _chunked(params, max(w.dim, len(rows)), lambda C: w(surf(C)))
-    values = np.sum(comps * (ds[:, rows] * dt[:, cols] - ds[:, cols] * dt[:, rows]), axis=1)
-    return float(np.sum(weights * values))

@@ -392,7 +392,7 @@ def test_verify_gh_reports_expected_periods(tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     (periods,) = [r for r in doc["checks"] if r["id"] == "gh.periods"]
     values = [float(v) for v in periods["detail"].split(":")[1].split(",")]
-    # sphere_period's quadrature at resolution 16 is within 2.1e-9 (relative)
+    # sphere_period's 20 x 32 node rule is within 1e-12 (relative) on these centres
     assert values == pytest.approx([2 * np.pi, 4 * np.pi], rel=1e-8)
 
 

@@ -36,7 +36,6 @@ from hkgeom.forms import (
     fd_jacobian,
     hodge_star,
     laplacian,
-    surface_integral,
     type11_residual,
 )
 from hkgeom.twistor import (
@@ -643,19 +642,6 @@ def test_one_field_call_returns_at_most_the_value_bound():
         lambda P: values.append(P.size) or np.sin(P), np.zeros((10, 14)), FDScheme(h=1e-3, order=4)
     )
     assert values == [14, 5 * 56 * 14, 5 * 56 * 14]
-    # quadrature nodes: fd_jacobian's 4 tangent-stencil rows of N = 14
-    # values per node (after one node alone), then each node's point and its
-    # 91 form components
-    values.clear()
-
-    def surface(P):
-        values.append(14 * len(P))
-        return np.column_stack([P, np.zeros((len(P), 12))])
-
-    counted = FormField(lambda P: values.append(91 * len(P)) or w.fn(P), 2, 14)
-    surface_integral(counted, surface, resolution=4)  # 256 nodes
-    assert max(values) <= forms.MAX_STENCIL_VALUES
-    assert sum(values) == 14 + 256 * 4 * 14 + 256 * (14 + 91)
 
 
 def _every_point_ddc(f, I, P, scheme):
@@ -848,7 +834,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_chunks_reuse_the_heap_instead_of_faulting_it_in():
     # in a fresh process without the heap pad, the chunks of this check's
     # nested dd^c stencils at dim 14 free their temporaries back to the
-    # system and fault them in again, 1,437 page faults over the three runs;
+    # system and fault them in again, 1,494 page faults over the three runs;
     # the pad keeps them
     src = str(Path(forms.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -1037,53 +1023,6 @@ def test_type11_invariant_under_frame_rotation():
 def test_type11_rejects_non_structure():
     with pytest.raises(StructureError):
         type11_residual(OMEGA1[None], np.eye(4))
-
-
-# -- surface integration -----------------------------------------------------------
-
-
-def test_surface_integral_unit_square():
-    w = FormField(lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1)), degree=2, dim=3)  # dx0^dx1
-    val = surface_integral(w, lambda st: np.column_stack([st, 0.0 * st[:, 0]]), resolution=4)
-    assert np.isclose(val, 1.0, atol=1e-12)
-
-
-def test_surface_integral_unit_sphere_area():
-    def area_form(p):
-        # x0 dx1^dx2 + x1 dx2^dx0 + x2 dx0^dx1 on the basis (01, 02, 12)
-        return np.stack([p[:, 2], -p[:, 1], p[:, 0]], axis=-1)
-
-    def sphere(st):
-        th, ph = np.pi * st[:, 0], 2 * np.pi * st[:, 1]
-        return np.column_stack([np.cos(th), np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph)])
-
-    w = FormField(area_form, degree=2, dim=3)
-    val = surface_integral(w, sphere, resolution=8)
-    assert np.isclose(val, 4 * np.pi, atol=1e-6)
-
-
-def test_surface_integral_refinement_converges():
-    def warped(st):
-        s, t = st.T
-        return np.column_stack([s + 0.1 * np.sin(np.pi * t), t, 0.2 * s * t])
-
-    def w_comps(p):  # cos(x0 x1) dx0^dx1
-        c = np.cos(p[:, 0] * p[:, 1])
-        return np.stack([c, 0.0 * c, 0.0 * c], axis=-1)
-
-    w = FormField(w_comps, degree=2, dim=3)
-    coarse = surface_integral(w, warped, resolution=2)
-    fine = surface_integral(w, warped, resolution=8)
-    finest = surface_integral(w, warped, resolution=16)
-    assert abs(fine - finest) < abs(coarse - finest) + 1e-15
-    assert abs(fine - finest) < 1e-9
-
-
-@pytest.mark.parametrize("resolution", [0, -2, 2.5])
-def test_surface_integral_takes_a_positive_integer_resolution(resolution):
-    w = FormField(lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1)), degree=2, dim=3)
-    with pytest.raises(ConfigError, match=f"positive integer, got {resolution}"):
-        surface_integral(w, lambda st: np.column_stack([st, 0.0 * st[:, 0]]), resolution)
 
 
 # -- scheme validation ---------------------------------------------------------------

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from hkgeom.errors import ConfigError, DomainError
-from hkgeom.suites import RunConfig, run_check
-from hkgeom import gibbonshawking
+from hkgeom.suites import _MIN_CENTER_GAP, RunConfig, run_check
+from hkgeom import forms, gibbonshawking
 from hkgeom.forms import (
     FDScheme,
     ScalarField,
     _as_matrices,
     ext_deriv,
     fd_gradient,
+    fd_jacobian,
     hodge_star,
     laplacian,
 )
 from hkgeom.gibbonshawking import (
+    MIN_AXIS_RADIUS,
     GHConfig,
     ahat_curvature,
     ahat_field,
@@ -363,6 +365,81 @@ def test_sphere_period_degenerates_with_segment():
     eps = 1e-4
     tiny = GHConfig(centers=(0.0, eps))
     assert abs(sphere_period(tiny, 1)) < 2 * np.pi * eps * 1.01
+
+
+#: centre sets of the period tests: one, two and three segment spheres with
+#: uneven gaps, short segments, and the closest centres a RunConfig allows
+_PERIOD_CENTERS = [(0.0, 1.0), (0.0, 1.0, 3.0), (-1.0, 0.5, 2.0, 2.3), (0.0, 0.25, 0.5),
+                   (0.0, _MIN_CENTER_GAP)]
+
+
+def _segment_surface(cfg, i):
+    """The sphere_period surface of segment i as a batch map (m, 2) -> (m, 4), from its formula."""
+    a_lo, a_hi = cfg.centers[i - 1], cfg.centers[i]
+
+    def surface(st):
+        s, angle = st[:, 0], 2.0 * np.pi * st[:, 1]
+        b = np.sin(np.pi * s)
+        x2, x3 = b * (0.6 + 0.2 * np.cos(angle)), 0.3 * b * np.sin(angle)
+        return np.column_stack([a_lo + s * (a_hi - a_lo), x2, x3, angle])
+
+    return surface
+
+
+@pytest.mark.parametrize("centers", _PERIOD_CENTERS[:3])
+def test_period_rule_tangents_match_finite_differences(centers):
+    cfg = GHConfig(centers=centers)
+    s_nodes, _ = gibbonshawking._PERIOD_S_RULE
+    t_count = gibbonshawking._PERIOD_T_NODES
+    params = np.column_stack(
+        [np.repeat(s_nodes, t_count), np.tile(np.arange(t_count) / t_count, len(s_nodes))]
+    )
+    for i in range(1, cfg.num_centers):
+        surface = _segment_surface(cfg, i)
+        points, ds, dt, _ = gibbonshawking._period_rule(cfg, i)
+        assert np.max(np.abs(points - surface(params))) < 1e-14  # 2 pi j / T rounds apart
+        jac = fd_jacobian(surface, params, FDScheme(h=1e-4, order=4))
+        # truncation h^4 (2 pi)^5 / 30 is 3e-16; roundoff 1.5 eps |map| / h is 2e-11
+        assert np.max(np.abs(jac[:, :, 0] - ds)) < 1e-9
+        assert np.max(np.abs(jac[:, :, 1] - dt)) < 1e-9
+
+
+@pytest.mark.parametrize("centers", _PERIOD_CENTERS)
+def test_sphere_period_is_accurate_to_1e_9(centers):
+    cfg = GHConfig(centers=centers)
+    for i, spacing in zip(range(1, cfg.num_centers), cfg.spacings):
+        assert sphere_period(cfg, i) == pytest.approx(2 * np.pi * spacing, rel=1e-9, abs=0)
+
+
+def test_sphere_period_makes_one_field_call_within_the_value_bound(monkeypatch):
+    values = []
+
+    def counted(cfg, i):
+        field = kahler_field(cfg, i)
+        return forms.FormField(
+            lambda p: values.append(6 * len(p)) or field.fn(p), 2, 4, field.clearance
+        )
+
+    monkeypatch.setattr(gibbonshawking, "kahler_field", counted)
+    sphere_period(THREE, 1)
+    s_nodes, _ = gibbonshawking._PERIOD_S_RULE
+    assert values == [6 * len(s_nodes) * gibbonshawking._PERIOD_T_NODES]
+    assert values[0] <= forms.MAX_STENCIL_VALUES
+
+
+def test_period_rule_keeps_the_surface_off_the_axis():
+    def radius(rule):
+        points = gibbonshawking._period_rule(TWO, 1, rule)[0]
+        return np.min(np.hypot(points[:, 1], points[:, 2]))
+
+    s_first = gibbonshawking._PERIOD_S_RULE[0][0]
+    assert radius(gibbonshawking._PERIOD_S_RULE) >= 0.4 * np.sin(np.pi * s_first)
+    assert 0.4 * np.sin(np.pi * s_first) >= MIN_AXIS_RADIUS
+    # 0.4 sin(pi s_0) falls under MIN_AXIS_RADIUS past 42 Gauss nodes in s
+    assert radius(gibbonshawking._unit_gauss(42)) >= MIN_AXIS_RADIUS
+    points = gibbonshawking._period_rule(TWO, 1, gibbonshawking._unit_gauss(64))[0]
+    with pytest.raises(DomainError, match="axis regularisation radius"):
+        kahler_field(TWO, 1)(points)
 
 
 def test_axis_profiles():
