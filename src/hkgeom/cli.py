@@ -16,15 +16,21 @@ recorded in the report, never raised), 2 configuration errors.  A fixed
 seed reproduces the JSON report byte for byte; wall-clock timings are
 only embedded with ``--timings``.
 
-Defaults may also come from a config file (``--config``): flat UTF-8
-``key = value`` lines, ``#`` comments; command-line flags win.
+Each value is a row of :data:`OPTIONS`: a flag and a ``--config`` key (UTF-8
+``key = value`` lines, ``#`` comments).  A flag wins over the file, the
+file over the default.  ``verify`` reads the :class:`RunConfig` fields, out
+and timings; ``profiles`` reads suite, centers, weights, c, samples, seed
+and out; a file key the subcommand does not read is an error.  ``--c 0``
+means quotient level 1.  A negative list may follow its flag after a space.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,37 +39,11 @@ from . import quotient as qt
 from .dynkin import dynkin_signs, extended_diagram
 from .errors import ConfigError, HkgeomError
 from .report import write_csv, write_json
-from .suites import (
-    SUITE_ALIASES,
-    SUITE_NAMES,
-    RunConfig,
-    _eh_centers,
-    _gh_samples,
-    _quotient_level,
-    run_suite,
-)
+from .suites import SUITE_ALIASES, SUITE_NAMES, RunConfig, eh_centers, gh_samples, run_suite
 
-_SUITE_CHOICES = (*SUITE_NAMES, *SUITE_ALIASES, "all")
 _PROFILE_SUITES = ("gh", "quotient")
-
-#: the RunConfig fields that a verify flag or config-file key may set
+#: the RunConfig fields, each a verify flag and config-file key
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
-
-_CONFIG_KEYS = {
-    "suite": str,
-    "n": int,
-    "samples": int,
-    "seed": int,
-    "tol": float,
-    "h": float,
-    "order": int,
-    "centers": str,
-    "c": float,
-    "nodes": int,
-    "out": str,
-    "timings": bool,
-    "weights": str,
-}
 
 
 # -- option parsing -------------------------------------------------------------------
@@ -102,8 +82,39 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean {text!r}")
 
 
-def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` UTF-8 text; unknown keys are errors."""
+class Option(NamedTuple):
+    """A value that ``--name`` or a config-file ``name = ...`` line sets."""
+
+    name: str
+    parse: Callable[[str], object]
+    commands: tuple  # the subcommands that read it
+    help: str
+
+
+_V, _P, _VP = ("verify",), ("profiles",), ("verify", "profiles")
+_SUITES = ", ".join((*SUITE_NAMES, *SUITE_ALIASES, "all"))
+
+#: every option of verify and profiles: their flags, config keys and merge come from here
+OPTIONS = (
+    Option("suite", str, _VP, f"verify: {_SUITES} (default all); profiles: gh (default), quotient"),
+    Option("n", int, _V, "quaternionic dimension of the model"),
+    Option("samples", int, _VP, "random sample count per check; profiles: rows (default 200)"),
+    Option("seed", int, _VP, "RNG seed (fixes the report and the quotient scatter)"),
+    Option("tol", float, _V, "override every check tolerance"),
+    Option("h", float, _V, "FD step override for the flat, cotangent and gh stencils only"),
+    Option("order", int, _V, "FD stencil order override, 2 or 4, for the same stencils as --h"),
+    Option("centers", parse_centers, _VP, "comma-separated centre coordinates"),
+    Option("weights", parse_weights, _P, "comma-separated per-centre weights"),
+    Option("c", float, _VP, "axis constant / quotient level (0 means level 1)"),
+    Option("nodes", int, _V, "contour quadrature node count"),
+    Option("out", str, _VP, "JSON report path (default: stdout); profiles: CSV (profiles.csv)"),
+    Option("timings", _parse_bool, _V, "embed wall-clock times (report not byte-reproducible)"),
+)
+_OPTIONS = {opt.name: opt for opt in OPTIONS}
+
+
+def read_config_file(path: str, command: str | None = None) -> dict:
+    """Flat ``key = value`` UTF-8 text, parsed; a key ``command`` does not read is an error."""
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -118,23 +129,34 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
+        if command not in (None, *_OPTIONS[key].commands):
+            raise ConfigError(f"{path}:{lineno}: {command} does not read key {key!r}")
         try:
-            out[key] = _parse_bool(value) if kind is bool else kind(value)
+            out[key] = _OPTIONS[key].parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
-def _merge(args, file_values: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        return file_values[key]
-    return default
+def _settings(args, defaults: dict) -> dict:
+    """Each value the subcommand reads: its flag, else its config-file key, else the default."""
+    values = read_config_file(args.config, args.command) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
+    return {**defaults, **values, **flags}
+
+
+def _join_dashed_values(argv) -> list:
+    """``--flag -1,0.5`` as ``--flag=-1,0.5``; after a space argparse takes it for an option."""
+    value_flags = {f"--{opt.name}" for opt in OPTIONS if opt.parse is not _parse_bool}
+    out = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in value_flags and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,47 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical verification suites for hyperkahler identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     verify = sub.add_parser("verify", help="run a check suite, write a JSON report")
-    verify.add_argument("suite_pos", nargs="?", metavar="SUITE", choices=_SUITE_CHOICES)
-    verify.add_argument("--suite", choices=_SUITE_CHOICES)
-    verify.add_argument("--config", help="key = value defaults file")
-    verify.add_argument("--n", type=int, help="quaternionic dimension of the model")
-    verify.add_argument("--samples", type=int, help="random sample count per check")
-    verify.add_argument("--seed", type=int, help="RNG seed (fixes the report bytes)")
-    verify.add_argument("--tol", type=float, help="override every check tolerance")
-    verify.add_argument(
-        "--h", type=float,
-        help="finite-difference step override for the flat, cotangent and gh stencils; "
-        "the quotient and twistor stencils keep their fixed steps",
-    )
-    verify.add_argument(
-        "--order", type=int, choices=(2, 4),
-        help="FD stencil order override, for the same stencils as --h",
-    )
-    verify.add_argument("--centers", help="comma-separated centre coordinates")
-    verify.add_argument("--c", type=float, help="axis constant / quotient level")
-    verify.add_argument("--nodes", type=int, help="contour quadrature node count")
-    verify.add_argument("--out", help="JSON report path (default: stdout)")
-    verify.add_argument(
-        "--timings", action="store_true", default=None,
-        help="embed wall-clock times (report no longer byte-reproducible)",
-    )
-
+    verify.add_argument("suite_pos", nargs="?", metavar="SUITE", help="the same as --suite")
     signs = sub.add_parser("signs", help="edge sign assignment on an extended diagram")
-    signs.add_argument(
-        "--diagram", required=True, help="diagram label: A4, D5, E6, E7, E8"
-    )
-
+    signs.add_argument("--diagram", required=True, help="diagram label: A4, D5, E6, E7, E8")
     profiles = sub.add_parser("profiles", help="emit CSV profile data")
-    profiles.add_argument("--suite", choices=_PROFILE_SUITES, help="default: gh")
-    profiles.add_argument("--config", help="key = value defaults file")
-    profiles.add_argument("--centers", help="comma-separated centre coordinates")
-    profiles.add_argument("--weights", help="comma-separated per-centre weights")
-    profiles.add_argument("--c", type=float, help="axis constant / quotient level")
-    profiles.add_argument("--samples", type=int, help="number of output rows")
-    profiles.add_argument("--seed", type=int, help="RNG seed for scatter sampling")
-    profiles.add_argument("--out", help="CSV path (default: profiles.csv)")
+    for name, command in (("verify", verify), ("profiles", profiles)):
+        command.add_argument("--config", help="key = value defaults file")
+        for opt in (opt for opt in OPTIONS if name in opt.commands):
+            switch = opt.parse is _parse_bool
+            kind = dict(action="store_true", default=None) if switch else dict(type=opt.parse)
+            command.add_argument(f"--{opt.name}", help=opt.help, **kind)
     return parser
 
 
@@ -191,25 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    given = {}  # only what a flag or the file set; RunConfig holds the defaults
-    for key in _RUN_FIELDS:
-        value = _merge(args, file_values, key, None)
-        if value is not None:
-            given[key] = value
-    if args.suite_pos:
-        given["suite"] = args.suite_pos
-    if "centers" in given:
-        given["centers"] = parse_centers(given["centers"])
-    report = run_suite(RunConfig(**given))
+    pos, flag = args.suite_pos, args.suite
+    if pos and flag and SUITE_ALIASES.get(pos, pos) != SUITE_ALIASES.get(flag, flag):
+        raise ConfigError(f"suite {pos!r} and --suite {flag!r} differ")
+    args.suite = flag or pos
+    values = _settings(args, {"out": None, "timings": False})  # RunConfig has the rest
+    report = run_suite(RunConfig(**{k: values[k] for k in _RUN_FIELDS if k in values}))
     for line in report.lines():
         print(line, file=sys.stderr)
-    summary = report.summary
-    print(
-        f"{summary['passed']}/{summary['total']} checks passed", file=sys.stderr
-    )
-    timings = _merge(args, file_values, "timings", False)
-    write_json(report, _merge(args, file_values, "out", None), include_timings=timings)
+    print("{passed}/{total} checks passed".format(**report.summary), file=sys.stderr)
+    write_json(report, values["out"], include_timings=values["timings"])
     return report.exit_code
 
 
@@ -248,38 +231,27 @@ def _axis_grid(ghc: gh.GHConfig, samples: int) -> np.ndarray:
 
 
 def _cmd_profiles(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    suite = _merge(args, file_values, "suite", "gh")
+    values = _settings(
+        args, dict(suite="gh", centers=(0.0, 1.0), c=0.0, samples=200, seed=0, out="profiles.csv")
+    )
+    suite, samples, out = values["suite"], values["samples"], values["out"]
     if suite not in _PROFILE_SUITES:
         raise ConfigError(f"profiles suite must be one of {_PROFILE_SUITES}, got {suite!r}")
-    samples = int(_merge(args, file_values, "samples", 200))
-    out = _merge(args, file_values, "out", "profiles.csv")
-    c = float(_merge(args, file_values, "c", 0.0))
     if samples < 2:
         raise ConfigError("need at least two samples")
     if suite == "gh":
-        centers = parse_centers(_merge(args, file_values, "centers", "0,1"))
-        weights = _merge(args, file_values, "weights", None)
-        ghc = gh.GHConfig(
-            centers=centers,
-            c=c,
-            weights=parse_weights(weights) if weights else None,
-        )
+        weights = values.get("weights") or None
+        ghc = gh.GHConfig(centers=values["centers"], c=values["c"], weights=weights)
         data = gh.axis_profiles(ghc, _axis_grid(ghc, samples))
         rows = zip(data["x1"], data["V"], data["f"], data["phi"])
         write_csv(out, ("x1", "V", "f", "phi"), rows)
         return 0
-    cfg = RunConfig(suite="quotient", seed=_merge(args, file_values, "seed", 0), c=c)
-    level_value = _quotient_level(cfg.c)
+    cfg = RunConfig(suite="quotient", seed=values["seed"], c=values["c"])
     rng = np.random.default_rng(cfg.seed)
-    xs, vs = _gh_samples(
-        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, samples
-    )
-    centers = [np.array([a, 0.0, 0.0]) for a in _eh_centers(level_value).centers]
-    rows = []
-    for x, v in zip(xs, vs):
-        r1, r2 = (float(np.linalg.norm(x - a)) for a in centers)
-        rows.append((x[0], x[1], x[2], r1, r2, v))
+    xs, vs = gh_samples(qt.eguchi_hanson_action(), qt.eh_residual_circle(), cfg.level, rng, samples)
+    centers = [np.array([a, 0.0, 0.0]) for a in eh_centers(cfg.level).centers]
+    # one norm per row: a batched norm changes the last digits of r1 and r2
+    rows = [(*x, *(float(np.linalg.norm(x - a)) for a in centers), v) for x, v in zip(xs, vs)]
     write_csv(out, ("x1", "x2", "x3", "r1", "r2", "V"), rows)
     return 0
 
@@ -288,17 +260,15 @@ def _cmd_profiles(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+    try:  # parse_centers and parse_weights raise ConfigError inside parse_args
+        args = build_parser().parse_args(_join_dashed_values(argv))
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "signs":
             return _cmd_signs(args)
         return _cmd_profiles(args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except HkgeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

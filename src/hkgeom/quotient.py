@@ -115,11 +115,7 @@ class LinearAction:
         for idx, g in enumerate(gens):
             if np.max(np.abs(g + g.T)) > _GENERATOR_TOL:
                 raise StructureError(f"generator {idx} is not metric-antisymmetric")
-            for s in structures:
-                if np.max(np.abs(s @ g - g @ s)) > _GENERATOR_TOL:
-                    raise StructureError(f"generator {idx} is not triholomorphic")
-        for idx, g in enumerate(gens):
-            _require_commuting(gens[:idx], g, _GENERATOR_TOL, f"generator {idx}")
+            _require_symmetry(g, structures, gens[:idx], _GENERATOR_TOL, f"generator {idx}")
         # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
         # moment Jacobian of any batch of points is the one product m @ W
         stack = np.array([[s @ g for s in structures] for g in gens])
@@ -424,7 +420,18 @@ def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
     return basis[:, :, width:]
 
 
-def _require_commuting(generators, gen: np.ndarray, tol: float, label: str):
+def _require_symmetry(gen: np.ndarray, structures, generators, tol: float, label: str):
+    """Check that gen has the size of, and commutes with, each matrix given.
+
+    ``structures`` are the three complex structures, for a generator that
+    must be triholomorphic, or () for one that need not be; ``generators``
+    are the action's generators.  Each commutator is held to ``tol``.
+    """
+    if any(gen.shape != g.shape for g in (*structures, *generators)):
+        raise ConfigError(f"{label} dimension does not match the action")
+    for s in structures:
+        if np.max(np.abs(s @ gen - gen @ s)) > tol:
+            raise StructureError(f"{label} is not triholomorphic")
     for idx, g in enumerate(generators):
         dev = np.max(np.abs(gen @ g - g @ gen))
         if dev > tol:
@@ -446,9 +453,7 @@ def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, level
     not assumed.  A row equals that point in a batch of one.
     """
     gen = action_generator(rotator)
-    if gen.shape[0] != action.dim:
-        raise ConfigError("rotator dimension does not match the action")
-    _require_commuting(action.generators, gen, _ROTATOR_COMMUTE_TOL, "rotator")
+    _require_symmetry(gen, (), action.generators, _ROTATOR_COMMUTE_TOL, "rotator")
     m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     dnu = levels.dnu.reshape(len(m), -1, action.dim)
@@ -737,13 +742,8 @@ def gh_coordinates(
     speed.  A row equals that point in a batch of one.
     """
     gen = scale * action_generator(triholo)
-    if gen.shape[0] != action.dim:
-        raise ConfigError("circle dimension does not match the action")
     structures = np.array(action.model.structures())
-    for s in structures:
-        if np.max(np.abs(s @ gen - gen @ s)) > _CIRCLE_COMMUTE_TOL:
-            raise StructureError("residual circle is not triholomorphic")
-    _require_commuting(action.generators, gen, _CIRCLE_COMMUTE_TOL, "residual circle")
+    _require_symmetry(gen, structures, action.generators, _CIRCLE_COMMUTE_TOL, "residual circle")
     m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]

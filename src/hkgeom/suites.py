@@ -133,7 +133,24 @@ class RunConfig:
             if any(b - a < _MIN_CENTER_GAP for a, b in zip(self.centers, self.centers[1:])):
                 raise ConfigError(f"adjacent centres must be at least {_MIN_CENTER_GAP:g} apart")
         if name in ("all", "quotient"):
-            _quotient_level(self.c)
+            self.level  # raises ConfigError unless c gives a quotient level
+
+    @property
+    def level(self) -> float:
+        """The quotient level that c configures.
+
+        c = 0 means the default level 1, since 0 is also the gh suite's
+        default axis constant; a negative level, or a positive one below
+        _MIN_QUOTIENT_LEVEL, is a configuration error.
+        """
+        if self.c < 0:
+            raise ConfigError(f"the quotient level c must be nonnegative, got {self.c}")
+        if 0 < self.c < _MIN_QUOTIENT_LEVEL:
+            raise ConfigError(
+                f"the quotient level c must be 0 (level 1) or at least {_MIN_QUOTIENT_LEVEL:g}, "
+                f"got {self.c}"
+            )
+        return self.c if self.c > 0 else 1.0
 
     def scheme(self, default: FDScheme) -> FDScheme:
         """The configured FD scheme, falling back per-field to ``default``.
@@ -455,23 +472,7 @@ def _even_unit_centers(cfg: RunConfig) -> bool:
 # -- quotient -------------------------------------------------------------------------
 
 
-def _quotient_level(c: float) -> float:
-    """The quotient level for a configured c.
-
-    c = 0 means the default level 1, since 0 is also the gh suite's
-    default axis constant; a negative level, or a positive one below
-    _MIN_QUOTIENT_LEVEL, is a configuration error.
-    """
-    if c < 0:
-        raise ConfigError(f"the quotient level c must be nonnegative, got {c}")
-    if 0 < c < _MIN_QUOTIENT_LEVEL:
-        raise ConfigError(
-            f"the quotient level c must be 0 (level 1) or at least {_MIN_QUOTIENT_LEVEL:g}, got {c}"
-        )
-    return c if c > 0 else 1.0
-
-
-def _eh_centers(level_value: float) -> gh.GHConfig:
+def eh_centers(level_value: float) -> gh.GHConfig:
     """The quarter-speed two-centre potential at level c: unit centres at x1 = +/- c/4."""
     return gh.GHConfig(centers=(-level_value / 4.0, level_value / 4.0))
 
@@ -537,7 +538,7 @@ def fit_two_centers(xs, vs):
     return float(np.linalg.norm(centres[1] - centres[0])), float(fit)
 
 
-def _gh_samples(action, rotator, level_value, rng, count):
+def gh_samples(action, rotator, level_value, rng, count):
     """(xs, vs) of count level-set points solved and projected as one batch.
 
     The seeds are standard normal draws times sqrt(c), the homothety that
@@ -551,7 +552,7 @@ def _gh_samples(action, rotator, level_value, rng, count):
 
 def _level_points(action, rng, cfg: RunConfig):
     """samples // 4 (at least 2) points of the level set at the configured level."""
-    level = qt.LevelSpec((_quotient_level(cfg.c),))
+    level = qt.LevelSpec((cfg.level,))
     return qt.solve_level(action, level, rng.standard_normal((max(2, cfg.samples // 4), 8)))
 
 
@@ -576,7 +577,7 @@ def _q_match(rng, cfg: RunConfig) -> float:
     """
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     points = _level_points(action, rng, cfg)
-    got = qt.canonical_bundle_curvature(action, (_quotient_level(cfg.c),), points)
+    got = qt.canonical_bundle_curvature(action, (cfg.level,), points)
     want = qt.descended_curvature(action, rotator, points)
     return _worst(np.abs(got - want))
 
@@ -598,21 +599,19 @@ def _q_descent(rng, cfg: RunConfig) -> float:
 
 
 def _q_gh_potential(rng, cfg: RunConfig) -> float:
-    level_value = _quotient_level(cfg.c)
-    xs, vs = _gh_samples(
-        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level_value, rng, cfg.samples
+    xs, vs = gh_samples(
+        qt.eguchi_hanson_action(), qt.eh_residual_circle(), cfg.level, rng, cfg.samples
     )
-    predicted = gh.gh_potential(_eh_centers(level_value), xs)
+    predicted = gh.gh_potential(eh_centers(cfg.level), xs)
     return float(np.max(np.abs(vs - predicted) / predicted))
 
 
 def _q_separation(rng, cfg: RunConfig) -> float:
     action, circle = qt.eguchi_hanson_action(), qt.eh_residual_circle()
-    level_value = _quotient_level(cfg.c)
     seps = []
-    for value in (level_value, 2.0 * level_value):
+    for value in (cfg.level, 2.0 * cfg.level):
         # the fit has six parameters, so fewer samples leave it underdetermined
-        xs, vs = _gh_samples(action, circle, value, rng, max(6, cfg.samples))
+        xs, vs = gh_samples(action, circle, value, rng, max(6, cfg.samples))
         seps.append(fit_two_centers(xs, vs)[0])
     return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 

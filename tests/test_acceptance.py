@@ -167,7 +167,7 @@ def test_criterion_09_gh_model_recovery():
     seps = []
     worst_fit = 0.0
     for c in (1.0, 2.0):
-        xs, vs = suites._gh_samples(action, circle, c, rng, 40)
+        xs, vs = suites.gh_samples(action, circle, c, rng, 40)
         sep, resid = fit_two_centers(xs, vs)
         seps.append(sep)
         worst_fit = max(worst_fit, resid)

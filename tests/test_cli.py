@@ -1,11 +1,14 @@
 """Command-line layer: report schema, determinism, exit codes, CSV output."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hkgeom import cli
+from hkgeom import quotient as qt
 from hkgeom.cli import main, parse_centers, parse_weights, read_config_file
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.report import CheckRecord, Report, format_sci
@@ -142,8 +145,10 @@ def test_quotient_level_rejects_negative_c_when_the_quotient_suite_runs():
         with pytest.raises(ConfigError, match="quotient level"):
             RunConfig(suite=suite, c=-2.0)
     assert RunConfig(suite="gh", c=-2.0).c == -2.0  # the gh axis constant may be negative
-    assert suites._quotient_level(0.0) == 1.0  # c = 0 keeps meaning the default level
-    assert suites._quotient_level(2.5) == 2.5
+    assert RunConfig(suite="quotient", c=0.0).level == 1.0  # c = 0 keeps meaning the default level
+    assert RunConfig(suite="quotient", c=2.5).level == 2.5
+    with pytest.raises(ConfigError, match="quotient level"):
+        RunConfig(suite="gh", c=-2.0).level
 
 
 def test_run_config_rejects_levels_and_gaps_below_the_resolution_floors():
@@ -152,7 +157,7 @@ def test_run_config_rejects_levels_and_gaps_below_the_resolution_floors():
     for c in (5e-324, 1e-169, 1e-5, 9.99e-4):
         with pytest.raises(ConfigError, match="quotient level"):
             RunConfig(suite="quotient", c=c)
-    assert suites._quotient_level(1e-3) == 1e-3
+    assert RunConfig(suite="quotient", c=1e-3).level == 1e-3
     assert RunConfig(suite="gh", c=1e-5).c == 1e-5  # a small axis constant is fine
     for centers in ((0.0, 1e-7), (-1.0, 0.0, 5e-324)):
         with pytest.raises(ConfigError, match="adjacent centres"):
@@ -347,6 +352,62 @@ def test_verify_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
     assert run(["verify", "flat", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_run_config_field_is_a_verify_flag_and_config_key(name, tmp_path, capsys):
+    assert run(["verify", "--help"]) == 0
+    assert re.search(rf"--{name}\b", capsys.readouterr().out)
+    conf = tmp_path / "v.cfg"
+    conf.write_text(f"{name} = 1\n", encoding="utf-8")
+    assert name in read_config_file(str(conf), "verify")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("verify", "weights"),
+        *(("profiles", key) for key in ("n", "tol", "h", "order", "nodes", "timings")),
+    ],
+)
+def test_a_config_key_the_subcommand_does_not_read_exits_two(command, key, tmp_path, capsys):
+    conf, out = tmp_path / "c.cfg", tmp_path / "out"
+    conf.write_text(f"{key} = 1\n", encoding="utf-8")
+    args = [command, "dynkin"] if command == "verify" else [command]
+    assert run([*args, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{command} does not read key {key!r}" in err
+    assert not out.exists()
+
+
+def test_verify_positional_and_flag_suites_must_agree(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["verify", "gh", "--suite", "dynkin", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: suite 'gh' and --suite 'dynkin' differ\n"
+    assert not out.exists()
+    assert run(["verify", "dynkin", "--suite", "dynkin", "--out", str(out)]) == 0
+
+
+def test_verify_takes_a_negative_centre_list_after_a_space(tmp_path):
+    # argparse reads "-1,0.5" after a space as an option on every Python
+    # version; the CLI hands it on as --centers=-1,0.5
+    spaced, joined = tmp_path / "s.json", tmp_path / "j.json"
+    args = ["verify", "gh", "--c", "0.7", "--samples", "2"]
+    assert run([*args, "--centers", "-1,0.5,2,2.3", "--out", str(spaced)]) == 0
+    assert run([*args, "--centers=-1,0.5,2,2.3", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert json.loads(spaced.read_text(encoding="utf-8"))["params"]["centers"] == [-1, 0.5, 2, 2.3]
+
+
+def test_profiles_takes_negative_lists_after_a_space(tmp_path, capsys):
+    spaced, joined = tmp_path / "s.csv", tmp_path / "j.csv"
+    args = ["profiles", "--weights", "0.5,2", "--samples", "20"]
+    assert run([*args, "--centers", "-.5,1", "--out", str(spaced)]) == 0
+    assert run([*args, "--centers=-.5,1", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    # a negative weight reaches GHConfig, which rejects it
+    assert run(["profiles", "--weights", "-1,2", "--out", str(spaced)]) == 2
+    assert capsys.readouterr().err == "error: weights must be finite and positive\n"
 
 
 def test_verify_flags_override_config_file(tmp_path):
@@ -571,6 +632,19 @@ def test_profiles_quotient_scatter(tmp_path):
     assert len(data) == 10
     predicted = 1.0 / data["r1"] + 1.0 / data["r2"]
     assert np.max(np.abs(data["V"] - predicted)) < 1e-10
+
+
+def test_profiles_quotient_rows_are_the_public_sampler_and_centres(tmp_path):
+    out = tmp_path / "q.csv"
+    args = ["--c", "2.5", "--samples", "7", "--seed", "3", "--out", str(out)]
+    assert run(["profiles", "--suite", "quotient", *args]) == 0
+    level = RunConfig(suite="quotient", c=2.5).level
+    xs, vs = suites.gh_samples(
+        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level, np.random.default_rng(3), 7
+    )
+    centres = [np.array([a, 0.0, 0.0]) for a in suites.eh_centers(level).centers]
+    r = [[np.linalg.norm(x - a) for a in centres] for x in xs]
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), np.column_stack([xs, r, vs]))
 
 
 def test_profiles_quotient_rejects_a_negative_level(tmp_path):

@@ -355,7 +355,7 @@ def test_wrong_circle_scale_fails_the_gh_potential(monkeypatch):
 
 def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
     # at the doubled level the samples follow centres at +/- c/3, not c/4
-    samples = suites._gh_samples
+    samples = suites.gh_samples
 
     def wrong_at_doubled_level(action, rotator, level_value, rng, count):
         xs, vs = samples(action, rotator, level_value, rng, count)
@@ -364,7 +364,7 @@ def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
             vs = 1.0 / np.linalg.norm(xs - a, axis=1) + 1.0 / np.linalg.norm(xs + a, axis=1)
         return xs, vs
 
-    monkeypatch.setattr(suites, "_gh_samples", wrong_at_doubled_level)
+    monkeypatch.setattr(suites, "gh_samples", wrong_at_doubled_level)
     cfg = RunConfig(suite="quotient", samples=8)
     sep = run_check(cfg, "quotient.gh.separation")
     assert sep.residual > 1e-4 and not sep.passed

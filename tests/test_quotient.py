@@ -454,6 +454,14 @@ def test_gh_coordinates_validation():
         gh_coordinates(ACTION, eh_residual_circle(), solve_level(ACTION, LEVEL, nut))
 
 
+def test_circles_on_another_space_are_rejected():
+    levels = solved(np.random.default_rng(49))
+    on_h3 = CircleActionSpec(k=(1, -1, 0), l=(-1, 1, 0))  # the action is on H^2
+    for circle_data in (gh_coordinates, descended_circle_data):
+        with pytest.raises(ConfigError, match="dimension does not match the action"):
+            circle_data(ACTION, on_h3, levels)
+
+
 def test_y_length_positive_away_from_fixed_points():
     rng = np.random.default_rng(50)
     for _ in range(5):
@@ -991,7 +999,7 @@ def test_canonical_curvature_warns_once_per_call():
 def test_two_center_fit_recovers_a_level_it_is_not_told():
     rng = np.random.default_rng(57)
     for c in (0.7, 3.1):
-        xs, vs = suites._gh_samples(ACTION, eh_residual_circle(), c, rng, 12)
+        xs, vs = suites.gh_samples(ACTION, eh_residual_circle(), c, rng, 12)
         sep, resid = suites.fit_two_centers(xs, vs)
         assert sep == pytest.approx(c / 2.0, rel=1e-9)
         assert resid < 1e-9

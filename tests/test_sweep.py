@@ -92,7 +92,7 @@ def test_flat_stencil_rows_are_roundoff_alone(check_id, n):
 def _single_point_residuals(cfg):
     """The three quotient chart residuals, each the worst of one call per batch levels[r:r+1]."""
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    weight = (suites._quotient_level(cfg.c),)
+    weight = (cfg.level,)
 
     def rows(check_id):
         levels = suites._level_points(action, suites._check_rng(cfg, check_id), cfg)
