@@ -40,6 +40,7 @@ from .dynkin import dynkin_signs, extended_diagram
 from .errors import ConfigError, HkgeomError
 from .report import write_csv, write_json
 from .suites import SUITE_ALIASES, SUITE_NAMES, RunConfig, eh_centers, gh_samples, run_suite
+from .suites import suite_name
 
 _PROFILE_SUITES = ("gh", "quotient")
 #: the RunConfig fields, each a verify flag and config-file key
@@ -91,29 +92,26 @@ class Option(NamedTuple):
     help: str
 
 
-_V, _P, _VP = ("verify",), ("profiles",), ("verify", "profiles")
-_SUITES = ", ".join((*SUITE_NAMES, *SUITE_ALIASES, "all"))
-
 #: every option of verify and profiles: their flags, config keys and merge come from here
 OPTIONS = (
-    Option("suite", str, _VP, f"verify: {_SUITES} (default all); profiles: gh (default), quotient"),
-    Option("n", int, _V, "quaternionic dimension of the model"),
-    Option("samples", int, _VP, "random sample count per check; profiles: rows (default 200)"),
-    Option("seed", int, _VP, "RNG seed (fixes the report and the quotient scatter)"),
-    Option("tol", float, _V, "override every check tolerance"),
-    Option("h", float, _V, "FD step override for the flat, cotangent and gh stencils only"),
-    Option("order", int, _V, "FD stencil order override, 2 or 4, for the same stencils as --h"),
-    Option("centers", parse_centers, _VP, "comma-separated centre coordinates"),
-    Option("weights", parse_weights, _P, "comma-separated per-centre weights"),
-    Option("c", float, _VP, "axis constant / quotient level (0 means level 1)"),
-    Option("nodes", int, _V, "contour quadrature node count"),
-    Option("out", str, _VP, "JSON report path (default: stdout); profiles: CSV (profiles.csv)"),
-    Option("timings", _parse_bool, _V, "embed wall-clock times (report not byte-reproducible)"),
+    Option("suite", str, ("verify", "profiles"), "the suite to run or to profile"),
+    Option("n", int, ("verify",), "quaternionic dimension of the model"),
+    Option("samples", int, ("verify", "profiles"), "samples per check, or CSV rows"),
+    Option("seed", int, ("verify", "profiles"), "RNG seed"),
+    Option("tol", float, ("verify",), "override every check tolerance"),
+    Option("h", float, ("verify",), "FD step override for the flat, cotangent and gh stencils"),
+    Option("order", int, ("verify",), "FD stencil order override, 2 or 4, for the --h stencils"),
+    Option("centers", parse_centers, ("verify", "profiles"), "comma-separated centre coordinates"),
+    Option("weights", parse_weights, ("profiles",), "comma-separated per-centre weights"),
+    Option("c", float, ("verify", "profiles"), "axis constant / quotient level (0 means level 1)"),
+    Option("nodes", int, ("verify",), "contour quadrature node count"),
+    Option("out", str, ("verify", "profiles"), "path; default stdout (JSON) or profiles.csv (CSV)"),
+    Option("timings", _parse_bool, ("verify",), "embed wall-clock times (not byte-reproducible)"),
 )
 _OPTIONS = {opt.name: opt for opt in OPTIONS}
 
 
-def read_config_file(path: str, command: str | None = None) -> dict:
+def read_config_file(path: str, command: str) -> dict:
     """Flat ``key = value`` UTF-8 text, parsed; a key ``command`` does not read is an error."""
     out = {}
     try:
@@ -131,7 +129,7 @@ def read_config_file(path: str, command: str | None = None) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if command not in (None, *_OPTIONS[key].commands):
+        if command not in _OPTIONS[key].commands:
             raise ConfigError(f"{path}:{lineno}: {command} does not read key {key!r}")
         try:
             out[key] = _OPTIONS[key].parse(value)
@@ -166,10 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a check suite, write a JSON report")
-    verify.add_argument("suite_pos", nargs="?", metavar="SUITE", help="the same as --suite")
+    suites = ", ".join((*SUITE_NAMES, *SUITE_ALIASES, "all"))
+    verify.add_argument("suite_pos", nargs="?", metavar="SUITE", help=f"{suites} (default all)")
     signs = sub.add_parser("signs", help="edge sign assignment on an extended diagram")
     signs.add_argument("--diagram", required=True, help="diagram label: A4, D5, E6, E7, E8")
-    profiles = sub.add_parser("profiles", help="emit CSV profile data")
+    profiles = sub.add_parser(
+        "profiles",
+        help="emit CSV profile data",
+        description="CSV of axis profiles (--suite gh, the default) "
+        "or of a quotient (x, V) scatter (--suite quotient).",
+    )
     for name, command in (("verify", verify), ("profiles", profiles)):
         command.add_argument("--config", help="key = value defaults file")
         for opt in (opt for opt in OPTIONS if name in opt.commands):
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     pos, flag = args.suite_pos, args.suite
-    if pos and flag and SUITE_ALIASES.get(pos, pos) != SUITE_ALIASES.get(flag, flag):
+    if pos and flag and suite_name(pos) != suite_name(flag):
         raise ConfigError(f"suite {pos!r} and --suite {flag!r} differ")
     args.suite = flag or pos
     values = _settings(args, {"out": None, "timings": False})  # RunConfig has the rest
@@ -221,9 +225,7 @@ def _cmd_signs(args) -> int:
 
 def _axis_grid(ghc: gh.GHConfig, samples: int) -> np.ndarray:
     """Axis sample points padded past the outer centres, off every centre."""
-    lo = ghc.centers[0] - 1.5
-    hi = ghc.centers[-1] + 1.5
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5, samples)
     for a in ghc.centers:
         near = np.abs(grid - a) < 1e-3
         grid[near] += 2e-3
@@ -262,11 +264,8 @@ def _cmd_profiles(args) -> int:
 def main(argv=None) -> int:
     try:  # parse_centers and parse_weights raise ConfigError inside parse_args
         args = build_parser().parse_args(_join_dashed_values(argv))
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "signs":
-            return _cmd_signs(args)
-        return _cmd_profiles(args)
+        commands = {"verify": _cmd_verify, "signs": _cmd_signs, "profiles": _cmd_profiles}
+        return commands[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except HkgeomError as exc:

@@ -115,7 +115,9 @@ class LinearAction:
         for idx, g in enumerate(gens):
             if np.max(np.abs(g + g.T)) > _GENERATOR_TOL:
                 raise StructureError(f"generator {idx} is not metric-antisymmetric")
-            _require_symmetry(g, structures, gens[:idx], _GENERATOR_TOL, f"generator {idx}")
+            _require_symmetry(g, structures, (), _GENERATOR_TOL, f"generator {idx}")
+        for idx, g in enumerate(gens):
+            _require_symmetry(g, (), gens[:idx], _GENERATOR_TOL, f"generator {idx}")
         # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
         # moment Jacobian of any batch of points is the one product m @ W
         stack = np.array([[s @ g for s in structures] for g in gens])

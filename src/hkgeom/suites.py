@@ -51,6 +51,15 @@ from .report import CheckRecord, Report
 SUITE_NAMES = ("flat", "cotangent", "gh", "quotient", "twistor", "dynkin")
 SUITE_ALIASES = {"bg": "cotangent"}
 
+
+def suite_name(name: str) -> str:
+    """The suite that a name or alias means, or "all"; an unknown name is a ConfigError."""
+    resolved = SUITE_ALIASES.get(name, name)
+    if resolved != "all" and resolved not in SUITE_NAMES:
+        raise ConfigError(f"unknown suite {name!r}")
+    return resolved
+
+
 #: least gap between adjacent centres: gh.lift.segments samples each axis
 #: segment from 5% to 95% of its length, so this keeps its points 5e-8,
 #: five times the potential's CENTER_MARGIN, away from either centre
@@ -92,9 +101,7 @@ class RunConfig:
     nodes: int = tw.CONTOUR_NODES
 
     def __post_init__(self):
-        name = SUITE_ALIASES.get(self.suite, self.suite)
-        if name != "all" and name not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {self.suite!r}")
+        name = suite_name(self.suite)
         object.__setattr__(self, "suite", name)
         if not np.iterable(self.centers) or not all(map(_is_real, self.centers)):
             raise ConfigError(f"centers must be a sequence of real numbers, got {self.centers!r}")

@@ -255,12 +255,12 @@ def test_config_file_parsing(tmp_path):
         "# defaults\nsamples = 7\nseed=3\ntimings = true\nsuite = dynkin\n",
         encoding="utf-8",
     )
-    values = read_config_file(str(path))
+    values = read_config_file(str(path), "verify")
     assert values == {"samples": 7, "seed": 3, "timings": True, "suite": "dynkin"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense-line\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="key = value"):
-        read_config_file(str(bad))
+        read_config_file(str(bad), "verify")
 
 
 # -- verify subcommand ----------------------------------------------------------------
@@ -386,6 +386,9 @@ def test_verify_positional_and_flag_suites_must_agree(tmp_path, capsys):
     assert capsys.readouterr().err == "error: suite 'gh' and --suite 'dynkin' differ\n"
     assert not out.exists()
     assert run(["verify", "dynkin", "--suite", "dynkin", "--out", str(out)]) == 0
+    # an alias names the same suite as its target
+    assert run(["verify", "bg", "--suite", "cotangent", "--samples", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["suite"] == "cotangent"
 
 
 def test_verify_takes_a_negative_centre_list_after_a_space(tmp_path):

@@ -125,6 +125,10 @@ def test_action_rejects_non_commuting_generators():
         assert LinearAction((gen,)).dim_g == 1
     with pytest.raises(StructureError, match="does not commute"):
         LinearAction(tuple(gens))
+    # every generator is checked on its own before any pair is: a symmetric
+    # third generator is reported ahead of the first two failing to commute
+    with pytest.raises(StructureError, match="generator 2 is not metric-antisymmetric"):
+        LinearAction((*gens[:2], np.eye(8)))
 
 
 def test_level_spec():
