@@ -19,9 +19,11 @@ only embedded with ``--timings``.
 Each value is a row of :data:`OPTIONS`: a flag and a ``--config`` key (UTF-8
 ``key = value`` lines, ``#`` comments).  A flag wins over the file, the
 file over the default.  ``verify`` reads the :class:`RunConfig` fields, out
-and timings; ``profiles`` reads suite, centers, weights, c, samples, seed
-and out; a file key the subcommand does not read is an error.  ``--c 0``
-means quotient level 1.  A negative list may follow its flag after a space.
+and timings; ``profiles`` reads suite and out, its gh suite centers,
+weights, c and samples, and its quotient suite c, samples and seed.  A flag
+or file key that the subcommand or profiles suite does not read is an
+error.  ``--c 0`` means quotient level 1.  A negative list may follow its
+flag after a space.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ from .report import write_csv, write_json
 from .suites import SUITE_ALIASES, SUITE_NAMES, RunConfig, eh_centers, gh_samples, run_suite
 from .suites import suite_name
 
-_PROFILE_SUITES = ("gh", "quotient")
+#: the values each profiles suite reads, besides suite and out
+_PROFILE_SUITES = {
+    "gh": ("centers", "weights", "c", "samples"),
+    "quotient": ("c", "samples", "seed"),
+}
 #: the RunConfig fields, each a verify flag and config-file key
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
@@ -138,11 +144,11 @@ def read_config_file(path: str, command: str) -> dict:
     return out
 
 
-def _settings(args, defaults: dict) -> dict:
-    """Each value the subcommand reads: its flag, else its config-file key, else the default."""
+def _given(args) -> dict:
+    """Each value set by a flag, else by a config-file key."""
     values = read_config_file(args.config, args.command) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
-    return {**defaults, **values, **flags}
+    return {**values, **flags}
 
 
 def _join_dashed_values(argv) -> list:
@@ -191,7 +197,7 @@ def _cmd_verify(args) -> int:
     if pos and flag and suite_name(pos) != suite_name(flag):
         raise ConfigError(f"suite {pos!r} and --suite {flag!r} differ")
     args.suite = flag or pos
-    values = _settings(args, {"out": None, "timings": False})  # RunConfig has the rest
+    values = {"out": None, "timings": False, **_given(args)}  # RunConfig has the rest
     report = run_suite(RunConfig(**{k: values[k] for k in _RUN_FIELDS if k in values}))
     for line in report.lines():
         print(line, file=sys.stderr)
@@ -233,12 +239,15 @@ def _axis_grid(ghc: gh.GHConfig, samples: int) -> np.ndarray:
 
 
 def _cmd_profiles(args) -> int:
-    values = _settings(
-        args, dict(suite="gh", centers=(0.0, 1.0), c=0.0, samples=200, seed=0, out="profiles.csv")
-    )
+    given = _given(args)
+    values = dict(suite="gh", centers=(0.0, 1.0), c=0.0, samples=200, seed=0, out="profiles.csv")
+    values.update(given)
     suite, samples, out = values["suite"], values["samples"], values["out"]
     if suite not in _PROFILE_SUITES:
-        raise ConfigError(f"profiles suite must be one of {_PROFILE_SUITES}, got {suite!r}")
+        raise ConfigError(f"profiles suite must be one of {tuple(_PROFILE_SUITES)}, got {suite!r}")
+    ignored = sorted(set(given) - {"suite", "out", *_PROFILE_SUITES[suite]})
+    if ignored:
+        raise ConfigError(f"profiles --suite {suite} does not read {', '.join(map(repr, ignored))}")
     if samples < 2:
         raise ConfigError("need at least two samples")
     if suite == "gh":

@@ -14,7 +14,8 @@ residual triholomorphic circle.
 
 Everything past the moment map works on batches.  ``solve_level`` takes
 seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
-with their horizontal frames built once for the whole batch; the chart,
+with their vertical and horizontal frames built once for the whole batch,
+by one quaternionic Gram-Schmidt pass seeded with the orbit; the chart,
 descended and multi-centre functions take that batch and return arrays
 with one row per point, each row equal to that point in a batch of one.
 The chart at a level-set point m0 is the graph m0 + F xi + N c over its
@@ -97,11 +98,11 @@ class LinearAction:
     commute with each other; all three are checked at construction.  The
     Newton step of ``solve_level`` (``_newton_step``) rests on the last:
     for commuting generators J J^T = G (x) I_3.  The generators are
-    copied, and they and the moment stack are read-only, so an action can
-    be shared.
+    copied into one stack (dim_g, dim, dim), read-only as the moment stack
+    is, so an action can be shared.
     """
 
-    generators: tuple
+    generators: np.ndarray
 
     def __post_init__(self):
         gens = tuple(np.array(g, dtype=float) for g in self.generators)
@@ -118,11 +119,12 @@ class LinearAction:
             _require_symmetry(g, structures, (), _GENERATOR_TOL, f"generator {idx}")
         for idx, g in enumerate(gens):
             _require_symmetry(g, (), gens[:idx], _GENERATOR_TOL, f"generator {idx}")
+        gens = np.array(gens)
         # the (dim, 3 dim_g dim) stack W[l, (a, i, j)] = (S_i G_a)[j, l]: the
         # moment Jacobian of any batch of points is the one product m @ W
         stack = np.array([[s @ g for s in structures] for g in gens])
         stack = np.ascontiguousarray(stack.reshape(-1, dim).T)
-        for array in gens + (stack,):
+        for array in (gens, stack):
             array.flags.writeable = False
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_model", model)
@@ -211,7 +213,7 @@ def _rank_deficient(gram_eigs) -> np.ndarray:
     the vectors it pairs, so the guard on them is the squared guard on
     those vectors: the largest must reach 1e-24 and the condition number
     stay within _CONDITION_GUARD ** 2, 1e16 where the vectors' own is 1e8.
-    A NaN fails the guard.
+    A NaN fails the guard.  ``_orbit_gram``, the solvers' rank guard, applies it.
     """
     top = gram_eigs[..., -1]
     return ~((top >= 1e-24) & (gram_eigs[..., 0] >= top / _CONDITION_GUARD**2))
@@ -274,10 +276,10 @@ class LevelSetPoints:
     ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), ``orbits``
     (k, dim, dim_g), ``residuals`` (k,) and ``histories`` (one tuple of
     residual norms per row).  ``solve_level`` guards the orbit rank of all
-    the rows with the eigenvalues of their stacked orbit Gram matrices;
-    the vertical frame guards it again when the frames are built.  A
-    slice ``levels[i:j]`` is the batch of those rows and reads its rows
-    of ``frames``.
+    the rows with their orbit Gram matrices (``_orbit_gram``); the
+    Gram-Schmidt pass that builds the frames guards each orbit direction
+    again.  A slice ``levels[i:j]`` is the batch of those rows and reads
+    its rows of the frames.
     """
 
     level: LevelSpec
@@ -301,23 +303,26 @@ class LevelSetPoints:
             self.residuals[rows],
             self.histories[rows],
         )
-        vars(part)["frames"] = self.frames[rows]  # the cache of the cached_property
+        vars(part)["_basis"], vars(part)["frames"] = self._basis[rows], self.frames[rows]
         return part
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """The ``_quaternionic_basis`` (k, dim, dim), read-only: vertical frames, then ``frames``."""
+        basis = _quaternionic_basis(self.orbits)
+        basis.flags.writeable = False
+        return basis
 
     @cached_property
     def frames(self) -> np.ndarray:
         """The oriented horizontal frames (k, dim, K), read-only.
 
         Orthonormal bases of ker(d nu) intersected with the orbit
-        complement: quaternionic blocks (v, I v, J v, K v) off the vertical
-        frames (``_quaternionic_frame``).  The horizontal space is I, J,
-        K-invariant, so no axis choice or orientation flip is needed, and
-        each frame is smooth in its point.  Built on first use for the
-        whole batch, from one ``_vertical_frame`` SVD and one
-        ``_quaternionic_frame`` pass, and shared by every chart and
-        descended datum built on these rows.
+        complement: the blocks of ``_quaternionic_basis`` after its orbit
+        blocks.  Built on first use for the whole batch and shared by
+        every chart and descended datum built on these rows.
         """
-        frames = np.ascontiguousarray(_quaternionic_frame(_vertical_frame(self)))
+        frames = np.ascontiguousarray(self._basis[:, :, 4 * self.orbits.shape[2] :])
         frames.flags.writeable = False
         return frames
 
@@ -330,8 +335,8 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     minimum-norm solution ``_newton_step`` of the live rows, whose orbit
     Gram matrices also guard the rank: rank deficiency along the way
     raises NonFreePointError, running out the budget of _LEVEL_MAX_ITER
-    steps raises ConvergenceError.  The eigenvalues of the solved points'
-    orbit Gram matrices guard that the action is free at each of them.
+    steps raises ConvergenceError.  The same guard (``_orbit_gram``) on the
+    solved points' moment Jacobians checks that the action is free at each.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
@@ -357,16 +362,13 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
         m[todo] += _newton_step(jac, res)
     else:
         raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
-    orbits = (np.array(action.generators) @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
-    if np.any(_rank_deficient(np.linalg.eigvalsh(orbits.transpose(0, 2, 1) @ orbits))):
-        raise NonFreePointError(
-            "orbit directions are linearly dependent: the action is not free at a solved point"
-        )
+    dnu = moment_jacobian(action, m)
+    _orbit_gram(dnu.reshape(len(m), -1, action.dim))  # the action is free at each point
     return LevelSetPoints(
         level=level,
         points=m,
-        dnu=moment_jacobian(action, m),
-        orbits=orbits,
+        dnu=dnu,
+        orbits=(action.generators @ m[:, None, :, None])[..., 0].transpose(0, 2, 1),
         residuals=np.array([hist[-1] for hist in history]),
         histories=tuple(tuple(hist) for hist in history),
     )
@@ -375,51 +377,37 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
 # -- quotient frames ------------------------------------------------------------------
 
 
-def _vertical_frame(levels: LevelSetPoints) -> np.ndarray:
-    """Orthonormal bases (k, dim, 4 dim_g) of the vertical spaces of k level-set points.
+def _quaternionic_basis(orbits: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (k, dim, dim) of blocks (v, Iv, Jv, Kv) from orbits (k, dim, dim_g).
 
-    One SVD of each point's stacked [orbit | d nu] columns: its left
-    singular vectors span them, and its singular values guard the rank.
+    Block j projects its seed twice off the earlier blocks and normalises
+    it to v: the orbit direction G_j m for j < dim_g, then the fixed seed
+    sin((j - dim_g + 1) (1, ..., dim)).  The earlier blocks span an I, J,
+    K-invariant space, and so does its complement: (v, Iv, Jv, Kv) is
+    orthonormal with omega_1 = e01 + e23 on it, so no sign is fixed and the
+    basis is smooth in the orbit.  The orbit blocks span the vertical
+    space, the quaternionic span of the orbit (it holds the gradients
+    S_i G_a m); the rest are the horizontal frames.  A seed whose
+    projection is below its length over _CONDITION_GUARD raises
+    NonFreePointError.  Every step is a stacked matrix-vector product or a
+    (1, dim) @ (dim, 1) dot per row, so a row has the bits of its basis alone.
     """
-    k, dim = levels.points.shape
-    gradients = levels.dnu.reshape(k, -1, dim).transpose(0, 2, 1)
-    cols = np.concatenate([levels.orbits, gradients], axis=2)
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    if np.any(_rank_deficient(sv[:, ::-1] ** 2)):
-        raise NonFreePointError("orbit directions and moment gradients are linearly dependent")
-    return u
-
-
-def _quaternionic_frame(vert: np.ndarray) -> np.ndarray:
-    """Horizontal frames (k, dim, dim - w) of blocks (v, Iv, Jv, Kv) off vertical ones (k, dim, w).
-
-    The vertical space, spanned by the orbit directions G_a m and the moment
-    gradients S_i G_a m, is the quaternionic span of the orbit, and I, J, K
-    are orthogonal, so they preserve its complement, the horizontal space.
-    Block j projects the fixed generic seed sin((j + 1) (1, ..., dim)) twice
-    off the vertical frame and the earlier blocks and normalises it to v;
-    (v, I v, J v, K v) is then orthonormal with omega_1 = e01 + e23 on it, so
-    the frame is oriented with no sign fix.  Nothing picks among candidates,
-    so the frame is smooth in the vertical frame.  A seed whose projection
-    falls below the condition guard raises NonFreePointError.  Every step
-    is a stacked matrix-vector product or a (1, dim) @ (dim, 1) dot per
-    frame, so a frame of a batch has the bits of that frame built alone.
-    """
-    k, dim, width = vert.shape
+    k, dim, dim_g = orbits.shape
     structures = np.array(_shared_model(dim // 4).structures())
-    basis = vert
-    for j in range((dim - width) // 4):
-        seed = np.sin((j + 1) * np.arange(1.0, dim + 1.0))
-        v = np.broadcast_to(seed, (k, dim))
+    basis = np.zeros((k, dim, 0))
+    ramp = np.arange(1.0, dim + 1.0)
+    fixed = [np.broadcast_to(np.sin(j * ramp), (k, dim)) for j in range(1, dim // 4 - dim_g + 1)]
+    for j, seed in enumerate([*orbits.transpose(2, 0, 1), *fixed]):
+        v = seed
         for _ in range(2):
             v = v - (basis @ (basis.transpose(0, 2, 1) @ v[:, :, None]))[:, :, 0]
-        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        if np.any(norm < np.linalg.norm(seed) / _CONDITION_GUARD):
-            raise NonFreePointError(f"frame seed {j} is vertical up to the condition guard")
+        norm, length = (np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0]) for u in (v, seed))
+        if not np.all(norm > length / _CONDITION_GUARD):
+            raise NonFreePointError(f"basis seed {j} is in the earlier blocks' span up to the guard")
         v = v / norm[:, None]
         block = (structures @ v[:, None, :, None])[..., 0].transpose(0, 2, 1)
         basis = np.concatenate([basis, v[:, :, None], block], axis=2)
-    return basis[:, :, width:]
+    return basis
 
 
 def _require_symmetry(gen: np.ndarray, structures, generators, tol: float, label: str):
@@ -497,7 +485,6 @@ class QuotientChart:
         self._normals = levels.dnu.reshape(len(levels), -1, action.dim).transpose(0, 2, 1)
         self._target = levels.level.target().ravel()
         self._omega = action.model.kahler_triple()
-        self._generators = np.array(action.generators)
 
     @property
     def dim(self) -> int:
@@ -518,13 +505,14 @@ class QuotientChart:
         Newton moves m = m0 + F xi along N only: m <- m - N (J N)^{-1} res
         with J = d nu(m), on every row whose level residual is not yet
         below the tolerance (at m0, J N = G (x) I_3).  A row whose orbit
-        Gram matrix fails the condition guard raises NonFreePointError.
+        Gram matrix fails the condition guard raises NonFreePointError, and
+        one not converged after _CHART_MAX_ITER steps ConvergenceError.
         """
         xi = self._check(xi)
         m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
         m = m.reshape(-1, self.action.dim)
         todo = np.arange(len(m))
-        for _ in range(_CHART_MAX_ITER):
+        for _ in range(_CHART_MAX_ITER + 1):
             res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
             todo, res = todo[live], res[live]
@@ -589,7 +577,7 @@ class QuotientChart:
         already, in a Newton step of the retraction or in solve_level.
         """
         points, tangents = jet
-        orbit_t = (self._generators @ points[..., None, :, None])[..., 0]
+        orbit_t = (self.action.generators @ points[..., None, :, None])[..., 0]
         coef = _gram_solve(orbit_t @ orbit_t.swapaxes(-1, -2), orbit_t @ tangents)
         return coef, tangents - orbit_t.swapaxes(-1, -2) @ coef
 
@@ -750,7 +738,7 @@ def gh_coordinates(
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]
     x = 0.5 * (s_velocity[:, :, None, :] @ m[:, None, :, None])[..., 0, 0]
-    vert = _vertical_frame(levels)
+    vert = levels._basis[:, :, : 4 * action.dim_g]
     horizontal = velocity - (vert @ (vert.transpose(0, 2, 1) @ velocity[:, :, None]))[:, :, 0]
     v_inv = (horizontal[:, None, :] @ horizontal[:, :, None])[:, 0, 0]
     if np.any(v_inv < 1e-12):

@@ -689,6 +689,28 @@ def test_profiles_rejects_a_config_file_suite_without_profiles(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, conf, err",
+    [
+        (
+            ["--suite", "quotient", "--samples", "5", "--centers", "0,5", "--weights", "1,2"],
+            "",
+            "quotient does not read 'centers', 'weights'",
+        ),
+        (["--suite", "gh", "--seed", "7"], "", "gh does not read 'seed'"),
+        ([], "suite = quotient\ncenters = 0,5\n", "quotient does not read 'centers'"),
+        ([], "seed = 7\n", "gh does not read 'seed'"),
+    ],
+)
+def test_profiles_rejects_a_value_its_suite_does_not_read(flags, conf, err, tmp_path, capsys):
+    # a flag or a config-file key alike
+    path, out = tmp_path / "p.conf", tmp_path / "p.csv"
+    path.write_text(conf, encoding="utf-8")
+    assert run(["profiles", "--config", str(path), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: profiles --suite {err}\n"
+    assert not out.exists()
+
+
 def test_profiles_csv_full_precision(tmp_path):
     out = tmp_path / "p.csv"
     run(

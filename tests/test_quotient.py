@@ -250,7 +250,7 @@ def test_solver_rejects_an_empty_or_one_dimensional_seed_batch():
 def test_frames_are_orthonormal_splittings():
     rng = np.random.default_rng(37)
     one = solved(rng)
-    vert = quotient._vertical_frame(one)[0]
+    vert = quotient._quaternionic_basis(one.orbits)[0, :, :4]
     horiz = one.frames[0]
     assert vert.shape == (8, 4) and horiz.shape == (8, 4)
     assert np.max(np.abs(vert.T @ vert - np.eye(4))) < 1e-12
@@ -710,6 +710,26 @@ def test_torus_retraction_on_h3_matches_single_rows():
             assert np.linalg.norm(hk_moment(TORUS_H3, alone) - level.target()) < 1e-14
 
 
+def test_h3_torus_basis_splits_into_vertical_and_horizontal_frames():
+    # dim_g = 2: the two orbit blocks of the Gram-Schmidt pass span the
+    # orbit directions and moment gradients (against a Householder QR of
+    # them), the horizontal frame is the rest, and omega_bar_1 = e01 + e23
+    # on each of the three blocks (measured worst 1.1e-15 over 200 seeds)
+    seeds = np.random.default_rng(86).standard_normal((5, 12))
+    levels = solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds)
+    basis = quotient._quaternionic_basis(levels.orbits)
+    assert basis.shape == (5, 12, 12)
+    for full, frame, dnu, orbit in zip(basis, levels.frames, levels.dnu, levels.orbits):
+        vert = full[:, :8]
+        assert np.max(np.abs(vert.T @ vert - np.eye(8))) < 1e-12
+        span = np.linalg.qr(np.column_stack([orbit, dnu.reshape(-1, 12).T]))[0]
+        assert np.max(np.abs(vert @ vert.T - span @ span.T)) < 1e-12
+        assert np.array_equal(frame, full[:, 8:])
+        assert np.max(np.abs(vert.T @ frame)) < 1e-12
+        omega1 = full.T @ TORUS_H3.model.omega1 @ full
+        assert np.max(np.abs(omega1 - np.kron(np.eye(3), _E01_E23))) < 1e-12
+
+
 def test_torus_curvature_match_takes_the_level_as_weight():
     # the curvature match with dim_g = 2, outside the suite: on the H^3
     # 2-torus at level (1, 2) the descended form of the rotator
@@ -727,10 +747,10 @@ def test_torus_curvature_match_takes_the_level_as_weight():
 
 def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
     # solve_level's steps and the rank guards of both solvers are the
-    # closed-form Gram step and eigvalsh; the chart retraction solves one
-    # stacked (J N) system per Newton step, three here (worst residuals
-    # 1.4e-2, 3.3e-5, 1.8e-10, then below 1e-14); the frames' vertical SVD
-    # is counted to show that the counters see a call
+    # closed-form Gram step and eigvalsh, and the frames are one
+    # Gram-Schmidt pass; the chart retraction solves one stacked (J N)
+    # system per Newton step, three here (worst residuals 1.4e-2, 3.3e-5,
+    # 1.8e-10, then below 1e-14), which shows that the counters see a call
     calls = {"svd": 0, "solve": 0}
 
     def counted(name, fn):
@@ -748,7 +768,9 @@ def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
     assert calls == {"svd": 0, "solve": 0}
     chart.point(0.05 * rng.standard_normal((1, 20, 4)))
     assert calls == {"svd": 0, "solve": 3}
-    assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 1, "solve": 3}
+    assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 0, "solve": 3}
+    gh_coordinates(ACTION, eh_residual_circle(), levels)
+    assert calls == {"svd": 0, "solve": 3}
 
 
 def test_chart_retraction_budget_exhaustion(monkeypatch):
@@ -757,6 +779,17 @@ def test_chart_retraction_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
         chart.point(np.full((1, 3, 4), 0.1))
+
+
+def test_chart_retraction_checks_the_residual_after_its_last_step(monkeypatch):
+    # one step takes chart points 1e-5 off the base point to a residual of
+    # about eps, so a budget of one step converges, as in solve_level
+    rng = np.random.default_rng(53)
+    chart = QuotientChart(ACTION, solved(rng))
+    monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
+    points = chart.point(1e-5 * rng.standard_normal((1, 3, 4)))
+    residuals = np.linalg.norm(hk_moment(ACTION, points[0]) - LEVEL.target(), axis=(1, 2))
+    assert np.all(residuals < quotient._CHART_NEWTON_TOL)
 
 
 def test_chart_tangents_equal_fd_of_the_retraction():
@@ -854,13 +887,13 @@ def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
     # bound of 240 rows makes chunks of 15 points (16 retracted rows each),
     # so at 400 samples the 100 points go in 7 chunks
     calls = []
-    build = quotient._quaternionic_frame
+    build = quotient._quaternionic_basis
 
-    def counting(vert):
-        calls.append(len(vert))
-        return build(vert)
+    def counting(orbits):
+        calls.append(len(orbits))
+        return build(orbits)
 
-    monkeypatch.setattr(quotient, "_quaternionic_frame", counting)
+    monkeypatch.setattr(quotient, "_quaternionic_basis", counting)
     monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 240)
     cfg = suites.RunConfig(suite="quotient", samples=samples)
     for check_id in (
