@@ -18,12 +18,14 @@ only embedded with ``--timings``.
 
 Each value is a row of :data:`OPTIONS`: a flag and a ``--config`` key (UTF-8
 ``key = value`` lines, ``#`` comments).  A flag wins over the file, the
-file over the default.  ``verify`` reads the :class:`RunConfig` fields, out
-and timings; ``profiles`` reads suite and out, its gh suite centers,
-weights, c and samples, and its quotient suite c, samples and seed.  A flag
-or file key that the subcommand or profiles suite does not read is an
-error.  ``--c 0`` means quotient level 1.  A negative list may follow its
-flag after a space.
+file over the default.  ``verify`` reads the :class:`RunConfig` fields
+(suite, n, samples, seed, centers, c), out and timings; ``profiles`` reads
+suite and out, its gh suite centers, weights, c and samples, and its
+quotient suite c, samples and seed.  No value sets a check's stencil,
+contour or tolerance: each is fixed in the check's row in
+:mod:`hkgeom.suites`.  A flag or file key that the subcommand or profiles
+suite does not read is an error, and a flag is spelled in full.  ``--c 0``
+means quotient level 1.  A negative list may follow its flag after a space.
 """
 
 from __future__ import annotations
@@ -104,13 +106,9 @@ OPTIONS = (
     Option("n", int, ("verify",), "quaternionic dimension of the model"),
     Option("samples", int, ("verify", "profiles"), "samples per check, or CSV rows"),
     Option("seed", int, ("verify", "profiles"), "RNG seed"),
-    Option("tol", float, ("verify",), "override every check tolerance"),
-    Option("h", float, ("verify",), "FD step override for the flat, cotangent and gh stencils"),
-    Option("order", int, ("verify",), "FD stencil order override, 2 or 4, for the --h stencils"),
     Option("centers", parse_centers, ("verify", "profiles"), "comma-separated centre coordinates"),
     Option("weights", parse_weights, ("profiles",), "comma-separated per-centre weights"),
     Option("c", float, ("verify", "profiles"), "axis constant / quotient level (0 means level 1)"),
-    Option("nodes", int, ("verify",), "contour quadrature node count"),
     Option("out", str, ("verify", "profiles"), "path; default stdout (JSON) or profiles.csv (CSV)"),
     Option("timings", _parse_bool, ("verify",), "embed wall-clock times (not byte-reproducible)"),
 )
@@ -169,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical verification suites for hyperkahler identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a check suite, write a JSON report")
+    # a flag is spelled in full: a prefix would let --h mean --help
+    verify = sub.add_parser(
+        "verify", help="run a check suite, write a JSON report", allow_abbrev=False
+    )
     suites = ", ".join((*SUITE_NAMES, *SUITE_ALIASES, "all"))
     verify.add_argument("suite_pos", nargs="?", metavar="SUITE", help=f"{suites} (default all)")
     signs = sub.add_parser("signs", help="edge sign assignment on an extended diagram")
@@ -179,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit CSV profile data",
         description="CSV of axis profiles (--suite gh, the default) "
         "or of a quotient (x, V) scatter (--suite quotient).",
+        allow_abbrev=False,
     )
     for name, command in (("verify", verify), ("profiles", profiles)):
         command.add_argument("--config", help="key = value defaults file")

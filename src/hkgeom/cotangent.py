@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MetricError
-from .flatspace import FlatModel
+from .flatspace import _shared_model
 from .forms import (
     _OFFSETS,
     FDScheme,
@@ -71,7 +71,7 @@ SERIES_SWITCH = 1e-4
 #: the (Re b, Im b, Re v, Im v) chart is flat H^1 with (z, w) = (b, v); I and
 #: omega2 = Re(db ^ dv) are its constant structure and form, omega2 made
 #: contiguous since BLAS may round a product with a transposed view differently
-_CHART = FlatModel(1)
+_CHART = _shared_model(1)
 I, OMEGA2 = _CHART.I, np.ascontiguousarray(_CHART.omega2)
 OMEGA2.flags.writeable = False  # I is read-only already, as FlatModel's structures are
 

@@ -206,19 +206,6 @@ def moment_jacobian(action: LinearAction, m) -> np.ndarray:
 # -- level sets ---------------------------------------------------------------------
 
 
-def _rank_deficient(gram_eigs) -> np.ndarray:
-    """Which rows of Gram eigenvalues (..., r), smallest first, fail the condition guard.
-
-    The eigenvalues of a Gram matrix are the squared singular values of
-    the vectors it pairs, so the guard on them is the squared guard on
-    those vectors: the largest must reach 1e-24 and the condition number
-    stay within _CONDITION_GUARD ** 2, 1e16 where the vectors' own is 1e8.
-    A NaN fails the guard.  ``_orbit_gram``, the solvers' rank guard, applies it.
-    """
-    top = gram_eigs[..., -1]
-    return ~((top >= 1e-24) & (gram_eigs[..., 0] >= top / _CONDITION_GUARD**2))
-
-
 def _newton_step(jac, res) -> np.ndarray:
     """Minimum-norm Newton steps -J^T (G^{-1} (x) I_3) res (r, dim) of r rows at once.
 
@@ -240,10 +227,17 @@ def _orbit_gram(jac) -> np.ndarray:
     """Orbit Gram matrices G = X X^T (r, g, g) of the (a, 0) rows X of jac (r, 3 g, dim).
 
     S_1 is orthogonal, so these are <G_a m, G_b m>.  NonFreePointError if a
-    row's G fails the condition guard."""
+    row's G fails the solvers' rank guard.  The eigenvalues of G are the
+    squared singular values of the orbit directions, so the guard on them
+    is the squared guard on those directions: the largest must reach 1e-24
+    and the condition number stay within _CONDITION_GUARD ** 2, 1e16 where
+    the directions' own is 1e8.  A NaN fails the guard.
+    """
     orbit = jac[:, 0::3]
     gram = orbit @ orbit.transpose(0, 2, 1)
-    if np.any(_rank_deficient(np.linalg.eigvalsh(gram))):
+    eigs = np.linalg.eigvalsh(gram)
+    top = eigs[:, -1]
+    if not np.all((top >= 1e-24) & (eigs[:, 0] >= top / _CONDITION_GUARD**2)):
         raise NonFreePointError("orbit Gram matrix is singular up to the condition guard")
     return gram
 
@@ -349,7 +343,7 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     target = level.target().ravel()
     history = [[] for _ in m]
     todo = np.arange(len(m))
-    for _ in range(_LEVEL_MAX_ITER + 1):
+    for steps in range(_LEVEL_MAX_ITER + 1):
         res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
         norms = np.linalg.norm(res, axis=1)
         for row, norm in zip(todo, norms):
@@ -358,10 +352,10 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
         todo, res = todo[live], res[live]
         if not todo.size:
             break
+        if steps == _LEVEL_MAX_ITER:
+            raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
         jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
         m[todo] += _newton_step(jac, res)
-    else:
-        raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
     dnu = moment_jacobian(action, m)
     _orbit_gram(dnu.reshape(len(m), -1, action.dim))  # the action is free at each point
     return LevelSetPoints(
@@ -512,12 +506,14 @@ class QuotientChart:
         m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
         m = m.reshape(-1, self.action.dim)
         todo = np.arange(len(m))
-        for _ in range(_CHART_MAX_ITER + 1):
+        for steps in range(_CHART_MAX_ITER + 1):
             res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
             live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
             todo, res = todo[live], res[live]
             if not todo.size:
                 return m.reshape(xi.shape[:-1] + (self.action.dim,))
+            if steps == _CHART_MAX_ITER:
+                break
             jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
             _orbit_gram(jac)  # the rank guard
             normals = self._normals[todo // xi.shape[1]]

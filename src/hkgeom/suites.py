@@ -84,8 +84,10 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a suite run depends on; fixed seed means fixed report.
+    """The geometry and the sampling of a suite run; fixed seed means fixed report.
 
+    Each check's stencil, contour and tolerance are fixed in its own row,
+    next to the error model they come from, so no field here changes them.
     Bad values raise :class:`ConfigError` here, before any check runs.
     """
 
@@ -93,12 +95,8 @@ class RunConfig:
     n: int = 2
     samples: int = 20
     seed: int = 0
-    tol: float | None = None
-    h: float | None = None
-    order: int | None = None
     centers: tuple = (0.0, 1.0)
     c: float = 0.0
-    nodes: int = tw.CONTOUR_NODES
 
     def __post_init__(self):
         name = suite_name(self.suite)
@@ -106,16 +104,12 @@ class RunConfig:
         if not np.iterable(self.centers) or not all(map(_is_real, self.centers)):
             raise ConfigError(f"centers must be a sequence of real numbers, got {self.centers!r}")
         object.__setattr__(self, "centers", tuple(float(a) for a in self.centers))
-        for field in ("tol", "h", "c"):
+        if not _is_real(self.c):
+            raise ConfigError(f"c must be a real number, got {self.c!r}")
+        if isinstance(self.c, np.generic):  # the JSON report takes Python numbers only
+            object.__setattr__(self, "c", self.c.item())
+        for field in ("n", "samples", "seed"):
             value = getattr(self, field)
-            if not (_is_real(value) or (value is None and field != "c")):
-                raise ConfigError(f"{field} must be a real number, got {value!r}")
-            if isinstance(value, np.generic):  # the JSON report takes Python numbers only
-                object.__setattr__(self, field, value.item())
-        for field in ("n", "samples", "seed", "nodes", "order"):
-            value = getattr(self, field)
-            if value is None and field == "order":
-                continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{field} must be an integer, got {value!r}")
             object.__setattr__(self, field, int(value))
@@ -125,16 +119,8 @@ class RunConfig:
             raise ConfigError("samples must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.tol is not None and not 0 <= self.tol < math.inf:
-            raise ConfigError("tol must be finite and nonnegative")
-        if self.h is not None and not 0 < self.h < math.inf:
-            raise ConfigError("h must be finite and positive")
         if not math.isfinite(self.c):
             raise ConfigError("c must be finite")
-        if self.order is not None and self.order not in (2, 4):
-            raise ConfigError("order must be 2 or 4")
-        if self.nodes < 8:
-            raise ConfigError("need at least 8 contour nodes")
         if name in ("all", "gh"):
             gh.GHConfig(centers=self.centers, c=self.c)
             if any(b - a < _MIN_CENTER_GAP for a, b in zip(self.centers, self.centers[1:])):
@@ -158,21 +144,6 @@ class RunConfig:
                 f"got {self.c}"
             )
         return self.c if self.c > 0 else 1.0
-
-    def scheme(self, default: FDScheme) -> FDScheme:
-        """The configured FD scheme, falling back per-field to ``default``.
-
-        Only the flat, cotangent and gh suites ask for it, so ``h`` and
-        ``order`` reach their stencils alone: every flat check but
-        flat.rotation.degree, the cotangent d^c and dd^c checks (not
-        bg.profile.identity or bg.moment.scaling, whose steps are fixed) and
-        gh.monopole.*, gh.harmonic and gh.connection.asd.  The quotient and
-        twistor stencils use fixed nested steps and ignore both.
-        """
-        return FDScheme(
-            h=self.h if self.h is not None else default.h,
-            order=self.order if self.order is not None else default.order,
-        )
 
     def params_dict(self) -> dict:
         """Every field but ``suite`` and ``seed``, which the report holds itself."""
@@ -222,12 +193,10 @@ def _check_rng(cfg: RunConfig, check_id: str) -> Generator:
 def _run(cfg: RunConfig, check: Check) -> CheckRecord:
     """Run one row; numerical failures count as FAIL.
 
-    ``cfg.tol`` overrides the row's tolerance.  A package error, a singular
-    linear solve, a floating-point trap or a NaN or infinite residual is
-    recorded with residual None; any other exception is a programming
-    error and propagates.
+    A package error, a singular linear solve, a floating-point trap or a
+    NaN or infinite residual is recorded with residual None; any other
+    exception is a programming error and propagates.
     """
-    tolerance = cfg.tol if cfg.tol is not None else check.tol
     rng = _check_rng(cfg, check.id)
     detail = ""
     start = time.perf_counter()
@@ -239,13 +208,13 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
     except _NUMERICAL_ERRORS as exc:  # recorded, not raised: exit code 1 via the report
         wall = time.perf_counter() - start
         note = f"{type(exc).__name__}: {exc}"
-        return CheckRecord(check.id, check.anchor, None, tolerance, False, note, wall)
+        return CheckRecord(check.id, check.anchor, None, check.tol, False, note, wall)
     wall = time.perf_counter() - start
     if not math.isfinite(residual):  # JSON has no NaN or inf; the detail names it
         note = f"non-finite residual {residual}"
-        return CheckRecord(check.id, check.anchor, None, tolerance, False, note, wall)
-    passed = bool(residual <= tolerance)
-    return CheckRecord(check.id, check.anchor, residual, tolerance, passed, detail, wall)
+        return CheckRecord(check.id, check.anchor, None, check.tol, False, note, wall)
+    passed = bool(residual <= check.tol)
+    return CheckRecord(check.id, check.anchor, residual, check.tol, passed, detail, wall)
 
 
 def _worst(residuals) -> float:
@@ -260,15 +229,14 @@ def _worst(residuals) -> float:
 # -- flat model -----------------------------------------------------------------------
 
 
-def _flat_scheme(cfg: RunConfig) -> FDScheme:
-    # Every flat field here is quadratic (mu / deg, and |z|^2 / 2 in the
-    # calibration row), and the 2nd-order central difference is exact on a
-    # quadratic, so the nested stencil leaves no truncation error.  Its
-    # error is roundoff alone: each level's weights (1, -1) / 2h have |w|
-    # summing to 1/h, giving about (1/h)^2 eps max|mu|.  With max|mu| up
-    # to ~7 at n = 3 that is ~1.6e-13 at h = 0.1, far under the 1e-8 and
-    # 1e-9 bounds, and a quarter of the field rows of a 4th-order stencil.
-    return cfg.scheme(FDScheme(h=1e-1, order=2))
+#: Every flat field here is quadratic (mu / deg, and |z|^2 / 2 in the
+#: calibration row), and the 2nd-order central difference is exact on a
+#: quadratic, so the nested stencil leaves no truncation error.  Its
+#: error is roundoff alone: each level's weights (1, -1) / 2h have |w|
+#: summing to 1/h, giving about (1/h)^2 eps max|mu|.  With max|mu| up
+#: to ~7 at n = 3 that is ~1.6e-13 at h = 0.1, far under the 1e-8 and
+#: 1e-9 bounds, and a quarter of the field rows of a 4th-order stencil.
+_FLAT_SCHEME = FDScheme(h=1e-1, order=2)
 
 
 def _rotation(cfg: RunConfig, k: int) -> fs.CircleActionSpec:
@@ -282,23 +250,21 @@ def _flat_points(cfg: RunConfig, rng, count) -> np.ndarray:
 
 
 def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
-    spec, scheme = _rotation(cfg, k), _flat_scheme(cfg)
+    spec = _rotation(cfg, k)
     structures = spec.model().structures()
-    curvatures = fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), scheme)
+    curvatures = fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), _FLAT_SCHEME)
     return _worst([type11_residual(curvatures, S) for S in structures])
 
 
 def _flat_full_norm(rng, cfg: RunConfig) -> float:
-    spec, scheme = _rotation(cfg, 1), _flat_scheme(cfg)
-    return _worst(np.abs(fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), scheme)))
+    points = _flat_points(cfg, rng, cfg.samples)
+    return _worst(np.abs(fs.hyperholo_curvature(_rotation(cfg, 1), points, _FLAT_SCHEME)))
 
 
 def _flat_calibration(rng, cfg: RunConfig) -> float:
-    scheme = _flat_scheme(cfg)
-    flat1 = fs.FlatModel(1)
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     expected = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # 2 dx0^dx1
-    got = ddc(f, flat1.I, rng.uniform(-1.5, 1.5, size=(5, 4)), scheme)
+    got = ddc(f, fs._shared_model(1).I, rng.uniform(-1.5, 1.5, size=(5, 4)), _FLAT_SCHEME)
     return _worst(np.abs(got - expected))
 
 
@@ -313,33 +279,32 @@ def _cotangent_points(rng, count, b_max=0.8, v_max=0.8) -> ct.CotangentPoint:
     return ct.CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
 
 
-def _bg_scheme(cfg: RunConfig) -> FDScheme:
-    # The cotangent potentials are not polynomial, so these stencils trade
-    # truncation (~h^4) against roundoff (~eps / h^2 nested, eps / h for
-    # d^c).  bg.curvature.type11 (and bg.structure.quaternionic, from the
-    # same omega1) is best at h = 1e-3 to 2e-3 and reaches 1.1e-5 at
-    # h = 2e-2; bg.moment.contraction is best at h <= 1e-3.
-    return cfg.scheme(FDScheme(h=1e-3, order=4))
+#: The cotangent potentials are not polynomial, so these stencils trade
+#: truncation (~h^4) against roundoff (~eps / h^2 nested, eps / h for
+#: d^c).  bg.curvature.type11 (and bg.structure.quaternionic, from the
+#: same omega1) is best at h = 1e-3 to 2e-3 and reaches 1.1e-5 at
+#: h = 2e-2; bg.moment.contraction is best at h <= 1e-3.
+_BG_SCHEME = FDScheme(h=1e-3, order=4)
+#: dd^c(h + mu - k) = 0 is linear in the stencil, so its truncation
+#: cancels between the two sides and roundoff, ~(1.5/h)^2 eps |k|, is
+#: all that is left: the larger step makes the residual smaller.
+_BG_AGREEMENT_SCHEME = FDScheme(h=2e-2, order=4)
 
 
 def _bg_agreement(rng, cfg: RunConfig) -> float:
-    # dd^c(h + mu - k) = 0 is linear in the stencil, so its truncation
-    # cancels between the two sides and roundoff, ~(1.5/h)^2 eps |k|, is
-    # all that is left: the larger step makes the residual smaller.
-    scheme = cfg.scheme(FDScheme(h=2e-2, order=4))
-    return _worst(ct.bg_curvature_residual(_cotangent_points(rng, cfg.samples), scheme))
+    pts = _cotangent_points(rng, cfg.samples)
+    return _worst(ct.bg_curvature_residual(pts, _BG_AGREEMENT_SCHEME))
 
 
 def _bg_quaternionic(rng, cfg: RunConfig) -> float:
     """Worst ||J^2 + Id|| over samples // 4 points (>= 2); builds no curvature."""
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
-    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pts, _bg_scheme(cfg))[1]))
+    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pts, _BG_SCHEME)[1]))
 
 
 def _bg_type11(rng, cfg: RunConfig) -> float:
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
-    scheme = _bg_scheme(cfg)
-    structures, F = ct.bg_structures(pts, scheme), ct.bg_curvature(pts, scheme)
+    structures, F = ct.bg_structures(pts, _BG_SCHEME), ct.bg_curvature(pts, _BG_SCHEME)
     # J and K carry FD error; bg.structure.quaternionic reports it as its own residual
     return _worst([type11_residual(F, S, structure_tol=1e-4) for S in structures])
 
@@ -400,8 +365,10 @@ def _gh_config(cfg: RunConfig):
     return gh.GHConfig(centers=cfg.centers, c=cfg.c)
 
 
-def _gh_scheme(cfg: RunConfig) -> FDScheme:
-    return cfg.scheme(FDScheme(h=1e-3, order=4))
+#: the gh fields are not polynomial either, so this order-4 stencil too trades
+#: truncation (~h^4) against roundoff (~eps / h^2 nested); every sample keeps
+#: _GH_MIN_CLEARANCE from the centres and the x1-axis, where the fields are singular
+_GH_SCHEME = FDScheme(h=1e-3, order=4)
 
 
 def _star_gaps(da: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -415,35 +382,35 @@ def _star_gaps(da: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def _gh_alpha(rng, cfg: RunConfig) -> float:
-    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    ghc = _gh_config(cfg)
     xs = _gh_points(ghc, cfg.samples, rng)
     grads = gh.potential_gradient(ghc, xs)
-    return _worst(_star_gaps(ext_deriv(gh.alpha_field(ghc), xs, scheme), grads))
+    return _worst(_star_gaps(ext_deriv(gh.alpha_field(ghc), xs, _GH_SCHEME), grads))
 
 
 def _gh_pair(rng, cfg: RunConfig) -> float:
-    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    ghc = _gh_config(cfg)
     xs = _gh_points(ghc, cfg.samples, rng)
-    da = ext_deriv(gh.monopole_field(ghc), xs, scheme)
-    return _worst(_star_gaps(da, fd_gradient(lambda x: gh.monopole_phi(ghc, x), xs, scheme)))
+    da = ext_deriv(gh.monopole_field(ghc), xs, _GH_SCHEME)
+    return _worst(_star_gaps(da, fd_gradient(lambda x: gh.monopole_phi(ghc, x), xs, _GH_SCHEME)))
 
 
 def _gh_harmonic(rng, cfg: RunConfig) -> float:
-    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    ghc = _gh_config(cfg)
     clear = gh.chart_clearance(ghc)
     fields = (
         ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
         ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),
     )
     xs = _gh_points(ghc, cfg.samples, rng)
-    return _worst(np.abs([laplacian(f, xs, scheme) for f in fields]))
+    return _worst(np.abs([laplacian(f, xs, _GH_SCHEME) for f in fields]))
 
 
 def _gh_asd(rng, cfg: RunConfig) -> float:
-    ghc, scheme = _gh_config(cfg), _gh_scheme(cfg)
+    ghc = _gh_config(cfg)
     xs = _gh_points(ghc, max(2, cfg.samples // 3), rng)
     chart = np.column_stack([xs, rng.uniform(0.0, 2 * np.pi, size=len(xs))])
-    return _worst(gh.asd_residual(ghc, chart, "string-down", scheme))
+    return _worst(gh.asd_residual(ghc, chart, "string-down", _GH_SCHEME))
 
 
 def _gh_periods(rng, cfg: RunConfig):
@@ -690,7 +657,7 @@ def _tw_residue(rng, cfg: RunConfig) -> float:
     count = max(2, cfg.samples // 2)
     z, w, _ = _twistor_samples(cfg, rng, count)
     m_tangents = rng.standard_normal((count, 4 * cfg.n))
-    return _worst(tw.residue_match_residual(z, w, m_tangents, nodes=cfg.nodes))
+    return _worst(tw.residue_match_residual(z, w, m_tangents))
 
 
 def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
@@ -698,14 +665,14 @@ def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
     d_zeta[:, -1] = 1.0
     gaps = []
     for n_char in (1, 2, 5):
-        got = tw.connection_residue(n_char, *_chart_points(rng, 1, cfg.n), d_zeta, nodes=cfg.nodes)
+        got = tw.connection_residue(n_char, *_chart_points(rng, 1, cfg.n), d_zeta)
         gaps.append(np.abs(got - 2j * np.pi * n_char))
     return _worst(gaps)
 
 
 def _tw_pole_orders(rng, cfg: RunConfig) -> float:
     v, xi = _chart_points(rng, 1, cfg.n)
-    zero, infinity = tw.pole_orders(2, v, xi, _chart_tangents(rng, 1, cfg.n), nodes=cfg.nodes)
+    zero, infinity = tw.pole_orders(2, v, xi, _chart_tangents(rng, 1, cfg.n))
     return abs(zero - 1) + abs(infinity - 1)
 
 
@@ -816,7 +783,7 @@ CHECKS = (
     Check(
         "bg.moment.contraction", "mu = -i_X d^c h for the fibre rotation field X", 1e-6,
         lambda rng, cfg: _worst(
-            ct.bg_contraction_residual(_cotangent_points(rng, cfg.samples), _bg_scheme(cfg))
+            ct.bg_contraction_residual(_cotangent_points(rng, cfg.samples), _BG_SCHEME)
         ),
     ),
     Check("bg.curvature.agreement", "omega1 + dd^c mu = p*omega + dd^c k", 1e-5, _bg_agreement),

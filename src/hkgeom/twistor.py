@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .flatspace import CircleActionSpec, FlatModel, action_vector_field
+from .flatspace import CircleActionSpec, FlatModel, _shared_model, action_vector_field
 from .forms import (
     FDScheme,
     FormField,
@@ -155,7 +155,7 @@ def vertical_lift(zeta, m_tangent) -> np.ndarray:
     is the chart map applied to the tangent.
     """
     m_tangent = np.asarray(m_tangent, dtype=float)
-    tz, tw = FlatModel(m_tangent.shape[1] // 4).to_complex(m_tangent)
+    tz, tw = _shared_model(m_tangent.shape[1] // 4).to_complex(m_tangent)
     tv, txi = product_to_chart(tz, tw, zeta)
     return np.concatenate([tv, txi, np.zeros((len(tv), 1))], axis=1)
 
@@ -296,7 +296,7 @@ def fibre_restriction_residual(z, w, zeta, s, t) -> np.ndarray:
     zeta = _zeta(zeta, "the fibre comparison needs zeta != 0")
     v, xi = product_to_chart(z, w, zeta)
     lhs = curvature_FZ(v, xi, zeta, vertical_lift(zeta, s), vertical_lift(zeta, t))
-    display = fibre_symplectic(FlatModel(np.shape(z)[1]), zeta, s, t) / (2j * zeta)
+    display = fibre_symplectic(_shared_model(np.shape(z)[1]), zeta, s, t) / (2j * zeta)
     return _modulus(lhs - (-2j) * display)
 
 
@@ -367,7 +367,7 @@ def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.nd
     vertical lifts at zeta = 0, and the measured fibre-direction residue
     equals minus the contracted complex symplectic form.
     """
-    model = FlatModel(np.shape(z)[1])
+    model = _shared_model(np.shape(z)[1])
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
     s = np.asarray(m_tangent, dtype=float)
     measured = connection_residue(_FIBRE_WEIGHT, z, w, vertical_lift(0.0, s), nodes=nodes)
@@ -449,7 +449,7 @@ def twistor_structure(n: int):
     S solves (A; B) S = (-B; A).  The callback takes an (m, 4n+2) batch
     and returns (m, 4n+2, 4n+2) from one stacked solve.
     """
-    model = FlatModel(n)
+    model = _shared_model(n)
 
     def structure(p) -> np.ndarray:
         jac = chart_jacobian(model, p)
@@ -493,7 +493,7 @@ def reality_residual(z, w, zeta) -> np.ndarray:
 
 def log_hU_field(n: int) -> ScalarField:
     """log h_U as a scalar field on (m, 4n + 2) batches of real twistor coordinates."""
-    model = FlatModel(n)
+    model = _shared_model(n)
     return ScalarField(fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n))
 
 
@@ -504,7 +504,7 @@ def _embedded_reference(n: int) -> np.ndarray:
     sum_i dx_i ^ dy_i with weight +1 on each z-plane and -1 on each
     w-plane; the last two (zeta) coordinates carry no component.
     """
-    model = FlatModel(n)
+    model = _shared_model(n)
     mat = np.zeros((total_dim(n), total_dim(n)))
     for i in range(n):
         mat[model.z_slots(i)] = 2.0
@@ -519,7 +519,7 @@ def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
     max-abs deviation over all components of the full form, from one ddc
     call for the batch.
     """
-    p = pack_point(FlatModel(n), z, w, zeta)
+    p = pack_point(_shared_model(n), z, w, zeta)
     got = ddc(log_hU_field(n), twistor_structure(n), p, _DDC_SCHEME)
     return np.max(np.abs(got - _embedded_reference(n)), axis=-1)
 
@@ -529,7 +529,7 @@ def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
 
 def curvature_FZ_field(n: int) -> FormField:
     """F_Z on the real twistor coordinates: J^T C J, C = fz_coefficients, J = chart_jacobian."""
-    model = FlatModel(n)
+    model = _shared_model(n)
     rows, cols = _pair_indices(total_dim(n))
 
     def value(p) -> np.ndarray:
@@ -548,5 +548,5 @@ def curvature_FZ_field(n: int) -> FormField:
 
 def fz_closedness_residual(n: int, z, w, zeta) -> np.ndarray:
     """max |d F_Z| components at each point (finite differences), (k,), from one ext_deriv call."""
-    p = pack_point(FlatModel(n), z, w, zeta)
+    p = pack_point(_shared_model(n), z, w, zeta)
     return np.max(np.abs(ext_deriv(curvature_FZ_field(n), p, _CLOSEDNESS_SCHEME)), axis=-1)

@@ -43,7 +43,7 @@ def test_report_rejects_duplicate_ids():
 def test_report_json_shape():
     rep = Report("flat", 3, {"samples": 2}, [_record("a")])
     doc = json.loads(rep.to_json())
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["suite"] == "flat"
     assert doc["seed"] == 3
     assert doc["params"] == {"samples": 2}
@@ -81,10 +81,6 @@ def test_run_config_validation():
         RunConfig(suite="nope")
     with pytest.raises(ConfigError):
         RunConfig(samples=0)
-    with pytest.raises(ConfigError):
-        RunConfig(order=3)
-    with pytest.raises(ConfigError):
-        RunConfig(h=-1e-3)
     assert RunConfig(suite="bg").suite == "cotangent"
 
 
@@ -92,26 +88,14 @@ def test_run_config_validation():
     "bad",
     [
         {"seed": -1},
-        {"tol": float("nan")},
-        {"tol": float("inf")},
-        {"h": float("nan")},
-        {"h": float("inf")},
         {"c": float("nan")},
         {"c": float("-inf")},
         {"c": "1"},
         {"c": True},
         {"c": None},
-        {"tol": "1e-3"},
-        {"h": "x"},
-        {"h": [1]},
         {"centers": ("a", 1)},
         {"centers": 1.0},
-        {"order": 4.0},
-        {"order": "4"},
-        {"order": True},
-        {"order": np.float64(4)},
         {"c": np.float64("nan")},
-        {"h": np.float32(-1e-2)},
     ],
 )
 def test_run_config_rejects_non_finite_and_negative_values(bad):
@@ -122,12 +106,10 @@ def test_run_config_rejects_non_finite_and_negative_values(bad):
 def test_run_config_numpy_numbers_round_trip_through_the_report():
     # numpy scalars are stored as the Python numbers they hold, so the JSON
     # report can write them; a Python int c stays an int
-    cfg = RunConfig(
-        suite="dynkin", c=np.float32(1), h=np.float32(1e-2), tol=np.float64(0.5), order=np.int64(4)
-    )
-    assert [type(getattr(cfg, f)) for f in ("c", "h", "tol", "order")] == [float, float, float, int]
+    cfg = RunConfig(suite="dynkin", c=np.float32(0.1), n=np.int64(3), samples=np.int32(4))
+    assert [type(getattr(cfg, f)) for f in ("c", "n", "samples")] == [float, int, int]
     params = json.loads(run_suite(cfg).to_json())["params"]
-    assert params["c"] == 1.0 and params["h"] == float(np.float32(1e-2)) and params["order"] == 4
+    assert params["c"] == float(np.float32(0.1)) and params["n"] == 3 and params["samples"] == 4
     assert json.loads(run_suite(RunConfig(suite="dynkin", c=1)).to_json())["params"]["c"] == 1
     assert RunConfig(suite="dynkin", **params) == cfg
 
@@ -266,12 +248,12 @@ def test_config_file_parsing(tmp_path):
 # -- verify subcommand ----------------------------------------------------------------
 
 
-def test_verify_writes_schema_two_report(tmp_path):
+def test_verify_writes_schema_three_report(tmp_path):
     out = tmp_path / "report.json"
     rc = run(["verify", "dynkin", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["summary"]["failed"] == 0
     assert doc["summary"]["total"] == len(doc["checks"]) > 0
     assert all(r["passed"] for r in doc["checks"])
@@ -281,7 +263,7 @@ def test_verify_stdout_report(capsys):
     rc = run(["verify", "dynkin"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
 
 
 def test_verify_byte_identical_under_fixed_seed(tmp_path):
@@ -299,12 +281,14 @@ def test_verify_seed_changes_report(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_verify_exit_one_on_numerical_failure(tmp_path):
+def test_verify_exit_one_on_numerical_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(suites.fs, "rotation_degree_check", lambda spec: 1.0)
     out = tmp_path / "r.json"
-    rc = run(["verify", "flat", "--samples", "2", "--tol", "0", "--out", str(out)])
+    rc = run(["verify", "flat", "--samples", "2", "--out", str(out)])
     assert rc == 1
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["summary"]["failed"] > 0
+    assert doc["summary"]["failed"] == 1
+    assert [r["id"] for r in doc["checks"] if not r["passed"]] == ["flat.rotation.degree"]
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -318,8 +302,6 @@ def test_verify_unknown_suite_is_usage_error():
         ["verify", "gh", "--centers", "nan"],
         ["verify", "gh", "--centers", "0,inf"],
         ["verify", "gh", "--c", "nan"],
-        ["verify", "gh", "--tol", "nan"],
-        ["verify", "gh", "--h", "nan"],
         ["verify", "all", "--centers", "1,0"],
         ["verify", "quotient", "--c", "-2"],
         ["verify", "all", "--c", "-2"],
@@ -367,7 +349,7 @@ def test_every_run_config_field_is_a_verify_flag_and_config_key(name, tmp_path, 
     "command, key",
     [
         ("verify", "weights"),
-        *(("profiles", key) for key in ("n", "tol", "h", "order", "nodes", "timings")),
+        *(("profiles", key) for key in ("n", "timings")),
     ],
 )
 def test_a_config_key_the_subcommand_does_not_read_exits_two(command, key, tmp_path, capsys):
@@ -377,6 +359,22 @@ def test_a_config_key_the_subcommand_does_not_read_exits_two(command, key, tmp_p
     assert run([*args, "--config", str(conf), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{command} does not read key {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["tol", "h", "order", "nodes"])
+@pytest.mark.parametrize(
+    "command, how", [("verify", "flag"), ("verify", "key"), ("profiles", "key")]
+)
+def test_a_stencil_contour_or_tolerance_override_exits_two(command, how, name, tmp_path, capsys):
+    # each check fixes its own stencil, contour and tolerance, so no flag or
+    # key sets one; --h is not taken as a prefix of --help
+    conf, out = tmp_path / "c.cfg", tmp_path / "out"
+    conf.write_text(f"{name} = 1\n", encoding="utf-8")
+    given = ["--config", str(conf)] if how == "key" else [f"--{name}", "1"]
+    assert run([command, *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"unknown key '{name}'" if how == "key" else f"arguments: --{name}\\b", err)
     assert not out.exists()
 
 

@@ -218,10 +218,16 @@ def test_solver_returns_immediately_on_level():
 
 
 def test_solver_budget_exhaustion(monkeypatch):
+    # a budget of one step takes one step, checks its residual and gives up
     rng = np.random.default_rng(36)
+    steps, newton_step = [], quotient._newton_step
     monkeypatch.setattr(quotient, "_LEVEL_MAX_ITER", 1)
+    monkeypatch.setattr(
+        quotient, "_newton_step", lambda jac, res: steps.append(1) or newton_step(jac, res)
+    )
     with pytest.raises(ConvergenceError):
         solve_level(ACTION, LEVEL, 50.0 * rng.standard_normal((1, 8)))
+    assert len(steps) == 1
 
 
 def test_solver_validates_shapes():
@@ -774,11 +780,16 @@ def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
 
 
 def test_chart_retraction_budget_exhaustion(monkeypatch):
+    # a budget of one step takes one step (one linear solve), checks its
+    # residual and gives up
     rng = np.random.default_rng(53)
     chart = QuotientChart(ACTION, solved(rng))
+    steps, solve = [], np.linalg.solve
     monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: steps.append(1) or solve(a, b))
     with pytest.raises(ConvergenceError):
         chart.point(np.full((1, 3, 4), 0.1))
+    assert len(steps) == 1
 
 
 def test_chart_retraction_checks_the_residual_after_its_last_step(monkeypatch):

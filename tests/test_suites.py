@@ -95,7 +95,7 @@ def test_run_check_rejects_a_check_the_configuration_does_not_run():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("samples", 2.5), ("n", 2.0), ("seed", 1.5), ("nodes", 16.5), ("samples", "20"), ("n", True)],
+    [("samples", 2.5), ("n", 2.0), ("seed", 1.5), ("samples", "20"), ("n", True)],
 )
 def test_run_config_rejects_non_integer_counts(field, value):
     # these reached the checks and raised TypeError mid-run; a ConfigError exits 2
@@ -255,20 +255,21 @@ def test_twistor_samples_keep_the_draw_stream(n):
 
 
 @pytest.mark.parametrize(
-    "overrides, per_point",
-    [({}, 312), ({"order": 4, "h": 1e-2}, 1248)],
+    "scheme, per_point",
+    [(suites._FLAT_SCHEME, 312), (FDScheme(h=1e-2, order=4), 1248)],
     ids=["order-2", "order-4-override"],
 )
-def test_flat_stencil_field_rows(monkeypatch, overrides, per_point):
+def test_flat_stencil_field_rows(monkeypatch, scheme, per_point):
     # the flat fields are quadratic, so the suite's order-2 nested stencil
-    # (312 distinct rows per point at dim 12) is exact; cfg.order and cfg.h
-    # still reach the row, at 1,248 rows per point for order 4
+    # (312 distinct rows per point at dim 12) is exact; the row reads its
+    # stencil from _FLAT_SCHEME, so an order-4 one there costs 1,248 rows
     rows = []
     moment_map = suites.fs.moment_map
     monkeypatch.setattr(
         suites.fs, "moment_map", lambda spec, p: rows.append(len(p)) or moment_map(spec, p)
     )
-    cfg = RunConfig(suite="flat", n=3, **overrides)
+    monkeypatch.setattr(suites, "_FLAT_SCHEME", scheme)
+    cfg = RunConfig(suite="flat", n=3)
     assert run_check(cfg, "flat.curvature.type11.full").passed
     assert sum(rows) == cfg.samples * per_point == 20 * per_point
 

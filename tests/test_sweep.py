@@ -74,7 +74,7 @@ def test_flat_stencil_rows_are_roundoff_alone(check_id, n):
     # an order-2 nested stencil is exact on the quadratic flat fields, so each
     # row's residual is roundoff, about (1/h)^2 eps max|f|, with f = mu / deg
     # (or |z|^2 / 2) taken over the sample box plus the nested stencil's reach
-    scheme = suites._flat_scheme(RunConfig(suite="flat", n=n))
+    scheme = suites._FLAT_SCHEME
     assert scheme.order == 2
     a = 1.5 + 2 * scheme.radius
     k = _FLAT_STENCIL_ROWS[check_id]
