@@ -41,7 +41,7 @@ print("metric determinant at a sample 4-point:",
 
 alpha = alpha_field(cfg)  # takes (m, 3) batches of base points, as every stencil does
 ys = rng.uniform(-1.5, 2.0, size=(8, 3))
-ys = ys[chart_clearance(cfg)(ys) >= 0.4]
+ys = ys[chart_clearance(ys) >= 0.4]
 # one Hodge star for the batch: the rows of dV are the (k, 3) components of k 1-forms
 star_dv = hodge_star(np.eye(3), 1, potential_gradient(cfg, ys), 1)
 worst = float(np.max(np.abs(ext_deriv(alpha, ys, scheme) - star_dv)))

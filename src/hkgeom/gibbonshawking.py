@@ -11,6 +11,11 @@ is hyperkahler with Kahler forms omega_i = V dx_j ^ dx_k + dx_i ^ (dtheta
 (the function f), the associated monopole (phi, A) on R^3, and the induced
 anti-self-dual connection form Ahat on the total space.
 
+The fields are singular only on the x1-axis: at the centres, which lie
+on it, and where the azimuth and the Dirac strings are.  So a point's
+clearance from every singularity is its distance from the axis,
+``chart_clearance``.
+
 Chart coordinates are ordered (x1, x2, x3, theta); the positive
 orientation is the coordinate order, which makes the omega_i self-dual.
 
@@ -28,7 +33,6 @@ regular above), "string-up" the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -111,37 +115,27 @@ class GHConfig:
 # -- base-space scalars ------------------------------------------------------------
 
 
-def _offsets(cfg: GHConfig, x) -> np.ndarray:
-    """x - a_i for every centre: base points (k, 3) -> (k, centres, 3)."""
-    x = _points(x, 3)
-    d = np.repeat(x[:, None, :], cfg.num_centers, axis=1)
-    d[..., 0] -= np.asarray(cfg.centers)
-    return d
-
-
 def _distances(cfg: GHConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """(x - a_i, |x - a_i|) for every centre: (k, 3) -> (k, centres, 3), (k, centres)."""
-    d = _offsets(cfg, x)
+    d = np.repeat(_points(x, 3)[:, None, :], cfg.num_centers, axis=1)
+    d[..., 0] -= np.asarray(cfg.centers)
     r = np.linalg.norm(d, axis=-1)
     if np.any(r <= CENTER_MARGIN):
         raise DomainError(f"point within {CENTER_MARGIN:.1e} of a centre")
     return d, r
 
 
-def chart_clearance(cfg: GHConfig) -> Callable:
-    """Distance (m,) to the nearer of the centres and the x1-axis.
+def chart_clearance(p) -> np.ndarray:
+    """Distance (m,) from the x1-axis of chart points p (m, 4) or base points p (m, 3).
 
-    The callback takes chart points (m, 4) or base points (m, 3).
+    Every centre lies on the axis, so no centre is nearer than the axis:
+    |x - a_i| >= hypot(x2, x3).  This is the clearance of a point from
+    every singularity of the fields here.
     """
-
-    def clear(p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2 or p.shape[1] not in (3, 4):
-            raise ConfigError(f"points must have shape (k, 3) or (k, 4), got shape {p.shape}")
-        rho = np.hypot(p[:, 1], p[:, 2])
-        return np.minimum(rho, np.linalg.norm(_offsets(cfg, p[:, :3]), axis=-1).min(axis=-1))
-
-    return clear
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[1] not in (3, 4):
+        raise ConfigError(f"points must have shape (k, 3) or (k, 4), got shape {p.shape}")
+    return np.hypot(p[:, 1], p[:, 2])
 
 
 def gh_potential(cfg: GHConfig, x) -> np.ndarray:
@@ -252,16 +246,16 @@ def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
 def alpha_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
     """alpha as a FormField on R^3: (m, 3) batches -> (m, 3) components."""
     _string_sign(gauge)  # validates the gauge before the first call
-    clear = chart_clearance(cfg)
-    return FormField(lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=clear)
+    return FormField(
+        lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=chart_clearance
+    )
 
 
 def monopole_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
     """A with dA = *d phi (phi = ``monopole_phi``) as a FormField on R^3: (m, 3) -> (m, 3)."""
     _string_sign(gauge)  # validates the gauge before the first call
-    clear = chart_clearance(cfg)
     return FormField(
-        lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge), 1, 3, clearance=clear
+        lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge), 1, 3, chart_clearance
     )
 
 
@@ -300,7 +294,7 @@ def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField
         raise ConfigError("Kahler index must be 1, 2 or 3")
     _string_sign(gauge)  # validates the gauge before the first call
     return FormField(
-        lambda p: _kahler_comps(cfg, p, gauge)[:, i - 1], 2, 4, clearance=chart_clearance(cfg)
+        lambda p: _kahler_comps(cfg, p, gauge)[:, i - 1], 2, 4, clearance=chart_clearance
     )
 
 
@@ -326,7 +320,7 @@ def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0
     """
     _string_sign(gauge)  # validates the gauge before the first call
     return FormField(
-        lambda p: _ahat_comps(cfg, p, gauge, gauge_shift), 1, 4, clearance=chart_clearance(cfg)
+        lambda p: _ahat_comps(cfg, p, gauge, gauge_shift), 1, 4, clearance=chart_clearance
     )
 
 

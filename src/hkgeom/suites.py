@@ -245,7 +245,7 @@ def _rotation(cfg: RunConfig, k: int) -> fs.CircleActionSpec:
 
 
 def _flat_points(cfg: RunConfig, rng, count) -> np.ndarray:
-    """(count, 4n) points, the same stream as count draws of 4n."""
+    """(count, 4n) points uniform in the cube (-1.5, 1.5)^4n."""
     return rng.uniform(-1.5, 1.5, size=(count, 4 * cfg.n))
 
 
@@ -272,7 +272,7 @@ def _flat_calibration(rng, cfg: RunConfig) -> float:
 
 
 def _cotangent_points(rng, count, b_max=0.8, v_max=0.8) -> ct.CotangentPoint:
-    """One batch point of count samples, the same stream as count draws of (b, v)."""
+    """One batch point of count samples, b and v uniform in their boxes, v kept off zero."""
     bound = np.array([b_max, b_max, v_max, v_max])
     x = rng.uniform(-bound, bound, size=(count, 4))
     b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
@@ -312,53 +312,36 @@ def _bg_type11(rng, cfg: RunConfig) -> float:
 # -- Gibbons-Hawking ------------------------------------------------------------------
 
 
-#: consecutive rejected draws after which _gh_points gives up
-_GH_MAX_REJECTIONS = 10_000
-#: least clearance of a sampled base point from the centres and the x1-axis,
-#: and the half-width of the (x2, x3) box it is drawn from
+#: least distance of a sampled base point from the x1-axis, which holds the
+#: centres, and the half-width of the (x2, x3) box it is drawn from: about
+#: 2% of the box, pi 0.4^2 / 5^2, is rejected
 _GH_MIN_CLEARANCE = 0.4
 _GH_BOX = 2.5
+#: rounds of redraws after which _gh_points gives up; a row is rejected in
+#: all of them with probability about 0.02^20 = 1e-34
+_GH_MAX_ROUNDS = 20
 
 
 def _gh_points(ghc, count, rng) -> np.ndarray:
     """(count, 3) base points with clearance above _GH_MIN_CLEARANCE, by rejection.
 
-    A candidate is four uniform doubles drawn in the order (unused, x2,
-    x3, x1): the first three on (-_GH_BOX, _GH_BOX), the fourth on the x1
-    range from 1.5 before the first centre to 1.5 past the last.  The
-    candidates are drawn and tested in batches, and the generator is then
-    reset to have used four doubles per candidate up to the count-th
-    accepted one, so the points and every later draw are those of testing
-    one candidate at a time.  Raises :class:`SamplingError` when
-    _GH_MAX_REJECTIONS candidates in a row are rejected, so a
-    configuration with no admissible region fails instead of hanging.
+    The points are uniform in the box that runs in x1 from 1.5 before the
+    first centre to 1.5 past the last, and in x2 and x3 over (-_GH_BOX,
+    _GH_BOX).  Each round redraws the rows still too near the axis.
+    Raises :class:`SamplingError` after _GH_MAX_ROUNDS rounds, so a
+    clearance that admits no point fails instead of hanging.
     """
-    clear = gh.chart_clearance(ghc)
-    low = np.array([-_GH_BOX, -_GH_BOX, -_GH_BOX, ghc.centers[0] - 1.5])
-    high = np.array([_GH_BOX, _GH_BOX, _GH_BOX, ghc.centers[-1] + 1.5])
-    start = rng.bit_generator.state
-    found, need, drawn, streak = [], count, 0, 0
-    size = count + count // 8 + 8  # about 2% of the candidates are rejected
-    while True:
-        x = rng.uniform(low, high, size=(size, 4))[:, [3, 1, 2]]
-        hits = np.flatnonzero(clear(x) > _GH_MIN_CLEARANCE)[:need]
-        # the rejections in a row before each hit, and after the last one
-        runs = np.diff(hits, prepend=-1 - streak) - 1
-        streak = size - 1 - hits[-1] if len(hits) else streak + size
-        found.append(x[hits])
-        need -= len(hits)
-        if np.any(runs >= _GH_MAX_REJECTIONS) or (need and streak >= _GH_MAX_REJECTIONS):
-            raise SamplingError(
-                f"no point with clearance above {_GH_MIN_CLEARANCE} "
-                f"in {_GH_MAX_REJECTIONS} draws"
-            )
-        if not need:
-            break
-        drawn += size
-        size = min(2 * size, _GH_MAX_REJECTIONS)
-    rng.bit_generator.state = start
-    rng.random(4 * (drawn + hits[-1] + 1))
-    return np.concatenate(found)
+    low = np.array([ghc.centers[0] - 1.5, -_GH_BOX, -_GH_BOX])
+    high = np.array([ghc.centers[-1] + 1.5, _GH_BOX, _GH_BOX])
+    x = rng.uniform(low, high, size=(count, 3))
+    for _ in range(_GH_MAX_ROUNDS):
+        near = gh.chart_clearance(x) <= _GH_MIN_CLEARANCE
+        if not near.any():
+            return x
+        x[near] = rng.uniform(low, high, size=(np.count_nonzero(near), 3))
+    raise SamplingError(
+        f"no point with clearance above {_GH_MIN_CLEARANCE} in {_GH_MAX_ROUNDS} rounds of draws"
+    )
 
 
 def _gh_config(cfg: RunConfig):
@@ -367,7 +350,7 @@ def _gh_config(cfg: RunConfig):
 
 #: the gh fields are not polynomial either, so this order-4 stencil too trades
 #: truncation (~h^4) against roundoff (~eps / h^2 nested); every sample keeps
-#: _GH_MIN_CLEARANCE from the centres and the x1-axis, where the fields are singular
+#: _GH_MIN_CLEARANCE from the x1-axis, which holds every singularity of the fields
 _GH_SCHEME = FDScheme(h=1e-3, order=4)
 
 
@@ -397,10 +380,9 @@ def _gh_pair(rng, cfg: RunConfig) -> float:
 
 def _gh_harmonic(rng, cfg: RunConfig) -> float:
     ghc = _gh_config(cfg)
-    clear = gh.chart_clearance(ghc)
     fields = (
-        ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=clear),
-        ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=clear),
+        ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=gh.chart_clearance),
+        ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=gh.chart_clearance),
     )
     xs = _gh_points(ghc, cfg.samples, rng)
     return _worst(np.abs([laplacian(f, xs, _GH_SCHEME) for f in fields]))
@@ -596,54 +578,31 @@ def _q_separation(rng, cfg: RunConfig) -> float:
 def _twistor_samples(cfg: RunConfig, rng, count, min_mod=0.3, max_mod=1.5):
     """(z, w, zeta) of count samples as arrays (count, n), (count, n), (count,).
 
-    Sample by sample, the draws are 4n standard normals, Re z, Im z, Re w
-    and Im w, n each, then two uniform doubles u, from which |zeta| =
-    min_mod + (max_mod - min_mod) u_0 and arg zeta = 2 pi u_1, as
-    ``rng.uniform`` forms them.  A ziggurat normal takes a varying number
-    of bits, so each sample makes its own two calls into ``rng``.
+    z and w are standard complex normals; |zeta| is uniform on (min_mod,
+    max_mod) and arg zeta on (0, 2 pi).
     """
-    normals = np.empty((count, 4, cfg.n))
-    u = np.empty((count, 2))
-    for row_normals, row_u in zip(normals, u):
-        rng.standard_normal(out=row_normals)
-        rng.random(out=row_u)
-    mod = min_mod + (max_mod - min_mod) * u[:, 0]
-    arg = 2 * np.pi * u[:, 1]
-    z = normals[:, 0] + 1j * normals[:, 1]
-    w = normals[:, 2] + 1j * normals[:, 3]
+    z, w = _complex_normals(rng, 2, count, cfg.n)
+    mod, arg = rng.uniform((min_mod, 0.0), (max_mod, 2 * np.pi), size=(count, 2)).T
     return z, w, mod * np.exp(1j * arg)
 
 
-def _complex_draws(a, n: int) -> np.ndarray:
-    """Complex (k, m n) rows from real draws (k, 2 m n) laid out as Re, Im of each n-block."""
-    a = a.reshape(len(a), -1, 2, n)
-    return (a[:, :, 0] + 1j * a[:, :, 1]).reshape(len(a), -1)
-
-
-def _chart_points(rng, count, n):
-    """count chart points (v, xi), each (count, n); a row draws Re v, Im v, Re xi, Im xi."""
-    vxi = _complex_draws(rng.standard_normal((count, 4 * n)), n)
-    return vxi[:, :n], vxi[:, n:]
-
-
-def _chart_tangents(rng, count, n) -> np.ndarray:
-    """count chart tangents (count, 2n+1); a row draws Re, Im of dv, then of dxi, then of dzeta."""
-    a = rng.standard_normal((count, 4 * n + 2))
-    fibre, zeta = _complex_draws(a[:, : 4 * n], n), _complex_draws(a[:, 4 * n :], 1)
-    return np.concatenate([fibre, zeta], axis=1)
+def _complex_normals(rng, *shape) -> np.ndarray:
+    """Standard complex normals of the given shape, Re and Im each one block of the last axis."""
+    a = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+    return a[..., 0, :] + 1j * a[..., 1, :]
 
 
 def _tw_pair(rng, cfg: RunConfig) -> float:
     z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
     v, xi = tw.product_to_chart(z, w, zeta)
-    tangents = _chart_tangents(rng, cfg.samples, cfg.n)
+    tangents = _complex_normals(rng, cfg.samples, 2 * cfg.n + 1)
     return _worst(tw.connection_pair_residual(v, xi, zeta, tangents))
 
 
 def _tw_invariance(rng, cfg: RunConfig) -> float:
     z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
     v, xi = tw.product_to_chart(z, w, zeta)
-    tangents = _chart_tangents(rng, cfg.samples, cfg.n)
+    tangents = _complex_normals(rng, cfg.samples, 2 * cfg.n + 1)
     return _worst(tw.action_invariance_residual(_rotation(cfg, 1), v, xi, zeta, tangents))
 
 
@@ -665,14 +624,14 @@ def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
     d_zeta[:, -1] = 1.0
     gaps = []
     for n_char in (1, 2, 5):
-        got = tw.connection_residue(n_char, *_chart_points(rng, 1, cfg.n), d_zeta)
+        got = tw.connection_residue(n_char, *_complex_normals(rng, 2, 1, cfg.n), d_zeta)
         gaps.append(np.abs(got - 2j * np.pi * n_char))
     return _worst(gaps)
 
 
 def _tw_pole_orders(rng, cfg: RunConfig) -> float:
-    v, xi = _chart_points(rng, 1, cfg.n)
-    zero, infinity = tw.pole_orders(2, v, xi, _chart_tangents(rng, 1, cfg.n))
+    v, xi = _complex_normals(rng, 2, 1, cfg.n)
+    zero, infinity = tw.pole_orders(2, v, xi, _complex_normals(rng, 1, 2 * cfg.n + 1))
     return abs(zero - 1) + abs(infinity - 1)
 
 

@@ -178,9 +178,9 @@ def fibre_symplectic(model: FlatModel, zeta, s, t) -> np.ndarray:
 # -- line-bundle transition ---------------------------------------------------------
 
 
-def _half_overlap(v, xi, zeta, where: str = "zeta") -> np.ndarray:
+def _half_overlap(v, xi, zeta) -> np.ndarray:
     """sum_i v_i xi_i / 2 zeta, the exponent of the transition function."""
-    zeta = _zeta(zeta, f"transition function has an essential singularity at {where} = 0")
+    zeta = _zeta(zeta, "transition function has an essential singularity at zeta = 0")
     return np.sum(np.asarray(v) * xi, axis=-1) / (2.0 * zeta)
 
 
@@ -303,11 +303,9 @@ def fibre_restriction_residual(z, w, zeta, s, t) -> np.ndarray:
 # -- contour quadrature -----------------------------------------------------------
 
 
-def _contour(nodes: int) -> np.ndarray:
-    """The nodes on |zeta| = CONTOUR_RADIUS."""
-    if nodes < 4:
-        raise ConfigError("contour quadrature needs at least 4 nodes")
-    return CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+#: the CONTOUR_NODES nodes on |zeta| = CONTOUR_RADIUS
+_CONTOUR = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+_CONTOUR.flags.writeable = False
 
 
 def _around_contour(zs, v, xi, tangent):
@@ -324,7 +322,7 @@ def _around_contour(zs, v, xi, tangent):
     )
 
 
-def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
+def pole_order(fn) -> int:
     """Order of the pole of fn at 0, measured by Laurent sampling on |zeta| = CONTOUR_RADIUS.
 
     fn takes the array of contour nodes and returns its values there.  A
@@ -332,19 +330,18 @@ def pole_order(fn, nodes: int = CONTOUR_NODES) -> int:
     contribution on the sampling circle exceeds _POLE_REL_TOL times the
     largest sample.
     """
-    zs = _contour(nodes)
-    vals = fn(zs)
+    vals = fn(_CONTOUR)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0
     for k in range(_POLE_MAX_ORDER, 0, -1):
-        a = np.mean(vals * zs**k)
+        a = np.mean(vals * _CONTOUR**k)
         if abs(a) / CONTOUR_RADIUS**k > _POLE_REL_TOL * scale:
             return k
     return 0
 
 
-def connection_residue(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
+def connection_residue(n_char: int, v, xi, tangent) -> np.ndarray:
     """Residue at zeta = 0 of the weight-n_char connection on fixed chart tangents, (k,).
 
     The mean of A(tangent) zeta over the nodes on |zeta| = CONTOUR_RADIUS,
@@ -354,12 +351,11 @@ def connection_residue(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) 
     2 pi i n and a fibre tangent (dzeta = 0) the fibre residue.
     """
     tangent = _tangent(tangent, v)
-    zs = _contour(nodes)
-    values = mero_connection(n_char, *_around_contour(zs, v, xi, tangent))
-    return np.mean(values.reshape(len(v), nodes) * zs, axis=-1)
+    values = mero_connection(n_char, *_around_contour(_CONTOUR, v, xi, tangent))
+    return np.mean(values.reshape(len(v), CONTOUR_NODES) * _CONTOUR, axis=-1)
 
 
-def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.ndarray:
+def residue_match_residual(z, w, m_tangent) -> np.ndarray:
     """Compare the zeta = 0 fibre residue with (-1) x i_X(omega2 + i omega3)/2i, (k,).
 
     X is the full-rotation field; on the zeta = 0 fibre the chart
@@ -370,14 +366,14 @@ def residue_match_residual(z, w, m_tangent, nodes: int = CONTOUR_NODES) -> np.nd
     model = _shared_model(np.shape(z)[1])
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
     s = np.asarray(m_tangent, dtype=float)
-    measured = connection_residue(_FIBRE_WEIGHT, z, w, vertical_lift(0.0, s), nodes=nodes)
+    measured = connection_residue(_FIBRE_WEIGHT, z, w, vertical_lift(0.0, s))
     omega_c = model.omega2 + 1j * model.omega3
     x = action_vector_field(spec, model.from_complex(z, w))
     expected = _pairing(x, omega_c, s) / 2j
     return _modulus(measured - (-1.0) * expected)
 
 
-def pole_orders(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) -> tuple[int, int]:
+def pole_orders(n_char: int, v, xi, tangent) -> tuple[int, int]:
     """Pole orders of the connection at zeta = 0 and infinity over one point, a 1-row batch.
 
     At infinity the supplied data are read as tilde coordinates held
@@ -396,7 +392,7 @@ def pole_orders(n_char: int, v, xi, tangent, nodes: int = CONTOUR_NODES) -> tupl
         (pv, pxi, pzeta), pulled = chart_transition(*_around_contour(zetats, v, xi, tangent))
         return mero_connection(n_char, pv, pxi, pzeta, pulled)
 
-    return pole_order(at_zero, nodes), pole_order(at_infinity, nodes)
+    return pole_order(at_zero), pole_order(at_infinity)
 
 
 # -- real-coordinate bridge ---------------------------------------------------------

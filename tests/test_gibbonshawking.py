@@ -45,13 +45,12 @@ _AHAT_SCHEME = FDScheme(h=1e-4, order=4)
 
 
 def sample_points(cfg, count, rng, min_clear=0.4, box=2.5):
-    """Random base points (count, 3) with clearance from the centres and the axis."""
-    clear = chart_clearance(cfg)
+    """Random base points (count, 3) with clearance from the axis, and so from the centres."""
     pts = []
     while len(pts) < count:
         x = rng.uniform(-box, box, size=3)
         x[0] = rng.uniform(cfg.centers[0] - 1.5, cfg.centers[-1] + 1.5)
-        if clear(x[None])[0] > min_clear:
+        if chart_clearance(x[None])[0] > min_clear:
             pts.append(x)
     return np.array(pts)
 
@@ -118,6 +117,23 @@ def test_domain_guards():
 # -- potential and connection alpha --------------------------------------------------
 
 
+def test_chart_clearance_is_the_axis_distance():
+    # the centres lie on the x1-axis, so no centre is nearer than the axis
+    rng = np.random.default_rng(59)
+    x = rng.uniform(-1.0, 4.0, size=(200, 3))
+    x[:8, 0] = np.repeat(THREE.centers, 3)[:8]  # some points straight above a centre
+    clear = chart_clearance(x)
+    assert np.array_equal(clear, np.hypot(x[:, 1], x[:, 2]))
+    centres = np.array([[a, 0.0, 0.0] for a in THREE.centers])
+    to_centres = np.linalg.norm(x[:, None, :] - centres, axis=-1)
+    # above a centre the two are equal, up to their different roundings
+    assert np.all(clear <= to_centres.min(axis=1) * (1 + 4 * np.finfo(float).eps))
+    assert np.array_equal(chart_clearance(np.column_stack([x, x[:, 0]])), clear)
+    for shape in ((3, 2), (3, 5), (2, 3, 3)):
+        with pytest.raises(ConfigError, match=r"shape \(k, 3\) or \(k, 4\)"):
+            chart_clearance(np.zeros(shape))
+
+
 def test_potential_single_center_unit_distance():
     cfg = GHConfig(centers=(0.0,))
     assert gh_potential(cfg, np.array([[0.0, 0.0, 1.0]]))[0] == pytest.approx(1.0)
@@ -125,9 +141,7 @@ def test_potential_single_center_unit_distance():
 
 def test_potential_gradient_and_harmonicity():
     rng = np.random.default_rng(7)
-    field = ScalarField(
-        lambda x: gh_potential(THREE, x), 3, clearance=chart_clearance(THREE)
-    )
+    field = ScalarField(lambda x: gh_potential(THREE, x), 3, clearance=chart_clearance)
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(THREE, 8, rng)
     fd = fd_gradient(lambda q: gh_potential(THREE, q), xs, scheme)
@@ -137,9 +151,7 @@ def test_potential_gradient_and_harmonicity():
 
 def test_monopole_phi_harmonic():
     rng = np.random.default_rng(8)
-    field = ScalarField(
-        lambda x: monopole_phi(THREE, x), 3, clearance=chart_clearance(THREE)
-    )
+    field = ScalarField(lambda x: monopole_phi(THREE, x), 3, clearance=chart_clearance)
     scheme = FDScheme(h=1e-3, order=4)
     assert np.max(np.abs(laplacian(field, sample_points(THREE, 6, rng), scheme))) < 1e-6
 
@@ -468,8 +480,8 @@ _BATCHED = {
     "lift_gradient": lambda r: lift_gradient(_CFG, _X[r]),
     "lift_identity_residual": lambda r: lift_identity_residual(_CFG, _X[r]),
     "monopole_phi": lambda r: monopole_phi(_CFG, _X[r]),
-    "chart_clearance[base]": lambda r: chart_clearance(_CFG)(_X[r]),
-    "chart_clearance[chart]": lambda r: chart_clearance(_CFG)(_P[r]),
+    "chart_clearance[base]": lambda r: chart_clearance(_X[r]),
+    "chart_clearance[chart]": lambda r: chart_clearance(_P[r]),
     "alpha_field": lambda r: alpha_field(_CFG, "string-up")(_X[r]),
     "monopole_field": lambda r: monopole_field(_CFG, "string-up")(_X[r]),
     "gh_metric": lambda r: gh_metric(_CFG, _P[r], "string-up"),

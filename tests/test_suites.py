@@ -161,97 +161,51 @@ def test_separation_fit_stays_conditioned_at_the_level_floor(seed):
     assert rec.passed and rec.residual < 1e-9, rec.to_dict()
 
 
-def _gh_points_one_by_one(ghc, count, rng, clear, max_rejections=10_000):
-    """The rejection loop that _gh_points batches: one candidate, one clearance call, at a time."""
-    pts, rejected = [], 0
-    while len(pts) < count:
-        x = rng.uniform(-2.5, 2.5, size=3)
-        x[0] = rng.uniform(ghc.centers[0] - 1.5, ghc.centers[-1] + 1.5)
-        if clear(x[None])[0] > 0.4:
-            pts.append(x)
-            rejected = 0
-        else:
-            rejected += 1
-            if rejected >= max_rejections:
-                raise SamplingError(f"no point with clearance above 0.4 in {rejected} draws")
-    return np.array(pts)
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_gh_points_keep_the_draw_stream():
-    # the points are the loop's bit for bit, and the generator is left where
-    # the loop leaves it, so a row's later draws (the gh.connection.asd angles) agree
-    for centers in ((0.0, 1.0), (0.0, 1.0, 3.0)):
+def test_gh_points_are_count_points_in_the_box_clear_of_the_axis():
+    box = suites._GH_BOX
+    for centers in ((0.0, 1.0), (0.0, 1.0, 3.0), (-1.0, 0.5, 2.0, 2.3)):
         ghc = gh.GHConfig(centers=centers)
-        for count in (1, 6, 20):
+        for count in (1, 6, 20, 200):
             for seed in range(5):
-                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                pts = suites._gh_points(ghc, count, rng)
-                want = _gh_points_one_by_one(ghc, count, ref, gh.chart_clearance(ghc))
-                assert pts.shape == (count, 3) and _same_bits(pts, want), (centers, count, seed)
-                assert _same_bits(rng.random(3), ref.random(3)), (centers, count, seed)
+                pts = suites._gh_points(ghc, count, np.random.default_rng(seed))
+                assert pts.shape == (count, 3), (centers, count, seed)
+                assert np.all((centers[0] - 1.5 <= pts[:, 0]) & (pts[:, 0] < centers[-1] + 1.5))
+                assert np.all((-box <= pts[:, 1:]) & (pts[:, 1:] < box))
+                assert np.all(gh.chart_clearance(pts) > suites._GH_MIN_CLEARANCE)
 
 
-def test_gh_points_give_up_where_the_loop_does(monkeypatch):
-    # a clearance that accepts about 3% of the candidates, and a short run of
-    # rejections allowed, so both outcomes occur across batches
-    ghc = gh.GHConfig(centers=(0.0, 1.0))
+def test_gh_points_redraw_only_the_rejected_rows(monkeypatch):
+    # a clearance that rejects half the box: every row must still come out accepted
+    monkeypatch.setattr(suites.gh, "chart_clearance", lambda p: (p[:, 1] > 0).astype(float))
+    for seed in range(5):
+        pts = suites._gh_points(gh.GHConfig(centers=(0.0, 1.0)), 30, np.random.default_rng(seed))
+        assert pts.shape == (30, 3) and np.all(pts[:, 1] > 0), seed
 
-    def clear(p):
-        return np.where(p[:, 1] > 2.35, 1.0, 0.0)
 
-    monkeypatch.setattr(suites.gh, "chart_clearance", lambda cfg: clear)
-    monkeypatch.setattr(suites, "_GH_MAX_REJECTIONS", 40)
-    outcomes = set()
-    for seed in range(40):
-        for count in (1, 5, 30):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            try:
-                want = _gh_points_one_by_one(ghc, count, ref, clear, max_rejections=40)
-            except SamplingError:
-                with pytest.raises(SamplingError, match="in 40 draws"):
-                    suites._gh_points(ghc, count, rng)
-                outcomes.add("gave up")
-                continue
-            assert _same_bits(suites._gh_points(ghc, count, rng), want), (seed, count)
-            assert rng.random() == ref.random()
-            outcomes.add("sampled")
-    assert outcomes == {"gave up", "sampled"}
+def test_gh_points_give_up_after_the_round_budget(monkeypatch):
+    monkeypatch.setattr(suites.gh, "chart_clearance", lambda p: np.zeros(len(p)))
+    budget = f"in {suites._GH_MAX_ROUNDS} rounds of draws"
+    with pytest.raises(SamplingError, match=budget):
+        suites._gh_points(gh.GHConfig(centers=(0.0, 1.0)), 5, np.random.default_rng(0))
 
 
 def test_gh_sampling_gives_up_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(suites.gh, "chart_clearance", lambda cfg: lambda p: np.zeros(len(p)))
+    monkeypatch.setattr(suites.gh, "chart_clearance", lambda p: np.zeros(len(p)))
     rec = run_check(RunConfig(suite="gh"), "gh.monopole.alpha")
     assert not rec.passed and rec.residual is None
-    assert rec.detail == "SamplingError: no point with clearance above 0.4 in 10000 draws"
-
-
-def _twistor_samples_one_by_one(n, rng, count, min_mod, max_mod):
-    """The sampling loop that _twistor_samples batches: six generator calls per sample."""
-    zs, ws, zetas = [], [], []
-    for _ in range(count):
-        zs.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        ws.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mod = rng.uniform(min_mod, max_mod)
-        arg = rng.uniform(0.0, 2 * np.pi)
-        zetas.append(mod * np.exp(1j * arg))
-    return np.array(zs), np.array(ws), np.array(zetas)
+    assert rec.detail == "SamplingError: no point with clearance above 0.4 in 20 rounds of draws"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_twistor_samples_keep_the_draw_stream(n):
+def test_twistor_samples_have_their_shapes_and_fibre_annulus(n):
     for count in (1, 20):
         for mods in ((0.3, 1.5), (0.7, 1.3)):
             for seed in range(5):
-                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = suites._twistor_samples(RunConfig(n=n), rng, count, *mods)
-                want = _twistor_samples_one_by_one(n, ref, count, *mods)
-                assert all(map(_same_bits, got, want)), (count, mods, seed)
-                assert _same_bits(rng.standard_normal(3), ref.standard_normal(3))
+                rng = np.random.default_rng(seed)
+                z, w, zeta = suites._twistor_samples(RunConfig(n=n), rng, count, *mods)
+                assert z.shape == w.shape == (count, n) and zeta.shape == (count,)
+                assert z.dtype == w.dtype == zeta.dtype == complex
+                assert np.all((mods[0] < np.abs(zeta)) & (np.abs(zeta) < mods[1])), (mods, seed)
 
 
 @pytest.mark.parametrize(

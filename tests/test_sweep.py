@@ -2,8 +2,10 @@
 
 ``verify all`` at n = 1, 2, 3 and the quotient suite at 40 samples (the
 benchmark's quotient-newton configuration), each for seeds 0-15; the
-batched quotient chart residuals against one call per 1-row batch at
-40 samples and at levels 2 and 0.5, seeds 0-15; each flat stencil row
+gh suite at three centre sets and the twistor suite at n = 1, 2, 3,
+whose samples are drawn by rejection or in a fibre annulus, each for
+seeds 0-99; the batched quotient chart residuals against one call per
+1-row batch at 40 samples and at levels 2 and 0.5, seeds 0-15; each flat stencil row
 against its roundoff model at n = 1, 2, 3, seeds 0-19; and ``verify
 all`` on 60 derandomized ``hypothesis`` draws of n, centres, level c,
 sample count and seed, each either passing every check or rejected by
@@ -51,6 +53,30 @@ def test_verify_all_passes(seed, n):
 @pytest.mark.parametrize("seed", range(16))
 def test_quotient_40_samples_passes(seed):
     assert not _failures(RunConfig(suite="quotient", samples=40, seed=seed))
+
+
+#: the gh and twistor configurations whose sampled points the seed sweep covers:
+#: two, three and four centres (with c = 0.7), and n = 1, 2, 3 for the twistor space
+_SAMPLED_CONFIGS = {
+    "gh": {"suite": "gh"},
+    "gh-three-centres": {"suite": "gh", "centers": (0.0, 1.0, 3.0)},
+    "gh-four-centres": {"suite": "gh", "centers": (-1.0, 0.5, 2.0, 2.3), "c": 0.7},
+    "twistor-n1": {"suite": "twistor", "n": 1},
+    "twistor-n2": {"suite": "twistor", "n": 2},
+    "twistor-n3": {"suite": "twistor", "n": 3},
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", _SAMPLED_CONFIGS)
+def test_sampled_suites_pass_at_seeds_0_to_99(name):
+    # a fixed seed only fixes the samples; the verdicts must hold at every seed
+    failures = {
+        seed: bad
+        for seed in range(100)
+        if (bad := _failures(RunConfig(seed=seed, **_SAMPLED_CONFIGS[name])))
+    }
+    assert not failures
 
 
 #: the flat stencil rows and the field each one differentiates: (k of the

@@ -386,8 +386,8 @@ def test_pole_orders_transition_once_at_infinity(monkeypatch):
 
     monkeypatch.setattr(twistor, "chart_transition", counted)
     rng = np.random.default_rng(78)
-    pole_orders(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2), nodes=16)
-    assert calls == [16]
+    pole_orders(2, _cpair(rng, 1, 2), _cpair(rng, 1, 2), _tangent(rng, 1, 2))
+    assert calls == [twistor.CONTOUR_NODES]
 
 
 def test_curvature_closed():
@@ -570,12 +570,12 @@ _BATCHED = {
         _Z[r], _W[r], _ZETA[r], _MS[r], _MT[r]
     ),
     "connection_residue[dzeta]": lambda r: connection_residue(
-        2, _V[r], _XI[r], _d_dzeta(_K, _N)[r], nodes=16
+        2, _V[r], _XI[r], _d_dzeta(_K, _N)[r]
     ),
     "connection_residue[fibre]": lambda r: connection_residue(
-        2, _V[r], _XI[r], vertical_lift(_ZETA[r], _MS[r]), nodes=16
+        2, _V[r], _XI[r], vertical_lift(_ZETA[r], _MS[r])
     ),
-    "residue_match_residual": lambda r: residue_match_residual(_Z[r], _W[r], _MS[r], nodes=16),
+    "residue_match_residual": lambda r: residue_match_residual(_Z[r], _W[r], _MS[r]),
     "log_hU": lambda r: log_hU(_Z[r], _W[r], _ZETA[r]),
     "log_hV": lambda r: log_hV(_Z[r], _W[r], _ZETA[r]),
     "reality_residual": lambda r: reality_residual(_Z[r], _W[r], _ZETA[r]),
