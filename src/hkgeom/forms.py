@@ -214,9 +214,11 @@ MAX_STENCIL_VALUES = 4096
 #: freed heap that glibc keeps instead of returning it (M_TOP_PAD, option -2).
 #: Each chunk frees a few hundred kB of temporaries at the top of the heap,
 #: and under the default trim threshold every chunk would hand them back and
-#: fault them in again: without the pad twistor.hermitian.curvature takes 390
-#: minor faults (1,494 at n = 3) over three warm runs in a fresh process, 0
-#: with it.  Smaller chunks cannot help: a one-chunk twistor dd^c takes 119.
+#: fault them in again: without the pad twistor.hermitian.curvature takes
+#: 160-320 minor faults (850-1,270 at n = 3; the count moves with the heap
+#: layout) over three warm runs in a fresh process, 0 with it.  The stencil
+#: values, not the structure matrices, are most of what is freed: the whole
+#: batch in one chunk takes 530-670 faults at the default n = 2.
 _HEAP_TOP_PAD = 16 << 20
 try:
     ctypes.CDLL(None).mallopt(-2, _HEAP_TOP_PAD)

@@ -566,8 +566,9 @@ def _q_separation(rng, cfg: RunConfig) -> float:
     action, circle = qt.eguchi_hanson_action(), qt.eh_residual_circle()
     seps = []
     for value in (cfg.level, 2.0 * cfg.level):
-        # the fit has six parameters, so fewer samples leave it underdetermined
-        xs, vs = gh_samples(action, circle, value, rng, max(6, cfg.samples))
+        # the fit has six parameters: six samples fix them exactly, with no
+        # redundancy to average out a poorly placed sample, so it takes twice that
+        xs, vs = gh_samples(action, circle, value, rng, max(12, cfg.samples))
         seps.append(fit_two_centers(xs, vs)[0])
     return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 

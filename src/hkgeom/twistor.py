@@ -440,19 +440,56 @@ def chart_jacobian(model: FlatModel, p) -> np.ndarray:
 def twistor_structure(n: int):
     """Points -> matrices callback for the twistor complex structure.
 
-    Returns the real (4n+2)-dimensional almost-complex structure in which
-    the chart functions are holomorphic: with the Jacobian split A + iB,
-    S solves (A; B) S = (-B; A).  The callback takes an (m, 4n+2) batch
-    and returns (m, 4n+2, 4n+2) from one stacked solve.
+    Returns the real (4n+2)-dimensional complex structure S in which the
+    chart functions (v, xi, zeta) are holomorphic, D S = i D for their
+    Jacobian D (``chart_jacobian``).  In closed form S is I_zeta on the
+    flat factor and i on the fibre:
+
+        S = blockdiag(I_zeta, [[0, -1], [1, 0]]),
+        I_zeta = ((1 - |zeta|^2) I - 2 Re zeta K + 2 Im zeta J) / (1 + |zeta|^2).
+
+    Derivation.  Write I_zeta = aI + bJ + cK and beta = b + ic.  On a flat
+    tangent X = (dz, dw), I X = (i dz, i dw) and J X = (-conj(dw), conj(dz)),
+    so I_zeta X = (ia dz - beta conj(dw), ia dw + beta conj(dz)).  The
+    chart differentials at fixed zeta, dv = dz + zeta conj(dw) and
+    dxi = dw - zeta conj(dz), then give
+
+        dv(I_zeta X)  = (ia + zeta conj(beta)) dz - (beta + ia zeta) conj(dw),
+        dxi(I_zeta X) = (ia + zeta conj(beta)) dw + (beta + ia zeta) conj(dz).
+
+    Both equal i dv(X) and i dxi(X) exactly when beta = -i zeta (1 + a)
+    and a + |zeta|^2 (1 + a) = 1: a = (1 - |zeta|^2)/(1 + |zeta|^2) and
+    beta = -2i zeta/(1 + |zeta|^2), so b = 2 Im zeta/(1 + |zeta|^2) and
+    c = -2 Re zeta/(1 + |zeta|^2), the display.  The zeta derivatives of
+    v, xi and zeta are conj(w), -conj(z) and 1 times the covector (1, i)
+    on (Re zeta, Im zeta), and (1, i) [[0, -1], [1, 0]] = i (1, i): the
+    fibre block alone takes each of them to i times itself, so the
+    off-diagonal blocks are exactly 0.  D S = i D has one solution (the
+    real and imaginary parts of the 2n+1 chart differentials are a
+    coframe), so this is the S of the stacked solve (A; B) S = (-B; A)
+    of the Jacobian split D = A + iB.
+
+    The callback takes an (m, 4n+2) batch and returns (m, 4n+2, 4n+2), one
+    product of the (m, 4) coefficients (a, b, c, 1) with the stacked I, J,
+    K and fibre block.  These have disjoint supports of entries +-1, so
+    every entry of S is one coefficient or 0, summed with zeros only: a
+    row of a batch has the bits of that point alone.
     """
     model = _shared_model(n)
+    dim = total_dim(n)
+    basis = np.zeros((4, dim, dim))
+    for slot, s in enumerate(model.structures()):
+        basis[slot, : model.dim, : model.dim] = s
+    basis[3, model.dim + 1, model.dim], basis[3, model.dim, model.dim + 1] = 1.0, -1.0
+    basis = basis.reshape(4, dim * dim)
 
     def structure(p) -> np.ndarray:
-        jac = chart_jacobian(model, p)
-        a, b = jac.real, jac.imag
-        return np.linalg.solve(
-            np.concatenate([a, b], axis=-2), np.concatenate([-b, a], axis=-2)
-        )
+        p = np.asarray(p, dtype=float)
+        x, y = p[..., model.dim], p[..., model.dim + 1]
+        r2 = x * x + y * y
+        den = 1.0 + r2
+        coeffs = np.stack([(1.0 - r2) / den, 2.0 * y / den, -2.0 * x / den, np.ones_like(x)], -1)
+        return (coeffs @ basis).reshape(p.shape[:-1] + (dim, dim))
 
     return structure
 

@@ -65,6 +65,28 @@ def test_twistor_mutation_fails(check_id, monkeypatch):
     assert not rec.passed, (check_id, rec.residual)
 
 
+def _at_conjugate_zeta(factory):
+    """The structure factory evaluated at conj(zeta): Im zeta, the last coordinate, negated."""
+
+    def mutated(n):
+        structure = factory(n)
+        return lambda p: structure(p * np.r_[np.ones(4 * n + 1), -1.0])
+
+    return mutated
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_at_conjugate_zeta_fails_the_hermitian_curvature(n, monkeypatch):
+    # I_{conj zeta} still squares to -Id, so only the residual can catch it:
+    # dd^c log h_U is then off the reference by O(1) (5.6, 8.2 and 6.3 at
+    # n = 1, 2, 3, tol 1e-6)
+    cfg = RunConfig(suite="twistor", n=n)
+    assert run_check(cfg, "twistor.hermitian.curvature").passed
+    monkeypatch.setattr(twistor, "twistor_structure", _at_conjugate_zeta(twistor.twistor_structure))
+    rec = run_check(cfg, "twistor.hermitian.curvature")
+    assert not rec.passed and rec.residual > 1.0, rec.to_dict()
+
+
 def test_double_pole_at_zero_is_a_residual(monkeypatch):
     # an added 1/zeta^2 raises the order at zeta = 0 to 2 and leaves the
     # simple pole at infinity (it is zetat^2 there), so the row reads

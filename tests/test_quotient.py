@@ -1070,7 +1070,17 @@ def test_two_center_fit_frees_all_six_coordinates(count, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_separation_check_passes_with_one_sample(seed):
-    # the six-parameter fit draws at least six samples per level
+    # the six-parameter fit draws at least twelve samples per level
     cfg = suites.RunConfig(suite="quotient", samples=1, seed=seed)
+    sep = suites.run_check(cfg, "quotient.gh.separation")
+    assert sep.passed, sep.residual
+
+
+@pytest.mark.parametrize("c", [0.01, 0.5, 2.5, 8.0])
+@pytest.mark.parametrize("seed", [42, 126, 192, 278])
+def test_separation_check_passes_at_six_samples(seed, c):
+    # with only six samples per level these seeds fixed the six centre
+    # coordinates exactly and missed by up to 1.03e-2 (tol 1e-4) at every c
+    cfg = suites.RunConfig(suite="quotient", samples=6, seed=seed, c=c)
     sep = suites.run_check(cfg, "quotient.gh.separation")
     assert sep.passed, sep.residual

@@ -432,6 +432,30 @@ def test_structure_squares_to_minus_id():
     assert np.max(np.abs(jac @ s - 1j * jac)) < 1e-12
 
 
+def _solved_structure(model, p):
+    """The structure from its definition D S = i D, D the chart Jacobian: (A; B) S = (-B; A)."""
+    jac = chart_jacobian(model, p)
+    a, b = jac.real, jac.imag
+    return np.linalg.solve(np.concatenate([a, b], axis=-2), np.concatenate([-b, a], axis=-2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("modulus", [0.0, 1e-3, 0.3, 1.0, 3.0, 1e3])
+def test_structure_is_the_solve_of_its_definition(n, modulus):
+    rng = np.random.default_rng(78)
+    model, dim = FlatModel(n), total_dim(n)
+    z, w = _cpair(rng, 10, n), _cpair(rng, 10, n)
+    zeta = modulus * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 10))
+    p = pack_point(model, z, w, zeta)
+    got, want = twistor_structure(n)(p), _solved_structure(model, p)
+    assert got.shape == (10, dim, dim)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the flat and fibre blocks do not mix, and the fibre block is i on zeta
+    assert np.all(got[:, : model.dim, model.dim :] == 0.0)
+    assert np.all(got[:, model.dim :, : model.dim] == 0.0)
+    assert np.all(got[:, model.dim :, model.dim :] == [[0.0, -1.0], [1.0, 0.0]])
+
+
 def test_structure_at_zero_is_flat_I():
     model = FlatModel(2)
     p = pack_point(model, [[0.3 + 1j, -0.2j]], [[1.0, 0.5 - 0.5j]], [0.0])
@@ -582,6 +606,7 @@ _BATCHED = {
     "pack_point": lambda r: pack_point(FlatModel(_N), _Z[r], _W[r], _ZETA[r]),
     "unpack_point": lambda r: unpack_point(FlatModel(_N), _P[r]),
     "chart_jacobian": lambda r: chart_jacobian(FlatModel(_N), _P[r]),
+    "twistor_structure": lambda r: twistor_structure(_N)(_P[r]),
     "hermitian_curvature_residual": lambda r: hermitian_curvature_residual(
         _N, _Z[r], _W[r], _ZETA[r]
     ),
