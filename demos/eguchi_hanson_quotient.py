@@ -33,7 +33,7 @@ print("circle weights (1,1)/(-1,-1) on H^2, level c = 1")
 # a batch of one level-set point; every quotient function takes a batch
 one = solve_level(action, level, rng.standard_normal((1, 8)))
 print("Newton solve:", len(one.histories[0]) - 1, "steps, final residual",
-      f"{one.residuals[0]:.2e}")
+      f"{one.histories[0][-1]:.2e}")
 
 frame = one.frames[0]
 print("horizontal metric identity gap:",

@@ -15,7 +15,8 @@ residual triholomorphic circle.
 Everything past the moment map works on batches.  ``solve_level`` takes
 seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
 with their vertical and horizontal frames built once for the whole batch,
-by one quaternionic Gram-Schmidt pass seeded with the orbit; the chart,
+by one quaternionic Gram-Schmidt pass seeded with the orbit; it and the
+chart retraction share one Newton loop, ``_newton``; the chart,
 descended and multi-centre functions take that batch and return arrays
 with one row per point, each row equal to that point in a batch of one.
 The chart at a level-set point m0 is the graph m0 + F xi + N c over its
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +72,8 @@ _CONDITION_GUARD = 1e8
 #: how far a generator may be from antisymmetric, triholomorphic and
 #: commuting with the others before LinearAction refuses it
 _GENERATOR_TOL = 1e-10
-#: Newton tolerance and iteration budget of the level-set solver
+#: Newton tolerance (times max(1, |level|), see ``_newton``) and iteration
+#: budget of the level-set solver
 _LEVEL_NEWTON_TOL = 1e-12
 _LEVEL_MAX_ITER = 40
 #: how far the rotator of descended_circle_data, and the residual circle of
@@ -80,7 +81,7 @@ _LEVEL_MAX_ITER = 40
 _ROTATOR_COMMUTE_TOL = 1e-12
 _CIRCLE_COMMUTE_TOL = 1e-10
 
-#: Newton tolerance and iteration budget of the chart retraction
+#: Newton tolerance (times max(1, |level|)) and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
 _CHART_MAX_ITER = 60
 #: the chart's one stencil, for d of the curvature forms and the ambient moment-map
@@ -263,24 +264,57 @@ def _gram_solve(gram, rhs) -> np.ndarray:
     return coef
 
 
+def _newton(action: LinearAction, m, target, tol: float, budget: int, step) -> list:
+    """Newton iteration on nu = target over the rows of m (r, dim), in place.
+
+    Each row iterates until its own residual norm is below
+    tol * max(1, |target|), so a row equals that row solved alone.  The
+    stop is relative because nu is quadratic: the residual's roundoff
+    grows like eps |m|^2, and |m|^2 grows with the level (on the
+    Eguchi-Hanson level set |m|^2 >= 2 c), so an absolute tolerance falls
+    below the roundoff floor at large levels.  The live rows ``todo`` take
+    the step step(todo, jac, res) from their moment Jacobians jac
+    (t, 3 dim_g, dim) and residuals res (t, 3 dim_g); running out the
+    budget of steps raises ConvergenceError.  Returns the (rows, residual
+    norms) of each evaluation, in order.
+    """
+    stop = tol * max(1.0, float(np.linalg.norm(target)))
+    log = []
+    todo = np.arange(len(m))
+    for steps in range(budget + 1):
+        res = hk_moment(action, m[todo]).reshape(len(todo), -1) - target
+        norms = np.linalg.norm(res, axis=1)
+        log.append((todo, norms))
+        live = ~(norms < stop)
+        todo, res = todo[live], res[live]
+        if not todo.size:
+            return log
+        if steps == budget:
+            raise ConvergenceError(f"no convergence in {budget} Newton steps")
+        jac = moment_jacobian(action, m[todo]).reshape(len(todo), -1, m.shape[1])
+        m[todo] += step(todo, jac, res)
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSetPoints:
     """k converged points of nu^{-1}(c, 0, 0) at one level, with their derivative data.
 
-    ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), ``orbits``
-    (k, dim, dim_g), ``residuals`` (k,) and ``histories`` (one tuple of
-    residual norms per row).  ``solve_level`` guards the orbit rank of all
-    the rows with their orbit Gram matrices (``_orbit_gram``); the
-    Gram-Schmidt pass that builds the frames guards each orbit direction
-    again.  A slice ``levels[i:j]`` is the batch of those rows and reads
-    its rows of the frames.
+    ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), the vertical frames
+    ``vertical`` (k, dim, 4 dim_g), the oriented horizontal frames
+    ``frames`` (k, dim, K) and ``histories`` (one tuple of residual norms
+    per row).  The frames are the blocks of the ``_quaternionic_basis``
+    that ``solve_level`` builds once for the batch: the orbit blocks span
+    the quaternionic span of the orbit, and the rest are orthonormal bases
+    of ker(d nu) intersected with the orbit complement; both are
+    read-only, so every chart and descended datum on these rows shares
+    them.  A slice ``levels[i:j]`` is the batch of those rows.
     """
 
     level: LevelSpec
     points: np.ndarray
     dnu: np.ndarray
-    orbits: np.ndarray
-    residuals: np.ndarray
+    vertical: np.ndarray
+    frames: np.ndarray
     histories: tuple
 
     def __len__(self) -> int:
@@ -289,48 +323,20 @@ class LevelSetPoints:
     def __getitem__(self, rows: slice) -> "LevelSetPoints":
         if not isinstance(rows, slice):
             raise TypeError("a level-set batch is indexed by a slice of rows, levels[i:j]")
-        part = LevelSetPoints(
-            self.level,
-            self.points[rows],
-            self.dnu[rows],
-            self.orbits[rows],
-            self.residuals[rows],
-            self.histories[rows],
-        )
-        vars(part)["_basis"], vars(part)["frames"] = self._basis[rows], self.frames[rows]
-        return part
-
-    @cached_property
-    def _basis(self) -> np.ndarray:
-        """The ``_quaternionic_basis`` (k, dim, dim), read-only: vertical frames, then ``frames``."""
-        basis = _quaternionic_basis(self.orbits)
-        basis.flags.writeable = False
-        return basis
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        """The oriented horizontal frames (k, dim, K), read-only.
-
-        Orthonormal bases of ker(d nu) intersected with the orbit
-        complement: the blocks of ``_quaternionic_basis`` after its orbit
-        blocks.  Built on first use for the whole batch and shared by
-        every chart and descended datum built on these rows.
-        """
-        frames = np.ascontiguousarray(self._basis[:, :, 4 * self.orbits.shape[2] :])
-        frames.flags.writeable = False
-        return frames
+        fields = (self.points, self.dnu, self.vertical, self.frames, self.histories)
+        return LevelSetPoints(self.level, *(field[rows] for field in fields))
 
 
 def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints:
     """Newton iteration on nu(m) = (c, 0, 0) from a batch of k seeds (k, dim).
 
-    Each row iterates until its own residual is below _LEVEL_NEWTON_TOL, so
-    a row equals that seed solved in a batch of one.  A step is the
-    minimum-norm solution ``_newton_step`` of the live rows, whose orbit
-    Gram matrices also guard the rank: rank deficiency along the way
-    raises NonFreePointError, running out the budget of _LEVEL_MAX_ITER
-    steps raises ConvergenceError.  The same guard (``_orbit_gram``) on the
-    solved points' moment Jacobians checks that the action is free at each.
+    ``_newton`` runs the rows to _LEVEL_NEWTON_TOL (relative to the level)
+    within _LEVEL_MAX_ITER steps, each the minimum-norm step
+    ``_newton_step``, whose orbit Gram matrices also guard the rank: rank
+    deficiency along the way raises NonFreePointError.  The same guard
+    (``_orbit_gram``) on the solved points' moment Jacobians checks that
+    the action is free at each, and one ``_quaternionic_basis`` of their
+    orbits gives the frames of the whole batch.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")
@@ -340,32 +346,21 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
             f"seeds must have shape (k, {action.dim}) with k >= 1, got {seeds.shape}"
         )
     m = seeds.copy()
-    target = level.target().ravel()
-    history = [[] for _ in m]
-    todo = np.arange(len(m))
-    for steps in range(_LEVEL_MAX_ITER + 1):
-        res = hk_moment(action, m[todo]).reshape(len(todo), target.size) - target
-        norms = np.linalg.norm(res, axis=1)
-        for row, norm in zip(todo, norms):
-            history[row].append(float(norm))
-        live = ~(norms < _LEVEL_NEWTON_TOL)
-        todo, res = todo[live], res[live]
-        if not todo.size:
-            break
-        if steps == _LEVEL_MAX_ITER:
-            raise ConvergenceError(f"no convergence in {_LEVEL_MAX_ITER} Newton steps")
-        jac = moment_jacobian(action, m[todo]).reshape(len(todo), target.size, action.dim)
-        m[todo] += _newton_step(jac, res)
+    log = _newton(
+        action, m, level.target().ravel(), _LEVEL_NEWTON_TOL, _LEVEL_MAX_ITER,
+        lambda todo, jac, res: _newton_step(jac, res),
+    )
     dnu = moment_jacobian(action, m)
     _orbit_gram(dnu.reshape(len(m), -1, action.dim))  # the action is free at each point
-    return LevelSetPoints(
-        level=level,
-        points=m,
-        dnu=dnu,
-        orbits=(action.generators @ m[:, None, :, None])[..., 0].transpose(0, 2, 1),
-        residuals=np.array([hist[-1] for hist in history]),
-        histories=tuple(tuple(hist) for hist in history),
-    )
+    orbits = (action.generators @ m[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    basis = _quaternionic_basis(orbits)
+    vertical, frames = (np.ascontiguousarray(b) for b in np.split(basis, [4 * action.dim_g], 2))
+    vertical.flags.writeable = frames.flags.writeable = False
+    histories = [[] for _ in m]
+    for rows, norms in log:
+        for row, norm in zip(rows.tolist(), norms.tolist()):
+            histories[row].append(norm)
+    return LevelSetPoints(level, m, dnu, vertical, frames, tuple(map(tuple, histories)))
 
 
 # -- quotient frames ------------------------------------------------------------------
@@ -496,29 +491,23 @@ class QuotientChart:
     def point(self, xi) -> np.ndarray:
         """Retraction of chart points into H^n, (k, m, K) -> (k, m, dim).
 
-        Newton moves m = m0 + F xi along N only: m <- m - N (J N)^{-1} res
-        with J = d nu(m), on every row whose level residual is not yet
-        below the tolerance (at m0, J N = G (x) I_3).  A row whose orbit
-        Gram matrix fails the condition guard raises NonFreePointError, and
-        one not converged after _CHART_MAX_ITER steps ConvergenceError.
+        ``_newton`` moves m = m0 + F xi along N only, to _CHART_NEWTON_TOL
+        (relative to the level) within _CHART_MAX_ITER steps: m <- m -
+        N (J N)^{-1} res with J = d nu(m) (at m0, J N = G (x) I_3).  A row
+        whose orbit Gram matrix fails the condition guard raises
+        NonFreePointError.
         """
         xi = self._check(xi)
         m = self.levels.points[:, None, :] + (self.frames[:, None] @ xi[..., None])[..., 0]
         m = m.reshape(-1, self.action.dim)
-        todo = np.arange(len(m))
-        for steps in range(_CHART_MAX_ITER + 1):
-            res = hk_moment(self.action, m[todo]).reshape(len(todo), -1) - self._target
-            live = ~(np.linalg.norm(res, axis=1) < _CHART_NEWTON_TOL)
-            todo, res = todo[live], res[live]
-            if not todo.size:
-                return m.reshape(xi.shape[:-1] + (self.action.dim,))
-            if steps == _CHART_MAX_ITER:
-                break
-            jac = moment_jacobian(self.action, m[todo]).reshape(len(todo), -1, m.shape[1])
+
+        def along_normals(todo, jac, res):
             _orbit_gram(jac)  # the rank guard
             normals = self._normals[todo // xi.shape[1]]
-            m[todo] -= (normals @ np.linalg.solve(jac @ normals, res[:, :, None]))[:, :, 0]
-        raise ConvergenceError("chart retraction did not converge")
+            return -(normals @ np.linalg.solve(jac @ normals, res[:, :, None]))[:, :, 0]
+
+        _newton(self.action, m, self._target, _CHART_NEWTON_TOL, _CHART_MAX_ITER, along_normals)
+        return m.reshape(xi.shape[:-1] + (self.action.dim,))
 
     def jet(self, xi):
         """(points, tangents) of chart points xi (k, m, K), from one ``point`` call.
@@ -734,7 +723,7 @@ def gh_coordinates(
     velocity = (gen @ m[:, :, None])[:, :, 0]
     s_velocity = (structures @ velocity[:, None, :, None])[..., 0]
     x = 0.5 * (s_velocity[:, :, None, :] @ m[:, None, :, None])[..., 0, 0]
-    vert = levels._basis[:, :, : 4 * action.dim_g]
+    vert = levels.vertical
     horizontal = velocity - (vert @ (vert.transpose(0, 2, 1) @ velocity[:, :, None]))[:, :, 0]
     v_inv = (horizontal[:, None, :] @ horizontal[:, :, None])[:, 0, 0]
     if np.any(v_inv < 1e-12):

@@ -69,9 +69,17 @@ _MIN_CENTER_GAP = 100 * gh.CENTER_MARGIN
 #: sqrt(c); its worst residual over seeds 0-7 at 20 samples is 7.8e-11 at
 #: c = 1e-3, 3.9e-10 at 1e-4 and 9.7e-9 at 1e-5 (3.8e-10, 3.9e-9 and 6.3e-8
 #: at 1 sample), against the tolerance 1e-4.  It still grows as c falls, and
-#: the solver's absolute tolerances (1e-12 on the Newton residual and the
-#: singular values, 1e-12 on 1/V) do not scale with c, so the floor stays.
+#: the Newton stops (tol max(1, c): absolute below level 1) and the 1e-12
+#: floor of gh_coordinates on 1/V do not shrink with c, so the floor stays.
 _MIN_QUOTIENT_LEVEL = 1e-3
+#: greatest quotient level.  The Newton stops scale with the level, but
+#: descended_circle_data's guard on the rotator's drift off the level set is
+#: an absolute 1e-9, and the drift's roundoff grows like eps |m|^2 ~ eps c.
+#: Over seeds 0-399 at 4 and 20 samples and 0-199 at 60 and 80, the quotient
+#: suite has no FAIL at c = 300 or 500; that guard's StructureError first
+#: fails a row at c = 600 (4 rows in 400 seeds at 20 samples), and at
+#: c = 1000 each chart row fails on 14-17% of the seeds at 60 samples.
+_MAX_QUOTIENT_LEVEL = 300.0
 
 
 # -- run configuration ----------------------------------------------------------------
@@ -133,8 +141,9 @@ class RunConfig:
         """The quotient level that c configures.
 
         c = 0 means the default level 1, since 0 is also the gh suite's
-        default axis constant; a negative level, or a positive one below
-        _MIN_QUOTIENT_LEVEL, is a configuration error.
+        default axis constant; a negative level, a positive one below
+        _MIN_QUOTIENT_LEVEL, or one above _MAX_QUOTIENT_LEVEL, is a
+        configuration error.
         """
         if self.c < 0:
             raise ConfigError(f"the quotient level c must be nonnegative, got {self.c}")
@@ -142,6 +151,10 @@ class RunConfig:
             raise ConfigError(
                 f"the quotient level c must be 0 (level 1) or at least {_MIN_QUOTIENT_LEVEL:g}, "
                 f"got {self.c}"
+            )
+        if self.c > _MAX_QUOTIENT_LEVEL:
+            raise ConfigError(
+                f"the quotient level c must be at most {_MAX_QUOTIENT_LEVEL:g}, got {self.c}"
             )
         return self.c if self.c > 0 else 1.0
 
@@ -271,10 +284,9 @@ def _flat_calibration(rng, cfg: RunConfig) -> float:
 # -- cotangent model ------------------------------------------------------------------
 
 
-def _cotangent_points(rng, count, b_max=0.8, v_max=0.8) -> ct.CotangentPoint:
-    """One batch point of count samples, b and v uniform in their boxes, v kept off zero."""
-    bound = np.array([b_max, b_max, v_max, v_max])
-    x = rng.uniform(-bound, bound, size=(count, 4))
+def _cotangent_points(rng, count) -> ct.CotangentPoint:
+    """One batch point of count samples, b and v uniform in [-0.8, 0.8]^2, v kept off zero."""
+    x = rng.uniform(-0.8, 0.8, size=(count, 4))
     b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
     return ct.CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
 
@@ -507,9 +519,16 @@ def gh_samples(action, rotator, level_value, rng, count):
 
 
 def _level_points(action, rng, cfg: RunConfig):
-    """samples // 4 (at least 2) points of the level set at the configured level."""
-    level = qt.LevelSpec((cfg.level,))
-    return qt.solve_level(action, level, rng.standard_normal((max(2, cfg.samples // 4), 8)))
+    """samples // 4 (at least 2) points of the level set at the configured level.
+
+    Above level 1 the standard normal seeds are scaled by sqrt(c), as in
+    ``gh_samples``: the minimum-norm Newton step from a unit seed to a
+    level c >> 1 overshoots, and at c = 150 left a point with |m|^2 = 17870
+    whose moment roundoff, eps |m|^2, kept the chart retraction from its
+    stop 1e-14 c.  Up to level 1 the seeds are unscaled.
+    """
+    seeds = rng.standard_normal((max(2, cfg.samples // 4), 8)) * np.sqrt(max(1.0, cfg.level))
+    return qt.solve_level(action, qt.LevelSpec((cfg.level,)), seeds)
 
 
 def _q_match(rng, cfg: RunConfig) -> float:

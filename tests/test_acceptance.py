@@ -16,7 +16,12 @@ import math
 import numpy as np
 
 from hkgeom import suites
-from hkgeom.cotangent import bg_curvature, bg_quaternionic_residual, bg_structures
+from hkgeom.cotangent import (
+    CotangentPoint,
+    bg_curvature,
+    bg_quaternionic_residual,
+    bg_structures,
+)
 from hkgeom.forms import FDScheme, type11_residual
 from hkgeom.gibbonshawking import GHConfig, f_segment_values, rotation_lift_f
 from hkgeom.quotient import eguchi_hanson_action, eh_residual_circle
@@ -99,7 +104,11 @@ def test_criterion_04_moment_map_and_curvature_agreement():
 def test_criterion_05_reconstruction_near_zero_section():
     rng = np.random.default_rng(105)
     scheme = FDScheme(h=1e-3, order=4)
-    pts = suites._cotangent_points(rng, 8, v_max=0.3)
+    # the suite's draw (b in [-0.8, 0.8]^2, v kept off zero) with v in [-0.3, 0.3]^2
+    bound = np.array([0.8, 0.8, 0.3, 0.3])
+    x = rng.uniform(-bound, bound, size=(8, 4))
+    b, v = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+    pts = CotangentPoint(b, np.where(np.abs(v) < 0.05, v + (0.1 + 0.1j), v))
     structures, F = bg_structures(pts, scheme), bg_curvature(pts, scheme)
     residuals = [bg_quaternionic_residual(structures[1])]
     residuals += [type11_residual(F, S, structure_tol=1e-4) for S in structures]

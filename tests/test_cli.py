@@ -306,6 +306,7 @@ def test_verify_unknown_suite_is_usage_error():
         ["verify", "quotient", "--c", "-2"],
         ["verify", "all", "--c", "-2"],
         ["verify", "quotient", "--c", "1e-5"],
+        ["verify", "all", "--c", "301"],
         ["verify", "gh", "--centers", "0,1e-9"],
     ],
 )

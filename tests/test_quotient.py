@@ -1,6 +1,5 @@
 """Tests for the linear hyperkahler quotient machinery."""
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -52,6 +51,11 @@ _E01_E23 = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 def solved(seed_rng, level=LEVEL):
     """A batch of one level-set point."""
     return solve_level(ACTION, level, seed_rng.standard_normal((1, 8)))
+
+
+def _orbits(action, points):
+    """The orbit directions (k, dim, dim_g) of points (k, dim): column a is G_a m."""
+    return (action.generators @ points[:, None, :, None])[..., 0].transpose(0, 2, 1)
 
 
 # -- action validation ----------------------------------------------------------------
@@ -198,8 +202,8 @@ def test_solver_converges_quadratically():
     rng = np.random.default_rng(34)
     for _ in range(10):
         one = solved(rng)
-        assert one.residuals[0] < 1e-12
         hist = one.histories[0]
+        assert hist[-1] < 1e-12
         assert len(hist) <= 20
         for r0, r1 in zip(hist, hist[1:]):
             if 1e-8 < r0 < 1e-3:
@@ -256,15 +260,14 @@ def test_solver_rejects_an_empty_or_one_dimensional_seed_batch():
 def test_frames_are_orthonormal_splittings():
     rng = np.random.default_rng(37)
     one = solved(rng)
-    vert = quotient._quaternionic_basis(one.orbits)[0, :, :4]
-    horiz = one.frames[0]
+    vert, horiz = one.vertical[0], one.frames[0]
     assert vert.shape == (8, 4) and horiz.shape == (8, 4)
     assert np.max(np.abs(vert.T @ vert - np.eye(4))) < 1e-12
     assert np.max(np.abs(horiz.T @ horiz - np.eye(4))) < 1e-12
     assert np.max(np.abs(vert.T @ horiz)) < 1e-12
     # level-set tangency and orbit-orthogonality of the horizontal block
     assert np.max(np.abs(one.dnu[0].reshape(-1, 8) @ horiz)) < 1e-9
-    assert np.max(np.abs(one.orbits[0].T @ horiz)) < 1e-10
+    assert np.max(np.abs(_orbits(ACTION, one.points)[0].T @ horiz)) < 1e-10
     # oriented with no sign fix: omega_bar_1 = e01 + e23
     omega1 = horiz.T @ ACTION.model.omega1 @ horiz  # the pullback E^T M E
     assert np.max(np.abs(omega1 - _E01_E23)) < 1e-12
@@ -273,9 +276,11 @@ def test_frames_are_orthonormal_splittings():
 def test_one_ulp_of_vertical_data_moves_the_frame_by_rounding_only():
     # no pivot or sign choice depends on the last bit of the vertical data
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(61).standard_normal((30, 8)))
+    orbits = _orbits(ACTION, levels.points)
+    assert np.array_equal(quotient._quaternionic_basis(orbits)[:, :, 4:], levels.frames)
     for scale in (1.0 + 2e-16, 1.0 - 2e-16):
-        moved = dataclasses.replace(levels, orbits=levels.orbits * scale, dnu=levels.dnu * scale)
-        assert np.max(np.abs(moved.frames - levels.frames)) <= 1e-14
+        moved = quotient._quaternionic_basis(orbits * scale)[:, :, 4:]
+        assert np.max(np.abs(moved - levels.frames)) <= 1e-14
 
 
 @pytest.mark.parametrize("weights", [(1, 0, 0), (1, 1, 1)])
@@ -286,7 +291,7 @@ def test_frames_of_dimension_eight(weights):
     )
     levels = solve_level(action, LEVEL, np.random.default_rng(62).standard_normal((6, 12)))
     assert levels.frames.shape == (6, 12, 8)
-    for frame, dnu, orbit in zip(levels.frames, levels.dnu, levels.orbits):
+    for frame, dnu, orbit in zip(levels.frames, levels.dnu, _orbits(action, levels.points)):
         assert np.max(np.abs(frame.T @ frame - np.eye(8))) < 1e-12
         assert np.max(np.abs(dnu.reshape(-1, 12) @ frame)) < 1e-12
         assert np.max(np.abs(orbit.T @ frame)) < 1e-12
@@ -298,11 +303,10 @@ def test_frames_of_dimension_eight(weights):
 
 
 def test_vertical_frame_seed_is_not_free():
-    one = solved(np.random.default_rng(63))
+    # an orbit equal to the first fixed seed leaves that seed nothing off the orbit blocks
     seed = np.sin(np.arange(1.0, 9.0))
-    bad = dataclasses.replace(one, orbits=seed[None, :, None])
     with pytest.raises(NonFreePointError):
-        bad.frames
+        quotient._quaternionic_basis(seed[None, :, None])
 
 
 def _top_wedge(A, B):
@@ -495,9 +499,12 @@ def _lstsq_newton(m, level, tol=1e-12, max_iter=40):
     raise AssertionError("reference Newton did not converge")
 
 
-def _alone(levels, row):
-    """Row ``row`` of a level-set batch as a batch of one that builds its own frame."""
-    return dataclasses.replace(levels[row : row + 1])
+def _alone(action, levels, row):
+    """Row ``row`` of a level-set batch solved again alone: a batch of one with its own frames.
+
+    The row is on the level already, so the solve takes no step and keeps its bits.
+    """
+    return solve_level(action, levels.level, levels.points[row : row + 1])
 
 
 def test_batch_solve_rows_equal_single_seed_solves():
@@ -508,7 +515,7 @@ def test_batch_solve_rows_equal_single_seed_solves():
         batch[0]  # a row is the batch of one batch[0:1]
     for row, seed in enumerate(seeds):
         alone = solve_level(ACTION, LEVEL, seeds[row : row + 1])
-        for name in ("points", "dnu", "orbits", "residuals"):
+        for name in ("points", "dnu", "vertical", "frames"):
             assert np.array_equal(getattr(batch, name)[row], getattr(alone, name)[0]), name
         assert batch.histories[row] == alone.histories[0]
         # the Gram step is the least-squares step: same path, rounding apart
@@ -704,7 +711,9 @@ def test_torus_retraction_on_h3_matches_single_rows():
     rng = np.random.default_rng(84)
     level = LevelSpec((1.0, 2.0))
     levels = solve_level(TORUS_H3, level, rng.standard_normal((3, 12)))
-    assert np.all(levels.residuals < quotient._LEVEL_NEWTON_TOL)
+    # both solvers stop relative to the level's norm, sqrt(5) here
+    scale = np.linalg.norm(level.target())
+    assert all(hist[-1] < quotient._LEVEL_NEWTON_TOL * scale for hist in levels.histories)
     xi = 0.05 * rng.standard_normal((3, 6, 4))
     batch = QuotientChart(TORUS_H3, levels).point(xi)
     assert batch.shape == (3, 6, 12)
@@ -713,7 +722,8 @@ def test_torus_retraction_on_h3_matches_single_rows():
         for j in range(6):
             alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
             assert np.array_equal(batch[row, j], alone)
-            assert np.linalg.norm(hk_moment(TORUS_H3, alone) - level.target()) < 1e-14
+            residual = np.linalg.norm(hk_moment(TORUS_H3, alone) - level.target())
+            assert residual < quotient._CHART_NEWTON_TOL * scale
 
 
 def test_h3_torus_basis_splits_into_vertical_and_horizontal_frames():
@@ -723,9 +733,11 @@ def test_h3_torus_basis_splits_into_vertical_and_horizontal_frames():
     # on each of the three blocks (measured worst 1.1e-15 over 200 seeds)
     seeds = np.random.default_rng(86).standard_normal((5, 12))
     levels = solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds)
-    basis = quotient._quaternionic_basis(levels.orbits)
+    orbits = _orbits(TORUS_H3, levels.points)
+    basis = quotient._quaternionic_basis(orbits)
     assert basis.shape == (5, 12, 12)
-    for full, frame, dnu, orbit in zip(basis, levels.frames, levels.dnu, levels.orbits):
+    assert np.array_equal(levels.vertical, basis[:, :, :8])
+    for full, frame, dnu, orbit in zip(basis, levels.frames, levels.dnu, orbits):
         vert = full[:, :8]
         assert np.max(np.abs(vert.T @ vert - np.eye(8))) < 1e-12
         span = np.linalg.qr(np.column_stack([orbit, dnu.reshape(-1, 12).T]))[0]
@@ -915,11 +927,16 @@ def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
         calls.clear()
         assert suites.run_check(cfg, check_id).passed
         assert calls == [samples // 4], (check_id, calls)
-    one = solved(np.random.default_rng(56))
+    # solve_level builds them, once; a chart and a slice read them, read-only
     calls.clear()
+    one = solved(np.random.default_rng(56))
+    assert calls == [1]
     assert QuotientChart(ACTION, one).frames is one.frames
-    assert one[0:1].frames.base is one.frames and calls == [1]
-    assert not one.frames.flags.writeable
+    assert one[0:1].frames.base is one.frames and one[0:1].vertical.base is one.vertical
+    assert calls == [1]
+    for part in (one, one[0:1]):
+        for frames in (part.vertical, part.frames):
+            assert frames.flags.c_contiguous and not frames.flags.writeable
 
 
 # -- chart batches ----------------------------------------------------------------------
@@ -934,9 +951,9 @@ def test_batch_frames_equal_frames_built_alone(action):
     levels = solve_level(action, LEVEL, rng.standard_normal((6, action.dim)))
     chart = QuotientChart(action, levels)  # one batched build of six frames
     assert chart.frames.shape == (6, action.dim, action.dim - 4)
-    assert levels.frames is levels.frames and not levels.frames.flags.writeable
+    assert not levels.frames.flags.writeable
     for row in range(6):
-        alone = _alone(levels, row).frames[0]
+        alone = _alone(action, levels, row).frames[0]
         assert np.array_equal(chart.frames[row], alone)
         # a slice reads its rows of the batch's frames, read-only
         part = levels[row : row + 1].frames
@@ -955,7 +972,7 @@ def test_batch_curvatures_equal_single_point_calls():
     assert descended.shape == canonical.shape == (6, 6)
     assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
     for row in range(6):
-        one = _alone(levels, row)
+        one = _alone(ACTION, levels, row)
         assert np.array_equal(descended[row], descended_curvature(ACTION, rotator, one)[0])
         assert np.array_equal(canonical[row], canonical_bundle_curvature(ACTION, (1.0,), one)[0])
         assert descent[row] == moment_descent_residual(ACTION, rotator, one)[0]
@@ -990,12 +1007,11 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     rotator = eh_rotator()
 
     def results():
-        # fresh copies, so each call builds its own frames
         return (
-            descended_curvature(ACTION, rotator, dataclasses.replace(levels)),
-            canonical_bundle_curvature(ACTION, (1.0,), dataclasses.replace(levels)),
-            moment_descent_residual(ACTION, rotator, dataclasses.replace(levels)),
-            quotient_structures(ACTION, dataclasses.replace(levels)),
+            descended_curvature(ACTION, rotator, levels),
+            canonical_bundle_curvature(ACTION, (1.0,), levels),
+            moment_descent_residual(ACTION, rotator, levels),
+            quotient_structures(ACTION, levels),
         )
 
     whole = results()

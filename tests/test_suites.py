@@ -161,6 +161,30 @@ def test_separation_fit_stays_conditioned_at_the_level_floor(seed):
     assert rec.passed and rec.residual < 1e-9, rec.to_dict()
 
 
+@pytest.mark.parametrize("c, seed", [(15.0, 1), (30.0, 13)])
+def test_quotient_suite_passes_above_level_one(c, seed):
+    # both Newton stops scale with the level: with the chart's absolute 1e-14
+    # the retraction stalled on the moment map's roundoff, eps |m|^2 ~ eps c,
+    # and these two raised ConvergenceError in 1 and 3 rows
+    report = run_suite(RunConfig(suite="quotient", c=c, seed=seed))
+    assert report.all_passed, [r.to_dict() for r in report.records if not r.passed]
+
+
+def test_quotient_level_ceiling_passes_and_a_level_above_it_exits_two(tmp_path, capsys):
+    ceiling = suites._MAX_QUOTIENT_LEVEL
+    for seed in range(4):
+        report = run_suite(RunConfig(suite="quotient", c=ceiling, seed=seed))
+        assert report.all_passed, [r.to_dict() for r in report.records if not r.passed]
+    above = float(np.nextafter(ceiling, np.inf))
+    for suite in ("quotient", "all"):
+        with pytest.raises(ConfigError, match="quotient level c must be at most"):
+            RunConfig(suite=suite, c=above)
+    assert RunConfig(suite="gh", c=above).c == above  # the gh axis constant has no ceiling
+    out = tmp_path / "r.json"
+    assert main(["verify", "quotient", "--c", repr(above), "--out", str(out)]) == 2
+    assert "at most" in capsys.readouterr().err and not out.exists()
+
+
 def test_gh_points_are_count_points_in_the_box_clear_of_the_axis():
     box = suites._GH_BOX
     for centers in ((0.0, 1.0), (0.0, 1.0, 3.0), (-1.0, 0.5, 2.0, 2.3)):

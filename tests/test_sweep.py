@@ -9,7 +9,8 @@ seeds 0-99; the batched quotient chart residuals against one call per
 against its roundoff model at n = 1, 2, 3, seeds 0-19; and ``verify
 all`` on 60 derandomized ``hypothesis`` draws of n, centres, level c,
 sample count and seed, each either passing every check or rejected by
-``RunConfig`` for a stated resolution floor.
+``RunConfig`` for a stated resolution floor; and the quotient suite on
+60 draws of a level c log-uniform between the level floor and ceiling.
 
 The ``hypothesis`` draws are derandomized but not fixed across commits:
 hypothesis 6.131 and later mines literal constants from the local
@@ -18,11 +19,13 @@ in place of a generated value with probability 0.05 for integers and
 0.15 for floats (``providers._maybe_draw_constant``).  A constant changed
 anywhere under ``src/`` therefore changes the drawn configurations, even
 with ``derandomize=True``.  The ``@example`` rows pin what must be covered
-at every commit: each ``RunConfig`` floor itself, which must pass, and a
-value just below each floor, which must be rejected.
+at every commit: each ``RunConfig`` floor and ceiling itself, which must
+pass, and a value just past each, which must be rejected.
 
 Marked slow (several minutes); run with ``pytest -m slow``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +179,37 @@ def test_random_configurations_pass(n, centers, c, samples, seed):
     if tight or 0 < c < suites._MIN_QUOTIENT_LEVEL:
         # the stated resolution floors turn a configuration away, and only they may
         with pytest.raises(ConfigError):
+            RunConfig(**params)
+        return
+    cfg = RunConfig(**params)
+    failures = _failures(cfg)
+    assert not failures, f"{cfg}: {failures}"
+
+
+_FLOOR, _CEILING = suites._MIN_QUOTIENT_LEVEL, suites._MAX_QUOTIENT_LEVEL
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    # log-uniform, clipped so that rounding in exp cannot step past a bound
+    c=st.floats(math.log(_FLOOR), math.log(_CEILING)).map(
+        lambda t: min(max(math.exp(t), _FLOOR), _CEILING)
+    ),
+    samples=st.sampled_from([1, 3, 8, 20, 60]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the level floor and ceiling pass ...
+@example(c=_FLOOR, samples=20, seed=0)
+@example(c=_CEILING, samples=20, seed=0)
+# ... and a level just past either is rejected
+@example(c=float(np.nextafter(_FLOOR, 0.0)), samples=20, seed=0)
+@example(c=float(np.nextafter(_CEILING, np.inf)), samples=20, seed=0)
+@pytest.mark.filterwarnings("ignore:level is not integral")
+def test_quotient_passes_at_levels_between_the_floor_and_the_ceiling(c, samples, seed):
+    params = dict(suite="quotient", c=c, samples=samples, seed=seed)
+    if not _FLOOR <= c <= _CEILING:
+        with pytest.raises(ConfigError, match="quotient level"):
             RunConfig(**params)
         return
     cfg = RunConfig(**params)
