@@ -15,6 +15,7 @@ from hkgeom.quotient import (
     GH_CIRCLE_SCALE,
     LevelSpec,
     canonical_bundle_curvature,
+    charts,
     descended_curvature,
     eguchi_hanson_action,
     eh_residual_circle,
@@ -41,12 +42,15 @@ print("horizontal metric identity gap:",
 
 # -- curvature of the canonical connection ----------------------------------------------
 
-canonical = canonical_bundle_curvature(action, (1.0,), one)
-descended = descended_curvature(action, eh_rotator(), one)
+# the chart batches of the point: each retracts its base point and its
+# curvature stencil once, however many chart functions it is passed to
+batches = charts(action, one)
+canonical = canonical_bundle_curvature(batches, (1.0,))
+descended = descended_curvature(batches, eh_rotator())
 print("\n|canonical-connection curvature - (omega-bar_1 + dd^c(mu-bar/2))| =",
       f"{np.max(np.abs(canonical - descended)):.3e}")
 
-s1 = quotient_structures(action, one)[0, 0]
+s1 = quotient_structures(batches)[0, 0]
 print("chart structure check  max|S1^2 + Id| =",
       f"{np.max(np.abs(s1 @ s1 + np.eye(4))):.2e}")
 

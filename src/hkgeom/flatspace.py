@@ -229,15 +229,17 @@ def action_vector_field(spec: CircleActionSpec, p) -> np.ndarray:
 def moment_map(spec: CircleActionSpec, p) -> np.ndarray:
     """Moment map mu = -1/2 sum(k|z|^2 + l|w|^2) of the action for omega1 at p (k, 4n), (k,).
 
-    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  The weighted
-    sums are reductions over the last axis, not BLAS dot products, whose
-    rounding depends on the batch shape; so each row of a batch gives the
-    same bits as that point alone.
+    Normalized so mu(0) = 0; satisfies d mu = i_X omega1.  It is the
+    weighted sum of squares -1/2 sum_i w_i p_i^2 over the plane weights
+    w that the generator reads too, in one three-operand ``np.einsum``.
+    Its reduction runs over each row's own coordinates in order, whatever
+    the batch's size or memory order, so each row of a batch gives the
+    same bits as that point alone (tested on C- and Fortran-ordered and
+    column-sliced batches); a BLAS dot, or the two-operand einsum of
+    (w p, p), rounds by the layout and does not.
     """
-    z, w = spec.model().to_complex(_points(p, 4 * spec.n))
-    k = np.asarray(spec.k, dtype=float)
-    l = np.asarray(spec.l, dtype=float)
-    return -0.5 * ((k * np.abs(z) ** 2).sum(-1) + (l * np.abs(w) ** 2).sum(-1))
+    P = _points(p, 4 * spec.n)
+    return -0.5 * np.einsum("ki,i,ki->k", P, _plane_weights(spec), P)
 
 
 def moment_field(spec: CircleActionSpec) -> ScalarField:

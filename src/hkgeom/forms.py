@@ -275,14 +275,19 @@ def _derivatives(fn: Callable, P: np.ndarray, scheme: FDScheme) -> np.ndarray:
     return _stencil_derivatives(fn(_stencil_points(P, scheme)), P.shape[0], scheme)
 
 
-def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
-    """op over consecutive chunks of the rows of P, concatenated.
+def _chunks(count: int, values_per_point: int) -> list:
+    """Slices of consecutive chunks of count base points.
 
     Each chunk holds as many base points as keep their stencil values (at
     ``values_per_point`` each) within MAX_STENCIL_VALUES, and at least one.
     """
     size = max(1, MAX_STENCIL_VALUES // values_per_point)
-    return np.concatenate([op(P[i : i + size]) for i in range(0, len(P), size)])
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _chunked(P: np.ndarray, values_per_point: int, op: Callable) -> np.ndarray:
+    """op over the ``_chunks`` of the rows of P, concatenated."""
+    return np.concatenate([op(P[rows]) for rows in _chunks(len(P), values_per_point)])
 
 
 def fd_gradient(fn: Callable, p, scheme: FDScheme) -> np.ndarray:

@@ -16,12 +16,15 @@ Everything past the moment map works on batches.  ``solve_level`` takes
 seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
 with their vertical and horizontal frames built once for the whole batch,
 by one quaternionic Gram-Schmidt pass seeded with the orbit; it and the
-chart retraction share one Newton loop, ``_newton``; the chart,
-descended and multi-centre functions take that batch and return arrays
-with one row per point, each row equal to that point in a batch of one.
-The chart at a level-set point m0 is the graph m0 + F xi + N c over its
+chart retraction share one Newton loop, ``_newton``.  The descended and
+multi-centre functions take that batch, and ``charts`` cuts it into the
+chart batches that the chart functions take; all return arrays with one
+row per point, each row equal to that point in a batch of one.  The
+chart at a level-set point m0 is the graph m0 + F xi + N c over its
 horizontal frame F, with N = d nu(m0)^T, so its tangents are closed-form
 (implicit function theorem); one stencil step serves every derivative.
+A chart batch retracts its base points and its curvature stencil once,
+on first use, so chart functions passed the same list share them.
 
 The standard worked example throughout is the Eguchi-Hanson quotient of
 H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from .flatspace import (
 )
 from .forms import (
     FDScheme,
-    _chunked,
+    _chunks,
     _ext_deriv_sum,
     _fd_reduce,
     _pair_indices,
@@ -460,9 +464,13 @@ class QuotientChart:
     projected out), the complex structures and the connection form are
     array functions of a jet over any leading axes, ``gradient`` contracts
     an ambient gradient with a jet's tangents, and ``exterior_derivative``
-    takes d of a chart one-form at xi = 0 in every chart from one call of
-    it, so every quantity at the same points shares one retraction.  The
-    frames are the level-set points' own (``levels.frames``).
+    takes d of a chart one-form at xi = 0 in every chart.  The batch
+    retracts two jets, each once, on first use: ``base`` at xi = 0 and
+    ``stencil`` at the _CHART_SCHEME stencil around it, so every quantity
+    at the same points shares one retraction, whichever function asks for
+    it first.  Their arrays are read-only, so no caller can change what the
+    next one reads.  The frames are the level-set points' own
+    (``levels.frames``).
     """
 
     def __init__(self, action: LinearAction, levels: LevelSetPoints):
@@ -523,6 +531,28 @@ class QuotientChart:
         frames, normals = self.frames[:, None], self._normals[:, None]
         return points, frames - normals @ np.linalg.solve(jac @ normals, jac @ frames)
 
+    def _cached_jet(self, xi):
+        """``jet`` of xi with read-only arrays, for the jets every caller shares."""
+        jet = self.jet(xi)
+        for array in jet:
+            array.flags.writeable = False
+        return jet
+
+    @cached_property
+    def base(self):
+        """The jet of every chart at its base point xi = 0, (k, 1, dim) and (k, 1, dim, K)."""
+        return self._cached_jet(np.zeros((len(self.frames), 1, self.dim)))
+
+    @cached_property
+    def stencil(self):
+        """The jet of every chart at the _CHART_SCHEME stencil around xi = 0.
+
+        The stencil's 4 K points are the same in every chart, so one
+        ``jet`` call retracts all of them: (k, 4 K, dim) and (k, 4 K, dim, K).
+        """
+        offsets = _stencil_points(np.zeros((1, self.dim)), _CHART_SCHEME)
+        return self._cached_jet(np.broadcast_to(offsets, (len(self.frames),) + offsets.shape))
+
     def gradient(self, jet, fn) -> np.ndarray:
         """Chart gradient (k, m, K) at each jet point of fn, a batch function (r, dim) -> (r,).
 
@@ -537,15 +567,13 @@ class QuotientChart:
     def exterior_derivative(self, form) -> np.ndarray:
         """d of a chart one-form at xi = 0 in every chart, (k, nb).
 
-        ``form`` takes chart points (k, m, K), as ``jet`` takes them, and
-        returns the one-form's components at each, in the same shape.  It
-        gets the _CHART_SCHEME stencil around 0 of every chart in one
-        call, and ``forms._ext_deriv_sum`` sums the derivatives as
-        ``ext_deriv`` does.
+        ``form`` takes a jet and returns the one-form's components (k, m,
+        K) at its m points.  It gets the ``stencil`` jet, so one call
+        covers the stencil of every chart, and ``forms._ext_deriv_sum``
+        sums the derivatives as ``ext_deriv`` does.
         """
         K = self.dim
-        stencil = _stencil_points(np.zeros((1, K)), _CHART_SCHEME)
-        vals = np.asarray(form(np.broadcast_to(stencil, (len(self.frames),) + stencil.shape)))
+        vals = np.asarray(form(self.stencil))
         vals = vals.reshape((len(vals), -1, K) + vals.shape[2:])  # [chart][offset][coordinate]
         D = _fd_reduce(np.moveaxis(vals, 1, 0), _CHART_SCHEME.order, _CHART_SCHEME.h)
         return _ext_deriv_sum(D, K, 1)
@@ -581,121 +609,111 @@ class QuotientChart:
         return np.asarray(chi, dtype=float) @ coef
 
 
-def _over_charts(action: LinearAction, levels: LevelSetPoints, op) -> np.ndarray:
-    """op(chart) on the chart batch of each chunk of the level-set points, concatenated.
+def charts(action: LinearAction, levels: LevelSetPoints) -> list:
+    """The chart batches (``QuotientChart``) of consecutive chunks of the level-set points.
 
-    op returns one row per point of its chart batch.  A chunk holds as
-    many consecutive points as keep the rows of their outer curvature
+    A chunk holds as many points as keep the rows of their outer curvature
     stencils (4 K retracted points each: the jets' tangents are
     closed-form) within ``forms.MAX_STENCIL_VALUES``, and at least one
     point, so a retraction takes the same memory at any number of points.
-    Each chunk reads its rows of ``levels.frames``.
+    Each chunk reads its rows of ``levels.frames``.  The chart functions
+    below take this list and return one row per point; passing one list
+    to several of them retracts each batch's base points and stencil once.
     """
-    return _chunked(
-        levels,
-        _stencil_rows(_CHART_SCHEME, _quotient_dim(action)),
-        lambda chunk: op(QuotientChart(action, chunk)),
-    )
+    rows = _chunks(len(levels), _stencil_rows(_CHART_SCHEME, _quotient_dim(action)))
+    return [QuotientChart(action, levels[chunk]) for chunk in rows]
 
 
-def _base_jet(chart: QuotientChart):
-    """The jet of every chart of a chart batch at its base point xi = 0."""
-    return chart.jet(np.zeros((len(chart.frames), 1, chart.dim)))
+def _over_charts(batches, op) -> np.ndarray:
+    """op(chart) on each chart batch, concatenated; op returns one row per point."""
+    if not batches:
+        raise ConfigError("need at least one chart batch, as quotient.charts makes them")
+    return np.concatenate([op(chart) for chart in batches])
 
 
-def moment_descent_residual(
-    action: LinearAction,
-    rotator: CircleActionSpec,
-    levels: LevelSetPoints,
-) -> np.ndarray:
+def moment_descent_residual(batches, rotator: CircleActionSpec) -> np.ndarray:
     """FD check of d mu_bar = i_{X_bar} omega_bar_1 on the quotient chart, (k,).
 
-    A row equals that point in a batch of one.  One jet of every chart per
-    chunk.
+    Over the chart batches of ``charts``, at each batch's ``base`` jet.  A
+    row equals that point in a batch of one.
     """
     mu = moment_field(rotator)
 
     def residuals(chart):
-        x_bar, _ = descended_circle_data(action, rotator, chart.levels)
-        jet = _base_jet(chart)
-        covec = (x_bar[:, None, :] @ chart.omega_bar(jet, 1)[:, 0])[:, 0]
-        return np.max(np.abs(chart.gradient(jet, mu)[:, 0] - covec), axis=1)
+        x_bar, _ = descended_circle_data(chart.action, rotator, chart.levels)
+        covec = (x_bar[:, None, :] @ chart.omega_bar(chart.base, 1)[:, 0])[:, 0]
+        return np.max(np.abs(chart.gradient(chart.base, mu)[:, 0] - covec), axis=1)
 
-    return _over_charts(action, levels, residuals)
+    return _over_charts(batches, residuals)
 
 
-def quotient_structures(action: LinearAction, levels: LevelSetPoints) -> np.ndarray:
+def quotient_structures(batches) -> np.ndarray:
     """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of each chart, (k, 3, K, K).
 
-    A row equals that point in a batch of one.  One jet of every chart per
-    chunk.
+    Over the chart batches of ``charts``, at each batch's ``base`` jet:
+    one metric per jet and one solve of its three right-hand sides
+    omega_bar_i side by side, whose columns have the bits of three
+    separate solves.  A row equals that point in a batch of one.
     """
 
     def structures(chart):
-        jet = _base_jet(chart)
-        return np.stack([chart.structure(jet, i)[:, 0] for i in (1, 2, 3)], axis=1)
+        jet, K = chart.base, chart.dim
+        omegas = np.concatenate([chart.omega_bar(jet, i)[:, 0] for i in (1, 2, 3)], axis=-1)
+        solved = -np.linalg.solve(chart.metric(jet)[:, 0], omegas)  # (k, K, 3 K)
+        return solved.reshape(len(solved), K, 3, K).transpose(0, 2, 1, 3)
 
-    return _over_charts(action, levels, structures)
+    return _over_charts(batches, structures)
 
 
-def descended_curvature(
-    action: LinearAction,
-    rotator: CircleActionSpec,
-    levels: LevelSetPoints,
-) -> np.ndarray:
+def descended_curvature(batches, rotator: CircleActionSpec) -> np.ndarray:
     """omega_bar_1 + dd^c(mu_bar / degree) on the quotient chart at xi = 0, (k, nb).
 
     This is the descent of the flat curvature form: the restricted moment
     map is divided by the rotator's rotation degree on the form pencil,
-    matching the flat-space normalisation.  d^c(mu_bar / degree) is one
-    chart one-form taking the structure and gradient from one jet, so the
-    outer stencils of all the charts of a chunk make one retraction.  A
-    row equals that point in a batch of one.
+    matching the flat-space normalisation.  Over the chart batches of
+    ``charts``: omega_bar_1 at each batch's ``base`` jet, and
+    d^c(mu_bar / degree) one chart one-form taking the structure and
+    gradient from its ``stencil`` jet.  A row equals that point in a batch
+    of one.
     """
     degree = rotator.degree
-    if degree != 0:
-        descended_circle_data(action, rotator, levels)  # validates commuting + level drift
     mu = moment_field(rotator)
 
     def curvature(chart):
-        omega = chart.omega_bar(_base_jet(chart), 1)[:, 0]
+        omega = chart.omega_bar(chart.base, 1)[:, 0]
         base = omega[(slice(None),) + _pair_indices(chart.dim)]
         if degree == 0:
             return base
+        descended_circle_data(chart.action, rotator, chart.levels)  # validates commuting + drift
 
-        def dc_form(xi):
-            jet = chart.jet(xi)
+        def dc_form(jet):
             s_bar_t = chart.structure(jet, 1).swapaxes(-1, -2)
             return -(s_bar_t @ (chart.gradient(jet, mu) / degree)[..., None])[..., 0]
 
         return base + chart.exterior_derivative(dc_form)
 
-    return _over_charts(action, levels, curvature)
+    return _over_charts(batches, curvature)
 
 
-def canonical_bundle_curvature(
-    action: LinearAction,
-    chi,
-    levels: LevelSetPoints,
-) -> np.ndarray:
+def canonical_bundle_curvature(batches, chi) -> np.ndarray:
     """Curvature of the canonical connection of the chi-weight line bundle, (k, nb).
 
     The connection one-form is chi composed with the metric vertical
     projection; its curvature is computed as the exterior derivative of
     the pulled-back connection form along a local horizontal section,
     with the sign fixed so that integer chi reproduces the descended
-    curvature form.  A row equals that point in a batch of one.  A
+    curvature form.  Over the chart batches of ``charts``, at each batch's
+    ``stencil`` jet.  A row equals that point in a batch of one.  A
     non-integral level warns once per call.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
-    if chi.shape != (action.dim_g,):
+    if any(chi.shape != (chart.action.dim_g,) for chart in batches):
         raise ConfigError("one weight per generator required")
-    if not levels.level.is_integral:
+    if not all(chart.levels.level.is_integral for chart in batches):
         warnings.warn("level is not integral: no global line bundle descends")
     return _over_charts(
-        action,
-        levels,
-        lambda chart: -chart.exterior_derivative(lambda xi: chart.theta(chart.jet(xi), chi)),
+        batches,
+        lambda chart: -chart.exterior_derivative(lambda jet: chart.theta(jet, chi)),
     )
 
 

@@ -531,6 +531,12 @@ def _level_points(action, rng, cfg: RunConfig):
     return qt.solve_level(action, qt.LevelSpec((cfg.level,)), seeds)
 
 
+def _level_charts(rng, cfg: RunConfig) -> list:
+    """The Eguchi-Hanson chart batches of ``_level_points``, shared by a row's chart functions."""
+    action = qt.eguchi_hanson_action()
+    return qt.charts(action, _level_points(action, rng, cfg))
+
+
 def _q_match(rng, cfg: RunConfig) -> float:
     """Canonical curvature of the weight-c bundle against the descended form, at level c.
 
@@ -550,27 +556,25 @@ def _q_match(rng, cfg: RunConfig) -> float:
     one, since the connection form is linear in the weight; at c = 1
     this is the weight-1 bundle.
     """
-    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    points = _level_points(action, rng, cfg)
-    got = qt.canonical_bundle_curvature(action, (cfg.level,), points)
-    want = qt.descended_curvature(action, rotator, points)
+    batches = _level_charts(rng, cfg)
+    got = qt.canonical_bundle_curvature(batches, (cfg.level,))
+    want = qt.descended_curvature(batches, qt.eh_rotator())
     return _worst(np.abs(got - want))
 
 
 def _q_type11(rng, cfg: RunConfig) -> float:
     """Worst type-(1,1) residual of the descended form against I_bar, J_bar and K_bar."""
-    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    points = _level_points(action, rng, cfg)
-    F = qt.descended_curvature(action, rotator, points)
-    S = qt.quotient_structures(action, points)
+    batches = _level_charts(rng, cfg)
+    F = qt.descended_curvature(batches, qt.eh_rotator())
+    S = qt.quotient_structures(batches)
     return _worst(
         type11_residual(np.repeat(F, 3, axis=0), S.reshape((-1,) + S.shape[2:]), structure_tol=1e-4)
     )
 
 
 def _q_descent(rng, cfg: RunConfig) -> float:
-    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
-    return _worst(qt.moment_descent_residual(action, rotator, _level_points(action, rng, cfg)))
+    batches = _level_charts(rng, cfg)
+    return _worst(qt.moment_descent_residual(batches, qt.eh_rotator()))
 
 
 def _q_gh_potential(rng, cfg: RunConfig) -> float:

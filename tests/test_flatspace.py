@@ -184,11 +184,10 @@ def test_moment_map_values():
     spec = CircleActionSpec(k=(0,), l=(1,))
     m = spec.model()
     p = m.from_complex([[1.5 + 0.5j]], [[2.0 - 1.0j]])
-    assert np.isclose(moment_map(spec, p)[0], -0.5 * (2.0**2 + 1.0**2))
+    # every square and partial sum here is a dyadic rational, so the values are exact
+    assert moment_map(spec, p)[0] == -0.5 * (2.0**2 + 1.0**2) == -2.5
     full = CircleActionSpec(k=(1,), l=(1,))
-    assert np.isclose(
-        moment_map(full, p)[0], -0.5 * (abs(1.5 + 0.5j) ** 2 + abs(2.0 - 1.0j) ** 2)
-    )
+    assert moment_map(full, p)[0] == -0.5 * (1.5**2 + 0.5**2 + 2.0**2 + 1.0**2) == -3.75
     trivial = CircleActionSpec(k=(0,), l=(0,))
     assert moment_map(trivial, p)[0] == 0.0
     assert moment_map(spec, np.zeros((1, 4)))[0] == 0.0  # mu(0) = 0 normalization
@@ -206,6 +205,28 @@ def test_moment_map_batch_matches_rows(n):
         batch = moment_map(spec, rows)
         assert batch.shape == (200,)
         assert np.array_equal(batch, [moment_map(spec, row[None])[0] for row in rows])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+def test_moment_map_rows_keep_their_bits_in_any_layout(n, layout):
+    # the weighted sum of squares reduces each row in coordinate order
+    # whatever the memory order: a Fortran-ordered batch, or a slice of
+    # the columns of a wider array, gives each row the bits of that point
+    # alone, as a contiguous copy
+    rng = np.random.default_rng(30 + n)
+    wide = rng.uniform(-1.5, 1.5, size=(50, 4 * n + 3))
+    rows = np.asfortranarray(wide[:, : 4 * n]) if layout == "fortran" else wide[:, 2 : 2 + 4 * n]
+    assert not rows.flags.c_contiguous
+    for spec in (
+        CircleActionSpec(k=(1,) * n, l=(1,) * n),
+        CircleActionSpec(k=(2,) * n, l=(-1,) * n),
+        CircleActionSpec(k=tuple(range(n)), l=tuple(3 - j for j in range(n))),
+    ):
+        batch = moment_map(spec, rows)
+        for r, row in enumerate(rows):
+            assert batch[r] == moment_map(spec, np.ascontiguousarray(row[None]))[0]
+            assert batch[r] == moment_map(spec, rows[r : r + 1])[0]
 
 
 def test_moment_map_defining_equation():

@@ -179,6 +179,36 @@ def test_non_invariant_moment_map_fails_the_type11_rows(check_id, residual, monk
     assert not rec.passed and rec.residual > 0.5 * residual, rec.to_dict()
 
 
+@pytest.mark.parametrize(
+    "check_id, residual",
+    [
+        ("flat.curvature.type11.semifree", 1.0),
+        ("flat.curvature.type11.full", 0.5),
+        ("flat.full-rotation.trivial", 0.5),
+        ("flat.rotation.degree", 2.0),
+    ],
+)
+def test_an_off_pair_plane_weight_fails_the_flat_rows(check_id, residual, monkeypatch):
+    # the moment map and the generator read one plane-weight table, so a
+    # wrong table must still show: one more unit on the Im z_1 slot alone
+    # (w[1] += 1) gives the two slots of a complex plane different weights,
+    # the generator is no longer complex linear and mu gains -p_1^2 / 2.
+    # At seed 0 that reads 1.0 and 0.5 on the type rows (tol 1e-8), 0.5 on
+    # the full rotation (tol 1e-9) and 2.0 on the rotation degree (tol 1e-12)
+    cfg = RunConfig(suite="flat")
+    assert run_check(cfg, check_id).passed
+    weights = flatspace._plane_weights
+
+    def off_pair(spec):
+        w = weights(spec)
+        w[1] += 1.0
+        return w
+
+    monkeypatch.setattr(flatspace, "_plane_weights", off_pair)
+    rec = run_check(cfg, check_id)
+    assert not rec.passed and rec.residual > 0.5 * residual, rec.to_dict()
+
+
 # -- Gibbons-Hawking ------------------------------------------------------------------
 
 
@@ -357,9 +387,9 @@ def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
     one = quotient.solve_level(
         action, quotient.LevelSpec((1.0,)), np.random.default_rng(47).standard_normal((1, 8))
     )
-    chart = quotient.QuotientChart(action, one)
-    jet = chart.jet(np.zeros((1, 1, 4)))
-    F = quotient.descended_curvature(action, quotient.eh_rotator(), one)
+    (chart,) = quotient.charts(action, one)
+    jet = chart.base
+    F = quotient.descended_curvature([chart], quotient.eh_rotator())
     assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
     for i in (2, 3):
         assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5

@@ -29,6 +29,7 @@ from hkgeom.quotient import (
     LinearAction,
     QuotientChart,
     canonical_bundle_curvature,
+    charts,
     descended_circle_data,
     descended_curvature,
     eguchi_hanson_action,
@@ -356,7 +357,7 @@ def test_descended_moment_is_restriction():
 def test_descended_moment_equation():
     rng = np.random.default_rng(40)
     for _ in range(3):
-        residual = moment_descent_residual(ACTION, eh_rotator(), solved(rng))
+        residual = moment_descent_residual(charts(ACTION, solved(rng)), eh_rotator())
         assert residual.shape == (1,) and residual[0] < 1e-7
 
 
@@ -395,9 +396,9 @@ def test_chart_anchors_at_base_point():
 def test_curvature_constructions_agree_on_samples():
     rng = np.random.default_rng(43)
     for _ in range(3):
-        one = solved(rng)
-        descended = descended_curvature(ACTION, eh_rotator(), one)
-        canonical = canonical_bundle_curvature(ACTION, (1.0,), one)
+        one = charts(ACTION, solved(rng))
+        descended = descended_curvature(one, eh_rotator())
+        canonical = canonical_bundle_curvature(one, (1.0,))
         assert descended.shape == canonical.shape == (1, 6)
         assert np.max(np.abs(descended - canonical)) < 1e-5
 
@@ -405,7 +406,7 @@ def test_curvature_constructions_agree_on_samples():
 def test_canonical_curvature_type_1_1():
     rng = np.random.default_rng(44)
     one = solved(rng)
-    f = canonical_bundle_curvature(ACTION, (1.0,), one)
+    f = canonical_bundle_curvature(charts(ACTION, one), (1.0,))
     chart = QuotientChart(ACTION, one)
     jet = chart.jet(np.zeros((1, 1, 4)))
     for i in (1, 2, 3):
@@ -415,7 +416,7 @@ def test_canonical_curvature_type_1_1():
 
 def test_canonical_curvature_trivial_character():
     rng = np.random.default_rng(45)
-    f = canonical_bundle_curvature(ACTION, (0.0,), solved(rng))
+    f = canonical_bundle_curvature(charts(ACTION, solved(rng)), (0.0,))
     assert f.shape == (1, 6) and np.all(f == 0.0)
 
 
@@ -423,7 +424,7 @@ def test_canonical_curvature_flags_nonintegral_level():
     rng = np.random.default_rng(46)
     one = solved(rng, LevelSpec((0.75,)))
     with pytest.warns(UserWarning):
-        canonical_bundle_curvature(ACTION, (1.0,), one)
+        canonical_bundle_curvature(charts(ACTION, one), (1.0,))
 
 
 # -- multi-centre coordinates ---------------------------------------------------------
@@ -756,11 +757,11 @@ def test_torus_curvature_match_takes_the_level_as_weight():
     # tolerance 1e-5 (measured 1.3e-9); the weight (1, 1) misses by 0.37
     rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
     seeds = np.random.default_rng(0).standard_normal((4, 12))
-    levels = solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds)
-    want = descended_curvature(TORUS_H3, rotator, levels)
+    batches = charts(TORUS_H3, solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds))
+    want = descended_curvature(batches, rotator)
     assert want.shape == (4, 6)
-    assert np.max(np.abs(canonical_bundle_curvature(TORUS_H3, (1.0, 2.0), levels) - want)) < 1e-5
-    assert np.max(np.abs(canonical_bundle_curvature(TORUS_H3, (1.0, 1.0), levels) - want)) >= 0.29
+    assert np.max(np.abs(canonical_bundle_curvature(batches, (1.0, 2.0)) - want)) < 1e-5
+    assert np.max(np.abs(canonical_bundle_curvature(batches, (1.0, 1.0)) - want)) >= 0.29
 
 
 def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
@@ -880,7 +881,8 @@ def test_descended_curvature_retraction_count(monkeypatch):
     # one jet at the base points and one jet of the 4 K = 16 outer dd^c
     # points of each: 1 + 4 K = 17 retracted rows per level-set point, as
     # the tangents and the gradients' stencils are closed-form; a check
-    # retracts those of all its level-set points in the same few calls
+    # passes one list of chart batches to both of its chart functions, so
+    # each batch retracts its base points and its stencil once at most
     rows = []
     retract = QuotientChart.point
 
@@ -890,17 +892,17 @@ def test_descended_curvature_retraction_count(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "point", counting)
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(55).standard_normal((3, 8)))
-    descended_curvature(ACTION, eh_rotator(), levels)
-    assert rows == [3, 3 * 16] and sum(rows) <= 3 * (1 + 4 * 4)
-    cfg = suites.RunConfig(suite="quotient", samples=40)
-    for check_id, most in (
-        ("quotient.curvature.match", 3),
-        ("quotient.curvature.type11", 3),
-        ("quotient.moment.descent", 1),
+    descended_curvature(charts(ACTION, levels), eh_rotator())
+    assert rows == [3, 3 * 16]
+    cfg = suites.RunConfig(suite="quotient", samples=40)  # 10 points in one batch
+    for check_id, want in (
+        ("quotient.curvature.match", [160, 10]),  # canonical (stencil), then descended (base)
+        ("quotient.curvature.type11", [10, 160]),  # descended; the structures reuse its base
+        ("quotient.moment.descent", [10]),
     ):
         rows.clear()
         assert suites.run_check(cfg, check_id).passed
-        assert 1 <= len(rows) <= most, (check_id, len(rows))
+        assert rows == want, (check_id, rows)
 
 
 @pytest.mark.parametrize("samples", [40, 400])
@@ -964,22 +966,75 @@ def test_batch_curvatures_equal_single_point_calls():
     rng = np.random.default_rng(71)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
     rotator = eh_rotator()
-    descended = descended_curvature(ACTION, rotator, levels)
-    canonical = canonical_bundle_curvature(ACTION, (1.0,), levels)
-    descent = moment_descent_residual(ACTION, rotator, levels)
-    structures = quotient_structures(ACTION, levels)
+    batches = charts(ACTION, levels)
+    descended = descended_curvature(batches, rotator)
+    canonical = canonical_bundle_curvature(batches, (1.0,))
+    descent = moment_descent_residual(batches, rotator)
+    structures = quotient_structures(batches)
     x_bars, mu_bars = descended_circle_data(ACTION, rotator, levels)
     assert descended.shape == canonical.shape == (6, 6)
     assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
     for row in range(6):
-        one = _alone(ACTION, levels, row)
-        assert np.array_equal(descended[row], descended_curvature(ACTION, rotator, one)[0])
-        assert np.array_equal(canonical[row], canonical_bundle_curvature(ACTION, (1.0,), one)[0])
-        assert descent[row] == moment_descent_residual(ACTION, rotator, one)[0]
-        assert np.array_equal(structures[row], quotient_structures(ACTION, one)[0])
-        x_bar, mu_bar = descended_circle_data(ACTION, rotator, one)
+        alone = _alone(ACTION, levels, row)
+        one = charts(ACTION, alone)
+        assert np.array_equal(descended[row], descended_curvature(one, rotator)[0])
+        assert np.array_equal(canonical[row], canonical_bundle_curvature(one, (1.0,))[0])
+        assert descent[row] == moment_descent_residual(one, rotator)[0]
+        assert np.array_equal(structures[row], quotient_structures(one)[0])
+        x_bar, mu_bar = descended_circle_data(ACTION, rotator, alone)
         assert np.array_equal(x_bars[row], x_bar[0]) and mu_bars[row] == mu_bar[0]
-    assert np.all(canonical_bundle_curvature(ACTION, (0.0,), levels) == 0.0)
+    assert np.all(canonical_bundle_curvature(batches, (0.0,)) == 0.0)
+
+
+_CHART_FUNCTIONS = {
+    "canonical": lambda batches: canonical_bundle_curvature(batches, (1.0,)),
+    "descended": lambda batches: descended_curvature(batches, eh_rotator()),
+    "structures": quotient_structures,
+}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("canonical", "descended"),
+        ("descended", "canonical"),
+        ("descended", "structures"),
+        ("structures", "descended"),
+    ],
+)
+def test_shared_chart_batches_give_the_bits_of_fresh_ones(first, second):
+    # the suites pass one list of chart batches to two chart functions, and
+    # the first one's jets stay cached on the batches: the second must get
+    # the bits it gets on fresh batches, in either order, and the cached
+    # jets are read-only, so neither side can change what the other reads
+    levels = solve_level(ACTION, LEVEL, np.random.default_rng(76).standard_normal((5, 8)))
+    shared = charts(ACTION, levels)
+    for name in (first, second):
+        got = _CHART_FUNCTIONS[name](shared)
+        assert np.array_equal(got, _CHART_FUNCTIONS[name](charts(ACTION, levels))), name
+    for jet in (shared[0].base, shared[0].stencil):
+        for array in jet:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("action", [ACTION, H3, TORUS_H3], ids=["H2", "H3", "torus-H3"])
+def test_quotient_structures_solve_equals_three_solves(action):
+    # one solve of the three right-hand sides omega_bar_i side by side has
+    # the bits of the three solves of ``structure``
+    level = LevelSpec((1.0,) * action.dim_g)
+    seeds = np.random.default_rng(77).standard_normal((4, action.dim))
+    (chart,) = charts(action, solve_level(action, level, seeds))
+    want = np.stack([chart.structure(chart.base, i)[:, 0] for i in (1, 2, 3)], axis=1)
+    assert np.array_equal(quotient_structures([chart]), want)
+
+
+def test_chart_functions_refuse_an_empty_batch_list():
+    for name, fn in _CHART_FUNCTIONS.items():
+        with pytest.raises(ConfigError, match="chart batch"):
+            fn([])
+    with pytest.raises(ConfigError, match="chart batch"):
+        moment_descent_residual([], eh_rotator())
 
 
 def test_chart_batch_anchors_at_its_base_points():
@@ -1007,19 +1062,21 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     rotator = eh_rotator()
 
     def results():
-        return (
-            descended_curvature(ACTION, rotator, levels),
-            canonical_bundle_curvature(ACTION, (1.0,), levels),
-            moment_descent_residual(ACTION, rotator, levels),
-            quotient_structures(ACTION, levels),
+        batches = charts(ACTION, levels)
+        return [len(chart.levels) for chart in batches], (
+            descended_curvature(batches, rotator),
+            canonical_bundle_curvature(batches, (1.0,)),
+            moment_descent_residual(batches, rotator),
+            quotient_structures(batches),
         )
 
-    whole = results()
-    charts = []
+    sizes, whole = results()
+    assert sizes == [6]
+    retracted = []
     retract = QuotientChart.point
 
     def counting(self, xi):
-        charts.append(len(self.frames))
+        retracted.append(len(self.frames))
         return retract(self, xi)
 
     monkeypatch.setattr(QuotientChart, "point", counting)
@@ -1027,8 +1084,9 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     # of 32 makes chunks of two (and the gradients' stencils go one point
     # at a time)
     monkeypatch.setattr(forms, "MAX_STENCIL_VALUES", 32)
-    chunked = results()
-    assert set(charts) == {2}
+    sizes, chunked = results()
+    assert sizes == [2, 2, 2] and set(retracted) == {2}
+    assert len(retracted) == 2 * 3  # a base and a stencil jet per batch
     for want, got in zip(whole, chunked):
         assert np.array_equal(want, got)
 
@@ -1053,7 +1111,7 @@ def test_canonical_curvature_warns_once_per_call():
     levels = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal((4, 8)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        canonical_bundle_curvature(ACTION, (1.0,), levels)
+        canonical_bundle_curvature(charts(ACTION, levels), (1.0,))
     assert [w.category for w in caught] == [UserWarning]
 
 

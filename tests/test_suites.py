@@ -142,8 +142,9 @@ def test_weight_one_curvature_is_the_descended_form_over_the_level():
     # the factor the check's weight c accounts for: F_can(1) = F / c at level c = 2
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     one = qt.solve_level(action, qt.LevelSpec((2.0,)), np.random.default_rng(0).standard_normal((1, 8)))
-    weight_one = qt.canonical_bundle_curvature(action, (1.0,), one)
-    descended = qt.descended_curvature(action, rotator, one)
+    batches = qt.charts(action, one)
+    weight_one = qt.canonical_bundle_curvature(batches, (1.0,))
+    descended = qt.descended_curvature(batches, rotator)
     assert np.max(np.abs(2.0 * weight_one - descended)) < 1e-7
     assert np.max(np.abs(weight_one - descended)) > 0.1
 

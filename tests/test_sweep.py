@@ -119,24 +119,24 @@ def test_flat_stencil_rows_are_roundoff_alone(check_id, n):
 
 
 def _single_point_residuals(cfg):
-    """The three quotient chart residuals, each the worst of one call per batch levels[r:r+1]."""
+    """The three quotient chart residuals, each the worst of one call per ``charts`` of levels[r:r+1]."""
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     weight = (cfg.level,)
 
     def rows(check_id):
         levels = suites._level_points(action, suites._check_rng(cfg, check_id), cfg)
-        return [levels[r : r + 1] for r in range(len(levels))]
+        return [qt.charts(action, levels[r : r + 1]) for r in range(len(levels))]
 
     match, type11, descent = [], [], []
     for p in rows("quotient.curvature.match"):
-        got = qt.canonical_bundle_curvature(action, weight, p)
-        match.append(np.max(np.abs(got - qt.descended_curvature(action, rotator, p))))
+        got = qt.canonical_bundle_curvature(p, weight)
+        match.append(np.max(np.abs(got - qt.descended_curvature(p, rotator))))
     for p in rows("quotient.curvature.type11"):
-        F = qt.descended_curvature(action, rotator, p)
-        for S in qt.quotient_structures(action, p)[0]:
+        F = qt.descended_curvature(p, rotator)
+        for S in qt.quotient_structures(p)[0]:
             type11.append(type11_residual(F, S, structure_tol=1e-4)[0])
     for p in rows("quotient.moment.descent"):
-        descent.append(qt.moment_descent_residual(action, rotator, p)[0])
+        descent.append(qt.moment_descent_residual(p, rotator)[0])
     return {
         "quotient.curvature.match": float(max(match)),
         "quotient.curvature.type11": float(max(type11)),
