@@ -34,7 +34,7 @@ print("two centres at x1 = 0 and 1, unit weights, c = 0")
 x = np.array([[0.4, 0.7, -0.3]])
 print("V(x) =", gh_potential(cfg, x)[0], " at x =", x[0])
 print("metric determinant at a sample 4-point:",
-      np.linalg.det(gh_metric(cfg, np.array([[*x[0], 0.3]]), "string-down")[0]))
+      np.linalg.det(gh_metric(cfg, np.array([[*x[0], 0.3]]))[0]))
 
 # -- d alpha = *dV and the monopole pair -------------------------------------------------
 
@@ -53,7 +53,7 @@ print("max |dA - *d phi| over the same points:", f"{worst:.3e}")
 
 chart = np.array([[*x[0], 1.1]])
 print("anti-self-duality of the connection curvature:",
-      f"{asd_residual(cfg, chart, 'string-down', scheme)[0]:.3e}")
+      f"{asd_residual(cfg, chart, scheme)[0]:.3e}")
 
 # -- periods over segment spheres --------------------------------------------------------
 

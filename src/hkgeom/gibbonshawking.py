@@ -25,9 +25,10 @@ points p of shape (k, 4), and returns one row per point, (k,) values,
 row equal to that point alone in a batch of one.  Any other shape is a
 ConfigError naming (k, 3) or (k, 4).  Each of alpha, A, Ahat and omega_i
 is one batch formula (``alpha_field``, ``monopole_field``,
-``ahat_field``, ``kahler_field``).  The Dirac gauge is an argument:
-"string-down" puts every string on the axis below its centre (alpha
-regular above), "string-up" the reverse.
+``ahat_field``, ``kahler_field``).  The potentials are fixed once: every
+Dirac string lies on the axis below its centre, so alpha and A are
+regular above the top centre, and the monopole (phi, A) is fixed by a_top
+in ``GHConfig.dirac_charges``, which gives the top centre charge zero.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .forms import (
     ext_deriv,
     hodge_star,
 )
-
-GAUGES = ("string-down", "string-up")
 
 #: cylindrical regularisation: 1-forms built from the azimuthal angle are
 #: refused closer to the x1-axis than this
@@ -211,7 +210,7 @@ def monopole_phi(cfg: GHConfig, x) -> np.ndarray:
     return np.sum(np.asarray(cfg.dirac_charges) * (1.0 / r), axis=-1) + cfg.c
 
 
-# -- gauge-dependent 1-forms --------------------------------------------------------
+# -- the connection 1-forms ---------------------------------------------------------
 
 
 def _azimuth_covector(x) -> np.ndarray:
@@ -226,47 +225,38 @@ def _azimuth_covector(x) -> np.ndarray:
     return np.stack([np.zeros_like(rho2), -x[..., 2] / rho2, x[..., 1] / rho2], axis=-1)
 
 
-def _string_sign(gauge: str) -> float:
-    if gauge not in GAUGES:
-        raise ConfigError(f"gauge must be one of {GAUGES}")
-    return -1.0 if gauge == "string-down" else 1.0
+def _string_potential(cfg: GHConfig, x, charges) -> np.ndarray:
+    """sum_i q_i ((x1 - a_i)/r_i - 1) d(azimuth): (k, 3) -> covectors (k, 3).
 
-
-def _string_potential(cfg: GHConfig, x, charges, gauge: str) -> np.ndarray:
-    """sum_i q_i ((x1 - a_i)/r_i + s) d(azimuth): (k, 3) -> covectors (k, 3).
-
-    s is the gauge's string sign.  The charges ``cfg.weights`` give alpha
-    and ``cfg.dirac_charges`` give A.
+    Each term is regular except on the axis below its centre, where its
+    Dirac string lies.  The charges ``cfg.weights`` give alpha and
+    ``cfg.dirac_charges`` give A.
     """
     d, r = _distances(cfg, x)
-    coeff = np.sum(np.asarray(charges) * (d[..., 0] / r + _string_sign(gauge)), axis=-1)
+    coeff = np.sum(np.asarray(charges) * (d[..., 0] / r - 1.0), axis=-1)
     return coeff[..., None] * _azimuth_covector(x)
 
 
-def alpha_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
+def alpha_field(cfg: GHConfig) -> FormField:
     """alpha as a FormField on R^3: (m, 3) batches -> (m, 3) components."""
-    _string_sign(gauge)  # validates the gauge before the first call
     return FormField(
-        lambda x: _string_potential(cfg, x, cfg.weights, gauge), 1, 3, clearance=chart_clearance
+        lambda x: _string_potential(cfg, x, cfg.weights), 1, 3, clearance=chart_clearance
     )
 
 
-def monopole_field(cfg: GHConfig, gauge: str = "string-down") -> FormField:
+def monopole_field(cfg: GHConfig) -> FormField:
     """A with dA = *d phi (phi = ``monopole_phi``) as a FormField on R^3: (m, 3) -> (m, 3)."""
-    _string_sign(gauge)  # validates the gauge before the first call
-    return FormField(
-        lambda x: _string_potential(cfg, x, cfg.dirac_charges, gauge), 1, 3, chart_clearance
-    )
+    return FormField(lambda x: _string_potential(cfg, x, cfg.dirac_charges), 1, 3, chart_clearance)
 
 
 # -- metric and Kahler triple -------------------------------------------------------
 
 
-def gh_metric(cfg: GHConfig, p, gauge: str) -> np.ndarray:
+def gh_metric(cfg: GHConfig, p) -> np.ndarray:
     """g = V dx.dx + V^{-1} (dtheta + alpha)^2 at chart points p (k, 4), (k, 4, 4)."""
     x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)[:, None, None]
-    alpha = _string_potential(cfg, x, cfg.weights, gauge)
+    alpha = _string_potential(cfg, x, cfg.weights)
     eta = np.concatenate([alpha, np.ones((len(x), 1))], axis=1)  # dtheta + alpha
     g = np.zeros((len(x), 4, 4))
     g[:, :3, :3] = v * np.eye(3)
@@ -274,7 +264,7 @@ def gh_metric(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     return g
 
 
-def _kahler_comps(cfg: GHConfig, p, gauge: str) -> np.ndarray:
+def _kahler_comps(cfg: GHConfig, p) -> np.ndarray:
     """(omega_1, omega_2, omega_3) at chart points (m, 4), as components (m, 3, 6).
 
     omega_i = V dx_j ^ dx_k + dx_i ^ (dtheta + alpha), (i, j, k) cyclic, on
@@ -282,62 +272,48 @@ def _kahler_comps(cfg: GHConfig, p, gauge: str) -> np.ndarray:
     """
     x = _points(p, 4)[:, :3]
     v = gh_potential(cfg, x)
-    a1, a2, a3 = _string_potential(cfg, x, cfg.weights, gauge).T
+    a1, a2, a3 = _string_potential(cfg, x, cfg.weights).T
     o, l = np.zeros_like(v), np.ones_like(v)
     rows = ((a2, a3, l, v, o, o), (-a1, -v, o, a3, l, o), (v, -a1, o, -a2, o, l))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def kahler_field(cfg: GHConfig, i: int, gauge: str = "string-down") -> FormField:
+def kahler_field(cfg: GHConfig, i: int) -> FormField:
     """omega_i as a chart FormField, (m, 4) batches -> (m, 6) components."""
     if i not in (1, 2, 3):
         raise ConfigError("Kahler index must be 1, 2 or 3")
-    _string_sign(gauge)  # validates the gauge before the first call
-    return FormField(
-        lambda p: _kahler_comps(cfg, p, gauge)[:, i - 1], 2, 4, clearance=chart_clearance
-    )
+    return FormField(lambda p: _kahler_comps(cfg, p)[:, i - 1], 2, 4, clearance=chart_clearance)
 
 
 # -- the anti-self-dual connection ---------------------------------------------------
 
 
-def _ahat_comps(cfg: GHConfig, p, gauge: str, gauge_shift: float) -> np.ndarray:
+def _ahat_comps(cfg: GHConfig, p) -> np.ndarray:
     """Ahat = A - phi V^{-1} (dtheta + alpha) at chart points (m, 4), as components (m, 4)."""
     x = _points(p, 4)[:, :3]
-    v = gh_potential(cfg, x)
-    ratio = ((monopole_phi(cfg, x) + gauge_shift * v) / v)[:, None]
-    alpha = _string_potential(cfg, x, cfg.weights, gauge)
-    a_cov = _string_potential(cfg, x, cfg.dirac_charges, gauge) + gauge_shift * alpha
+    ratio = (monopole_phi(cfg, x) / gh_potential(cfg, x))[:, None]
+    alpha = _string_potential(cfg, x, cfg.weights)
+    a_cov = _string_potential(cfg, x, cfg.dirac_charges)
     return np.concatenate([a_cov - ratio * alpha, -ratio], axis=-1)
 
 
-def ahat_field(cfg: GHConfig, gauge: str = "string-down", gauge_shift: float = 0.0) -> FormField:
-    """Ahat = A - phi V^{-1} (dtheta + alpha) as a chart FormField, (m, 4) -> (m, 4).
-
-    `gauge_shift` applies the monopole gauge freedom (A, phi) ->
-    (A + shift * alpha, phi + shift * V), which changes Ahat by the closed
-    form -shift * dtheta and so leaves the curvature unchanged.
-    """
-    _string_sign(gauge)  # validates the gauge before the first call
-    return FormField(
-        lambda p: _ahat_comps(cfg, p, gauge, gauge_shift), 1, 4, clearance=chart_clearance
-    )
+def ahat_field(cfg: GHConfig) -> FormField:
+    """Ahat = A - phi V^{-1} (dtheta + alpha) as a chart FormField, (m, 4) -> (m, 4)."""
+    return FormField(lambda p: _ahat_comps(cfg, p), 1, 4, clearance=chart_clearance)
 
 
-def ahat_curvature(
-    cfg: GHConfig, p, gauge: str, scheme: FDScheme, gauge_shift: float = 0.0
-) -> np.ndarray:
+def ahat_curvature(cfg: GHConfig, p, scheme: FDScheme) -> np.ndarray:
     """F = d(Ahat) at chart points p (k, 4), as components (k, 6), by finite differences."""
-    return ext_deriv(ahat_field(cfg, gauge, gauge_shift), p, scheme)
+    return ext_deriv(ahat_field(cfg), p, scheme)
 
 
-def asd_residual(cfg: GHConfig, p, gauge: str, scheme: FDScheme) -> np.ndarray:
+def asd_residual(cfg: GHConfig, p, scheme: FDScheme) -> np.ndarray:
     """max-norm of *F + F for F = d(Ahat) at chart points p (k, 4), (k,): zero iff F is ASD.
 
     One ext_deriv call, one metric batch and one hodge_star call.
     """
-    f = ahat_curvature(cfg, p, gauge, scheme)
-    star = hodge_star(gh_metric(cfg, p, gauge), 1, f, 2)
+    f = ahat_curvature(cfg, p, scheme)
+    star = hodge_star(gh_metric(cfg, p), 1, f, 2)
     return np.max(np.abs(star + f), axis=-1)
 
 

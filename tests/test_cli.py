@@ -308,6 +308,8 @@ def test_verify_unknown_suite_is_usage_error():
         ["verify", "quotient", "--c", "1e-5"],
         ["verify", "all", "--c", "301"],
         ["verify", "gh", "--centers", "0,1e-9"],
+        ["verify", "gh", "--c", "-20000"],
+        ["verify", "gh", "--c", "1000.0000001"],
     ],
 )
 def test_verify_bad_configuration_exits_two_before_any_check(args, monkeypatch, capsys):
@@ -457,6 +459,14 @@ def test_verify_gh_reports_expected_periods(tmp_path):
     values = [float(v) for v in periods["detail"].split(":")[1].split(",")]
     # sphere_period's 20 x 32 node rule is within 1e-12 (relative) on these centres
     assert values == pytest.approx([2 * np.pi, 4 * np.pi], rel=1e-8)
+
+
+def test_verify_gh_passes_at_its_c_ceiling(tmp_path):
+    # on this draw, differentiating phi's constant c would add roundoff eps |c| / h^2
+    # to gh.harmonic and read 1.01e-6 against its 1e-6
+    assert suites._MAX_GH_C == 1000.0
+    out = str(tmp_path / "gh.json")
+    assert run(["verify", "gh", "--c", "1000", "--seed", "41", "--out", out]) == 0
 
 
 def test_verify_gh_middle_segment_note(tmp_path):

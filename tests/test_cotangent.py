@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from batch_rows import batch_row_test, one_point_test
 
 from hkgeom.cotangent import (
     I,
@@ -21,7 +22,6 @@ from hkgeom.cotangent import (
     uf_prime,
 )
 from hkgeom import cotangent
-from hkgeom.errors import ConfigError
 from hkgeom.forms import (
     FDScheme,
     FormField,
@@ -315,29 +315,12 @@ _BATCHED = {
 }
 
 
-def _leaves(value):
-    """The arrays of a result, which may nest tuples."""
-    if isinstance(value, tuple):
-        return [leaf for part in value for leaf in _leaves(part)]
-    return [np.asarray(value)]
-
-
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_batch_row_equals_one_row_batch(name):
-    call = _BATCHED[name]
-    batch = _leaves(call(slice(None)))
-    for r in range(_K):
-        alone = _leaves(call(slice(r, r + 1)))
-        for whole, one in zip(batch, alone, strict=True):
-            assert whole.shape[0] == _K and one.shape[0] == 1
-            assert np.array_equal(whole[r : r + 1], one), (name, r)
-
-
-@pytest.mark.parametrize("name", sorted(set(_BATCHED) - {"bg_quaternionic_residual"}))
-def test_one_point_is_rejected(name):
-    # an integer index gives one point, 0-d b and v or 1-D coordinates
-    with pytest.raises(ConfigError, match=r"shape \(k,( 4)?\)"):
-        _BATCHED[name](0)
+test_batch_row_equals_one_row_batch = batch_row_test(_BATCHED, _K)
+# an integer index gives one point, 0-d b and v or 1-D coordinates
+test_one_point_is_rejected = one_point_test(
+    {name: call for name, call in _BATCHED.items() if name != "bg_quaternionic_residual"},
+    r"shape \(k,( 4)?\)",
+)
 
 
 def test_from_coords_round_trips_the_bits():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from batch_rows import batch_row_test, one_point_test
 
 from hkgeom.errors import ConfigError, StructureError
 from hkgeom.flatspace import (
@@ -335,17 +336,6 @@ _BATCHED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_batch_row_equals_one_row_batch(name):
-    call = _BATCHED[name]
-    batch = call(slice(None))
-    assert batch.shape[0] == _K
-    for r in range(_K):
-        assert np.array_equal(batch[r : r + 1], call(slice(r, r + 1))), (name, r)
-
-
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_one_point_is_rejected(name):
-    # an integer index hands every function a 1-D point
-    with pytest.raises(ConfigError, match=r"shape \(k, 8\)"):
-        _BATCHED[name](0)
+test_batch_row_equals_one_row_batch = batch_row_test(_BATCHED, _K)
+# an integer index hands every function a 1-D point
+test_one_point_is_rejected = one_point_test(_BATCHED, r"shape \(k, 8\)")

@@ -456,19 +456,8 @@ FIELD_FACTORIES = {
         )
         for i in (1, 2, 3)
     },
-    **{
-        f"ahat_field[{gauge}]": (
-            lambda rng, gauge=gauge: (
-                gh.ahat_field(GH_TWO, gauge, gauge_shift=0.7),
-                _gh_chart_points(rng, 17),
-            )
-        )
-        for gauge in gh.GAUGES
-    },
-    "monopole_field": lambda rng: (
-        gh.monopole_field(GH_TWO, "string-up"),
-        _gh_chart_points(rng, 17)[:, :3],
-    ),
+    "ahat_field": lambda rng: (gh.ahat_field(GH_TWO), _gh_chart_points(rng, 17)),
+    "monopole_field": lambda rng: (gh.monopole_field(GH_TWO), _gh_chart_points(rng, 17)[:, :3]),
     "curvature_FZ_field": lambda rng: (curvature_FZ_field(2), _twistor_points(rng, 17, 2)),
 }
 
@@ -961,7 +950,7 @@ def _gh_star_batch(rows):
     x = rng.uniform(-1.0, 4.0, size=(rows, 3))
     x[:, 1:] += np.sign(x[:, 1:]) * 0.5  # off the axis and the centres
     p = np.column_stack([x, rng.uniform(0.0, 2.0 * np.pi, rows)])
-    return gh.gh_metric(cfg, p, "string-down"), rng.standard_normal((rows, 6))
+    return gh.gh_metric(cfg, p), rng.standard_normal((rows, 6))
 
 
 def test_hodge_star_rows_equal_their_one_row_batches():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from batch_rows import batch_row_test, one_point_test
 
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.suites import _MIN_CENTER_GAP, RunConfig, run_check
@@ -89,22 +90,12 @@ def test_config_validation():
 
 
 def test_point_validation():
-    # points are (k, 3) base or (k, 4) chart batches; the gauge is checked by name
+    # points are (k, 3) base or (k, 4) chart batches
     with pytest.raises(ConfigError, match=r"\(k, 3\)"):
         gh_potential(TWO, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ConfigError, match=r"\(k, 4\)"):
-        gh_metric(TWO, np.array([[1.0, 1.0, 0.0]]), "string-down")
-    with pytest.raises(ConfigError):
-        gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "sideways")
-    for build in (
-        lambda: alpha_field(TWO, "sideways"),
-        lambda: monopole_field(TWO, "sideways"),
-        lambda: kahler_field(TWO, 1, "sideways"),
-        lambda: ahat_field(TWO, "sideways"),
-    ):
-        with pytest.raises(ConfigError, match="gauge must be one of"):
-            build()  # at construction, before any call
-    assert gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]]), "string-up").shape == (1, 4, 4)
+        gh_metric(TWO, np.array([[1.0, 1.0, 0.0]]))
+    assert gh_metric(TWO, np.array([[1.0, 1.0, 0.0, 0.25]])).shape == (1, 4, 4)
 
 
 def test_domain_guards():
@@ -156,11 +147,10 @@ def test_monopole_phi_harmonic():
     assert np.max(np.abs(laplacian(field, sample_points(THREE, 6, rng), scheme))) < 1e-6
 
 
-@pytest.mark.parametrize("gauge", ["string-down", "string-up"])
-def test_alpha_solves_star_dV(gauge):
+def test_alpha_solves_star_dV():
     rng = np.random.default_rng(9)
     cfg = TWO
-    field = alpha_field(cfg, gauge)
+    field = alpha_field(cfg)
     scheme = FDScheme(h=1e-3, order=4)
     xs = sample_points(cfg, 12, rng)
     star_dv = hodge_star(np.eye(3), 1, potential_gradient(cfg, xs), 1)
@@ -177,6 +167,21 @@ def test_monopole_pair_dA_star_dphi():
     star_dphi = hodge_star(np.eye(3), 1, dphi, 1)
     for da, star in zip(ext_deriv(monopole_field(cfg), xs, scheme), star_dphi):
         assert np.max(np.abs(da - star)) < 1e-6
+
+
+def test_every_dirac_string_lies_below_its_centre():
+    # at distance rho from the axis a centre's term (x1 - a_i)/r_i - 1 is
+    # about -rho^2 / (2 (x1 - a_i)^2) above it and -2 below it, and
+    # |d(azimuth)| = 1/rho; a string above its centre would swap the two
+    cfg = GHConfig(centers=(0.0, 1.0, 3.0))
+    rho = 1e-3
+    ring = rho * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    above = np.array([[x1, *q] for x1 in (3.5, 4.0, 6.0) for q in ring])
+    below = np.array([[x1, *q] for x1 in (-0.5, -1.0, -3.0) for q in ring])
+    # below every centre rho |alpha| is 2 sum w_i = 6 and rho |A| is 2 sum q_i = 10
+    for field, across in ((alpha_field(cfg), 6.0), (monopole_field(cfg), 10.0)):
+        assert np.max(np.linalg.norm(field(above), axis=1)) < 1e-2
+        assert np.allclose(rho * np.linalg.norm(field(below), axis=1), across, rtol=1e-5, atol=0)
 
 
 def test_phi_gauge_identity_and_integrality():
@@ -259,8 +264,8 @@ def test_metric_determinant_and_forms_algebra():
     rng = np.random.default_rng(15)
     xs = sample_points(TWO, 6, rng)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
-    fields = [kahler_field(TWO, i, "string-down")(p) for i in (1, 2, 3)]
-    for g, v, *comps in zip(gh_metric(TWO, p, "string-down"), gh_potential(TWO, xs), *fields):
+    fields = [kahler_field(TWO, i)(p) for i in (1, 2, 3)]
+    for g, v, *comps in zip(gh_metric(TWO, p), gh_potential(TWO, xs), *fields):
         assert np.linalg.det(g) == pytest.approx(v**2, rel=1e-10)
         for i, wi in enumerate(comps):
             for j, wj in enumerate(comps):
@@ -288,7 +293,7 @@ def test_ahat_anti_self_dual():
     rng = np.random.default_rng(21)
     xs = sample_points(TWO, 10, rng, min_clear=0.45)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
-    assert np.max(asd_residual(TWO, p, "string-down", _AHAT_SCHEME)) < 1e-5
+    assert np.max(asd_residual(TWO, p, _AHAT_SCHEME)) < 1e-5
 
 
 def test_asd_check_makes_one_hodge_star_call(monkeypatch):
@@ -307,7 +312,7 @@ def test_asd_check_makes_one_hodge_star_call(monkeypatch):
 def test_ahat_anti_self_dual_three_centers():
     rng = np.random.default_rng(22)
     xs = sample_points(THREE, 4, rng, min_clear=0.5)
-    assert np.max(asd_residual(THREE, chart_points(xs, 0.0), "string-down", _AHAT_SCHEME)) < 1e-5
+    assert np.max(asd_residual(THREE, chart_points(xs, 0.0), _AHAT_SCHEME)) < 1e-5
 
 
 def test_iY_contraction_of_curvature():
@@ -315,7 +320,7 @@ def test_iY_contraction_of_curvature():
     xs = sample_points(TWO, 6, rng, min_clear=0.45)
     p = chart_points(xs, rng.uniform(0, 2 * np.pi, size=len(xs)))
     # i_Y F = Y^T M for F's matrix M, row by row
-    for f, q in zip(ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME), p):
+    for f, q in zip(ahat_curvature(TWO, p, _AHAT_SCHEME), p):
         contracted = np.array([0.0, 0.0, 0.0, 1.0]) @ _as_matrices(f, 4)
         grad = fd_gradient(
             lambda r: monopole_phi(TWO, r[:, :3]) / gh_potential(TWO, r[:, :3]),
@@ -325,38 +330,13 @@ def test_iY_contraction_of_curvature():
         assert np.max(np.abs(contracted - grad)) < 1e-5
 
 
-def test_gauge_shift_leaves_curvature():
-    rng = np.random.default_rng(24)
-    p = chart_points(sample_points(TWO, 4, rng, min_clear=0.5), 0.1)
-    f0 = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME)
-    f1 = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME, gauge_shift=0.7)
-    assert np.max(np.abs(f1 - f0)) < 1e-8
-
-
-def test_string_gauges_agree_after_transition():
-    rng = np.random.default_rng(25)
-    xs = sample_points(TWO, 4, rng, min_clear=0.5)
-    p = chart_points(xs, 0.2)
-    f_down = ahat_curvature(TWO, p, "string-down", _AHAT_SCHEME)
-    f_up = ahat_curvature(TWO, p, "string-up", _AHAT_SCHEME)
-    # dtheta + alpha is global, so the string-up chart re-parametrises theta by
-    # (s_down - s_up) * W * azimuth = -2W * azimuth, W the total weight
-    rho2 = xs[:, 1] ** 2 + xs[:, 2] ** 2
-    azimuth = np.stack([np.zeros(len(xs)), -xs[:, 2] / rho2, xs[:, 1] / rho2], axis=-1)
-    jacs = np.tile(np.eye(4), (len(xs), 1, 1))
-    jacs[:, 3, :3] = -2.0 * sum(TWO.weights) * azimuth
-    for down, up, jac in zip(f_down, f_up, jacs):
-        moved = (jac.T @ _as_matrices(up, 4) @ jac)[np.triu_indices(4, 1)]  # the pullback E^T M E
-        assert np.max(np.abs(moved - down)) < 1e-8
-
-
 def test_ahat_components():
     x = np.array([[0.4, 0.8, -0.3]])
     v, phi = gh_potential(TWO, x)[0], monopole_phi(TWO, x)[0]
-    ahat = ahat_field(TWO, "string-down")(chart_points(x, 0.0))[0]
+    ahat = ahat_field(TWO)(chart_points(x, 0.0))[0]
     assert ahat[3] == pytest.approx(-phi / v)
-    a_comps = monopole_field(TWO, "string-down")(x)[0]
-    expected_x = a_comps - (phi / v) * alpha_field(TWO, "string-down")(x)[0]
+    a_comps = monopole_field(TWO)(x)[0]
+    expected_x = a_comps - (phi / v) * alpha_field(TWO)(x)[0]
     assert np.allclose(ahat[:3], expected_x)
 
 
@@ -482,38 +462,16 @@ _BATCHED = {
     "monopole_phi": lambda r: monopole_phi(_CFG, _X[r]),
     "chart_clearance[base]": lambda r: chart_clearance(_X[r]),
     "chart_clearance[chart]": lambda r: chart_clearance(_P[r]),
-    "alpha_field": lambda r: alpha_field(_CFG, "string-up")(_X[r]),
-    "monopole_field": lambda r: monopole_field(_CFG, "string-up")(_X[r]),
-    "gh_metric": lambda r: gh_metric(_CFG, _P[r], "string-up"),
+    "alpha_field": lambda r: alpha_field(_CFG)(_X[r]),
+    "monopole_field": lambda r: monopole_field(_CFG)(_X[r]),
+    "gh_metric": lambda r: gh_metric(_CFG, _P[r]),
     "kahler_field": lambda r: tuple(kahler_field(_CFG, i)(_P[r]) for i in (1, 2, 3)),
-    "ahat_field": lambda r: ahat_field(_CFG, "string-up", gauge_shift=0.7)(_P[r]),
-    "ahat_curvature": lambda r: ahat_curvature(
-        _CFG, _P[r], "string-down", _AHAT_SCHEME, gauge_shift=0.7
-    ),
-    "asd_residual": lambda r: asd_residual(_CFG, _P[r], "string-up", _AHAT_SCHEME),
+    "ahat_field": lambda r: ahat_field(_CFG)(_P[r]),
+    "ahat_curvature": lambda r: ahat_curvature(_CFG, _P[r], _AHAT_SCHEME),
+    "asd_residual": lambda r: asd_residual(_CFG, _P[r], _AHAT_SCHEME),
 }
 
 
-def _leaves(value):
-    """The arrays of a result, which may nest tuples."""
-    if isinstance(value, tuple):
-        return [leaf for part in value for leaf in _leaves(part)]
-    return [np.asarray(value)]
-
-
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_batch_row_equals_one_row_batch(name):
-    call = _BATCHED[name]
-    batch = _leaves(call(slice(None)))
-    for r in range(_K):
-        alone = _leaves(call(slice(r, r + 1)))
-        for whole, one in zip(batch, alone, strict=True):
-            assert whole.shape[0] == _K and one.shape[0] == 1
-            assert np.array_equal(whole[r : r + 1], one), (name, r)
-
-
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_one_point_is_rejected(name):
-    # an integer index hands every function a 1-D point
-    with pytest.raises(ConfigError, match=r"shape \(k, [34]\)"):
-        _BATCHED[name](0)
+test_batch_row_equals_one_row_batch = batch_row_test(_BATCHED, _K)
+# an integer index hands every function a 1-D point
+test_one_point_is_rejected = one_point_test(_BATCHED, r"shape \(k, [34]\)")

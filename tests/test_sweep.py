@@ -9,8 +9,10 @@ seeds 0-99; the batched quotient chart residuals against one call per
 against its roundoff model at n = 1, 2, 3, seeds 0-19; and ``verify
 all`` on 60 derandomized ``hypothesis`` draws of n, centres, level c,
 sample count and seed, each either passing every check or rejected by
-``RunConfig`` for a stated resolution floor; and the quotient suite on
-60 draws of a level c log-uniform between the level floor and ceiling.
+``RunConfig`` for a stated resolution floor; the quotient suite on 60
+draws of a level c log-uniform between the level floor and ceiling; and
+the gh suite on 60 draws of c up to its ceiling in size, at the three
+centre sets of the seed sweep.
 
 The ``hypothesis`` draws are derandomized but not fixed across commits:
 hypothesis 6.131 and later mines literal constants from the local
@@ -210,6 +212,40 @@ def test_quotient_passes_at_levels_between_the_floor_and_the_ceiling(c, samples,
     params = dict(suite="quotient", c=c, samples=samples, seed=seed)
     if not _FLOOR <= c <= _CEILING:
         with pytest.raises(ConfigError, match="quotient level"):
+            RunConfig(**params)
+        return
+    cfg = RunConfig(**params)
+    failures = _failures(cfg)
+    assert not failures, f"{cfg}: {failures}"
+
+
+_GH_C = suites._MAX_GH_C
+_GH_CENTERS = [
+    params.get("centers", RunConfig().centers)
+    for params in _SAMPLED_CONFIGS.values()
+    if params["suite"] == "gh"
+]
+
+
+@pytest.mark.slow
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    centers=st.sampled_from(_GH_CENTERS),
+    c=st.floats(-_GH_C, _GH_C),
+    samples=st.sampled_from([1, 3, 8, 20, 60]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the ceiling passes at either sign, on two draws where gh.harmonic read just over its
+# tolerance while it differentiated phi's constant c ...
+@example(centers=_GH_CENTERS[0], c=_GH_C, samples=20, seed=41)
+@example(centers=_GH_CENTERS[1], c=-_GH_C, samples=20, seed=4)
+# ... and a value just past it is rejected
+@example(centers=_GH_CENTERS[0], c=float(np.nextafter(_GH_C, np.inf)), samples=20, seed=0)
+@example(centers=_GH_CENTERS[0], c=float(np.nextafter(-_GH_C, -np.inf)), samples=20, seed=0)
+def test_gh_passes_for_c_up_to_its_ceiling(centers, c, samples, seed):
+    params = dict(suite="gh", centers=centers, c=c, samples=samples, seed=seed)
+    if abs(c) > _GH_C:
+        with pytest.raises(ConfigError, match="gh constant"):
             RunConfig(**params)
         return
     cfg = RunConfig(**params)

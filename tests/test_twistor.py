@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from batch_rows import batch_row_test
 
 from hkgeom.errors import ConfigError, DomainError
 from hkgeom.flatspace import CircleActionSpec, FlatModel, hyperholo_curvature
@@ -614,22 +615,7 @@ _BATCHED = {
 }
 
 
-def _leaves(value):
-    """The arrays of a result, which may nest tuples."""
-    if isinstance(value, tuple):
-        return [leaf for part in value for leaf in _leaves(part)]
-    return [np.asarray(value)]
-
-
-@pytest.mark.parametrize("name", sorted(_BATCHED))
-def test_batch_row_equals_one_row_batch(name):
-    call = _BATCHED[name]
-    batch = _leaves(call(slice(None)))
-    for r in range(_K):
-        alone = _leaves(call(slice(r, r + 1)))
-        for whole, one in zip(batch, alone, strict=True):
-            assert whole.shape[0] == _K and one.shape[0] == 1
-            assert np.array_equal(whole[r : r + 1], one), (name, r)
+test_batch_row_equals_one_row_batch = batch_row_test(_BATCHED, _K)
 
 
 @pytest.mark.parametrize("check_id", ["twistor.rotation.invariance", "twistor.fibre.restriction"])
