@@ -44,7 +44,7 @@ print("horizontal metric identity gap:",
 
 # the chart batches of the point: each retracts its base point and its
 # curvature stencil once, however many chart functions it is passed to
-batches = charts(action, one)
+batches = charts(one)
 canonical = canonical_bundle_curvature(batches, (1.0,))
 descended = descended_curvature(batches, eh_rotator())
 print("\n|canonical-connection curvature - (omega-bar_1 + dd^c(mu-bar/2))| =",
@@ -57,7 +57,7 @@ print("chart structure check  max|S1^2 + Id| =",
 # -- the residual circle sees a two-centre geometry -------------------------------------
 
 points = solve_level(action, level, rng.standard_normal((25, 8)))
-xs, vs = gh_coordinates(action, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
+xs, vs = gh_coordinates(eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
 
 sep, resid = fit_two_centers(xs, vs)
 print("\ntwo-centre fit of 25 (x, V) samples at quarter speed:")
@@ -66,6 +66,6 @@ print("  fitted centre separation:", sep, " (expected c/2 = 0.5)")
 
 for scale_level in (2.0,):
     points = solve_level(action, LevelSpec((scale_level,)), rng.standard_normal((25, 8)))
-    xs2, vs2 = gh_coordinates(action, eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
+    xs2, vs2 = gh_coordinates(eh_residual_circle(), points, scale=GH_CIRCLE_SCALE)
     sep2, _ = fit_two_centers(xs2, vs2)
     print(f"  at level c = {scale_level}: separation {sep2}  (linear in c)")

@@ -78,4 +78,4 @@ print("log h_U at the sample point:", log_hU(z, w, zeta)[0])
 print("antipodal reality of the metric pair:",
       f"{reality_residual(z, w, zeta)[0]:.3e}")
 print("dd^{c_Z} log h_U vs twice the flat curvature:",
-      f"{hermitian_curvature_residual(n, z, w, zeta)[0]:.3e}")
+      f"{hermitian_curvature_residual(z, w, zeta)[0]:.3e}")

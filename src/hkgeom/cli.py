@@ -23,7 +23,8 @@ file over the default.  ``verify`` reads the :class:`RunConfig` fields
 suite and out, its gh suite centers, weights, c and samples, and its
 quotient suite c, samples and seed.  No value sets a check's stencil,
 contour or tolerance: each is fixed in the check's row in
-:mod:`hkgeom.suites`.  A flag or file key that the subcommand or profiles
+:mod:`hkgeom.suites`, or for some rows (the README lists them) in a
+constant of the library module the row calls.  A flag or file key that the subcommand or profiles
 suite does not read is an error, and a flag is spelled in full.  ``--c 0``
 means quotient level 1.  A negative list may follow its flag after a space.
 """

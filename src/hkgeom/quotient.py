@@ -13,16 +13,18 @@ bundle, and recovery of multi-centre potential coordinates from a
 residual triholomorphic circle.
 
 Everything past the moment map works on batches.  ``solve_level`` takes
-seeds (k, dim) and returns one ``LevelSetPoints``, k points at one level
-with their vertical and horizontal frames built once for the whole batch,
-by one quaternionic Gram-Schmidt pass seeded with the orbit; it and the
-chart retraction share one Newton loop, ``_newton``.  The descended and
-multi-centre functions take that batch, and ``charts`` cuts it into the
-chart batches that the chart functions take; all return arrays with one
-row per point, each row equal to that point in a batch of one.  The
-chart at a level-set point m0 is the graph m0 + F xi + N c over its
-horizontal frame F, with N = d nu(m0)^T, so its tangents are closed-form
-(implicit function theorem); one stencil step serves every derivative.
+seeds (k, dim) and returns one ``LevelSetPoints``, k points of one action
+at one level with their vertical and horizontal frames built once for the
+whole batch, by one quaternionic Gram-Schmidt pass seeded with the orbit;
+it and the chart retraction share one Newton loop, ``_newton``.  The batch
+carries its action, so no function past ``solve_level`` takes one: the
+descended and multi-centre functions take the batch, and ``charts`` cuts
+it into the chart batches that the chart functions take; all return
+arrays with one row per point, each row equal to that point in a batch of
+one.  The chart at a level-set point m0 is the graph m0 + F xi + N c over
+its horizontal frame F, with N = d nu(m0)^T, so its tangents are
+closed-form (implicit function theorem); one stencil step serves every
+derivative.
 A chart batch retracts its base points and its curvature stencil once,
 on first use, so chart functions passed the same list share them.
 
@@ -84,6 +86,10 @@ _LEVEL_MAX_ITER = 40
 #: gh_coordinates, may be from commuting with the action
 _ROTATOR_COMMUTE_TOL = 1e-12
 _CIRCLE_COMMUTE_TOL = 1e-10
+#: how far the rotator may move a level-set point m off the level set, as
+#: |d nu(R m)| over max(1, |m|^2): d nu(m) and R m are both linear in m, so
+#: the drift's roundoff grows like eps |m|^2
+_ROTATOR_DRIFT_TOL = 1e-9
 
 #: Newton tolerance (times max(1, |level|)) and iteration budget of the chart retraction
 _CHART_NEWTON_TOL = 1e-14
@@ -303,17 +309,19 @@ def _newton(action: LinearAction, m, target, tol: float, budget: int, step) -> l
 class LevelSetPoints:
     """k converged points of nu^{-1}(c, 0, 0) at one level, with their derivative data.
 
-    ``points`` (k, dim), ``dnu`` (k, dim_g, 3, dim), the vertical frames
-    ``vertical`` (k, dim, 4 dim_g), the oriented horizontal frames
-    ``frames`` (k, dim, K) and ``histories`` (one tuple of residual norms
-    per row).  The frames are the blocks of the ``_quaternionic_basis``
-    that ``solve_level`` builds once for the batch: the orbit blocks span
-    the quaternionic span of the orbit, and the rest are orthonormal bases
-    of ker(d nu) intersected with the orbit complement; both are
-    read-only, so every chart and descended datum on these rows shares
-    them.  A slice ``levels[i:j]`` is the batch of those rows.
+    ``action`` is the action solved for, ``points`` (k, dim), ``dnu``
+    (k, dim_g, 3, dim), the vertical frames ``vertical`` (k, dim,
+    4 dim_g), the oriented horizontal frames ``frames`` (k, dim, K) and
+    ``histories`` (one tuple of residual norms per row).  The frames are
+    the blocks of the ``_quaternionic_basis`` that ``solve_level`` builds
+    once for the batch: the orbit blocks span the quaternionic span of the
+    orbit, and the rest are orthonormal bases of ker(d nu) intersected
+    with the orbit complement; both are read-only, so every chart and
+    descended datum on these rows shares them.  A slice ``levels[i:j]``
+    is the batch of those rows, of the same action and level.
     """
 
+    action: LinearAction
     level: LevelSpec
     points: np.ndarray
     dnu: np.ndarray
@@ -328,7 +336,7 @@ class LevelSetPoints:
         if not isinstance(rows, slice):
             raise TypeError("a level-set batch is indexed by a slice of rows, levels[i:j]")
         fields = (self.points, self.dnu, self.vertical, self.frames, self.histories)
-        return LevelSetPoints(self.level, *(field[rows] for field in fields))
+        return LevelSetPoints(self.action, self.level, *(field[rows] for field in fields))
 
 
 def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints:
@@ -364,7 +372,7 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     for rows, norms in log:
         for row, norm in zip(rows.tolist(), norms.tolist()):
             histories[row].append(norm)
-    return LevelSetPoints(level, m, dnu, vertical, frames, tuple(map(tuple, histories)))
+    return LevelSetPoints(action, level, m, dnu, vertical, frames, tuple(map(tuple, histories)))
 
 
 # -- quotient frames ------------------------------------------------------------------
@@ -428,21 +436,24 @@ def _quotient_dim(action: LinearAction) -> int:
     return action.dim - 4 * action.dim_g
 
 
-def descended_circle_data(action: LinearAction, rotator: CircleActionSpec, levels: LevelSetPoints):
+def descended_circle_data(rotator: CircleActionSpec, levels: LevelSetPoints):
     """Horizontal rotator fields and restricted moment values, (x_bars (k, K), mu_bars (k,)).
 
     x_bars are in frame coordinates.  The rotator must commute with the
-    action and therefore preserves the level set; both facts are checked,
-    not assumed.  A row equals that point in a batch of one.
+    batch's action and therefore preserves the level set; both facts are
+    checked, not assumed, the second to _ROTATOR_DRIFT_TOL max(1, |m|^2)
+    at each point m.  A row equals that point in a batch of one.
     """
+    action = levels.action
     gen = action_generator(rotator)
     _require_symmetry(gen, (), action.generators, _ROTATOR_COMMUTE_TOL, "rotator")
     m = levels.points
     velocity = (gen @ m[:, :, None])[:, :, 0]
     dnu = levels.dnu.reshape(len(m), -1, action.dim)
-    drift = np.max(np.abs(dnu @ velocity[:, :, None]))
-    if drift > 1e-9:
-        raise StructureError(f"rotator does not preserve the level set ({drift:.2e})")
+    drift = np.max(np.abs(dnu @ velocity[:, :, None]), axis=(1, 2))
+    drift = np.max(drift / np.maximum(1.0, np.sum(m * m, axis=1)))
+    if not drift <= _ROTATOR_DRIFT_TOL:
+        raise StructureError(f"rotator does not preserve the level set ({drift:.2e} relative)")
     x_bar = (levels.frames.transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
     return x_bar, moment_map(rotator, m)
 
@@ -470,18 +481,18 @@ class QuotientChart:
     at the same points shares one retraction, whichever function asks for
     it first.  Their arrays are read-only, so no caller can change what the
     next one reads.  The frames are the level-set points' own
-    (``levels.frames``).
+    (``levels.frames``), and so is the action (``levels.action``).
     """
 
-    def __init__(self, action: LinearAction, levels: LevelSetPoints):
-        self.action = action
+    def __init__(self, levels: LevelSetPoints):
+        self.action = levels.action
         self.levels = levels
         #: (k, dim, K)
         self.frames = levels.frames
         #: (k, dim, 3 dim_g), N = d nu(m0)^T
-        self._normals = levels.dnu.reshape(len(levels), -1, action.dim).transpose(0, 2, 1)
+        self._normals = levels.dnu.reshape(len(levels), -1, self.action.dim).transpose(0, 2, 1)
         self._target = levels.level.target().ravel()
-        self._omega = action.model.kahler_triple()
+        self._omega = self.action.model.kahler_triple()
 
     @property
     def dim(self) -> int:
@@ -609,19 +620,20 @@ class QuotientChart:
         return np.asarray(chi, dtype=float) @ coef
 
 
-def charts(action: LinearAction, levels: LevelSetPoints) -> list:
+def charts(levels: LevelSetPoints) -> list:
     """The chart batches (``QuotientChart``) of consecutive chunks of the level-set points.
 
     A chunk holds as many points as keep the rows of their outer curvature
     stencils (4 K retracted points each: the jets' tangents are
     closed-form) within ``forms.MAX_STENCIL_VALUES``, and at least one
     point, so a retraction takes the same memory at any number of points.
-    Each chunk reads its rows of ``levels.frames``.  The chart functions
-    below take this list and return one row per point; passing one list
-    to several of them retracts each batch's base points and stencil once.
+    Each chunk reads its rows of ``levels.frames``, and the action of
+    ``levels``.  The chart functions below take this list and return one
+    row per point; passing one list to several of them retracts each
+    batch's base points and stencil once.
     """
-    rows = _chunks(len(levels), _stencil_rows(_CHART_SCHEME, _quotient_dim(action)))
-    return [QuotientChart(action, levels[chunk]) for chunk in rows]
+    rows = _chunks(len(levels), _stencil_rows(_CHART_SCHEME, _quotient_dim(levels.action)))
+    return [QuotientChart(levels[chunk]) for chunk in rows]
 
 
 def _over_charts(batches, op) -> np.ndarray:
@@ -640,7 +652,7 @@ def moment_descent_residual(batches, rotator: CircleActionSpec) -> np.ndarray:
     mu = moment_field(rotator)
 
     def residuals(chart):
-        x_bar, _ = descended_circle_data(chart.action, rotator, chart.levels)
+        x_bar, _ = descended_circle_data(rotator, chart.levels)
         covec = (x_bar[:, None, :] @ chart.omega_bar(chart.base, 1)[:, 0])[:, 0]
         return np.max(np.abs(chart.gradient(chart.base, mu)[:, 0] - covec), axis=1)
 
@@ -684,7 +696,7 @@ def descended_curvature(batches, rotator: CircleActionSpec) -> np.ndarray:
         base = omega[(slice(None),) + _pair_indices(chart.dim)]
         if degree == 0:
             return base
-        descended_circle_data(chart.action, rotator, chart.levels)  # validates commuting + drift
+        descended_circle_data(rotator, chart.levels)  # validates commuting + drift
 
         def dc_form(jet):
             s_bar_t = chart.structure(jet, 1).swapaxes(-1, -2)
@@ -720,20 +732,16 @@ def canonical_bundle_curvature(batches, chi) -> np.ndarray:
 # -- multi-centre coordinates ----------------------------------------------------------
 
 
-def gh_coordinates(
-    action: LinearAction,
-    triholo: CircleActionSpec,
-    levels: LevelSetPoints,
-    *,
-    scale: float = 1.0,
-):
+def gh_coordinates(triholo: CircleActionSpec, levels: LevelSetPoints, *, scale: float = 1.0):
     """Coordinates (xs (k, 3), vs (k,)) of the quotient in multi-centre potential form.
 
     x is the moment triple of the residual triholomorphic circle and
     V^{-1} the squared length of its horizontal field (the velocity minus
-    its vertical part).  `scale` runs the circle at a multiple of the given
-    speed.  A row equals that point in a batch of one.
+    its vertical part); the circle must commute with the batch's action.
+    `scale` runs the circle at a multiple of the given speed.  A row equals
+    that point in a batch of one.
     """
+    action = levels.action
     gen = scale * action_generator(triholo)
     structures = np.array(action.model.structures())
     _require_symmetry(gen, structures, action.generators, _CIRCLE_COMMUTE_TOL, "residual circle")

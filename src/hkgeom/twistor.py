@@ -26,7 +26,12 @@ row, a (k,) array for a residual:
 * chart tangents are one packed complex (k, 2n+1) array in the coframe
   order (dv, dxi, dzeta) of ``fz_coefficients``; a tangent of any other
   shape raises ConfigError;
-* real flat tangents are (k, 4n) and real twistor tangents (k, 4n+2).
+* real flat tangents are (k, 4n) and real twistor points and tangents
+  (k, 4n+2).
+
+n is read from these widths, so no function that takes a point takes
+n or a model; a width that fits no n, or z and w of different widths,
+raises ConfigError.
 
 A row of a batch equals the same point evaluated as a batch of one, bit
 for bit.
@@ -112,6 +117,16 @@ def _pairing(s, M, t) -> np.ndarray:
     return (s[:, None, :] @ M @ t[:, :, None])[:, 0, 0]
 
 
+def _real_model(array, extra: int, what: str) -> FlatModel:
+    """The model of H^n for real arrays (..., 4n + extra); ConfigError for any other width."""
+    width = np.shape(array)[-1] if np.ndim(array) else 0
+    n, rest = divmod(width - extra, 4)
+    if n < 1 or rest:
+        expected = f"4n+{extra}" if extra else "4n"
+        raise ConfigError(f"{what} have width {expected} with n >= 1, got {width}")
+    return _shared_model(n)
+
+
 def _modulus(x) -> np.ndarray:
     """|x| of complex values, as hypot of the parts.
 
@@ -155,7 +170,7 @@ def vertical_lift(zeta, m_tangent) -> np.ndarray:
     is the chart map applied to the tangent.
     """
     m_tangent = np.asarray(m_tangent, dtype=float)
-    tz, tw = _shared_model(m_tangent.shape[1] // 4).to_complex(m_tangent)
+    tz, tw = _real_model(m_tangent, 0, "real flat tangents").to_complex(m_tangent)
     tv, txi = product_to_chart(tz, tw, zeta)
     return np.concatenate([tv, txi, np.zeros((len(tv), 1))], axis=1)
 
@@ -163,13 +178,16 @@ def vertical_lift(zeta, m_tangent) -> np.ndarray:
 # -- fibrewise symplectic pencil --------------------------------------------------
 
 
-def fibre_symplectic(model: FlatModel, zeta, s, t) -> np.ndarray:
+def fibre_symplectic(zeta, s, t) -> np.ndarray:
     """The quadratic symplectic pencil on real vertical tangents s, t (k, 4n), (k,).
 
     (omega2 + i omega3)(s,t) + 2i zeta omega1(s,t)
                              + zeta^2 (omega2 - i omega3)(s,t).
     """
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    model = _real_model(s, 0, "real flat tangents")
+    if np.shape(t)[-1:] != s.shape[-1:]:
+        raise ConfigError(f"s and t must have the same width, got {s.shape} and {np.shape(t)}")
     w1, w2, w3 = (_pairing(s, w, t) for w in model.kahler_triple())
     zeta = np.asarray(zeta, dtype=complex)
     return (w2 + 1j * w3) + 2j * zeta * w1 + zeta**2 * (w2 - 1j * w3)
@@ -296,7 +314,7 @@ def fibre_restriction_residual(z, w, zeta, s, t) -> np.ndarray:
     zeta = _zeta(zeta, "the fibre comparison needs zeta != 0")
     v, xi = product_to_chart(z, w, zeta)
     lhs = curvature_FZ(v, xi, zeta, vertical_lift(zeta, s), vertical_lift(zeta, t))
-    display = fibre_symplectic(_shared_model(np.shape(z)[1]), zeta, s, t) / (2j * zeta)
+    display = fibre_symplectic(zeta, s, t) / (2j * zeta)
     return _modulus(lhs - (-2j) * display)
 
 
@@ -403,26 +421,32 @@ def total_dim(n: int) -> int:
     return 4 * n + 2
 
 
-def pack_point(model: FlatModel, z, w, zeta) -> np.ndarray:
+def pack_point(z, w, zeta) -> np.ndarray:
     """Real coordinates (flat packing, Re zeta, Im zeta), (k, 4n+2), of z, w (k, n), zeta (k,)."""
+    z, w = np.atleast_1d(z), np.atleast_1d(w)
+    if z.shape[-1] != w.shape[-1]:
+        raise ConfigError(f"z and w must have the same width n, got {z.shape} and {w.shape}")
     zeta = np.asarray(zeta, dtype=complex)[..., None]
-    return np.concatenate([model.from_complex(z, w), zeta.real, zeta.imag], axis=-1)
+    flat = _shared_model(z.shape[-1]).from_complex(z, w)
+    return np.concatenate([flat, zeta.real, zeta.imag], axis=-1)
 
 
-def unpack_point(model: FlatModel, p):
+def unpack_point(p):
     """(z, w, zeta) of each row of real twistor coordinates (k, 4n+2)."""
     p = np.asarray(p, dtype=float)
+    model = _real_model(p, 2, "real twistor coordinates")
     z, w = model.to_complex(p[..., : model.dim])
     return z, w, p[..., model.dim] + 1j * p[..., model.dim + 1]
 
 
-def chart_jacobian(model: FlatModel, p) -> np.ndarray:
+def chart_jacobian(p) -> np.ndarray:
     """Complex Jacobian of the chart functions (v, xi, zeta) in real coordinates.
 
     One (2n+1, 4n+2) Jacobian per row of p (k, 4n+2).
     """
-    z, w, zeta = unpack_point(model, p)
+    z, w, zeta = unpack_point(p)
     zeta = zeta[..., None]
+    model = _shared_model(z.shape[-1])
     n = model.n
     i = np.arange(n)
     (zr, zi), (wr, wi) = model.z_slots(i), model.w_slots(i)
@@ -526,8 +550,7 @@ def reality_residual(z, w, zeta) -> np.ndarray:
 
 def log_hU_field(n: int) -> ScalarField:
     """log h_U as a scalar field on (m, 4n + 2) batches of real twistor coordinates."""
-    model = _shared_model(n)
-    return ScalarField(fn=lambda p: log_hU(*unpack_point(model, p)), dim=total_dim(n))
+    return ScalarField(fn=lambda p: log_hU(*unpack_point(p)), dim=total_dim(n))
 
 
 def _embedded_reference(n: int) -> np.ndarray:
@@ -545,14 +568,15 @@ def _embedded_reference(n: int) -> np.ndarray:
     return mat[_pair_indices(total_dim(n))]
 
 
-def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
+def hermitian_curvature_residual(z, w, zeta) -> np.ndarray:
     """Deviation of dd^c(log h_U) in the twistor structure from 2x the flat curvature, (k,).
 
     The reference form has no dzeta components; the residual is the
     max-abs deviation over all components of the full form, from one ddc
     call for the batch.
     """
-    p = pack_point(_shared_model(n), z, w, zeta)
+    p = pack_point(z, w, zeta)
+    n = (p.shape[-1] - 2) // 4
     got = ddc(log_hU_field(n), twistor_structure(n), p, _DDC_SCHEME)
     return np.max(np.abs(got - _embedded_reference(n)), axis=-1)
 
@@ -562,13 +586,12 @@ def hermitian_curvature_residual(n: int, z, w, zeta) -> np.ndarray:
 
 def curvature_FZ_field(n: int) -> FormField:
     """F_Z on the real twistor coordinates: J^T C J, C = fz_coefficients, J = chart_jacobian."""
-    model = _shared_model(n)
     rows, cols = _pair_indices(total_dim(n))
 
     def value(p) -> np.ndarray:
-        z, w, zeta = unpack_point(model, p)
+        z, w, zeta = unpack_point(p)
         v, xi = product_to_chart(z, w, zeta)
-        jac = chart_jacobian(model, p)
+        jac = chart_jacobian(p)
         return (jac.transpose(0, 2, 1) @ fz_coefficients(v, xi, zeta) @ jac)[:, rows, cols]
 
     return FormField(
@@ -579,7 +602,8 @@ def curvature_FZ_field(n: int) -> FormField:
     )
 
 
-def fz_closedness_residual(n: int, z, w, zeta) -> np.ndarray:
+def fz_closedness_residual(z, w, zeta) -> np.ndarray:
     """max |d F_Z| components at each point (finite differences), (k,), from one ext_deriv call."""
-    p = pack_point(_shared_model(n), z, w, zeta)
+    p = pack_point(z, w, zeta)
+    n = (p.shape[-1] - 2) // 4
     return np.max(np.abs(ext_deriv(curvature_FZ_field(n), p, _CLOSEDNESS_SCHEME)), axis=-1)

@@ -366,9 +366,8 @@ def test_batched_ddc_equals_nested_constant_structure(scheme):
 def test_batched_ddc_equals_nested_point_dependent_structure(scheme):
     rng = np.random.default_rng(12)
     for n in (1, 2):
-        model = FlatModel(n)
         zeta = 0.8 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1))
-        p = pack_point(model, rng.standard_normal((1, n)), rng.standard_normal((1, n)), zeta)
+        p = pack_point(rng.standard_normal((1, n)), rng.standard_normal((1, n)), zeta)
         f, I = log_hU_field(n), twistor_structure(n)
         got = ddc(f, I, p, scheme)
         assert np.array_equal(got, _nested_ddc(f, I, p, scheme))
@@ -380,7 +379,7 @@ def test_batched_gradient_equals_pointwise_gradient():
     S = twistor_structure(2)
     for scheme in (FDScheme(h=1e-3, order=4), FDScheme(h=1e-2, order=2)):
         z, w = rng.standard_normal((1, 2)), rng.standard_normal((1, 2))
-        p = pack_point(FlatModel(2), z, w, [0.5j])
+        p = pack_point(z, w, [0.5j])
         want = -S(p)[0].T @ fd_gradient(f, p, scheme)[0]
         assert np.array_equal(dc_deriv(f, S, p, scheme)[0], want)
 

@@ -387,7 +387,7 @@ def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
     one = quotient.solve_level(
         action, quotient.LevelSpec((1.0,)), np.random.default_rng(47).standard_normal((1, 8))
     )
-    (chart,) = quotient.charts(action, one)
+    (chart,) = quotient.charts(one)
     jet = chart.base
     F = quotient.descended_curvature([chart], quotient.eh_rotator())
     assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5

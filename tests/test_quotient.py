@@ -1,5 +1,6 @@
 """Tests for the linear hyperkahler quotient machinery."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -344,20 +345,20 @@ def test_quotient_hyperkahler_algebra():
 def test_descended_moment_is_restriction():
     rng = np.random.default_rng(39)
     one = solved(rng)
-    x_bar, mu_bar = descended_circle_data(ACTION, eh_rotator(), one)
+    x_bar, mu_bar = descended_circle_data(eh_rotator(), one)
     m = one.points[0]
     assert x_bar.shape == (1, 4) and mu_bar.shape == (1,)
     assert mu_bar[0] == pytest.approx(-0.5 * np.dot(m, m))
     assert mu_bar[0] == pytest.approx(moment_map(eh_rotator(), m[None])[0])
     trivial = CircleActionSpec(k=(0, 0), l=(0, 0))
-    x0, mu0 = descended_circle_data(ACTION, trivial, one)
+    x0, mu0 = descended_circle_data(trivial, one)
     assert np.all(x0 == 0.0) and np.all(mu0 == 0.0)
 
 
 def test_descended_moment_equation():
     rng = np.random.default_rng(40)
     for _ in range(3):
-        residual = moment_descent_residual(charts(ACTION, solved(rng)), eh_rotator())
+        residual = moment_descent_residual(charts(solved(rng)), eh_rotator())
         assert residual.shape == (1,) and residual[0] < 1e-7
 
 
@@ -372,7 +373,26 @@ def test_rotator_must_commute():
     one = solve_level(swap_action, LevelSpec((0.4,)), rng.standard_normal((1, 8)))
     weighted = CircleActionSpec(k=(1, 2), l=(-1, -2))
     with pytest.raises(StructureError):
-        descended_circle_data(swap_action, weighted, one)
+        descended_circle_data(weighted, one)
+
+
+@pytest.mark.parametrize("c", [1.0, suites._MAX_QUOTIENT_LEVEL])
+def test_rotator_drift_guard_refuses_points_off_the_level_set(c):
+    # the rotator turns nu_2 + i nu_3 at twice its speed, so it moves a
+    # point with nu_2 = 1e-6 |m|^2 off the level set at about 2e-6 |m|^2,
+    # far over the guard's 1e-9 max(1, |m|^2); the solved points pass it
+    rng = np.random.default_rng(91)
+    levels = solve_level(ACTION, LevelSpec((c,)), rng.standard_normal((6, 8)) * np.sqrt(c))
+    descended_circle_data(eh_rotator(), levels)
+    m = levels.points
+    grad = levels.dnu[:, 0, 1]  # d nu_2, with nu_2 = 0 on the level set
+    step = 1e-6 * np.sum(m * m, axis=1) / np.sum(grad * grad, axis=1)
+    moved = m + step[:, None] * grad
+    nu2 = hk_moment(ACTION, moved)[:, 0, 1]
+    assert np.allclose(nu2, 1e-6 * np.sum(m * m, axis=1), rtol=1e-3)
+    off = dataclasses.replace(levels, points=moved, dnu=moment_jacobian(ACTION, moved))
+    with pytest.raises(StructureError, match="rotator does not preserve the level set"):
+        descended_circle_data(eh_rotator(), off)
 
 
 # -- charts and curvature -------------------------------------------------------------
@@ -381,7 +401,7 @@ def test_rotator_must_commute():
 def test_chart_anchors_at_base_point():
     rng = np.random.default_rng(42)
     one = solved(rng)
-    chart = QuotientChart(ACTION, one)
+    chart = QuotientChart(one)
     assert chart.dim == 4
     assert np.max(np.abs(chart.point(np.zeros((1, 1, 4)))[0, 0] - one.points[0])) < 1e-12
     jet = chart.jet(np.zeros((1, 1, 4)))
@@ -396,7 +416,7 @@ def test_chart_anchors_at_base_point():
 def test_curvature_constructions_agree_on_samples():
     rng = np.random.default_rng(43)
     for _ in range(3):
-        one = charts(ACTION, solved(rng))
+        one = charts(solved(rng))
         descended = descended_curvature(one, eh_rotator())
         canonical = canonical_bundle_curvature(one, (1.0,))
         assert descended.shape == canonical.shape == (1, 6)
@@ -406,8 +426,8 @@ def test_curvature_constructions_agree_on_samples():
 def test_canonical_curvature_type_1_1():
     rng = np.random.default_rng(44)
     one = solved(rng)
-    f = canonical_bundle_curvature(charts(ACTION, one), (1.0,))
-    chart = QuotientChart(ACTION, one)
+    f = canonical_bundle_curvature(charts(one), (1.0,))
+    chart = QuotientChart(one)
     jet = chart.jet(np.zeros((1, 1, 4)))
     for i in (1, 2, 3):
         s = chart.structure(jet, i)[:, 0]
@@ -416,7 +436,7 @@ def test_canonical_curvature_type_1_1():
 
 def test_canonical_curvature_trivial_character():
     rng = np.random.default_rng(45)
-    f = canonical_bundle_curvature(charts(ACTION, solved(rng)), (0.0,))
+    f = canonical_bundle_curvature(charts(solved(rng)), (0.0,))
     assert f.shape == (1, 6) and np.all(f == 0.0)
 
 
@@ -424,7 +444,7 @@ def test_canonical_curvature_flags_nonintegral_level():
     rng = np.random.default_rng(46)
     one = solved(rng, LevelSpec((0.75,)))
     with pytest.warns(UserWarning):
-        canonical_bundle_curvature(charts(ACTION, one), (1.0,))
+        canonical_bundle_curvature(charts(one), (1.0,))
 
 
 # -- multi-centre coordinates ---------------------------------------------------------
@@ -435,13 +455,11 @@ def test_gh_coordinates_match_two_center_model():
     nut_plus = np.array([1.0, 0.0, 0.0])
     for _ in range(8):
         one = solved(rng)
-        (x,), (v,) = gh_coordinates(ACTION, eh_residual_circle(), one)
+        (x,), (v,) = gh_coordinates(eh_residual_circle(), one)
         pred = 1.0 / np.linalg.norm(x - nut_plus) + 1.0 / np.linalg.norm(x + nut_plus)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
         # quarter speed gives the unit-coefficient model with centres at +/- c/4
-        (x_s,), (v_s,) = gh_coordinates(
-            ACTION, eh_residual_circle(), one, scale=GH_CIRCLE_SCALE
-        )
+        (x_s,), (v_s,) = gh_coordinates(eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
         assert np.allclose(x_s, 0.25 * x, rtol=1e-12)
         pred_s = 1.0 / np.linalg.norm(x_s - nut_plus / 4) + 1.0 / np.linalg.norm(
             x_s + nut_plus / 4
@@ -453,7 +471,7 @@ def test_gh_coordinates_scale_linearly_with_level():
     rng = np.random.default_rng(48)
     # the fixed points sit at (+/- c, 0, 0): doubled level, doubled centres
     for c in (1.0, 2.0):
-        (x,), (v,) = gh_coordinates(ACTION, eh_residual_circle(), solved(rng, LevelSpec((c,))))
+        (x,), (v,) = gh_coordinates(eh_residual_circle(), solved(rng, LevelSpec((c,))))
         nut = np.array([c, 0.0, 0.0])
         pred = 1.0 / np.linalg.norm(x - nut) + 1.0 / np.linalg.norm(x + nut)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
@@ -462,11 +480,11 @@ def test_gh_coordinates_scale_linearly_with_level():
 def test_gh_coordinates_validation():
     rng = np.random.default_rng(49)
     with pytest.raises(StructureError):
-        gh_coordinates(ACTION, eh_rotator(), solved(rng))  # not triholomorphic
+        gh_coordinates(eh_rotator(), solved(rng))  # not triholomorphic
     nut = np.zeros((1, 8))
     nut[0, 4] = np.sqrt(2.0)  # z = 0, w = (sqrt(2), 0): a fixed point of Y
     with pytest.raises(DomainError):
-        gh_coordinates(ACTION, eh_residual_circle(), solve_level(ACTION, LEVEL, nut))
+        gh_coordinates(eh_residual_circle(), solve_level(ACTION, LEVEL, nut))
 
 
 def test_circles_on_another_space_are_rejected():
@@ -474,13 +492,13 @@ def test_circles_on_another_space_are_rejected():
     on_h3 = CircleActionSpec(k=(1, -1, 0), l=(-1, 1, 0))  # the action is on H^2
     for circle_data in (gh_coordinates, descended_circle_data):
         with pytest.raises(ConfigError, match="dimension does not match the action"):
-            circle_data(ACTION, on_h3, levels)
+            circle_data(on_h3, levels)
 
 
 def test_y_length_positive_away_from_fixed_points():
     rng = np.random.default_rng(50)
     for _ in range(5):
-        _, v = gh_coordinates(ACTION, eh_residual_circle(), solved(rng))
+        _, v = gh_coordinates(eh_residual_circle(), solved(rng))
         assert v[0] > 0.0
 
 
@@ -527,11 +545,11 @@ def test_batch_solve_rows_equal_single_seed_solves():
 
 def test_batch_gh_coordinates_equal_single_calls():
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(59).standard_normal((12, 8)))
-    xs, vs = gh_coordinates(ACTION, eh_residual_circle(), levels, scale=GH_CIRCLE_SCALE)
+    xs, vs = gh_coordinates(eh_residual_circle(), levels, scale=GH_CIRCLE_SCALE)
     assert xs.shape == (12, 3) and vs.shape == (12,)
     for row in range(12):
         one = levels[row : row + 1]
-        x, v = gh_coordinates(ACTION, eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
+        x, v = gh_coordinates(eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
         assert np.array_equal(xs[row], x[0]) and vs[row] == v[0]
 
 
@@ -549,7 +567,7 @@ def test_one_bad_row_fails_the_whole_batch():
     nut[4] = np.sqrt(2.0)  # a fixed point of the residual circle
     points = solve_level(ACTION, LEVEL, np.vstack([rng.standard_normal((3, 8)), nut]))
     with pytest.raises(DomainError):
-        gh_coordinates(ACTION, eh_residual_circle(), points)
+        gh_coordinates(eh_residual_circle(), points)
 
 
 def test_quotient_samplers_batch_their_seeds(monkeypatch):
@@ -648,11 +666,11 @@ def test_chart_batch_retraction_matches_single_rows():
     rng = np.random.default_rng(52)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
     xi = 0.05 * rng.standard_normal((3, 8, 4))
-    batch = QuotientChart(ACTION, levels).point(xi)
+    batch = QuotientChart(levels).point(xi)
     assert batch.shape == (3, 8, 8)
     target = LEVEL.target()
     for row in range(3):
-        chart = QuotientChart(ACTION, levels[row : row + 1])
+        chart = QuotientChart(levels[row : row + 1])
         assert np.array_equal(batch[row], chart.point(xi[row : row + 1])[0])
         for j in range(8):
             alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
@@ -716,10 +734,10 @@ def test_torus_retraction_on_h3_matches_single_rows():
     scale = np.linalg.norm(level.target())
     assert all(hist[-1] < quotient._LEVEL_NEWTON_TOL * scale for hist in levels.histories)
     xi = 0.05 * rng.standard_normal((3, 6, 4))
-    batch = QuotientChart(TORUS_H3, levels).point(xi)
+    batch = QuotientChart(levels).point(xi)
     assert batch.shape == (3, 6, 12)
     for row in range(3):
-        chart = QuotientChart(TORUS_H3, levels[row : row + 1])
+        chart = QuotientChart(levels[row : row + 1])
         for j in range(6):
             alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
             assert np.array_equal(batch[row, j], alone)
@@ -757,7 +775,7 @@ def test_torus_curvature_match_takes_the_level_as_weight():
     # tolerance 1e-5 (measured 1.3e-9); the weight (1, 1) misses by 0.37
     rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
     seeds = np.random.default_rng(0).standard_normal((4, 12))
-    batches = charts(TORUS_H3, solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds))
+    batches = charts(solve_level(TORUS_H3, LevelSpec((1.0, 2.0)), seeds))
     want = descended_curvature(batches, rotator)
     assert want.shape == (4, 6)
     assert np.max(np.abs(canonical_bundle_curvature(batches, (1.0, 2.0)) - want)) < 1e-5
@@ -780,7 +798,7 @@ def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
         return wrapper
 
     rng = np.random.default_rng(85)
-    chart = QuotientChart(ACTION, solved(rng))
+    chart = QuotientChart(solved(rng))
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
@@ -788,7 +806,7 @@ def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
     chart.point(0.05 * rng.standard_normal((1, 20, 4)))
     assert calls == {"svd": 0, "solve": 3}
     assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 0, "solve": 3}
-    gh_coordinates(ACTION, eh_residual_circle(), levels)
+    gh_coordinates(eh_residual_circle(), levels)
     assert calls == {"svd": 0, "solve": 3}
 
 
@@ -796,7 +814,7 @@ def test_chart_retraction_budget_exhaustion(monkeypatch):
     # a budget of one step takes one step (one linear solve), checks its
     # residual and gives up
     rng = np.random.default_rng(53)
-    chart = QuotientChart(ACTION, solved(rng))
+    chart = QuotientChart(solved(rng))
     steps, solve = [], np.linalg.solve
     monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: steps.append(1) or solve(a, b))
@@ -809,7 +827,7 @@ def test_chart_retraction_checks_the_residual_after_its_last_step(monkeypatch):
     # one step takes chart points 1e-5 off the base point to a residual of
     # about eps, so a budget of one step converges, as in solve_level
     rng = np.random.default_rng(53)
-    chart = QuotientChart(ACTION, solved(rng))
+    chart = QuotientChart(solved(rng))
     monkeypatch.setattr(quotient, "_CHART_MAX_ITER", 1)
     points = chart.point(1e-5 * rng.standard_normal((1, 3, 4)))
     residuals = np.linalg.norm(hk_moment(ACTION, points[0]) - LEVEL.target(), axis=(1, 2))
@@ -831,7 +849,7 @@ def test_chart_tangents_equal_fd_of_the_retraction():
     ):
         rng = np.random.default_rng(54)
         levels = solve_level(action, level, rng.standard_normal((1, action.dim)))
-        chart = QuotientChart(action, levels)
+        chart = QuotientChart(levels)
         mu = moment_field(rotator)
 
         def retract(y):
@@ -853,7 +871,7 @@ def test_chart_jet_rows_match_single_rows():
     # taken alone in the chart of levels[r:r+1]
     rng = np.random.default_rng(58)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
-    chart = QuotientChart(ACTION, levels)
+    chart = QuotientChart(levels)
     mu = moment_field(eh_rotator())
     xi = 0.05 * rng.standard_normal((3, 16, 4))
     jet = chart.jet(xi)
@@ -865,7 +883,7 @@ def test_chart_jet_rows_match_single_rows():
         "gradient": chart.gradient(jet, mu),
     }
     for row in range(3):
-        one = QuotientChart(ACTION, levels[row : row + 1])
+        one = QuotientChart(levels[row : row + 1])
         for j in range(16):
             alone = one.jet(xi[row : row + 1, j : j + 1])
             assert np.array_equal(jet[0][row, j], alone[0][0, 0])
@@ -892,7 +910,7 @@ def test_descended_curvature_retraction_count(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "point", counting)
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(55).standard_normal((3, 8)))
-    descended_curvature(charts(ACTION, levels), eh_rotator())
+    descended_curvature(charts(levels), eh_rotator())
     assert rows == [3, 3 * 16]
     cfg = suites.RunConfig(suite="quotient", samples=40)  # 10 points in one batch
     for check_id, want in (
@@ -933,12 +951,28 @@ def test_each_chart_check_builds_its_frames_once(monkeypatch, samples):
     calls.clear()
     one = solved(np.random.default_rng(56))
     assert calls == [1]
-    assert QuotientChart(ACTION, one).frames is one.frames
+    assert QuotientChart(one).frames is one.frames
     assert one[0:1].frames.base is one.frames and one[0:1].vertical.base is one.vertical
     assert calls == [1]
     for part in (one, one[0:1]):
         for frames in (part.vertical, part.frames):
             assert frames.flags.c_contiguous and not frames.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "action, level",
+    [(ACTION, LEVEL), (TORUS_H3, LevelSpec((1.0, 2.0)))],
+    ids=["circle", "torus-h3"],
+)
+def test_level_set_batch_carries_its_action_into_slices_and_charts(action, level):
+    rng = np.random.default_rng(92)
+    levels = solve_level(action, level, rng.standard_normal((4, action.dim)))
+    assert levels.action is action
+    assert levels[1:3].action is levels.action
+    batches = charts(levels)
+    assert batches and all(
+        chart.action is action and chart.levels.action is action for chart in batches
+    )
 
 
 # -- chart batches ----------------------------------------------------------------------
@@ -951,7 +985,7 @@ H3 = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1, 1), l=(-1, -1, -
 def test_batch_frames_equal_frames_built_alone(action):
     rng = np.random.default_rng(70)
     levels = solve_level(action, LEVEL, rng.standard_normal((6, action.dim)))
-    chart = QuotientChart(action, levels)  # one batched build of six frames
+    chart = QuotientChart(levels)  # one batched build of six frames
     assert chart.frames.shape == (6, action.dim, action.dim - 4)
     assert not levels.frames.flags.writeable
     for row in range(6):
@@ -966,22 +1000,22 @@ def test_batch_curvatures_equal_single_point_calls():
     rng = np.random.default_rng(71)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
     rotator = eh_rotator()
-    batches = charts(ACTION, levels)
+    batches = charts(levels)
     descended = descended_curvature(batches, rotator)
     canonical = canonical_bundle_curvature(batches, (1.0,))
     descent = moment_descent_residual(batches, rotator)
     structures = quotient_structures(batches)
-    x_bars, mu_bars = descended_circle_data(ACTION, rotator, levels)
+    x_bars, mu_bars = descended_circle_data(rotator, levels)
     assert descended.shape == canonical.shape == (6, 6)
     assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
     for row in range(6):
         alone = _alone(ACTION, levels, row)
-        one = charts(ACTION, alone)
+        one = charts(alone)
         assert np.array_equal(descended[row], descended_curvature(one, rotator)[0])
         assert np.array_equal(canonical[row], canonical_bundle_curvature(one, (1.0,))[0])
         assert descent[row] == moment_descent_residual(one, rotator)[0]
         assert np.array_equal(structures[row], quotient_structures(one)[0])
-        x_bar, mu_bar = descended_circle_data(ACTION, rotator, alone)
+        x_bar, mu_bar = descended_circle_data(rotator, alone)
         assert np.array_equal(x_bars[row], x_bar[0]) and mu_bars[row] == mu_bar[0]
     assert np.all(canonical_bundle_curvature(batches, (0.0,)) == 0.0)
 
@@ -1008,10 +1042,10 @@ def test_shared_chart_batches_give_the_bits_of_fresh_ones(first, second):
     # the bits it gets on fresh batches, in either order, and the cached
     # jets are read-only, so neither side can change what the other reads
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(76).standard_normal((5, 8)))
-    shared = charts(ACTION, levels)
+    shared = charts(levels)
     for name in (first, second):
         got = _CHART_FUNCTIONS[name](shared)
-        assert np.array_equal(got, _CHART_FUNCTIONS[name](charts(ACTION, levels))), name
+        assert np.array_equal(got, _CHART_FUNCTIONS[name](charts(levels))), name
     for jet in (shared[0].base, shared[0].stencil):
         for array in jet:
             with pytest.raises(ValueError, match="read-only"):
@@ -1024,7 +1058,7 @@ def test_quotient_structures_solve_equals_three_solves(action):
     # the bits of the three solves of ``structure``
     level = LevelSpec((1.0,) * action.dim_g)
     seeds = np.random.default_rng(77).standard_normal((4, action.dim))
-    (chart,) = charts(action, solve_level(action, level, seeds))
+    (chart,) = charts(solve_level(action, level, seeds))
     want = np.stack([chart.structure(chart.base, i)[:, 0] for i in (1, 2, 3)], axis=1)
     assert np.array_equal(quotient_structures([chart]), want)
 
@@ -1040,7 +1074,7 @@ def test_chart_functions_refuse_an_empty_batch_list():
 def test_chart_batch_anchors_at_its_base_points():
     rng = np.random.default_rng(73)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((5, 8)))
-    chart = QuotientChart(ACTION, levels)
+    chart = QuotientChart(levels)
     assert np.max(np.abs(chart.point(np.zeros((5, 1, 4)))[:, 0] - levels.points)) < 1e-12
     points_, tangents = jet = chart.jet(np.zeros((5, 1, 4)))
     assert points_.shape == (5, 1, 8) and tangents.shape == (5, 1, 8, 4)
@@ -1062,7 +1096,7 @@ def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     rotator = eh_rotator()
 
     def results():
-        batches = charts(ACTION, levels)
+        batches = charts(levels)
         return [len(chart.levels) for chart in batches], (
             descended_curvature(batches, rotator),
             canonical_bundle_curvature(batches, (1.0,)),
@@ -1111,7 +1145,7 @@ def test_canonical_curvature_warns_once_per_call():
     levels = solve_level(ACTION, LevelSpec((0.75,)), rng.standard_normal((4, 8)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        canonical_bundle_curvature(charts(ACTION, levels), (1.0,))
+        canonical_bundle_curvature(charts(levels), (1.0,))
     assert [w.category for w in caught] == [UserWarning]
 
 

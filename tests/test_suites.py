@@ -142,7 +142,7 @@ def test_weight_one_curvature_is_the_descended_form_over_the_level():
     # the factor the check's weight c accounts for: F_can(1) = F / c at level c = 2
     action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
     one = qt.solve_level(action, qt.LevelSpec((2.0,)), np.random.default_rng(0).standard_normal((1, 8)))
-    batches = qt.charts(action, one)
+    batches = qt.charts(one)
     weight_one = qt.canonical_bundle_curvature(batches, (1.0,))
     descended = qt.descended_curvature(batches, rotator)
     assert np.max(np.abs(2.0 * weight_one - descended)) < 1e-7
@@ -177,10 +177,13 @@ def test_quotient_level_ceiling_passes_and_a_level_above_it_exits_two(tmp_path, 
         report = run_suite(RunConfig(suite="quotient", c=ceiling, seed=seed))
         assert report.all_passed, [r.to_dict() for r in report.records if not r.passed]
     above = float(np.nextafter(ceiling, np.inf))
-    for suite in ("quotient", "all"):
-        with pytest.raises(ConfigError, match="quotient level c must be at most"):
+    with pytest.raises(ConfigError, match="quotient level c must be at most"):
+        RunConfig(suite="quotient", c=above)
+    # the gh constant's own ceiling is lower, so it refuses that c first on all
+    assert suites._MAX_GH_C < ceiling
+    for suite in ("gh", "all"):
+        with pytest.raises(ConfigError, match="gh constant c must be at most"):
             RunConfig(suite=suite, c=above)
-    assert RunConfig(suite="gh", c=above).c == above  # the gh axis constant has no ceiling
     out = tmp_path / "r.json"
     assert main(["verify", "quotient", "--c", repr(above), "--out", str(out)]) == 2
     assert "at most" in capsys.readouterr().err and not out.exists()

@@ -127,7 +127,7 @@ def _single_point_residuals(cfg):
 
     def rows(check_id):
         levels = suites._level_points(action, suites._check_rng(cfg, check_id), cfg)
-        return [qt.charts(action, levels[r : r + 1]) for r in range(len(levels))]
+        return [qt.charts(levels[r : r + 1]) for r in range(len(levels))]
 
     match, type11, descent = [], [], []
     for p in rows("quotient.curvature.match"):

@@ -137,25 +137,23 @@ def test_pencil_endpoint_at_zero():
     model = FlatModel(2)
     s, t = rng.standard_normal((10, 8)), rng.standard_normal((10, 8))
     expect = [a @ model.omega2 @ b + 1j * (a @ model.omega3 @ b) for a, b in zip(s, t)]
-    assert np.allclose(fibre_symplectic(model, np.zeros(10), s, t), expect)
+    assert np.allclose(fibre_symplectic(np.zeros(10), s, t), expect)
 
 
 def test_pencil_hand_values_on_basis_vectors():
-    model = FlatModel(1)
     e_z = np.array([[1.0, 0.0, 0.0, 0.0]] * 3)
     e_w = np.array([[0.0, 0.0, 1.0, 0.0]] * 3)
     # omega2(e_z, e_w) = 1, omega1 = omega3 = 0 on this pair: pencil = 1 + zeta^2
-    got = fibre_symplectic(model, np.array([1j, 1.0, 2.0]), e_z, e_w)
+    got = fibre_symplectic(np.array([1j, 1.0, 2.0]), e_z, e_w)
     assert got == pytest.approx([0.0, 2.0, 5.0])
 
 
 def test_pencil_reality_under_antipode():
     rng = np.random.default_rng(64)
-    model = FlatModel(2)
     s, t = rng.standard_normal((20, 8)), rng.standard_normal((20, 8))
     zeta = _czeta(rng, 20)
-    lhs = np.conj(fibre_symplectic(model, -1.0 / np.conj(zeta), s, t))
-    rhs = fibre_symplectic(model, zeta, s, t) / zeta**2
+    lhs = np.conj(fibre_symplectic(-1.0 / np.conj(zeta), s, t))
+    rhs = fibre_symplectic(zeta, s, t) / zeta**2
     assert np.all(np.abs(lhs - rhs) < 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -394,9 +392,9 @@ def test_pole_orders_transition_once_at_infinity(monkeypatch):
 def test_curvature_closed():
     rng = np.random.default_rng(78)
     z, w = _cpair(rng, 5, 1), _cpair(rng, 5, 1)
-    assert np.all(fz_closedness_residual(1, z, w, _czeta(rng, 5, 0.7)) < 1e-10)
+    assert np.all(fz_closedness_residual(z, w, _czeta(rng, 5, 0.7)) < 1e-10)
     with pytest.raises(DomainError):
-        fz_closedness_residual(1, z, w, np.full(5, 1e-4))
+        fz_closedness_residual(z, w, np.full(5, 1e-4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -404,14 +402,13 @@ def test_curvature_field_is_the_closed_form_on_chart_jacobian_images(n):
     # entry (a, b) of the field is F_Z on the chart images J e_a, J e_b of
     # the coordinate vectors
     rng = np.random.default_rng(80 + n)
-    model = FlatModel(n)
     field = curvature_FZ_field(n)
     dim = total_dim(n)
     for _ in range(5):
         z, w, zeta = _cpair(rng, 1, n), _cpair(rng, 1, n), _czeta(rng, 1)
-        p = pack_point(model, z, w, zeta)
+        p = pack_point(z, w, zeta)
         v, xi = product_to_chart(z, w, zeta)
-        images = chart_jacobian(model, p)[0].T  # (dim, 2n+1): the image of e_a per row
+        images = chart_jacobian(p)[0].T  # (dim, 2n+1): the image of e_a per row
         pairs = dim * dim
         closed = curvature_FZ(
             np.repeat(v, pairs, 0), np.repeat(xi, pairs, 0), np.repeat(zeta, pairs),
@@ -429,13 +426,13 @@ def test_structure_squares_to_minus_id():
     p = rng.standard_normal((10, total_dim(2)))
     s = structure(p)
     assert np.max(np.abs(s @ s + np.eye(total_dim(2)))) < 1e-12
-    jac = chart_jacobian(FlatModel(2), p)
+    jac = chart_jacobian(p)
     assert np.max(np.abs(jac @ s - 1j * jac)) < 1e-12
 
 
-def _solved_structure(model, p):
+def _solved_structure(p):
     """The structure from its definition D S = i D, D the chart Jacobian: (A; B) S = (-B; A)."""
-    jac = chart_jacobian(model, p)
+    jac = chart_jacobian(p)
     a, b = jac.real, jac.imag
     return np.linalg.solve(np.concatenate([a, b], axis=-2), np.concatenate([-b, a], axis=-2))
 
@@ -447,8 +444,8 @@ def test_structure_is_the_solve_of_its_definition(n, modulus):
     model, dim = FlatModel(n), total_dim(n)
     z, w = _cpair(rng, 10, n), _cpair(rng, 10, n)
     zeta = modulus * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 10))
-    p = pack_point(model, z, w, zeta)
-    got, want = twistor_structure(n)(p), _solved_structure(model, p)
+    p = pack_point(z, w, zeta)
+    got, want = twistor_structure(n)(p), _solved_structure(p)
     assert got.shape == (10, dim, dim)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the flat and fibre blocks do not mix, and the fibre block is i on zeta
@@ -459,18 +456,42 @@ def test_structure_is_the_solve_of_its_definition(n, modulus):
 
 def test_structure_at_zero_is_flat_I():
     model = FlatModel(2)
-    p = pack_point(model, [[0.3 + 1j, -0.2j]], [[1.0, 0.5 - 0.5j]], [0.0])
+    p = pack_point([[0.3 + 1j, -0.2j]], [[1.0, 0.5 - 0.5j]], [0.0])
     s = twistor_structure(2)(p)[0]
     assert np.max(np.abs(s[:8, :8] - model.I)) == 0.0
     assert np.max(np.abs(s[:8, 8:])) == 0.0
 
 
 def test_pack_unpack_round_trip():
-    model = FlatModel(2)
     rng = np.random.default_rng(80)
     p = rng.standard_normal((5, total_dim(2)))
-    z, w, zeta = unpack_point(model, p)
-    assert np.max(np.abs(pack_point(model, z, w, zeta) - p)) == 0.0
+    z, w, zeta = unpack_point(p)
+    assert np.max(np.abs(pack_point(z, w, zeta) - p)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_n_comes_from_the_widths_and_a_width_that_fits_no_n_is_refused(n):
+    rng = np.random.default_rng(93 + n)
+    p = rng.standard_normal((3, total_dim(n)))
+    z, w, zeta = unpack_point(p)
+    assert z.shape == w.shape == (3, n) and zeta.shape == (3,)
+    assert chart_jacobian(p).shape == (3, 2 * n + 1, total_dim(n))
+    # a point of 4n+1 columns, and z and w of different widths
+    for bad in (p[:, :-1], np.column_stack([p, p[:, :1]])):
+        for unpacking in (unpack_point, chart_jacobian):
+            with pytest.raises(ConfigError, match="twistor coordinates have width 4n"):
+                unpacking(bad)
+    for residual in (pack_point, hermitian_curvature_residual, fz_closedness_residual):
+        with pytest.raises(ConfigError, match="z and w must have the same width"):
+            residual(z, _cpair(rng, 3, n + 1), zeta)
+    # real flat tangents of a width that is not 4n, or s and t of two widths
+    s = rng.standard_normal((3, 4 * n))
+    for width in (4 * n - 1, 4 * n + 1, 4 * n + 2):
+        t = rng.standard_normal((3, width))
+        with pytest.raises(ConfigError, match="flat tangents have width 4n"):
+            fibre_symplectic(zeta, t, t)
+        with pytest.raises(ConfigError, match="s and t must have the same width"):
+            fibre_symplectic(zeta, s, t)
 
 
 def test_dbar_display():
@@ -479,13 +500,13 @@ def test_dbar_display():
     zeta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     tangent = rng.standard_normal((20, total_dim(1)))
     # the (0,1) part of d(log h_U) on real tangents T: (df(T) + i df(ST)) / 2
-    p = pack_point(FlatModel(1), z, w, zeta)
+    p = pack_point(z, w, zeta)
     grad = fd_gradient(log_hU_field(1), p, FDScheme(h=1e-4, order=4))
     ones = np.eye(total_dim(1)) + 1j * twistor_structure(1)(p)
     dbar = 0.5 * np.einsum("ki,kij,kj->k", grad, ones, tangent)
     # displayed: (1/2) sum_i [z_i w_i dconj(zeta) + z_i dconj(z_i) - w_i dconj(w_i)
     #            + conj(zeta) d(z_i w_i)]
-    tz, tw, tzeta = unpack_point(FlatModel(1), tangent)
+    tz, tw, tzeta = unpack_point(tangent)
     tzeta, zeta_c = tzeta[:, None], np.conj(zeta)[:, None]
     displayed = 0.5 * np.sum(
         z * w * np.conj(tzeta) + z * np.conj(tz) - w * np.conj(tw) + zeta_c * (w * tz + z * tw),
@@ -498,13 +519,13 @@ def test_hermitian_curvature_matches_flat():
     rng = np.random.default_rng(82)
     z, w = _cpair(rng, 12, 1), _cpair(rng, 12, 1)
     zeta = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    assert np.all(hermitian_curvature_residual(1, z, w, zeta) < 1e-6)
+    assert np.all(hermitian_curvature_residual(z, w, zeta) < 1e-6)
 
 
 def test_hermitian_curvature_zeta_zero_slice():
     rng = np.random.default_rng(83)
     z, w = _cpair(rng, 1, 1), _cpair(rng, 1, 1)
-    assert hermitian_curvature_residual(1, z, w, np.zeros(1))[0] < 1e-6
+    assert hermitian_curvature_residual(z, w, np.zeros(1))[0] < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -537,7 +558,7 @@ def test_log_hU_field_batch_matches_rows(n):
     assert batch.shape == (200,)
     assert np.array_equal(batch, [field(row[None])[0] for row in rows])
     # the field is the closed form on unpacked coordinates
-    assert np.array_equal(batch, log_hU(*unpack_point(FlatModel(n), rows)))
+    assert np.array_equal(batch, log_hU(*unpack_point(rows)))
 
 
 def test_log_h_hand_value():
@@ -569,7 +590,7 @@ _V, _XI, _Z, _W = (_cpair(_RNG, _K, _N) for _ in range(4))
 _ZETA = _czeta(_RNG, _K, 0.7)
 _S, _T = _tangent(_RNG, _K, _N), _tangent(_RNG, _K, _N)
 _MS, _MT = _RNG.standard_normal((_K, 4 * _N)), _RNG.standard_normal((_K, 4 * _N))
-_P = pack_point(FlatModel(_N), _Z, _W, _ZETA)
+_P = pack_point(_Z, _W, _ZETA)
 _ROTATION = CircleActionSpec(k=(1, 2), l=(1, 0))
 
 #: every batched closed form, on rows r of the shared batch (a slice)
@@ -577,7 +598,7 @@ _BATCHED = {
     "chart_transition": lambda r: chart_transition(_V[r], _XI[r], _ZETA[r], _S[r]),
     "product_to_chart": lambda r: product_to_chart(_Z[r], _W[r], _ZETA[r]),
     "vertical_lift": lambda r: vertical_lift(_ZETA[r], _MS[r]),
-    "fibre_symplectic": lambda r: fibre_symplectic(FlatModel(_N), _ZETA[r], _MS[r], _MT[r]),
+    "fibre_symplectic": lambda r: fibre_symplectic(_ZETA[r], _MS[r], _MT[r]),
     "transition_gUV": lambda r: transition_gUV(_V[r], _XI[r], _ZETA[r]),
     "log_gUV_sq": lambda r: log_gUV_sq(_V[r], _XI[r], _ZETA[r]),
     "semifree_AU": lambda r: semifree_AU(_V[r], _XI[r], _ZETA[r], _S[r]),
@@ -604,14 +625,14 @@ _BATCHED = {
     "log_hU": lambda r: log_hU(_Z[r], _W[r], _ZETA[r]),
     "log_hV": lambda r: log_hV(_Z[r], _W[r], _ZETA[r]),
     "reality_residual": lambda r: reality_residual(_Z[r], _W[r], _ZETA[r]),
-    "pack_point": lambda r: pack_point(FlatModel(_N), _Z[r], _W[r], _ZETA[r]),
-    "unpack_point": lambda r: unpack_point(FlatModel(_N), _P[r]),
-    "chart_jacobian": lambda r: chart_jacobian(FlatModel(_N), _P[r]),
+    "pack_point": lambda r: pack_point(_Z[r], _W[r], _ZETA[r]),
+    "unpack_point": lambda r: unpack_point(_P[r]),
+    "chart_jacobian": lambda r: chart_jacobian(_P[r]),
     "twistor_structure": lambda r: twistor_structure(_N)(_P[r]),
     "hermitian_curvature_residual": lambda r: hermitian_curvature_residual(
-        _N, _Z[r], _W[r], _ZETA[r]
+        _Z[r], _W[r], _ZETA[r]
     ),
-    "fz_closedness_residual": lambda r: fz_closedness_residual(_N, _Z[r], _W[r], _ZETA[r]),
+    "fz_closedness_residual": lambda r: fz_closedness_residual(_Z[r], _W[r], _ZETA[r]),
 }
 
 
