@@ -262,7 +262,7 @@ def _cmd_profiles(args) -> int:
         return 0
     cfg = RunConfig(suite="quotient", seed=values["seed"], c=values["c"])
     rng = np.random.default_rng(cfg.seed)
-    xs, vs = gh_samples(qt.eguchi_hanson_action(), qt.eh_residual_circle(), cfg.level, rng, samples)
+    xs, vs = gh_samples(qt.EGUCHI_HANSON, cfg.level, rng, samples)
     centers = [np.array([a, 0.0, 0.0]) for a in eh_centers(cfg.level).centers]
     # one norm per row: a batched norm changes the last digits of r1 and r2
     rows = [(*x, *(float(np.linalg.norm(x - a)) for a in centers), v) for x, v in zip(xs, vs)]

@@ -28,8 +28,8 @@ derivative.
 A chart batch retracts its base points and its curvature stencil once,
 on first use, so chart functions passed the same list share them.
 
-The standard worked example throughout is the Eguchi-Hanson quotient of
-H^2 by the circle with weights (+1,+1) on z and (-1,-1) on w.
+The worked example ``EGUCHI_HANSON`` is the extended A_1 quiver quotient of
+H^2 (``LinearAction.from_quiver``), by weights (+1,+1) on z and (-1,-1) on w.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dynkin import DynkinGraph, extended_diagram
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -53,7 +54,6 @@ from .flatspace import (
     _shared_model,
     action_generator,
     moment_field,
-    moment_map,
 )
 from .forms import (
     FDScheme,
@@ -65,13 +65,6 @@ from .forms import (
     _stencil_rows,
     fd_gradient,
 )
-
-#: speed of the Eguchi-Hanson residual circle that makes the recovered
-#: multi-centre potential have unit coefficients.  Measured calibration:
-#: at full speed the sampled pairs satisfy V = (1/4) sum_i 1/|x - a_i|
-#: (the circle has doubled local weight at its two fixed points, and the
-#: fit is quadratic in the speed), so scale 1/4 gives V = sum_i 1/|x - a_i|.
-GH_CIRCLE_SCALE = 0.25
 
 _CONDITION_GUARD = 1e8
 
@@ -144,6 +137,20 @@ class LinearAction:
     @classmethod
     def from_torus_weights(cls, specs) -> "LinearAction":
         return cls(tuple(action_generator(spec) for spec in specs))
+
+    @classmethod
+    def from_quiver(cls, graph: DynkinGraph) -> "LinearAction":
+        """The torus of the quiver quotient of an extended diagram whose marks are all 1.
+
+        Edge e = (i, j) is one quaternionic coordinate (z_e, w_e); vertex v's circle turns
+        z_e with weight [v = j] - [v = i] and w_e with its negative.  Vertex 0's circle, the
+        diagonal one, acts trivially and is dropped.  A mark above 1 raises ConfigError.
+        """
+        if any(d != 1 for d in graph.marks):
+            raise ConfigError(f"quiver {graph.tag} has a mark above 1 (marks {graph.marks})")
+        edges, vertices = graph.edges, range(1, graph.num_vertices)
+        weights = [[(v == j) - (v == i) for i, j in edges] for v in vertices]
+        return cls.from_torus_weights(CircleActionSpec(k=w, l=[-x for x in w]) for w in weights)
 
     @property
     def model(self) -> FlatModel:
@@ -436,13 +443,13 @@ def _quotient_dim(action: LinearAction) -> int:
     return action.dim - 4 * action.dim_g
 
 
-def descended_circle_data(rotator: CircleActionSpec, levels: LevelSetPoints):
-    """Horizontal rotator fields and restricted moment values, (x_bars (k, K), mu_bars (k,)).
+def descended_circle_data(rotator: CircleActionSpec, levels: LevelSetPoints) -> np.ndarray:
+    """Horizontal rotator fields x_bars (k, K), in frame coordinates.
 
-    x_bars are in frame coordinates.  The rotator must commute with the
-    batch's action and therefore preserves the level set; both facts are
-    checked, not assumed, the second to _ROTATOR_DRIFT_TOL max(1, |m|^2)
-    at each point m.  A row equals that point in a batch of one.
+    The rotator must commute with the batch's action and therefore preserves
+    the level set; both facts are checked, not assumed, the second to
+    _ROTATOR_DRIFT_TOL max(1, |m|^2) at each point m.  A row equals that
+    point in a batch of one.
     """
     action = levels.action
     gen = action_generator(rotator)
@@ -454,8 +461,7 @@ def descended_circle_data(rotator: CircleActionSpec, levels: LevelSetPoints):
     drift = np.max(drift / np.maximum(1.0, np.sum(m * m, axis=1)))
     if not drift <= _ROTATOR_DRIFT_TOL:
         raise StructureError(f"rotator does not preserve the level set ({drift:.2e} relative)")
-    x_bar = (levels.frames.transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
-    return x_bar, moment_map(rotator, m)
+    return (levels.frames.transpose(0, 2, 1) @ velocity[:, :, None])[:, :, 0]
 
 
 # -- charts and curvature --------------------------------------------------------------
@@ -630,9 +636,13 @@ def charts(levels: LevelSetPoints) -> list:
     Each chunk reads its rows of ``levels.frames``, and the action of
     ``levels``.  The chart functions below take this list and return one
     row per point; passing one list to several of them retracts each
-    batch's base points and stencil once.
+    batch's base points and stencil once.  A quotient of dimension 0 has no
+    chart and raises ConfigError.
     """
-    rows = _chunks(len(levels), _stencil_rows(_CHART_SCHEME, _quotient_dim(levels.action)))
+    K = _quotient_dim(levels.action)
+    if K < 1:
+        raise ConfigError(f"the quotient has dimension {K}: it has no chart")
+    rows = _chunks(len(levels), _stencil_rows(_CHART_SCHEME, K))
     return [QuotientChart(levels[chunk]) for chunk in rows]
 
 
@@ -652,7 +662,7 @@ def moment_descent_residual(batches, rotator: CircleActionSpec) -> np.ndarray:
     mu = moment_field(rotator)
 
     def residuals(chart):
-        x_bar, _ = descended_circle_data(rotator, chart.levels)
+        x_bar = descended_circle_data(rotator, chart.levels)
         covec = (x_bar[:, None, :] @ chart.omega_bar(chart.base, 1)[:, 0])[:, 0]
         return np.max(np.abs(chart.gradient(chart.base, mu)[:, 0] - covec), axis=1)
 
@@ -662,19 +672,14 @@ def moment_descent_residual(batches, rotator: CircleActionSpec) -> np.ndarray:
 def quotient_structures(batches) -> np.ndarray:
     """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of each chart, (k, 3, K, K).
 
-    Over the chart batches of ``charts``, at each batch's ``base`` jet:
-    one metric per jet and one solve of its three right-hand sides
-    omega_bar_i side by side, whose columns have the bits of three
-    separate solves.  A row equals that point in a batch of one.
+    Over the chart batches of ``charts``: ``QuotientChart.structure`` at
+    each batch's ``base`` jet for i = 1, 2, 3, stacked.  A row equals that
+    point in a batch of one.
     """
-
-    def structures(chart):
-        jet, K = chart.base, chart.dim
-        omegas = np.concatenate([chart.omega_bar(jet, i)[:, 0] for i in (1, 2, 3)], axis=-1)
-        solved = -np.linalg.solve(chart.metric(jet)[:, 0], omegas)  # (k, K, 3 K)
-        return solved.reshape(len(solved), K, 3, K).transpose(0, 2, 1, 3)
-
-    return _over_charts(batches, structures)
+    return _over_charts(
+        batches,
+        lambda chart: np.stack([chart.structure(chart.base, i)[:, 0] for i in (1, 2, 3)], axis=1),
+    )
 
 
 def descended_curvature(batches, rotator: CircleActionSpec) -> np.ndarray:
@@ -757,26 +762,27 @@ def gh_coordinates(triholo: CircleActionSpec, levels: LevelSetPoints, *, scale: 
     return x, 1.0 / v_inv
 
 
-# -- worked example fixtures -----------------------------------------------------------
+# -- the worked example ---------------------------------------------------------------
 
 
-def eguchi_hanson_action() -> LinearAction:
-    """H^2 circle with weights (+1,+1) on z and (-1,-1) on w.
+@dataclass(frozen=True)
+class QuotientExample:
+    """An action, a rotator whose moment map descends, and a residual circle with its speed."""
 
-    One action, built at import; its arrays are read-only, so every
-    caller shares it.
-    """
-    return _EGUCHI_HANSON
-
-
-def eh_rotator() -> CircleActionSpec:
-    """The diagonal rotation (z, w) -> e^{i t}(z, w); commutes with the action."""
-    return CircleActionSpec(k=(1, 1), l=(1, 1))
+    action: LinearAction
+    rotator: CircleActionSpec
+    residual_circle: CircleActionSpec
+    circle_scale: float
 
 
-def eh_residual_circle() -> CircleActionSpec:
-    """Triholomorphic circle surviving the quotient: weights (+1,-1)/(-1,+1)."""
-    return CircleActionSpec(k=(1, -1), l=(-1, 1))
-
-
-_EGUCHI_HANSON = LinearAction.from_torus_weights([CircleActionSpec(k=(1, 1), l=(-1, -1))])
+#: Eguchi-Hanson, built at import and shared (the action's arrays are read-only).
+#: The rotator is (z, w) -> e^{i t}(z, w).  The residual circle's speed 1/4 gives
+#: the multi-centre potential unit coefficients, a measured calibration: at full
+#: speed the samples satisfy V = (1/4) sum_i 1/|x - a_i| (the circle has doubled
+#: local weight at its two fixed points, and the fit is quadratic in the speed).
+EGUCHI_HANSON = QuotientExample(
+    action=LinearAction.from_quiver(extended_diagram("A", 1)),
+    rotator=CircleActionSpec(k=(1, 1), l=(1, 1)),
+    residual_circle=CircleActionSpec(k=(1, -1), l=(-1, 1)),
+    circle_scale=0.25,
+)

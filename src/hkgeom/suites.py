@@ -524,16 +524,16 @@ def fit_two_centers(xs, vs):
     return float(np.linalg.norm(centres[1] - centres[0])), float(fit)
 
 
-def gh_samples(action, rotator, level_value, rng, count):
-    """(xs, vs) of count level-set points solved and projected as one batch.
+def gh_samples(example, level_value, rng, count):
+    """(xs, vs) of count level-set points of a quotient example, solved and projected as one batch.
 
     The seeds are standard normal draws times sqrt(c), the homothety that
     carries the level-1 set onto the level-c set, so the samples sit at the
     scale of the centres +/- c/4 at every level.
     """
-    seeds = rng.standard_normal((count, 8)) * np.sqrt(level_value)
-    points = qt.solve_level(action, qt.LevelSpec((level_value,)), seeds)
-    return qt.gh_coordinates(rotator, points, scale=qt.GH_CIRCLE_SCALE)
+    seeds = rng.standard_normal((count, example.action.dim)) * np.sqrt(level_value)
+    points = qt.solve_level(example.action, qt.LevelSpec((level_value,)), seeds)
+    return qt.gh_coordinates(example.residual_circle, points, scale=example.circle_scale)
 
 
 def _level_points(action, rng, cfg: RunConfig):
@@ -545,13 +545,14 @@ def _level_points(action, rng, cfg: RunConfig):
     whose moment roundoff, eps |m|^2, kept the chart retraction from its
     stop 1e-14 c.  Up to level 1 the seeds are unscaled.
     """
-    seeds = rng.standard_normal((max(2, cfg.samples // 4), 8)) * np.sqrt(max(1.0, cfg.level))
+    count = max(2, cfg.samples // 4)
+    seeds = rng.standard_normal((count, action.dim)) * np.sqrt(max(1.0, cfg.level))
     return qt.solve_level(action, qt.LevelSpec((cfg.level,)), seeds)
 
 
 def _level_charts(rng, cfg: RunConfig) -> list:
     """The Eguchi-Hanson chart batches of ``_level_points``, shared by a row's chart functions."""
-    return qt.charts(_level_points(qt.eguchi_hanson_action(), rng, cfg))
+    return qt.charts(_level_points(qt.EGUCHI_HANSON.action, rng, cfg))
 
 
 def _q_match(rng, cfg: RunConfig) -> float:
@@ -575,14 +576,14 @@ def _q_match(rng, cfg: RunConfig) -> float:
     """
     batches = _level_charts(rng, cfg)
     got = qt.canonical_bundle_curvature(batches, (cfg.level,))
-    want = qt.descended_curvature(batches, qt.eh_rotator())
+    want = qt.descended_curvature(batches, qt.EGUCHI_HANSON.rotator)
     return _worst(np.abs(got - want))
 
 
 def _q_type11(rng, cfg: RunConfig) -> float:
     """Worst type-(1,1) residual of the descended form against I_bar, J_bar and K_bar."""
     batches = _level_charts(rng, cfg)
-    F = qt.descended_curvature(batches, qt.eh_rotator())
+    F = qt.descended_curvature(batches, qt.EGUCHI_HANSON.rotator)
     S = qt.quotient_structures(batches)
     return _worst(
         type11_residual(np.repeat(F, 3, axis=0), S.reshape((-1,) + S.shape[2:]), structure_tol=1e-4)
@@ -591,24 +592,22 @@ def _q_type11(rng, cfg: RunConfig) -> float:
 
 def _q_descent(rng, cfg: RunConfig) -> float:
     batches = _level_charts(rng, cfg)
-    return _worst(qt.moment_descent_residual(batches, qt.eh_rotator()))
+    return _worst(qt.moment_descent_residual(batches, qt.EGUCHI_HANSON.rotator))
 
 
 def _q_gh_potential(rng, cfg: RunConfig) -> float:
-    xs, vs = gh_samples(
-        qt.eguchi_hanson_action(), qt.eh_residual_circle(), cfg.level, rng, cfg.samples
-    )
+    xs, vs = gh_samples(qt.EGUCHI_HANSON, cfg.level, rng, cfg.samples)
     predicted = gh.gh_potential(eh_centers(cfg.level), xs)
     return float(np.max(np.abs(vs - predicted) / predicted))
 
 
 def _q_separation(rng, cfg: RunConfig) -> float:
-    action, circle = qt.eguchi_hanson_action(), qt.eh_residual_circle()
+    example = qt.EGUCHI_HANSON
     seps = []
     for value in (cfg.level, 2.0 * cfg.level):
         # the fit has six parameters: six samples fix them exactly, with no
         # redundancy to average out a poorly placed sample, so it takes twice that
-        xs, vs = gh_samples(action, circle, value, rng, max(12, cfg.samples))
+        xs, vs = gh_samples(example, value, rng, max(12, cfg.samples))
         seps.append(fit_two_centers(xs, vs)[0])
     return abs(seps[1] - 2.0 * seps[0]) / seps[1]
 
@@ -736,6 +735,14 @@ def _dk_mckay(rng, cfg: RunConfig) -> float:
             for kind, k in _MCKAY_DIAGRAMS
         ]
     )
+
+
+def _dk_quiver_a1(rng, cfg: RunConfig) -> float:
+    """The A_1 quiver dimension, counted by ``dk.quiver_dim`` and by the action that
+    ``qt.LinearAction.from_quiver`` builds (complex dimension dim / 2)."""
+    graph = dk.extended_diagram("A", 1)
+    action = qt.LinearAction.from_quiver(graph)
+    return float(abs(dk.quiver_dim(graph) - 4) + abs(action.dim // 2 - 4))
 
 
 # -- the table ------------------------------------------------------------------------
@@ -880,7 +887,7 @@ CHECKS = (
     Check("dynkin.mckay.order", "sum of d_i^2 over the marks equals |Gamma|", 0.0, _dk_mckay),
     Check(
         "dynkin.quiver.a1", "the extended A_1 quiver space has complex dimension 4", 0.0,
-        lambda rng, cfg: float(abs(dk.quiver_dim(dk.extended_diagram("A", 1)) - 4)),
+        _dk_quiver_a1,
     ),
 )
 

@@ -154,11 +154,20 @@ def chart_transition(v, xi, zeta, tangent):
     return (v / z1, xi / z1, 1.0 / zeta), tilde
 
 
+def _same_width(z, w):
+    """z and w as arrays of at least one axis, after checking that they have one width n."""
+    z, w = np.atleast_1d(z), np.atleast_1d(w)
+    if z.shape[-1] != w.shape[-1]:
+        raise ConfigError(f"z and w must have the same width n, got {z.shape} and {w.shape}")
+    return z, w
+
+
 def product_to_chart(z, w, zeta):
     """Chart-U coordinates (v, xi) = (z + zeta conj(w), w - zeta conj(z)) of smooth-product points.
 
     zeta has the leading shape of z and w; chart U keeps it as it is.
     """
+    z, w = _same_width(z, w)
     zeta = np.asarray(zeta)[..., None]
     return z + zeta * np.conj(w), w - zeta * np.conj(z)
 
@@ -381,7 +390,8 @@ def residue_match_residual(z, w, m_tangent) -> np.ndarray:
     vertical lifts at zeta = 0, and the measured fibre-direction residue
     equals minus the contracted complex symplectic form.
     """
-    model = _shared_model(np.shape(z)[1])
+    z, w = _same_width(z, w)
+    model = _shared_model(z.shape[1])
     spec = CircleActionSpec(k=(1,) * model.n, l=(1,) * model.n)
     s = np.asarray(m_tangent, dtype=float)
     measured = connection_residue(_FIBRE_WEIGHT, z, w, vertical_lift(0.0, s))
@@ -423,9 +433,7 @@ def total_dim(n: int) -> int:
 
 def pack_point(z, w, zeta) -> np.ndarray:
     """Real coordinates (flat packing, Re zeta, Im zeta), (k, 4n+2), of z, w (k, n), zeta (k,)."""
-    z, w = np.atleast_1d(z), np.atleast_1d(w)
-    if z.shape[-1] != w.shape[-1]:
-        raise ConfigError(f"z and w must have the same width n, got {z.shape} and {w.shape}")
+    z, w = _same_width(z, w)
     zeta = np.asarray(zeta, dtype=complex)[..., None]
     flat = _shared_model(z.shape[-1]).from_complex(z, w)
     return np.concatenate([flat, zeta.real, zeta.imag], axis=-1)

@@ -24,7 +24,7 @@ from hkgeom.cotangent import (
 )
 from hkgeom.forms import FDScheme, type11_residual
 from hkgeom.gibbonshawking import GHConfig, f_segment_values, rotation_lift_f
-from hkgeom.quotient import eguchi_hanson_action, eh_residual_circle
+from hkgeom.quotient import EGUCHI_HANSON
 from hkgeom.suites import RunConfig, fit_two_centers, run_check
 
 
@@ -171,12 +171,10 @@ def test_criterion_08_quotient_curvature_match_and_type11():
 
 def test_criterion_09_gh_model_recovery():
     rng = np.random.default_rng(109)
-    action = eguchi_hanson_action()
-    circle = eh_residual_circle()
     seps = []
     worst_fit = 0.0
     for c in (1.0, 2.0):
-        xs, vs = suites.gh_samples(action, circle, c, rng, 40)
+        xs, vs = suites.gh_samples(EGUCHI_HANSON, c, rng, 40)
         sep, resid = fit_two_centers(xs, vs)
         seps.append(sep)
         worst_fit = max(worst_fit, resid)

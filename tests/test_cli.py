@@ -651,9 +651,7 @@ def test_profiles_quotient_rows_are_the_public_sampler_and_centres(tmp_path):
     args = ["--c", "2.5", "--samples", "7", "--seed", "3", "--out", str(out)]
     assert run(["profiles", "--suite", "quotient", *args]) == 0
     level = RunConfig(suite="quotient", c=2.5).level
-    xs, vs = suites.gh_samples(
-        qt.eguchi_hanson_action(), qt.eh_residual_circle(), level, np.random.default_rng(3), 7
-    )
+    xs, vs = suites.gh_samples(qt.EGUCHI_HANSON, level, np.random.default_rng(3), 7)
     centres = [np.array([a, 0.0, 0.0]) for a in suites.eh_centers(level).centers]
     r = [[np.linalg.norm(x - a) for a in centres] for x in xs]
     assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), np.column_stack([xs, r, vs]))

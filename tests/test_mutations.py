@@ -7,6 +7,8 @@ without it, and asserts that the check then fails at the default
 configuration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -383,16 +385,21 @@ def test_scaled_moment_map_fails_the_descent_and_curvature_checks(monkeypatch):
     # blind spot: omega_bar_1 + s dd^c mu_bar is of type (1,1) for I_bar at
     # every scale s, so the type check sees the scaling only through J_bar
     # and K_bar
-    action = quotient.eguchi_hanson_action()
+    action = quotient.EGUCHI_HANSON.action
     one = quotient.solve_level(
         action, quotient.LevelSpec((1.0,)), np.random.default_rng(47).standard_normal((1, 8))
     )
     (chart,) = quotient.charts(one)
     jet = chart.base
-    F = quotient.descended_curvature([chart], quotient.eh_rotator())
+    F = quotient.descended_curvature([chart], quotient.EGUCHI_HANSON.rotator)
     assert type11_residual(F, chart.structure(jet, 1)[:, 0], structure_tol=1e-4)[0] < 1e-5
     for i in (2, 3):
         assert type11_residual(F, chart.structure(jet, i)[:, 0], structure_tol=1e-4)[0] > 1e-5
+
+
+def _circle_scale_03():
+    """The Eguchi-Hanson example with its residual circle at speed 0.3 instead of 1/4."""
+    return dataclasses.replace(quotient.EGUCHI_HANSON, circle_scale=0.3)
 
 
 def test_wrong_circle_scale_fails_the_gh_potential(monkeypatch):
@@ -400,7 +407,7 @@ def test_wrong_circle_scale_fails_the_gh_potential(monkeypatch):
     # away from the two-centre potential at +/- c/4 (0.42 at seed 0, tol 1e-5)
     cfg = RunConfig(suite="quotient")
     assert run_check(cfg, "quotient.gh.potential").passed
-    monkeypatch.setattr(quotient, "GH_CIRCLE_SCALE", 0.3)
+    monkeypatch.setattr(quotient, "EGUCHI_HANSON", _circle_scale_03())
     rec = run_check(cfg, "quotient.gh.potential")
     assert not rec.passed and rec.residual > 0.1, rec.to_dict()
 
@@ -409,8 +416,8 @@ def test_separation_check_fails_on_a_wrong_potential(monkeypatch):
     # at the doubled level the samples follow centres at +/- c/3, not c/4
     samples = suites.gh_samples
 
-    def wrong_at_doubled_level(action, rotator, level_value, rng, count):
-        xs, vs = samples(action, rotator, level_value, rng, count)
+    def wrong_at_doubled_level(example, level_value, rng, count):
+        xs, vs = samples(example, level_value, rng, count)
         if level_value == 2.0:
             a = np.array([level_value / 3.0, 0.0, 0.0])
             vs = 1.0 / np.linalg.norm(xs - a, axis=1) + 1.0 / np.linalg.norm(xs + a, axis=1)
@@ -469,7 +476,7 @@ def test_mutations_fail_after_an_unpatched_run(monkeypatch):
             patch.setattr(dynkin, name, mutate(getattr(dynkin, name)))
             assert not run_check(RunConfig(suite="dynkin"), check_id).passed, check_id
     with monkeypatch.context() as patch:
-        patch.setattr(quotient, "GH_CIRCLE_SCALE", 0.3)
+        patch.setattr(quotient, "EGUCHI_HANSON", _circle_scale_03())
         assert not run_check(RunConfig(suite="quotient"), "quotient.gh.potential").passed
     moment = quotient.moment_field
 
@@ -489,3 +496,18 @@ def test_dynkin_mutation_fails(check_id, monkeypatch):
     monkeypatch.setattr(dynkin, name, mutate(getattr(dynkin, name)))
     rec = run_check(cfg, check_id)
     assert not rec.passed and rec.residual > 0, (check_id, rec.to_dict())
+
+
+def test_a_quiver_action_without_the_repeated_edge_fails_the_a1_row(monkeypatch):
+    # one copy of the double A_1 edge: H^1 instead of H^2, complex dimension 2, not 4
+    cfg = RunConfig(suite="dynkin")
+    assert run_check(cfg, "dynkin.quiver.a1").passed
+    build = quotient.LinearAction.from_quiver
+
+    def single_edged(graph):
+        return build(dataclasses.replace(graph, edges=tuple(dict.fromkeys(graph.edges))))
+
+    monkeypatch.setattr(quotient.LinearAction, "from_quiver", single_edged)
+    assert quotient.LinearAction.from_quiver(dynkin.extended_diagram("A", 1)).dim == 4
+    rec = run_check(cfg, "dynkin.quiver.a1")
+    assert not rec.passed and rec.residual == 2.0, rec.to_dict()

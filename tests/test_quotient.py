@@ -15,8 +15,8 @@ from hkgeom.errors import (
     NonFreePointError,
     StructureError,
 )
-from hkgeom import forms, quotient, suites
-from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field, moment_map
+from hkgeom import dynkin, forms, quotient, suites
+from hkgeom.flatspace import CircleActionSpec, action_generator, moment_field
 from hkgeom.forms import (
     FDScheme,
     fd_gradient,
@@ -24,7 +24,7 @@ from hkgeom.forms import (
     type11_residual,
 )
 from hkgeom.quotient import (
-    GH_CIRCLE_SCALE,
+    EGUCHI_HANSON,
     LevelSetPoints,
     LevelSpec,
     LinearAction,
@@ -33,9 +33,6 @@ from hkgeom.quotient import (
     charts,
     descended_circle_data,
     descended_curvature,
-    eguchi_hanson_action,
-    eh_residual_circle,
-    eh_rotator,
     gh_coordinates,
     hk_moment,
     moment_descent_residual,
@@ -44,7 +41,10 @@ from hkgeom.quotient import (
     solve_level,
 )
 
-ACTION = eguchi_hanson_action()
+ACTION = EGUCHI_HANSON.action
+ROTATOR, CIRCLE, CIRCLE_SCALE = (
+    EGUCHI_HANSON.rotator, EGUCHI_HANSON.residual_circle, EGUCHI_HANSON.circle_scale
+)
 LEVEL = LevelSpec((1.0,))
 #: omega_bar_1 on one block (v, Iv, Jv, Kv) of the horizontal frame
 _E01_E23 = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -75,15 +75,19 @@ def test_action_construction_and_brackets():
 
 def test_the_eguchi_hanson_action_is_shared_and_read_only():
     # built once, at import, so no caller may write into the arrays every row shares
-    action = eguchi_hanson_action()
+    action = EGUCHI_HANSON.action
     assert action is ACTION
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        EGUCHI_HANSON.action = LinearAction(action.generators)
     for array in (*action.generators, action._moment_stack):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 1] = 1.0
     # a caller's generator is copied, not made read-only under the caller
     gen = action_generator(CircleActionSpec(k=(1, 1), l=(-1, -1)))
     assert LinearAction((gen,)).generators[0] is not gen and gen.flags.writeable
-    assert np.array_equal(action.generators[0], gen)
+    # the A_1 quiver builds the hand-written circle with weights (1, 1) on z, (-1, -1) on w
+    assert action.generators.shape == (1, 8, 8)
+    assert action.generators[0].tobytes() == gen.tobytes()
 
 
 def test_action_rejects_non_skew():
@@ -135,6 +139,38 @@ def test_action_rejects_non_commuting_generators():
     # third generator is reported ahead of the first two failing to commute
     with pytest.raises(StructureError, match="generator 2 is not metric-antisymmetric"):
         LinearAction((*gens[:2], np.eye(8)))
+
+
+# -- quiver actions ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_the_a_k_quiver_is_a_k_torus_with_a_four_dimensional_quotient(k):
+    action = LinearAction.from_quiver(dynkin.extended_diagram("A", k))
+    assert action.dim == 4 * (k + 1) and action.dim_g == k
+    seeds = np.random.default_rng(k).standard_normal((2, action.dim))
+    (chart,) = charts(solve_level(action, LevelSpec((1.0,) * k), seeds))
+    assert chart.dim == 4
+
+
+@pytest.mark.parametrize(
+    "kind, k", [*(("D", k) for k in range(4, 9)), ("E6", None), ("E7", None), ("E8", None)]
+)
+def test_a_quiver_with_a_mark_above_one_is_refused(kind, k):
+    with pytest.raises(ConfigError, match="mark above 1"):
+        LinearAction.from_quiver(dynkin.extended_diagram(kind, k))
+
+
+def test_the_a2_quiver_quotient_carries_the_descended_curvature_and_moment():
+    action = LinearAction.from_quiver(dynkin.extended_diagram("A", 2))
+    rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
+    seeds = np.random.default_rng(0).standard_normal((5, action.dim))
+    batches = charts(solve_level(action, LevelSpec((1.0, 0.5)), seeds))
+    F = descended_curvature(batches, rotator)
+    S = quotient_structures(batches)
+    for i in range(3):
+        assert np.max(type11_residual(F, S[:, i], structure_tol=1e-4)) < 1e-5
+    assert np.max(moment_descent_residual(batches, rotator)) < 1e-7
 
 
 def test_level_spec():
@@ -345,20 +381,16 @@ def test_quotient_hyperkahler_algebra():
 def test_descended_moment_is_restriction():
     rng = np.random.default_rng(39)
     one = solved(rng)
-    x_bar, mu_bar = descended_circle_data(eh_rotator(), one)
-    m = one.points[0]
-    assert x_bar.shape == (1, 4) and mu_bar.shape == (1,)
-    assert mu_bar[0] == pytest.approx(-0.5 * np.dot(m, m))
-    assert mu_bar[0] == pytest.approx(moment_map(eh_rotator(), m[None])[0])
+    x_bar = descended_circle_data(ROTATOR, one)
+    assert x_bar.shape == (1, 4)
     trivial = CircleActionSpec(k=(0, 0), l=(0, 0))
-    x0, mu0 = descended_circle_data(trivial, one)
-    assert np.all(x0 == 0.0) and np.all(mu0 == 0.0)
+    assert np.all(descended_circle_data(trivial, one) == 0.0)
 
 
 def test_descended_moment_equation():
     rng = np.random.default_rng(40)
     for _ in range(3):
-        residual = moment_descent_residual(charts(solved(rng)), eh_rotator())
+        residual = moment_descent_residual(charts(solved(rng)), ROTATOR)
         assert residual.shape == (1,) and residual[0] < 1e-7
 
 
@@ -383,7 +415,7 @@ def test_rotator_drift_guard_refuses_points_off_the_level_set(c):
     # far over the guard's 1e-9 max(1, |m|^2); the solved points pass it
     rng = np.random.default_rng(91)
     levels = solve_level(ACTION, LevelSpec((c,)), rng.standard_normal((6, 8)) * np.sqrt(c))
-    descended_circle_data(eh_rotator(), levels)
+    descended_circle_data(ROTATOR, levels)
     m = levels.points
     grad = levels.dnu[:, 0, 1]  # d nu_2, with nu_2 = 0 on the level set
     step = 1e-6 * np.sum(m * m, axis=1) / np.sum(grad * grad, axis=1)
@@ -392,7 +424,7 @@ def test_rotator_drift_guard_refuses_points_off_the_level_set(c):
     assert np.allclose(nu2, 1e-6 * np.sum(m * m, axis=1), rtol=1e-3)
     off = dataclasses.replace(levels, points=moved, dnu=moment_jacobian(ACTION, moved))
     with pytest.raises(StructureError, match="rotator does not preserve the level set"):
-        descended_circle_data(eh_rotator(), off)
+        descended_circle_data(ROTATOR, off)
 
 
 # -- charts and curvature -------------------------------------------------------------
@@ -417,7 +449,7 @@ def test_curvature_constructions_agree_on_samples():
     rng = np.random.default_rng(43)
     for _ in range(3):
         one = charts(solved(rng))
-        descended = descended_curvature(one, eh_rotator())
+        descended = descended_curvature(one, ROTATOR)
         canonical = canonical_bundle_curvature(one, (1.0,))
         assert descended.shape == canonical.shape == (1, 6)
         assert np.max(np.abs(descended - canonical)) < 1e-5
@@ -455,11 +487,11 @@ def test_gh_coordinates_match_two_center_model():
     nut_plus = np.array([1.0, 0.0, 0.0])
     for _ in range(8):
         one = solved(rng)
-        (x,), (v,) = gh_coordinates(eh_residual_circle(), one)
+        (x,), (v,) = gh_coordinates(CIRCLE, one)
         pred = 1.0 / np.linalg.norm(x - nut_plus) + 1.0 / np.linalg.norm(x + nut_plus)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
         # quarter speed gives the unit-coefficient model with centres at +/- c/4
-        (x_s,), (v_s,) = gh_coordinates(eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
+        (x_s,), (v_s,) = gh_coordinates(CIRCLE, one, scale=CIRCLE_SCALE)
         assert np.allclose(x_s, 0.25 * x, rtol=1e-12)
         pred_s = 1.0 / np.linalg.norm(x_s - nut_plus / 4) + 1.0 / np.linalg.norm(
             x_s + nut_plus / 4
@@ -471,7 +503,7 @@ def test_gh_coordinates_scale_linearly_with_level():
     rng = np.random.default_rng(48)
     # the fixed points sit at (+/- c, 0, 0): doubled level, doubled centres
     for c in (1.0, 2.0):
-        (x,), (v,) = gh_coordinates(eh_residual_circle(), solved(rng, LevelSpec((c,))))
+        (x,), (v,) = gh_coordinates(CIRCLE, solved(rng, LevelSpec((c,))))
         nut = np.array([c, 0.0, 0.0])
         pred = 1.0 / np.linalg.norm(x - nut) + 1.0 / np.linalg.norm(x + nut)
         assert v / pred == pytest.approx(0.25, rel=1e-9)
@@ -480,11 +512,11 @@ def test_gh_coordinates_scale_linearly_with_level():
 def test_gh_coordinates_validation():
     rng = np.random.default_rng(49)
     with pytest.raises(StructureError):
-        gh_coordinates(eh_rotator(), solved(rng))  # not triholomorphic
+        gh_coordinates(ROTATOR, solved(rng))  # not triholomorphic
     nut = np.zeros((1, 8))
     nut[0, 4] = np.sqrt(2.0)  # z = 0, w = (sqrt(2), 0): a fixed point of Y
     with pytest.raises(DomainError):
-        gh_coordinates(eh_residual_circle(), solve_level(ACTION, LEVEL, nut))
+        gh_coordinates(CIRCLE, solve_level(ACTION, LEVEL, nut))
 
 
 def test_circles_on_another_space_are_rejected():
@@ -498,7 +530,7 @@ def test_circles_on_another_space_are_rejected():
 def test_y_length_positive_away_from_fixed_points():
     rng = np.random.default_rng(50)
     for _ in range(5):
-        _, v = gh_coordinates(eh_residual_circle(), solved(rng))
+        _, v = gh_coordinates(CIRCLE, solved(rng))
         assert v[0] > 0.0
 
 
@@ -545,11 +577,11 @@ def test_batch_solve_rows_equal_single_seed_solves():
 
 def test_batch_gh_coordinates_equal_single_calls():
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(59).standard_normal((12, 8)))
-    xs, vs = gh_coordinates(eh_residual_circle(), levels, scale=GH_CIRCLE_SCALE)
+    xs, vs = gh_coordinates(CIRCLE, levels, scale=CIRCLE_SCALE)
     assert xs.shape == (12, 3) and vs.shape == (12,)
     for row in range(12):
         one = levels[row : row + 1]
-        x, v = gh_coordinates(eh_residual_circle(), one, scale=GH_CIRCLE_SCALE)
+        x, v = gh_coordinates(CIRCLE, one, scale=CIRCLE_SCALE)
         assert np.array_equal(xs[row], x[0]) and vs[row] == v[0]
 
 
@@ -567,7 +599,7 @@ def test_one_bad_row_fails_the_whole_batch():
     nut[4] = np.sqrt(2.0)  # a fixed point of the residual circle
     points = solve_level(ACTION, LEVEL, np.vstack([rng.standard_normal((3, 8)), nut]))
     with pytest.raises(DomainError):
-        gh_coordinates(eh_residual_circle(), points)
+        gh_coordinates(CIRCLE, points)
 
 
 def test_quotient_samplers_batch_their_seeds(monkeypatch):
@@ -806,7 +838,7 @@ def test_newton_solvers_make_no_svd_and_one_solve_per_chart_step(monkeypatch):
     chart.point(0.05 * rng.standard_normal((1, 20, 4)))
     assert calls == {"svd": 0, "solve": 3}
     assert levels.frames.shape == (6, 8, 4) and calls == {"svd": 0, "solve": 3}
-    gh_coordinates(eh_residual_circle(), levels)
+    gh_coordinates(CIRCLE, levels)
     assert calls == {"svd": 0, "solve": 3}
 
 
@@ -844,7 +876,7 @@ def test_chart_tangents_equal_fd_of_the_retraction():
     torus_rotator = CircleActionSpec(k=(1, 1, 1), l=(1, 1, 1))
     scheme = FDScheme(h=1e-4, order=4)
     for action, level, rotator in (
-        (ACTION, LEVEL, eh_rotator()),
+        (ACTION, LEVEL, ROTATOR),
         (TORUS_H3, LevelSpec((1.0, 2.0)), torus_rotator),
     ):
         rng = np.random.default_rng(54)
@@ -872,7 +904,7 @@ def test_chart_jet_rows_match_single_rows():
     rng = np.random.default_rng(58)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((3, 8)))
     chart = QuotientChart(levels)
-    mu = moment_field(eh_rotator())
+    mu = moment_field(ROTATOR)
     xi = 0.05 * rng.standard_normal((3, 16, 4))
     jet = chart.jet(xi)
     assert jet[0].shape == (3, 16, 8) and jet[1].shape == (3, 16, 8, 4)
@@ -910,7 +942,7 @@ def test_descended_curvature_retraction_count(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "point", counting)
     levels = solve_level(ACTION, LEVEL, np.random.default_rng(55).standard_normal((3, 8)))
-    descended_curvature(charts(levels), eh_rotator())
+    descended_curvature(charts(levels), ROTATOR)
     assert rows == [3, 3 * 16]
     cfg = suites.RunConfig(suite="quotient", samples=40)  # 10 points in one batch
     for check_id, want in (
@@ -975,6 +1007,14 @@ def test_level_set_batch_carries_its_action_into_slices_and_charts(action, level
     )
 
 
+def test_charts_of_a_zero_dimensional_quotient_are_refused():
+    # the 2-torus on H^2 leaves a quotient of dimension 0, which has no chart
+    seeds = np.random.default_rng(93).standard_normal((2, TORUS.dim))
+    levels = solve_level(TORUS, LevelSpec((1.0, 2.0)), seeds)
+    with pytest.raises(ConfigError, match="dimension 0"):
+        charts(levels)
+
+
 # -- chart batches ----------------------------------------------------------------------
 
 
@@ -999,13 +1039,13 @@ def test_batch_frames_equal_frames_built_alone(action):
 def test_batch_curvatures_equal_single_point_calls():
     rng = np.random.default_rng(71)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
-    rotator = eh_rotator()
+    rotator = ROTATOR
     batches = charts(levels)
     descended = descended_curvature(batches, rotator)
     canonical = canonical_bundle_curvature(batches, (1.0,))
     descent = moment_descent_residual(batches, rotator)
     structures = quotient_structures(batches)
-    x_bars, mu_bars = descended_circle_data(rotator, levels)
+    x_bars = descended_circle_data(rotator, levels)
     assert descended.shape == canonical.shape == (6, 6)
     assert descent.shape == (6,) and structures.shape == (6, 3, 4, 4)
     for row in range(6):
@@ -1015,14 +1055,13 @@ def test_batch_curvatures_equal_single_point_calls():
         assert np.array_equal(canonical[row], canonical_bundle_curvature(one, (1.0,))[0])
         assert descent[row] == moment_descent_residual(one, rotator)[0]
         assert np.array_equal(structures[row], quotient_structures(one)[0])
-        x_bar, mu_bar = descended_circle_data(rotator, alone)
-        assert np.array_equal(x_bars[row], x_bar[0]) and mu_bars[row] == mu_bar[0]
+        assert np.array_equal(x_bars[row], descended_circle_data(rotator, alone)[0])
     assert np.all(canonical_bundle_curvature(batches, (0.0,)) == 0.0)
 
 
 _CHART_FUNCTIONS = {
     "canonical": lambda batches: canonical_bundle_curvature(batches, (1.0,)),
-    "descended": lambda batches: descended_curvature(batches, eh_rotator()),
+    "descended": lambda batches: descended_curvature(batches, ROTATOR),
     "structures": quotient_structures,
 }
 
@@ -1068,7 +1107,7 @@ def test_chart_functions_refuse_an_empty_batch_list():
         with pytest.raises(ConfigError, match="chart batch"):
             fn([])
     with pytest.raises(ConfigError, match="chart batch"):
-        moment_descent_residual([], eh_rotator())
+        moment_descent_residual([], ROTATOR)
 
 
 def test_chart_batch_anchors_at_its_base_points():
@@ -1093,7 +1132,7 @@ def test_chart_batch_anchors_at_its_base_points():
 def test_chart_batches_go_in_chunks_with_the_same_results(monkeypatch):
     rng = np.random.default_rng(74)
     levels = solve_level(ACTION, LEVEL, rng.standard_normal((6, 8)))
-    rotator = eh_rotator()
+    rotator = ROTATOR
 
     def results():
         batches = charts(levels)
@@ -1155,7 +1194,7 @@ def test_canonical_curvature_warns_once_per_call():
 def test_two_center_fit_recovers_a_level_it_is_not_told():
     rng = np.random.default_rng(57)
     for c in (0.7, 3.1):
-        xs, vs = suites.gh_samples(ACTION, eh_residual_circle(), c, rng, 12)
+        xs, vs = suites.gh_samples(EGUCHI_HANSON, c, rng, 12)
         sep, resid = suites.fit_two_centers(xs, vs)
         assert sep == pytest.approx(c / 2.0, rel=1e-9)
         assert resid < 1e-9

@@ -140,7 +140,7 @@ def test_quotient_curvature_match_holds_away_from_level_one(c):
 
 def test_weight_one_curvature_is_the_descended_form_over_the_level():
     # the factor the check's weight c accounts for: F_can(1) = F / c at level c = 2
-    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    action, rotator = qt.EGUCHI_HANSON.action, qt.EGUCHI_HANSON.rotator
     one = qt.solve_level(action, qt.LevelSpec((2.0,)), np.random.default_rng(0).standard_normal((1, 8)))
     batches = qt.charts(one)
     weight_one = qt.canonical_bundle_curvature(batches, (1.0,))

@@ -122,7 +122,7 @@ def test_flat_stencil_rows_are_roundoff_alone(check_id, n):
 
 def _single_point_residuals(cfg):
     """The three quotient chart residuals, each the worst of one call per ``charts`` of levels[r:r+1]."""
-    action, rotator = qt.eguchi_hanson_action(), qt.eh_rotator()
+    action, rotator = qt.EGUCHI_HANSON.action, qt.EGUCHI_HANSON.rotator
     weight = (cfg.level,)
 
     def rows(check_id):

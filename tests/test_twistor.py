@@ -481,11 +481,17 @@ def test_n_comes_from_the_widths_and_a_width_that_fits_no_n_is_refused(n):
         for unpacking in (unpack_point, chart_jacobian):
             with pytest.raises(ConfigError, match="twistor coordinates have width 4n"):
                 unpacking(bad)
-    for residual in (pack_point, hermitian_curvature_residual, fz_closedness_residual):
-        with pytest.raises(ConfigError, match="z and w must have the same width"):
-            residual(z, _cpair(rng, 3, n + 1), zeta)
-    # real flat tangents of a width that is not 4n, or s and t of two widths
     s = rng.standard_normal((3, 4 * n))
+    wide = _cpair(rng, 3, n + 1)
+    on_widths = (
+        pack_point, product_to_chart, reality_residual, hermitian_curvature_residual,
+        fz_closedness_residual, lambda z, w, zeta: fibre_restriction_residual(z, w, zeta, s, s),
+        lambda z, w, zeta: residue_match_residual(z, w, s),
+    )
+    for residual in on_widths:
+        with pytest.raises(ConfigError, match="z and w must have the same width"):
+            residual(z, wide, zeta)
+    # real flat tangents of a width that is not 4n, or s and t of two widths
     for width in (4 * n - 1, 4 * n + 1, 4 * n + 2):
         t = rng.standard_normal((3, width))
         with pytest.raises(ConfigError, match="flat tangents have width 4n"):
