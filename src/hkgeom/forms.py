@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -319,15 +320,29 @@ def _ext_deriv_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.
 
     For the J-th basis multi-index of degree ``degree + 1``, coords[J, m]
     is its m-th index j_m and rests[J, m] the basis position of J without
-    j_m; signs[m] = (-1)^m.
+    j_m; signs[m] = (-1)^m.  The positions come in closed form, from one
+    array expression over every (J, m): the degree-k basis lists the sorted
+    k-indices (c_0, ..., c_{k-1}) in lexicographic order, and reflecting
+    every index, c -> dim - 1 - c, turns that order around into the
+    colexicographic order of the reflected sets, whose rank is a sum of
+    binomials.  So the position is C(dim, k) - 1 - sum_p C(dim - 1 - c_p,
+    k - p).  The arrays are read-only: the cache shares them with every
+    caller.
     """
-    pos_k = _basis_position(dim, degree)
     top = basis_indices(dim, degree + 1)
     coords = np.array(top, dtype=int).reshape(len(top), degree + 1)
-    rests = np.array(
-        [[pos_k[J[:m] + J[m + 1 :]] for m in range(degree + 1)] for J in top], dtype=int
-    ).reshape(len(top), degree + 1)
-    return coords, rests, (-1.0) ** np.arange(degree + 1)
+    # drop[m] lists the places of J that remain once its m-th index is removed
+    places = np.arange(degree)
+    drop = places + (places >= np.arange(degree + 1)[:, None])
+    binom = np.array(
+        [[math.comb(a, b) for b in range(degree + 1)] for a in range(dim)], dtype=int
+    ).reshape(dim, degree + 1)
+    colex = binom[dim - 1 - coords[:, drop], degree - places].sum(axis=2)
+    rests = len(basis_indices(dim, degree)) - 1 - colex
+    table = (coords, rests, (-1.0) ** np.arange(degree + 1))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _ext_deriv_sum(D: np.ndarray, dim: int, degree: int) -> np.ndarray:
@@ -364,15 +379,21 @@ _STRUCTURE_TOL = 1e-8
 def _structures(I, points: np.ndarray, tol: float, where: str) -> np.ndarray:
     """The structure at every row of points (m, N): (m, N, N), or I itself if constant.
 
-    A callable I takes the whole (m, N) batch and returns (m, N, N).
-    Every matrix must square to -Id to within tol.
+    A callable I takes the whole (m, N) batch and returns (m, N, N); a
+    constant I of another shape than (N, N) is a ConfigError.  Every
+    matrix must square to -Id to within tol.
     """
     N = points.shape[1]
-    S = np.asarray(I(points) if callable(I) else I)
-    if callable(I) and S.shape != (len(points), N, N):
-        raise ValueError(
-            f"structure callable returned shape {S.shape}, expected {(len(points), N, N)}"
-        )
+    if callable(I):
+        S = np.asarray(I(points))
+        if S.shape != (len(points), N, N):
+            raise ValueError(
+                f"structure callable returned shape {S.shape}, expected {(len(points), N, N)}"
+            )
+    else:
+        S = np.asarray(I)
+        if S.shape != (N, N):
+            raise ConfigError(f"a constant structure must have shape {(N, N)}, got {S.shape}")
     dev = np.max(np.abs(S @ S + np.eye(N)))
     if dev > tol:
         raise StructureError(f"I^2 + Id deviates by {dev:.3e} {where}")
@@ -418,19 +439,35 @@ def _nested_table(scheme: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
     Distinct point u moves coordinate cols_a[u] by steps_a[u] and then
     cols_b[u] by steps_b[u]; nested point m, in C order, is distinct
     point back[m].
+
+    The keys that occur are every (a, s, b, t) with a <= b, and no two of
+    them are equal, since the O steps of the order are distinct.  So the
+    distinct points are the entries of the (dim, O, dim, O) grid of (a,
+    rank of s, b, rank of t) with a <= b, the steps ranked ascending, in C
+    order: the lexicographic order of their keys, as a sort would give it.
+    back follows with no search: the running count of kept grid entries,
+    read at each nested point's key.  The arrays are read-only: the cache
+    shares them with every caller.
     """
     steps = np.array(_OFFSETS[scheme.order]) * scheme.h
-    o2, o1, i, j = np.indices((len(steps), len(steps), dim, dim)).reshape(4, -1)
-    swap = i > j
-    s, t = steps[o1], steps[o2]
-    keys = np.stack(
-        [np.where(swap, j, i), np.where(swap, t, s), np.where(swap, i, j), np.where(swap, s, t)],
-        axis=1,
+    O = len(steps)
+    ascending = steps[::-1]  # _OFFSETS lists each order's steps from the largest down
+    cols_a, ranks_a, cols_b, ranks_b = np.indices((dim, O, dim, O)).reshape(4, -1)
+    kept = cols_a <= cols_b
+    position = np.cumsum(kept) - 1
+    o2, o1, i, j = np.indices((O, O, dim, dim)).reshape(4, -1)
+    lower_first = i <= j
+    rank_a = O - 1 - np.where(lower_first, o1, o2)
+    rank_b = O - 1 - np.where(lower_first, o2, o1)
+    back = position[((np.minimum(i, j) * O + rank_a) * dim + np.maximum(i, j)) * O + rank_b]
+    table = (
+        cols_a[kept],
+        ascending[ranks_a[kept]],
+        cols_b[kept],
+        ascending[ranks_b[kept]],
+        back,
     )
-    distinct, back = np.unique(keys, axis=0, return_inverse=True)
-    cols_a, steps_a, cols_b, steps_b = distinct.T
-    table = (cols_a.astype(int), steps_a, cols_b.astype(int), steps_b, back.reshape(-1))
-    for column in table:  # shared by every caller through the cache
+    for column in table:
         column.flags.writeable = False
     return table
 
@@ -593,12 +630,16 @@ def type11_residual(F, S, *, structure_tol: float = 1e-6) -> np.ndarray:
     (k, N, N).
     """
     S = np.asarray(S)
+    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2]:
+        raise ConfigError(f"structures must have shape (N, N) or (k, N, N), got shape {S.shape}")
     N = S.shape[-1]
     F = np.asarray(F)
     if F.ndim != 2 or F.shape[1] != len(basis_indices(N, 2)):
         raise ConfigError(
             f"2-forms must have shape (k, {len(basis_indices(N, 2))}), got shape {F.shape}"
         )
+    if S.ndim == 3 and len(S) != len(F):
+        raise ConfigError(f"{len(F)} forms need {len(F)} structures, got {len(S)}")
     dev = np.max(np.abs(S @ S + np.eye(N)))
     if dev > structure_tol:
         raise StructureError(f"S^2 + Id deviates by {dev:.3e}")

@@ -620,6 +620,11 @@ class QuotientChart:
         """Quotient complex structure -g^{-1} omega_bar_i (..., K, K) at each jet point."""
         return -np.linalg.solve(self.metric(jet), self.omega_bar(jet, i))
 
+    def structures(self, jet) -> np.ndarray:
+        """``structure`` for i = 1, 2, 3 at each jet point, off one metric, (..., 3, K, K)."""
+        g = self.metric(jet)
+        return np.stack([-np.linalg.solve(g, self.omega_bar(jet, i)) for i in (1, 2, 3)], axis=-3)
+
     def theta(self, jet, chi) -> np.ndarray:
         """Canonical connection form chi(orbit part of the tangents), (..., K)."""
         coef, _ = self._orbit_split(jet)
@@ -672,14 +677,10 @@ def moment_descent_residual(batches, rotator: CircleActionSpec) -> np.ndarray:
 def quotient_structures(batches) -> np.ndarray:
     """The quotient complex structures (I_bar, J_bar, K_bar) at xi = 0 of each chart, (k, 3, K, K).
 
-    Over the chart batches of ``charts``: ``QuotientChart.structure`` at
-    each batch's ``base`` jet for i = 1, 2, 3, stacked.  A row equals that
-    point in a batch of one.
+    Over the chart batches of ``charts``: ``QuotientChart.structures`` at
+    each batch's ``base`` jet.  A row equals that point in a batch of one.
     """
-    return _over_charts(
-        batches,
-        lambda chart: np.stack([chart.structure(chart.base, i)[:, 0] for i in (1, 2, 3)], axis=1),
-    )
+    return _over_charts(batches, lambda chart: chart.structures(chart.base)[:, 0])
 
 
 def descended_curvature(batches, rotator: CircleActionSpec) -> np.ndarray:

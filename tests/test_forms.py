@@ -713,6 +713,56 @@ def test_ddc_evaluates_each_distinct_point_once(dim, scheme, per_point):
     assert np.array_equal(np.unique(rows, axis=0), np.unique(nested, axis=0))
 
 
+def _nested_table_by_sorting(scheme, dim):
+    """The nested-stencil table as a sort of every nested point's key builds it."""
+    steps = np.array(forms._OFFSETS[scheme.order]) * scheme.h
+    o2, o1, i, j = np.indices((len(steps), len(steps), dim, dim)).reshape(4, -1)
+    swap = i > j
+    s, t = steps[o1], steps[o2]
+    keys = np.stack(
+        [np.where(swap, j, i), np.where(swap, t, s), np.where(swap, i, j), np.where(swap, s, t)],
+        axis=1,
+    )
+    distinct, back = np.unique(keys, axis=0, return_inverse=True)
+    cols_a, steps_a, cols_b, steps_b = distinct.T
+    return cols_a.astype(int), steps_a, cols_b.astype(int), steps_b, back.reshape(-1)
+
+
+def _ext_deriv_table_by_lookup(dim, degree):
+    """The exterior-derivative table as one dict lookup per entry builds it."""
+    pos_k = {idx: pos for pos, idx in enumerate(basis_indices(dim, degree))}
+    top = basis_indices(dim, degree + 1)
+    coords = np.array(top, dtype=int).reshape(len(top), degree + 1)
+    rests = np.array(
+        [[pos_k[J[:m] + J[m + 1 :]] for m in range(degree + 1)] for J in top], dtype=int
+    ).reshape(len(top), degree + 1)
+    return coords, rests, (-1.0) ** np.arange(degree + 1)
+
+
+def _assert_same_table(table, want):
+    assert len(table) == len(want)
+    for column, expected in zip(table, want):
+        assert column.dtype == expected.dtype and column.shape == expected.shape
+        assert column.tobytes() == expected.tobytes()
+        assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("h", [0.1, 2e-3, 1e-3, 1e-5, 2e-2, 0.3])
+def test_nested_table_is_the_sorted_table(order, h):
+    scheme = FDScheme(h=h, order=order)
+    for dim in range(1, 17):
+        _assert_same_table(forms._nested_table(scheme, dim), _nested_table_by_sorting(scheme, dim))
+
+
+@pytest.mark.parametrize("dim", range(1, 15))
+def test_ext_deriv_table_is_the_looked_up_table(dim):
+    for degree in range(dim + 1):
+        _assert_same_table(
+            forms._ext_deriv_table(dim, degree), _ext_deriv_table_by_lookup(dim, degree)
+        )
+
+
 def test_one_bad_row_fails_the_whole_batch():
     a = np.zeros(4)
     rng = np.random.default_rng(24)
@@ -803,6 +853,13 @@ def test_structure_callable_must_return_one_matrix_per_point():
     f = _smooth_field(np.random.default_rng(25), 4)
     with pytest.raises(ValueError, match="structure callable"):
         ddc(f, lambda q: I4, np.zeros((1, 4)), FDScheme(h=1e-3, order=4))
+
+
+@pytest.mark.parametrize("operator", [dc_deriv, ddc])
+def test_a_constant_structure_of_the_wrong_shape_is_refused(operator):
+    f = _smooth_field(np.random.default_rng(26), 4)
+    with pytest.raises(ConfigError, match=r"shape \(4, 4\), got \(6, 6\)"):
+        operator(f, np.eye(6), np.zeros((1, 4)), FDScheme(h=1e-3, order=4))
 
 
 _CHUNK_FAULTS = """\
@@ -1012,6 +1069,15 @@ def test_type11_invariant_under_frame_rotation():
 def test_type11_rejects_non_structure():
     with pytest.raises(StructureError):
         type11_residual(OMEGA1[None], np.eye(4))
+
+
+def test_type11_needs_one_structure_per_form():
+    assert type11_residual(np.stack([OMEGA1] * 2), np.stack([I4] * 2)).shape == (2,)
+    with pytest.raises(ConfigError, match="2 forms need 2 structures, got 3"):
+        type11_residual(np.stack([OMEGA1] * 2), np.stack([I4] * 3))
+    for bad in (I4[0], I4[None, None]):  # one matrix or one per form, nothing else
+        with pytest.raises(ConfigError, match=r"\(N, N\) or \(k, N, N\)"):
+            type11_residual(OMEGA1[None], bad)
 
 
 # -- scheme validation ---------------------------------------------------------------

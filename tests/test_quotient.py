@@ -1092,14 +1092,23 @@ def test_shared_chart_batches_give_the_bits_of_fresh_ones(first, second):
 
 
 @pytest.mark.parametrize("action", [ACTION, H3, TORUS_H3], ids=["H2", "H3", "torus-H3"])
-def test_quotient_structures_solve_equals_three_solves(action):
-    # one solve of the three right-hand sides omega_bar_i side by side has
-    # the bits of the three solves of ``structure``
+def test_quotient_structures_solve_equals_three_solves(monkeypatch, action):
+    # the three structures off one metric have the bits of the three calls
+    # of ``structure``, each of which builds the metric again
     level = LevelSpec((1.0,) * action.dim_g)
     seeds = np.random.default_rng(77).standard_normal((4, action.dim))
     (chart,) = charts(solve_level(action, level, seeds))
     want = np.stack([chart.structure(chart.base, i)[:, 0] for i in (1, 2, 3)], axis=1)
+    metrics = []
+    metric = QuotientChart.metric
+
+    def counting(self, jet):
+        metrics.append(jet)
+        return metric(self, jet)
+
+    monkeypatch.setattr(QuotientChart, "metric", counting)
     assert np.array_equal(quotient_structures([chart]), want)
+    assert len(metrics) == 1
 
 
 def test_chart_functions_refuse_an_empty_batch_list():
