@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -28,7 +29,7 @@ def _diagram_edges(kind: str, k=None):
         raise ConfigError(f"diagram kind must be one of {KINDS}")
     if kind.startswith("E") and k is not None:
         raise ConfigError("E-series diagrams take no index")
-    if k is not None and not isinstance(k, (int, np.integer)):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
         raise ConfigError(f"diagram index must be an integer, got {k!r}")
     if kind == "A":
         if k is None or k < 1:
@@ -72,19 +73,37 @@ def _adjacency(num_vertices: int, edges) -> np.ndarray:
 
 
 def _null_marks(num_vertices: int, edges) -> tuple:
-    """The minimal positive integer null vector of the affine Cartan matrix, by one SVD."""
-    cartan = 2 * np.eye(num_vertices) - _adjacency(num_vertices, edges)
-    _, s, vt = np.linalg.svd(cartan)
-    if s[-2] < 1e-9:
-        raise StructureError("affine Cartan matrix has corank > 1")
-    null = vt[-1]
-    null = null / null[np.argmax(np.abs(null))]
-    scaled = null / np.min(null[null > 1e-12])
-    marks = np.rint(scaled).astype(int)
-    if np.any(marks < 1) or np.any(cartan @ marks != 0):
+    """The minimal positive integer null vector of the affine Cartan matrix C, in integers.
+
+    With d_0 = 1 the other rows of C d = 0 are the finite diagram's Cartan
+    matrix, positive definite, so Gaussian elimination (each row divided
+    by its gcd) needs no pivoting; back substitution keeps d over one
+    common denominator, and C d = 0 is checked whole.  No float enters.
+    """
+    cartan = 2 * np.eye(num_vertices, dtype=int) - _adjacency(num_vertices, edges)
+    rows = [row[1:] + [-row[0]] for row in cartan[1:].tolist()]
+    for col, lead in enumerate(rows):
+        if not lead[col]:
+            raise StructureError("affine Cartan matrix has corank > 1")
+        for r in range(col + 1, len(rows)):
+            row = rows[r]
+            if row[col]:
+                combined = [lead[col] * x - row[col] * y for x, y in zip(row, lead)]
+                divisor = gcd(*combined)
+                rows[r] = [x // divisor for x in combined]
+    scale, tail = 1, []  # d_j = tail[j - i - 1] / scale for the rows j > i solved so far
+    for i in reversed(range(len(rows))):
+        row = rows[i]
+        rest = row[-1] * scale - sum(c * x for c, x in zip(row[i + 1 : -1], tail))
+        divisor = gcd(rest, row[i])
+        factor = row[i] // divisor
+        scale *= factor
+        tail = [rest // divisor] + [x * factor for x in tail]
+    null = [scale] + tail
+    divisor = gcd(*null)
+    marks = tuple(d // divisor for d in null)
+    if any(m < 1 for m in marks) or np.any(cartan @ marks):
         raise StructureError("failed to extract an integer null vector")
-    divisor = gcd(*(int(m) for m in marks))
-    marks = tuple(int(m) // divisor for m in marks)
     return marks
 
 
@@ -119,21 +138,22 @@ class DynkinGraph:
         return out
 
 
-def _build_diagram(kind: str, k=None) -> DynkinGraph:
-    num, edges = _diagram_edges(kind, k)
-    tag = kind if kind.startswith("E") else f"{kind}{k}"
-    return DynkinGraph(tag, num, edges, _null_marks(num, edges))
-
-
 def extended_diagram(kind: str, k=None) -> DynkinGraph:
     """The extended A_k/D_k/E6/E7/E8 diagram with its computed marks.
 
-    A1-A9, D4-D8 and E6-E8 are built once, at import, and shared (a
-    DynkinGraph is frozen and holds tuples); any other is built per call.
+    Each diagram is built on first use and shared (a DynkinGraph is frozen
+    and holds tuples).  The arguments are checked before the cache is read,
+    since a whole float or a bool hashes and compares equal to an integer.
     """
-    _diagram_edges(kind, k)  # the checks, also for a diagram built at import
-    graph = _DIAGRAMS.get((kind, k))
-    return _build_diagram(kind, k) if graph is None else graph
+    _diagram_edges(kind, k)
+    return _diagram(kind, k)
+
+
+@lru_cache(maxsize=None)
+def _diagram(kind: str, k) -> DynkinGraph:
+    num, edges = _diagram_edges(kind, k)
+    tag = kind if kind.startswith("E") else f"{kind}{k}"
+    return DynkinGraph(tag, num, edges, _null_marks(num, edges))
 
 
 def mckay_dims(kind: str, k=None) -> tuple:
@@ -174,12 +194,3 @@ def quiver_dim(graph: DynkinGraph) -> int:
     """Complex dimension of the quiver space: sum of d_i d_j over directed edges."""
     return 2 * sum(graph.marks[i] * graph.marks[j] for i, j in graph.edges)
 
-
-_DIAGRAMS = {
-    (kind, k): _build_diagram(kind, k)
-    for kind, k in (
-        *(("A", k) for k in range(1, 10)),
-        *(("D", k) for k in range(4, 9)),
-        *((label, None) for label in ("E6", "E7", "E8")),
-    )
-}

@@ -27,12 +27,12 @@ other shape is a ConfigError naming (k, 4n).  The coordinate packing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, StructureError
-from .forms import FDScheme, ScalarField, _pair_indices, _points, ddc
+from .forms import FDScheme, ScalarField, _pair_indices, _points, _read_only, ddc
 
 __all__ = [
     "FlatModel",
@@ -47,24 +47,19 @@ __all__ = [
 ]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class FlatModel:
     """Flat H^n: constant complex structures I, J, K and the Kähler triple.
 
     I, J and K are built on first use and are read-only, as are the
     Kähler forms, their transposes.  ``CircleActionSpec.model()`` hands out
-    one shared model per n up to 3, built at import.
+    one shared model per n.
     """
 
     def __init__(self, n: int = 1):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ConfigError(f"quaternionic dimension must be an integer >= 1, got {n!r}")
-        self.n = n
-        self.dim = 4 * n
+        self.n = int(n)
+        self.dim = 4 * self.n
 
     # -- coordinate packing --------------------------------------------------
 
@@ -148,18 +143,10 @@ class FlatModel:
         return self.omega1, self.omega2, self.omega3
 
 
-#: H^1, H^2 and H^3 with their structures, built at import and shared by
-#: every circle action and linear action on them (the Eguchi-Hanson H^2,
-#: and the flat and twistor runs up to n = 3)
-_SHARED_MODELS = {n: FlatModel(n) for n in (1, 2, 3)}
-for _model in _SHARED_MODELS.values():
-    _model.structures()
-
-
+@lru_cache(maxsize=None)
 def _shared_model(n: int) -> FlatModel:
-    """The model of H^n: one shared object for n <= 3, a new one above."""
-    model = _SHARED_MODELS.get(n)
-    return FlatModel(n) if model is None else model
+    """The model of H^n, built on first use and shared by every caller at that n."""
+    return FlatModel(n)
 
 
 @dataclass(frozen=True)
@@ -201,7 +188,7 @@ class CircleActionSpec:
         return self.k[0] + self.l[0]
 
     def model(self) -> FlatModel:
-        """The flat model of n coordinates, one shared object per n <= 3."""
+        """The flat model of n coordinates, one shared object per n."""
         return _shared_model(self.n)
 
 
@@ -266,7 +253,7 @@ def hyperholo_curvature(spec: CircleActionSpec, p, scheme: FDScheme) -> np.ndarr
 
 
 #: the rotation angles at which rotation_degree_check samples the pullback
-ROTATION_ANGLES = np.linspace(0.1, 2 * np.pi - 0.1, 7)
+ROTATION_ANGLES = _read_only(np.linspace(0.1, 2 * np.pi - 0.1, 7))
 
 
 def rotation_degree_check(spec: CircleActionSpec) -> float:

@@ -81,6 +81,12 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a cache or a module constant shares it with every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def basis_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Sorted multi-indices labelling the degree-k form basis on R^dim."""
@@ -90,14 +96,9 @@ def basis_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _basis_position(dim: int, degree: int) -> dict:
-    return {idx: pos for pos, idx in enumerate(basis_indices(dim, degree))}
-
-
-@lru_cache(maxsize=None)
 def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (i, j), i < j, of the degree-2 basis, in its order."""
-    return np.triu_indices(dim, 1)
+    """Row and column indices (i, j), i < j, of the degree-2 basis, in its order; read-only."""
+    return tuple(map(_read_only, np.triu_indices(dim, 1)))
 
 
 def _as_matrices(comps: np.ndarray, dim: int) -> np.ndarray:
@@ -339,10 +340,7 @@ def _ext_deriv_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.
     ).reshape(dim, degree + 1)
     colex = binom[dim - 1 - coords[:, drop], degree - places].sum(axis=2)
     rests = len(basis_indices(dim, degree)) - 1 - colex
-    table = (coords, rests, (-1.0) ** np.arange(degree + 1))
-    for column in table:
-        column.flags.writeable = False
-    return table
+    return tuple(map(_read_only, (coords, rests, (-1.0) ** np.arange(degree + 1))))
 
 
 def _ext_deriv_sum(D: np.ndarray, dim: int, degree: int) -> np.ndarray:
@@ -467,9 +465,7 @@ def _nested_table(scheme: FDScheme, dim: int) -> tuple[np.ndarray, ...]:
         ascending[ranks_b[kept]],
         back,
     )
-    for column in table:
-        column.flags.writeable = False
-    return table
+    return tuple(map(_read_only, table))
 
 
 def ddc(f: ScalarField, I, p, scheme: FDScheme) -> np.ndarray:
@@ -542,15 +538,15 @@ def _star_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
     J is the sorted complement of I, and signs[I] the sign of the
     permutation (I, J) of (0, ..., dim - 1), (-1) to the number of pairs
-    i in I, j in J with i > j.
+    i in I, j in J with i > j.  Both arrays are read-only.
     """
-    pos_out = _basis_position(dim, dim - degree)
+    pos_out = {J: pos for pos, J in enumerate(basis_indices(dim, dim - degree))}
     targets, signs = [], []
     for I in basis_indices(dim, degree):
         J = tuple(j for j in range(dim) if j not in I)
         targets.append(pos_out[J])
         signs.append((-1) ** sum(i > j for i in I for j in J))
-    return np.array(targets, dtype=int), np.array(signs, dtype=int)
+    return _read_only(np.array(targets, dtype=int)), _read_only(np.array(signs, dtype=int))
 
 
 def _raise_indices(Ginv: np.ndarray, F: np.ndarray, degree: int) -> np.ndarray:

@@ -45,6 +45,7 @@ from .forms import (
     _chunked,
     _pair_indices,
     _points,
+    _read_only,
     ext_deriv,
     hodge_star,
 )
@@ -332,7 +333,7 @@ def _unit_gauss(count: int) -> tuple[np.ndarray, np.ndarray]:
 #: per t node and, on the shortest tested segments (0, 0.25, 0.5), 3.7 times
 #: per s node, so 32 t and 20 s nodes leave 1e-12 and 1.4e-10.  The surface
 #: stays 0.4 sin(pi s_0) off the axis (s_0 the first node): 42 s nodes at most.
-_PERIOD_S_RULE = _unit_gauss(20)
+_PERIOD_S_RULE = tuple(map(_read_only, _unit_gauss(20)))
 _PERIOD_T_NODES = 32
 
 

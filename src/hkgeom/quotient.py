@@ -61,6 +61,7 @@ from .forms import (
     _ext_deriv_sum,
     _fd_reduce,
     _pair_indices,
+    _points,
     _stencil_points,
     _stencil_rows,
     fd_gradient,
@@ -194,31 +195,31 @@ class LevelSpec:
 
 
 def hk_moment(action: LinearAction, m) -> np.ndarray:
-    """nu[a, i] = (1/2) omega_i(G_a m, m); quadratic, vanishing at the origin.
+    """nu[a, i] = (1/2) omega_i(G_a m, m) at m (k, dim), (k, dim_g, 3); quadratic, 0 at 0.
 
-    ``m`` is one point (dim,), giving (dim_g, 3), or a batch (k, dim),
-    giving (k, dim_g, 3).  The Jacobian rows come from the one product of
-    ``moment_jacobian``; each entry is then a separate (1, dim) @ (dim, 1)
-    product of a row with m, which BLAS rounds as it rounds ``np.dot`` of
-    the two vectors, so a batch row has the bits of that point alone; a
-    sum over the last axis would round differently.
+    Any other shape of m is a ConfigError naming (k, dim).  The Jacobian
+    rows come from the one product of ``moment_jacobian``; each entry is
+    then a separate (1, dim) @ (dim, 1) product of a row with m, which
+    BLAS rounds as it rounds ``np.dot`` of the two vectors, so a batch row
+    has the bits of that point alone; a sum over the last axis would round
+    differently.
     """
-    m = np.asarray(m, dtype=float)
+    m = _points(m, action.dim)
     rows = moment_jacobian(action, m)
-    return 0.5 * (rows[..., None, :] @ m[..., None, None, :, None])[..., 0, 0]
+    return 0.5 * (rows[..., None, :] @ m[:, None, None, :, None])[..., 0, 0]
 
 
 def moment_jacobian(action: LinearAction, m) -> np.ndarray:
-    """d nu at m: rows (a, i) are the covectors (S_i G_a m)^T, i.e. i_{X_a} omega_i.
+    """d nu at m (k, dim): rows (a, i) are the covectors (S_i G_a m)^T, i.e. i_{X_a} omega_i.
 
-    Shape (dim_g, 3, dim) for one point, (k, dim_g, 3, dim) for a batch,
-    from one product m @ W with the (dim, 3 dim_g dim) stack W of the
-    matrices S_i G_a that ``LinearAction`` builds once, a GEMM for a batch.
+    Shape (k, dim_g, 3, dim), from one product m @ W with the (dim, 3 dim_g
+    dim) stack W of the matrices S_i G_a that ``LinearAction`` builds
+    once, a GEMM for a batch; any other shape of m is a ConfigError.
     A batch row has the bits of that point alone, and of the products
     S_i G_a m one by one (tested at batch sizes 1 to 1000).
     """
-    m = np.asarray(m, dtype=float)
-    return (m @ action._moment_stack).reshape(m.shape[:-1] + (action.dim_g, 3, action.dim))
+    m = _points(m, action.dim)
+    return (m @ action._moment_stack).reshape(len(m), action.dim_g, 3, action.dim)
 
 
 # -- level sets ---------------------------------------------------------------------
@@ -356,6 +357,12 @@ def solve_level(action: LinearAction, level: LevelSpec, seeds) -> LevelSetPoints
     (``_orbit_gram``) on the solved points' moment Jacobians checks that
     the action is free at each, and one ``_quaternionic_basis`` of their
     orbits gives the frames of the whole batch.
+
+    Seeds should sit at the level's scale sqrt|c|, as the suites draw
+    them: m -> sqrt(c) m carries the level-1 set onto the level-c set.
+    From a unit seed at c >> 1 the first minimum-norm step overshoots; at
+    c = 150 it reached |m|^2 = 17870, whose moment roundoff eps |m|^2 then
+    kept a chart retraction from its stop _CHART_NEWTON_TOL c.
     """
     if level.dim_g != action.dim_g:
         raise ConfigError("level dimension does not match the action")

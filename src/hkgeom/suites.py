@@ -190,9 +190,9 @@ class RunConfig:
 class Check:
     """One named identity held to a tolerance.
 
-    ``residual(rng, cfg)`` returns the residual, or (residual, detail) to
-    give the record a detail text.  ``when(cfg)``, if given, says whether
-    the check applies to the configuration at all.
+    ``residual(rng, cfg)`` returns its samples' residuals, or (residuals,
+    detail) to give the record a detail text; the record holds the worst.
+    ``when(cfg)``, if given, says whether the check applies at all.
     """
 
     id: str
@@ -235,7 +235,7 @@ def _run(cfg: RunConfig, check: Check) -> CheckRecord:
         out = check.residual(rng, cfg)
         if isinstance(out, tuple):
             out, detail = out
-        residual = float(out)
+        residual = _worst(out)
     except _NUMERICAL_ERRORS as exc:  # recorded, not raised: exit code 1 via the report
         wall = time.perf_counter() - start
         note = f"{type(exc).__name__}: {exc}"
@@ -280,23 +280,23 @@ def _flat_points(cfg: RunConfig, rng, count) -> np.ndarray:
     return rng.uniform(-1.5, 1.5, size=(count, 4 * cfg.n))
 
 
-def _flat_type11(rng, cfg: RunConfig, k: int) -> float:
+def _flat_type11(rng, cfg: RunConfig, k: int) -> list:
     spec = _rotation(cfg, k)
     structures = spec.model().structures()
     curvatures = fs.hyperholo_curvature(spec, _flat_points(cfg, rng, cfg.samples), _FLAT_SCHEME)
-    return _worst([type11_residual(curvatures, S) for S in structures])
+    return [type11_residual(curvatures, S) for S in structures]
 
 
-def _flat_full_norm(rng, cfg: RunConfig) -> float:
+def _flat_full_norm(rng, cfg: RunConfig) -> np.ndarray:
     points = _flat_points(cfg, rng, cfg.samples)
-    return _worst(np.abs(fs.hyperholo_curvature(_rotation(cfg, 1), points, _FLAT_SCHEME)))
+    return np.abs(fs.hyperholo_curvature(_rotation(cfg, 1), points, _FLAT_SCHEME))
 
 
-def _flat_calibration(rng, cfg: RunConfig) -> float:
+def _flat_calibration(rng, cfg: RunConfig) -> np.ndarray:
     f = ScalarField(lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), dim=4)
     expected = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # 2 dx0^dx1
     got = ddc(f, fs._shared_model(1).I, rng.uniform(-1.5, 1.5, size=(5, 4)), _FLAT_SCHEME)
-    return _worst(np.abs(got - expected))
+    return np.abs(got - expected)
 
 
 # -- cotangent model ------------------------------------------------------------------
@@ -321,22 +321,22 @@ _BG_SCHEME = FDScheme(h=1e-3, order=4)
 _BG_AGREEMENT_SCHEME = FDScheme(h=2e-2, order=4)
 
 
-def _bg_agreement(rng, cfg: RunConfig) -> float:
+def _bg_agreement(rng, cfg: RunConfig) -> np.ndarray:
     pts = _cotangent_points(rng, cfg.samples)
-    return _worst(ct.bg_curvature_residual(pts, _BG_AGREEMENT_SCHEME))
+    return ct.bg_curvature_residual(pts, _BG_AGREEMENT_SCHEME)
 
 
-def _bg_quaternionic(rng, cfg: RunConfig) -> float:
-    """Worst ||J^2 + Id|| over samples // 4 points (>= 2); builds no curvature."""
+def _bg_quaternionic(rng, cfg: RunConfig) -> np.ndarray:
+    """||J^2 + Id|| at samples // 4 points (>= 2); builds no curvature."""
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
-    return _worst(ct.bg_quaternionic_residual(ct.bg_structures(pts, _BG_SCHEME)[1]))
+    return ct.bg_quaternionic_residual(ct.bg_structures(pts, _BG_SCHEME)[1])
 
 
-def _bg_type11(rng, cfg: RunConfig) -> float:
+def _bg_type11(rng, cfg: RunConfig) -> list:
     pts = _cotangent_points(rng, max(2, cfg.samples // 4))
     structures, F = ct.bg_structures(pts, _BG_SCHEME), ct.bg_curvature(pts, _BG_SCHEME)
     # J and K carry FD error; bg.structure.quaternionic reports it as its own residual
-    return _worst([type11_residual(F, S, structure_tol=1e-4) for S in structures])
+    return [type11_residual(F, S, structure_tol=1e-4) for S in structures]
 
 
 # -- Gibbons-Hawking ------------------------------------------------------------------
@@ -394,52 +394,50 @@ def _star_gaps(da: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return np.max(np.abs(da - grads @ star), axis=1)
 
 
-def _gh_alpha(rng, cfg: RunConfig) -> float:
+def _gh_alpha(rng, cfg: RunConfig) -> np.ndarray:
     ghc = _gh_config(cfg)
     xs = _gh_points(ghc, cfg.samples, rng)
     grads = gh.potential_gradient(ghc, xs)
-    return _worst(_star_gaps(ext_deriv(gh.alpha_field(ghc), xs, _GH_SCHEME), grads))
+    return _star_gaps(ext_deriv(gh.alpha_field(ghc), xs, _GH_SCHEME), grads)
 
 
-def _gh_pair(rng, cfg: RunConfig) -> float:
+def _gh_pair(rng, cfg: RunConfig) -> np.ndarray:
     ghc = gh.GHConfig(centers=cfg.centers)  # without c: see _MAX_GH_C
     xs = _gh_points(ghc, cfg.samples, rng)
     da = ext_deriv(gh.monopole_field(ghc), xs, _GH_SCHEME)
-    return _worst(_star_gaps(da, fd_gradient(lambda x: gh.monopole_phi(ghc, x), xs, _GH_SCHEME)))
+    return _star_gaps(da, fd_gradient(lambda x: gh.monopole_phi(ghc, x), xs, _GH_SCHEME))
 
 
-def _gh_harmonic(rng, cfg: RunConfig) -> float:
+def _gh_harmonic(rng, cfg: RunConfig) -> np.ndarray:
     ghc = gh.GHConfig(centers=cfg.centers)  # without c: see _MAX_GH_C
     fields = (
         ScalarField(lambda x: gh.gh_potential(ghc, x), 3, clearance=gh.chart_clearance),
         ScalarField(lambda x: gh.monopole_phi(ghc, x), 3, clearance=gh.chart_clearance),
     )
     xs = _gh_points(ghc, cfg.samples, rng)
-    return _worst(np.abs([laplacian(f, xs, _GH_SCHEME) for f in fields]))
+    return np.abs([laplacian(f, xs, _GH_SCHEME) for f in fields])
 
 
-def _gh_asd(rng, cfg: RunConfig) -> float:
+def _gh_asd(rng, cfg: RunConfig) -> np.ndarray:
     ghc = _gh_config(cfg)
     xs = _gh_points(ghc, max(2, cfg.samples // 3), rng)
     chart = np.column_stack([xs, rng.uniform(0.0, 2 * np.pi, size=len(xs))])
-    return _worst(gh.asd_residual(ghc, chart, _GH_SCHEME))
+    return gh.asd_residual(ghc, chart, _GH_SCHEME)
 
 
 def _gh_periods(rng, cfg: RunConfig):
     ghc = _gh_config(cfg)
     measured = [gh.sphere_period(ghc, i) for i in range(1, ghc.num_centers)]
-    worst = _worst(
-        [abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)]
-    )
-    return worst, "periods: " + ", ".join("%.12g" % v for v in measured)
+    gaps = [abs(m - 2.0 * np.pi * s) / (2.0 * np.pi * s) for m, s in zip(measured, ghc.spacings)]
+    return gaps, "periods: " + ", ".join("%.12g" % v for v in measured)
 
 
-def _gh_lift(rng, cfg: RunConfig) -> float:
+def _gh_lift(rng, cfg: RunConfig) -> np.ndarray:
     ghc = _gh_config(cfg)
-    return _worst(gh.lift_identity_residual(ghc, _gh_points(ghc, cfg.samples, rng)))
+    return gh.lift_identity_residual(ghc, _gh_points(ghc, cfg.samples, rng))
 
 
-def _gh_segments(rng, cfg: RunConfig) -> float:
+def _gh_segments(rng, cfg: RunConfig) -> np.ndarray:
     """Four axis points per open segment, 5% to 95% of the way along it, segment by segment."""
     ghc = _gh_config(cfg)
     edges = np.array([ghc.centers[0] - 1.5, *ghc.centers, ghc.centers[-1] + 1.5])
@@ -447,7 +445,7 @@ def _gh_segments(rng, cfg: RunConfig) -> float:
     x1 = lo + rng.uniform(0.05, 0.95, size=(len(lo), 4)) * (hi - lo)
     x = np.column_stack([x1.ravel(), np.zeros((x1.size, 2))])
     f = gh.rotation_lift_f(ghc, x).reshape(x1.shape)
-    return _worst(np.abs(f - np.array(gh.f_segment_values(ghc))[:, None]))
+    return np.abs(f - np.array(gh.f_segment_values(ghc))[:, None])
 
 
 def _even_unit_centers(cfg: RunConfig) -> bool:
@@ -555,7 +553,7 @@ def _level_charts(rng, cfg: RunConfig) -> list:
     return qt.charts(_level_points(qt.EGUCHI_HANSON.action, rng, cfg))
 
 
-def _q_match(rng, cfg: RunConfig) -> float:
+def _q_match(rng, cfg: RunConfig) -> np.ndarray:
     """Canonical curvature of the weight-c bundle against the descended form, at level c.
 
     The weight is the level c, not 1.  The map m -> sqrt(c) m carries the
@@ -577,28 +575,28 @@ def _q_match(rng, cfg: RunConfig) -> float:
     batches = _level_charts(rng, cfg)
     got = qt.canonical_bundle_curvature(batches, (cfg.level,))
     want = qt.descended_curvature(batches, qt.EGUCHI_HANSON.rotator)
-    return _worst(np.abs(got - want))
+    return np.abs(got - want)
 
 
-def _q_type11(rng, cfg: RunConfig) -> float:
-    """Worst type-(1,1) residual of the descended form against I_bar, J_bar and K_bar."""
+def _q_type11(rng, cfg: RunConfig) -> np.ndarray:
+    """Type-(1,1) residuals of the descended form against I_bar, J_bar and K_bar."""
     batches = _level_charts(rng, cfg)
     F = qt.descended_curvature(batches, qt.EGUCHI_HANSON.rotator)
     S = qt.quotient_structures(batches)
-    return _worst(
-        type11_residual(np.repeat(F, 3, axis=0), S.reshape((-1,) + S.shape[2:]), structure_tol=1e-4)
+    return type11_residual(
+        np.repeat(F, 3, axis=0), S.reshape((-1,) + S.shape[2:]), structure_tol=1e-4
     )
 
 
-def _q_descent(rng, cfg: RunConfig) -> float:
+def _q_descent(rng, cfg: RunConfig) -> np.ndarray:
     batches = _level_charts(rng, cfg)
-    return _worst(qt.moment_descent_residual(batches, qt.EGUCHI_HANSON.rotator))
+    return qt.moment_descent_residual(batches, qt.EGUCHI_HANSON.rotator)
 
 
-def _q_gh_potential(rng, cfg: RunConfig) -> float:
+def _q_gh_potential(rng, cfg: RunConfig) -> np.ndarray:
     xs, vs = gh_samples(qt.EGUCHI_HANSON, cfg.level, rng, cfg.samples)
     predicted = gh.gh_potential(eh_centers(cfg.level), xs)
-    return float(np.max(np.abs(vs - predicted) / predicted))
+    return np.abs(vs - predicted) / predicted
 
 
 def _q_separation(rng, cfg: RunConfig) -> float:
@@ -632,41 +630,41 @@ def _complex_normals(rng, *shape) -> np.ndarray:
     return a[..., 0, :] + 1j * a[..., 1, :]
 
 
-def _tw_pair(rng, cfg: RunConfig) -> float:
+def _tw_pair(rng, cfg: RunConfig) -> np.ndarray:
     z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
     v, xi = tw.product_to_chart(z, w, zeta)
     tangents = _complex_normals(rng, cfg.samples, 2 * cfg.n + 1)
-    return _worst(tw.connection_pair_residual(v, xi, zeta, tangents))
+    return tw.connection_pair_residual(v, xi, zeta, tangents)
 
 
-def _tw_invariance(rng, cfg: RunConfig) -> float:
+def _tw_invariance(rng, cfg: RunConfig) -> np.ndarray:
     z, w, zeta = _twistor_samples(cfg, rng, cfg.samples)
     v, xi = tw.product_to_chart(z, w, zeta)
     tangents = _complex_normals(rng, cfg.samples, 2 * cfg.n + 1)
-    return _worst(tw.action_invariance_residual(_rotation(cfg, 1), v, xi, zeta, tangents))
+    return tw.action_invariance_residual(_rotation(cfg, 1), v, xi, zeta, tangents)
 
 
-def _tw_restriction(rng, cfg: RunConfig) -> float:
+def _tw_restriction(rng, cfg: RunConfig) -> np.ndarray:
     samples = _twistor_samples(cfg, rng, cfg.samples)
     s, t = np.split(rng.standard_normal((cfg.samples, 8 * cfg.n)), 2, axis=1)
-    return _worst(tw.fibre_restriction_residual(*samples, s, t))
+    return tw.fibre_restriction_residual(*samples, s, t)
 
 
-def _tw_residue(rng, cfg: RunConfig) -> float:
+def _tw_residue(rng, cfg: RunConfig) -> np.ndarray:
     count = max(2, cfg.samples // 2)
     z, w, _ = _twistor_samples(cfg, rng, count)
     m_tangents = rng.standard_normal((count, 4 * cfg.n))
-    return _worst(tw.residue_match_residual(z, w, m_tangents))
+    return tw.residue_match_residual(z, w, m_tangents)
 
 
-def _tw_rotation_residue(rng, cfg: RunConfig) -> float:
+def _tw_rotation_residue(rng, cfg: RunConfig) -> list:
     d_zeta = np.zeros((1, 2 * cfg.n + 1), dtype=complex)
     d_zeta[:, -1] = 1.0
     gaps = []
     for n_char in (1, 2, 5):
         got = tw.connection_residue(n_char, *_complex_normals(rng, 2, 1, cfg.n), d_zeta)
         gaps.append(np.abs(got - 2j * np.pi * n_char))
-    return _worst(gaps)
+    return gaps
 
 
 def _tw_pole_orders(rng, cfg: RunConfig) -> float:
@@ -675,19 +673,19 @@ def _tw_pole_orders(rng, cfg: RunConfig) -> float:
     return abs(zero - 1) + abs(infinity - 1)
 
 
-def _tw_hermitian(rng, cfg: RunConfig) -> float:
+def _tw_hermitian(rng, cfg: RunConfig) -> np.ndarray:
     samples = _twistor_samples(cfg, rng, max(2, cfg.samples // 4))
-    return _worst(tw.hermitian_curvature_residual(*samples))
+    return tw.hermitian_curvature_residual(*samples)
 
 
-def _tw_reality(rng, cfg: RunConfig) -> float:
-    return _worst(tw.reality_residual(*_twistor_samples(cfg, rng, cfg.samples)))
+def _tw_reality(rng, cfg: RunConfig) -> np.ndarray:
+    return tw.reality_residual(*_twistor_samples(cfg, rng, cfg.samples))
 
 
-def _tw_closedness(rng, cfg: RunConfig) -> float:
+def _tw_closedness(rng, cfg: RunConfig) -> np.ndarray:
     count = max(2, cfg.samples // 4)
     samples = _twistor_samples(cfg, rng, count, min_mod=0.7, max_mod=1.3)
-    return _worst(tw.fz_closedness_residual(*samples))
+    return tw.fz_closedness_residual(*samples)
 
 
 # -- Dynkin / McKay -------------------------------------------------------------------
@@ -728,13 +726,11 @@ _MCKAY_DIAGRAMS = (
 )
 
 
-def _dk_mckay(rng, cfg: RunConfig) -> float:
-    return _worst(
-        [
-            abs(sum(d * d for d in dk.mckay_dims(kind, k)) - dk.gamma_order(kind, k))
-            for kind, k in _MCKAY_DIAGRAMS
-        ]
-    )
+def _dk_mckay(rng, cfg: RunConfig) -> list:
+    return [
+        abs(sum(d * d for d in dk.mckay_dims(kind, k)) - dk.gamma_order(kind, k))
+        for kind, k in _MCKAY_DIAGRAMS
+    ]
 
 
 def _dk_quiver_a1(rng, cfg: RunConfig) -> float:
@@ -773,7 +769,7 @@ CHECKS = (
         "pullback of omega2 + i omega3 under the angle-theta rotation "
         "equals e^{i n theta} (omega2 + i omega3)",
         1e-12,
-        lambda rng, cfg: _worst([fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)]),
+        lambda rng, cfg: [fs.rotation_degree_check(_rotation(cfg, k)) for k in (0, 1)],
     ),
     Check(
         "flat.ddc.calibration", "dd^c(|z|^2 / 2) = 2 dx ^ dy in one flat plane", 1e-8,
@@ -785,12 +781,12 @@ CHECKS = (
     ),
     Check(
         "bg.moment.scaling", "mu(v) = d/d lambda h(lambda^{-1} v) at lambda = 1", 1e-7,
-        lambda rng, cfg: _worst(ct.bg_scaling_residual(_cotangent_points(rng, cfg.samples))),
+        lambda rng, cfg: ct.bg_scaling_residual(_cotangent_points(rng, cfg.samples)),
     ),
     Check(
         "bg.moment.contraction", "mu = -i_X d^c h for the fibre rotation field X", 1e-6,
-        lambda rng, cfg: _worst(
-            ct.bg_contraction_residual(_cotangent_points(rng, cfg.samples), _BG_SCHEME)
+        lambda rng, cfg: ct.bg_contraction_residual(
+            _cotangent_points(rng, cfg.samples), _BG_SCHEME
         ),
     ),
     Check("bg.curvature.agreement", "omega1 + dd^c mu = p*omega + dd^c k", 1e-5, _bg_agreement),

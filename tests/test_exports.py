@@ -86,6 +86,30 @@ print(json.dumps(run_suite(RunConfig()).summary))
 """
 
 
+_IMPORT_BUILDS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hkgeom.cli
+from hkgeom import dynkin, flatspace
+built = [dynkin._diagram.cache_info(), flatspace._shared_model.cache_info()]
+dynkin.extended_diagram("A", 1), flatspace._shared_model(1), flatspace._shared_model(2)
+again = [dynkin._diagram.cache_info(), flatspace._shared_model.cache_info()]
+print(json.dumps([[info.currsize, info.misses] for info in built + again]))
+"""
+
+
+def test_importing_the_cli_builds_only_the_a1_diagram_and_the_h1_h2_models():
+    # shared objects are built on first use; at import only the module constants
+    # need any (cotangent's H^1 chart and Eguchi-Hanson, from the A_1 quiver on H^2),
+    # so asking for those three again is a cache hit, not a build
+    src = str(Path(hkgeom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUILDS, src], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, 1], [2, 2], [1, 1], [2, 2]]
+
+
 def test_the_library_runs_without_scipy():
     # scipy is a test oracle only: the package and every check run on numpy
     src = str(Path(hkgeom.__file__).resolve().parents[1])

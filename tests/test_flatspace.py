@@ -128,9 +128,13 @@ def test_one_shared_model_per_n_with_read_only_structures():
         with pytest.raises(ValueError, match="read-only"):
             S[0, 1] = 5.0
     assert np.array_equal(FlatModel(2).K, model.K)
-    # above n = 3 each call builds its own model
-    wide = CircleActionSpec(k=(1,) * 4, l=(0,) * 4)
-    assert wide.model() is not wide.model() and wide.model().n == 4
+    # every n shares one model, built on first use; FlatModel(n) builds a new one
+    for n in range(1, 9):
+        shared = CircleActionSpec(k=(1,) * n, l=(0,) * n).model()
+        assert shared is CircleActionSpec(k=(2,) * n, l=(-1,) * n).model() and shared.n == n
+        assert FlatModel(n) is not shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared.K[0, 1] = 5.0
 
 
 def test_action_spec_requires_constant_degree():
@@ -141,7 +145,7 @@ def test_action_spec_requires_constant_degree():
 
 
 def test_bad_dimension_or_weights_are_config_errors():
-    for n in (0, 1.5):
+    for n in (0, 1.5, True):
         with pytest.raises(ConfigError, match=f"got {n}"):
             FlatModel(n)
     with pytest.raises(ConfigError, match="equal length"):

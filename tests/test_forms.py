@@ -747,6 +747,16 @@ def _assert_same_table(table, want):
         assert not column.flags.writeable
 
 
+def test_shared_index_tables_and_constants_are_read_only():
+    # every caller gets these same arrays, so none may write into them
+    rows, cols = forms._pair_indices(4)
+    targets, signs = forms._star_table(4, 2)
+    s_nodes, s_weights = gh._PERIOD_S_RULE
+    for array in (rows, cols, targets, signs, ROTATION_ANGLES, s_nodes, s_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("h", [0.1, 2e-3, 1e-3, 1e-5, 2e-2, 0.3])
 def test_nested_table_is_the_sorted_table(order, h):

@@ -466,8 +466,8 @@ DYNKIN_MUTATIONS = {
 
 
 def test_mutations_fail_after_an_unpatched_run(monkeypatch):
-    # the diagrams, their marks and the Eguchi-Hanson action are built once,
-    # at import, and shared; a defect patched in after an unpatched run of
+    # the diagrams and their marks are built on first use and the Eguchi-Hanson
+    # action at import, all shared; a defect patched in after an unpatched run of
     # the whole suite must still reach every row it breaks
     for suite in ("dynkin", "quotient"):
         assert run_suite(RunConfig(suite=suite)).summary["failed"] == 0

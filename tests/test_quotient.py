@@ -184,19 +184,19 @@ def test_level_spec():
 
 
 def test_moment_vanishes_at_origin():
-    assert np.all(hk_moment(ACTION, np.zeros(8)) == 0.0)
+    assert np.all(hk_moment(ACTION, np.zeros((1, 8))) == 0.0)
 
 
 def test_moment_hand_value():
     # z = (1, 0), w = (0, 2i): nu_1 = (|w|^2 - |z|^2)/2, complex part i(z.w) = 0
-    m = np.array([1.0, 0, 0, 0, 0, 0, 0, 2.0])
-    assert np.allclose(hk_moment(ACTION, m), [[1.5, 0.0, 0.0]], atol=1e-14)
+    m = np.array([[1.0, 0, 0, 0, 0, 0, 0, 2.0]])
+    assert np.allclose(hk_moment(ACTION, m), [[[1.5, 0.0, 0.0]]], atol=1e-14)
 
 
 def test_moment_exactly_quadratic():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        m = rng.standard_normal(8)
+        m = rng.standard_normal((1, 8))
         lam = rng.uniform(0.2, 3.0)
         assert np.allclose(
             hk_moment(ACTION, lam * m), lam**2 * hk_moment(ACTION, m), rtol=1e-13
@@ -208,14 +208,14 @@ def test_moment_jacobian_is_derivative():
     scheme = FDScheme(h=1e-4, order=2)  # central FD is exact on quadratics
     for _ in range(10):
         m = rng.standard_normal(8)
-        jac = moment_jacobian(ACTION, m)
+        jac = moment_jacobian(ACTION, m[None])[0]
         for a in range(1):
             for i in range(3):
                 fd = np.array(
                     [
                         (
-                            hk_moment(ACTION, m + h_e)[a, i]
-                            - hk_moment(ACTION, m - h_e)[a, i]
+                            hk_moment(ACTION, (m + h_e)[None])[0, a, i]
+                            - hk_moment(ACTION, (m - h_e)[None])[0, a, i]
                         )
                         / (2 * scheme.h)
                         for h_e in (scheme.h * np.eye(8))
@@ -230,7 +230,17 @@ def test_moment_equivariance():
     for _ in range(5):
         m = rng.standard_normal(8)
         g = expm(rng.uniform(-2, 2) * gen)
-        assert np.max(np.abs(hk_moment(ACTION, g @ m) - hk_moment(ACTION, m))) < 1e-8
+        gap = hk_moment(ACTION, (g @ m)[None]) - hk_moment(ACTION, m[None])
+        assert np.max(np.abs(gap)) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(8,), (7,), (3, 7), (0, 8), (2, 3, 8)], ids=str)
+@pytest.mark.parametrize("fn", [hk_moment, moment_jacobian])
+def test_moment_map_takes_a_nonempty_batch_only(fn, shape):
+    # one point is the batch (1, 8); any other shape, an empty batch too, is refused
+    message = "at least one point" if shape == (0, 8) else r"\(k, 8\)"
+    with pytest.raises(ConfigError, match=message):
+        fn(ACTION, np.ones(shape))
 
 
 # -- level-set solving ----------------------------------------------------------------
@@ -541,11 +551,11 @@ def _lstsq_newton(m, level, tol=1e-12, max_iter=40):
     """Reference: one seed, least-squares Newton steps against the full Jacobian."""
     history = []
     for _ in range(max_iter + 1):
-        res = hk_moment(ACTION, m) - level.target()
+        res = hk_moment(ACTION, m[None])[0] - level.target()
         history.append(float(np.linalg.norm(res)))
         if history[-1] < tol:
             return m, history
-        jac = moment_jacobian(ACTION, m).reshape(-1, ACTION.dim)
+        jac = moment_jacobian(ACTION, m[None]).reshape(-1, ACTION.dim)
         m = m + np.linalg.lstsq(jac, -res.ravel(), rcond=None)[0]
     raise AssertionError("reference Newton did not converge")
 
@@ -671,9 +681,9 @@ def test_batched_moment_rows_match_per_point_loop(action):
     assert jac.shape == (64, action.dim_g, 3, action.dim)
     for row, m in enumerate(batch):
         want_nu, want_jac = _loop_moment(action, m)
-        assert hk_moment(action, m).shape == (action.dim_g, 3)
+        assert hk_moment(action, m[None]).shape == (1, action.dim_g, 3)
         assert np.max(np.abs(nu[row] - want_nu)) <= 1e-15
-        assert np.max(np.abs(hk_moment(action, m) - want_nu)) <= 1e-15
+        assert np.max(np.abs(hk_moment(action, m[None])[0] - want_nu)) <= 1e-15
         assert np.max(np.abs(jac[row] - want_jac)) <= 1e-15
 
 
@@ -689,7 +699,7 @@ def test_moment_jacobian_product_equals_broadcast_products(action, k):
     m = 2.0 * np.random.default_rng(72).standard_normal((k, action.dim))
     jac = moment_jacobian(action, m)
     assert np.array_equal(jac, _broadcast_jacobian(action, m))
-    assert np.array_equal(jac[k // 2], moment_jacobian(action, m[k // 2]))
+    assert np.array_equal(jac[k // 2], moment_jacobian(action, m[k // 2][None])[0])
 
 
 def test_chart_batch_retraction_matches_single_rows():
@@ -707,7 +717,7 @@ def test_chart_batch_retraction_matches_single_rows():
         for j in range(8):
             alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
             assert np.max(np.abs(batch[row, j] - alone)) < 1e-13
-            assert np.linalg.norm(hk_moment(ACTION, batch[row, j]) - target) < 1e-14
+            assert np.linalg.norm(hk_moment(ACTION, batch[row, j][None])[0] - target) < 1e-14
 
 
 def _newton_data(action, k, seed):
@@ -773,7 +783,7 @@ def test_torus_retraction_on_h3_matches_single_rows():
         for j in range(6):
             alone = chart.point(xi[row : row + 1, j : j + 1])[0, 0]
             assert np.array_equal(batch[row, j], alone)
-            residual = np.linalg.norm(hk_moment(TORUS_H3, alone) - level.target())
+            residual = np.linalg.norm(hk_moment(TORUS_H3, alone[None])[0] - level.target())
             assert residual < quotient._CHART_NEWTON_TOL * scale
 
 
